@@ -32,7 +32,7 @@ from .kernels import (KernelSpec, kernel_closure, kernel_conditions,
                       pointwise_closed)
 from .seqspace import (SeqTrunc, TailElement, baf_infinity,
                        bounded_away_from_zero_tail, enough_uc_check,
-                       ex1_report, simple_part_member, tail_apply_op)
+                       ex1_report, simple_part_member)
 from .spaces import PointedBooleanSpace, pointed_bijection, space
 
 __version__ = "0.1.0"

@@ -7,23 +7,21 @@ Exit codes: 0 all checks pass, 1 a check failed, 2 input error.
 
 import argparse
 import sys
-from fractions import Fraction
 
 from .elements import (GoodSequence, SimpleElement, SimpleTrunc, apply_op,
-                       bound_witness, dini_check, element_from_good,
-                       good_from_element, normal_form, pointwise_sup,
-                       truncation_sequence, truncation_sequence_check, uc)
+                       dini_check, element_from_good, good_from_element,
+                       normal_form, pointwise_sup, truncation_sequence,
+                       truncation_sequence_check, uc)
 from .equivalences import equivalence_witness
 from .errors import ParseError, TruncLabError
-from .frames import (FrameReal, FrameSurjection, OpenInterval, drop,
-                     e0q_member, frame_dini, frame_pointwise_sup,
-                     frame_uc_check, induced_op, surjection_tools)
+from .frames import (FrameReal, OpenInterval, drop, e0q_member, frame_dini,
+                     frame_pointwise_sup, frame_uc_check, induced_op,
+                     surjection_tools)
 from .instances import Instance, Sequence, parse_instance
 from .kernels import KernelSpec, kernel_closure, kernel_conditions, pointwise_closed
-from .rat import format_label, format_rational, parse_extended
+from .rat import format_label, format_rational, parse_extended, parse_rational
 from .report import Report
-from .seqspace import SeqTrunc, TailElement, ex1_report, tail_apply_op
-from .spaces import PointedBooleanSpace
+from .seqspace import TailElement, ex1_report
 
 COMMANDS = ("check", "normal-form", "good-seq", "trunc-seq", "uc", "equivalence",
             "frame-eval", "induced-op", "drop", "e0q", "kernel-check",
@@ -137,7 +135,7 @@ def cmd_frame_eval(inst, names, args, report):
 def _parse_tag(token):
     if ":" in token:
         tag, param = token.split(":", 1)
-        return tag, Fraction(param)
+        return tag, parse_rational(param)
     return token, None
 
 
@@ -146,15 +144,13 @@ def cmd_induced_op(inst, names, args, report):
     tag, param = _parse_tag(tag_token)
     operands = [inst.get(n) for n in operand_names]
     kinds = {type(o) for o in operands}
-    if kinds <= {SimpleElement}:
-        result = apply_op(tag, operands, param=param)
-    elif kinds <= {TailElement}:
-        result = tail_apply_op(tag, operands, param=param)
-    elif kinds <= {FrameReal}:
+    if len(kinds) > 1 or not kinds <= {SimpleElement, TailElement, FrameReal}:
+        raise TruncLabError("operands must share a model")
+    if kinds == {FrameReal}:
         result = induced_op(tag, operands, param=param)
         report.add_check("join-of-meets oracle", True, "verified")
     else:
-        raise TruncLabError("operands must share a model")
+        result = apply_op(tag, operands, param=param)
     report.add_check(f"induced-op {tag_token}", True)
     report.put("result", _element_repr(result))
 
@@ -202,8 +198,7 @@ def cmd_kernel_close(inst, names, args, report):
         closed = kernel_closure(k)
         report.add_check(f"kernel-close {name}", True,
                          "already closed" if closed == k else "enlarged")
-        report.put(name, {str(key): repr(val)
-                          for key, val in closed.describe().items()})
+        report.put(name, closed.describe())
 
 
 def cmd_pointwise(inst, names, args, report):

@@ -123,9 +123,9 @@ class SimpleElement:
         r = Fraction(r)
         if r < 0:
             raise PositivityError(f"tminus needs r >= 0, got {r}")
+        self._require_nonneg("tminus")
         if r == 0:
             return self
-        self._require_nonneg("tminus")
         return SimpleElement(self.space,
                              {p: max(v - r, Fraction(0)) for p, v in self._vals.items()})
 
@@ -160,30 +160,98 @@ class SimpleElement:
         return {v: frozenset(s) for v, s in out.items()}
 
 
+ONE, ZERO = Fraction(1), Fraction(0)
+
+
+def _scale_image(box, q):
+    a, b = box
+    if q > 0:
+        return (q * a, q * b, False, False)
+    if q < 0:
+        return (q * b, q * a, False, False)
+    return (ZERO, ZERO, True, True)
+
+
+def _clamp_image(box, cap):
+    a, b = box
+    if b <= cap:
+        return (a, b, False, False)
+    if a >= cap:
+        return (cap, cap, True, True)
+    return (a, cap, False, True)
+
+
+def _tminus_image(box, r):
+    a, b = box
+    if b <= r:
+        return (ZERO, ZERO, True, True)
+    if a >= r:
+        return (a - r, b - r, False, False)
+    return (ZERO, b - r, True, False)
+
+
+@dataclass(frozen=True)
+class Op:
+    """One operation tag of the truncation calculus, for all three carriers.
+
+    method names the carrier method that computes the tag: it takes the
+    other operands and then the rational parameter, if the tag has one.
+    The rest serves the join-of-meets oracle on frame reals.  scalar and
+    image take the operand values, or open boxes (lo, hi), followed by the
+    parameter.  image is the exact image (lo, hi, lo_attained, hi_attained)
+    of a box: every tag is monotone in each coordinate (sub antitone in the
+    second), so the endpoints sit at the box corners, and the clamping tags
+    may attain their kink values.  kinks gives the values where scalar bends,
+    which the oracle adds to its grid.
+    """
+
+    arity: int
+    takes_param: bool
+    method: str
+    scalar: object
+    image: object
+    kinks: object = lambda *param: ()
+
+
+OPS = {
+    "add": Op(2, False, "__add__", lambda a, b: a + b,
+              lambda x, y: (x[0] + y[0], x[1] + y[1], False, False)),
+    "sub": Op(2, False, "__sub__", lambda a, b: a - b,
+              lambda x, y: (x[0] - y[1], x[1] - y[0], False, False)),
+    "negate": Op(1, False, "__neg__", lambda v: -v,
+                 lambda x: (-x[1], -x[0], False, False)),
+    "scale": Op(1, True, "scale", lambda v, q: q * v, _scale_image),
+    "meet": Op(2, False, "meet", min,
+               lambda x, y: (min(x[0], y[0]), min(x[1], y[1]), False, False)),
+    "join": Op(2, False, "join", max,
+               lambda x, y: (max(x[0], y[0]), max(x[1], y[1]), False, False)),
+    "truncate": Op(1, False, "truncate", lambda v: min(v, ONE),
+                   lambda x: _clamp_image(x, ONE), lambda: (ONE,)),
+    "tminus": Op(1, True, "tminus", lambda v, r: max(v - r, ZERO),
+                 _tminus_image, lambda r: (r,)),
+    "truncN": Op(1, True, "trunc_at", lambda v, n: min(v, n),
+                 _clamp_image, lambda n: (n,)),
+}
+
+
 def apply_op(tag, operands, param=None):
-    """Uniform dispatcher over the truncation-calculus operation tags."""
-    if not operands:
-        raise StructureError("no operands")
-    ops = list(operands)
-    if tag == "add":
-        return reduce(lambda a, b: a + b, ops)
-    if tag == "negate":
-        return -ops[0]
-    if tag == "scale":
-        return ops[0].scale(param)
-    if tag == "meet":
-        return reduce(lambda a, b: a.meet(b), ops)
-    if tag == "join":
-        return reduce(lambda a, b: a.join(b), ops)
-    if tag == "truncate":
-        return ops[0].truncate()
-    if tag == "tminus":
-        return ops[0].tminus(param)
-    if tag == "truncN":
-        return ops[0].trunc_at(param)
-    if tag == "sub":
-        return ops[0] - ops[1]
-    raise UnsupportedOperationError(f"unknown operation tag {tag!r}")
+    """Apply an operation tag to operands of one carrier (see OPS).
+
+    A binary tag takes exactly two operands and a unary tag one; scale,
+    tminus and truncN take a rational parameter and the others none.
+    """
+    op = OPS.get(tag)
+    if op is None:
+        raise UnsupportedOperationError(f"unknown operation tag {tag!r}")
+    operands = list(operands)
+    if len(operands) != op.arity:
+        raise StructureError(f"{tag} takes {op.arity} operand(s), got {len(operands)}")
+    if op.takes_param and param is None:
+        raise StructureError(f"{tag} needs a rational parameter, as in {tag}:1/2")
+    if param is not None and not op.takes_param:
+        raise StructureError(f"{tag} takes no parameter")
+    params = (Fraction(param),) if op.takes_param else ()
+    return getattr(operands[0], op.method)(*operands[1:], *params)
 
 
 class SimpleTrunc:

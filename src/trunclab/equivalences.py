@@ -9,7 +9,6 @@ algebra of the full simple trunc with the forgotten clopen algebra.
 from dataclasses import dataclass, field
 
 from .elements import lc, uc
-from .errors import BudgetError
 from .gba import (clopen, find_gba_isomorphism, find_iba_isomorphism,
                   iba_forget, idealize, stone)
 from .rat import sorted_labels

@@ -10,12 +10,15 @@ the join-of-meets formula evaluated on a rational grid; surjections carry
 their adjoints, with density decided exactly.
 """
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 
+from .elements import OPS, DiniReport, apply_op, cut_grid
 from .errors import (BudgetError, PositivityError, SpaceMismatchError,
                      StructureError, UnsupportedOperationError)
+from .gba import order_tables, transitive_closure
 from .rat import NEG_INF, POS_INF, is_finite, sorted_labels
 
 
@@ -30,6 +33,11 @@ class FrameViolation:
 
 def frame_validate(labels, leq_pairs):
     """Violations of the finite-frame laws for a raw (labels, order) pair."""
+    return _frame_tables(labels, leq_pairs)[0]
+
+
+def _frame_tables(labels, leq_pairs):
+    """(violations, join table, meet table) of a raw (labels, order) pair."""
     labels = list(labels)
     leq = set(leq_pairs)
     out = []
@@ -44,25 +52,16 @@ def frame_validate(labels, leq_pairs):
             if (y, z) in leq and (x, z) not in leq:
                 out.append(FrameViolation("order not transitive", (x, y, z)))
     if out:
-        return out
-    above = {x: {y for y in labels if (x, y) in leq} for x in labels}
-    below = {x: {y for y in labels if (y, x) in leq} for x in labels}
-    join, meet = {}, {}
+        return out, None, None
+    join, meet = order_tables(labels, leq)
     for a in labels:
         for b in labels:
-            ubs = above[a] & above[b]
-            lub = [u for u in ubs if all((u, v) in leq for v in ubs)]
-            lbs = below[a] & below[b]
-            glb = [u for u in lbs if all((v, u) in leq for v in lbs)]
-            if len(lub) != 1:
+            if (a, b) not in join:
                 out.append(FrameViolation("no unique join", (a, b)))
-            if len(glb) != 1:
+            if (a, b) not in meet:
                 out.append(FrameViolation("no unique meet", (a, b)))
-            if len(lub) == 1 and len(glb) == 1:
-                join[(a, b)] = lub[0]
-                meet[(a, b)] = glb[0]
     if out:
-        return out
+        return out, None, None
     for a in labels:
         for b in labels:
             for c in labels:
@@ -70,35 +69,26 @@ def frame_validate(labels, leq_pairs):
                 rhs = join[(meet[(a, b)], meet[(a, c)])]
                 if lhs != rhs:
                     out.append(FrameViolation("distributivity", (a, b, c)))
-                    return out
-    return out
+                    return out, None, None
+    return out, join, meet
 
 
 class FiniteFrame:
     """Validated finite frame with all derived tables precomputed."""
 
     def __init__(self, labels, leq_pairs):
-        violations = frame_validate(labels, leq_pairs)
+        violations, join, meet = _frame_tables(labels, leq_pairs)
         if violations:
             raise StructureError(f"not a finite frame: {violations[:3]}")
         self.labels = tuple(sorted_labels(labels))
         self.index = {x: i for i, x in enumerate(self.labels)}
         n = len(self.labels)
         leq = set(leq_pairs)
-        self.leq_table = [[(self.labels[i], self.labels[j]) in leq
-                           for j in range(n)] for i in range(n)]
-        self._join = [[None] * n for _ in range(n)]
-        self._meet = [[None] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                ubs = [k for k in range(n)
-                       if self.leq_table[i][k] and self.leq_table[j][k]]
-                self._join[i][j] = next(u for u in ubs
-                                        if all(self.leq_table[u][v] for v in ubs))
-                lbs = [k for k in range(n)
-                       if self.leq_table[k][i] and self.leq_table[k][j]]
-                self._meet[i][j] = next(u for u in lbs
-                                        if all(self.leq_table[v][u] for v in lbs))
+        self.leq_table = [[(x, y) in leq for y in self.labels] for x in self.labels]
+        self._join = [[self.index[join[(x, y)]] for y in self.labels]
+                      for x in self.labels]
+        self._meet = [[self.index[meet[(x, y)]] for y in self.labels]
+                      for x in self.labels]
         self.bottom = self.labels[next(i for i in range(n)
                                        if all(self.leq_table[i][j] for j in range(n)))]
         self.top = self.labels[next(i for i in range(n)
@@ -120,16 +110,7 @@ class FiniteFrame:
     @classmethod
     def from_covers(cls, labels, covers):
         labels = list(labels)
-        leq = {(x, x) for x in labels} | set(covers)
-        changed = True
-        while changed:
-            changed = False
-            for (a, b) in list(leq):
-                for (c, d) in list(leq):
-                    if b == c and (a, d) not in leq:
-                        leq.add((a, d))
-                        changed = True
-        return cls(labels, leq)
+        return cls(labels, transitive_closure({(x, x) for x in labels} | set(covers)))
 
     @classmethod
     def from_sets(cls, family):
@@ -411,9 +392,9 @@ class FrameReal:
         r = Fraction(r)
         if r < 0:
             raise PositivityError(f"tminus needs r >= 0, got {r}")
+        self._require_nonneg("tminus")
         if r == 0:
             return self
-        self._require_nonneg("tminus")
         return self.unary(lambda v: max(v - r, Fraction(0)))
 
     def trunc_at(self, n):
@@ -446,77 +427,20 @@ class FrameReal:
 
 # --- induced operations and the join-of-meets oracle ---------------------
 
-_BINARY = {"add": lambda a, b: a + b, "sub": lambda a, b: a - b,
-           "join": max, "meet": min}
+def induced_op(tag, operands, param=None):
+    """Induced operation on frame reals: apply_op, certified.
 
-
-def _unary_fn(tag, param):
-    if tag == "negate":
-        return lambda v: -v
-    if tag == "scale":
-        q = Fraction(param)
-        return lambda v: q * v
-    if tag == "truncate":
-        return lambda v: min(v, Fraction(1))
-    if tag == "tminus":
-        r = Fraction(param)
-        return lambda v: max(v - r, Fraction(0))
-    if tag == "truncN":
-        n = Fraction(param)
-        return lambda v: min(v, n)
-    return None
-
-
-def induced_op(tag, operands, param=None, verify=True):
-    """Induced operation on frame reals, computed cell-wise.
-
-    With verify=True (the default) the result is certified against the
-    join-of-meets formula on the rational grid generated by the operand
-    values; disagreement raises.
+    The cell-wise result is checked against the join-of-meets formula on
+    the rational grid generated by the operand values; disagreement raises.
     """
     operands = list(operands)
-    if not operands:
-        raise StructureError("no operands")
     if any(g.extended for g in operands):
         raise UnsupportedOperationError("induced operations act on finite-valued reals")
-    if tag in _BINARY:
-        if len(operands) != 2:
-            raise StructureError(f"{tag} is binary")
-        result = operands[0]._zip(operands[1], _BINARY[tag])
-    else:
-        fn = _unary_fn(tag, param)
-        if fn is None:
-            raise UnsupportedOperationError(f"unknown operation tag {tag!r}")
-        if len(operands) != 1:
-            raise StructureError(f"{tag} is unary")
-        if tag in ("truncate", "tminus", "truncN"):
-            operands[0]._require_nonneg(tag)
-            if tag == "tminus" and Fraction(param) < 0:
-                raise PositivityError("tminus needs r >= 0")
-        result = operands[0].unary(fn)
-    if verify:
-        mismatch = oracle_mismatch(tag, operands, result, param)
-        if mismatch is not None:
-            raise StructureError(f"join-of-meets oracle disagrees at {mismatch!r}")
+    result = apply_op(tag, operands, param)
+    mismatch = oracle_mismatch(tag, operands, result, param)
+    if mismatch is not None:
+        raise StructureError(f"join-of-meets oracle disagrees at {mismatch!r}")
     return result
-
-
-def _op_value(tag, values, param):
-    if tag in _BINARY:
-        return _BINARY[tag](*values)
-    return _unary_fn(tag, param)(values[0])
-
-
-def _base_grid(operands, param, tag):
-    vals = sorted({Fraction(v) for g in operands for v in g.values()}
-                  | ({Fraction(param)} if tag in ("tminus", "truncN") else set())
-                  | ({Fraction(1)} if tag == "truncate" else set()))
-    grid = list(vals)
-    for a, b in zip(vals, vals[1:]):
-        grid.append((a + b) / 2)
-    grid.append(vals[0] - 1)
-    grid.append(vals[-1] + 1)
-    return sorted(set(grid))
 
 
 def _grid_intervals(grid):
@@ -542,19 +466,11 @@ def oracle_mismatch(tag, operands, result, param=None):
     that a tight box's image lies in V exactly when the tuple's value does.
     """
     fr = operands[0].pframe.frame
-    grid = _base_grid(operands, param, tag)
-    value_sets = [[v for v, _ in g.cells] for g in operands]
-    combos = []
-
-    def rec(i, acc):
-        if i == len(operands):
-            combos.append(tuple(acc))
-            return
-        for v in value_sets[i]:
-            rec(i + 1, acc + [v])
-
-    rec(0, [])
-    outputs = {_op_value(tag, combo, param) for combo in combos}
+    op = OPS[tag]
+    params = () if param is None else (Fraction(param),)
+    grid = cut_grid([v for g in operands for v in g.values()] + list(op.kinks(*params)))
+    combos = list(itertools.product(*(g.values() for g in operands)))
+    outputs = {op.scalar(*combo, *params) for combo in combos}
     gaps = [abs(c - w) for c in grid for w in outputs if c != w]
     gamma = min(gaps, default=Fraction(1)) / (2 * (len(operands) + 1))
     boxes = []
@@ -564,7 +480,7 @@ def oracle_mismatch(tag, operands, result, param=None):
             meet = fr.meet(meet, g.eval(OpenInterval(v - gamma, v + gamma)))
         if meet == fr.bottom:
             continue
-        image = _image_interval(tag, [(v - gamma, v + gamma) for v in combo], param)
+        image = op.image(*[(v - gamma, v + gamma) for v in combo], *params)
         boxes.append((image, meet))
     for v_int in _grid_intervals(grid):
         formula = fr.join_all(m for image, m in boxes
@@ -572,52 +488,6 @@ def oracle_mismatch(tag, operands, result, param=None):
         if formula != result.eval(v_int):
             return v_int
     return None
-
-
-def _image_interval(tag, intervals, param):
-    """Exact image (lo, hi, lo_attained, hi_attained) of an open box.
-
-    All supported operations are monotone in each coordinate (subtraction
-    antitone in the second), so the image is an interval with endpoints at
-    the box corners; clamping operations may attain their kink values.
-    """
-    if tag == "add":
-        (a1, b1), (a2, b2) = intervals
-        return (a1 + a2, b1 + b2, False, False)
-    if tag == "sub":
-        (a1, b1), (a2, b2) = intervals
-        return (a1 - b2, b1 - a2, False, False)
-    if tag == "join":
-        (a1, b1), (a2, b2) = intervals
-        return (max(a1, a2), max(b1, b2), False, False)
-    if tag == "meet":
-        (a1, b1), (a2, b2) = intervals
-        return (min(a1, a2), min(b1, b2), False, False)
-    (a, b) = intervals[0]
-    if tag == "negate":
-        return (-b, -a, False, False)
-    if tag == "scale":
-        q = Fraction(param)
-        if q > 0:
-            return (q * a, q * b, False, False)
-        if q < 0:
-            return (q * b, q * a, False, False)
-        return (Fraction(0), Fraction(0), True, True)
-    if tag in ("truncate", "truncN"):
-        cap = Fraction(1) if tag == "truncate" else Fraction(param)
-        if b <= cap:
-            return (a, b, False, False)
-        if a >= cap:
-            return (cap, cap, True, True)
-        return (a, cap, False, True)
-    if tag == "tminus":
-        r = Fraction(param)
-        if b <= r:
-            return (Fraction(0), Fraction(0), True, True)
-        if a >= r:
-            return (a - r, b - r, False, False)
-        return (Fraction(0), b - r, True, False)
-    raise UnsupportedOperationError(f"unknown operation tag {tag!r}")
 
 
 def _image_inside(image, v_int):
@@ -629,11 +499,6 @@ def _image_inside(image, v_int):
     hi_ok = v_int.contains(hi) if hi_att else (
         v_int.hi == POS_INF or v_int.hi > hi or (v_int.hi == hi and not hi_att))
     return lo_ok and hi_ok
-
-
-def frame_apply_op(tag, operands, param=None, verify=True):
-    """Dispatcher mirroring the element-level operation tags."""
-    return induced_op(tag, operands, param=param, verify=verify)
 
 
 # --- characteristic functions and unital components ----------------------
@@ -654,7 +519,7 @@ def frame_uc_check(u):
     """True with the complemented witness coz u iff u = truncate(2u)."""
     if not u.is_nonneg():
         raise PositivityError("unital components are nonnegative")
-    if induced_op("truncate", [u.scale(2)], verify=False) != u:
+    if u.scale(2).truncate() != u:
         return False, None
     witness = u.eval(ray_above(0))
     fr = u.pframe.frame
@@ -758,7 +623,7 @@ def drop(q, h_prime):
             assert q(c) == ft.bottom, "infinite cells must collapse under the condition"
     h = FrameReal(q.target, cells, pointed=h_prime.pointed)
     probes = [real_line()]
-    for r in _probe_grid(v for v in h_prime.values() if is_finite(v)):
+    for r in cut_grid([v for v in h_prime.values() if is_finite(v)] + [0]):
         probes.append(OpenInterval(NEG_INF, r, closed_lo=True))
         probes.append(OpenInterval(r, POS_INF, closed_hi=True))
         probes.append(ray_below(r))
@@ -767,15 +632,6 @@ def drop(q, h_prime):
         if q(h_prime.eval(u)) != h.eval(u.restrict_to_reals()):
             raise StructureError(f"drop square fails at {u!r}")
     return DropResult(True, result=h)
-
-
-def _probe_grid(values):
-    """Values plus midpoints and a point beyond each extreme."""
-    vals = sorted({Fraction(v) for v in values} | {Fraction(0)})
-    grid = list(vals)
-    grid += [(a + b) / 2 for a, b in zip(vals, vals[1:])]
-    grid += [vals[0] - 1, vals[-1] + 1]
-    return sorted(set(grid))
 
 
 @dataclass
@@ -793,7 +649,7 @@ class LiftResult:
 
 def _verify_lift(q, h, h_prime):
     probes = [real_line()]
-    for r in _probe_grid(h.values()):
+    for r in cut_grid(h.values() + [0]):
         probes.append(ray_below(r))
         probes.append(ray_above(r))
     return all(q(h_prime.eval(u)) == h.eval(u) for u in probes)
@@ -860,27 +716,11 @@ def frame_pointwise_sup(family):
         raise StructureError("pointwise sup of an empty family")
     sup = reduce(lambda a, b: a.join(b), family)
     fr = sup.pframe.frame
-    values = sorted({Fraction(v) for g in family + [sup] for v in g.values()})
-    grid = values + [(a + b) / 2 for a, b in zip(values, values[1:])]
-    grid += [values[0] - 1, values[-1] + 1]
-    for r in sorted(set(grid)):
+    for r in cut_grid([v for g in family + [sup] for v in g.values()]):
         lhs = fr.join_all(g.eval(ray_above(r)) for g in family)
         if lhs != sup.eval(ray_above(r)):
             raise StructureError(f"pointwise sup fails the cut test at r = {r}")
     return sup
-
-
-@dataclass
-class FrameDiniReport:
-    limit_is_zero: bool
-    uniform: bool
-    index_map: dict
-
-    def __repr__(self):
-        if not self.limit_is_zero:
-            return "FrameDiniReport(limit nonzero)"
-        pairs = ", ".join(f"{e}->{m}" for e, m in sorted(self.index_map.items()))
-        return f"FrameDiniReport(uniform, {pairs})"
 
 
 def frame_dini(seq):
@@ -900,12 +740,11 @@ def frame_dini(seq):
         if not seq[i + 1].leq(seq[i]):
             raise StructureError(f"sequence not nonincreasing at index {i + 2}")
     if seq[-1] != FrameReal.zero(seq[-1].pframe):
-        return FrameDiniReport(False, False, {})
-    values = sorted({Fraction(v) for g in seq for v in g.values()} | {Fraction(0)})
-    grid = values + [(a + b) / 2 for a, b in zip(values, values[1:])]
+        return DiniReport(False, False, {})
+    values = [v for g in seq for v in g.values()] + [0]
     index_map = {}
-    for eps in sorted(set(e for e in grid + [values[-1] + 1] if e > 0)):
+    for eps in [e for e in cut_grid(values) if e > 0]:
         m = next(i for i in range(1, len(seq) + 1)
                  if all(t.eval(ray_below(eps)) == fr.top for t in seq[i - 1:]))
         index_map[eps] = m
-    return FrameDiniReport(True, True, index_map)
+    return DiniReport(True, True, index_map)

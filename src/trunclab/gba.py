@@ -50,6 +50,43 @@ class ValidationReport:
         return "valid" if self.ok else f"invalid: {self.violations}"
 
 
+def transitive_closure(pairs):
+    """The least transitive relation containing a set of (x, y) pairs."""
+    succ = {}
+    for a, b in pairs:
+        succ.setdefault(a, set()).add(b)
+        succ.setdefault(b, set())
+    for k in succ:  # Warshall: admit k as an intermediate step
+        for after in succ.values():
+            if k in after:
+                after |= succ[k]
+    return {(a, b) for a, after in succ.items() for b in after}
+
+
+def order_tables(labels, leq):
+    """Join and meet tables of a finite order, keyed by pairs of labels.
+
+    leq is a reflexive and transitive set of (x, y) pairs meaning x <= y.
+    A pair without a unique least upper bound is missing from the join
+    table, and one without a unique greatest lower bound from the meet
+    table.
+    """
+    above = {x: {y for y in labels if (x, y) in leq} for x in labels}
+    below = {x: {y for y in labels if (y, x) in leq} for x in labels}
+    join, meet = {}, {}
+    for a in labels:
+        for b in labels:
+            ubs = above[a] & above[b]
+            lub = [u for u in ubs if ubs <= above[u]]
+            if len(lub) == 1:
+                join[(a, b)] = lub[0]
+            lbs = below[a] & below[b]
+            glb = [u for u in lbs if lbs <= below[u]]
+            if len(glb) == 1:
+                meet[(a, b)] = glb[0]
+    return join, meet
+
+
 class GeneralizedBooleanAlgebra:
     """Explicit finite gBa: carrier plus total join/meet tables and bottom.
 
@@ -86,19 +123,11 @@ class GeneralizedBooleanAlgebra:
         reflexive and transitive.  Missing lubs/glbs surface as violations.
         """
         labels = list(labels)
-        below = {x: {y for y in labels if (y, x) in leq} for x in labels}
-        above = {x: {y for y in labels if (x, y) in leq} for x in labels}
-        join, meet = {}, {}
+        join, meet = order_tables(labels, leq)
         for a in labels:
             for b in labels:
-                ubs = above[a] & above[b]
-                lub = [u for u in ubs if all(u in below[v] for v in ubs)]
-                lbs = below[a] & below[b]
-                glb = [u for u in lbs if all(u in above[v] for v in lbs)]
-                if len(lub) != 1 or len(glb) != 1:
+                if (a, b) not in join or (a, b) not in meet:
                     raise StructureError(f"not a lattice: no unique lub/glb for ({a},{b})")
-                join[(a, b)] = lub[0]
-                meet[(a, b)] = glb[0]
         bottoms = [x for x in labels if all((x, y) in leq for y in labels)]
         if len(bottoms) != 1:
             raise StructureError("no least element")
@@ -384,72 +413,49 @@ def _join_all(table, bottom, elems):
     return acc
 
 
-def find_gba_isomorphism(a, b):
-    """Exhaustive isomorphism search between two valid finite gBas.
+def _lattice_isomorphisms(a, b, pinned=None):
+    """Join- and meet-preserving bijections a -> b, one per atom bijection.
 
-    Elements of a finite gBa are joins of the atoms below them, so it is
-    enough to try atom bijections and extend by joins; atom counts prune
-    the search immediately.
+    Elements of a finite (generalized) Boolean algebra are joins of the
+    atoms below them, so it is enough to try atom bijections (those that
+    agree with the pinned atom pairs) and extend them by joins; atom counts
+    prune the search immediately.
     """
     if len(a) != len(b):
-        return None
+        return
     atoms_a, atoms_b = a.atoms(), b.atoms()
     if len(atoms_a) != len(atoms_b):
-        return None
+        return
+    pinned = pinned or {}
     for perm in itertools.permutations(atoms_b):
         amap = dict(zip(atoms_a, perm))
+        if any(amap[x] != y for x, y in pinned.items()):
+            continue
         phi = {}
-        ok = True
         for x in sorted_labels(a.carrier):
             below = [amap[t] for t in atoms_a if a.leq(t, x)]
             phi[x] = _join_all(b.join, b.bottom, below)
         if len(set(phi.values())) != len(a):
             continue
-        for x in a.carrier:
-            if not ok:
-                break
-            for y in a.carrier:
-                if (phi[a.join[(x, y)]] != b.join[(phi[x], phi[y])]
-                        or phi[a.meet[(x, y)]] != b.meet[(phi[x], phi[y])]):
-                    ok = False
-                    break
-        if ok and phi[a.bottom] == b.bottom:
-            return phi
-    return None
+        if all(phi[a.join[(x, y)]] == b.join[(phi[x], phi[y])]
+               and phi[a.meet[(x, y)]] == b.meet[(phi[x], phi[y])]
+               for x in a.carrier for y in a.carrier):
+            yield phi
+
+
+def find_gba_isomorphism(a, b):
+    """Exhaustive isomorphism search between two valid finite gBas."""
+    return next(_lattice_isomorphisms(a, b), None)
 
 
 def find_iba_isomorphism(bi, bj):
     """Exhaustive iBa isomorphism: Boolean isomorphism carrying ideal onto ideal."""
-    if len(bi) != len(bj):
-        return None
     ai, aj = bi.algebra, bj.algebra
-    atoms_i, atoms_j = ai.atoms(), aj.atoms()
-    if len(atoms_i) != len(atoms_j):
-        return None
-    star_i = [t for t in atoms_i if t not in bi.ideal]
-    star_j = [t for t in atoms_j if t not in bj.ideal]
+    star_i = [t for t in ai.atoms() if t not in bi.ideal]
+    star_j = [t for t in aj.atoms() if t not in bj.ideal]
     if len(star_i) != 1 or len(star_j) != 1:
         return None
-    rest_i = [t for t in atoms_i if t != star_i[0]]
-    rest_j = [t for t in atoms_j if t != star_j[0]]
-    for perm in itertools.permutations(rest_j):
-        amap = dict(zip(rest_i, perm))
-        amap[star_i[0]] = star_j[0]
-        phi = {}
-        for x in sorted_labels(ai.carrier):
-            below = [amap[t] for t in atoms_i if ai.leq(t, x)]
-            phi[x] = _join_all(aj.join, aj.bottom, below)
-        ok = len(set(phi.values())) == len(ai.carrier)
-        for x in ai.carrier:
-            if not ok:
-                break
-            for y in ai.carrier:
-                if (phi[ai.join[(x, y)]] != aj.join[(phi[x], phi[y])]
-                        or phi[ai.meet[(x, y)]] != aj.meet[(phi[x], phi[y])]):
-                    ok = False
-                    break
-        if not ok:
-            continue
+    for phi in _lattice_isomorphisms(ai, aj, pinned={star_i[0]: star_j[0]}):
         if any(phi[ai.complement[x]] != aj.complement[phi[x]] for x in ai.carrier):
             continue
         if {phi[x] for x in bi.ideal} != set(bj.ideal):

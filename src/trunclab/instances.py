@@ -24,15 +24,14 @@ reference must resolve; errors carry line numbers.
 """
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .elements import GoodSequence, SimpleElement, SimpleTrunc
 from .errors import ParseError, TruncLabError
 from .frames import FiniteFrame, FrameReal, FrameSurjection, PointedFiniteFrame
 from .gba import (BooleanAlgebra, GeneralizedBooleanAlgebra,
-                  IdealizedBooleanAlgebra, idealize)
+                  IdealizedBooleanAlgebra, idealize, transitive_closure)
 from .kernels import KernelSpec
-from .rat import format_rational, is_finite, parse_extended, parse_rational
+from .rat import format_rational, parse_extended, parse_rational
 from .seqspace import SeqTrunc, TailElement
 from .spaces import PointedBooleanSpace
 
@@ -193,15 +192,7 @@ def _parse_gba(inst, lineno, name, tokens):
     else:
         labels = sec.get("elements", [])
         covers = _covers(sec.get("covers", []), lineno)
-        leq = {(x, x) for x in labels} | set(covers)
-        changed = True
-        while changed:
-            changed = False
-            for (a, b) in list(leq):
-                for (c, d) in list(leq):
-                    if b == c and (a, d) not in leq:
-                        leq.add((a, d))
-                        changed = True
+        leq = transitive_closure({(x, x) for x in labels} | set(covers))
         alg = GeneralizedBooleanAlgebra.from_order(labels, leq)
     report = alg.validate()
     if not report.ok:

@@ -57,7 +57,8 @@ class KernelSpec:
             if self.support is not None and any(self.tails_allowed):
                 raise StructureError("finite support forces all-zero tails")
         else:
-            raise TypeError(f"unsupported model {model!r}")
+            raise StructureError(f"a kernel model must be a trunc or a seqtrunc, "
+                                 f"not {model!r}")
         self._check_convexity(rng or random.Random(0))
 
     def _tail_pattern_ok(self, g):

@@ -7,12 +7,11 @@ frame reals); set families are closed under the Boolean operations by
 saturation.
 """
 
-import random
 from fractions import Fraction
 
 from .elements import SimpleElement
 from .frames import FiniteFrame, FrameReal, FrameSurjection, PointedFiniteFrame
-from .gba import GeneralizedBooleanAlgebra
+from .gba import GeneralizedBooleanAlgebra, transitive_closure
 from .spaces import PointedBooleanSpace
 
 RATIONAL_POOL = [Fraction(n, d) for n in range(-6, 7) for d in (1, 2, 3, 4)]
@@ -68,15 +67,7 @@ def random_poset(rng, size):
         for j in range(i + 1, size):
             if rng.random() < 0.4:
                 leq.add((i, j))
-    changed = True
-    while changed:
-        changed = False
-        for (a, b) in list(leq):
-            for (c, d) in list(leq):
-                if b == c and (a, d) not in leq:
-                    leq.add((a, d))
-                    changed = True
-    return leq
+    return transitive_closure(leq)
 
 
 def downset_frame(rng, max_points=4, max_size=20):

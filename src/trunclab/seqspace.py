@@ -8,12 +8,11 @@ operations are computed exactly via a certified crossover bound N beyond
 which tail comparison is decided by the leading coefficient.
 """
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 
-from .errors import (PositivityError, StructureError, UnsupportedOperationError)
+from .elements import cut_grid
+from .errors import PositivityError, StructureError
 
 
 def _ceil(f):
@@ -204,9 +203,9 @@ class TailElement:
         r = Fraction(r)
         if r < 0:
             raise PositivityError(f"tminus needs r >= 0, got {r}")
+        self._require_nonneg("tminus")
         if r == 0:
             return self
-        self._require_nonneg("tminus")
         sign, tail_bound = poly_sign([-r] + list(self.tail))
         assert sign < 0
         bound = max(self.correction, default=0) + tail_bound + 1
@@ -247,34 +246,6 @@ class TailElement:
         # beyond the horizon, value(n) = tail(n) <= total/n < best
         horizon = max(window, _ceil(total / best))
         return max(self.value(n) for n in range(1, horizon + 1))
-
-
-def tail_apply_op(tag, operands, param=None):
-    """Dispatcher mirroring the simple-element operation tags."""
-    if not operands:
-        raise StructureError("no operands")
-    ops = list(operands)
-    if tag == "add":
-        return reduce(lambda a, b: a + b, ops)
-    if tag == "negate":
-        return -ops[0]
-    if tag == "scale":
-        return ops[0].scale(param)
-    if tag == "meet":
-        return reduce(lambda a, b: a.meet(b), ops)
-    if tag == "join":
-        return reduce(lambda a, b: a.join(b), ops)
-    if tag == "truncate":
-        return ops[0].truncate()
-    if tag == "tminus":
-        return ops[0].tminus(param)
-    if tag == "truncN":
-        return ops[0].trunc_at(param)
-    if tag == "sub":
-        return ops[0] - ops[1]
-    raise UnsupportedOperationError(
-        f"operation tag {tag!r} not available on tail elements (truncs have no "
-        f"multiplication)")
 
 
 @dataclass(frozen=True)
@@ -362,13 +333,6 @@ def clearance_chain(g, length):
     return out
 
 
-def unital_components_are_finite_chis(u):
-    """True iff u = truncate(2u), equivalently all values lie in {0, 1}."""
-    if not u.is_nonneg():
-        raise PositivityError("unital components are nonnegative")
-    return u.scale(2).truncate() == u
-
-
 def enough_uc_check(trunc, rng=None, budget=50):
     """Search for g >= 0 with no unital component above truncate(g).
 
@@ -413,9 +377,7 @@ def sup_of_filtration_is(g):
     horizon = bound + 10
     filtration = partial_truncations(g, horizon)
     probe = [Fraction(0)] + [g.value(n) for n in range(1, horizon + 1)]
-    grid = sorted(set(probe))
-    grid += [(a + b) / 2 for a, b in zip(grid, grid[1:])]
-    for r in [x for x in sorted(set(grid)) if x >= 0]:
+    for r in [x for x in cut_grid(probe) if x >= 0]:
         for k in range(1, horizon + 1):
             in_union = any(h.value(k) > r for h in filtration[k - 1:])
             if in_union != (g.value(k) > r):

@@ -18,10 +18,9 @@ from .elements import (SimpleElement, bound_witness, bounded_away_from_zero,
                        restriction_hom, truncation_sequence,
                        truncation_sequence_check, uc)
 from .equivalences import equivalence_witness
-from .frames import (FrameReal, OpenInterval, chi, drop, e0q_exhaustive,
-                     e0q_member, frame_dini, frame_pointwise_sup, induced_op,
-                     ray_above, ray_below, real_line, surjection_tools,
-                     oracle_mismatch)
+from .frames import (FrameReal, chi, drop, e0q_exhaustive, e0q_member,
+                     frame_dini, frame_pointwise_sup, induced_op, ray_above,
+                     ray_below, surjection_tools)
 from .gba import clopen, gba_validate, iba_forget, idealize, stone
 from .hyper import hyperarchimedean
 from .kernels import KernelSpec, kernel_closure, kernel_conditions, pointwise_closed
@@ -101,27 +100,6 @@ def _identity_backends(rng):
     return out
 
 
-def _op(kind, g, name, *args):
-    if kind == "frame":
-        if name == "truncate":
-            return induced_op("truncate", [g], verify=False)
-        if name == "tminus":
-            return induced_op("tminus", [g], param=args[0], verify=False)
-        if name == "trunc_at":
-            return induced_op("truncN", [g], param=args[0], verify=False)
-        if name == "add":
-            return induced_op("add", [g, args[0]], verify=False)
-    if name == "truncate":
-        return g.truncate()
-    if name == "tminus":
-        return g.tminus(args[0])
-    if name == "trunc_at":
-        return g.trunc_at(args[0])
-    if name == "add":
-        return g + args[0]
-    raise AssertionError(name)
-
-
 def suite_identities(seed=0, cases=200):
     rng = random.Random(seed)
     failures = []
@@ -133,18 +111,17 @@ def suite_identities(seed=0, cases=200):
             ran += 1
             n = rng.randint(1, 4)
             m = rng.randint(1, 5)
-            gn = _op(kind, g, "trunc_at", n)
-            rem = _op(kind, g, "tminus", n)
-            if _op(kind, gn, "add", rem) != g:
+            gn = g.trunc_at(n)
+            rem = g.tminus(n)
+            if gn + rem != g:
                 failures.append(f"split identity fails [{kind}]: g={g!r} n={n}")
-            if _op(kind, gn, "add", _op(kind, rem, "truncate")) != \
-                    _op(kind, g, "trunc_at", n + 1):
+            if gn + rem.truncate() != g.trunc_at(n + 1):
                 failures.append(f"step identity fails [{kind}]: g={g!r} n={n}")
             acc = None
             for k in range(1, m + 1):
-                term = _op(kind, _op(kind, g, "tminus", k - 1), "truncate")
-                acc = term if acc is None else _op(kind, acc, "add", term)
-            if acc != _op(kind, g, "trunc_at", m):
+                term = g.tminus(k - 1).truncate()
+                acc = term if acc is None else acc + term
+            if acc != g.trunc_at(m):
                 failures.append(f"partial-sum identity fails [{kind}]: g={g!r} m={m}")
     # the sup of the truncation sequence recovers g (finite scale)
     for _ in range(min(50, cases)):
@@ -271,14 +248,14 @@ def suite_cut_cases(seed=0, cases=200):
         g = sampling.frame_real(rng, pf, nonneg=True)
         r = sampling.rational(rng)
         fr = pf.frame
-        gbar = induced_op("truncate", [g], verify=False)
+        gbar = g.truncate()
         want_below = fr.top if r > 1 else g.eval(ray_below(r))
         if gbar.eval(ray_below(r)) != want_below:
             failures.append(f"truncate lower-cut case fails at r={r}: {g!r}")
         want_above = fr.bottom if r >= 1 else g.eval(ray_above(r))
         if gbar.eval(ray_above(r)) != want_above:
             failures.append(f"truncate upper-cut case fails at r={r}: {g!r}")
-        gm = induced_op("tminus", [g], param=1, verify=False)
+        gm = g.tminus(1)
         want_above = fr.top if r < 0 else g.eval(ray_above(r + 1))
         if gm.eval(ray_above(r)) != want_above:
             failures.append(f"tminus upper-cut case fails at r={r}: {g!r}")

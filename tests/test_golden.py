@@ -76,7 +76,7 @@ ARGVS = [
     ("suite", "trunc-axioms", *C, *J),
     ("suite", "trunc-axioms", "identities", "cut-cases", "--cases", "6",
      "--seed", "3", *J),
-    # input errors
+    # input errors: every one exits 2
     ("normal-form", "g", *J),
     ("normal-form", "nosuch", *F, *J),
     ("normal-form", "u", *F, *J),

@@ -1,11 +1,17 @@
 """Kernel conditions, staged closure, and pointwise closure."""
 
+import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
 from trunclab.elements import SimpleElement, lc
 from trunclab.errors import BudgetError, StructureError
+from trunclab.instances import parse_instance_text
 from trunclab.kernels import (KernelSpec, kernel_closure, kernel_conditions,
                               pointwise_closed)
 from trunclab.seqspace import SeqTrunc, TailElement
@@ -126,3 +132,34 @@ def test_budget_guard():
         kernel_conditions(k, budget=0)
     with pytest.raises(BudgetError):
         pointwise_closed(k, budget=0)
+
+
+def test_kernel_model_must_be_a_trunc():
+    with pytest.raises(StructureError, match="kernel model"):
+        KernelSpec(X3, support={"1"})
+    _, errors = parse_instance_text(
+        "space X points * 1 star *\nkernel K model X support 1\n")
+    assert len(errors) == 1 and errors[0].lineno == 2
+
+
+def test_kernel_close_output_ignores_the_hash_seed(tmp_path):
+    path = tmp_path / "k.tl"
+    path.write_text("space X points * 1 2 3 star *\n"
+                    "trunc T space X components { } { 1 } { 2 } { 1 2 } { 3 } "
+                    "{ 1 3 } { 2 3 } { 1 2 3 }\n"
+                    "kernel K2 model T support 1 2\n", encoding="utf-8")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outputs = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join(
+                       p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run(
+            [sys.executable, "-m", "trunclab.cli", "kernel-close", "K2",
+             "--file", str(path), "--json"],
+            env=env, capture_output=True, text=True, timeout=120, check=False)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0])["data"]["K2"] == {"kind": "support",
+                                                    "support": ["1", "2"]}
