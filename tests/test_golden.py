@@ -69,6 +69,8 @@ ARGVS = [
     ("kernel-close", "K", "K1", "K3", "K4", *K, *J),
     ("pointwise", "K", *C, *K, *J),
     ("pointwise", "K1", *C, *K, *J),
+    ("pointwise", "K3", *C, *K, *J),
+    ("pointwise", "K4", *C, *K, *J),
     ("pointwise", "g", "h", "gn", *F, *J),
     ("pointwise", "u", "v", "un", *F, *J),
     ("dini", "s", "fd", *F, *J),
@@ -76,6 +78,7 @@ ARGVS = [
     ("suite", "trunc-axioms", *C, *J),
     ("suite", "trunc-axioms", "identities", "cut-cases", "--cases", "6",
      "--seed", "3", *J),
+    ("suite", "degree2-refutation", "kernels", "--cases", "4", *J),
     # input errors: every one exits 2
     ("normal-form", "g", *J),
     ("normal-form", "nosuch", *F, *J),
@@ -86,6 +89,7 @@ ARGVS = [
     ("suite", "nosuch", *J),
     ("check", "--file", "missing.tl", *J),
     ("check", "--file", "bad_kernel.tl", *J),
+    ("check", "--file", "nonconvex_kernel.tl", *J),
     ("induced-op", "mul", "g", "g", *F, *J),
     ("induced-op", "add", "g", "u", *F, *J),
     ("induced-op", "add", "w", "w", *F, *J),
