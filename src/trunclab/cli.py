@@ -117,13 +117,18 @@ def cmd_equivalence(inst, names, args, report):
             report.add_check(f"{name}: complete", False, "budget exceeded")
 
 
+def _require(ok, usage):
+    """Refuse a wrong argument count with the command's usage line."""
+    if not ok:
+        raise TruncLabError(f"usage: trunclab {usage} --file FILE")
+
+
 def cmd_frame_eval(inst, names, args, report):
     # interval as one token "(lo,hi)" or two tokens lo hi
-    if len(names) == 2:
-        lo, hi = names[1].strip("()").split(",")
-    else:
-        lo, hi = names[1], names[2]
-    name = names[0]
+    bounds = names[1].strip("()").split(",") if len(names) == 2 else names[1:]
+    _require(len(names) in (2, 3) and len(bounds) == 2,
+             "frame-eval FRAMEREAL (LO,HI) | FRAMEREAL LO HI")
+    name, (lo, hi) = names[0], bounds
     g = inst.get(name, "framereal")
     interval = OpenInterval(parse_extended(lo), parse_extended(hi))
     value = g.eval(interval)
@@ -140,6 +145,7 @@ def _parse_tag(token):
 
 
 def cmd_induced_op(inst, names, args, report):
+    _require(names, "induced-op TAG[:PARAM] OPERAND...")
     tag_token, operand_names = names[0], names[1:]
     tag, param = _parse_tag(tag_token)
     operands = [inst.get(n) for n in operand_names]
@@ -156,7 +162,8 @@ def cmd_induced_op(inst, names, args, report):
 
 
 def cmd_drop(inst, names, args, report):
-    qname, hname = names[0], names[1]
+    _require(len(names) == 2, "drop SURJECTION FRAMEREAL")
+    qname, hname = names
     q = inst.get(qname, "surjection")
     hp = inst.get(hname, "framereal")
     result = drop(q, hp)
@@ -168,7 +175,8 @@ def cmd_drop(inst, names, args, report):
 
 
 def cmd_e0q(inst, names, args, report):
-    qname, hname = names[0], names[1]
+    _require(len(names) == 2, "e0q SURJECTION FRAMEREAL")
+    qname, hname = names
     q = inst.get(qname, "surjection")
     h = inst.get(hname, "framereal")
     tools = surjection_tools(q)

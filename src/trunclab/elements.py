@@ -147,6 +147,14 @@ class SimpleElement:
         return SimpleElement(self.space, {p: v for p, v in self._vals.items()
                                           if p in subset})
 
+    def restrict_to_cozero_of(self, g):
+        """Zero this element outside the cozero set of g (forced decomposition)."""
+        return self.restrict_to(g.support())
+
+    def dominated_by(self, g):
+        """Is |self| <= k*g for some k?  On finite spaces: support containment."""
+        return self.support() <= g.support()
+
     def max_value(self):
         vals = list(self._vals.values())
         return max(vals) if vals else Fraction(0)
@@ -299,6 +307,10 @@ class SimpleTrunc:
 
     def __contains__(self, g):
         return self.member(g)[0]
+
+    def tail_units(self):
+        """The pure tails n^(-k) in the carrier: none on a finite space."""
+        return []
 
     def sample_elements(self, rng, count, nonneg=False, coeffs=None):
         """Seeded random members: rational combinations of component functions."""

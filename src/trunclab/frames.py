@@ -143,9 +143,6 @@ class FiniteFrame:
     def join_all(self, xs):
         return reduce(self.join, xs, self.bottom)
 
-    def meet_all(self, xs):
-        return reduce(self.meet, xs, self.top)
-
     def implies(self, x, y):
         return self.labels[self._imp[self.index[x]][self.index[y]]]
 
@@ -313,17 +310,6 @@ class FrameReal:
     @classmethod
     def zero(cls, pframe):
         return cls(pframe, [(Fraction(0), pframe.frame.top)])
-
-    @classmethod
-    def constant_outside_point(cls, pframe, value, cell):
-        comp = pframe.frame.complement(cell)
-        return cls(pframe, [(Fraction(value), cell), (Fraction(0), comp)])
-
-    def value_of(self, cell_query):
-        for v, c in self.cells:
-            if c == cell_query:
-                return v
-        raise StructureError(f"no cell {cell_query!r}")
 
     def values(self):
         return [v for v, _ in self.cells]

@@ -10,9 +10,7 @@ refutation witness is exact, acceptance remains sampled.
 import random
 from dataclasses import dataclass
 
-from .elements import SimpleTrunc
 from .errors import BudgetError
-from .seqspace import SeqTrunc, TailElement
 
 
 @dataclass
@@ -27,39 +25,6 @@ class HyperVerdict:
         return f"HyperVerdict(FAIL, witness={self.witness})"
 
 
-def _dominated_simple(f_g, g):
-    """Is |f_g| <= k*g for some k?  On finite spaces: support containment."""
-    return f_g.support() <= g.support()
-
-
-def _dominated_tail(f_g, g):
-    """Exact domination test for tail elements.
-
-    Pointwise necessity: the cozero set of f_g must sit inside that of g.
-    Asymptotics: a nonzero tail of f_g must decay at least as fast as g's,
-    i.e. order(|f_g|) >= order(g); then the ratio is bounded and a single
-    multiplier works for the finitely many remaining positions.
-    """
-    af = abs(f_g)
-    if af.tail:
-        if not g.tail:
-            return False
-        if af.order() < g.order():
-            return False
-    _, bound_f = af.crossover(TailElement.zero())
-    _, bound_g = g.crossover(TailElement.zero())
-    for n in range(1, max(bound_f, bound_g) + 1):
-        if af.value(n) > 0 and g.value(n) == 0:
-            return False
-    return True
-
-
-def _canonical_pairs(model):
-    if isinstance(model, SeqTrunc) and model.degree >= 2:
-        return [(TailElement.tail_unit(1), TailElement.tail_unit(2))]
-    return []
-
-
 def hyperarchimedean(model, budget=200, seed=0):
     """Sampled verdict with exact per-pair checks and exact refutations.
 
@@ -69,28 +34,15 @@ def hyperarchimedean(model, budget=200, seed=0):
     if budget <= 0:
         raise BudgetError("hyperarchimedean needs a positive budget")
     rng = random.Random(seed)
-    pairs = list(_canonical_pairs(model))
-    if isinstance(model, SimpleTrunc):
-        fs = model.sample_elements(rng, budget)
-        gs = model.sample_elements(rng, budget, nonneg=True)
-        pairs += list(zip(fs, gs))
-        for count, (f, g) in enumerate(pairs, start=1):
-            f_g = f.restrict_to(g.support())
-            ok, _ = model.member(f_g)
-            if not ok:
-                return HyperVerdict(False, count, (f, g, "forced part not a member"))
-            if not _dominated_simple(f_g, g):
-                return HyperVerdict(False, count, (f, g, "forced part not dominated"))
-        return HyperVerdict(True, len(pairs))
-    if isinstance(model, SeqTrunc):
-        fs = model.sample_elements(rng, budget)
-        gs = model.sample_elements(rng, budget, nonneg=True)
-        pairs += list(zip(fs, gs))
-        for count, (f, g) in enumerate(pairs, start=1):
-            f_g = f.restrict_to_cozero_of(g)
-            if f_g not in model:
-                return HyperVerdict(False, count, (f, g, "forced part not a member"))
-            if not _dominated_tail(f_g, g):
-                return HyperVerdict(False, count, (f, g, "forced part not dominated"))
-        return HyperVerdict(True, len(pairs))
-    raise TypeError(f"unsupported model {model!r}")
+    units = model.tail_units()
+    pairs = [(units[0], units[1])] if len(units) >= 2 else []
+    fs = model.sample_elements(rng, budget)
+    gs = model.sample_elements(rng, budget, nonneg=True)
+    pairs += list(zip(fs, gs))
+    for count, (f, g) in enumerate(pairs, start=1):
+        f_g = f.restrict_to_cozero_of(g)
+        if f_g not in model:
+            return HyperVerdict(False, count, (f, g, "forced part not a member"))
+        if not f_g.dominated_by(g):
+            return HyperVerdict(False, count, (f, g, "forced part not dominated"))
+    return HyperVerdict(True, len(pairs))

@@ -289,21 +289,13 @@ def _parse_sequence(inst, lineno, name, tokens, kind):
 def _parse_kernel(inst, lineno, name, tokens):
     sec = _sections(tokens, {"model", "support", "tails"})
     model = inst.get(sec["model"][0])
-    support_toks = sec.get("support", [])
-    if support_toks == ["all"]:
-        support = None
-    elif isinstance(model, SeqTrunc):
-        support = frozenset(int(t) for t in support_toks)
-    else:
-        support = frozenset(support_toks)
+    support = sec.get("support", [])
     tails = None
     if "tails" in sec:
         flags = "".join(sec["tails"])
         tails = tuple(ch == "1" for ch in flags)
-    if isinstance(model, SimpleTrunc) and support is None:
-        support = frozenset(model.space.nonstar)
-    inst.add(lineno, "kernel", name,
-             KernelSpec(model, support=support, tails_allowed=tails))
+    inst.add(lineno, "kernel", name, KernelSpec(
+        model, support=None if support == ["all"] else support, tails_allowed=tails))
 
 
 _PARSERS = {

@@ -1,10 +1,11 @@
 """Truncation-kernel predicates over both trunc models.
 
-A KernelSpec describes a convex subtrunc in decidable form: a support set
-(membership means the support stays inside it) or, for the sequence model,
-a support descriptor plus per-slot tail-allowed flags.  The three corrected
-kernel conditions are evaluated with exact per-sample decisions, the
-infinitary quantifiers collapsing symbolically where the model permits:
+A KernelSpec describes a convex subtrunc in decidable form, one description
+class per model: a SupportKernel on a SimpleTrunc is a support set
+(membership means the support stays inside it), a SeqKernel on a SeqTrunc
+is a support descriptor plus per-slot tail-allowed flags.  The three
+corrected kernel conditions are evaluated with exact per-sample decisions,
+each class collapsing the infinitary quantifiers on its own model:
 
   (1) if (n|g| - h)+ is in K for all n, then g is in K
   (2) if truncate(g) is in K, then g is in K
@@ -18,133 +19,12 @@ sequences, good-sequence partial sums, support filtrations).
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 
-from .elements import SimpleElement, SimpleTrunc
+from .elements import (SimpleElement, SimpleTrunc, bound_witness, clearance,
+                       truncation_sequence)
 from .errors import BudgetError, StructureError
 from .seqspace import SeqTrunc, TailElement, _ceil, partial_truncations
-
-
-class KernelSpec:
-    """Structured description of a convex subtrunc.
-
-    For a SimpleTrunc model: support is a set of non-basepoint labels and
-    K = {g in G : supp g within support}.  For a SeqTrunc model: support is
-    a finite set of positions or None for all, and tails_allowed flags each
-    tail slot; a finite support forces all-zero tails, so the flags must
-    then be all False.  Convexity of the description is verified (sampled,
-    with deterministic canonical probes) at construction.
-    """
-
-    def __init__(self, model, support=None, tails_allowed=None, rng=None):
-        self.model = model
-        if isinstance(model, SimpleTrunc):
-            base = set(model.space.nonstar)
-            self.support = frozenset(support) if support is not None else frozenset(base)
-            if not self.support <= base:
-                raise StructureError("kernel support must use non-star labels")
-            if tails_allowed is not None:
-                raise StructureError("tail flags only apply to sequence models")
-            self.tails_allowed = None
-        elif isinstance(model, SeqTrunc):
-            self.support = (frozenset(int(n) for n in support)
-                            if support is not None else None)
-            if tails_allowed is None:
-                tails_allowed = (False,) * model.degree
-            self.tails_allowed = tuple(bool(b) for b in tails_allowed)
-            if len(self.tails_allowed) != model.degree:
-                raise StructureError(
-                    f"need {model.degree} tail flags, got {len(self.tails_allowed)}")
-            if self.support is not None and any(self.tails_allowed):
-                raise StructureError("finite support forces all-zero tails")
-        else:
-            raise StructureError(f"a kernel model must be a trunc or a seqtrunc, "
-                                 f"not {model!r}")
-        self._check_convexity(rng or random.Random(0))
-
-    def _tail_pattern_ok(self, g):
-        for k, c in enumerate(g.tail):
-            if c != 0 and not self.tails_allowed[k]:
-                return False
-        return True
-
-    def contains(self, g):
-        if isinstance(self.model, SimpleTrunc):
-            ok, _ = self.model.member(g)
-            return ok and g.support() <= self.support
-        if g not in self.model:
-            return False
-        if not self._tail_pattern_ok(g):
-            return False
-        if self.support is not None:
-            kind, data = g.support()
-            return kind == "finite" and data <= self.support
-        return True
-
-    def __contains__(self, g):
-        return self.contains(g)
-
-    def _canonical_members(self):
-        if isinstance(self.model, SimpleTrunc):
-            return []
-        out = [TailElement.tail_unit(k + 1)
-               for k, allowed in enumerate(self.tails_allowed) if allowed]
-        if self.support:
-            out.append(TailElement.chi(self.support))
-        return out
-
-    def _sample_member(self, rng, count):
-        """Nonnegative members of K built inside the description."""
-        out = self._canonical_members()
-        if isinstance(self.model, SimpleTrunc):
-            subfamily = [s for s in self.model.components if s <= self.support]
-            subtrunc = SimpleTrunc(self.model.space, subfamily)
-            return out + subtrunc.sample_elements(rng, count, nonneg=True)
-        for g in self.model.sample_elements(rng, count, nonneg=True):
-            tail = [c if self.tails_allowed[k] else 0
-                    for k, c in enumerate(g.tail)]
-            h = TailElement(g.correction, tail)
-            if self.support is not None:
-                h = TailElement({n: h.value(n) for n in self.support})
-            out.append(h)
-        return out
-
-    def _check_convexity(self, rng, cases=40):
-        """f in the carrier with 0 <= f <= g in K must land in K.
-
-        Dominated probes are meets g ^ h over a pool that always includes
-        the canonical tail units, so non-convex flag patterns (a disallowed
-        slot below an allowed one) are rejected deterministically.
-        """
-        members = self._sample_member(rng, cases)
-        if isinstance(self.model, SeqTrunc):
-            pool = [TailElement.tail_unit(k + 1) for k in range(self.model.degree)]
-        else:
-            pool = []
-        pool += self.model.sample_elements(rng, cases, nonneg=True)
-        for g in members:
-            for h in pool[:8]:
-                f = g.meet(h)
-                if not self.contains(f):
-                    raise StructureError(
-                        f"description is not convex: 0 <= {f!r} <= {g!r} in K "
-                        f"but the meet is outside K")
-
-    def describe(self):
-        if isinstance(self.model, SimpleTrunc):
-            return {"kind": "support", "support": self.support}
-        return {"kind": "seq", "support": self.support,
-                "tails_allowed": self.tails_allowed}
-
-    def __repr__(self):
-        return f"KernelSpec({self.describe()})"
-
-    def __eq__(self, other):
-        return (isinstance(other, KernelSpec) and self.model == other.model
-                and self.support == other.support
-                and self.tails_allowed == other.tails_allowed)
-
-    def __hash__(self):
-        return hash((self.model, self.support, self.tails_allowed))
 
 
 @dataclass
@@ -172,48 +52,250 @@ class ConditionsReport:
         return self.cond1.passed and self.cond2.passed and self.cond3.passed
 
 
-def _hyp1_simple(kernel, g, h):
-    """Decide: (n|g| - h)+ in K for every n.
+class KernelSpec:
+    """Structured description of a convex subtrunc.
 
-    The sequence (n|g| - h)+ increases with n and K is convex, so membership
-    for all n is membership in the stabilized large-n regime, where the
-    support equals supp g.
+    KernelSpec(model, support=..., tails_allowed=...) builds the description
+    class that _DESCRIPTIONS assigns to the model's type.  Each class owns
+    membership, member sampling, the condition-(1) hypothesis, condition
+    (3), the closure round and the structured families on its model.
+    Convexity of the description is decided exactly at construction.
     """
-    ag = abs(g)
-    n_star = 1
-    for p in ag.support():
-        ratio = h.value(p) / ag.value(p)
-        n_star = max(n_star, _ceil(ratio) + 1)
-    pos = ag.scale(n_star) - h
-    pos = pos.join(SimpleElement.zero(g.space))
-    assert pos.support() == ag.support()
-    return kernel.contains(pos)
+
+    def __new__(cls, model, support=None, tails_allowed=None):
+        if cls is KernelSpec:
+            cls = _DESCRIPTIONS.get(type(model))
+            if cls is None:
+                raise StructureError(f"a kernel model must be a trunc or a seqtrunc, "
+                                     f"not {model!r}")
+        return super().__new__(cls)
+
+    def _check_convexity(self):
+        """f in the carrier with 0 <= f <= g in K must land in K.
+
+        Decided exactly.  A support description is always convex: supp f
+        lies within supp g.  A tail description is convex iff no disallowed
+        slot comes after an allowed one: for an allowed slot i and a
+        disallowed slot j > i, min(n^-i, n^-j) = n^-j escapes K; conversely
+        0 <= f <= g puts every tail slot of f at or after the leading slot
+        of g, and a g with no tail forces an f with no tail.
+        """
+        flags = self.tails_allowed or ()
+        if True in flags and False in flags[flags.index(True):]:
+            i = flags.index(True)
+            units = self.model.tail_units()
+            g, f = units[i], units[flags.index(False, i)]
+            raise StructureError(
+                f"description is not convex: 0 <= {f!r} <= {g!r} in K "
+                f"but the meet is outside K")
+
+    def __contains__(self, g):
+        return self.contains(g)
+
+    def __repr__(self):
+        return f"KernelSpec({self.describe()})"
+
+    def __eq__(self, other):
+        return (isinstance(other, KernelSpec) and self.model == other.model
+                and self.support == other.support
+                and self.tails_allowed == other.tails_allowed)
+
+    def __hash__(self):
+        return hash((self.model, self.support, self.tails_allowed))
 
 
-def _hyp1_seq(kernel, g, h):
-    """Exact decision of the condition-(1) hypothesis on the sequence model.
+class SupportKernel(KernelSpec):
+    """K = {g in G : supp g within support} on a SimpleTrunc.
 
-    (n|g| - h)+ increases with n and K is convex, so the universal
-    quantifier collapses to the stable regime: past every correction
-    threshold h(k)/|g|(k) and every tail-slot ratio the sign pattern of
-    n*tail(|g|) - tail(h) is constant, and membership only depends on the
-    support window and the nonzero-slot pattern.
+    support is a set of non-basepoint labels, all of them by default.
     """
-    ag = abs(g)
-    _, wa = ag.crossover(TailElement.zero())
-    _, wh = h.crossover(TailElement.zero())
-    n_star = 1
-    for k in range(1, max(wa, wh) + 1):
-        if ag.value(k) > 0:
-            n_star = max(n_star, _ceil(h.value(k) / ag.value(k)) + 1)
-    d = max(len(ag.tail), len(h.tail))
-    at = list(ag.tail) + [Fraction(0)] * (d - len(ag.tail))
-    ht = list(h.tail) + [Fraction(0)] * (d - len(h.tail))
-    for a, b in zip(at, ht):
-        if a != 0:
-            n_star = max(n_star, _ceil(abs(b) / abs(a)) + 2)
-    pos = (ag.scale(n_star) - h).join(TailElement.zero())
-    return kernel.contains(pos)
+
+    def __init__(self, model, support=None, tails_allowed=None):
+        base = set(model.space.nonstar)
+        self.model = model
+        self.support = frozenset(support) if support is not None else frozenset(base)
+        if not self.support <= base:
+            raise StructureError("kernel support must use non-star labels")
+        if tails_allowed is not None:
+            raise StructureError("tail flags only apply to sequence models")
+        self.tails_allowed = None
+        self._check_convexity()
+
+    def contains(self, g):
+        ok, _ = self.model.member(g)
+        return ok and g.support() <= self.support
+
+    def _sample_member(self, rng, count):
+        """Nonnegative members of K: samples of the subtrunc on the support."""
+        subfamily = [s for s in self.model.components if s <= self.support]
+        subtrunc = SimpleTrunc(self.model.space, subfamily)
+        return subtrunc.sample_elements(rng, count, nonneg=True)
+
+    def describe(self):
+        return {"kind": "support", "support": self.support}
+
+    def condition1_hypothesis(self, g, h):
+        """Decide: (n|g| - h)+ in K for every n.
+
+        The sequence (n|g| - h)+ increases with n and K is convex, so membership
+        for all n is membership in the stabilized large-n regime, where the
+        support equals supp g.
+        """
+        ag = abs(g)
+        n_star = 1
+        for p in ag.support():
+            ratio = h.value(p) / ag.value(p)
+            n_star = max(n_star, _ceil(ratio) + 1)
+        pos = ag.scale(n_star) - h
+        pos = pos.join(SimpleElement.zero(g.space))
+        assert pos.support() == ag.support()
+        return self.contains(pos)
+
+    def condition3(self, budget, rng):
+        """Sampled condition (3) with an exact hypothesis per sample.
+
+        tminus(1/n)(g) increases with n, so convexity reduces the quantifier
+        to the stable regime n > 1/clearance(g).
+        """
+        samples = 0
+        gs = self.model.sample_elements(rng, budget, nonneg=True)
+        gs += self._sample_member(rng, max(4, budget // 8))
+        for g in gs[:budget]:
+            samples += 1
+            c = clearance(g)
+            n = 1 if c == 0 else _ceil(1 / c) + 1
+            if self.contains(g.tminus(Fraction(1, n))) and not self.contains(g):
+                return ConditionVerdict(False, samples, g)
+        return ConditionVerdict(True, samples)
+
+    def _closure_round(self):
+        return self  # rules add nothing beyond a support description
+
+    def _structured_families(self, g):
+        """On finite spaces the families become eventually constant at g."""
+        seq = truncation_sequence(g, upto=bound_witness(g) + 2)
+        seq_in = all(self.contains(t) for t in seq)
+        yield ("truncation-sequence", seq_in, seq)
+        yield ("good-partial-sums", seq_in, seq)
+        pts = list(g.space.nonstar)
+        filtration = [g.restrict_to(pts[:n]) for n in range(1, len(pts) + 1)]
+        yield ("support-filtration", all(self.contains(t) for t in filtration),
+               filtration)
+
+
+class SeqKernel(KernelSpec):
+    """A support descriptor plus per-slot tail flags on a SeqTrunc.
+
+    support is a finite set of positions or None for all, and tails_allowed
+    flags each tail slot (all False by default); a finite support forces
+    all-zero tails, so the flags must then be all False.
+    """
+
+    def __init__(self, model, support=None, tails_allowed=None):
+        self.model = model
+        self.support = (frozenset(int(n) for n in support)
+                        if support is not None else None)
+        if tails_allowed is None:
+            tails_allowed = (False,) * model.degree
+        self.tails_allowed = tuple(bool(b) for b in tails_allowed)
+        if len(self.tails_allowed) != model.degree:
+            raise StructureError(
+                f"need {model.degree} tail flags, got {len(self.tails_allowed)}")
+        if self.support is not None and any(self.tails_allowed):
+            raise StructureError("finite support forces all-zero tails")
+        self._check_convexity()
+
+    def contains(self, g):
+        if g not in self.model:
+            return False
+        if any(c != 0 and not allowed
+               for c, allowed in zip(g.tail, self.tails_allowed)):
+            return False
+        if self.support is not None:
+            kind, data = g.support()
+            return kind == "finite" and data <= self.support
+        return True
+
+    def _sample_member(self, rng, count):
+        """Nonnegative members of K built inside the description."""
+        out = [unit for unit, allowed in zip(self.model.tail_units(),
+                                             self.tails_allowed) if allowed]
+        if self.support:
+            out.append(TailElement.chi(self.support))
+        for g in self.model.sample_elements(rng, count, nonneg=True):
+            tail = [c if allowed else 0 for c, allowed in zip(g.tail, self.tails_allowed)]
+            h = TailElement(g.correction, tail)
+            if self.support is not None:
+                h = TailElement({n: h.value(n) for n in self.support})
+            out.append(h)
+        return out
+
+    def describe(self):
+        return {"kind": "seq", "support": self.support,
+                "tails_allowed": self.tails_allowed}
+
+    def condition1_hypothesis(self, g, h):
+        """Exact decision of the condition-(1) hypothesis on the sequence model.
+
+        (n|g| - h)+ increases with n and K is convex, so the universal
+        quantifier collapses to the stable regime: past every correction
+        threshold h(k)/|g|(k) and every tail-slot ratio the sign pattern of
+        n*tail(|g|) - tail(h) is constant, and membership only depends on the
+        support window and the nonzero-slot pattern.
+        """
+        ag = abs(g)
+        _, wa = ag.crossover(TailElement.zero())
+        _, wh = h.crossover(TailElement.zero())
+        n_star = 1
+        for k in range(1, max(wa, wh) + 1):
+            if ag.value(k) > 0:
+                n_star = max(n_star, _ceil(h.value(k) / ag.value(k)) + 1)
+        for a, b in zip_longest(ag.tail, h.tail, fillvalue=Fraction(0)):
+            if a != 0:
+                n_star = max(n_star, _ceil(abs(b) / abs(a)) + 2)
+        pos = (ag.scale(n_star) - h).join(TailElement.zero())
+        return self.contains(pos)
+
+    def condition3(self, budget, rng):
+        """Exact condition (3): a tail-shape test, no samples drawn.
+
+        tminus(1/n)(g) always has zero tail and finite support inside supp g,
+        so the hypothesis holds for every g >= 0 supported in the descriptor.
+        """
+        if self.support is None:
+            for unit, allowed in zip(self.model.tail_units(), self.tails_allowed):
+                if not allowed:
+                    assert all(self.contains(unit.tminus(Fraction(1, n)))
+                               for n in (1, 2, 3, 7))
+                    return ConditionVerdict(False, 0, unit, exact=True)
+        return ConditionVerdict(True, 0, exact=True)
+
+    def _closure_round(self):
+        if self.support is None and not all(self.tails_allowed):
+            # rule (3) adjoins all g >= 0, then span: the whole trunc
+            return KernelSpec(self.model, tails_allowed=(True,) * self.model.degree)
+        return self
+
+    def _structured_families(self, g):
+        """Every truncation g ^ n shares support and tail with g, and every
+        filtration chunk has finite support and zero tail, so the quantifiers
+        collapse to support-descriptor tests."""
+        seq_prefix = [g.trunc_at(n) for n in (1, 2, 3)]
+        seq_in = self.contains(g)
+        assert seq_in == all(self.contains(t) for t in seq_prefix)
+        yield ("truncation-sequence", seq_in, seq_prefix)
+        yield ("good-partial-sums", seq_in, seq_prefix)
+        prefix = partial_truncations(g, 6)
+        if self.support is None:
+            filt_in = True  # chunks have zero tail and finite support
+            assert all(self.contains(h) for h in prefix)
+        else:
+            kind, data = g.support()
+            filt_in = kind == "finite" and data <= self.support
+        yield ("support-filtration", filt_in, prefix)
+
+
+_DESCRIPTIONS = {SimpleTrunc: SupportKernel, SeqTrunc: SeqKernel}
 
 
 def _cond1(kernel, budget, rng):
@@ -221,19 +303,14 @@ def _cond1(kernel, budget, rng):
     gs = model.sample_elements(rng, budget)
     gs += kernel._sample_member(rng, max(4, budget // 8))
     hs = model.sample_elements(rng, budget, nonneg=True)
-    if isinstance(model, SeqTrunc):
-        units = [TailElement.tail_unit(k + 1) for k in range(model.degree)]
-        hs += units
-        gs = units + gs
+    units = model.tail_units()
+    hs += units
+    gs = units + gs
     samples = 0
     for g in gs[:budget]:
         h = hs[samples % len(hs)]
         samples += 1
-        if isinstance(model, SimpleTrunc):
-            hyp = _hyp1_simple(kernel, g, h)
-        else:
-            hyp = _hyp1_seq(kernel, g, h)
-        if hyp and not kernel.contains(g):
+        if kernel.condition1_hypothesis(g, h) and not kernel.contains(g):
             return ConditionVerdict(False, samples, (g, h))
     return ConditionVerdict(True, samples)
 
@@ -251,42 +328,6 @@ def _cond2(kernel, budget, rng):
     return ConditionVerdict(True, samples)
 
 
-def _cond3_hyp_simple(kernel, g):
-    """tminus(1/n)(g) in K for all n: supports grow to supp g, so collapse.
-
-    tminus(1/n)(g) increases with n, so convexity reduces the quantifier to
-    the stable regime n > 1/clearance(g).
-    """
-    from .elements import clearance
-    c = clearance(g)
-    n = 1 if c == 0 else _ceil(1 / c) + 1
-    return kernel.contains(g.tminus(Fraction(1, n)))
-
-
-def _cond3(kernel, budget, rng):
-    model = kernel.model
-    if isinstance(model, SeqTrunc):
-        # tminus(1/n)(g) always has zero tail and finite support inside
-        # supp g, so the hypothesis holds for every g >= 0 supported in the
-        # descriptor: the condition reduces to a tail-shape test, exactly.
-        if kernel.support is None:
-            for slot, allowed in enumerate(kernel.tails_allowed, start=1):
-                if not allowed:
-                    witness = TailElement.tail_unit(slot)
-                    assert all(kernel.contains(witness.tminus(Fraction(1, n)))
-                               for n in (1, 2, 3, 7))
-                    return ConditionVerdict(False, 0, witness, exact=True)
-        return ConditionVerdict(True, 0, exact=True)
-    samples = 0
-    gs = model.sample_elements(rng, budget, nonneg=True)
-    gs += kernel._sample_member(rng, max(4, budget // 8))
-    for g in gs[:budget]:
-        samples += 1
-        if _cond3_hyp_simple(kernel, g) and not kernel.contains(g):
-            return ConditionVerdict(False, samples, g)
-    return ConditionVerdict(True, samples)
-
-
 def kernel_conditions(kernel, budget=200, seed=0):
     """Per-condition verdicts with witnesses; see module docstring."""
     if budget <= 0:
@@ -295,7 +336,7 @@ def kernel_conditions(kernel, budget=200, seed=0):
     return ConditionsReport(
         cond1=_cond1(kernel, budget, rng),
         cond2=_cond2(kernel, budget, rng),
-        cond3=_cond3(kernel, budget, rng),
+        cond3=kernel.condition3(budget, rng),
     )
 
 
@@ -311,25 +352,13 @@ def kernel_closure(kernel, max_rounds=64):
     """
     current = kernel
     for _ in range(max_rounds):
-        nxt = _closure_round(current)
+        nxt = current._closure_round()
         if nxt == current:
             report = kernel_conditions(nxt, budget=40, seed=1)
             assert report.all_pass, f"closure output must satisfy the conditions: {report}"
             return nxt
         current = nxt
     raise BudgetError(f"closure did not stabilize in {max_rounds} rounds")
-
-
-def _closure_round(kernel):
-    model = kernel.model
-    if isinstance(model, SimpleTrunc):
-        return kernel  # rules add nothing beyond a support description
-    support, flags = kernel.support, list(kernel.tails_allowed)
-    if support is None and not all(flags):
-        flags = [True] * len(flags)  # rule (3) adjoins all g >= 0, then span
-    if flags == list(kernel.tails_allowed):
-        return kernel
-    return KernelSpec(model, support=support, tails_allowed=tuple(flags))
 
 
 @dataclass
@@ -351,21 +380,20 @@ def pointwise_closed(kernel, budget=200, seed=0):
     good-sequence partial sums (the same truncations), and the support
     filtration g * chi(first n points).  Every probe has pointwise sup g,
     so a witness is exact; the verdict is cross-checked against the kernel
-    conditions, which must agree.
+    conditions, which must agree.  Each description yields (kind,
+    whole-infinite-family-in-K, reporting prefix) per family, deciding the
+    membership of the entire family exactly.
     """
     if budget <= 0:
         raise BudgetError("pointwise_closed needs a positive budget")
     rng = random.Random(seed)
     model = kernel.model
-    candidates = model.sample_elements(rng, budget, nonneg=True)
-    if isinstance(model, SeqTrunc):
-        candidates = [TailElement.tail_unit(k + 1) for k in range(model.degree)] \
-            + candidates
+    candidates = model.tail_units() + model.sample_elements(rng, budget, nonneg=True)
     verdict = PointwiseVerdict(True)
     for g in candidates:
         if kernel.contains(g):
             continue
-        for kind, whole_family_in_k, prefix in _structured_families(kernel, g):
+        for kind, whole_family_in_k, prefix in kernel._structured_families(g):
             if whole_family_in_k:
                 verdict = PointwiseVerdict(False, (g, prefix), kind)
                 break
@@ -376,39 +404,3 @@ def pointwise_closed(kernel, budget=200, seed=0):
         "pointwise closure must agree with the kernel conditions "
         f"(conditions {report.all_pass}, pointwise {verdict.closed})")
     return verdict
-
-
-def _structured_families(kernel, g):
-    """(kind, whole-infinite-family-in-K, reporting prefix) per family.
-
-    Membership of the entire family is decided exactly: on finite spaces
-    the families become eventually constant at g, and on the sequence model
-    every truncation g ^ n shares support and tail with g while every
-    filtration chunk has finite support and zero tail, so the quantifiers
-    collapse to support-descriptor tests.
-    """
-    model = kernel.model
-    if isinstance(model, SimpleTrunc):
-        from .elements import bound_witness, truncation_sequence
-        seq = truncation_sequence(g, upto=bound_witness(g) + 2)
-        seq_in = all(kernel.contains(t) for t in seq)
-        yield ("truncation-sequence", seq_in, seq)
-        yield ("good-partial-sums", seq_in, seq)
-        pts = list(g.space.nonstar)
-        filtration = [g.restrict_to(pts[:n]) for n in range(1, len(pts) + 1)]
-        yield ("support-filtration", all(kernel.contains(t) for t in filtration),
-               filtration)
-        return
-    seq_prefix = [g.trunc_at(n) for n in (1, 2, 3)]
-    seq_in = kernel.contains(g)  # g ^ n shares support and tail with g
-    assert seq_in == all(kernel.contains(t) for t in seq_prefix)
-    yield ("truncation-sequence", seq_in, seq_prefix)
-    yield ("good-partial-sums", seq_in, seq_prefix)
-    prefix = partial_truncations(g, 6)
-    if kernel.support is None:
-        filt_in = True  # chunks have zero tail and finite support
-        assert all(kernel.contains(h) for h in prefix)
-    else:
-        kind, data = g.support()
-        filt_in = kind == "finite" and data <= kernel.support
-    yield ("support-filtration", filt_in, prefix)

@@ -235,6 +235,24 @@ class TailElement:
             corr[n] = -self.tail_value(n)  # force value(n) = 0 at zeros of g
         return TailElement(corr, self.tail)
 
+    def dominated_by(self, g):
+        """Exact test of |self| <= k*g for some k, for g >= 0.
+
+        Pointwise necessity: the cozero set of self must sit inside that of g.
+        Asymptotics: a nonzero tail of self must decay at least as fast as g's,
+        i.e. order(|self|) >= order(g); then the ratio is bounded and a single
+        multiplier works for the finitely many remaining positions.
+        """
+        af = abs(self)
+        if af.tail and (not g.tail or af.order() < g.order()):
+            return False
+        _, bound_f = af.crossover(TailElement.zero())
+        _, bound_g = g.crossover(TailElement.zero())
+        for n in range(1, max(bound_f, bound_g) + 1):
+            if af.value(n) > 0 and g.value(n) == 0:
+                return False
+        return True
+
     def max_value(self):
         """Exact supremum of a nonnegative element (attained; values tend to 0)."""
         self._require_nonneg("max_value")
@@ -264,6 +282,10 @@ class SeqTrunc:
     def member(self, g):
         ok = g in self
         return ok, (None if ok else g.degree())
+
+    def tail_units(self):
+        """The pure tails n^(-1), ..., n^(-degree), slot by slot."""
+        return [TailElement.tail_unit(k + 1) for k in range(self.degree)]
 
     def sample_elements(self, rng, count, nonneg=False):
         out = []
@@ -340,9 +362,7 @@ def enough_uc_check(trunc, rng=None, budget=50):
     truncate(g) <= u forces a finite cozero set; any nonzero tail refutes.
     The canonical 1/n element is always tested first.
     """
-    candidates = []
-    if trunc.degree >= 1:
-        candidates.append(TailElement.tail_unit(1))
+    candidates = trunc.tail_units()[:1]
     if rng is not None:
         candidates.extend(abs(g) for g in trunc.sample_elements(rng, budget))
     candidates.append(TailElement.chi([1, 2]))

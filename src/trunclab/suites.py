@@ -41,10 +41,6 @@ class SuiteResult:
         return not self.failures
 
 
-def _spaces_for(rng, count):
-    return [sampling.random_space(rng) for _ in range(count)]
-
-
 # --- 1. truncation axioms ---------------------------------------------------
 
 def suite_trunc_axioms(seed=0, cases=200):
@@ -494,9 +490,8 @@ def suite_kernels(seed=0, cases=60):
         again = kernel_closure(closed)
         if again != closed:
             failures.append(f"closure not idempotent for {spec!r}")
-        if isinstance(spec.model, SeqTrunc) and spec.support is None:
-            if not all(closed.tails_allowed):
-                failures.append(f"closure did not reach the whole trunc: {spec!r}")
+        if spec.support is None and not all(closed.tails_allowed):
+            failures.append(f"closure did not reach the whole trunc: {spec!r}")
         if not kernel_conditions(closed, budget=40, seed=seed).all_pass:
             failures.append(f"closure output fails conditions: {spec!r}")
     return SuiteResult("kernels", ran, failures)

@@ -8,8 +8,13 @@ directly over long finite prefixes and compare.
 import random
 from fractions import Fraction as F
 
-from trunclab.kernels import KernelSpec, _hyp1_seq
-from trunclab.seqspace import SeqTrunc, TailElement, poly_sign
+from trunclab.elements import SimpleTrunc, lc
+from trunclab.kernels import KernelSpec, SeqKernel, SupportKernel
+from trunclab.seqspace import SeqTrunc, poly_sign
+from trunclab.spaces import space
+
+X3 = space("1", "2", "3")
+T = SimpleTrunc(X3, [set(), {"1", "2"}, {"3"}, {"1", "2", "3"}])
 
 
 def _kernels_for(degree):
@@ -23,6 +28,28 @@ def _kernels_for(degree):
         specs.append(KernelSpec(trunc, support=None,
                                 tails_allowed=(False, True)))
     return trunc, specs
+
+
+def _all_kernels():
+    """(trunc, kernels) on the sequence model and on two finite-space truncs."""
+    yield _kernels_for(1)
+    yield _kernels_for(2)
+    full = lc(X3)
+    yield full, [KernelSpec(full, support=s)
+                 for s in (set(), {"1"}, {"1", "2"}, None)]
+    yield T, [KernelSpec(T, support=s) for s in ({"1", "2"}, {"3"}, None)]
+
+
+def _hyp1_brute(spec, g, h, upto):
+    """(n|g| - h)+ in K for n = 1..upto."""
+    ag = abs(g)
+    return all(spec.contains((ag.scale(n) - h).join(g.scale(0)))
+               for n in range(1, upto + 1))
+
+
+def _hyp3_brute(spec, g, upto):
+    """tminus(1/n)(g) in K for n = 1..upto."""
+    return all(spec.contains(g.tminus(F(1, n))) for n in range(1, upto + 1))
 
 
 def test_poly_sign_bound_brute():
@@ -52,50 +79,42 @@ def test_max_value_brute():
             assert reported == brute
 
 
+def test_kernel_classes_follow_the_model():
+    for trunc, specs in _all_kernels():
+        cls = SeqKernel if isinstance(trunc, SeqTrunc) else SupportKernel
+        assert all(type(spec) is cls for spec in specs)
+
+
 def test_condition1_hypothesis_matches_brute_quantifier():
     rng = random.Random(43)
-    for degree in (1, 2):
-        trunc, specs = _kernels_for(degree)
+    for trunc, specs in _all_kernels():
         for spec in specs:
-            pool = trunc.sample_elements(rng, 30)
-            pool += [TailElement.tail_unit(k + 1) for k in range(degree)]
+            pool = trunc.sample_elements(rng, 30) + trunc.tail_units()
             hpool = [abs(h) for h in trunc.sample_elements(rng, 30)]
-            hpool += [TailElement.tail_unit(k + 1) for k in range(degree)]
+            hpool += trunc.tail_units()
             for i, g in enumerate(pool):
                 h = hpool[i % len(hpool)]
-                claimed = _hyp1_seq(spec, g, h)
-                ag = abs(g)
-                prefix_ok = all(
-                    spec.contains((ag.scale(n) - h).join(TailElement.zero()))
-                    for n in range(1, 45))
+                claimed = spec.condition1_hypothesis(g, h)
                 # claimed True must make every prefix member; claimed False
-                # must be witnessed by some finite n
+                # must be witnessed at n = 200, past every stable threshold
                 if claimed:
-                    assert prefix_ok
+                    assert _hyp1_brute(spec, g, h, 44)
                 else:
-                    assert not prefix_ok or not spec.contains(
-                        (ag.scale(200) - h).join(TailElement.zero()))
+                    ag = abs(g)
+                    assert not spec.contains((ag.scale(200) - h).join(g.scale(0)))
 
 
 def test_condition3_collapse_matches_brute_quantifier():
     rng = random.Random(44)
-    for degree in (1, 2):
-        trunc, specs = _kernels_for(degree)
+    for trunc, specs in _all_kernels():
         for spec in specs:
-            pool = [abs(g) for g in trunc.sample_elements(rng, 30)]
-            pool += [TailElement.tail_unit(k + 1) for k in range(degree)]
-            for g in pool:
-                # the implementation's claim: the hypothesis holds iff the
-                # support fits the descriptor (always, when support is None)
-                if spec.support is None:
-                    claimed = True
-                else:
-                    kind, data = g.support()
-                    claimed = kind == "finite" and data <= spec.support
-                brute = all(spec.contains(g.tminus(F(1, n)))
-                            for n in range(1, 45))
-                if claimed:
-                    assert brute
-                else:
-                    assert not all(spec.contains(g.tminus(F(1, n)))
-                                   for n in range(1, 200))
+            verdict = spec.condition3(60, random.Random(7))
+            if verdict.passed:
+                # no g >= 0 meets the hypothesis up to n = 200 outside K
+                pool = [abs(g) for g in trunc.sample_elements(rng, 30)]
+                for g in trunc.tail_units() + pool:
+                    assert spec.contains(g) or not _hyp3_brute(spec, g, 200)
+            else:
+                witness = verdict.witness
+                assert not spec.contains(witness)
+                assert _hyp3_brute(spec, witness, 200)

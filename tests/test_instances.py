@@ -205,3 +205,16 @@ def test_cli_input_errors(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["frame-eval", "u"], ["frame-eval", "u", "(1,2,3)"], ["frame-eval"],
+    ["frame-eval", "u", "1", "2", "3"], ["induced-op"], ["drop", "q"],
+    ["e0q", "q"], ["drop"], ["e0q", "q", "w2", "w2"]],
+    ids=" ".join)
+def test_cli_wrong_argument_count_prints_usage(sample_file, capsys, argv):
+    code = main(argv + ["--file", sample_file])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert f"input error: usage: trunclab {argv[0]} " in captured.err
+    assert "list index" not in captured.err and "unpack" not in captured.err

@@ -1,7 +1,9 @@
 """Kernel conditions, staged closure, and pointwise closure."""
 
+import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -9,10 +11,11 @@ from pathlib import Path
 
 import pytest
 
-from trunclab.elements import SimpleElement, lc
-from trunclab.errors import BudgetError, StructureError
-from trunclab.instances import parse_instance_text
-from trunclab.kernels import (KernelSpec, kernel_closure, kernel_conditions,
+from trunclab.elements import SimpleElement, SimpleTrunc, lc
+from trunclab.errors import BudgetError, ParseError, StructureError
+from trunclab.instances import parse_instance, parse_instance_text
+from trunclab.kernels import (KernelSpec, SeqKernel, SupportKernel,
+                              kernel_closure, kernel_conditions,
                               pointwise_closed)
 from trunclab.seqspace import SeqTrunc, TailElement
 from trunclab.spaces import space
@@ -83,7 +86,7 @@ def test_kernel_closure_idempotent_and_extensive():
     for k in specs:
         closed = kernel_closure(k)
         assert kernel_closure(closed) == closed
-        if isinstance(k.model, SeqTrunc) and k.support is None:
+        if k.support is None:
             assert all(b >= a for a, b in zip(k.tails_allowed,
                                               closed.tails_allowed))
 
@@ -163,3 +166,61 @@ def test_kernel_close_output_ignores_the_hash_seed(tmp_path):
     assert outputs[0] == outputs[1]
     assert json.loads(outputs[0])["data"]["K2"] == {"kind": "support",
                                                     "support": ["1", "2"]}
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def _unchecked(cls, model, support, flags):
+    """A description built without the constructor's checks."""
+    spec = object.__new__(cls)
+    spec.model, spec.support, spec.tails_allowed = model, support, flags
+    return spec
+
+
+def _sampled_escape(spec, seed=0, cases=20):
+    """The sampled convexity probe: is some meet of a member of K with a
+    tail unit or a sampled element outside K?"""
+    rng = random.Random(seed)
+    members = spec._sample_member(rng, cases)
+    pool = (spec.model.tail_units()
+            + spec.model.sample_elements(rng, cases, nonneg=True)[:8])
+    return any(not spec.contains(g.meet(h)) for g in members for h in pool)
+
+
+def _accepted(model, support, flags):
+    try:
+        KernelSpec(model, support=support, tails_allowed=flags)
+    except StructureError:
+        return False
+    return True
+
+
+def test_exact_convexity_agrees_with_the_sampled_probe():
+    for degree in range(5):
+        trunc = SeqTrunc(degree)
+        for flags in itertools.product((False, True), repeat=degree):
+            for support in (None, frozenset({1, 3})):
+                probe = _unchecked(SeqKernel, trunc, support, flags)
+                assert _accepted(trunc, support, flags) != _sampled_escape(probe), (
+                    degree, flags, support)
+    for model in (lc(X3), SimpleTrunc(X3, [set(), {"1", "2"}, {"3"},
+                                           {"1", "2", "3"}])):
+        for k in range(4):
+            for support in itertools.combinations(["1", "2", "3"], k):
+                probe = _unchecked(SupportKernel, model, frozenset(support), None)
+                assert _accepted(model, support, None)
+                assert not _sampled_escape(probe)
+
+
+def test_building_a_kernel_draws_no_samples(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a kernel description sampled the carrier")
+
+    monkeypatch.setattr(SimpleTrunc, "sample_elements", refuse)
+    monkeypatch.setattr(SeqTrunc, "sample_elements", refuse)
+    inst = parse_instance(GOLDEN / "kernels.tl")
+    kinds = {type(inst.get(n)) for n in ("K", "K1", "K3", "K4")}
+    assert kinds == {SeqKernel, SupportKernel}
+    with pytest.raises(ParseError, match="not convex"):
+        parse_instance(GOLDEN / "nonconvex_kernel.tl")
