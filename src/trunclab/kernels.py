@@ -223,7 +223,8 @@ class SeqKernel(KernelSpec):
         if self.support:
             out.append(TailElement.chi(self.support))
         for g in self.model.sample_elements(rng, count, nonneg=True):
-            tail = [c if allowed else 0 for c, allowed in zip(g.tail, self.tails_allowed)]
+            tail = [c if allowed else 0
+                    for c, allowed in zip(g.tail, self.tails_allowed)]
             h = TailElement(g.correction, tail)
             if self.support is not None:
                 h = TailElement({n: h.value(n) for n in self.support})
