@@ -15,9 +15,9 @@ from .elements import (GoodSequence, SimpleElement, SimpleTrunc, apply_op,
                        truncation_sequence, truncation_sequence_check, uc,
                        yosida_quotient)
 from .equivalences import EquivalenceReport, equivalence_witness
-from .errors import (BudgetError, ParseError, PositivityError,
-                     SpaceMismatchError, StructureError, TruncLabError,
-                     UnsupportedOperationError)
+from .errors import (BudgetError, CertificationError, ParseError,
+                     PositivityError, SpaceMismatchError, StructureError,
+                     TruncLabError, UnsupportedOperationError)
 from .frames import (FiniteFrame, FrameReal, FrameSurjection, OpenInterval,
                      PointedFiniteFrame, chi, drop, e0q_exhaustive,
                      e0q_member, frame_dini, frame_pointwise_sup,

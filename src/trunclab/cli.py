@@ -2,7 +2,9 @@
 
     trunclab <command> [object names] --file <path> [--seed N] [--cases N] [--json]
 
-Exit codes: 0 all checks pass, 1 a check failed, 2 input error.
+Exit codes: 0 all checks pass, 1 a check failed, 2 input error.  A failed
+certificate (CertificationError) is a failed check: the report is printed
+with the failure and its witness, and the exit code is 1.
 """
 
 import argparse
@@ -13,7 +15,7 @@ from .elements import (GoodSequence, SimpleElement, SimpleTrunc, apply_op,
                        normal_form, pointwise_sup, truncation_sequence,
                        truncation_sequence_check, uc)
 from .equivalences import equivalence_witness
-from .errors import ParseError, TruncLabError
+from .errors import CertificationError, ParseError, TruncLabError
 from .frames import (FrameReal, OpenInterval, drop, e0q_member, frame_dini,
                      frame_pointwise_sup, frame_uc_check, induced_op,
                      surjection_tools)
@@ -48,7 +50,14 @@ def cmd_check(inst, names, args, report):
     report.put("objects", {n: inst.kinds[n] for n in targets})
 
 
+def _require(ok, usage):
+    """Refuse a wrong argument count with the command's usage line."""
+    if not ok:
+        raise TruncLabError(f"usage: trunclab {usage} --file FILE")
+
+
 def cmd_normal_form(inst, names, args, report):
+    _require(names, "normal-form ELEMENT...")
     for name in names:
         g = inst.get(name, "element")
         nf = normal_form(g)
@@ -91,6 +100,7 @@ def cmd_trunc_seq(inst, names, args, report):
 
 
 def cmd_uc(inst, names, args, report):
+    _require(names, "uc TRUNC|FRAMEREAL...")
     for name in names:
         obj = inst.get(name)
         if isinstance(obj, SimpleTrunc):
@@ -108,6 +118,7 @@ def cmd_uc(inst, names, args, report):
 
 
 def cmd_equivalence(inst, names, args, report):
+    _require(names, "equivalence SPACE...")
     for name in names:
         x = inst.get(name, "space")
         rep = equivalence_witness(x)
@@ -115,12 +126,6 @@ def cmd_equivalence(inst, names, args, report):
             report.add_check(f"{name}: {trip.name}", trip.verified, trip.detail)
         if not rep.complete:
             report.add_check(f"{name}: complete", False, "budget exceeded")
-
-
-def _require(ok, usage):
-    """Refuse a wrong argument count with the command's usage line."""
-    if not ok:
-        raise TruncLabError(f"usage: trunclab {usage} --file FILE")
 
 
 def cmd_frame_eval(inst, names, args, report):
@@ -189,6 +194,7 @@ def cmd_e0q(inst, names, args, report):
 
 
 def cmd_kernel_check(inst, names, args, report):
+    _require(names, "kernel-check KERNEL...")
     for name in names:
         k = inst.get(name, "kernel")
         conds = kernel_conditions(k, budget=args.cases, seed=args.seed)
@@ -228,6 +234,7 @@ def cmd_pointwise(inst, names, args, report):
 
 
 def cmd_dini(inst, names, args, report):
+    _require(names, "dini SEQUENCE...")
     for name in names:
         seq = inst.get(name, "sequence")
         terms = list(seq.terms)
@@ -332,6 +339,8 @@ def main(argv=None):
     except ParseError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
+    except CertificationError as exc:
+        report.add_check("certificate", False, str(exc))
     except (TruncLabError, OSError, ValueError, IndexError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2

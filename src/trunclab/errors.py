@@ -25,6 +25,24 @@ class BudgetError(TruncLabError):
     """A search or sample budget was exhausted or is invalid."""
 
 
+class CertificationError(TruncLabError):
+    """A certificate check failed; witness is the object that refutes it."""
+
+    def __init__(self, message, witness=None):
+        super().__init__(message if witness is None
+                         else f"{message} (witness {witness!r})")
+        self.witness = witness
+
+
+def certify(ok, message, witness=None):
+    """Raise CertificationError(message, witness) unless ok.
+
+    Unlike an assert, the check stays on under python -O.
+    """
+    if not ok:
+        raise CertificationError(message, witness)
+
+
 class ParseError(TruncLabError):
     """Instance file error, carrying the offending line number."""
 

@@ -14,8 +14,13 @@ each class collapsing the infinitary quantifiers on its own model:
 The staged closure iterates the three rules on descriptions to a fixpoint,
 and pointwise closure is probed through structured families (truncation
 sequences, good-sequence partial sums, support filtrations).
+
+The conditions of one (description, budget, seed) are computed once per
+process: the closure, the pointwise-closure cross-check and the suites all
+ask for them, and every later call returns the same frozen report.
 """
 
+import functools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -23,11 +28,11 @@ from itertools import zip_longest
 
 from .elements import (SimpleElement, SimpleTrunc, bound_witness, clearance,
                        truncation_sequence)
-from .errors import BudgetError, StructureError
+from .errors import BudgetError, StructureError, certify
 from .seqspace import SeqTrunc, TailElement, _ceil, partial_truncations
 
 
-@dataclass
+@dataclass(frozen=True)
 class ConditionVerdict:
     passed: bool
     samples: int
@@ -41,7 +46,7 @@ class ConditionVerdict:
         return f"FAIL ({tag}, witness={self.witness!r})"
 
 
-@dataclass
+@dataclass(frozen=True)
 class ConditionsReport:
     cond1: ConditionVerdict
     cond2: ConditionVerdict
@@ -148,7 +153,9 @@ class SupportKernel(KernelSpec):
             n_star = max(n_star, _ceil(ratio) + 1)
         pos = ag.scale(n_star) - h
         pos = pos.join(SimpleElement.zero(g.space))
-        assert pos.support() == ag.support()
+        certify(pos.support() == ag.support(),
+                "(n|g| - h)+ past the ratio bound must have the support of g",
+                (g, h))
         return self.contains(pos)
 
     def condition3(self, budget, rng):
@@ -266,8 +273,9 @@ class SeqKernel(KernelSpec):
         if self.support is None:
             for unit, allowed in zip(self.model.tail_units(), self.tails_allowed):
                 if not allowed:
-                    assert all(self.contains(unit.tminus(Fraction(1, n)))
-                               for n in (1, 2, 3, 7))
+                    certify(all(self.contains(unit.tminus(Fraction(1, n)))
+                                for n in (1, 2, 3, 7)),
+                            "tminus(1/n) of a tail unit must lie in K", unit)
                     return ConditionVerdict(False, 0, unit, exact=True)
         return ConditionVerdict(True, 0, exact=True)
 
@@ -283,13 +291,15 @@ class SeqKernel(KernelSpec):
         collapse to support-descriptor tests."""
         seq_prefix = [g.trunc_at(n) for n in (1, 2, 3)]
         seq_in = self.contains(g)
-        assert seq_in == all(self.contains(t) for t in seq_prefix)
+        certify(seq_in == all(self.contains(t) for t in seq_prefix),
+                "the truncations of g must lie in K exactly when g does", g)
         yield ("truncation-sequence", seq_in, seq_prefix)
         yield ("good-partial-sums", seq_in, seq_prefix)
         prefix = partial_truncations(g, 6)
         if self.support is None:
             filt_in = True  # chunks have zero tail and finite support
-            assert all(self.contains(h) for h in prefix)
+            certify(all(self.contains(h) for h in prefix),
+                    "support filtration terms must lie in K", g)
         else:
             kind, data = g.support()
             filt_in = kind == "finite" and data <= self.support
@@ -333,6 +343,11 @@ def kernel_conditions(kernel, budget=200, seed=0):
     """Per-condition verdicts with witnesses; see module docstring."""
     if budget <= 0:
         raise BudgetError("kernel_conditions needs a positive budget")
+    return _conditions(kernel, budget, seed)
+
+
+@functools.lru_cache(maxsize=256)
+def _conditions(kernel, budget, seed):
     rng = random.Random(seed)
     return ConditionsReport(
         cond1=_cond1(kernel, budget, rng),
@@ -356,7 +371,8 @@ def kernel_closure(kernel, max_rounds=64):
         nxt = current._closure_round()
         if nxt == current:
             report = kernel_conditions(nxt, budget=40, seed=1)
-            assert report.all_pass, f"closure output must satisfy the conditions: {report}"
+            certify(report.all_pass,
+                    "closure output must satisfy the kernel conditions", report)
             return nxt
         current = nxt
     raise BudgetError(f"closure did not stabilize in {max_rounds} rounds")
@@ -401,7 +417,7 @@ def pointwise_closed(kernel, budget=200, seed=0):
         if not verdict.closed:
             break
     report = kernel_conditions(kernel, budget=max(40, budget // 4), seed=seed)
-    assert report.all_pass == verdict.closed, (
-        "pointwise closure must agree with the kernel conditions "
-        f"(conditions {report.all_pass}, pointwise {verdict.closed})")
+    certify(report.all_pass == verdict.closed,
+            "pointwise closure must agree with the kernel conditions",
+            (report, verdict))
     return verdict

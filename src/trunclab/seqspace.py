@@ -6,18 +6,31 @@ a fixed tail-degree bound.  Degree 1 carries the hyperarchimedean-but-not-
 simple example; degree 2 exists to refute hyperarchimedeanness.  All lattice
 operations are computed exactly via a certified crossover bound N beyond
 which tail comparison is decided by the leading coefficient.
+
+Evaluation stays exact without building a Fraction per term: each element
+keeps its tail as integer numerators over one common denominator, so a tail
+value is a Horner loop over ints, and the lattice operations compare and
+subtract values as unreduced integer pairs (num, den), den > 0, making a
+Fraction only for a correction they keep.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import ge, le
 
 from .elements import cut_grid
-from .errors import PositivityError, StructureError
+from .errors import PositivityError, StructureError, certify
 
 
 def _ceil(f):
     f = Fraction(f)
     return -((-f.numerator) // f.denominator)
+
+
+def _rational(v):
+    """v as a Fraction, without rebuilding one that already is."""
+    return v if type(v) is Fraction else Fraction(v)
 
 
 def poly_sign(coeffs):
@@ -28,7 +41,7 @@ def poly_sign(coeffs):
     N = max(1, ceil(sum_{k>j} |c_k| / |c_j|)) + 1 with j the first nonzero
     index, which dominates the lower-order terms rigorously.
     """
-    coeffs = [Fraction(c) for c in coeffs]
+    coeffs = [_rational(c) for c in coeffs]
     j = next((i for i, c in enumerate(coeffs) if c != 0), None)
     if j is None:
         return 0, 1
@@ -37,10 +50,28 @@ def poly_sign(coeffs):
     return (1 if coeffs[j] > 0 else -1), bound
 
 
-class TailElement:
-    """A correction-plus-tail function on omega+1, canonically represented."""
+def _add_correction(correction, n, num, den):
+    """The pair num/den plus correction[n], if any, as a pair."""
+    c = correction.get(n)
+    if c is None:
+        return num, den
+    return num * c.denominator + c.numerator * den, den * c.denominator
 
-    __slots__ = ("correction", "tail")
+
+def _difference(a, b):
+    """a - b for integer pairs, as a Fraction, or None when it is zero."""
+    num = a[0] * b[1] - b[0] * a[1]
+    return Fraction(num, a[1] * b[1]) if num else None
+
+
+class TailElement:
+    """A correction-plus-tail function on omega+1, canonically represented.
+
+    _itail caches the tail as (numerators, den), slot k being
+    numerators[k] / den; it is filled on the first evaluation.
+    """
+
+    __slots__ = ("correction", "tail", "_itail")
 
     def __init__(self, correction=None, tail=()):
         corr = {}
@@ -48,14 +79,15 @@ class TailElement:
             n = int(n)
             if n < 1:
                 raise StructureError(f"correction index {n} must be >= 1")
-            v = Fraction(v)
+            v = _rational(v)
             if v != 0:
                 corr[n] = v
-        tail = tuple(Fraction(c) for c in tail)
+        tail = tuple(_rational(c) for c in tail)
         while tail and tail[-1] == 0:
             tail = tail[:-1]
         self.correction = corr
         self.tail = tail
+        self._itail = None
 
     @classmethod
     def chi(cls, support):
@@ -75,13 +107,33 @@ class TailElement:
     def degree(self):
         return len(self.tail)
 
+    def _tail_pair(self, n):
+        """tail(n) as an integer pair (num, den), den > 0, not reduced.
+
+        With c_k = a_k / den, sum_k c_k n^-(k+1) is
+        (sum_k a_k n^(d-1-k)) / (den n^d), and Horner's rule gives the sum.
+        """
+        if self._itail is None:
+            den = lcm(*(c.denominator for c in self.tail))
+            self._itail = (tuple(c.numerator * (den // c.denominator)
+                                 for c in self.tail), den)
+        nums, den = self._itail
+        acc = 0
+        for a in nums:
+            acc = acc * n + a
+        return acc, den * n ** len(nums)
+
+    def _pair(self, n):
+        """value(n) as an integer pair (num, den), den > 0, not reduced."""
+        return _add_correction(self.correction, n, *self._tail_pair(n))
+
     def tail_value(self, n):
-        return sum(c * Fraction(1, n ** (k + 1)) for k, c in enumerate(self.tail))
+        return Fraction(*self._tail_pair(n))
 
     def value(self, n):
         if n < 1:
             raise StructureError(f"positions start at 1, got {n}")
-        return self.correction.get(n, Fraction(0)) + self.tail_value(n)
+        return Fraction(*self._pair(n))
 
     def order(self):
         """Index of the first nonzero tail coefficient, or None for zero tail."""
@@ -135,31 +187,42 @@ class TailElement:
         supports = list(self.correction) + list(other.correction)
         return sign, max(supports, default=0) + tail_bound + 1
 
-    def _combine(self, other, fn, winner_tail):
-        _, bound = self.crossover(other)
-        result = TailElement({}, winner_tail)
+    def _combine(self, other, prefer, own_tail, bound):
+        """Pointwise pick: self(n) where prefer(self(n), other(n)), else other(n).
+
+        Past bound the pick is the same at every n, so the result keeps
+        self's tail when own_tail and other's otherwise, corrected on
+        1..bound.  Each operand's tail is evaluated once per position.
+        """
+        winner = self if own_tail else other
         corr = {}
         for n in range(1, bound + 1):
-            delta = fn(self.value(n), other.value(n)) - result.tail_value(n)
-            if delta != 0:
+            ts, to = self._tail_pair(n), other._tail_pair(n)
+            a = _add_correction(self.correction, n, *ts)
+            b = _add_correction(other.correction, n, *to)
+            pick_self = prefer(a[0] * b[1], b[0] * a[1])
+            if pick_self == own_tail:
+                # the picked value minus its own tail is its own correction
+                delta = winner.correction.get(n)
+            else:
+                delta = _difference(a if pick_self else b, ts if own_tail else to)
+            if delta:
                 corr[n] = delta
-        return TailElement(corr, winner_tail)
+        return TailElement(corr, winner.tail)
 
     def meet(self, other):
-        sign, _ = self.crossover(other)
-        tail = self.tail if sign <= 0 else other.tail
-        return self._combine(other, min, tail)
+        sign, bound = self.crossover(other)
+        return self._combine(other, le, sign <= 0, bound)
 
     def join(self, other):
-        sign, _ = self.crossover(other)
-        tail = self.tail if sign >= 0 else other.tail
-        return self._combine(other, max, tail)
+        sign, bound = self.crossover(other)
+        return self._combine(other, ge, sign >= 0, bound)
 
     def is_nonneg(self):
         sign, bound = self.crossover(TailElement.zero())
         if sign < 0:
             return False
-        return all(self.value(n) >= 0 for n in range(1, bound + 1))
+        return all(self._pair(n)[0] >= 0 for n in range(1, bound + 1))
 
     def is_zero(self):
         return not self.correction and not self.tail
@@ -177,13 +240,19 @@ class TailElement:
         if c <= 0:
             raise PositivityError(f"meet_const needs c > 0, got {c}")
         sign, tail_bound = poly_sign([-c] + list(self.tail))
-        assert sign < 0, "tails vanish at infinity, so self < c eventually"
+        certify(sign < 0, "tails vanish at infinity, so an element falls "
+                "below a positive constant eventually", self)
         bound = max(self.correction, default=0) + tail_bound + 1
+        const = (c.numerator, c.denominator)
         corr = {}
-        result = TailElement({}, self.tail)
         for n in range(1, bound + 1):
-            delta = min(self.value(n), c) - result.tail_value(n)
-            if delta != 0:
+            t = self._tail_pair(n)
+            v = _add_correction(self.correction, n, *t)
+            if v[0] * const[1] <= const[0] * v[1]:
+                delta = self.correction.get(n)  # the min is the value itself
+            else:
+                delta = _difference(const, t)
+            if delta:
                 corr[n] = delta
         return TailElement(corr, self.tail)
 
@@ -207,13 +276,15 @@ class TailElement:
         if r == 0:
             return self
         sign, tail_bound = poly_sign([-r] + list(self.tail))
-        assert sign < 0
+        certify(sign < 0, "tails vanish at infinity, so an element falls "
+                "below a positive constant eventually", self)
         bound = max(self.correction, default=0) + tail_bound + 1
         corr = {}
         for n in range(1, bound + 1):
-            v = self.value(n) - r
-            if v > 0:
-                corr[n] = v
+            num, den = self._pair(n)
+            excess = num * r.denominator - r.numerator * den
+            if excess > 0:
+                corr[n] = Fraction(excess, den * r.denominator)
         return TailElement(corr, ())
 
     def support(self):
@@ -221,8 +292,8 @@ class TailElement:
         if not self.tail:
             return "finite", frozenset(self.correction)
         sign, bound = self.crossover(TailElement.zero())
-        assert sign != 0
-        zeros = frozenset(n for n in range(1, bound + 1) if self.value(n) == 0)
+        certify(sign != 0, "a nonzero tail has an eventual sign", self)
+        zeros = frozenset(n for n in range(1, bound + 1) if self._pair(n)[0] == 0)
         return "cofinite", zeros
 
     def restrict_to_cozero_of(self, g):
@@ -249,7 +320,7 @@ class TailElement:
         _, bound_f = af.crossover(TailElement.zero())
         _, bound_g = g.crossover(TailElement.zero())
         for n in range(1, max(bound_f, bound_g) + 1):
-            if af.value(n) > 0 and g.value(n) == 0:
+            if af._pair(n)[0] > 0 and g._pair(n)[0] == 0:
                 return False
         return True
 
@@ -263,7 +334,7 @@ class TailElement:
             return max(best, Fraction(0))
         # beyond the horizon, value(n) = tail(n) <= total/n < best
         horizon = max(window, _ceil(total / best))
-        return max(self.value(n) for n in range(1, horizon + 1))
+        return max([best] + [self.value(n) for n in range(window + 1, horizon + 1)])
 
 
 @dataclass(frozen=True)
@@ -314,10 +385,11 @@ def baf_infinity(g):
     if g.tail:
         return False, None
     kind, supp = g.support()
-    assert kind == "finite"
+    certify(kind == "finite", "a zero tail has finite support", g)
     h = TailElement.chi(supp).scale(2)
     gap = h.tminus(1) - g.truncate()
-    assert gap.is_nonneg(), "witness construction must dominate the truncation"
+    certify(gap.is_nonneg(), "tminus(1)(2 chi(supp g)) must dominate truncate(g)",
+            gap)
     return True, h
 
 
@@ -371,7 +443,8 @@ def enough_uc_check(trunc, rng=None, budget=50):
             return False, g
         kind, supp = g.support()
         u = TailElement.chi(supp)
-        assert (u - g.truncate()).is_nonneg()
+        certify((u - g.truncate()).is_nonneg(),
+                "chi(supp g) must dominate truncate(g)", g)
     return True, None
 
 
@@ -439,14 +512,17 @@ def ex1_report(seed=0, samples=500):
     hyper = hyperarchimedean(trunc, budget=samples, seed=seed)
     g0 = TailElement.tail_unit(1)
     baf, _ = bounded_away_from_zero_tail(g0)
-    assert not baf, "1/n element must not be bounded away from zero"
+    certify(not baf, "the 1/n element must not be bounded away from zero", g0)
     chain = clearance_chain(g0, 6)
     kernel = KernelSpec(trunc, support=None, tails_allowed=(False,))
     conds = kernel_conditions(kernel, budget=samples, seed=seed)
-    assert conds.cond1.passed and conds.cond2.passed
-    assert not conds.cond3.passed and conds.cond3.witness == g0
+    certify(conds.cond1.passed and conds.cond2.passed,
+            "kernel conditions (1) and (2) must hold", conds)
+    certify(not conds.cond3.passed and conds.cond3.witness == g0,
+            "kernel condition (3) must fail at the 1/n element", conds.cond3)
     filtration = partial_truncations(g0, 5)
-    assert all(not h.tail for h in filtration)
+    certify(all(not h.tail for h in filtration),
+            "support filtration terms must have zero tail", filtration)
     sup_ok = sup_of_filtration_is(g0)
     return Ex1Report(
         hyper_ok=hyper.passed,

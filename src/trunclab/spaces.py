@@ -17,11 +17,14 @@ class PointedBooleanSpace:
         object.__setattr__(self, "points", frozenset(self.points))
         if self.star not in self.points:
             raise StructureError(f"star {self.star!r} not in points")
+        # not a dataclass field, so equality and hash ignore it
+        object.__setattr__(self, "_nonstar", tuple(
+            p for p in sorted_labels(self.points) if p != self.star))
 
     @property
     def nonstar(self):
         """The non-designated points, in deterministic order."""
-        return tuple(p for p in sorted_labels(self.points) if p != self.star)
+        return self._nonstar
 
     def __len__(self):
         return len(self.points)

@@ -210,7 +210,8 @@ def test_cli_input_errors(tmp_path, capsys):
 @pytest.mark.parametrize("argv", [
     ["frame-eval", "u"], ["frame-eval", "u", "(1,2,3)"], ["frame-eval"],
     ["frame-eval", "u", "1", "2", "3"], ["induced-op"], ["drop", "q"],
-    ["e0q", "q"], ["drop"], ["e0q", "q", "w2", "w2"]],
+    ["e0q", "q"], ["drop"], ["e0q", "q", "w2", "w2"], ["normal-form"],
+    ["dini"], ["kernel-check"], ["uc"], ["equivalence"]],
     ids=" ".join)
 def test_cli_wrong_argument_count_prints_usage(sample_file, capsys, argv):
     code = main(argv + ["--file", sample_file])

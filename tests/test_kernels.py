@@ -1,16 +1,19 @@
 """Kernel conditions, staged closure, and pointwise closure."""
 
+import dataclasses
 import itertools
 import json
 import os
 import random
 import subprocess
 import sys
+import textwrap
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 
+from trunclab import kernels, suites
 from trunclab.elements import SimpleElement, SimpleTrunc, lc
 from trunclab.errors import BudgetError, ParseError, StructureError
 from trunclab.instances import parse_instance, parse_instance_text
@@ -143,6 +146,81 @@ def test_kernel_model_must_be_a_trunc():
     _, errors = parse_instance_text(
         "space X points * 1 star *\nkernel K model X support 1\n")
     assert len(errors) == 1 and errors[0].lineno == 2
+
+
+def test_identical_kernel_conditions_are_computed_once(monkeypatch):
+    keys, computed = [], []
+    public, cond1 = kernels.kernel_conditions, kernels._cond1
+
+    def recording(kernel, budget=200, seed=0):
+        keys.append((kernel, budget, seed))
+        return public(kernel, budget, seed)
+
+    def counting(kernel, budget, rng):
+        computed.append((kernel, budget))
+        return cond1(kernel, budget, rng)
+
+    monkeypatch.setattr(kernels, "kernel_conditions", recording)
+    monkeypatch.setattr(suites, "kernel_conditions", recording)
+    monkeypatch.setattr(kernels, "_cond1", counting)
+    kernels._conditions.cache_clear()
+    assert suites.suite_kernels(seed=0, cases=40).passed
+    assert len(keys) == 40 and len(set(keys)) == 14
+    assert len(computed) == 14  # one computation per distinct key
+    k = KernelSpec(SeqTrunc(1), tails_allowed=(False,))
+    first = public(k, 40, 0)
+    assert public(KernelSpec(SeqTrunc(1)), budget=40, seed=0) is first
+    assert len(computed) == 14
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        first.cond1 = first.cond3
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        first.cond3.passed = True
+
+
+def test_failed_certificate_raises_under_python_O(tmp_path):
+    """A certificate is a real check: python -O keeps it, and the CLI
+    reports it as a failed check (exit 1), not a traceback."""
+    script = textwrap.dedent("""
+        import contextlib, io, json, sys
+        from trunclab import cli, kernels
+        from trunclab.errors import CertificationError
+        from trunclab.kernels import (ConditionVerdict, ConditionsReport,
+                                      KernelSpec, kernel_closure)
+        from trunclab.seqspace import SeqTrunc
+
+        bad = ConditionsReport(ConditionVerdict(False, 1, "forced"),
+                               ConditionVerdict(True, 1), ConditionVerdict(True, 1))
+        kernels.kernel_conditions = lambda *args, **kwargs: bad
+        try:
+            kernel_closure(KernelSpec(SeqTrunc(1)))
+            raised = None
+        except CertificationError as exc:
+            raised = exc.witness is bad
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(["kernel-close", "K", "--file", sys.argv[1], "--json"])
+        print(json.dumps({"optimize": sys.flags.optimize, "raised": raised,
+                          "exit": code, "report": out.getvalue()}))
+    """)
+    path = tmp_path / "k.tl"
+    path.write_text("seqtrunc S1 degree 1\nkernel K model S1 support all tails 0\n",
+                    encoding="utf-8")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-O", "-c", script, str(path)],
+                          env=env, capture_output=True, text=True, timeout=120,
+                          check=False)
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["optimize"] == 1 and result["raised"] is True
+    assert result["exit"] == 1
+    report = json.loads(result["report"])
+    assert report["ok"] is False
+    failed = [c for c in report["checks"] if not c["passed"]]
+    assert [c["name"] for c in failed] == ["certificate"]
+    assert "closure output must satisfy the kernel conditions" in failed[0]["detail"]
+    assert "forced" in failed[0]["detail"]
 
 
 def test_kernel_close_output_ignores_the_hash_seed(tmp_path):

@@ -1,9 +1,14 @@
 """The omega+1 model: tail arithmetic, closure, and the counterexample battery."""
 
+import functools
+import itertools
+import math
 import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trunclab.elements import apply_op
 from trunclab.errors import (PositivityError, StructureError,
@@ -171,3 +176,70 @@ def test_seqtrunc_membership():
     assert TailElement.tail_unit(2) in SeqTrunc(2)
     with pytest.raises(StructureError):
         SeqTrunc(-1)
+
+
+# Rationals with mixed denominators, zero drawn often.
+RATIONALS = st.one_of(st.just(F(0)),
+                      st.fractions(min_value=-6, max_value=6, max_denominator=12))
+TAILS = st.lists(RATIONALS, max_size=4)
+CORRECTIONS = st.dictionaries(st.integers(1, 30), RATIONALS, max_size=4)
+POSITIVE = st.fractions(min_value=F(1, 12), max_value=4, max_denominator=12)
+
+
+def reference_value(correction, tail, n):
+    """correction(n) + sum_k c_k / n^(k+1), summed term by term."""
+    return F(correction.get(n, 0)) + sum(
+        (F(c) / n ** (k + 1) for k, c in enumerate(tail)), F(0))
+
+
+def leading_sign(coeffs):
+    """Sign of the first nonzero coefficient, 0 if there is none."""
+    return next(((c > 0) - (c < 0) for c in coeffs if c != 0), 0)
+
+
+def tail_difference(f, g):
+    return [a - b for a, b in itertools.zip_longest(f.tail, g.tail, fillvalue=F(0))]
+
+
+@settings(max_examples=80, deadline=None)
+@given(CORRECTIONS, TAILS, st.lists(st.integers(1, 10 ** 4), max_size=30))
+def test_horner_value_matches_the_term_sum(correction, tail, far):
+    g = TailElement(correction, tail)
+    for n in list(range(1, 41)) + far + [10 ** 4]:
+        expected = reference_value(correction, tail, n)
+        assert g.value(n) == expected
+        assert type(g.value(n)) is F
+        assert g.tail_value(n) == reference_value({}, tail, n)
+
+
+@settings(max_examples=80, deadline=None)
+@given(CORRECTIONS, TAILS, CORRECTIONS, TAILS, POSITIVE, POSITIVE)
+def test_lattice_operations_match_the_pointwise_oracle(fc, ft, gc, gt, c, r):
+    f, g = TailElement(fc, ft), TailElement(gc, gt)
+    ref_f = functools.partial(reference_value, fc, ft)
+    ref_g = functools.partial(reference_value, gc, gt)
+    sign = leading_sign(tail_difference(f, g))  # eventual sign of f - g
+    horizon = f.crossover(g)[1] + 20
+    meet, join = f.meet(g), f.join(g)
+    assert meet.tail == (f.tail if sign <= 0 else g.tail)
+    assert join.tail == (f.tail if sign >= 0 else g.tail)
+    af = abs(f)
+    assert af.tail == (f.tail if leading_sign(f.tail) >= 0
+                       else tuple(-x for x in f.tail))
+    for n in range(1, horizon + 1):
+        assert meet.value(n) == min(ref_f(n), ref_g(n))
+        assert join.value(n) == max(ref_f(n), ref_g(n))
+        assert af.value(n) == abs(ref_f(n))
+    for res in (meet, join, af):
+        assert max(res.correction, default=0) <= horizon
+    # past the corrections and total/min(c, r), the tail stays below c and r
+    total = sum(abs(x) for x in ft)
+    limit = max(fc, default=0) + math.ceil(total / min(c, r)) + 20
+    low, excess = af.meet_const(c), af.tminus(r)
+    assert low.tail == af.tail and excess.tail == ()
+    for n in range(1, limit + 1):
+        v = abs(ref_f(n))
+        assert low.value(n) == min(v, c)
+        assert excess.value(n) == max(v - r, 0)
+    assert max(low.correction, default=0) <= limit
+    assert max(excess.correction, default=0) <= limit
