@@ -2,6 +2,9 @@
 
     trunclab <command> [object names] --file <path> [--seed N] [--cases N] [--json]
 
+ex1-report draws max(--cases, 500) samples: its battery is specified on at
+least 500.
+
 Exit codes: 0 all checks pass, 1 a check failed, 2 input error.  A failed
 certificate (CertificationError) is a failed check: the report is printed
 with the failure and its witness, and the exit code is 1.
@@ -28,18 +31,6 @@ from .seqspace import TailElement, ex1_report
 COMMANDS = ("check", "normal-form", "good-seq", "trunc-seq", "uc", "equivalence",
             "frame-eval", "induced-op", "drop", "e0q", "kernel-check",
             "kernel-close", "pointwise", "dini", "ex1-report", "suite")
-
-
-def _element_repr(g):
-    if isinstance(g, SimpleElement):
-        return {str(p): format_rational(v) for p, v in g.items()}
-    if isinstance(g, TailElement):
-        return {"correction": {str(n): format_rational(v)
-                               for n, v in sorted(g.correction.items())},
-                "tail": [format_rational(c) for c in g.tail]}
-    if isinstance(g, FrameReal):
-        return {format_rational(v): format_label(c) for v, c in g.cells}
-    return repr(g)
 
 
 def cmd_check(inst, names, args, report):
@@ -73,11 +64,11 @@ def cmd_good_seq(inst, names, args, report):
         if isinstance(obj, SimpleElement):
             gs = good_from_element(obj)
             report.add_check(f"good-seq {name}", True, f"{len(gs)} terms")
-            report.put(name, [_element_repr(t) for t in gs.terms])
+            report.put(name, [t.to_json() for t in gs.terms])
         elif isinstance(obj, GoodSequence):
             g = element_from_good(obj)
             report.add_check(f"good-seq {name} reconstructs", True)
-            report.put(name, _element_repr(g))
+            report.put(name, g.to_json())
         else:
             raise TruncLabError(f"{name} is not an element or good sequence")
 
@@ -88,13 +79,13 @@ def cmd_trunc_seq(inst, names, args, report):
         if isinstance(obj, SimpleElement):
             seq = truncation_sequence(obj)
             report.add_check(f"trunc-seq {name}", True, f"{len(seq)} terms")
-            report.put(name, [_element_repr(t) for t in seq])
+            report.put(name, [t.to_json() for t in seq])
         elif isinstance(obj, Sequence):
             ok, result = truncation_sequence_check(list(obj.terms))
             report.add_check(f"trunc-seq {name}", ok,
                              "reconstructed" if ok else f"fails at index {result}")
             if ok:
-                report.put(name, _element_repr(result))
+                report.put(name, result.to_json())
         else:
             raise TruncLabError(f"{name} is not an element or sequence")
 
@@ -163,7 +154,7 @@ def cmd_induced_op(inst, names, args, report):
     else:
         result = apply_op(tag, operands, param=param)
     report.add_check(f"induced-op {tag_token}", True)
-    report.put("result", _element_repr(result))
+    report.put("result", result.to_json())
 
 
 def cmd_drop(inst, names, args, report):
@@ -176,7 +167,7 @@ def cmd_drop(inst, names, args, report):
                      "" if result.ok else
                      f"condition value {format_label(result.condition_value)}")
     if result.ok:
-        report.put("result", _element_repr(result.result))
+        report.put("result", result.result.to_json())
 
 
 def cmd_e0q(inst, names, args, report):
@@ -190,7 +181,7 @@ def cmd_e0q(inst, names, args, report):
     report.add_check(f"e0q {hname}", result.ok,
                      result.method if result.ok else result.note)
     if result.ok:
-        report.put("witness", _element_repr(result.witness))
+        report.put("witness", result.witness.to_json())
 
 
 def cmd_kernel_check(inst, names, args, report):
@@ -230,7 +221,7 @@ def cmd_pointwise(inst, names, args, report):
     else:
         raise TruncLabError("pointwise needs elements, frame reals, or one kernel")
     report.add_check("pointwise-sup verified on the cut grid", True)
-    report.put("sup", _element_repr(sup))
+    report.put("sup", sup.to_json())
 
 
 def cmd_dini(inst, names, args, report):
@@ -260,10 +251,10 @@ def cmd_ex1_report(inst, names, args, report):
                      f"{rep.kernel12_samples} samples")
     report.add_check("(d) kernel condition (3) fails exactly",
                      bool(rep.kernel3_witness.tail),
-                     f"witness tminus(1/3) = {_element_repr(rep.kernel3_example)}")
+                     f"witness tminus(1/3) = {rep.kernel3_example.to_json()}")
     report.add_check("(e) not pointwise closed", rep.pointwise_sup_ok,
                      "filtration sup is the 1/n element")
-    report.put("witness", _element_repr(rep.kernel3_witness))
+    report.put("witness", rep.kernel3_witness.to_json())
 
 
 def cmd_suite(inst, names, args, report):
@@ -317,7 +308,8 @@ def build_parser():
                         help="object names (and tag/interval arguments)")
     parser.add_argument("--file", help="instance file")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--cases", type=int, default=200)
+    parser.add_argument("--cases", type=int, default=200,
+                        help="sample or case budget (ex1-report: at least 500)")
     parser.add_argument("--json", action="store_true",
                         help="emit the machine-readable report")
     return parser

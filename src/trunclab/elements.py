@@ -13,9 +13,9 @@ from fractions import Fraction
 from functools import reduce
 
 from .errors import (PositivityError, SpaceMismatchError, StructureError,
-                     UnsupportedOperationError)
+                     UnsupportedOperationError, certify)
 from .gba import GeneralizedBooleanAlgebra
-from .rat import sorted_labels
+from .rat import format_rational, sorted_labels
 from .spaces import PointedBooleanSpace
 
 
@@ -58,6 +58,10 @@ class SimpleElement:
 
     def items(self):
         return tuple((p, self._vals[p]) for p in self.space.nonstar)
+
+    def to_json(self):
+        """The report form: each non-basepoint label to its value."""
+        return {str(p): format_rational(v) for p, v in self.items()}
 
     def __eq__(self, other):
         return (isinstance(other, SimpleElement)
@@ -402,7 +406,7 @@ def clearance_step(g):
     above = g.tminus(delta).support()
     u = SimpleElement.chi(g.space, g.support() - above)
     g1 = g.restrict_to(above)
-    assert g1 + u.scale(delta) == g
+    certify(g1 + u.scale(delta) == g, "g1 + delta u must reconstruct g", g)
     return g1, u, delta
 
 
@@ -545,7 +549,7 @@ def bounded_away_from_zero(g):
     while n * eps < 1:
         n += 1
     u = g.scale(n).truncate()
-    assert is_unital_component(u), "scaled truncation must be a component"
+    certify(is_unital_component(u), "scaled truncation must be a component", u)
     return True, eps
 
 
@@ -571,8 +575,12 @@ def yosida_quotient(space, gens):
     qspace = PointedBooleanSpace(frozenset(reps), space.star)
     mapped = [SimpleElement(qspace, {r: g.value(r) for r in qspace.nonstar})
               for g in gens]
-    seen = {tuple(h.value(r) for h in mapped) for r in sorted_labels(qspace.points)}
-    assert len(seen) == len(qspace.points), "mapped generators must separate points"
+    seen = {}
+    for r in sorted_labels(qspace.points):
+        sig = tuple(h.value(r) for h in mapped)
+        certify(sig not in seen, "mapped generators must separate points",
+                (seen.get(sig), r))
+        seen[sig] = r
     return qspace, mapped, projection
 
 

@@ -17,9 +17,10 @@ from functools import reduce
 
 from .elements import OPS, DiniReport, apply_op, cut_grid
 from .errors import (BudgetError, PositivityError, SpaceMismatchError,
-                     StructureError, UnsupportedOperationError)
+                     StructureError, UnsupportedOperationError, certify)
 from .gba import order_tables, transitive_closure
-from .rat import NEG_INF, POS_INF, is_finite, sorted_labels
+from .rat import (NEG_INF, POS_INF, format_label, format_rational, is_finite,
+                  sorted_labels)
 
 
 @dataclass
@@ -314,6 +315,10 @@ class FrameReal:
     def values(self):
         return [v for v, _ in self.cells]
 
+    def to_json(self):
+        """The report form: each cell value to its frame element."""
+        return {format_rational(v): format_label(c) for v, c in self.cells}
+
     def finite_part_join(self):
         fr = self.pframe.frame
         return fr.join_all(c for v, c in self.cells if is_finite(v))
@@ -508,9 +513,10 @@ def frame_uc_check(u):
     if u.scale(2).truncate() != u:
         return False, None
     witness = u.eval(ray_above(0))
-    fr = u.pframe.frame
-    assert witness in fr.complemented
-    assert not u.pframe.point(witness)
+    certify(witness in u.pframe.frame.complemented,
+            "coz u of a unital component must be complemented", witness)
+    certify(not u.pframe.point(witness),
+            "coz u of a unital component must avoid the point", witness)
     return True, witness
 
 
@@ -562,19 +568,22 @@ class FrameSurjection:
     def __hash__(self):
         return hash((self.source, self.target))
 
+    def galois_failure(self):
+        """A pair (x, y) where q(x) <= y and x <= adjoint(y) disagree, or None."""
+        fs, ft = self.source.frame, self.target.frame
+        return next(((x, y) for x in fs.labels for y in ft.labels
+                     if ft.leq(self.mapping[x], y) != fs.leq(x, self.adjoint[y])),
+                    None)
+
     def galois_holds(self):
         """q(x) <= y iff x <= adjoint(y), over all pairs."""
-        fs, ft = self.source.frame, self.target.frame
-        for x in fs.labels:
-            for y in ft.labels:
-                if ft.leq(self.mapping[x], y) != fs.leq(x, self.adjoint[y]):
-                    return False
-        return True
+        return self.galois_failure() is None
 
 
 def surjection_tools(q):
-    """Adjoint table and exact density flag, with the Galois law asserted."""
-    assert q.galois_holds(), "adjoint must satisfy the Galois law"
+    """Adjoint table and exact density flag, with the Galois law certified."""
+    failure = q.galois_failure()
+    certify(failure is None, "adjoint must satisfy the Galois law", failure)
     return {"adjoint": dict(q.adjoint), "dense": q.dense}
 
 
@@ -606,7 +615,8 @@ def drop(q, h_prime):
     cells = [(v, q(c)) for v, c in h_prime.cells if is_finite(v)]
     for v, c in h_prime.cells:
         if not is_finite(v):
-            assert q(c) == ft.bottom, "infinite cells must collapse under the condition"
+            certify(q(c) == ft.bottom,
+                    "infinite cells must collapse under the condition", (v, c))
     h = FrameReal(q.target, cells, pointed=h_prime.pointed)
     probes = [real_line()]
     for r in cut_grid([v for v in h_prime.values() if is_finite(v)] + [0]):
@@ -633,12 +643,15 @@ class LiftResult:
         return f"LiftResult(refuted: {self.note})"
 
 
-def _verify_lift(q, h, h_prime):
+def _certify_lift(q, h, h_prime):
+    """Certify q o h' = h o p on the real line and the rays at every cut of h."""
     probes = [real_line()]
     for r in cut_grid(h.values() + [0]):
         probes.append(ray_below(r))
         probes.append(ray_above(r))
-    return all(q(h_prime.eval(u)) == h.eval(u) for u in probes)
+    for u in probes:
+        certify(q(h_prime.eval(u)) == h.eval(u),
+                "the lift must satisfy q o h' = h o p", u)
 
 
 def e0q_member(q, h, max_frame=20):
@@ -657,7 +670,7 @@ def e0q_member(q, h, max_frame=20):
     cand = [(v, q.adjoint[c]) for v, c in h.cells]
     if fs.join_all(c for _, c in cand) == fs.top:
         h_prime = FrameReal(q.source, cand)
-        assert _verify_lift(q, h, h_prime)
+        _certify_lift(q, h, h_prime)
         return LiftResult(True, witness=h_prime, method="adjoint")
     return e0q_exhaustive(q, h, max_frame=max_frame)
 
@@ -689,7 +702,7 @@ def e0q_exhaustive(q, h, max_frame=20):
     if cells is None:
         return LiftResult(False, note="no complemented partition lifts the cells")
     h_prime = FrameReal(q.source, [(v, c) for (v, _), c in zip(target_cells, cells)])
-    assert _verify_lift(q, h, h_prime)
+    _certify_lift(q, h, h_prime)
     return LiftResult(True, witness=h_prime, method="exhaustive")
 
 

@@ -15,6 +15,8 @@ from .errors import StructureError
 from .rat import sorted_labels
 from .spaces import PointedBooleanSpace
 
+_ABSENT = object()  # a missing table entry, which no carrier holds
+
 
 @dataclass(frozen=True)
 class Primed:
@@ -144,66 +146,103 @@ class GeneralizedBooleanAlgebra:
         return self.diff_table[(a, b)]
 
     def validate(self):
-        """Check every gBa axiom exhaustively; report all violations with witnesses."""
+        """Check every gBa axiom exhaustively; report all violations with witnesses.
+
+        The laws run on integer tables: the carrier is numbered in
+        sorted_labels order, J[a][b] is the number of a v b and M[a][b] that
+        of a ^ b.  Witnesses are reported as labels, in the order a, b, c.
+        The result is computed once per algebra.
+        """
         if self._validated is not None:
             return self._validated
         report = ValidationReport()
         elems = sorted_labels(self.carrier)
+        index = {x: i for i, x in enumerate(elems)}
+        tables = []
         for table, name in ((self.join, "join"), (self.meet, "meet")):
+            rows = []
             for a in elems:
-                for b in elems:
-                    if (a, b) not in table:
-                        report.add(f"{name} table not total", a, b)
-                    elif table[(a, b)] not in self.carrier:
-                        report.add(f"{name} not closed", a, b)
-        if self.bottom not in self.carrier:
+                row = [index.get(table.get((a, b), _ABSENT)) for b in elems]
+                for b, i in zip(elems, row):
+                    if i is None:
+                        report.add(f"{name} table not total" if (a, b) not in table
+                                   else f"{name} not closed", a, b)
+                rows.append(row)
+            tables.append(rows)
+        if self.bottom not in index:
             report.add("bottom not in carrier", self.bottom)
         if not report.ok:
             self._validated = report
             return report
-        jn, mt = self.join, self.meet
-        for a in elems:
-            if jn[(a, a)] != a:
-                report.add("join idempotence", a)
-            if mt[(a, a)] != a:
-                report.add("meet idempotence", a)
-            if jn[(a, self.bottom)] != a:
-                report.add("bottom not least", a)
-            if mt[(a, self.bottom)] != self.bottom:
-                report.add("bottom meet law", a)
-            for b in elems:
-                if jn[(a, b)] != jn[(b, a)]:
-                    report.add("join commutativity", a, b)
-                if mt[(a, b)] != mt[(b, a)]:
-                    report.add("meet commutativity", a, b)
-                if jn[(a, mt[(a, b)])] != a:
-                    report.add("absorption", a, b)
-                if mt[(a, jn[(a, b)])] != a:
-                    report.add("absorption", a, b)
-                for c in elems:
-                    if jn[(jn[(a, b)], c)] != jn[(a, jn[(b, c)])]:
-                        report.add("join associativity", a, b, c)
-                    if mt[(mt[(a, b)], c)] != mt[(a, mt[(b, c)])]:
-                        report.add("meet associativity", a, b, c)
-                    if mt[(a, jn[(b, c)])] != jn[(mt[(a, b)], mt[(a, c)])]:
-                        report.add("distributivity", a, b, c)
+        J, M = tables
+        bot = index[self.bottom]
+        n = len(elems)
+        for a in range(n):
+            Ja, Ma = J[a], M[a]
+            if Ja[a] != a:
+                report.add("join idempotence", elems[a])
+            if Ma[a] != a:
+                report.add("meet idempotence", elems[a])
+            if Ja[bot] != a:
+                report.add("bottom not least", elems[a])
+            if Ma[bot] != bot:
+                report.add("bottom meet law", elems[a])
+            for b in range(n):
+                Jb, Mb = J[b], M[b]
+                jab, mab = Ja[b], Ma[b]
+                if jab != Jb[a]:
+                    report.add("join commutativity", elems[a], elems[b])
+                if mab != Mb[a]:
+                    report.add("meet commutativity", elems[a], elems[b])
+                if Ja[mab] != a:
+                    report.add("absorption", elems[a], elems[b])
+                if Ma[jab] != a:
+                    report.add("absorption", elems[a], elems[b])
+                # Rows over c: (a v b) v c, a v (b v c), (a ^ b) ^ c,
+                # a ^ (b ^ c), a ^ (b v c), (a ^ b) v (a ^ c).
+                ab_c = J[jab]
+                a_bc = list(map(Ja.__getitem__, Jb))
+                mab_c = M[mab]
+                a_mbc = list(map(Ma.__getitem__, Mb))
+                dist_l = list(map(Ma.__getitem__, Jb))
+                dist_r = list(map(J[mab].__getitem__, Ma))
+                if ab_c == a_bc and mab_c == a_mbc and dist_l == dist_r:
+                    continue
+                for c in range(n):
+                    if ab_c[c] != a_bc[c]:
+                        report.add("join associativity", elems[a], elems[b], elems[c])
+                    if mab_c[c] != a_mbc[c]:
+                        report.add("meet associativity", elems[a], elems[b], elems[c])
+                    if dist_l[c] != dist_r[c]:
+                        report.add("distributivity", elems[a], elems[b], elems[c])
+        # Candidates for a \ b are the c with c ^ b = bottom and c v b = a v b:
+        # group, for each b, those c by c v b, in carrier order.
+        by_join = [{} for _ in range(n)]
+        for c in range(n):
+            Jc, Mc = J[c], M[c]
+            for b in range(n):
+                if Mc[b] == bot:
+                    by_join[b].setdefault(Jc[b], []).append(c)
         derived = {}
-        for a in elems:
-            for b in elems:
-                cands = [c for c in elems
-                         if jn[(c, b)] == jn[(a, b)] and mt[(c, b)] == self.bottom]
+        for a in range(n):
+            x, Ja = elems[a], J[a]
+            for b in range(n):
+                y = elems[b]
+                cands = by_join[b].get(Ja[b], ())
                 if not cands:
-                    report.add("relative complement missing", a, b)
+                    report.add("relative complement missing", x, y)
                 elif len(cands) > 1:
-                    report.add("relative complement not unique", a, b, tuple(cands))
+                    report.add("relative complement not unique", x, y,
+                               tuple(elems[c] for c in cands))
                 else:
-                    derived[(a, b)] = cands[0]
+                    c = elems[cands[0]]
+                    derived[(x, y)] = c
                     if self.diff_table is not None:
-                        given = self.diff_table.get((a, b))
+                        given = self.diff_table.get((x, y))
                         if given is None:
-                            report.add("diff table not total", a, b)
-                        elif given != cands[0]:
-                            report.add("diff equations fail", a, b)
+                            report.add("diff table not total", x, y)
+                        elif given != c:
+                            report.add("diff equations fail", x, y)
         if report.ok and self.diff_table is None:
             self.diff_table = derived
         self._validated = report
@@ -236,6 +275,7 @@ class BooleanAlgebra:
         self.complement = dict(complement)
         self.bottom = bottom
         self.top = top
+        self._validated = None
 
     @classmethod
     def powerset(cls, base):
@@ -251,6 +291,9 @@ class BooleanAlgebra:
         return self.join[(a, b)] == b
 
     def validate(self):
+        """The gBa laws, then the complement and top laws; computed once."""
+        if self._validated is not None:
+            return self._validated
         report = ValidationReport()
         as_gba = GeneralizedBooleanAlgebra(self.carrier, self.join, self.meet,
                                            self.bottom, diff=None)
@@ -266,6 +309,7 @@ class BooleanAlgebra:
                 report.add("complement meet law", a)
             if self.join[(a, self.top)] != self.top:
                 report.add("top not greatest", a)
+        self._validated = report
         return report
 
     def atoms(self):
@@ -301,7 +345,11 @@ class IdealizedBooleanAlgebra:
         return hash((self.algebra, self.ideal))
 
     def validate(self):
-        report = self.algebra.validate()
+        """The algebra's violations, then the maximal-ideal laws.
+
+        The report is a new one: the algebra's own report stays untouched.
+        """
+        report = ValidationReport(list(self.algebra.validate().violations))
         alg = self.algebra
         if not self.ideal <= alg.carrier:
             report.add("ideal not a subset of carrier", tuple(self.ideal - alg.carrier))

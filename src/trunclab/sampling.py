@@ -10,6 +10,7 @@ saturation.
 from fractions import Fraction
 
 from .elements import SimpleElement
+from .errors import certify
 from .frames import FiniteFrame, FrameReal, FrameSurjection, PointedFiniteFrame
 from .gba import GeneralizedBooleanAlgebra, transitive_closure
 from .spaces import PointedBooleanSpace
@@ -128,7 +129,8 @@ def frame_real(rng, pframe, max_blocks=3, nonneg=False):
         else:
             v = rational(rng, nonneg=nonneg)
             cells.append((v, cell))
-    assert point_value_cell is not None
+    certify(point_value_cell is not None,
+            "the point must lie in one block of Boolean atoms", atoms)
     cells.append((Fraction(0), point_value_cell))
     return FrameReal(pframe, cells)
 

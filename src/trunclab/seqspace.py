@@ -21,6 +21,7 @@ from operator import ge, le
 
 from .elements import cut_grid
 from .errors import PositivityError, StructureError, certify
+from .rat import format_rational
 
 
 def _ceil(f):
@@ -106,6 +107,12 @@ class TailElement:
 
     def degree(self):
         return len(self.tail)
+
+    def to_json(self):
+        """The report form: the correction by index and the tail coefficients."""
+        return {"correction": {str(n): format_rational(v)
+                               for n, v in sorted(self.correction.items())},
+                "tail": [format_rational(c) for c in self.tail]}
 
     def _tail_pair(self, n):
         """tail(n) as an integer pair (num, den), den > 0, not reduced.

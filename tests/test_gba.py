@@ -8,10 +8,12 @@ from hypothesis import strategies as st
 
 from trunclab.errors import StructureError
 from trunclab.gba import (BooleanAlgebra, GeneralizedBooleanAlgebra,
-                          IdealizedBooleanAlgebra, Primed, clopen,
-                          find_gba_isomorphism, find_iba_isomorphism,
-                          gba_diff, gba_validate, iba_forget, idealize, stone)
-from trunclab.sampling import closed_set_family
+                          IdealizedBooleanAlgebra, Primed, ValidationReport,
+                          clopen, find_gba_isomorphism, find_iba_isomorphism,
+                          gba_diff, gba_validate, iba_forget, idealize, stone,
+                          transitive_closure)
+from trunclab.rat import sorted_labels
+from trunclab.sampling import closed_set_family, random_gba
 from trunclab.spaces import PointedBooleanSpace, pointed_bijection, space
 
 
@@ -195,3 +197,183 @@ def test_random_closed_families_validate(seed):
 def test_space_requires_star():
     with pytest.raises(StructureError):
         PointedBooleanSpace(frozenset({"1"}), "2")
+
+
+# --- the integer-table validator against the label-keyed reference ---------
+
+def reference_violations(alg):
+    """The gBa laws as label-keyed dict loops: the oracle for validate()."""
+    report = ValidationReport()
+    elems = sorted_labels(alg.carrier)
+    for table, name in ((alg.join, "join"), (alg.meet, "meet")):
+        for a in elems:
+            for b in elems:
+                if (a, b) not in table:
+                    report.add(f"{name} table not total", a, b)
+                elif table[(a, b)] not in alg.carrier:
+                    report.add(f"{name} not closed", a, b)
+    if alg.bottom not in alg.carrier:
+        report.add("bottom not in carrier", alg.bottom)
+    if not report.ok:
+        return report.violations
+    jn, mt, bot = alg.join, alg.meet, alg.bottom
+    for a in elems:
+        if jn[(a, a)] != a:
+            report.add("join idempotence", a)
+        if mt[(a, a)] != a:
+            report.add("meet idempotence", a)
+        if jn[(a, bot)] != a:
+            report.add("bottom not least", a)
+        if mt[(a, bot)] != bot:
+            report.add("bottom meet law", a)
+        for b in elems:
+            if jn[(a, b)] != jn[(b, a)]:
+                report.add("join commutativity", a, b)
+            if mt[(a, b)] != mt[(b, a)]:
+                report.add("meet commutativity", a, b)
+            if jn[(a, mt[(a, b)])] != a:
+                report.add("absorption", a, b)
+            if mt[(a, jn[(a, b)])] != a:
+                report.add("absorption", a, b)
+            for c in elems:
+                if jn[(jn[(a, b)], c)] != jn[(a, jn[(b, c)])]:
+                    report.add("join associativity", a, b, c)
+                if mt[(mt[(a, b)], c)] != mt[(a, mt[(b, c)])]:
+                    report.add("meet associativity", a, b, c)
+                if mt[(a, jn[(b, c)])] != jn[(mt[(a, b)], mt[(a, c)])]:
+                    report.add("distributivity", a, b, c)
+    for a in elems:
+        for b in elems:
+            cands = [c for c in elems
+                     if jn[(c, b)] == jn[(a, b)] and mt[(c, b)] == bot]
+            if not cands:
+                report.add("relative complement missing", a, b)
+            elif len(cands) > 1:
+                report.add("relative complement not unique", a, b, tuple(cands))
+            elif alg.diff_table is not None:
+                given = alg.diff_table.get((a, b))
+                if given is None:
+                    report.add("diff table not total", a, b)
+                elif given != cands[0]:
+                    report.add("diff equations fail", a, b)
+    return report.violations
+
+
+def assert_matches_reference(alg):
+    expected = reference_violations(alg)
+    assert alg.validate().violations == expected
+    return expected
+
+
+def gba_view(ba):
+    return GeneralizedBooleanAlgebra(ba.carrier, ba.join, ba.meet, ba.bottom)
+
+
+def lattice(labels, covers):
+    leq = transitive_closure({(x, x) for x in labels} | set(covers))
+    return GeneralizedBooleanAlgebra.from_order(labels, leq)
+
+
+def edited(alg, join=None, meet=None, drop=None):
+    """A copy of alg with some table entries replaced or removed."""
+    jn, mt = dict(alg.join), dict(alg.meet)
+    jn.update(join or {})
+    mt.update(meet or {})
+    for key in drop or ():
+        del jn[key]
+    return GeneralizedBooleanAlgebra(alg.carrier, jn, mt, alg.bottom,
+                                     alg.diff_table)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(0, 10**6), st.booleans())
+def test_validate_matches_reference_on_random_gbas(seed, perturb):
+    rng = random.Random(seed)
+    alg = random_gba(rng)
+    if perturb:
+        elems = sorted_labels(alg.carrier)
+        key = (rng.choice(elems), rng.choice(elems))
+        value = rng.choice(elems)
+        alg = edited(alg, **{rng.choice(["join", "meet"]): {key: value}})
+    assert_matches_reference(alg)
+
+
+def test_validate_matches_reference_on_primed_labels():
+    for base in ([], ["1"], ["1", "2"], ["1", "2", "3"]):
+        bi = idealize(powerset_gba(*base))
+        assert assert_matches_reference(gba_view(bi.algebra)) == []
+    bi = idealize(powerset_gba("1", "2"))
+    one, two = frozenset({"1"}), frozenset({"2"})
+    broken = gba_view(bi.algebra)
+    broken.join[(one, Primed(two))] = Primed(one)
+    assert assert_matches_reference(broken)
+
+
+def test_validate_matches_reference_on_powersets():
+    for base in ([], ["p"], ["p", "q", "r"], ["p", "q", "r", "s"]):
+        assert assert_matches_reference(
+            gba_view(BooleanAlgebra.powerset(base))) == []
+
+
+def test_validate_matches_reference_on_broken_tables():
+    n5 = lattice(["0", "a", "b", "c", "1"],
+                 {("0", "a"), ("a", "b"), ("b", "1"), ("0", "c"), ("c", "1")})
+    m3 = lattice(["0", "x", "y", "z", "1"],
+                 {("0", "x"), ("0", "y"), ("0", "z"),
+                  ("x", "1"), ("y", "1"), ("z", "1")})
+    m4 = lattice(["0", "w", "x", "y", "z", "1"],
+                 {("0", t) for t in "wxyz"} | {(t, "1") for t in "wxyz"})
+    chain = lattice(["b", "m", "t"], {("b", "m"), ("m", "t")})
+    for alg in (n5, m3, m4):
+        laws = {v.law for v in assert_matches_reference(alg)}
+        assert {"distributivity", "relative complement not unique"} <= laws
+    assert any(v.witness == ("1", "w", ("x", "y", "z"))
+               for v in m4.validate().violations)
+    assert "relative complement missing" in {
+        v.law for v in assert_matches_reference(chain)}
+
+    alg = powerset_gba("1", "2", "3")
+    a, b = frozenset({"1"}), frozenset({"2"})
+    swapped = edited(alg, join={(a, b): frozenset({"1", "3"})})
+    laws = {v.law for v in assert_matches_reference(swapped)}
+    assert {"join commutativity", "join associativity"} <= laws
+    bad_diff = dict(alg.diff_table)
+    bad_diff[(a, b)] = b
+    del bad_diff[(b, a)]
+    laws = [v.law for v in assert_matches_reference(
+        GeneralizedBooleanAlgebra(alg.carrier, alg.join, alg.meet,
+                                  alg.bottom, bad_diff))]
+    assert laws == ["diff equations fail", "diff table not total"]
+
+    not_total = edited(alg, drop=[(a, b)], meet={(b, a): "outside"})
+    assert [v.law for v in assert_matches_reference(not_total)] == [
+        "join table not total", "meet not closed"]
+    no_bottom = GeneralizedBooleanAlgebra(alg.carrier, alg.join, alg.meet, "z")
+    assert [v.law for v in assert_matches_reference(no_bottom)] == [
+        "bottom not in carrier"]
+
+
+# --- validation runs once per algebra ----------------------------------------
+
+def test_boolean_algebra_validates_once(monkeypatch):
+    built = []
+    init = GeneralizedBooleanAlgebra.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(GeneralizedBooleanAlgebra, "__init__", counting_init)
+    ba = BooleanAlgebra.powerset(["p", "q"])
+    first, second = ba.validate(), ba.validate()
+    assert first == second and first.ok
+    assert len(built) == 1
+
+
+def test_invalid_iba_keeps_the_algebra_report_clean():
+    ba = BooleanAlgebra.powerset(["p", "q"])
+    not_maximal = IdealizedBooleanAlgebra(ba, frozenset([frozenset()]))
+    first = not_maximal.validate().violations
+    second = not_maximal.validate().violations
+    assert first and first == second
+    assert ba.validate().ok
