@@ -13,8 +13,8 @@ with the failure and its witness, and the exit code is 1.
 import argparse
 import sys
 
-from .elements import (GoodSequence, SimpleElement, SimpleTrunc, apply_op,
-                       dini_check, element_from_good, good_from_element,
+from .elements import (Carrier, GoodSequence, SimpleElement, SimpleTrunc,
+                       apply_op, dini_check, element_from_good, good_from_element,
                        normal_form, pointwise_sup, truncation_sequence,
                        truncation_sequence_check, uc)
 from .equivalences import equivalence_witness
@@ -26,11 +26,7 @@ from .instances import Instance, Sequence, parse_instance
 from .kernels import KernelSpec, kernel_closure, kernel_conditions, pointwise_closed
 from .rat import format_label, format_rational, parse_extended, parse_rational
 from .report import Report
-from .seqspace import TailElement, ex1_report
-
-COMMANDS = ("check", "normal-form", "good-seq", "trunc-seq", "uc", "equivalence",
-            "frame-eval", "induced-op", "drop", "e0q", "kernel-check",
-            "kernel-close", "pointwise", "dini", "ex1-report", "suite")
+from .seqspace import ex1_report
 
 
 def cmd_check(inst, names, args, report):
@@ -146,7 +142,7 @@ def cmd_induced_op(inst, names, args, report):
     tag, param = _parse_tag(tag_token)
     operands = [inst.get(n) for n in operand_names]
     kinds = {type(o) for o in operands}
-    if len(kinds) > 1 or not kinds <= {SimpleElement, TailElement, FrameReal}:
+    if len(kinds) > 1 or not all(isinstance(o, Carrier) for o in operands):
         raise TruncLabError("operands must share a model")
     if kinds == {FrameReal}:
         result = induced_op(tag, operands, param=param)
@@ -293,10 +289,8 @@ HANDLERS = {
     "ex1-report": cmd_ex1_report,
     "suite": cmd_suite,
 }
-
-_NEEDS_FILE = {"check", "normal-form", "good-seq", "trunc-seq", "uc",
-               "equivalence", "frame-eval", "induced-op", "drop", "e0q",
-               "kernel-check", "kernel-close", "pointwise", "dini"}
+COMMANDS = tuple(HANDLERS)
+_NO_FILE = {"ex1-report", "suite"}
 
 
 def build_parser():
@@ -320,7 +314,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     report = Report(command=" ".join([args.command] + list(args.names)))
     try:
-        if args.command in _NEEDS_FILE:
+        if args.command not in _NO_FILE:
             if not args.file:
                 print(f"error: {args.command} requires --file", file=sys.stderr)
                 return 2

@@ -8,6 +8,7 @@ bijection with truncation sequences, boundedness witnesses, quotients that
 separate points, and grid-verified pointwise suprema with a Dini check.
 """
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
@@ -19,7 +20,83 @@ from .rat import format_rational, sorted_labels
 from .spaces import PointedBooleanSpace
 
 
-class SimpleElement:
+ONE, ZERO = Fraction(1), Fraction(0)
+
+
+class Carrier:
+    """The truncation calculus shared by the elements of all three models.
+
+    A carrier supplies is_nonneg and two hooks: _cap(c), the pointwise min
+    with a constant c > 0, and _excess(r), the pointwise (g - r)+ for r > 0.
+    The truncation, truncated subtraction and level-n cutoffs follow from
+    them under one set of positivity rules.
+    """
+
+    __slots__ = ()
+
+    def _require_nonneg(self, op):
+        if not self.is_nonneg():
+            raise PositivityError(
+                f"{op} requires a nonnegative operand (witness {self!r})")
+
+    def truncate(self):
+        """Pointwise min with 1 (the truncation g -> g-bar)."""
+        self._require_nonneg("truncate")
+        return self._cap(ONE)
+
+    def tminus(self, r):
+        """Pointwise (value - r)+ for rational r >= 0; r = 0 is the identity."""
+        r = Fraction(r)
+        if r < 0:
+            raise PositivityError(f"tminus needs r >= 0, got {r}")
+        self._require_nonneg("tminus")
+        return self if r == 0 else self._excess(r)
+
+    def trunc_at(self, n):
+        """Pointwise min with the level n > 0 (the n-th truncation g ^ n)."""
+        n = Fraction(n)
+        if n <= 0:
+            raise PositivityError(f"trunc_at needs n > 0, got {n}")
+        self._require_nonneg("trunc_at")
+        return self._cap(n)
+
+
+class StepCarrier(Carrier):
+    """Pointwise operations of a carrier with one value per point or cell.
+
+    A step carrier supplies _zip(other, fn), combining two operands value by
+    value, and _map(fn), applying fn to each value.
+    """
+
+    __slots__ = ()
+
+    def __add__(self, other):
+        return self._zip(other, operator.add)
+
+    def __sub__(self, other):
+        return self._zip(other, operator.sub)
+
+    def __neg__(self):
+        return self._map(operator.neg)
+
+    def scale(self, q):
+        q = Fraction(q)
+        return self._map(lambda v: q * v)
+
+    def meet(self, other):
+        return self._zip(other, min)
+
+    def join(self, other):
+        return self._zip(other, max)
+
+    def _cap(self, c):
+        return self._map(lambda v: min(v, c))
+
+    def _excess(self, r):
+        return self._map(lambda v: max(v - r, ZERO))
+
+
+class SimpleElement(StepCarrier):
     """Rational-valued function on a pointed space, zero at the basepoint."""
 
     __slots__ = ("space", "_vals")
@@ -82,65 +159,17 @@ class SimpleElement:
         return SimpleElement(self.space, {p: fn(self._vals[p], other._vals[p])
                                           for p in self.space.nonstar})
 
-    def __add__(self, other):
-        return self._zip(other, lambda a, b: a + b)
-
-    def __sub__(self, other):
-        return self._zip(other, lambda a, b: a - b)
-
-    def __neg__(self):
-        return self.scale(-1)
+    def _map(self, fn):
+        return SimpleElement(self.space, {p: fn(v) for p, v in self._vals.items()})
 
     def __abs__(self):
-        return SimpleElement(self.space, {p: abs(v) for p, v in self._vals.items()})
-
-    def scale(self, q):
-        q = Fraction(q)
-        return SimpleElement(self.space, {p: q * v for p, v in self._vals.items()})
-
-    def meet(self, other):
-        return self._zip(other, min)
-
-    def join(self, other):
-        return self._zip(other, max)
+        return self._map(abs)
 
     def is_nonneg(self):
         return all(v >= 0 for v in self._vals.values())
 
     def is_zero(self):
         return all(v == 0 for v in self._vals.values())
-
-    def _require_nonneg(self, op):
-        if not self.is_nonneg():
-            bad = next(p for p in self.space.nonstar if self._vals[p] < 0)
-            raise PositivityError(f"{op} requires a nonnegative operand; "
-                                  f"value at {bad} is {self._vals[bad]}")
-
-    def truncate(self):
-        """Pointwise min with 1 (the truncation g -> g-bar)."""
-        self._require_nonneg("truncate")
-        return SimpleElement(self.space,
-                             {p: min(v, Fraction(1)) for p, v in self._vals.items()})
-
-    def tminus(self, r):
-        """Pointwise (value - r)+ for rational r >= 0; r = 0 is the identity."""
-        r = Fraction(r)
-        if r < 0:
-            raise PositivityError(f"tminus needs r >= 0, got {r}")
-        self._require_nonneg("tminus")
-        if r == 0:
-            return self
-        return SimpleElement(self.space,
-                             {p: max(v - r, Fraction(0)) for p, v in self._vals.items()})
-
-    def trunc_at(self, n):
-        """Pointwise min with the level n > 0 (the n-th truncation g ^ n)."""
-        n = Fraction(n)
-        if n <= 0:
-            raise PositivityError(f"trunc_at needs n > 0, got {n}")
-        self._require_nonneg("trunc_at")
-        return SimpleElement(self.space,
-                             {p: min(v, n) for p, v in self._vals.items()})
 
     def support(self):
         return frozenset(p for p, v in self._vals.items() if v != 0)
@@ -170,9 +199,6 @@ class SimpleElement:
             if v != 0:
                 out.setdefault(v, set()).add(p)
         return {v: frozenset(s) for v, s in out.items()}
-
-
-ONE, ZERO = Fraction(1), Fraction(0)
 
 
 def _scale_image(box, q):
@@ -615,8 +641,7 @@ def pointwise_sup(family):
     values += list(b.values.values()) + [0]
     for r in cut_grid(values):
         union = frozenset().union(*(upper_cut(g, r) for g in family))
-        if union != upper_cut(b, r):
-            raise StructureError(f"pointwise sup fails the cut test at r = {r}")
+        certify(union == upper_cut(b, r), "pointwise sup fails the cut test", r)
     return b
 
 

@@ -101,9 +101,8 @@ def equivalence_witness(x, max_points=6):
                            problem or ""))
 
     from_trunc = uc(lc(x))
-    from_space = iba_forget(clopen(x))
-    problem = _gba_tables_equal(from_trunc, from_space)
-    if problem is not None and find_gba_isomorphism(from_trunc, from_space) is not None:
+    problem = _gba_tables_equal(from_trunc, forgotten)
+    if problem is not None and find_gba_isomorphism(from_trunc, forgotten) is not None:
         problem = None
     trips.append(RoundTrip("uc(lc(X)) ~ forget(clopen(X))", problem is None,
                            problem or ""))

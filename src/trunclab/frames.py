@@ -15,7 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 
-from .elements import OPS, DiniReport, apply_op, cut_grid
+from .elements import (OPS, DiniReport, StepCarrier, apply_op, cut_grid,
+                       is_unital_component)
 from .errors import (BudgetError, PositivityError, SpaceMismatchError,
                      StructureError, UnsupportedOperationError, certify)
 from .gba import order_tables, transitive_closure
@@ -257,15 +258,7 @@ def real_line():
     return OpenInterval(NEG_INF, POS_INF)
 
 
-def _value_sort_key(v):
-    if v == NEG_INF:
-        return (0, Fraction(0))
-    if v == POS_INF:
-        return (2, Fraction(0))
-    return (1, Fraction(v))
-
-
-class FrameReal:
+class FrameReal(StepCarrier):
     """Step-valued frame real: disjoint complemented cells with join top.
 
     extended=True admits +/-inf cells (the D-type); pointed=False skips
@@ -288,8 +281,7 @@ class FrameReal:
             if cell == fr.bottom:
                 continue
             merged[value] = fr.join(merged[value], cell) if value in merged else cell
-        self.cells = tuple(sorted(merged.items(),
-                                  key=lambda kv: _value_sort_key(kv[0])))
+        self.cells = tuple((v, merged[v]) for v in sorted(merged))
         self._validate()
 
     def _validate(self):
@@ -344,56 +336,13 @@ class FrameReal:
                     cells.append((fn(v1, v2), c))
         return FrameReal(self.pframe, cells)
 
-    def __add__(self, other):
-        return self._zip(other, lambda a, b: a + b)
-
-    def __sub__(self, other):
-        return self._zip(other, lambda a, b: a - b)
-
-    def __neg__(self):
-        return self.unary(lambda v: -v)
-
-    def meet(self, other):
-        return self._zip(other, min)
-
-    def join(self, other):
-        return self._zip(other, max)
-
-    def unary(self, fn):
+    def _map(self, fn):
         if self.extended:
             raise UnsupportedOperationError("arithmetic needs finite-valued operands")
         return FrameReal(self.pframe, [(fn(v), c) for v, c in self.cells])
 
-    def scale(self, q):
-        q = Fraction(q)
-        return self.unary(lambda v: q * v)
-
     def is_nonneg(self):
         return all(v >= 0 for v in self.values())
-
-    def _require_nonneg(self, op):
-        if not self.is_nonneg():
-            raise PositivityError(f"{op} requires a nonnegative frame real")
-
-    def truncate(self):
-        self._require_nonneg("truncate")
-        return self.unary(lambda v: min(v, Fraction(1)))
-
-    def tminus(self, r):
-        r = Fraction(r)
-        if r < 0:
-            raise PositivityError(f"tminus needs r >= 0, got {r}")
-        self._require_nonneg("tminus")
-        if r == 0:
-            return self
-        return self.unary(lambda v: max(v - r, Fraction(0)))
-
-    def trunc_at(self, n):
-        n = Fraction(n)
-        if n <= 0:
-            raise PositivityError(f"trunc_at needs n > 0, got {n}")
-        self._require_nonneg("trunc_at")
-        return self.unary(lambda v: min(v, n))
 
     def leq(self, other):
         diff = other - self
@@ -429,8 +378,7 @@ def induced_op(tag, operands, param=None):
         raise UnsupportedOperationError("induced operations act on finite-valued reals")
     result = apply_op(tag, operands, param)
     mismatch = oracle_mismatch(tag, operands, result, param)
-    if mismatch is not None:
-        raise StructureError(f"join-of-meets oracle disagrees at {mismatch!r}")
+    certify(mismatch is None, "join-of-meets oracle disagrees", mismatch)
     return result
 
 
@@ -508,9 +456,7 @@ def chi(pframe, x):
 
 def frame_uc_check(u):
     """True with the complemented witness coz u iff u = truncate(2u)."""
-    if not u.is_nonneg():
-        raise PositivityError("unital components are nonnegative")
-    if u.scale(2).truncate() != u:
+    if not is_unital_component(u):
         return False, None
     witness = u.eval(ray_above(0))
     certify(witness in u.pframe.frame.complemented,
@@ -625,8 +571,8 @@ def drop(q, h_prime):
         probes.append(ray_below(r))
         probes.append(ray_above(r))
     for u in probes:
-        if q(h_prime.eval(u)) != h.eval(u.restrict_to_reals()):
-            raise StructureError(f"drop square fails at {u!r}")
+        certify(q(h_prime.eval(u)) == h.eval(u.restrict_to_reals()),
+                "drop square q o h' = h o p fails", u)
     return DropResult(True, result=h)
 
 
@@ -717,8 +663,7 @@ def frame_pointwise_sup(family):
     fr = sup.pframe.frame
     for r in cut_grid([v for g in family + [sup] for v in g.values()]):
         lhs = fr.join_all(g.eval(ray_above(r)) for g in family)
-        if lhs != sup.eval(ray_above(r)):
-            raise StructureError(f"pointwise sup fails the cut test at r = {r}")
+        certify(lhs == sup.eval(ray_above(r)), "pointwise sup fails the cut test", r)
     return sup
 
 

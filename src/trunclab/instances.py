@@ -31,7 +31,7 @@ from .frames import FiniteFrame, FrameReal, FrameSurjection, PointedFiniteFrame
 from .gba import (BooleanAlgebra, GeneralizedBooleanAlgebra,
                   IdealizedBooleanAlgebra, idealize, transitive_closure)
 from .kernels import KernelSpec
-from .rat import format_rational, parse_extended, parse_rational
+from .rat import parse_extended, parse_rational
 from .seqspace import SeqTrunc, TailElement
 from .spaces import PointedBooleanSpace
 
@@ -349,59 +349,3 @@ def parse_instance(path):
     if errors:
         raise errors[0]
     return inst
-
-
-# --- serialization (round-trip support) ------------------------------------
-
-def _fmt_set(s):
-    return "{ " + " ".join(sorted(str(x) for x in s)) + " }"
-
-
-def serialize_object(kind, name, obj, inst=None):
-    if kind == "space":
-        pts = " ".join(sorted(str(p) for p in obj.points))
-        return f"space {name} points {pts} star {obj.star}"
-    if kind == "element":
-        space_name = _find_name(inst, obj.space)
-        vals = " ".join(f"{p}={format_rational(v)}" for p, v in obj.items()
-                        if v != 0)
-        return f"element {name} space {space_name} values {vals}".rstrip()
-    if kind == "trunc":
-        space_name = _find_name(inst, obj.space)
-        fams = " ".join(_fmt_set(s) for s in sorted(obj.components,
-                                                    key=lambda s: (len(s), sorted(map(str, s)))))
-        return f"trunc {name} space {space_name} components {fams}"
-    if kind == "seqtrunc":
-        return f"seqtrunc {name} degree {obj.degree}"
-    if kind == "tailel":
-        trunc_name = _find_kind_name(inst, "seqtrunc",
-                                     lambda t: obj in t)
-        parts = [f"tailel {name} trunc {trunc_name}"]
-        if obj.tail:
-            parts.append("tail " + " ".join(format_rational(c) for c in obj.tail))
-        if obj.correction:
-            parts.append("correction " + " ".join(
-                f"{n}={format_rational(v)}" for n, v in sorted(obj.correction.items())))
-        return " ".join(parts)
-    if kind == "sequence":
-        names = " ".join(_find_name(inst, t) for t in obj.terms)
-        tail = " stable" if obj.stable else ""
-        return f"sequence {name} elements {names}{tail}"
-    if kind == "goodseq":
-        names = " ".join(_find_name(inst, t) for t in obj.terms)
-        return f"goodseq {name} elements {names}"
-    raise TruncLabError(f"cannot serialize kind {kind}")
-
-
-def _find_name(inst, obj):
-    for n in inst.order:
-        if inst.objects[n] == obj or inst.objects[n] is obj:
-            return n
-    raise TruncLabError("object has no name in this instance")
-
-
-def _find_kind_name(inst, kind, predicate):
-    for n in inst.order:
-        if inst.kinds[n] == kind and predicate(inst.objects[n]):
-            return n
-    raise TruncLabError(f"no {kind} matches")

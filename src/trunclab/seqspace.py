@@ -19,7 +19,7 @@ from fractions import Fraction
 from math import lcm
 from operator import ge, le
 
-from .elements import cut_grid
+from .elements import Carrier, cut_grid
 from .errors import PositivityError, StructureError, certify
 from .rat import format_rational
 
@@ -65,7 +65,7 @@ def _difference(a, b):
     return Fraction(num, a[1] * b[1]) if num else None
 
 
-class TailElement:
+class TailElement(Carrier):
     """A correction-plus-tail function on omega+1, canonically represented.
 
     _itail caches the tail as (numerators, den), slot k being
@@ -234,10 +234,6 @@ class TailElement:
     def is_zero(self):
         return not self.correction and not self.tail
 
-    def _require_nonneg(self, op):
-        if not self.is_nonneg():
-            raise PositivityError(f"{op} requires a nonnegative operand")
-
     def __abs__(self):
         return self.join(-self)
 
@@ -263,25 +259,10 @@ class TailElement:
                 corr[n] = delta
         return TailElement(corr, self.tail)
 
-    def truncate(self):
-        self._require_nonneg("truncate")
-        return self.meet_const(1)
+    _cap = meet_const
 
-    def trunc_at(self, n):
-        n = Fraction(n)
-        if n <= 0:
-            raise PositivityError(f"trunc_at needs n > 0, got {n}")
-        self._require_nonneg("trunc_at")
-        return self.meet_const(n)
-
-    def tminus(self, r):
-        """(value - r)+ pointwise; the result has finite support for r > 0."""
-        r = Fraction(r)
-        if r < 0:
-            raise PositivityError(f"tminus needs r >= 0, got {r}")
-        self._require_nonneg("tminus")
-        if r == 0:
-            return self
+    def _excess(self, r):
+        """(value - r)+ pointwise; the result has finite support."""
         sign, tail_bound = poly_sign([-r] + list(self.tail))
         certify(sign < 0, "tails vanish at infinity, so an element falls "
                 "below a positive constant eventually", self)

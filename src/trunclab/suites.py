@@ -45,41 +45,33 @@ class SuiteResult:
 
 def suite_trunc_axioms(seed=0, cases=200):
     rng = random.Random(seed)
-    failures = []
-    ran = 0
-    for _ in range(cases // 2):
-        sp = sampling.random_space(rng)
-        g = sampling.simple_element(rng, sp, nonneg=True)
-        h = sampling.simple_element(rng, sp, nonneg=True)
-        ran += 1
-        if not (g.truncate() - g.meet(h.truncate())).is_nonneg():
-            failures.append(f"T1 lower fails: g={g!r} h={h!r}")
-        if not (g - g.truncate()).is_nonneg():
-            failures.append(f"T1 upper fails: g={g!r}")
-        if g.truncate().is_zero() and not g.is_zero():
-            failures.append(f"T2 fails: g={g!r}")
-        big_n = rng.randint(1, 5)
-        if not g.is_zero() and all(g.scale(n) == g.scale(n).truncate()
-                                   for n in range(1, big_n + 1)):
-            if g.max_value() > Fraction(1, big_n):
-                failures.append(f"bounded T3 fails: g={g!r} N={big_n}")
     trunc1 = SeqTrunc(1)
-    for _ in range(cases - cases // 2):
-        g = abs(trunc1.sample_elements(rng, 1)[0])
-        h = abs(trunc1.sample_elements(rng, 1)[0])
-        ran += 1
+
+    def simple_pair():
+        sp = sampling.random_space(rng)
+        return (sampling.simple_element(rng, sp, nonneg=True),
+                sampling.simple_element(rng, sp, nonneg=True), 5, "")
+
+    def tail_pair():
+        return (abs(trunc1.sample_elements(rng, 1)[0]),
+                abs(trunc1.sample_elements(rng, 1)[0]), 4, " (tail)")
+
+    draws = [simple_pair] * (cases // 2) + [tail_pair] * (cases - cases // 2)
+    failures = []
+    for draw in draws:
+        g, h, top, kind = draw()
         if not (g.truncate() - g.meet(h.truncate())).is_nonneg():
-            failures.append(f"T1 lower fails (tail): g={g!r} h={h!r}")
+            failures.append(f"T1 lower fails{kind}: g={g!r} h={h!r}")
         if not (g - g.truncate()).is_nonneg():
-            failures.append(f"T1 upper fails (tail): g={g!r}")
+            failures.append(f"T1 upper fails{kind}: g={g!r}")
         if g.truncate().is_zero() and not g.is_zero():
-            failures.append(f"T2 fails (tail): g={g!r}")
-        big_n = rng.randint(1, 4)
+            failures.append(f"T2 fails{kind}: g={g!r}")
+        big_n = rng.randint(1, top)
         if not g.is_zero() and all(g.scale(n) == g.scale(n).truncate()
                                    for n in range(1, big_n + 1)):
             if g.max_value() > Fraction(1, big_n):
-                failures.append(f"bounded T3 fails (tail): g={g!r} N={big_n}")
-    return SuiteResult("trunc-axioms", ran, failures)
+                failures.append(f"bounded T3 fails{kind}: g={g!r} N={big_n}")
+    return SuiteResult("trunc-axioms", len(draws), failures)
 
 
 # --- 2. fundamental identities ----------------------------------------------

@@ -1,16 +1,20 @@
 """Certificates are explicit checks that stay on under python -O."""
 
 import ast
+import json
 from pathlib import Path
 
 import pytest
 
+from trunclab import cli, frames
+from trunclab.elements import SimpleElement
 from trunclab.errors import CertificationError
-from trunclab.frames import (FiniteFrame, FrameSurjection, OpenInterval,
-                             PointedFiniteFrame, _certify_lift, chi,
-                             surjection_tools)
+from trunclab.frames import (FiniteFrame, FrameReal, FrameSurjection,
+                             OpenInterval, PointedFiniteFrame, _certify_lift,
+                             chi, real_line, surjection_tools)
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "trunclab"
+INSTANCE = str(Path(__file__).resolve().parent / "golden" / "instance.tl")
 
 A, B = frozenset({"a"}), frozenset({"b"})
 F4 = FiniteFrame.from_sets([frozenset(), A, B, frozenset({"a", "b"})])
@@ -44,3 +48,25 @@ def test_lift_certificate_names_the_failing_probe():
     with pytest.raises(CertificationError) as info:
         _certify_lift(q, h, h.scale(2))
     assert isinstance(info.value.witness, OpenInterval)
+
+
+@pytest.mark.parametrize("argv, target, attr, broken, message", [
+    (["induced-op", "add", "u", "v"], frames, "oracle_mismatch",
+     lambda *args: real_line(), "join-of-meets oracle disagrees (witness (-inf,inf))"),
+    (["pointwise", "g", "h", "gn"], SimpleElement, "join", SimpleElement.meet,
+     "pointwise sup fails the cut test"),
+    (["pointwise", "u", "v", "un"], FrameReal, "join", FrameReal.meet,
+     "pointwise sup fails the cut test"),
+    (["drop", "q", "hz"], OpenInterval, "restrict_to_reals", lambda u: real_line(),
+     "drop square"),
+], ids=["induced-op", "pointwise-simple", "pointwise-frame", "drop"])
+def test_failed_certificate_exits_1_with_its_witness(argv, target, attr, broken,
+                                                      message, monkeypatch, capsys):
+    monkeypatch.setattr(target, attr, broken)
+    code = cli.main([*argv, "--file", INSTANCE, "--json"])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 1 and out["ok"] is False
+    failed = [c for c in out["checks"] if not c["passed"]]
+    assert [c["name"] for c in failed] == ["certificate"]
+    assert failed[0]["detail"].startswith(message)
+    assert "(witness " in failed[0]["detail"]

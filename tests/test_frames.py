@@ -1,5 +1,6 @@
 """Finite frames, frame reals, the induced-op oracle, drops and lifts."""
 
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -103,6 +104,19 @@ def test_framereal_validation():
         FrameReal(PF4, [(F(1), A), (F(0), B)])  # point cell carries 1
     with pytest.raises(StructureError):
         FrameReal(PF4, [(float("inf"), B), (F(0), A)])  # inf needs dtype
+
+
+def test_dtype_cells_sorted_by_value():
+    labels = ["a", "b", "c", "p"]
+    fr = FiniteFrame.from_sets(frozenset(c) for r in range(5)
+                               for c in itertools.combinations(labels, r))
+    pf = PointedFiniteFrame(fr, focus=frozenset({"p"}))
+    inf = float("inf")
+    g = FrameReal(pf, [(inf, frozenset("a")), (F(1, 2), frozenset("c")),
+                       (-inf, frozenset("b")), (F(0), frozenset("p"))],
+                  extended=True)
+    assert g.values() == [-inf, F(0), F(1, 2), inf]
+    assert [c for _, c in g.cells] == [frozenset(x) for x in "bpca"]
 
 
 def test_induced_op_examples():

@@ -8,8 +8,7 @@ import pytest
 from trunclab.cli import main
 from trunclab.elements import SimpleElement
 from trunclab.errors import ParseError
-from trunclab.instances import (parse_instance, parse_instance_text,
-                                serialize_object)
+from trunclab.instances import parse_instance, parse_instance_text
 from trunclab.seqspace import TailElement
 
 SAMPLE = """\
@@ -76,21 +75,6 @@ def test_duplicate_names_rejected():
     _, errors = parse_instance_text(
         "space X points * star *\nspace X points * star *\n")
     assert errors and "duplicate" in str(errors[0])
-
-
-def test_round_trip_serialization(sample_file):
-    inst = parse_instance(sample_file)
-    lines = []
-    for name in inst.order:
-        kind = inst.kinds[name]
-        if kind in ("space", "element", "trunc", "seqtrunc", "tailel",
-                    "sequence", "goodseq"):
-            lines.append(serialize_object(kind, name, inst.objects[name], inst))
-    reparsed, errors = parse_instance_text("\n".join(lines))
-    assert not errors
-    for name in reparsed.order:
-        assert reparsed.objects[name] == inst.objects[name] or \
-            reparsed.objects[name].__dict__ == inst.objects[name].__dict__
 
 
 def test_full_round_trip_via_source_lines(sample_file):

@@ -131,6 +131,15 @@ def test_equivalence_budget_flagged():
     assert not report.all_verified
 
 
+def test_equivalence_builds_one_clopen_algebra(monkeypatch):
+    from trunclab import equivalences
+    calls, plain = [], equivalences.clopen
+    monkeypatch.setattr(equivalences, "clopen",
+                        lambda x: calls.append(x) or plain(x))
+    assert equivalence_witness(X3).all_verified
+    assert calls == [X3]
+
+
 def test_hyper_simple_trunc_samples():
     from trunclab.hyper import hyperarchimedean
     full = lc(X3)
