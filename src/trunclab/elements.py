@@ -105,7 +105,8 @@ class SimpleElement(StepCarrier):
         vals = {}
         values = dict(values or {})
         for p in space.nonstar:
-            vals[p] = Fraction(values.pop(p, 0))
+            v = values.pop(p, ZERO)
+            vals[p] = v if type(v) is Fraction else Fraction(v)
         if values:
             bad = sorted_labels(values)
             raise StructureError(f"values at unknown or basepoint labels: {bad}")

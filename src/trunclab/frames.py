@@ -11,6 +11,7 @@ their adjoints, with density decided exactly.
 """
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
@@ -19,7 +20,7 @@ from .elements import (OPS, DiniReport, StepCarrier, apply_op, cut_grid,
                        is_unital_component)
 from .errors import (BudgetError, PositivityError, SpaceMismatchError,
                      StructureError, UnsupportedOperationError, certify)
-from .gba import order_tables, transitive_closure
+from .gba import transitive_closure
 from .rat import (NEG_INF, POS_INF, format_label, format_rational, is_finite,
                   sorted_labels)
 
@@ -39,69 +40,70 @@ def frame_validate(labels, leq_pairs):
 
 
 def _frame_tables(labels, leq_pairs):
-    """(violations, join table, meet table) of a raw (labels, order) pair."""
-    labels = list(labels)
-    leq = set(leq_pairs)
-    out = []
-    for x in labels:
-        if (x, x) not in leq:
-            out.append(FrameViolation("order not reflexive", (x,)))
-    for x, y in leq:
-        if (y, x) in leq and x != y:
-            out.append(FrameViolation("order not antisymmetric", (x, y)))
-    for x, y in leq:
-        for z in labels:
-            if (y, z) in leq and (x, z) not in leq:
-                out.append(FrameViolation("order not transitive", (x, y, z)))
+    """(violations in label order, (labels, up-sets, join, meet) or None).
+
+    Labels are numbered in sorted_labels order, with up- and down-sets as
+    bitmasks; a and b have a join iff some u has up[u] == up[a] & up[b], and
+    a meet likewise on down-sets.  Pairs naming other labels are ignored.
+    """
+    labels = sorted_labels(dict.fromkeys(labels))
+    index = {x: i for i, x in enumerate(labels)}
+    n = len(labels)
+    up, down = [0] * n, [0] * n
+    for x, y in leq_pairs:
+        if x in index and y in index:
+            up[index[x]] |= 1 << index[y]
+            down[index[y]] |= 1 << index[x]
+    out = [FrameViolation("order not reflexive", (x,))
+           for i, x in enumerate(labels) if not up[i] >> i & 1]
+    out += [FrameViolation("order not antisymmetric", (labels[i], labels[j]))
+            for i in range(n) if up[i] & down[i] != 1 << i
+            for j in range(n) if i != j and (up[i] & down[i]) >> j & 1]
+    out += [FrameViolation("order not transitive", (labels[i], labels[j], labels[k]))
+            for i in range(n) for j in range(n) if up[i] >> j & 1 and up[j] & ~up[i]
+            for k in range(n) if (up[j] & ~up[i]) >> k & 1]
     if out:
-        return out, None, None
-    join, meet = order_tables(labels, leq)
-    for a in labels:
-        for b in labels:
-            if (a, b) not in join:
-                out.append(FrameViolation("no unique join", (a, b)))
-            if (a, b) not in meet:
-                out.append(FrameViolation("no unique meet", (a, b)))
+        return out, None
+    by_up = {m: i for i, m in enumerate(up)}
+    by_down = {m: i for i, m in enumerate(down)}
+    join = [[by_up.get(ua & ub) for ub in up] for ua in up]
+    meet = [[by_down.get(da & db) for db in down] for da in down]
+    out = [FrameViolation(f"no unique {law}", (labels[a], labels[b]))
+           for a in range(n) for b in range(n)
+           for law, table in (("join", join), ("meet", meet)) if table[a][b] is None]
     if out:
-        return out, None, None
-    for a in labels:
-        for b in labels:
-            for c in labels:
-                lhs = meet[(a, join[(b, c)])]
-                rhs = join[(meet[(a, b)], meet[(a, c)])]
-                if lhs != rhs:
-                    out.append(FrameViolation("distributivity", (a, b, c)))
-                    return out, None, None
-    return out, join, meet
+        return out, None
+    for a, b in itertools.product(range(n), repeat=2):
+        ma, jab = meet[a], join[meet[a][b]]
+        if [ma[x] for x in join[b]] != [jab[x] for x in ma]:
+            c = next(c for c in range(n) if ma[join[b][c]] != jab[ma[c]])
+            witness = (labels[a], labels[b], labels[c])
+            return [FrameViolation("distributivity", witness)], None
+    return out, (labels, up, join, meet)
 
 
 class FiniteFrame:
     """Validated finite frame with all derived tables precomputed."""
 
     def __init__(self, labels, leq_pairs):
-        violations, join, meet = _frame_tables(labels, leq_pairs)
+        violations, tables = _frame_tables(labels, leq_pairs)
         if violations:
             raise StructureError(f"not a finite frame: {violations[:3]}")
-        self.labels = tuple(sorted_labels(labels))
+        labels, up, self._join, self._meet = tables
+        self.labels = tuple(labels)
         self.index = {x: i for i, x in enumerate(self.labels)}
         n = len(self.labels)
-        leq = set(leq_pairs)
-        self.leq_table = [[(x, y) in leq for y in self.labels] for x in self.labels]
-        self._join = [[self.index[join[(x, y)]] for y in self.labels]
-                      for x in self.labels]
-        self._meet = [[self.index[meet[(x, y)]] for y in self.labels]
-                      for x in self.labels]
-        self.bottom = self.labels[next(i for i in range(n)
-                                       if all(self.leq_table[i][j] for j in range(n)))]
-        self.top = self.labels[next(i for i in range(n)
-                                    if all(self.leq_table[j][i] for j in range(n)))]
-        bot = self.index[self.bottom]
+        self.leq_table = [[bool(u >> j & 1) for j in range(n)] for u in up]
+        bot = up.index((1 << n) - 1)
+        self.bottom = self.labels[bot]
+        self.top = self.labels[next(i for i, u in enumerate(up) if u == 1 << i)]
         self._imp = [[None] * n for _ in range(n)]
         for i in range(n):
+            cut = [up[m] for m in self._meet[i]]
             for j in range(n):
                 acc = bot
                 for k in range(n):
-                    if self.leq_table[self._meet[k][i]][j]:
+                    if cut[k] >> j & 1:
                         acc = self._join[acc][k]
                 self._imp[i][j] = acc
         self.pseudo = {self.labels[i]: self.labels[self._imp[i][bot]]
@@ -198,12 +200,12 @@ class PointedFiniteFrame:
         fr = self.frame
         if not self.point(fr.top) or self.point(fr.bottom):
             raise StructureError("point must send top to top and bottom to bottom")
-        for x in fr.labels:
-            for y in fr.labels:
-                if self.point(fr.meet(x, y)) != (self.point(x) and self.point(y)):
-                    raise StructureError(f"point not meet-preserving at ({x},{y})")
-                if self.point(fr.join(x, y)) != (self.point(x) or self.point(y)):
-                    raise StructureError(f"point not join-preserving at ({x},{y})")
+        t = [self.point(x) for x in fr.labels]
+        for (i, x), (j, y) in itertools.product(enumerate(fr.labels), repeat=2):
+            if t[fr._meet[i][j]] != (t[i] and t[j]):
+                raise StructureError(f"point not meet-preserving at ({x},{y})")
+            if t[fr._join[i][j]] != (t[i] or t[j]):
+                raise StructureError(f"point not join-preserving at ({x},{y})")
 
     def __eq__(self, other):
         return (isinstance(other, PointedFiniteFrame)
@@ -230,11 +232,12 @@ class OpenInterval:
     closed_hi: bool = False
 
     def contains(self, v):
-        if v == NEG_INF:
+        if v is NEG_INF:
             return bool(self.closed_lo)
-        if v == POS_INF:
+        if v is POS_INF:
             return bool(self.closed_hi)
-        return self.lo < v < self.hi
+        return ((self.lo is NEG_INF or self.lo < v)
+                and (self.hi is POS_INF or v < self.hi))
 
     def restrict_to_reals(self):
         """The image under U -> U n (-inf, inf), dropping the infinite ends."""
@@ -383,14 +386,17 @@ def induced_op(tag, operands, param=None):
 
 
 def _grid_intervals(grid):
-    out = [real_line()]
-    for r in grid:
-        out.append(ray_below(r))
-        out.append(ray_above(r))
-    for i, a in enumerate(grid):
-        for b in grid[i + 1:]:
-            out.append(OpenInterval(a, b))
-    return out
+    """The line, the rays and the intervals of a grid, None for an unbounded end."""
+    return ([(None, None)] + [e for r in grid for e in ((None, r), (r, None))]
+            + list(itertools.combinations(grid, 2)))
+
+
+def _join_inside(join, acc, items, lo, hi):
+    """Join into acc the element m of every item (a, b, m) with lo <= a, b <= hi."""
+    for a, b, m in items:
+        if (lo is None or lo <= a) and (hi is None or b <= hi):
+            acc = join[acc][m]
+    return acc
 
 
 def oracle_mismatch(tag, operands, result, param=None):
@@ -403,6 +409,10 @@ def oracle_mismatch(tag, operands, result, param=None):
     contributions, while a tight box around a value tuple realizes the meet
     of the corresponding cells.  The half-width gamma is chosen so small
     that a tight box's image lies in V exactly when the tuple's value does.
+
+    It runs on ints: grid points, image ends and result cell values (images
+    attained at both ends) scaled by twice their common denominator, an
+    attained end moved one step inward, so lo <= a and b <= hi is "inside".
     """
     fr = operands[0].pframe.frame
     op = OPS[tag]
@@ -410,34 +420,36 @@ def oracle_mismatch(tag, operands, result, param=None):
     grid = cut_grid([v for g in operands for v in g.values()] + list(op.kinks(*params)))
     combos = list(itertools.product(*(g.values() for g in operands)))
     outputs = {op.scalar(*combo, *params) for combo in combos}
-    gaps = [abs(c - w) for c in grid for w in outputs if c != w]
-    gamma = min(gaps, default=Fraction(1)) / (2 * (len(operands) + 1))
+    d = math.lcm(*(x.denominator for x in [*grid, *outputs]))
+    ints = [{x.numerator * (d // x.denominator) for x in xs} for xs in (grid, outputs)]
+    gap = min((abs(c - w) for c in ints[0] for w in ints[1] if c != w), default=d)
+    gamma = Fraction(gap, d * 2 * (len(operands) + 1))
+    tight = [{v: fr.index[g.eval(OpenInterval(v - gamma, v + gamma))]
+              for v in g.values()} for g in operands]
+    top, bot = fr.index[fr.top], fr.index[fr.bottom]
     boxes = []
     for combo in combos:
-        meet = fr.top
-        for g, v in zip(operands, combo):
-            meet = fr.meet(meet, g.eval(OpenInterval(v - gamma, v + gamma)))
-        if meet == fr.bottom:
-            continue
-        image = op.image(*[(v - gamma, v + gamma) for v in combo], *params)
-        boxes.append((image, meet))
-    for v_int in _grid_intervals(grid):
-        formula = fr.join_all(m for image, m in boxes
-                              if _image_inside(image, v_int))
-        if formula != result.eval(v_int):
-            return v_int
+        meet = top
+        for cell_of, v in zip(tight, combo):
+            meet = fr._meet[meet][cell_of[v]]
+        if meet != bot:
+            boxes.append((*op.image(*[(v - gamma, v + gamma) for v in combo], *params),
+                          meet))
+    cells = [(v, fr.index[c]) for v, c in result.cells if is_finite(v)]
+    ends = [x for box in boxes for x in box[:2]] + [v for v, _ in cells]
+    den = 2 * math.lcm(*(x.denominator for x in grid + ends))
+
+    def s(x):
+        return x.numerator * (den // x.denominator)
+
+    boxes = [(s(lo) - lo_att, s(hi) + hi_att, m) for lo, hi, lo_att, hi_att, m in boxes]
+    cells = [(s(v) - 1, s(v) + 1, m) for v, m in cells]
+    for lo, hi in _grid_intervals([s(r) for r in grid]):
+        if (_join_inside(fr._join, bot, boxes, lo, hi)
+                != _join_inside(fr._join, bot, cells, lo, hi)):
+            return OpenInterval(NEG_INF if lo is None else Fraction(lo, den),
+                                POS_INF if hi is None else Fraction(hi, den))
     return None
-
-
-def _image_inside(image, v_int):
-    lo, hi, lo_att, hi_att = image
-    if lo == hi and lo_att and hi_att:
-        return v_int.contains(lo)
-    lo_ok = v_int.contains(lo) if lo_att else (
-        v_int.lo == NEG_INF or v_int.lo < lo or (v_int.lo == lo and not lo_att))
-    hi_ok = v_int.contains(hi) if hi_att else (
-        v_int.hi == POS_INF or v_int.hi > hi or (v_int.hi == hi and not hi_att))
-    return lo_ok and hi_ok
 
 
 # --- characteristic functions and unital components ----------------------

@@ -1,11 +1,30 @@
 """Exact rational parsing/formatting helpers ("p/q" notation, "/1" suppressed)."""
 
 from fractions import Fraction
+from functools import total_ordering
 
 from .errors import TruncLabError
 
-POS_INF = float("inf")
-NEG_INF = float("-inf")
+
+@total_ordering
+class _Infinity:
+    """The exact ends +inf (sign 1) and -inf (sign -1) of the extended reals."""
+
+    def __init__(self, sign):
+        self.sign = sign
+
+    def __lt__(self, other):
+        return self.sign < 0 and other is not self
+
+    def __hash__(self):
+        return self.sign
+
+    def __repr__(self):
+        return "inf" if self.sign > 0 else "-inf"
+
+
+POS_INF = _Infinity(1)
+NEG_INF = _Infinity(-1)
 
 
 def parse_rational(token):
@@ -27,10 +46,8 @@ def parse_extended(token):
 
 def format_rational(value):
     """Lowest-terms string; integers print without the denominator."""
-    if value == POS_INF:
-        return "inf"
-    if value == NEG_INF:
-        return "-inf"
+    if not is_finite(value):
+        return repr(value)
     f = Fraction(value)
     if f.denominator == 1:
         return str(f.numerator)
@@ -38,7 +55,7 @@ def format_rational(value):
 
 
 def is_finite(value):
-    return value != POS_INF and value != NEG_INF
+    return value is not POS_INF and value is not NEG_INF
 
 
 def sort_key(label):

@@ -4,7 +4,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .rat import format_label, format_rational
+from .rat import format_label, format_rational, is_finite
 
 
 def canon(value):
@@ -13,9 +13,7 @@ def canon(value):
     Rationals print in lowest terms, sets sort deterministically, and
     domain objects fall back to their repr.
     """
-    if isinstance(value, Fraction):
-        return format_rational(value)
-    if isinstance(value, float):  # only +/-inf reach here
+    if isinstance(value, Fraction) or not is_finite(value):
         return format_rational(value)
     if isinstance(value, bool) or value is None:
         return value

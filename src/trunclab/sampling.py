@@ -27,7 +27,7 @@ def rational(rng, nonneg=False):
 def simple_element(rng, space, nonneg=False, truncated=False):
     vals = {}
     for p in space.nonstar:
-        if rng.random() < 0.75:
+        if rng.random() < Fraction(3, 4):
             vals[p] = rational(rng, nonneg=nonneg)
     g = SimpleElement(space, vals)
     if nonneg:
@@ -42,7 +42,7 @@ def closed_set_family(rng, base, seeds=3):
     base = list(base)
     family = {frozenset()}
     for _ in range(seeds):
-        s = frozenset(p for p in base if rng.random() < 0.5)
+        s = frozenset(p for p in base if rng.random() < Fraction(1, 2))
         family.add(s)
     changed = True
     while changed:
@@ -66,7 +66,7 @@ def random_poset(rng, size):
     leq = {(i, i) for i in range(size)}
     for i in range(size):
         for j in range(i + 1, size):
-            if rng.random() < 0.4:
+            if rng.random() < Fraction(2, 5):
                 leq.add((i, j))
     return transitive_closure(leq)
 

@@ -353,7 +353,7 @@ class SeqTrunc:
             corr = {}
             for _ in range(rng.randint(0, 3)):
                 corr[rng.randint(1, 8)] = pool[rng.randrange(len(pool))]
-            tail = [pool[rng.randrange(len(pool))] if rng.random() < 0.7 else 0
+            tail = [pool[rng.randrange(len(pool))] if rng.random() < Fraction(7, 10) else 0
                     for _ in range(self.degree)]
             g = TailElement(corr, tail)
             if nonneg:

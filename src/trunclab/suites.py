@@ -24,6 +24,7 @@ from .frames import (FrameReal, chi, drop, e0q_exhaustive, e0q_member,
 from .gba import clopen, gba_validate, iba_forget, idealize, stone
 from .hyper import hyperarchimedean
 from .kernels import KernelSpec, kernel_closure, kernel_conditions, pointwise_closed
+from .rat import POS_INF
 from .seqspace import (SeqTrunc, TailElement, bounded_away_from_zero_tail,
                        enough_uc_check, ex1_report, partial_truncations,
                        simple_part_member, sup_of_filtration_is)
@@ -447,7 +448,7 @@ def suite_drop_e0q(seed=0, cases=100):
     qprime = FrameSurjection(pc3_top, ptwo, {0: 0, 1: 0, 2: 1})
     if qprime.dense:
         failures.append("collapsing surjection reported dense")
-    hp = FrameReal(pc3_top, [(float("inf"), c3.top)], extended=True, pointed=False)
+    hp = FrameReal(pc3_top, [(POS_INF, c3.top)], extended=True, pointed=False)
     refusal = drop(qprime, hp)
     if refusal.ok or refusal.condition_value != two.bottom:
         failures.append(f"drop refusal wrong: {refusal!r}")
@@ -546,7 +547,7 @@ def suite_convergence(seed=0, cases=100):
         sup = pointwise_sup(fam)
         if pointwise_sup([fam[0]] * 3) != fam[0]:
             failures.append(f"constant-family sup differs: {fam[0]!r}")
-        keep = [p for p in sp.nonstar if rng.random() < 0.6]
+        keep = [p for p in sp.nonstar if rng.random() < Fraction(3, 5)]
         _, theta = restriction_hom(sp, keep)
         if theta(sup) != pointwise_sup([theta(g) for g in fam]):
             failures.append(f"restriction does not preserve sup: {fam!r}")

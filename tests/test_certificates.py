@@ -33,6 +33,15 @@ def test_package_has_no_assert_statements():
     assert found == []
 
 
+def test_package_has_no_floats():
+    found = [f"{path.relative_to(PACKAGE)}:{node.lineno}"
+             for path in sorted(PACKAGE.rglob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Name) and node.id == "float"
+             or isinstance(node, ast.Constant) and isinstance(node.value, float)]
+    assert found == []
+
+
 def test_galois_certificate_names_the_failing_pair():
     q = identity()
     q.adjoint[A] = B

@@ -25,6 +25,22 @@ def el(a, b, c):
     return SimpleElement(X3, {"1": F(a), "2": F(b), "3": F(c)})
 
 
+def test_values_are_stored_as_fractions():
+    half = F(1, 2)
+
+    class Sub(F):
+        pass
+
+    g = SimpleElement(X3, {"1": half, "2": "3/4", "3": Sub(5)})
+    assert g.value("1") is half  # a Fraction is kept, not built again
+    assert [type(g.value(p)) for p in "123"] == [F, F, F]
+    assert [g.value(p) for p in "123"] == [half, F(3, 4), F(5)]
+    assert SimpleElement(X3, {"1": True, "2": -2}).items() == (
+        ("1", F(1)), ("2", F(-2)), ("3", F(0)))
+    with pytest.raises(ValueError):
+        SimpleElement(X3, {"1": "x"})
+
+
 def test_truncate_example():
     assert el(2, F(1, 2), 0).truncate() == el(1, F(1, 2), 0)
 

@@ -1,21 +1,30 @@
 """Finite frames, frame reals, the induced-op oracle, drops and lifts."""
 
 import itertools
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from trunclab.elements import OPS, apply_op, cut_grid
 from trunclab.errors import (PositivityError, SpaceMismatchError,
                              StructureError)
 from trunclab.frames import (FiniteFrame, FrameReal, FrameSurjection,
-                             OpenInterval, PointedFiniteFrame, chi, drop,
-                             e0q_exhaustive, e0q_member, frame_dini,
-                             frame_pointwise_sup, frame_uc_check,
-                             frame_validate, induced_op, ray_above, ray_below,
-                             real_line, surjection_tools, oracle_mismatch)
-from trunclab.sampling import (booleanization, dense_surjection, frame_real,
-                               pointed_frame)
+                             FrameViolation, OpenInterval, PointedFiniteFrame,
+                             chi, drop, e0q_exhaustive, e0q_member,
+                             frame_dini, frame_pointwise_sup, frame_uc_check,
+                             frame_validate, induced_op, oracle_mismatch,
+                             ray_above, ray_below, real_line, surjection_tools)
+from trunclab.gba import order_tables
+from trunclab.rat import NEG_INF, POS_INF
+from trunclab.sampling import (booleanization, dense_surjection, downset_frame,
+                               frame_real, pointed_frame, random_poset)
 
 A, B = frozenset({"a"}), frozenset({"b"})
 F4 = FiniteFrame.from_sets([frozenset(), A, B, frozenset({"a", "b"})])
@@ -103,7 +112,7 @@ def test_framereal_validation():
     with pytest.raises(StructureError):
         FrameReal(PF4, [(F(1), A), (F(0), B)])  # point cell carries 1
     with pytest.raises(StructureError):
-        FrameReal(PF4, [(float("inf"), B), (F(0), A)])  # inf needs dtype
+        FrameReal(PF4, [(POS_INF, B), (F(0), A)])  # inf needs dtype
 
 
 def test_dtype_cells_sorted_by_value():
@@ -111,11 +120,10 @@ def test_dtype_cells_sorted_by_value():
     fr = FiniteFrame.from_sets(frozenset(c) for r in range(5)
                                for c in itertools.combinations(labels, r))
     pf = PointedFiniteFrame(fr, focus=frozenset({"p"}))
-    inf = float("inf")
-    g = FrameReal(pf, [(inf, frozenset("a")), (F(1, 2), frozenset("c")),
-                       (-inf, frozenset("b")), (F(0), frozenset("p"))],
+    g = FrameReal(pf, [(POS_INF, frozenset("a")), (F(1, 2), frozenset("c")),
+                       (NEG_INF, frozenset("b")), (F(0), frozenset("p"))],
                   extended=True)
-    assert g.values() == [-inf, F(0), F(1, 2), inf]
+    assert g.values() == [NEG_INF, F(0), F(1, 2), POS_INF]
     assert [c for _, c in g.cells] == [frozenset(x) for x in "bpca"]
 
 
@@ -184,7 +192,7 @@ def test_drop_identity_and_refusal():
     pc3 = PointedFiniteFrame(C3, focus=2)
     ptwo = PointedFiniteFrame(two, focus=1)
     q = FrameSurjection(pc3, ptwo, {0: 0, 1: 0, 2: 1})
-    hp = FrameReal(pc3, [(float("inf"), 2)], extended=True, pointed=False)
+    hp = FrameReal(pc3, [(POS_INF, 2)], extended=True, pointed=False)
     res = drop(q, hp)
     assert not res.ok and res.condition_value == 0
 
@@ -376,3 +384,220 @@ def test_spatial_eval_cross_check():
                 p for p, v in fn.items() if v > r)
             assert g.eval(ray_below(r)) == frozenset(
                 p for p, v in fn.items() if v < r)
+
+
+# --- the integer frame layer against the Fraction/label references ---------
+
+def reference_frame_tables(labels, leq_pairs):
+    """The label-keyed frame validator: violations, join and meet dicts."""
+    labels = list(labels)
+    leq = set(leq_pairs)
+    out = []
+    for x in labels:
+        if (x, x) not in leq:
+            out.append(FrameViolation("order not reflexive", (x,)))
+    for x, y in leq:
+        if (y, x) in leq and x != y:
+            out.append(FrameViolation("order not antisymmetric", (x, y)))
+    for x, y in leq:
+        for z in labels:
+            if (y, z) in leq and (x, z) not in leq:
+                out.append(FrameViolation("order not transitive", (x, y, z)))
+    if out:
+        return out, None, None
+    join, meet = order_tables(labels, leq)
+    for a in labels:
+        for b in labels:
+            if (a, b) not in join:
+                out.append(FrameViolation("no unique join", (a, b)))
+            if (a, b) not in meet:
+                out.append(FrameViolation("no unique meet", (a, b)))
+    if out:
+        return out, None, None
+    for a in labels:
+        for b in labels:
+            for c in labels:
+                lhs = meet[(a, join[(b, c)])]
+                rhs = join[(meet[(a, b)], meet[(a, c)])]
+                if lhs != rhs:
+                    out.append(FrameViolation("distributivity", (a, b, c)))
+                    return out, None, None
+    return out, join, meet
+
+
+def reference_grid_intervals(grid):
+    out = [real_line()]
+    for r in grid:
+        out.append(ray_below(r))
+        out.append(ray_above(r))
+    for i, a in enumerate(grid):
+        for b in grid[i + 1:]:
+            out.append(OpenInterval(a, b))
+    return out
+
+
+def reference_image_inside(image, v_int):
+    lo, hi, lo_att, hi_att = image
+    if lo == hi and lo_att and hi_att:
+        return v_int.contains(lo)
+    lo_ok = v_int.contains(lo) if lo_att else (
+        v_int.lo == NEG_INF or v_int.lo < lo or (v_int.lo == lo and not lo_att))
+    hi_ok = v_int.contains(hi) if hi_att else (
+        v_int.hi == POS_INF or v_int.hi > hi or (v_int.hi == hi and not hi_att))
+    return lo_ok and hi_ok
+
+
+def reference_oracle_mismatch(tag, operands, result, param=None):
+    """The join-of-meets oracle on Fractions, labels and result.eval."""
+    fr = operands[0].pframe.frame
+    op = OPS[tag]
+    params = () if param is None else (F(param),)
+    grid = cut_grid([v for g in operands for v in g.values()] + list(op.kinks(*params)))
+    combos = list(itertools.product(*(g.values() for g in operands)))
+    outputs = {op.scalar(*combo, *params) for combo in combos}
+    gaps = [abs(c - w) for c in grid for w in outputs if c != w]
+    gamma = min(gaps, default=F(1)) / (2 * (len(operands) + 1))
+    boxes = []
+    for combo in combos:
+        meet = fr.top
+        for g, v in zip(operands, combo):
+            meet = fr.meet(meet, g.eval(OpenInterval(v - gamma, v + gamma)))
+        if meet == fr.bottom:
+            continue
+        image = op.image(*[(v - gamma, v + gamma) for v in combo], *params)
+        boxes.append((image, meet))
+    for v_int in reference_grid_intervals(grid):
+        formula = fr.join_all(m for image, m in boxes
+                              if reference_image_inside(image, v_int))
+        if formula != result.eval(v_int):
+            return v_int
+    return None
+
+
+PARAMS = {"scale": [F(2), F(-1, 2), F(0), F(3, 4)], "tminus": [F(1, 2), F(1), F(2, 3)],
+          "truncN": [F(1), F(2), F(3)]}
+
+
+def oracle_cases(rng):
+    """(tag, operands, param, result) for every tag: the true result, an
+    operand in its place and other tags' results on the same operands."""
+    pf = pointed_frame(rng)
+    f, g = frame_real(rng, pf), frame_real(rng, pf)
+    fpos = frame_real(rng, pf, nonneg=True)
+    runs = []
+    for tag, op in OPS.items():
+        operands = [f, g] if op.arity == 2 else [f if tag in ("scale", "negate")
+                                                 else fpos]
+        param = rng.choice(PARAMS[tag]) if op.takes_param else None
+        runs.append((tag, operands, param, apply_op(tag, operands, param)))
+    cases = []
+    for tag, operands, param, result in runs:
+        cases.append((tag, operands, param, result))
+        cases.extend((tag, operands, param, forged) for forged in operands)
+        cases.extend((tag, operands, param, other) for other_tag, other_ops, _, other
+                     in runs if other_tag != tag and other_ops == operands)
+    return cases
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(0, 10**6))
+def test_oracle_matches_reference(seed):
+    for tag, operands, param, result in oracle_cases(random.Random(seed)):
+        want = reference_oracle_mismatch(tag, operands, result, param)
+        assert oracle_mismatch(tag, operands, result, param) == want, tag
+
+
+def test_oracle_passes_true_results_and_catches_forged_ones():
+    verdicts = set()
+    for seed in range(12):
+        for tag, operands, param, result in oracle_cases(random.Random(seed)):
+            got = oracle_mismatch(tag, operands, result, param)
+            assert got == reference_oracle_mismatch(tag, operands, result, param)
+            if result == apply_op(tag, operands, param):
+                assert got is None, tag
+            verdicts.add(got is None)
+    assert verdicts == {True, False}
+
+
+def test_oracle_names_the_first_reference_interval():
+    u = chi_b()
+    forged = FrameReal(PF4, [(F(5), B), (F(0), A)])
+    got = oracle_mismatch("truncate", [u.scale(2)], forged)
+    assert got == reference_oracle_mismatch("truncate", [u.scale(2)], forged)
+    assert got == OpenInterval(F(1), POS_INF) and repr(got) == "(1,inf)"
+
+
+def label_tables(frame):
+    pairs = list(itertools.product(frame.labels, repeat=2))
+    return ({(x, y): frame.join(x, y) for x, y in pairs},
+            {(x, y): frame.meet(x, y) for x, y in pairs},
+            {(x, y) for x, y in pairs if frame.leq(x, y)})
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(0, 10**6))
+def test_frame_tables_match_reference_on_downset_frames(seed):
+    frame, _ = downset_frame(random.Random(seed))
+    join, meet, leq = label_tables(frame)
+    violations, ref_join, ref_meet = reference_frame_tables(frame.labels, leq)
+    assert violations == [] and frame_validate(frame.labels, leq) == []
+    assert (join, meet) == (ref_join, ref_meet)
+    rebuilt = FiniteFrame(reversed(frame.labels), leq)
+    assert rebuilt == frame and label_tables(rebuilt) == (join, meet, leq)
+
+
+def witness_set(violations):
+    return {(v.law, v.witness) for v in violations if v.law != "distributivity"}
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.integers(0, 10**6), st.integers(1, 6), st.sampled_from(["poset", "edit", "raw"]))
+def test_frame_tables_match_reference_on_non_frames(seed, size, kind):
+    rng = random.Random(seed)
+    labels = list(range(size))
+    leq = set(random_poset(rng, size))
+    if kind == "edit":
+        for _ in range(rng.randint(1, 3)):
+            leq ^= {(rng.randrange(size), rng.randrange(size))}
+    elif kind == "raw":
+        leq = {(x, y) for x in labels for y in labels if rng.random() < 0.4}
+    got, want = frame_validate(labels, leq), reference_frame_tables(labels, leq)[0]
+    assert {v.law for v in got} == {v.law for v in want}
+    assert witness_set(got) == witness_set(want)
+    assert len(got) == len(want)
+
+
+def test_pentagon_and_diamond_fail_distributivity_like_the_reference():
+    pentagon = {(x, x) for x in "oabci"} | {("o", x) for x in "abci"} \
+        | {(x, "i") for x in "oabc"} | {("a", "c")}
+    diamond = {(x, x) for x in "oabci"} | {("o", x) for x in "abci"} \
+        | {(x, "i") for x in "oabc"}
+    for leq in (pentagon, diamond):
+        join, meet = order_tables("oabci", leq)
+        first = next((a, b, c) for a, b, c in itertools.product("abcio", repeat=3)
+                     if meet[(a, join[(b, c)])] != join[(meet[(a, b)], meet[(a, c)])])
+        assert frame_validate("oabci", leq) == [FrameViolation("distributivity", first)]
+        assert [v.law for v in reference_frame_tables("oabci", leq)[0]] == [
+            "distributivity"]
+
+
+BAD_ORDER = "frame F elements a b c d covers a<b b<c c<b c<d point d\n"
+
+
+def test_frame_violations_ignore_the_hash_seed(tmp_path):
+    path = tmp_path / "bad.tl"
+    path.write_text(BAD_ORDER, encoding="utf-8")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    runs = []
+    for seed in ("0", "1", "4"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join(
+                       p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run(
+            [sys.executable, "-m", "trunclab.cli", "check", "--file", str(path)],
+            env=env, capture_output=True, text=True, timeout=120, check=False)
+        runs.append((proc.returncode, proc.stderr))
+    assert runs == [runs[0]] * 3
+    assert runs[0][0] == 2
+    assert ("order not antisymmetric at ('b', 'c'), "
+            "order not antisymmetric at ('c', 'b')") in runs[0][1]

@@ -11,6 +11,7 @@ from trunclab.elements import SimpleElement, bounded_away_from_zero, lc
 from trunclab.equivalences import equivalence_witness
 from trunclab.frames import (FiniteFrame, FrameReal, PointedFiniteFrame, chi,
                              drop, frame_uc_check, ray_above)
+from trunclab.rat import POS_INF
 from trunclab.sampling import (dense_surjection, frame_real, pointed_frame,
                                simple_element)
 from trunclab.seqspace import SeqTrunc, TailElement
@@ -116,7 +117,7 @@ def test_density_degeneracy():
         if not cand:
             continue
         cell = cand[0]
-        h = FrameReal(q.source, [(float("inf"), cell),
+        h = FrameReal(q.source, [(POS_INF, cell),
                                  (F(0), fr.complement(cell))], extended=True)
         result = drop(q, h)
         assert not result.ok
