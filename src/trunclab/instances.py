@@ -126,12 +126,16 @@ def _pairs(tokens, lineno, sep="="):
     return out
 
 
-def _covers(tokens, lineno):
+def _covers(tokens, labels, lineno):
+    """The A<B pairs of a covers section; both labels must be listed."""
     out = []
     for tok in tokens:
         if "<" not in tok:
             raise ParseError(lineno, f"expected A<B, got {tok!r}")
         a, b = tok.split("<", 1)
+        for label in (a, b):
+            if label not in labels:
+                raise ParseError(lineno, f"unknown cover label {label!r} in {tok!r}")
         out.append((a, b))
     return out
 
@@ -191,7 +195,7 @@ def _parse_gba(inst, lineno, name, tokens):
                                         diff)
     else:
         labels = sec.get("elements", [])
-        covers = _covers(sec.get("covers", []), lineno)
+        covers = _covers(sec.get("covers", []), labels, lineno)
         leq = transitive_closure({(x, x) for x in labels} | set(covers))
         alg = GeneralizedBooleanAlgebra.from_order(labels, leq)
     report = alg.validate()
@@ -218,7 +222,7 @@ def _parse_iba(inst, lineno, name, tokens):
 def _parse_frame(inst, lineno, name, tokens):
     sec = _sections(tokens, {"elements", "covers", "point"})
     labels = sec.get("elements", [])
-    covers = _covers(sec.get("covers", []), lineno)
+    covers = _covers(sec.get("covers", []), labels, lineno)
     frame = FiniteFrame.from_covers(labels, covers)
     if len(sec.get("point", [])) != 1:
         raise ParseError(lineno, "frame needs 'point L' (a join-prime focus)")

@@ -256,8 +256,8 @@ class SeqKernel(KernelSpec):
         _, wh = h.crossover(TailElement.zero())
         n_star = 1
         for k in range(1, max(wa, wh) + 1):
-            if ag.value(k) > 0:
-                n_star = max(n_star, _ceil(h.value(k) / ag.value(k)) + 1)
+            if (a := ag.value(k)) > 0:
+                n_star = max(n_star, _ceil(h.value(k) / a) + 1)
         for a, b in zip_longest(ag.tail, h.tail, fillvalue=Fraction(0)):
             if a != 0:
                 n_star = max(n_star, _ceil(abs(b) / abs(a)) + 2)

@@ -44,6 +44,12 @@ def parse_extended(token):
     return parse_rational(token)
 
 
+def chance(rng, num, den):
+    """rng.random() < num/den, decided exactly on the draw's integer ratio."""
+    x, y = rng.random().as_integer_ratio()
+    return x * den < num * y
+
+
 def format_rational(value):
     """Lowest-terms string; integers print without the denominator."""
     if not is_finite(value):

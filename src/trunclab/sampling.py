@@ -13,6 +13,7 @@ from .elements import SimpleElement
 from .errors import certify
 from .frames import FiniteFrame, FrameReal, FrameSurjection, PointedFiniteFrame
 from .gba import GeneralizedBooleanAlgebra, transitive_closure
+from .rat import chance
 from .spaces import PointedBooleanSpace
 
 RATIONAL_POOL = [Fraction(n, d) for n in range(-6, 7) for d in (1, 2, 3, 4)]
@@ -27,7 +28,7 @@ def rational(rng, nonneg=False):
 def simple_element(rng, space, nonneg=False, truncated=False):
     vals = {}
     for p in space.nonstar:
-        if rng.random() < Fraction(3, 4):
+        if chance(rng, 3, 4):
             vals[p] = rational(rng, nonneg=nonneg)
     g = SimpleElement(space, vals)
     if nonneg:
@@ -42,7 +43,7 @@ def closed_set_family(rng, base, seeds=3):
     base = list(base)
     family = {frozenset()}
     for _ in range(seeds):
-        s = frozenset(p for p in base if rng.random() < Fraction(1, 2))
+        s = frozenset(p for p in base if chance(rng, 1, 2))
         family.add(s)
     changed = True
     while changed:
@@ -66,7 +67,7 @@ def random_poset(rng, size):
     leq = {(i, i) for i in range(size)}
     for i in range(size):
         for j in range(i + 1, size):
-            if rng.random() < Fraction(2, 5):
+            if chance(rng, 2, 5):
                 leq.add((i, j))
     return transitive_closure(leq)
 

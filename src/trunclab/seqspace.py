@@ -9,19 +9,21 @@ which tail comparison is decided by the leading coefficient.
 
 Evaluation stays exact without building a Fraction per term: each element
 keeps its tail as integer numerators over one common denominator, so a tail
-value is a Horner loop over ints, and the lattice operations compare and
-subtract values as unreduced integer pairs (num, den), den > 0, making a
-Fraction only for a correction they keep.
+value is a Horner loop over ints, a crossover sign and bound come from those
+numerators, and the lattice operations compare and subtract values as
+unreduced integer pairs (num, den), den > 0, making a Fraction only for a
+correction they keep.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 from math import lcm
 from operator import ge, le
 
 from .elements import Carrier, cut_grid
 from .errors import PositivityError, StructureError, certify
-from .rat import format_rational
+from .rat import chance, format_rational
 
 
 def _ceil(f):
@@ -43,12 +45,17 @@ def poly_sign(coeffs):
     index, which dominates the lower-order terms rigorously.
     """
     coeffs = [_rational(c) for c in coeffs]
-    j = next((i for i, c in enumerate(coeffs) if c != 0), None)
-    if j is None:
-        return 0, 1
-    rest = sum(abs(c) for c in coeffs[j + 1:])
-    bound = max(1, _ceil(rest / abs(coeffs[j]))) + 1
-    return (1 if coeffs[j] > 0 else -1), bound
+    den = lcm(*(c.denominator for c in coeffs))
+    return _sign_bound([c.numerator * (den // c.denominator) for c in coeffs])
+
+
+def _sign_bound(nums):
+    """poly_sign of the numerators of coefficients over one denominator."""
+    for j, lead in enumerate(nums):
+        if lead:
+            rest = sum(abs(c) for c in nums[j + 1:])
+            return (1 if lead > 0 else -1), max(1, -(-rest // abs(lead))) + 1
+    return 0, 1
 
 
 def _add_correction(correction, n, num, den):
@@ -69,7 +76,7 @@ class TailElement(Carrier):
     """A correction-plus-tail function on omega+1, canonically represented.
 
     _itail caches the tail as (numerators, den), slot k being
-    numerators[k] / den; it is filled on the first evaluation.
+    numerators[k] / den; it is filled on first use (see _ints).
     """
 
     __slots__ = ("correction", "tail", "_itail")
@@ -91,6 +98,13 @@ class TailElement(Carrier):
         self._itail = None
 
     @classmethod
+    def _canonical(cls, correction, tail, itail=None):
+        """An element from parts that __init__ would keep as they are."""
+        g = object.__new__(cls)
+        g.correction, g.tail, g._itail = correction, tail, itail
+        return g
+
+    @classmethod
     def chi(cls, support):
         return cls({n: 1 for n in support})
 
@@ -101,9 +115,7 @@ class TailElement(Carrier):
     @classmethod
     def tail_unit(cls, slot):
         """The pure tail n^(-slot); slot 1 is the 1/n example element."""
-        coeffs = [0] * slot
-        coeffs[slot - 1] = 1
-        return cls({}, coeffs)
+        return cls({}, [0] * (slot - 1) + [1])
 
     def degree(self):
         return len(self.tail)
@@ -120,15 +132,19 @@ class TailElement(Carrier):
         With c_k = a_k / den, sum_k c_k n^-(k+1) is
         (sum_k a_k n^(d-1-k)) / (den n^d), and Horner's rule gives the sum.
         """
-        if self._itail is None:
-            den = lcm(*(c.denominator for c in self.tail))
-            self._itail = (tuple(c.numerator * (den // c.denominator)
-                                 for c in self.tail), den)
-        nums, den = self._itail
+        nums, den = self._ints()
         acc = 0
         for a in nums:
             acc = acc * n + a
         return acc, den * n ** len(nums)
+
+    def _ints(self):
+        """The tail as (numerators, den): slot k is numerators[k] / den."""
+        if self._itail is None:
+            den = lcm(*(c.denominator for c in self.tail))
+            self._itail = (tuple(c.numerator * (den // c.denominator)
+                                 for c in self.tail), den)
+        return self._itail
 
     def _pair(self, n):
         """value(n) as an integer pair (num, den), den > 0, not reduced."""
@@ -144,10 +160,7 @@ class TailElement(Carrier):
 
     def order(self):
         """Index of the first nonzero tail coefficient, or None for zero tail."""
-        for i, c in enumerate(self.tail):
-            if c != 0:
-                return i + 1
-        return None
+        return next((i + 1 for i, c in enumerate(self.tail) if c != 0), None)
 
     def __eq__(self, other):
         return (isinstance(other, TailElement)
@@ -160,28 +173,38 @@ class TailElement(Carrier):
         corr = ",".join(f"{n}:{v}" for n, v in sorted(self.correction.items()))
         return f"TailElement({{{corr}}}, tail={list(self.tail)})"
 
-    def _merged_tail(self, other, fn):
-        d = max(len(self.tail), len(other.tail))
-        a = list(self.tail) + [Fraction(0)] * (d - len(self.tail))
-        b = list(other.tail) + [Fraction(0)] * (d - len(other.tail))
-        return [fn(x, y) for x, y in zip(a, b)]
+    def _tail_numerators(self, other, sign):
+        """The tail of self + sign * other as (numerators, den)."""
+        (a, da), (b, db) = self._ints(), other._ints()
+        den = lcm(da, db)
+        sa, sb = den // da, sign * (den // db)
+        return [x * sa + y * sb for x, y in zip_longest(a, b, fillvalue=0)], den
 
     def __add__(self, other):
         corr = dict(self.correction)
         for n, v in other.correction.items():
-            corr[n] = corr.get(n, Fraction(0)) + v
-        return TailElement(corr, self._merged_tail(other, lambda x, y: x + y))
+            corr[n] = corr.get(n, 0) + v
+        nums, den = self._tail_numerators(other, 1)
+        return TailElement(corr, [Fraction(a, den) for a in nums])
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return self.scale(-1)
+        nums, den = self._ints()
+        return TailElement._canonical({n: -v for n, v in self.correction.items()},
+                                      tuple(-c for c in self.tail),
+                                      (tuple(-a for a in nums), den))
 
     def scale(self, q):
         q = Fraction(q)
-        return TailElement({n: q * v for n, v in self.correction.items()},
-                           [q * c for c in self.tail])
+        if not q:
+            return TailElement()
+        nums, den = self._ints()
+        return TailElement._canonical({n: q * v for n, v in self.correction.items()},
+                                      tuple(q * c for c in self.tail),
+                                      (tuple(a * q.numerator for a in nums),
+                                       den * q.denominator))
 
     def crossover(self, other):
         """(sign, N): sign of self - other for every n >= N.
@@ -189,10 +212,8 @@ class TailElement(Carrier):
         N is past both correction supports, so beyond it only the tails
         compete and the leading-coefficient bound applies.
         """
-        diff = self._merged_tail(other, lambda x, y: x - y)
-        sign, tail_bound = poly_sign([Fraction(0)] + diff)
-        supports = list(self.correction) + list(other.correction)
-        return sign, max(supports, default=0) + tail_bound + 1
+        sign, tail_bound = _sign_bound(self._tail_numerators(other, -1)[0])
+        return sign, max([*self.correction, *other.correction, 0]) + tail_bound + 1
 
     def _combine(self, other, prefer, own_tail, bound):
         """Pointwise pick: self(n) where prefer(self(n), other(n)), else other(n).
@@ -215,7 +236,7 @@ class TailElement(Carrier):
                 delta = _difference(a if pick_self else b, ts if own_tail else to)
             if delta:
                 corr[n] = delta
-        return TailElement(corr, winner.tail)
+        return TailElement._canonical(corr, winner.tail, winner._itail)
 
     def meet(self, other):
         sign, bound = self.crossover(other)
@@ -227,9 +248,7 @@ class TailElement(Carrier):
 
     def is_nonneg(self):
         sign, bound = self.crossover(TailElement.zero())
-        if sign < 0:
-            return False
-        return all(self._pair(n)[0] >= 0 for n in range(1, bound + 1))
+        return sign >= 0 and all(self._pair(n)[0] >= 0 for n in range(1, bound + 1))
 
     def is_zero(self):
         return not self.correction and not self.tail
@@ -242,13 +261,9 @@ class TailElement(Carrier):
         c = Fraction(c)
         if c <= 0:
             raise PositivityError(f"meet_const needs c > 0, got {c}")
-        sign, tail_bound = poly_sign([-c] + list(self.tail))
-        certify(sign < 0, "tails vanish at infinity, so an element falls "
-                "below a positive constant eventually", self)
-        bound = max(self.correction, default=0) + tail_bound + 1
         const = (c.numerator, c.denominator)
         corr = {}
-        for n in range(1, bound + 1):
+        for n in range(1, self._below_bound(c) + 1):
             t = self._tail_pair(n)
             v = _add_correction(self.correction, n, *t)
             if v[0] * const[1] <= const[0] * v[1]:
@@ -257,23 +272,28 @@ class TailElement(Carrier):
                 delta = _difference(const, t)
             if delta:
                 corr[n] = delta
-        return TailElement(corr, self.tail)
+        return TailElement._canonical(corr, self.tail, self._itail)
 
     _cap = meet_const
 
     def _excess(self, r):
         """(value - r)+ pointwise; the result has finite support."""
-        sign, tail_bound = poly_sign([-r] + list(self.tail))
-        certify(sign < 0, "tails vanish at infinity, so an element falls "
-                "below a positive constant eventually", self)
-        bound = max(self.correction, default=0) + tail_bound + 1
         corr = {}
-        for n in range(1, bound + 1):
+        for n in range(1, self._below_bound(r) + 1):
             num, den = self._pair(n)
             excess = num * r.denominator - r.numerator * den
             if excess > 0:
                 corr[n] = Fraction(excess, den * r.denominator)
-        return TailElement(corr, ())
+        return TailElement._canonical(corr, ())
+
+    def _below_bound(self, c):
+        """The crossover bound N of self against a constant c > 0."""
+        nums, den = self._ints()
+        sign, tail_bound = _sign_bound([-c.numerator * den]
+                                       + [a * c.denominator for a in nums])
+        certify(sign < 0, "tails vanish at infinity, so an element falls "
+                "below a positive constant eventually", self)
+        return max(self.correction, default=0) + tail_bound + 1
 
     def support(self):
         """("finite", positions) when the tail vanishes, else ("cofinite", zeros)."""
@@ -353,7 +373,7 @@ class SeqTrunc:
             corr = {}
             for _ in range(rng.randint(0, 3)):
                 corr[rng.randint(1, 8)] = pool[rng.randrange(len(pool))]
-            tail = [pool[rng.randrange(len(pool))] if rng.random() < Fraction(7, 10) else 0
+            tail = [pool[rng.randrange(len(pool))] if chance(rng, 7, 10) else 0
                     for _ in range(self.degree)]
             g = TailElement(corr, tail)
             if nonneg:
@@ -394,9 +414,7 @@ def bounded_away_from_zero_tail(g):
     """
     if not g.is_nonneg():
         raise PositivityError("bounded_away_from_zero needs g >= 0")
-    if g.is_zero():
-        return False, None
-    if g.tail:
+    if g.is_zero() or g.tail:
         return False, None
     eps = min(v for v in g.correction.values())
     return True, eps
@@ -438,10 +456,9 @@ def enough_uc_check(trunc, rng=None, budget=50):
 
 def partial_truncations(g, count):
     """The support filtration g * chi({1..n}) for n = 1..count."""
-    out = []
-    for n in range(1, count + 1):
-        out.append(TailElement({k: g.value(k) for k in range(1, n + 1)}))
-    return out
+    values = {k: g.value(k) for k in range(1, count + 1)}
+    return [TailElement({k: values[k] for k in range(1, n + 1)})
+            for n in range(1, count + 1)]
 
 
 def sup_of_filtration_is(g):
@@ -457,13 +474,12 @@ def sup_of_filtration_is(g):
     _, bound = g.crossover(TailElement.zero())
     horizon = bound + 10
     filtration = partial_truncations(g, horizon)
-    probe = [Fraction(0)] + [g.value(n) for n in range(1, horizon + 1)]
-    for r in [x for x in cut_grid(probe) if x >= 0]:
-        for k in range(1, horizon + 1):
-            in_union = any(h.value(k) > r for h in filtration[k - 1:])
-            if in_union != (g.value(k) > r):
-                return False
-    return True
+    values = [g.value(k) for k in range(1, horizon + 1)]
+    # k is in some h_n(r, inf), n >= k, iff the largest h_n(k) exceeds r >= 0
+    reach = [max((h.value(k) for h in filtration[k - 1:]), default=-1)
+             for k in range(1, horizon + 1)]
+    cuts = [x for x in cut_grid([Fraction(0)] + values) if x >= 0]
+    return all((top > r) == (v > r) for r in cuts for top, v in zip(reach, values))
 
 
 @dataclass

@@ -9,6 +9,7 @@ functions at their stated budgets.
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import zip_longest
 
 from . import sampling
 from .elements import (SimpleElement, bound_witness, bounded_away_from_zero,
@@ -24,10 +25,10 @@ from .frames import (FrameReal, chi, drop, e0q_exhaustive, e0q_member,
 from .gba import clopen, gba_validate, iba_forget, idealize, stone
 from .hyper import hyperarchimedean
 from .kernels import KernelSpec, kernel_closure, kernel_conditions, pointwise_closed
-from .rat import POS_INF
+from .rat import POS_INF, chance
 from .seqspace import (SeqTrunc, TailElement, bounded_away_from_zero_tail,
                        enough_uc_check, ex1_report, partial_truncations,
-                       simple_part_member, sup_of_filtration_is)
+                       poly_sign, simple_part_member, sup_of_filtration_is)
 from .spaces import PointedBooleanSpace
 
 
@@ -492,6 +493,9 @@ def suite_kernels(seed=0, cases=60):
 
 # --- 14. sequence-model closure -----------------------------------------------------------
 
+_HALF, _SCALE = Fraction(1, 2), Fraction(-3, 2)
+
+
 def suite_seq_closure(seed=0, cases=150):
     rng = random.Random(seed)
     failures = []
@@ -504,32 +508,26 @@ def suite_seq_closure(seed=0, cases=150):
             ran += 1
             results = {
                 "add": f + g, "sub": f - g, "negate": -f,
-                "scale": f.scale(Fraction(-3, 2)),
+                "scale": f.scale(_SCALE),
                 "meet": f.meet(g), "join": f.join(g),
                 "truncate": fpos.truncate(),
-                "tminus": fpos.tminus(Fraction(1, 2)),
+                "tminus": fpos.tminus(_HALF),
                 "truncN": fpos.trunc_at(2),
             }
             for name, res in results.items():
                 if res.degree() > degree:
                     failures.append(f"{name} left the degree-{degree} carrier")
-            _, bound = f.crossover(g)
-            for n in range(1, bound + 11):
-                if results["meet"].value(n) != min(f.value(n), g.value(n)):
-                    failures.append(f"meet pointwise mismatch at n={n}")
-                    break
-                if results["join"].value(n) != max(f.value(n), g.value(n)):
-                    failures.append(f"join pointwise mismatch at n={n}")
-                    break
-                if results["add"].value(n) != f.value(n) + g.value(n):
-                    failures.append(f"add pointwise mismatch at n={n}")
-                    break
-                if results["truncate"].value(n) != min(fpos.value(n), 1):
-                    failures.append(f"truncate pointwise mismatch at n={n}")
-                    break
-                if results["tminus"].value(n) != max(
-                        fpos.value(n) - Fraction(1, 2), 0):
-                    failures.append(f"tminus pointwise mismatch at n={n}")
+            # ten positions past the corrections and the sign bound of f - g
+            diff = [a - b for a, b in zip_longest(f.tail, g.tail, fillvalue=0)]
+            horizon = max([*f.correction, *g.correction, 0]) + poly_sign(diff)[1] + 11
+            for n in range(1, horizon + 1):
+                a, b, p = f.value(n), g.value(n), fpos.value(n)
+                expect = {"add": a + b, "sub": a - b, "negate": -a, "scale": a * _SCALE,
+                          "meet": min(a, b), "join": max(a, b), "truncate": min(p, 1),
+                          "tminus": max(p - _HALF, 0), "truncN": min(p, 2)}
+                wrong = [k for k, res in results.items() if res.value(n) != expect[k]]
+                if wrong:
+                    failures.append(f"{wrong[0]} pointwise mismatch at n={n}")
                     break
     return SuiteResult("seq-closure", ran, failures)
 
@@ -547,7 +545,7 @@ def suite_convergence(seed=0, cases=100):
         sup = pointwise_sup(fam)
         if pointwise_sup([fam[0]] * 3) != fam[0]:
             failures.append(f"constant-family sup differs: {fam[0]!r}")
-        keep = [p for p in sp.nonstar if rng.random() < Fraction(3, 5)]
+        keep = [p for p in sp.nonstar if chance(rng, 3, 5)]
         _, theta = restriction_hom(sp, keep)
         if theta(sup) != pointwise_sup([theta(g) for g in fam]):
             failures.append(f"restriction does not preserve sup: {fam!r}")

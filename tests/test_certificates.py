@@ -2,6 +2,8 @@
 
 import ast
 import json
+import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -12,6 +14,7 @@ from trunclab.errors import CertificationError
 from trunclab.frames import (FiniteFrame, FrameReal, FrameSurjection,
                              OpenInterval, PointedFiniteFrame, _certify_lift,
                              chi, real_line, surjection_tools)
+from trunclab.rat import chance
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "trunclab"
 INSTANCE = str(Path(__file__).resolve().parent / "golden" / "instance.tl")
@@ -40,6 +43,29 @@ def test_package_has_no_floats():
              if isinstance(node, ast.Name) and node.id == "float"
              or isinstance(node, ast.Constant) and isinstance(node.value, float)]
     assert found == []
+
+
+def test_random_draws_go_through_chance():
+    """A float draw is compared only in rat.chance, and there exactly."""
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        allowed = {id(node) for fn in ast.walk(tree)
+                   if isinstance(fn, ast.FunctionDef) and fn.name == "chance"
+                   and path.name == "rat.py" for node in ast.walk(fn)}
+        found += [f"{path.relative_to(PACKAGE)}:{node.lineno}"
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and node.func.attr == "random" and id(node) not in allowed]
+    assert found == []
+
+
+@pytest.mark.parametrize("num, den", [(7, 10), (3, 4), (1, 2), (2, 5), (3, 5)])
+def test_chance_matches_the_fraction_comparison(num, den):
+    ours, theirs = random.Random(num * 100 + den), random.Random(num * 100 + den)
+    for _ in range(10 ** 5):
+        assert chance(ours, num, den) == (theirs.random() < Fraction(num, den))
+    assert ours.random() == theirs.random()
 
 
 def test_galois_certificate_names_the_failing_pair():

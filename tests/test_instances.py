@@ -179,6 +179,17 @@ def test_cli_suite_json_deterministic(capsys):
     assert payload["ok"] is True
 
 
+@pytest.mark.parametrize("line, label", [
+    ("frame F elements a b covers a<b b<c point b", "c"),
+    ("gba P elements o x covers o<x x<z", "z"),
+], ids=["frame", "gba"])
+def test_cover_labels_must_be_listed(tmp_path, capsys, line, label):
+    path = tmp_path / "covers.tl"
+    path.write_text(line + "\n")
+    assert main(["check", "--file", str(path)]) == 2
+    assert f"line 1: unknown cover label {label!r}" in capsys.readouterr().err
+
+
 def test_cli_input_errors(tmp_path, capsys):
     bad = tmp_path / "bad.tl"
     bad.write_text("space X points 1 2 star 9\n")

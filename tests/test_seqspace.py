@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trunclab.elements import apply_op
+from trunclab import seqspace
+from trunclab.elements import apply_op, cut_grid
 from trunclab.errors import (PositivityError, StructureError,
                              UnsupportedOperationError)
 from trunclab.hyper import hyperarchimedean
@@ -243,3 +244,148 @@ def test_lattice_operations_match_the_pointwise_oracle(fc, ft, gc, gt, c, r):
         assert excess.value(n) == max(v - r, 0)
     assert max(low.correction, default=0) <= limit
     assert max(excess.correction, default=0) <= limit
+
+
+# --- the integer carrier against the Fraction references ------------------
+
+def reference_poly_sign(coeffs):
+    """poly_sign summing and dividing Fractions, as the carrier once did."""
+    coeffs = [F(c) for c in coeffs]
+    j = next((i for i, c in enumerate(coeffs) if c != 0), None)
+    if j is None:
+        return 0, 1
+    rest = sum(abs(c) for c in coeffs[j + 1:])
+    bound = max(1, math.ceil(rest / abs(coeffs[j]))) + 1
+    return (1 if coeffs[j] > 0 else -1), bound
+
+
+def reference_merged_tail(f, g, fn):
+    """fn slot by slot over both tails, the shorter padded with Fraction(0)."""
+    d = max(len(f.tail), len(g.tail))
+    a = list(f.tail) + [F(0)] * (d - len(f.tail))
+    b = list(g.tail) + [F(0)] * (d - len(g.tail))
+    return [fn(x, y) for x, y in zip(a, b)]
+
+
+def reference_crossover(f, g):
+    diff = reference_merged_tail(f, g, lambda x, y: x - y)
+    sign, tail_bound = reference_poly_sign([F(0)] + diff)
+    supports = list(f.correction) + list(g.correction)
+    return sign, max(supports, default=0) + tail_bound + 1
+
+
+def reference_pick(f, g, pick, own_tail, bound):
+    """pick(f(n), g(n)) as a correction over the winner's tail up to bound."""
+    winner = f if own_tail else g
+    corr = {n: pick(f.value(n), g.value(n)) - winner.tail_value(n)
+            for n in range(1, bound + 1)}
+    return TailElement(corr, winner.tail)
+
+
+def reference_meet(f, g):
+    sign, bound = reference_crossover(f, g)
+    return reference_pick(f, g, min, sign <= 0, bound)
+
+
+def reference_join(f, g):
+    sign, bound = reference_crossover(f, g)
+    return reference_pick(f, g, max, sign >= 0, bound)
+
+
+def reference_below_bound(f, c):
+    sign, tail_bound = reference_poly_sign([-c] + list(f.tail))
+    assert sign < 0
+    return max(f.correction, default=0) + tail_bound + 1
+
+
+def reference_meet_const(f, c):
+    corr = {n: min(f.value(n), c) - f.tail_value(n)
+            for n in range(1, reference_below_bound(f, c) + 1)}
+    return TailElement(corr, f.tail)
+
+
+def reference_tminus(f, r):
+    return TailElement({n: max(f.value(n) - r, 0)
+                        for n in range(1, reference_below_bound(f, r) + 1)})
+
+
+def reference_sup_of_filtration_is(g):
+    """The cut test asking any() over the filtration for every grid cut."""
+    _, bound = g.crossover(TailElement.zero())
+    horizon = bound + 10
+    filtration = seqspace.partial_truncations(g, horizon)
+    probe = [F(0)] + [g.value(n) for n in range(1, horizon + 1)]
+    for r in [x for x in cut_grid(probe) if x >= 0]:
+        for k in range(1, horizon + 1):
+            in_union = any(h.value(k) > r for h in filtration[k - 1:])
+            if in_union != (g.value(k) > r):
+                return False
+    return True
+
+
+# Degree 0-3 tails and corrections with mixed denominators.
+SMALL_TAILS = st.lists(RATIONALS, max_size=3)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(RATIONALS, max_size=6))
+def test_poly_sign_matches_the_reference(coeffs):
+    assert poly_sign(coeffs) == reference_poly_sign(coeffs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(CORRECTIONS, SMALL_TAILS, CORRECTIONS, SMALL_TAILS)
+def test_crossover_matches_the_reference(fc, ft, gc, gt):
+    f, g = TailElement(fc, ft), TailElement(gc, gt)
+    assert f.crossover(g) == reference_crossover(f, g)
+    assert g.crossover(f) == reference_crossover(g, f)
+    assert f.crossover(f) == reference_crossover(f, f)
+    # the elements the lattice operations build, with their carried tails
+    for h in (-f, f.scale(F(-3, 2)), f - g):
+        assert h.crossover(g) == reference_crossover(h, g)
+
+
+@settings(max_examples=100, deadline=None)
+@given(CORRECTIONS, SMALL_TAILS, CORRECTIONS, SMALL_TAILS, POSITIVE, POSITIVE,
+       st.fractions(min_value=-3, max_value=3, max_denominator=6))
+def test_operations_build_the_reference_elements(fc, ft, gc, gt, c, r, q):
+    f, g = TailElement(fc, ft), TailElement(gc, gt)
+    assert f + g == TailElement({n: F(fc.get(n, 0)) + F(gc.get(n, 0))
+                                 for n in set(fc) | set(gc)},
+                                reference_merged_tail(f, g, lambda x, y: x + y))
+    assert -f == TailElement({n: -v for n, v in fc.items()}, [-x for x in ft])
+    assert f.scale(q) == TailElement({n: q * v for n, v in fc.items()},
+                                     [q * x for x in ft])
+    assert f.meet(g) == reference_meet(f, g)
+    assert f.join(g) == reference_join(f, g)
+    af = abs(f)
+    assert af == reference_join(f, -f)
+    assert af.meet_const(c) == reference_meet_const(af, c)
+    assert af.tminus(r) == reference_tminus(af, r)
+    # values through the carried integer tails, against the term sums
+    for h, k in ((-f, -1), (f.scale(q), q)):
+        for n in range(1, 25):
+            assert h.value(n) == k * reference_value(fc, ft, n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(CORRECTIONS, SMALL_TAILS)
+def test_sup_of_filtration_matches_the_reference(corr, tail):
+    g = abs(TailElement(corr, tail))
+    assert sup_of_filtration_is(g) == reference_sup_of_filtration_is(g)
+
+
+@pytest.mark.parametrize("forge", ["drop-last", "lower-one-value"])
+def test_sup_of_filtration_rejects_a_forged_filtration(monkeypatch, forge):
+    def forged(g, count):
+        hs = partial_truncations(g, count)
+        if forge == "drop-last":
+            return hs[:-1]
+        last = dict(hs[-1].correction)
+        last[count] = F(0)  # h_count(count) = 0 < g(count)
+        return hs[:-1] + [TailElement(last)]
+
+    assert sup_of_filtration_is(G0)
+    monkeypatch.setattr(seqspace, "partial_truncations", forged)
+    assert not sup_of_filtration_is(G0)
+    assert not reference_sup_of_filtration_is(G0)
