@@ -327,7 +327,7 @@ def main(argv=None):
         return 2
     except CertificationError as exc:
         report.add_check("certificate", False, str(exc))
-    except (TruncLabError, OSError, ValueError, IndexError) as exc:
+    except (TruncLabError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     print(report.to_json() if args.json else report.to_text())

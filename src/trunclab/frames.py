@@ -20,18 +20,8 @@ from .elements import (OPS, DiniReport, StepCarrier, apply_op, cut_grid,
                        is_unital_component)
 from .errors import (BudgetError, PositivityError, SpaceMismatchError,
                      StructureError, UnsupportedOperationError, certify)
-from .gba import transitive_closure
-from .rat import (NEG_INF, POS_INF, format_label, format_rational, is_finite,
-                  sorted_labels)
-
-
-@dataclass
-class FrameViolation:
-    law: str
-    witness: tuple
-
-    def __repr__(self):
-        return f"{self.law} at {self.witness}"
+from .gba import Violation, order_lattice, transitive_closure
+from .rat import NEG_INF, POS_INF, format_label, format_rational, is_finite
 
 
 def frame_validate(labels, leq_pairs):
@@ -40,46 +30,19 @@ def frame_validate(labels, leq_pairs):
 
 
 def _frame_tables(labels, leq_pairs):
-    """(violations in label order, (labels, up-sets, join, meet) or None).
-
-    Labels are numbered in sorted_labels order, with up- and down-sets as
-    bitmasks; a and b have a join iff some u has up[u] == up[a] & up[b], and
-    a meet likewise on down-sets.  Pairs naming other labels are ignored.
-    """
-    labels = sorted_labels(dict.fromkeys(labels))
-    index = {x: i for i, x in enumerate(labels)}
+    """gba.order_lattice, then distributivity: its first failure, if any."""
+    out, tables = order_lattice(labels, leq_pairs)
+    if out:
+        return out, None
+    labels, _, join, meet = tables
     n = len(labels)
-    up, down = [0] * n, [0] * n
-    for x, y in leq_pairs:
-        if x in index and y in index:
-            up[index[x]] |= 1 << index[y]
-            down[index[y]] |= 1 << index[x]
-    out = [FrameViolation("order not reflexive", (x,))
-           for i, x in enumerate(labels) if not up[i] >> i & 1]
-    out += [FrameViolation("order not antisymmetric", (labels[i], labels[j]))
-            for i in range(n) if up[i] & down[i] != 1 << i
-            for j in range(n) if i != j and (up[i] & down[i]) >> j & 1]
-    out += [FrameViolation("order not transitive", (labels[i], labels[j], labels[k]))
-            for i in range(n) for j in range(n) if up[i] >> j & 1 and up[j] & ~up[i]
-            for k in range(n) if (up[j] & ~up[i]) >> k & 1]
-    if out:
-        return out, None
-    by_up = {m: i for i, m in enumerate(up)}
-    by_down = {m: i for i, m in enumerate(down)}
-    join = [[by_up.get(ua & ub) for ub in up] for ua in up]
-    meet = [[by_down.get(da & db) for db in down] for da in down]
-    out = [FrameViolation(f"no unique {law}", (labels[a], labels[b]))
-           for a in range(n) for b in range(n)
-           for law, table in (("join", join), ("meet", meet)) if table[a][b] is None]
-    if out:
-        return out, None
     for a, b in itertools.product(range(n), repeat=2):
         ma, jab = meet[a], join[meet[a][b]]
         if [ma[x] for x in join[b]] != [jab[x] for x in ma]:
             c = next(c for c in range(n) if ma[join[b][c]] != jab[ma[c]])
             witness = (labels[a], labels[b], labels[c])
-            return [FrameViolation("distributivity", witness)], None
-    return out, (labels, up, join, meet)
+            return [Violation("distributivity", witness)], None
+    return out, tables
 
 
 class FiniteFrame:
@@ -92,22 +55,12 @@ class FiniteFrame:
         labels, up, self._join, self._meet = tables
         self.labels = tuple(labels)
         self.index = {x: i for i, x in enumerate(self.labels)}
-        n = len(self.labels)
-        self.leq_table = [[bool(u >> j & 1) for j in range(n)] for u in up]
-        bot = up.index((1 << n) - 1)
+        self._up = up  # bit j of _up[i] is set iff labels[i] <= labels[j]
+        bot = up.index((1 << len(up)) - 1)
         self.bottom = self.labels[bot]
         self.top = self.labels[next(i for i, u in enumerate(up) if u == 1 << i)]
-        self._imp = [[None] * n for _ in range(n)]
-        for i in range(n):
-            cut = [up[m] for m in self._meet[i]]
-            for j in range(n):
-                acc = bot
-                for k in range(n):
-                    if cut[k] >> j & 1:
-                        acc = self._join[acc][k]
-                self._imp[i][j] = acc
-        self.pseudo = {self.labels[i]: self.labels[self._imp[i][bot]]
-                       for i in range(n)}
+        self.pseudo = {x: self.labels[self._implies(i, bot)]
+                       for i, x in enumerate(self.labels)}
         self.complemented = frozenset(
             x for x in self.labels if self.join(x, self.pseudo[x]) == self.top)
 
@@ -136,7 +89,7 @@ class FiniteFrame:
         return cls(labels, leq)
 
     def leq(self, x, y):
-        return self.leq_table[self.index[x]][self.index[y]]
+        return bool(self._up[self.index[x]] >> self.index[y] & 1)
 
     def join(self, x, y):
         return self.labels[self._join[self.index[x]][self.index[y]]]
@@ -147,8 +100,16 @@ class FiniteFrame:
     def join_all(self, xs):
         return reduce(self.join, xs, self.bottom)
 
+    def _implies(self, i, j):
+        """Index of i -> j: the join of every k with i ^ k <= j."""
+        acc = self.index[self.bottom]
+        for k, m in enumerate(self._meet[i]):
+            if self._up[m] >> j & 1:
+                acc = self._join[acc][k]
+        return acc
+
     def implies(self, x, y):
-        return self.labels[self._imp[self.index[x]][self.index[y]]]
+        return self.labels[self._implies(self.index[x], self.index[y])]
 
     def rather_below(self, x, y):
         return self.join(self.pseudo[x], y) == self.top
@@ -175,7 +136,7 @@ class FiniteFrame:
 
     def __eq__(self, other):
         return (isinstance(other, FiniteFrame) and self.labels == other.labels
-                and self.leq_table == other.leq_table)
+                and self._up == other._up)
 
     def __hash__(self):
         return hash(self.labels)

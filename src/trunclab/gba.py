@@ -65,31 +65,70 @@ def transitive_closure(pairs):
     return {(a, b) for a, after in succ.items() for b in after}
 
 
-def order_tables(labels, leq):
-    """Join and meet tables of a finite order, keyed by pairs of labels.
+def order_lattice(labels, leq_pairs):
+    """(violations in label order, (labels, up-sets, join, meet) or None).
 
-    leq is a reflexive and transitive set of (x, y) pairs meaning x <= y.
-    A pair without a unique least upper bound is missing from the join
-    table, and one without a unique greatest lower bound from the meet
-    table.
+    Labels are numbered in sorted_labels order, with up- and down-sets as
+    bitmasks; a and b have a join iff some u has up[u] == up[a] & up[b], and
+    a meet likewise on down-sets.  The order laws come first, then every
+    pair without a unique join or meet.  An empty order has no least
+    element; a nonempty finite lattice has one.  Pairs naming other labels
+    are ignored.
     """
-    above = {x: {y for y in labels if (x, y) in leq} for x in labels}
-    below = {x: {y for y in labels if (y, x) in leq} for x in labels}
-    join, meet = {}, {}
-    for a in labels:
-        for b in labels:
-            ubs = above[a] & above[b]
-            lub = [u for u in ubs if ubs <= above[u]]
-            if len(lub) == 1:
-                join[(a, b)] = lub[0]
-            lbs = below[a] & below[b]
-            glb = [u for u in lbs if lbs <= below[u]]
-            if len(glb) == 1:
-                meet[(a, b)] = glb[0]
-    return join, meet
+    labels = sorted_labels(dict.fromkeys(labels))
+    if not labels:
+        return [Violation("no least element", ())], None
+    index = {x: i for i, x in enumerate(labels)}
+    n = len(labels)
+    up, down = [0] * n, [0] * n
+    for x, y in leq_pairs:
+        if x in index and y in index:
+            up[index[x]] |= 1 << index[y]
+            down[index[y]] |= 1 << index[x]
+    out = [Violation("order not reflexive", (x,))
+           for i, x in enumerate(labels) if not up[i] >> i & 1]
+    out += [Violation("order not antisymmetric", (labels[i], labels[j]))
+            for i in range(n) if up[i] & down[i] != 1 << i
+            for j in range(n) if i != j and (up[i] & down[i]) >> j & 1]
+    out += [Violation("order not transitive", (labels[i], labels[j], labels[k]))
+            for i in range(n) for j in range(n) if up[i] >> j & 1 and up[j] & ~up[i]
+            for k in range(n) if (up[j] & ~up[i]) >> k & 1]
+    if out:
+        return out, None
+    by_up = {m: i for i, m in enumerate(up)}
+    by_down = {m: i for i, m in enumerate(down)}
+    join = [[by_up.get(ua & ub) for ub in up] for ua in up]
+    meet = [[by_down.get(da & db) for db in down] for da in down]
+    out = [Violation(f"no unique {law}", (labels[a], labels[b]))
+           for a in range(n) for b in range(n)
+           for law, table in (("join", join), ("meet", meet)) if table[a][b] is None]
+    return out, None if out else (labels, up, join, meet)
 
 
-class GeneralizedBooleanAlgebra:
+class _LabelTables:
+    """An explicit lattice: a carrier, join and meet tables keyed by label
+    pairs, and a bottom; validate() memoizes its report in _validated."""
+
+    def __init__(self, carrier, join, meet, bottom):
+        self.carrier = frozenset(carrier)
+        self.join = dict(join)
+        self.meet = dict(meet)
+        self.bottom = bottom
+        self._validated = None
+
+    def leq(self, a, b):
+        return self.join[(a, b)] == b
+
+    def atoms(self):
+        nonzero = [a for a in sorted_labels(self.carrier) if a != self.bottom]
+        return [a for a in nonzero
+                if not any(b != a and self.leq(b, a) for b in nonzero)]
+
+    def __len__(self):
+        return len(self.carrier)
+
+
+class GeneralizedBooleanAlgebra(_LabelTables):
     """Explicit finite gBa: carrier plus total join/meet tables and bottom.
 
     The relative-complement table may be supplied or derived by exhaustive
@@ -98,12 +137,8 @@ class GeneralizedBooleanAlgebra:
     """
 
     def __init__(self, carrier, join, meet, bottom, diff=None):
-        self.carrier = frozenset(carrier)
-        self.join = dict(join)
-        self.meet = dict(meet)
-        self.bottom = bottom
+        super().__init__(carrier, join, meet, bottom)
         self.diff_table = dict(diff) if diff is not None else None
-        self._validated = None
 
     @classmethod
     def from_sets(cls, family):
@@ -122,21 +157,19 @@ class GeneralizedBooleanAlgebra:
         """Build a gBa candidate from a partial order; diff is derived by search.
 
         leq is a set of (x, y) pairs meaning x <= y; it must already be
-        reflexive and transitive.  Missing lubs/glbs surface as violations.
+        reflexive and transitive.  An order that is not a lattice with a
+        least element raises StructureError.
         """
-        labels = list(labels)
-        join, meet = order_tables(labels, leq)
-        for a in labels:
-            for b in labels:
-                if (a, b) not in join or (a, b) not in meet:
-                    raise StructureError(f"not a lattice: no unique lub/glb for ({a},{b})")
-        bottoms = [x for x in labels if all((x, y) in leq for y in labels)]
-        if len(bottoms) != 1:
-            raise StructureError("no least element")
-        return cls(labels, join, meet, bottoms[0])
+        violations, tables = order_lattice(labels, leq)
+        if violations:
+            raise StructureError(f"not a lattice: {violations[:3]}")
+        labels, up, join, meet = tables
 
-    def leq(self, a, b):
-        return self.join[(a, b)] == b
+        def table(rows):
+            return {(x, y): labels[z] for x, row in zip(labels, rows)
+                    for y, z in zip(labels, row)}
+        return cls(labels, table(join), table(meet),
+                   labels[up.index((1 << len(labels)) - 1)])
 
     def diff(self, a, b):
         """The unique relative complement a \\ b (requires a valid algebra)."""
@@ -248,14 +281,6 @@ class GeneralizedBooleanAlgebra:
         self._validated = report
         return report
 
-    def atoms(self):
-        nonzero = [a for a in sorted_labels(self.carrier) if a != self.bottom]
-        return [a for a in nonzero
-                if not any(b != a and self.leq(b, a) for b in nonzero)]
-
-    def __len__(self):
-        return len(self.carrier)
-
     def __eq__(self, other):
         return (isinstance(other, GeneralizedBooleanAlgebra)
                 and self.carrier == other.carrier and self.join == other.join
@@ -265,17 +290,13 @@ class GeneralizedBooleanAlgebra:
         return hash((self.carrier, self.bottom))
 
 
-class BooleanAlgebra:
+class BooleanAlgebra(_LabelTables):
     """Explicit finite Boolean algebra with complement table and top."""
 
     def __init__(self, carrier, join, meet, complement, bottom, top):
-        self.carrier = frozenset(carrier)
-        self.join = dict(join)
-        self.meet = dict(meet)
+        super().__init__(carrier, join, meet, bottom)
         self.complement = dict(complement)
-        self.bottom = bottom
         self.top = top
-        self._validated = None
 
     @classmethod
     def powerset(cls, base):
@@ -286,9 +307,6 @@ class BooleanAlgebra:
         meet = {(a, b): a & b for a in carrier for b in carrier}
         comp = {a: base - a for a in carrier}
         return cls(carrier, join, meet, comp, frozenset(), base)
-
-    def leq(self, a, b):
-        return self.join[(a, b)] == b
 
     def validate(self):
         """The gBa laws, then the complement and top laws; computed once."""
@@ -311,14 +329,6 @@ class BooleanAlgebra:
                 report.add("top not greatest", a)
         self._validated = report
         return report
-
-    def atoms(self):
-        nonzero = [a for a in sorted_labels(self.carrier) if a != self.bottom]
-        return [a for a in nonzero
-                if not any(b != a and self.leq(b, a) for b in nonzero)]
-
-    def __len__(self):
-        return len(self.carrier)
 
     def __eq__(self, other):
         return (isinstance(other, BooleanAlgebra)

@@ -20,7 +20,10 @@ Grammar (whitespace-separated tokens, # starts a comment):
 
 Rationals are "p/q" with "/1" suppressed; framereal values may be inf/-inf
 on dtype lines.  Every object is validated as it is defined and every
-reference must resolve; errors carry line numbers.
+reference must resolve; errors carry line numbers.  A section that names one
+object or value (space, frame, degree, model, ...) reads its first token,
+and one without a token is an error.  Each kind is one `_KINDS` entry:
+section keywords, flag words (`stable` only as the last token), a builder.
 """
 
 from dataclasses import dataclass, field
@@ -126,22 +129,29 @@ def _pairs(tokens, lineno, sep="="):
     return out
 
 
-def _covers(tokens, labels, lineno):
-    """The A<B pairs of a covers section; both labels must be listed."""
-    out = []
-    for tok in tokens:
+def _order(sec, lineno):
+    """Elements and the order their A<B covers generate; labels must be listed."""
+    labels = sec.get("elements", [])
+    leq = {(x, x) for x in labels}
+    for tok in sec.get("covers", []):
         if "<" not in tok:
             raise ParseError(lineno, f"expected A<B, got {tok!r}")
         a, b = tok.split("<", 1)
         for label in (a, b):
             if label not in labels:
                 raise ParseError(lineno, f"unknown cover label {label!r} in {tok!r}")
-        out.append((a, b))
-    return out
+        leq.add((a, b))
+    return labels, transitive_closure(leq)
 
 
-def _parse_space(inst, lineno, name, tokens):
-    sec = _sections(tokens, {"points", "star"})
+def _one(sec, key):
+    """The token of a one-token section; without one the line is refused."""
+    if not sec.get(key):
+        raise TruncLabError(f"section '{key}' needs a token")
+    return sec[key][0]
+
+
+def _space(inst, lineno, sec, flags):
     if "points" not in sec or len(sec.get("star", [])) != 1:
         raise ParseError(lineno, "space needs 'points ... star L'")
     pts = sec["points"]
@@ -150,21 +160,18 @@ def _parse_space(inst, lineno, name, tokens):
     star = sec["star"][0]
     if star not in pts:
         raise ParseError(lineno, "star not in points")
-    inst.add(lineno, "space", name, PointedBooleanSpace(frozenset(pts), star))
+    return PointedBooleanSpace(frozenset(pts), star)
 
 
-def _parse_element(inst, lineno, name, tokens):
-    sec = _sections(tokens, {"space", "values"})
-    sp = inst.get(sec["space"][0], "space")
+def _element(inst, lineno, sec, flags):
+    sp = inst.get(_one(sec, "space"), "space")
     vals = {p: parse_rational(v) for p, v in _pairs(sec.get("values", []), lineno)}
-    inst.add(lineno, "element", name, SimpleElement(sp, vals))
+    return SimpleElement(sp, vals)
 
 
-def _parse_trunc(inst, lineno, name, tokens):
-    sec = _sections(tokens, {"space", "components"})
-    sp = inst.get(sec["space"][0], "space")
-    fam = _brace_groups(sec.get("components", []), lineno)
-    inst.add(lineno, "trunc", name, SimpleTrunc(sp, fam))
+def _trunc(inst, lineno, sec, flags):
+    sp = inst.get(_one(sec, "space"), "space")
+    return SimpleTrunc(sp, _brace_groups(sec.get("components", []), lineno))
 
 
 def _parse_table(tokens, lineno):
@@ -178,9 +185,7 @@ def _parse_table(tokens, lineno):
     return table
 
 
-def _parse_gba(inst, lineno, name, tokens):
-    sec = _sections(tokens, {"family", "elements", "covers", "bottom",
-                             "join", "meet", "diff"})
+def _gba(inst, lineno, sec, flags):
     if "family" in sec:
         fam = _brace_groups(sec["family"], lineno)
         alg = GeneralizedBooleanAlgebra.from_sets(fam)
@@ -194,74 +199,51 @@ def _parse_gba(inst, lineno, name, tokens):
         alg = GeneralizedBooleanAlgebra(labels, join, meet, sec["bottom"][0],
                                         diff)
     else:
-        labels = sec.get("elements", [])
-        covers = _covers(sec.get("covers", []), labels, lineno)
-        leq = transitive_closure({(x, x) for x in labels} | set(covers))
-        alg = GeneralizedBooleanAlgebra.from_order(labels, leq)
+        alg = GeneralizedBooleanAlgebra.from_order(*_order(sec, lineno))
     report = alg.validate()
     if not report.ok:
         raise ParseError(lineno, f"gba invalid: {report.violations[:3]}")
-    inst.add(lineno, "gba", name, alg)
+    return alg
 
 
-def _parse_iba(inst, lineno, name, tokens):
-    sec = _sections(tokens, {"idealize", "atoms", "ideal-omits"})
+def _iba(inst, lineno, sec, flags):
     if "idealize" in sec:
-        base = inst.get(sec["idealize"][0], "gba")
-        inst.add(lineno, "iba", name, idealize(base))
-        return
+        return idealize(inst.get(_one(sec, "idealize"), "gba"))
     atoms = sec.get("atoms", [])
     omit = sec.get("ideal-omits", [])
     if len(omit) != 1 or omit[0] not in atoms:
         raise ParseError(lineno, "iba needs 'ideal-omits A' with A among the atoms")
     ba = BooleanAlgebra.powerset(atoms)
-    ideal = frozenset(s for s in ba.carrier if omit[0] not in s)
-    inst.add(lineno, "iba", name, IdealizedBooleanAlgebra(ba, ideal))
+    return IdealizedBooleanAlgebra(ba, frozenset(s for s in ba.carrier if omit[0] not in s))
 
 
-def _parse_frame(inst, lineno, name, tokens):
-    sec = _sections(tokens, {"elements", "covers", "point"})
-    labels = sec.get("elements", [])
-    covers = _covers(sec.get("covers", []), labels, lineno)
-    frame = FiniteFrame.from_covers(labels, covers)
+def _frame(inst, lineno, sec, flags):
+    frame = FiniteFrame(*_order(sec, lineno))
     if len(sec.get("point", [])) != 1:
         raise ParseError(lineno, "frame needs 'point L' (a join-prime focus)")
-    inst.add(lineno, "frame", name,
-             PointedFiniteFrame(frame, focus=sec["point"][0]))
+    return PointedFiniteFrame(frame, focus=sec["point"][0])
 
 
-def _parse_framereal(inst, lineno, name, tokens):
-    flags = {t for t in tokens if t in ("dtype", "unpointed")}
-    tokens = [t for t in tokens if t not in flags]
-    sec = _sections(tokens, {"frame", "cells"})
-    pf = inst.get(sec["frame"][0], "frame")
+def _framereal(inst, lineno, sec, flags):
+    pf = inst.get(_one(sec, "frame"), "frame")
     cells = []
     for v, c in _pairs(sec.get("cells", []), lineno):
         value = parse_extended(v)
         if c not in pf.frame.index:
             raise ParseError(lineno, f"unknown cell label {c!r}")
         cells.append((value, c))
-    inst.add(lineno, "framereal", name,
-             FrameReal(pf, cells, extended="dtype" in flags,
-                       pointed="unpointed" not in flags))
+    return FrameReal(pf, cells, extended="dtype" in flags,
+                     pointed="unpointed" not in flags)
 
 
-def _parse_surjection(inst, lineno, name, tokens):
-    sec = _sections(tokens, {"source", "target", "map"})
-    src = inst.get(sec["source"][0], "frame")
-    tgt = inst.get(sec["target"][0], "frame")
-    mapping = dict(_pairs(sec.get("map", []), lineno))
-    inst.add(lineno, "surjection", name, FrameSurjection(src, tgt, mapping))
+def _surjection(inst, lineno, sec, flags):
+    src = inst.get(_one(sec, "source"), "frame")
+    tgt = inst.get(_one(sec, "target"), "frame")
+    return FrameSurjection(src, tgt, dict(_pairs(sec.get("map", []), lineno)))
 
 
-def _parse_seqtrunc(inst, lineno, name, tokens):
-    sec = _sections(tokens, {"degree"})
-    inst.add(lineno, "seqtrunc", name, SeqTrunc(int(sec["degree"][0])))
-
-
-def _parse_tailel(inst, lineno, name, tokens):
-    sec = _sections(tokens, {"trunc", "tail", "correction"})
-    trunc = inst.get(sec["trunc"][0], "seqtrunc")
+def _tailel(inst, lineno, sec, flags):
+    trunc = inst.get(_one(sec, "trunc"), "seqtrunc")
     tail = [parse_rational(t) for t in sec.get("tail", [])]
     corr = {int(n): parse_rational(v)
             for n, v in _pairs(sec.get("correction", []), lineno)}
@@ -269,51 +251,45 @@ def _parse_tailel(inst, lineno, name, tokens):
     if g not in trunc:
         raise ParseError(lineno, f"tail degree {g.degree()} exceeds trunc degree "
                                  f"{trunc.degree}")
-    inst.add(lineno, "tailel", name, g)
+    return g
 
 
-def _parse_sequence(inst, lineno, name, tokens, kind):
-    stable = tokens and tokens[-1] == "stable"
-    if stable:
-        tokens = tokens[:-1]
-    sec = _sections(tokens, {"elements"})
+def _terms(inst, lineno, sec):
+    """The objects a sequence or goodseq line names, all of one type."""
     terms = [inst.get(t) for t in sec.get("elements", [])]
-    types = {type(t) for t in terms}
-    if len(types) > 1:
+    if len({type(t) for t in terms}) > 1:
         raise ParseError(lineno, "sequence terms must be homogeneous")
-    if kind == "goodseq":
-        try:
-            inst.add(lineno, "goodseq", name, GoodSequence.of(terms))
-        except TruncLabError as exc:
-            raise ParseError(lineno, str(exc)) from exc
-    else:
-        inst.add(lineno, "sequence", name, Sequence(tuple(terms), stable))
+    return terms
 
 
-def _parse_kernel(inst, lineno, name, tokens):
-    sec = _sections(tokens, {"model", "support", "tails"})
-    model = inst.get(sec["model"][0])
+def _kernel(inst, lineno, sec, flags):
+    model = inst.get(_one(sec, "model"))
     support = sec.get("support", [])
-    tails = None
-    if "tails" in sec:
-        flags = "".join(sec["tails"])
-        tails = tuple(ch == "1" for ch in flags)
-    inst.add(lineno, "kernel", name, KernelSpec(
-        model, support=None if support == ["all"] else support, tails_allowed=tails))
+    tails = tuple(ch == "1" for ch in "".join(sec["tails"])) if "tails" in sec else None
+    return KernelSpec(model, support=None if support == ["all"] else support,
+                      tails_allowed=tails)
 
 
-_PARSERS = {
-    "space": _parse_space,
-    "element": _parse_element,
-    "trunc": _parse_trunc,
-    "gba": _parse_gba,
-    "iba": _parse_iba,
-    "frame": _parse_frame,
-    "framereal": _parse_framereal,
-    "surjection": _parse_surjection,
-    "seqtrunc": _parse_seqtrunc,
-    "tailel": _parse_tailel,
-    "kernel": _parse_kernel,
+# kind -> (section keywords, flag words wherever they stand, flag words only
+# as the last token, builder(inst, lineno, sections, flags) -> the object)
+_KINDS = {
+    "space": ({"points", "star"}, (), (), _space),
+    "element": ({"space", "values"}, (), (), _element),
+    "trunc": ({"space", "components"}, (), (), _trunc),
+    "gba": ({"family", "elements", "covers", "bottom", "join", "meet", "diff"}, (), (),
+            _gba),
+    "iba": ({"idealize", "atoms", "ideal-omits"}, (), (), _iba),
+    "frame": ({"elements", "covers", "point"}, (), (), _frame),
+    "framereal": ({"frame", "cells"}, ("dtype", "unpointed"), (), _framereal),
+    "surjection": ({"source", "target", "map"}, (), (), _surjection),
+    "seqtrunc": ({"degree"}, (), (), lambda inst, lineno, sec, flags:
+                 SeqTrunc(int(_one(sec, "degree")))),
+    "tailel": ({"trunc", "tail", "correction"}, (), (), _tailel),
+    "sequence": ({"elements"}, (), ("stable",), lambda inst, lineno, sec, flags:
+                 Sequence(tuple(_terms(inst, lineno, sec)), "stable" in flags)),
+    "goodseq": ({"elements"}, (), ("stable",), lambda inst, lineno, sec, flags:
+                GoodSequence.of(_terms(inst, lineno, sec))),
+    "kernel": ({"model", "support", "tails"}, (), (), _kernel),
 }
 
 
@@ -331,12 +307,15 @@ def parse_instance_text(text):
             continue
         name, body = rest[0], rest[1:]
         try:
-            if kind in ("sequence", "goodseq"):
-                _parse_sequence(inst, lineno, name, body, kind)
-            elif kind in _PARSERS:
-                _PARSERS[kind](inst, lineno, name, body)
-            else:
+            if kind not in _KINDS:
                 raise ParseError(lineno, f"unknown object kind {kind!r}")
+            keywords, anywhere, trailing, build = _KINDS[kind]
+            flags = {t for t in body if t in anywhere}
+            body = [t for t in body if t not in flags]
+            if body and body[-1] in trailing:
+                flags.add(body.pop())
+            sec = _sections(body, keywords)
+            inst.add(lineno, kind, name, build(inst, lineno, sec, flags))
             inst.sources[name] = " ".join(tokens)
         except ParseError as exc:
             errors.append(exc)
@@ -347,8 +326,13 @@ def parse_instance_text(text):
 
 def parse_instance(path):
     """Parse a file; raises ParseError with the first located error."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lines = (data[:exc.start] + b".").decode("utf-8").splitlines()
+        raise ParseError(len(lines), f"not UTF-8 text ({exc.reason})") from exc
     inst, errors = parse_instance_text(text)
     if errors:
         raise errors[0]

@@ -1,8 +1,10 @@
 """Seeded property suites tying all modules together.
 
 Each suite is a function (seed, cases) -> SuiteResult with exact checks;
-failures carry printable witnesses.  The registry order is the execution
-order of the `suite` CLI command, and the acceptance tests drive the same
+failures carry printable witnesses.  The `_suite` decorator registers a
+suite body under its name: it owns the seeded rng, the failure list and the
+result, and fills SUITES, whose order is the execution order of the `suite`
+CLI command, and the run_all caps.  The acceptance tests drive the same
 functions at their stated budgets.
 """
 
@@ -19,9 +21,10 @@ from .elements import (SimpleElement, bound_witness, bounded_away_from_zero,
                        restriction_hom, truncation_sequence,
                        truncation_sequence_check, uc)
 from .equivalences import equivalence_witness
-from .frames import (FrameReal, chi, drop, e0q_exhaustive, e0q_member,
-                     frame_dini, frame_pointwise_sup, induced_op, ray_above,
-                     ray_below, surjection_tools)
+from .frames import (FiniteFrame, FrameReal, FrameSurjection, PointedFiniteFrame,
+                     chi, drop, e0q_exhaustive, e0q_member, frame_dini,
+                     frame_pointwise_sup, induced_op, ray_above, ray_below,
+                     surjection_tools)
 from .gba import clopen, gba_validate, iba_forget, idealize, stone
 from .hyper import hyperarchimedean
 from .kernels import KernelSpec, kernel_closure, kernel_conditions, pointwise_closed
@@ -43,10 +46,34 @@ class SuiteResult:
         return not self.failures
 
 
+SUITES = {}
+_SUITE_BUDGETS = {}  # run_all caps for the heavyweight suites
+
+
+def _suite(name, cases, cap=None):
+    """Register body(rng, cases, failures, seed) as the suite `name`.
+
+    The suite takes (seed=0, cases=cases), hands the body random.Random(seed)
+    and a failure list, and counts the cases as the budget (never below 0)
+    unless the body returns the number it ran.
+    """
+    def register(body):
+        def suite(seed=0, cases=cases):
+            failures = []
+            ran = body(random.Random(seed), cases, failures, seed)
+            return SuiteResult(name, max(cases, 0) if ran is None else ran, failures)
+        suite.__name__ = suite.__qualname__ = body.__name__
+        SUITES[name] = suite
+        if cap is not None:
+            _SUITE_BUDGETS[name] = cap
+        return suite
+    return register
+
+
 # --- 1. truncation axioms ---------------------------------------------------
 
-def suite_trunc_axioms(seed=0, cases=200):
-    rng = random.Random(seed)
+@_suite("trunc-axioms", 200)
+def suite_trunc_axioms(rng, cases, failures, seed):
     trunc1 = SeqTrunc(1)
 
     def simple_pair():
@@ -58,9 +85,7 @@ def suite_trunc_axioms(seed=0, cases=200):
         return (abs(trunc1.sample_elements(rng, 1)[0]),
                 abs(trunc1.sample_elements(rng, 1)[0]), 4, " (tail)")
 
-    draws = [simple_pair] * (cases // 2) + [tail_pair] * (cases - cases // 2)
-    failures = []
-    for draw in draws:
+    for draw in [simple_pair] * (cases // 2) + [tail_pair] * (cases - cases // 2):
         g, h, top, kind = draw()
         if not (g.truncate() - g.meet(h.truncate())).is_nonneg():
             failures.append(f"T1 lower fails{kind}: g={g!r} h={h!r}")
@@ -73,7 +98,6 @@ def suite_trunc_axioms(seed=0, cases=200):
                                    for n in range(1, big_n + 1)):
             if g.max_value() > Fraction(1, big_n):
                 failures.append(f"bounded T3 fails{kind}: g={g!r} N={big_n}")
-    return SuiteResult("trunc-axioms", len(draws), failures)
 
 
 # --- 2. fundamental identities ----------------------------------------------
@@ -90,29 +114,26 @@ def _identity_backends(rng):
     return out
 
 
-def suite_identities(seed=0, cases=200):
-    rng = random.Random(seed)
-    failures = []
-    ran = 0
-    while ran < cases:
-        for kind, g in _identity_backends(rng):
-            if ran >= cases:
-                break
-            ran += 1
-            n = rng.randint(1, 4)
-            m = rng.randint(1, 5)
-            gn = g.trunc_at(n)
-            rem = g.tminus(n)
-            if gn + rem != g:
-                failures.append(f"split identity fails [{kind}]: g={g!r} n={n}")
-            if gn + rem.truncate() != g.trunc_at(n + 1):
-                failures.append(f"step identity fails [{kind}]: g={g!r} n={n}")
-            acc = None
-            for k in range(1, m + 1):
-                term = g.tminus(k - 1).truncate()
-                acc = term if acc is None else acc + term
-            if acc != g.trunc_at(m):
-                failures.append(f"partial-sum identity fails [{kind}]: g={g!r} m={m}")
+@_suite("identities", 200)
+def suite_identities(rng, cases, failures, seed):
+    for i in range(cases):
+        if i % 3 == 0:
+            backends = _identity_backends(rng)
+        kind, g = backends[i % 3]
+        n = rng.randint(1, 4)
+        m = rng.randint(1, 5)
+        gn = g.trunc_at(n)
+        rem = g.tminus(n)
+        if gn + rem != g:
+            failures.append(f"split identity fails [{kind}]: g={g!r} n={n}")
+        if gn + rem.truncate() != g.trunc_at(n + 1):
+            failures.append(f"step identity fails [{kind}]: g={g!r} n={n}")
+        acc = None
+        for k in range(1, m + 1):
+            term = g.tminus(k - 1).truncate()
+            acc = term if acc is None else acc + term
+        if acc != g.trunc_at(m):
+            failures.append(f"partial-sum identity fails [{kind}]: g={g!r} m={m}")
     # the sup of the truncation sequence recovers g (finite scale)
     for _ in range(min(50, cases)):
         sp = sampling.random_space(rng)
@@ -120,14 +141,12 @@ def suite_identities(seed=0, cases=200):
         seq = truncation_sequence(g, upto=bound_witness(g) + 1)
         if pointwise_sup(seq) != g:
             failures.append(f"truncation-sequence sup fails: g={g!r}")
-    return SuiteResult("identities", ran, failures)
 
 
 # --- 3. good sequences --------------------------------------------------------
 
-def suite_good_sequences(seed=0, cases=200):
-    rng = random.Random(seed)
-    failures = []
+@_suite("good-sequences", 200)
+def suite_good_sequences(rng, cases, failures, seed):
     for _ in range(cases):
         sp = sampling.random_space(rng)
         g = sampling.simple_element(rng, sp, nonneg=True)
@@ -149,14 +168,12 @@ def suite_good_sequences(seed=0, cases=200):
         ok, rec = truncation_sequence_check(seq) if seq else (True, g)
         if not ok or (seq and rec != g):
             failures.append(f"truncation sequence check fails: g={g!r}")
-    return SuiteResult("good-sequences", cases, failures)
 
 
 # --- 4. idealization ----------------------------------------------------------
 
-def suite_idealization(seed=0, cases=40):
-    rng = random.Random(seed)
-    failures = []
+@_suite("idealization", 40, cap=25)
+def suite_idealization(rng, cases, failures, seed):
     ran = 0
     while ran < cases:
         alg = sampling.random_gba(rng)
@@ -173,25 +190,23 @@ def suite_idealization(seed=0, cases=40):
                            for a in alg.carrier for b in alg.carrier)
         if not identity_iso or back.carrier != alg.carrier:
             failures.append("forget(idealize(A)) differs from A on labels")
-    return SuiteResult("idealization", ran, failures)
 
 
 # --- 5. categorical equivalences ----------------------------------------------
 
-def suite_equivalences(seed=0, cases=5):
-    failures = []
-    ran = 0
-    for n in range(0, min(max(1, cases), 5)):  # spaces of at most 5 points
+@_suite("equivalences", 5, cap=5)
+def suite_equivalences(rng, cases, failures, seed):
+    sizes = range(min(max(1, cases), 5))  # spaces of at most 5 points
+    for n in sizes:
         pts = frozenset({"*"} | {str(i) for i in range(1, n + 1)})
         x = PointedBooleanSpace(pts, "*")
-        ran += 1
         rep = equivalence_witness(x)
         if not rep.all_verified:
             failures.append(f"equivalence fails on {n + 1} points: {rep!r}")
         bi = clopen(x)
         if stone(bi).star != frozenset({"*"}):
             failures.append(f"stone star wrong on {n + 1} points")
-    return SuiteResult("equivalences", ran, failures)
+    return len(sizes)
 
 
 # --- 6. the join-of-meets oracle ------------------------------------------------
@@ -199,16 +214,13 @@ def suite_equivalences(seed=0, cases=5):
 _ALL_TAGS = ("add", "sub", "join", "meet", "scale", "truncate", "tminus", "truncN")
 
 
-def suite_induced_oracle(seed=0, cases=100):
-    rng = random.Random(seed)
-    failures = []
-    ran = 0
+@_suite("induced-oracle", 100, cap=60)
+def suite_induced_oracle(rng, cases, failures, seed):
     for _ in range(cases):
         pf = sampling.pointed_frame(rng)
         f = sampling.frame_real(rng, pf)
         g = sampling.frame_real(rng, pf)
         fpos = sampling.frame_real(rng, pf, nonneg=True)
-        ran += 1
         for tag in _ALL_TAGS:
             try:
                 if tag in ("add", "sub", "join", "meet"):
@@ -225,14 +237,12 @@ def suite_induced_oracle(seed=0, cases=100):
                     induced_op(tag, [fpos])
             except Exception as exc:  # noqa: BLE001 - report as failure
                 failures.append(f"{tag} oracle mismatch: {exc}")
-    return SuiteResult("induced-oracle", ran, failures)
 
 
 # --- 7. case formulas for truncation and truncated subtraction -------------------
 
-def suite_cut_cases(seed=0, cases=200):
-    rng = random.Random(seed)
-    failures = []
+@_suite("cut-cases", 200)
+def suite_cut_cases(rng, cases, failures, seed):
     for _ in range(cases):
         pf = sampling.pointed_frame(rng)
         g = sampling.frame_real(rng, pf, nonneg=True)
@@ -252,14 +262,12 @@ def suite_cut_cases(seed=0, cases=200):
         want_below = fr.bottom if r <= 0 else g.eval(ray_below(r + 1))
         if gm.eval(ray_below(r)) != want_below:
             failures.append(f"tminus lower-cut case fails at r={r}: {g!r}")
-    return SuiteResult("cut-cases", cases, failures)
 
 
 # --- 8. normal forms and clearance ----------------------------------------------
 
-def suite_normal_clearance(seed=0, cases=200):
-    rng = random.Random(seed)
-    failures = []
+@_suite("normal-clearance", 200)
+def suite_normal_clearance(rng, cases, failures, seed):
     for _ in range(cases):
         sp = sampling.random_space(rng)
         g = sampling.simple_element(rng, sp)
@@ -291,14 +299,13 @@ def suite_normal_clearance(seed=0, cases=200):
         if bounded_away_from_zero(gbar)[0] != bounded_away_from_zero(
                 gbar.truncate())[0]:
             failures.append(f"baf0(g) != baf0(truncate g): g={gbar!r}")
-    return SuiteResult("normal-clearance", cases, failures)
 
 
 # --- 9. the omega+1 battery -------------------------------------------------------
 
-def suite_ex1(seed=0, cases=500):
+@_suite("ex1-battery", 500, cap=300)
+def suite_ex1(rng, cases, failures, seed):
     report = ex1_report(seed=seed, samples=cases)
-    failures = []
     if not report.hyper_ok:
         failures.append("degree-1 trunc refuted as hyperarchimedean")
     if bounded_away_from_zero_tail(report.not_simple_witness)[0]:
@@ -316,39 +323,35 @@ def suite_ex1(seed=0, cases=500):
         failures.append("filtration sup check failed")
     if any(h.tail for h in report.pointwise_witness):
         failures.append("filtration members left the kernel")
-    ok, witness = enough_uc_check(SeqTrunc(1), rng=random.Random(seed))
+    ok, witness = enough_uc_check(SeqTrunc(1), rng=rng)
     if ok or witness != TailElement.tail_unit(1):
         failures.append("enough-components check did not refute with 1/n")
-    return SuiteResult("ex1-battery", cases, failures)
 
 
 # --- 10. degree-2 refutation --------------------------------------------------------
 
-def suite_degree2(seed=0, cases=1):
+@_suite("degree2-refutation", 1, cap=1)
+def suite_degree2(rng, cases, failures, seed):
     verdict = hyperarchimedean(SeqTrunc(2), budget=10, seed=seed)
-    failures = []
     if verdict.passed:
         failures.append("degree-2 trunc not refuted")
     else:
         f, g, _ = verdict.witness
         if f != TailElement.tail_unit(1) or g != TailElement.tail_unit(2):
             failures.append(f"witness pair is not (1/n, 1/n^2): {verdict.witness!r}")
-    return SuiteResult("degree2-refutation", max(1, cases), failures)
+    return max(1, cases)
 
 
 # --- 11. Dini ------------------------------------------------------------------------
 
-def suite_dini(seed=0, cases=100):
-    rng = random.Random(seed)
-    failures = []
-    ran = 0
+@_suite("dini", 100)
+def suite_dini(rng, cases, failures, seed):
     for _ in range(cases // 2):
         sp = sampling.random_space(rng)
         g = sampling.simple_element(rng, sp, nonneg=True)
         steps = rng.randint(2, 5)
         seq = [g.scale(Fraction(1, k)) for k in range(1, steps + 1)]
         seq += [SimpleElement.zero(sp)] * 2
-        ran += 1
         rep = dini_check(seq)
         if not rep.limit_is_zero or not rep.uniform:
             failures.append(f"element dini fails: g={g!r}")
@@ -361,7 +364,6 @@ def suite_dini(seed=0, cases=100):
         steps = rng.randint(2, 5)
         seq = [g.scale(Fraction(1, k)) for k in range(1, steps + 1)]
         seq += [FrameReal.zero(pf)] * 2
-        ran += 1
         rep = frame_dini(seq)
         if not rep.limit_is_zero or not rep.uniform:
             failures.append(f"frame dini fails: g={g!r}")
@@ -376,17 +378,12 @@ def suite_dini(seed=0, cases=100):
             failures.append(f"omega+1 tail sup wrong at n={n}")
     if not sup_of_filtration_is(g0):
         failures.append("omega+1 filtration sup check failed")
-    return SuiteResult("dini", ran, failures)
 
 
 # --- 12. drops and lifts ---------------------------------------------------------------
 
-def suite_drop_e0q(seed=0, cases=100):
-    from .frames import FiniteFrame, FrameSurjection, PointedFiniteFrame
-
-    rng = random.Random(seed)
-    failures = []
-    ran = 0
+@_suite("drop-e0q", 100, cap=60)
+def suite_drop_e0q(rng, cases, failures, seed):
     # canonical: Booleanization of the three-chain pointed at the middle
     c3 = FiniteFrame.chain(3)
     pc3 = PointedFiniteFrame(c3, focus=1)
@@ -407,17 +404,16 @@ def suite_drop_e0q(seed=0, cases=100):
                                              (Fraction(1), (0, 1))):
         failures.append(f"product lift wrong: {lift!r}")
     canonical = [booleanization, prod_q] if booleanization else [prod_q]
-    while ran < cases:
-        if ran < len(canonical):
-            q = canonical[ran]
-        elif ran % 2:
+    for i in range(cases):
+        if i < len(canonical):
+            q = canonical[i]
+        elif i % 2:
             # small frames keep the exhaustive-partition oracle in play
             pf = sampling.pointed_frame(rng, max_points=3, max_size=12)
             q = sampling.dense_surjection(rng, pf)
         else:
             pf = sampling.pointed_frame(rng)
             q = sampling.dense_surjection(rng, pf)
-        ran += 1
         tools = surjection_tools(q)
         if not tools["dense"]:
             failures.append("sampled surjection not dense")
@@ -453,15 +449,12 @@ def suite_drop_e0q(seed=0, cases=100):
     refusal = drop(qprime, hp)
     if refusal.ok or refusal.condition_value != two.bottom:
         failures.append(f"drop refusal wrong: {refusal!r}")
-    return SuiteResult("drop-e0q", ran, failures)
 
 
 # --- 13. kernels ------------------------------------------------------------------------
 
-def suite_kernels(seed=0, cases=60):
-    rng = random.Random(seed)
-    failures = []
-    ran = 0
+@_suite("kernels", 60, cap=40)
+def suite_kernels(rng, cases, failures, seed):
     X = sampling.random_space(rng, max_points=3)
     full = lc(X)
     pts = list(X.nonstar)
@@ -475,7 +468,6 @@ def suite_kernels(seed=0, cases=60):
     specs.append(KernelSpec(SeqTrunc(2), support=None,
                             tails_allowed=(True, True)))
     for spec in specs:
-        ran += 1
         conds = kernel_conditions(spec, budget=max(40, cases), seed=seed)
         verdict = pointwise_closed(spec, budget=max(40, cases), seed=seed)
         if conds.all_pass != verdict.closed:
@@ -488,7 +480,7 @@ def suite_kernels(seed=0, cases=60):
             failures.append(f"closure did not reach the whole trunc: {spec!r}")
         if not kernel_conditions(closed, budget=40, seed=seed).all_pass:
             failures.append(f"closure output fails conditions: {spec!r}")
-    return SuiteResult("kernels", ran, failures)
+    return len(specs)
 
 
 # --- 14. sequence-model closure -----------------------------------------------------------
@@ -496,16 +488,14 @@ def suite_kernels(seed=0, cases=60):
 _HALF, _SCALE = Fraction(1, 2), Fraction(-3, 2)
 
 
-def suite_seq_closure(seed=0, cases=150):
-    rng = random.Random(seed)
-    failures = []
-    ran = 0
+@_suite("seq-closure", 150)
+def suite_seq_closure(rng, cases, failures, seed):
+    half = range(cases // 2)
     for degree in (1, 2):
         trunc = SeqTrunc(degree)
-        for _ in range(cases // 2):
+        for _ in half:
             f, g = trunc.sample_elements(rng, 2)
             fpos = abs(f)
-            ran += 1
             results = {
                 "add": f + g, "sub": f - g, "negate": -f,
                 "scale": f.scale(_SCALE),
@@ -529,19 +519,16 @@ def suite_seq_closure(seed=0, cases=150):
                 if wrong:
                     failures.append(f"{wrong[0]} pointwise mismatch at n={n}")
                     break
-    return SuiteResult("seq-closure", ran, failures)
+    return 2 * len(half)
 
 
 # --- 15. convergence utilities ---------------------------------------------------------------
 
-def suite_convergence(seed=0, cases=100):
-    rng = random.Random(seed)
-    failures = []
-    ran = 0
+@_suite("convergence", 100)
+def suite_convergence(rng, cases, failures, seed):
     for _ in range(cases):
         sp = sampling.random_space(rng)
         fam = [sampling.simple_element(rng, sp) for _ in range(rng.randint(1, 4))]
-        ran += 1
         sup = pointwise_sup(fam)
         if pointwise_sup([fam[0]] * 3) != fam[0]:
             failures.append(f"constant-family sup differs: {fam[0]!r}")
@@ -553,18 +540,14 @@ def suite_convergence(seed=0, cases=100):
         g = sampling.frame_real(rng, pf)
         if frame_pointwise_sup([g, g, g]) != g:
             failures.append(f"frame constant sup differs: {g!r}")
-    return SuiteResult("convergence", ran, failures)
 
 
 # --- 16. boolean structure ---------------------------------------------------------------------
 
-def suite_boolean(seed=0, cases=40):
-    rng = random.Random(seed)
-    failures = []
-    ran = 0
+@_suite("boolean", 40, cap=25)
+def suite_boolean(rng, cases, failures, seed):
     for _ in range(cases):
         alg = sampling.random_gba(rng)
-        ran += 1
         report = gba_validate(alg)
         if not report.ok:
             failures.append(f"set-family gba invalid: {report.violations[:2]}")
@@ -584,44 +567,9 @@ def suite_boolean(seed=0, cases=40):
         comp_alg = uc(lc(sp))
         if not gba_validate(comp_alg).ok:
             failures.append(f"component algebra invalid on {sp!r}")
-    return SuiteResult("boolean", ran, failures)
-
-
-SUITES = {
-    "trunc-axioms": suite_trunc_axioms,
-    "identities": suite_identities,
-    "good-sequences": suite_good_sequences,
-    "idealization": suite_idealization,
-    "equivalences": suite_equivalences,
-    "induced-oracle": suite_induced_oracle,
-    "cut-cases": suite_cut_cases,
-    "normal-clearance": suite_normal_clearance,
-    "ex1-battery": suite_ex1,
-    "degree2-refutation": suite_degree2,
-    "dini": suite_dini,
-    "drop-e0q": suite_drop_e0q,
-    "kernels": suite_kernels,
-    "seq-closure": suite_seq_closure,
-    "convergence": suite_convergence,
-    "boolean": suite_boolean,
-}
-
-_SUITE_BUDGETS = {
-    "idealization": 25,
-    "equivalences": 5,
-    "induced-oracle": 60,
-    "ex1-battery": 300,
-    "degree2-refutation": 1,
-    "drop-e0q": 60,
-    "kernels": 40,
-    "boolean": 25,
-}
 
 
 def run_all(seed=0, cases=200):
     """Run every suite; per-suite budgets cap the heavyweight ones."""
-    results = []
-    for name, fn in SUITES.items():
-        budget = min(cases, _SUITE_BUDGETS.get(name, cases))
-        results.append(fn(seed=seed, cases=budget))
-    return results
+    return [fn(seed=seed, cases=min(cases, _SUITE_BUDGETS.get(name, cases)))
+            for name, fn in SUITES.items()]

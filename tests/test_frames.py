@@ -16,15 +16,17 @@ from trunclab.elements import OPS, apply_op, cut_grid
 from trunclab.errors import (PositivityError, SpaceMismatchError,
                              StructureError)
 from trunclab.frames import (FiniteFrame, FrameReal, FrameSurjection,
-                             FrameViolation, OpenInterval, PointedFiniteFrame,
+                             OpenInterval, PointedFiniteFrame,
                              chi, drop, e0q_exhaustive, e0q_member,
                              frame_dini, frame_pointwise_sup, frame_uc_check,
                              frame_validate, induced_op, oracle_mismatch,
                              ray_above, ray_below, real_line, surjection_tools)
-from trunclab.gba import order_tables
+from trunclab.gba import Violation
 from trunclab.rat import NEG_INF, POS_INF
 from trunclab.sampling import (booleanization, dense_surjection, downset_frame,
                                frame_real, pointed_frame, random_poset)
+
+from test_gba import order_tables
 
 A, B = frozenset({"a"}), frozenset({"b"})
 F4 = FiniteFrame.from_sets([frozenset(), A, B, frozenset({"a", "b"})])
@@ -395,23 +397,23 @@ def reference_frame_tables(labels, leq_pairs):
     out = []
     for x in labels:
         if (x, x) not in leq:
-            out.append(FrameViolation("order not reflexive", (x,)))
+            out.append(Violation("order not reflexive", (x,)))
     for x, y in leq:
         if (y, x) in leq and x != y:
-            out.append(FrameViolation("order not antisymmetric", (x, y)))
+            out.append(Violation("order not antisymmetric", (x, y)))
     for x, y in leq:
         for z in labels:
             if (y, z) in leq and (x, z) not in leq:
-                out.append(FrameViolation("order not transitive", (x, y, z)))
+                out.append(Violation("order not transitive", (x, y, z)))
     if out:
         return out, None, None
     join, meet = order_tables(labels, leq)
     for a in labels:
         for b in labels:
             if (a, b) not in join:
-                out.append(FrameViolation("no unique join", (a, b)))
+                out.append(Violation("no unique join", (a, b)))
             if (a, b) not in meet:
-                out.append(FrameViolation("no unique meet", (a, b)))
+                out.append(Violation("no unique meet", (a, b)))
     if out:
         return out, None, None
     for a in labels:
@@ -420,7 +422,7 @@ def reference_frame_tables(labels, leq_pairs):
                 lhs = meet[(a, join[(b, c)])]
                 rhs = join[(meet[(a, b)], meet[(a, c)])]
                 if lhs != rhs:
-                    out.append(FrameViolation("distributivity", (a, b, c)))
+                    out.append(Violation("distributivity", (a, b, c)))
                     return out, None, None
     return out, join, meet
 
@@ -546,6 +548,18 @@ def test_frame_tables_match_reference_on_downset_frames(seed):
     assert rebuilt == frame and label_tables(rebuilt) == (join, meet, leq)
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(0, 10**6))
+def test_implication_is_the_heyting_adjoint(seed):
+    # z <= (x -> y) iff x ^ z <= y, and the pseudocomplement is x -> bottom
+    frame, _ = downset_frame(random.Random(seed))
+    for x, y in itertools.product(frame.labels, repeat=2):
+        imp = frame.implies(x, y)
+        assert all(frame.leq(z, imp) == frame.leq(frame.meet(x, z), y)
+                   for z in frame.labels)
+    assert frame.pseudo == {x: frame.implies(x, frame.bottom) for x in frame.labels}
+
+
 def witness_set(violations):
     return {(v.law, v.witness) for v in violations if v.law != "distributivity"}
 
@@ -567,6 +581,12 @@ def test_frame_tables_match_reference_on_non_frames(seed, size, kind):
     assert len(got) == len(want)
 
 
+def test_empty_order_has_no_least_element():
+    assert frame_validate([], set()) == [Violation("no least element", ())]
+    with pytest.raises(StructureError, match="no least element"):
+        FiniteFrame([], set())
+
+
 def test_pentagon_and_diamond_fail_distributivity_like_the_reference():
     pentagon = {(x, x) for x in "oabci"} | {("o", x) for x in "abci"} \
         | {(x, "i") for x in "oabc"} | {("a", "c")}
@@ -576,7 +596,7 @@ def test_pentagon_and_diamond_fail_distributivity_like_the_reference():
         join, meet = order_tables("oabci", leq)
         first = next((a, b, c) for a, b, c in itertools.product("abcio", repeat=3)
                      if meet[(a, join[(b, c)])] != join[(meet[(a, b)], meet[(a, c)])])
-        assert frame_validate("oabci", leq) == [FrameViolation("distributivity", first)]
+        assert frame_validate("oabci", leq) == [Violation("distributivity", first)]
         assert [v.law for v in reference_frame_tables("oabci", leq)[0]] == [
             "distributivity"]
 

@@ -13,7 +13,7 @@ from trunclab.gba import (BooleanAlgebra, GeneralizedBooleanAlgebra,
                           gba_diff, gba_validate, iba_forget, idealize, stone,
                           transitive_closure)
 from trunclab.rat import sorted_labels
-from trunclab.sampling import closed_set_family, random_gba
+from trunclab.sampling import closed_set_family, random_gba, random_poset
 from trunclab.spaces import PointedBooleanSpace, pointed_bijection, space
 
 
@@ -377,3 +377,54 @@ def test_invalid_iba_keeps_the_algebra_report_clean():
     second = not_maximal.validate().violations
     assert first and first == second
     assert ba.validate().ok
+
+
+# --- from_order against the label-keyed order tables ------------------------
+
+def order_tables(labels, leq):
+    """Join and meet tables of a finite order, keyed by pairs of labels.
+
+    leq is a reflexive and transitive set of (x, y) pairs meaning x <= y.
+    A pair without a unique least upper bound is missing from the join
+    table, and one without a unique greatest lower bound from the meet
+    table.
+    """
+    above = {x: {y for y in labels if (x, y) in leq} for x in labels}
+    below = {x: {y for y in labels if (y, x) in leq} for x in labels}
+    join, meet = {}, {}
+    for a in labels:
+        for b in labels:
+            ubs = above[a] & above[b]
+            lub = [u for u in ubs if ubs <= above[u]]
+            if len(lub) == 1:
+                join[(a, b)] = lub[0]
+            lbs = below[a] & below[b]
+            glb = [u for u in lbs if lbs <= below[u]]
+            if len(glb) == 1:
+                meet[(a, b)] = glb[0]
+    return join, meet
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(st.integers(0, 10**6), st.integers(0, 6), st.sampled_from(["poset", "edit"]))
+def test_from_order_matches_the_reference_tables(seed, size, kind):
+    # Edits toggle a few pairs and close again: still a preorder, but it may
+    # lose antisymmetry or lattice pairs.
+    rng = random.Random(seed)
+    labels = [f"x{i}" for i in range(size)]
+    leq = random_poset(rng, size)
+    if kind == "edit" and size:
+        for _ in range(rng.randint(1, 3)):
+            leq ^= {(rng.randrange(size), rng.randrange(size))}
+        leq = transitive_closure(leq | {(i, i) for i in range(size)})
+    leq = {(labels[x], labels[y]) for x, y in leq}
+    join, meet = order_tables(labels, leq)
+    bottoms = [x for x in labels if all((x, y) in leq for y in labels)]
+    pairs = [(a, b) for a in labels for b in labels]
+    if len(join) < len(pairs) or len(meet) < len(pairs) or len(bottoms) != 1:
+        with pytest.raises(StructureError):
+            GeneralizedBooleanAlgebra.from_order(labels, leq)
+        return
+    alg = GeneralizedBooleanAlgebra.from_order(reversed(labels), leq)
+    assert (alg.join, alg.meet, alg.bottom) == (join, meet, bottoms[0])
+    assert alg.carrier == frozenset(labels)

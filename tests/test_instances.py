@@ -5,6 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from trunclab import cli
 from trunclab.cli import main
 from trunclab.elements import SimpleElement
 from trunclab.errors import ParseError
@@ -214,3 +215,38 @@ def test_cli_wrong_argument_count_prints_usage(sample_file, capsys, argv):
     assert code == 2 and captured.out == ""
     assert f"input error: usage: trunclab {argv[0]} " in captured.err
     assert "list index" not in captured.err and "unpack" not in captured.err
+
+
+@pytest.mark.parametrize("line, section", [
+    ("element e space", "space"), ("seqtrunc S degree", "degree"),
+    ("kernel K model", "model"), ("tailel t trunc", "trunc"),
+    ("surjection q source", "source"), ("seqtrunc S", "degree"),
+    ("trunc T space", "space"), ("iba I idealize", "idealize"),
+    ("framereal r frame", "frame")])
+def test_one_token_section_without_its_token_names_the_line(tmp_path, capsys,
+                                                            line, section):
+    _, errors = parse_instance_text("# header\n" + line + "\n")
+    assert [e.lineno for e in errors] == [2]
+    assert f"section '{section}' needs a token" in str(errors[0])
+    path = tmp_path / "short.tl"
+    path.write_text(line + "\n")
+    assert main(["check", "--file", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: line 1: ") and "list index" not in err
+
+
+def test_non_utf8_file_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "latin1.tl"
+    path.write_bytes(b"space X points 1 2 star 1\n# caf\xe9\n")
+    assert main(["check", "--file", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("input error: line 2: not UTF-8 text")
+
+
+def test_a_bare_value_error_is_not_an_input_error(sample_file, capsys, monkeypatch):
+    def broken(inst, names, args, report):
+        raise ValueError("a bug, not bad input")
+
+    monkeypatch.setitem(cli.HANDLERS, "check", broken)
+    with pytest.raises(ValueError, match="a bug"):
+        main(["check", "--file", sample_file])
+    assert "input error" not in capsys.readouterr().err

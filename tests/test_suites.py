@@ -1,0 +1,62 @@
+"""The suite registry: names, execution order, run_all caps and case counts."""
+
+import inspect
+
+import pytest
+
+from trunclab import suites
+
+NAMES = ["trunc-axioms", "identities", "good-sequences", "idealization",
+         "equivalences", "induced-oracle", "cut-cases", "normal-clearance",
+         "ex1-battery", "degree2-refutation", "dini", "drop-e0q", "kernels",
+         "seq-closure", "convergence", "boolean"]
+
+CAPS = {"idealization": 25, "equivalences": 5, "induced-oracle": 60,
+        "ex1-battery": 300, "degree2-refutation": 1, "drop-e0q": 60,
+        "kernels": 40, "boolean": 25}
+
+# SUITES[name](seed=0, cases=c).cases for c = 1, 9, 40; a suite counts its
+# cases as the budget unless it runs another number.
+CASES = {name: (1, 9, 40) for name in NAMES}
+CASES.update({"equivalences": (1, 5, 5), "kernels": (8, 8, 8),
+              "seq-closure": (0, 8, 40)})
+
+DEFAULTS = {"trunc-axioms": 200, "identities": 200, "good-sequences": 200,
+            "idealization": 40, "equivalences": 5, "induced-oracle": 100,
+            "cut-cases": 200, "normal-clearance": 200, "ex1-battery": 500,
+            "degree2-refutation": 1, "dini": 100, "drop-e0q": 100, "kernels": 60,
+            "seq-closure": 150, "convergence": 100, "boolean": 40}
+
+
+def test_registry_order_and_caps():
+    assert list(suites.SUITES) == NAMES
+    assert suites._SUITE_BUDGETS == CAPS
+
+
+def test_suites_keep_their_public_signatures():
+    for name, fn in suites.SUITES.items():
+        params = inspect.signature(fn).parameters
+        assert list(params) == ["seed", "cases"]
+        assert (params["seed"].default, params["cases"].default) == (0, DEFAULTS[name])
+        assert fn.__name__.startswith("suite_") and getattr(suites, fn.__name__) is fn
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_case_counts(name):
+    results = [suites.SUITES[name](seed=0, cases=c) for c in (1, 9, 40)]
+    assert tuple(r.cases for r in results) == CASES[name]
+    assert all(r.name == name and r.passed for r in results)
+
+
+def test_run_all_applies_the_caps(monkeypatch):
+    calls = []
+    for name in NAMES:
+        monkeypatch.setitem(suites.SUITES, name, lambda seed, cases, name=name:
+                            calls.append((name, seed, cases)))
+    suites.run_all(seed=7, cases=50)
+    assert calls == [(n, 7, min(50, CAPS.get(n, 50))) for n in NAMES]
+
+
+def test_a_negative_budget_counts_no_cases():
+    for name in ("trunc-axioms", "good-sequences", "cut-cases", "normal-clearance"):
+        assert suites.SUITES[name](seed=0, cases=-1).cases == 0
