@@ -11,6 +11,7 @@ with the failure and its witness, and the exit code is 1.
 """
 
 import argparse
+import re
 import sys
 
 from .elements import (Carrier, GoodSequence, SimpleElement, SimpleTrunc,
@@ -291,6 +292,7 @@ HANDLERS = {
 }
 COMMANDS = tuple(HANDLERS)
 _NO_FILE = {"ex1-report", "suite"}
+_NEGATIVE = re.compile(r"^-(inf|\d+(/\d+)?|\d*\.\d+)$")
 
 
 def build_parser():
@@ -306,6 +308,10 @@ def build_parser():
                         help="sample or case budget (ex1-report: at least 500)")
     parser.add_argument("--json", action="store_true",
                         help="emit the machine-readable report")
+    # argparse takes a token starting with "-" for an option unless this
+    # pattern, which knows only decimals, calls it a negative number; widen
+    # it to the rationals and -inf that interval ends and parameters take
+    parser._negative_number_matcher = _NEGATIVE
     return parser
 
 

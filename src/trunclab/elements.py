@@ -12,11 +12,13 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
+from itertools import combinations
+from math import gcd, lcm
 
 from .errors import (PositivityError, SpaceMismatchError, StructureError,
                      UnsupportedOperationError, certify)
 from .gba import GeneralizedBooleanAlgebra
-from .rat import format_rational, sorted_labels
+from .rat import as_fraction, format_rational, sorted_labels
 from .spaces import PointedBooleanSpace
 
 
@@ -46,7 +48,7 @@ class Carrier:
 
     def tminus(self, r):
         """Pointwise (value - r)+ for rational r >= 0; r = 0 is the identity."""
-        r = Fraction(r)
+        r = as_fraction(r)
         if r < 0:
             raise PositivityError(f"tminus needs r >= 0, got {r}")
         self._require_nonneg("tminus")
@@ -54,64 +56,45 @@ class Carrier:
 
     def trunc_at(self, n):
         """Pointwise min with the level n > 0 (the n-th truncation g ^ n)."""
-        n = Fraction(n)
+        n = as_fraction(n)
         if n <= 0:
             raise PositivityError(f"trunc_at needs n > 0, got {n}")
         self._require_nonneg("trunc_at")
         return self._cap(n)
 
 
-class StepCarrier(Carrier):
-    """Pointwise operations of a carrier with one value per point or cell.
+class SimpleElement(Carrier):
+    """Rational-valued function on a pointed space, zero at the basepoint.
 
-    A step carrier supplies _zip(other, fn), combining two operands value by
-    value, and _map(fn), applying fn to each value.
+    The values are integer numerators aligned with space.nonstar over one
+    shared denominator den > 0, in lowest terms (gcd(den, *nums) == 1), so
+    equal elements have equal (nums, den).  value, values and items give
+    Fractions; the operations and queries compute on the integers.
     """
 
-    __slots__ = ()
-
-    def __add__(self, other):
-        return self._zip(other, operator.add)
-
-    def __sub__(self, other):
-        return self._zip(other, operator.sub)
-
-    def __neg__(self):
-        return self._map(operator.neg)
-
-    def scale(self, q):
-        q = Fraction(q)
-        return self._map(lambda v: q * v)
-
-    def meet(self, other):
-        return self._zip(other, min)
-
-    def join(self, other):
-        return self._zip(other, max)
-
-    def _cap(self, c):
-        return self._map(lambda v: min(v, c))
-
-    def _excess(self, r):
-        return self._map(lambda v: max(v - r, ZERO))
-
-
-class SimpleElement(StepCarrier):
-    """Rational-valued function on a pointed space, zero at the basepoint."""
-
-    __slots__ = ("space", "_vals")
+    __slots__ = ("space", "_nums", "_den")
 
     def __init__(self, space, values=None):
-        vals = {}
         values = dict(values or {})
-        for p in space.nonstar:
-            v = values.pop(p, ZERO)
-            vals[p] = v if type(v) is Fraction else Fraction(v)
+        fracs = [as_fraction(values.pop(p, ZERO)) for p in space.nonstar]
         if values:
             bad = sorted_labels(values)
             raise StructureError(f"values at unknown or basepoint labels: {bad}")
+        den = lcm(*(v.denominator for v in fracs))
         self.space = space
-        self._vals = vals
+        self._nums = tuple(v.numerator * (den // v.denominator) for v in fracs)
+        self._den = den
+
+    @classmethod
+    def _canonical(cls, space, nums, den):
+        """An element from a tuple of numerators over den > 0, in lowest terms."""
+        g = gcd(den, *nums)
+        if g != 1:
+            nums = tuple(n // g for n in nums)
+            den //= g
+        e = object.__new__(cls)
+        e.space, e._nums, e._den = space, nums, den
+        return e
 
     @classmethod
     def chi(cls, space, subset):
@@ -119,67 +102,116 @@ class SimpleElement(StepCarrier):
         subset = frozenset(subset)
         if not subset <= set(space.nonstar):
             raise StructureError(f"subset {subset} not within non-star points")
-        return cls(space, {p: Fraction(1) for p in subset})
+        return cls._canonical(space, tuple(int(p in subset) for p in space.nonstar), 1)
 
     @classmethod
     def zero(cls, space):
-        return cls(space)
+        return cls._canonical(space, (0,) * len(space.nonstar), 1)
 
     def value(self, point):
         if point == self.space.star:
-            return Fraction(0)
-        return self._vals[point]
+            return ZERO
+        return Fraction(self._nums[self.space._index[point]], self._den)
 
     @property
     def values(self):
-        return dict(self._vals)
+        return dict(self.items())
 
     def items(self):
-        return tuple((p, self._vals[p]) for p in self.space.nonstar)
+        den = self._den
+        return tuple((p, Fraction(n, den))
+                     for p, n in zip(self.space.nonstar, self._nums))
 
     def to_json(self):
         """The report form: each non-basepoint label to its value."""
         return {str(p): format_rational(v) for p, v in self.items()}
 
     def __eq__(self, other):
-        return (isinstance(other, SimpleElement)
-                and self.space == other.space and self._vals == other._vals)
+        return (isinstance(other, SimpleElement) and self._nums == other._nums
+                and self._den == other._den and self.space == other.space)
 
     def __hash__(self):
-        return hash((self.space, self.items()))
+        return hash((self.space, self._nums, self._den))
 
     def __repr__(self):
         inner = ",".join(f"{p}:{v}" for p, v in self.items())
         return f"<{inner}>"
 
-    def _zip(self, other, fn):
+    def _aligned(self, other):
+        """Both operands' numerators over their least common denominator."""
         if not isinstance(other, SimpleElement):
-            return NotImplemented
-        if self.space != other.space:
+            raise SpaceMismatchError(f"{other!r} is not a simple element")
+        if self.space is not other.space and self.space != other.space:
             raise SpaceMismatchError(f"{self.space} vs {other.space}")
-        return SimpleElement(self.space, {p: fn(self._vals[p], other._vals[p])
-                                          for p in self.space.nonstar})
+        a, da, b, db = self._nums, self._den, other._nums, other._den
+        if da == db:
+            return a, b, da
+        den = lcm(da, db)
+        sa, sb = den // da, den // db
+        return [x * sa for x in a], [y * sb for y in b], den
 
-    def _map(self, fn):
-        return SimpleElement(self.space, {p: fn(v) for p, v in self._vals.items()})
+    def _with_const(self, c):
+        """The numerators and the constant c over their least common denominator."""
+        cn, cd = c.numerator, c.denominator
+        if self._den % cd == 0:
+            return self._nums, cn * (self._den // cd), self._den
+        den = lcm(self._den, cd)
+        s = den // self._den
+        return [n * s for n in self._nums], cn * (den // cd), den
+
+    def _combine(self, other, fn):
+        a, b, den = self._aligned(other)
+        return self._canonical(self.space, tuple(map(fn, a, b)), den)
+
+    def __add__(self, other):
+        return self._combine(other, operator.add)
+
+    def __sub__(self, other):
+        return self._combine(other, operator.sub)
+
+    def __neg__(self):
+        return self._canonical(self.space, tuple(-n for n in self._nums), self._den)
+
+    def scale(self, q):
+        q = as_fraction(q)
+        return self._canonical(self.space, tuple(n * q.numerator for n in self._nums),
+                               self._den * q.denominator)
+
+    def meet(self, other):
+        return self._combine(other, min)
+
+    def join(self, other):
+        return self._combine(other, max)
 
     def __abs__(self):
-        return self._map(abs)
+        return self._canonical(self.space, tuple(map(abs, self._nums)), self._den)
+
+    def _cap(self, c):
+        nums, c, den = self._with_const(c)
+        if max(nums, default=0) <= c:
+            return self  # nothing to cap
+        return self._canonical(self.space, tuple(min(n, c) for n in nums), den)
+
+    def _excess(self, r):
+        nums, r, den = self._with_const(r)
+        excess = tuple(n - r if n > r else 0 for n in nums)
+        return self._canonical(self.space, excess, den)
 
     def is_nonneg(self):
-        return all(v >= 0 for v in self._vals.values())
+        return min(self._nums, default=0) >= 0
 
     def is_zero(self):
-        return all(v == 0 for v in self._vals.values())
+        return not any(self._nums)
 
     def support(self):
-        return frozenset(p for p, v in self._vals.items() if v != 0)
+        return frozenset(p for p, n in zip(self.space.nonstar, self._nums) if n)
 
     def restrict_to(self, subset):
         """Zero out values outside the given set of non-basepoint labels."""
         subset = frozenset(subset)
-        return SimpleElement(self.space, {p: v for p, v in self._vals.items()
-                                          if p in subset})
+        nums = tuple(n if p in subset else 0
+                     for p, n in zip(self.space.nonstar, self._nums))
+        return self._canonical(self.space, nums, self._den)
 
     def restrict_to_cozero_of(self, g):
         """Zero this element outside the cozero set of g (forced decomposition)."""
@@ -190,16 +222,15 @@ class SimpleElement(StepCarrier):
         return self.support() <= g.support()
 
     def max_value(self):
-        vals = list(self._vals.values())
-        return max(vals) if vals else Fraction(0)
+        return Fraction(max(self._nums), self._den) if self._nums else ZERO
 
     def level_sets(self):
         """Nonzero value -> set of points attaining it."""
         out = {}
-        for p, v in self._vals.items():
-            if v != 0:
-                out.setdefault(v, set()).add(p)
-        return {v: frozenset(s) for v, s in out.items()}
+        for p, n in zip(self.space.nonstar, self._nums):
+            if n:
+                out.setdefault(n, set()).add(p)
+        return {Fraction(n, self._den): frozenset(s) for n, s in out.items()}
 
 
 def _scale_image(box, q):
@@ -373,9 +404,8 @@ def lc(space, family=None):
 
 
 def _powerset(items):
-    import itertools
     for r in range(len(items) + 1):
-        yield from itertools.combinations(items, r)
+        yield from combinations(items, r)
 
 
 def uc(trunc):
@@ -414,8 +444,8 @@ def clearance(g):
     """Least nonzero value of a nonnegative element; clearance of 0 is 0."""
     if not g.is_nonneg():
         raise PositivityError("clearance needs g >= 0")
-    positive = [v for v in g.values.values() if v > 0]
-    return min(positive) if positive else Fraction(0)
+    positive = [n for n in g._nums if n > 0]
+    return Fraction(min(positive), g._den) if positive else ZERO
 
 
 def clearance_step(g):
@@ -458,12 +488,15 @@ class GoodSequence:
         terms = list(terms)
         while terms and terms[-1].is_zero():
             terms.pop()
-        seq = GoodSequence(tuple(terms))
-        problem = seq.check()
+        return GoodSequence(tuple(terms)).validated()
+
+    def validated(self):
+        """self, or a StructureError naming the first failing index."""
+        problem = self.check()
         if problem is not None:
-            idx, why = problem
-            raise StructureError(f"not a good sequence at index {idx}: {why}")
-        return seq
+            raise StructureError(f"not a good sequence at index {problem[0]}: "
+                                 f"{problem[1]}")
+        return self
 
     def check(self):
         """None if valid, else (1-based index, reason)."""
@@ -507,13 +540,7 @@ def element_from_good(seq, space=None):
 
     The empty sequence reconstructs zero, which needs the space spelled out.
     """
-    if not isinstance(seq, GoodSequence):
-        seq = GoodSequence.of(seq)
-    else:
-        problem = seq.check()
-        if problem is not None:
-            idx, why = problem
-            raise StructureError(f"not a good sequence at index {idx}: {why}")
+    seq = seq.validated() if isinstance(seq, GoodSequence) else GoodSequence.of(seq)
     if not seq.terms:
         if space is None:
             raise StructureError("empty sequence: pass the space to get zero")
@@ -555,11 +582,7 @@ def bound_witness(g):
     """Least n >= 1 with g <= n * truncate(g) (the stabilization level)."""
     if not g.is_nonneg():
         raise PositivityError("bound_witness needs g >= 0")
-    m = g.max_value()
-    n = 1
-    while n < m:
-        n += 1
-    return n
+    return max(1, -(-max(g._nums, default=0) // g._den))
 
 
 def bounded_away_from_zero(g):
@@ -572,9 +595,7 @@ def bounded_away_from_zero(g):
     if g.is_zero():
         return False, None
     eps = clearance(g)
-    n = 1
-    while n * eps < 1:
-        n += 1
+    n = -(-eps.denominator // eps.numerator)  # least n >= 1 with n * eps >= 1
     u = g.scale(n).truncate()
     certify(is_unital_component(u), "scaled truncation must be a component", u)
     return True, eps
@@ -624,25 +645,28 @@ def cut_grid(values):
     return sorted(set(grid))
 
 
-def upper_cut(g, r):
-    """The set {p : g(p) > r}, including the basepoint when r < 0."""
-    cut = {p for p, v in g.values.items() if v > r}
-    if r < 0:
-        cut.add(g.space.star)
-    return frozenset(cut)
-
-
 def pointwise_sup(family):
-    """Pointwise maximum, verified cut-by-cut on the rational grid."""
+    """Pointwise maximum, verified cut-by-cut on the rational grid.
+
+    At each r of cut_grid(all values and 0) the union over the family of the
+    upper cuts {p : g(p) > r} must be the sup's upper cut; the first r where
+    they differ is the witness.  It runs on ints: scaled by d = 2 * lcm of the
+    denominators the values are even, so the grid's midpoints stay ints.
+    """
     family = list(family)
     if not family:
         raise StructureError("pointwise_sup of an empty family")
     b = reduce(lambda a, c: a.join(c), family)
-    values = [v for g in family for v in g.values.values()]
-    values += list(b.values.values()) + [0]
-    for r in cut_grid(values):
-        union = frozenset().union(*(upper_cut(g, r) for g in family))
-        certify(union == upper_cut(b, r), "pointwise sup fails the cut test", r)
+    d = 2 * lcm(b._den, *(g._den for g in family))
+    rows = [[n * (d // g._den) for n in g._nums] for g in family]
+    top = [n * (d // b._den) for n in b._nums]
+    vals = sorted({0, *top}.union(*rows))
+    grid = sorted({*vals, *((x + y) // 2 for x, y in zip(vals, vals[1:])),
+                   vals[0] - d, vals[-1] + d})
+    for r in grid:  # the basepoint, in both cuts when r < 0, is left out
+        union = {i for row in rows for i, v in enumerate(row) if v > r}
+        certify(union == {i for i, v in enumerate(top) if v > r},
+                "pointwise sup fails the cut test", Fraction(r, d))
     return b
 
 

@@ -12,16 +12,18 @@ their adjoints, with density decided exactly.
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 
-from .elements import (OPS, DiniReport, StepCarrier, apply_op, cut_grid,
+from .elements import (OPS, ZERO, Carrier, DiniReport, apply_op, cut_grid,
                        is_unital_component)
 from .errors import (BudgetError, PositivityError, SpaceMismatchError,
                      StructureError, UnsupportedOperationError, certify)
 from .gba import Violation, order_lattice, transitive_closure
-from .rat import NEG_INF, POS_INF, format_label, format_rational, is_finite
+from .rat import (NEG_INF, POS_INF, as_fraction, format_label, format_rational,
+                  is_finite)
 
 
 def frame_validate(labels, leq_pairs):
@@ -222,11 +224,13 @@ def real_line():
     return OpenInterval(NEG_INF, POS_INF)
 
 
-class FrameReal(StepCarrier):
+class FrameReal(Carrier):
     """Step-valued frame real: disjoint complemented cells with join top.
 
     extended=True admits +/-inf cells (the D-type); pointed=False skips
     the basepoint-cell rule, for deliberately unpointed test elements.
+    The operations are cell-wise: _zip combines two operands' values on the
+    meets of their cells, _map applies a function to each cell value.
     """
 
     def __init__(self, pframe, cells, extended=False, pointed=True):
@@ -304,6 +308,31 @@ class FrameReal(StepCarrier):
         if self.extended:
             raise UnsupportedOperationError("arithmetic needs finite-valued operands")
         return FrameReal(self.pframe, [(fn(v), c) for v, c in self.cells])
+
+    def __add__(self, other):
+        return self._zip(other, operator.add)
+
+    def __sub__(self, other):
+        return self._zip(other, operator.sub)
+
+    def __neg__(self):
+        return self._map(operator.neg)
+
+    def scale(self, q):
+        q = as_fraction(q)
+        return self._map(lambda v: q * v)
+
+    def meet(self, other):
+        return self._zip(other, min)
+
+    def join(self, other):
+        return self._zip(other, max)
+
+    def _cap(self, c):
+        return self._map(lambda v: min(v, c))
+
+    def _excess(self, r):
+        return self._map(lambda v: max(v - r, ZERO))
 
     def is_nonneg(self):
         return all(v >= 0 for v in self.values())

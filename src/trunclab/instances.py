@@ -21,9 +21,10 @@ Grammar (whitespace-separated tokens, # starts a comment):
 Rationals are "p/q" with "/1" suppressed; framereal values may be inf/-inf
 on dtype lines.  Every object is validated as it is defined and every
 reference must resolve; errors carry line numbers.  A section that names one
-object or value (space, frame, degree, model, ...) reads its first token,
-and one without a token is an error.  Each kind is one `_KINDS` entry:
-section keywords, flag words (`stable` only as the last token), a builder.
+object or value (space, star, frame, point, degree, model, ...) takes exactly
+one token: none or more than one is an error.  Each kind is one `_KINDS`
+entry: section keywords, flag words (`stable` only as the last token), a
+builder.
 """
 
 from dataclasses import dataclass, field
@@ -145,19 +146,22 @@ def _order(sec, lineno):
 
 
 def _one(sec, key):
-    """The token of a one-token section; without one the line is refused."""
-    if not sec.get(key):
+    """The token of a one-token section; none or more than one is refused."""
+    tokens = sec.get(key)
+    if not tokens:
         raise TruncLabError(f"section '{key}' needs a token")
-    return sec[key][0]
+    if len(tokens) > 1:
+        raise TruncLabError(f"section '{key}' takes one token, got {tokens}")
+    return tokens[0]
 
 
 def _space(inst, lineno, sec, flags):
-    if "points" not in sec or len(sec.get("star", [])) != 1:
+    if "points" not in sec:
         raise ParseError(lineno, "space needs 'points ... star L'")
     pts = sec["points"]
     if len(set(pts)) != len(pts):
         raise ParseError(lineno, "duplicate point labels")
-    star = sec["star"][0]
+    star = _one(sec, "star")
     if star not in pts:
         raise ParseError(lineno, "star not in points")
     return PointedBooleanSpace(frozenset(pts), star)
@@ -191,13 +195,11 @@ def _gba(inst, lineno, sec, flags):
         alg = GeneralizedBooleanAlgebra.from_sets(fam)
     elif "join" in sec or "meet" in sec:
         labels = sec.get("elements", [])
-        if len(sec.get("bottom", [])) != 1:
-            raise ParseError(lineno, "explicit tables need 'bottom L'")
+        bottom = _one(sec, "bottom")
         join = _parse_table(sec.get("join", []), lineno)
         meet = _parse_table(sec.get("meet", []), lineno)
         diff = _parse_table(sec["diff"], lineno) if "diff" in sec else None
-        alg = GeneralizedBooleanAlgebra(labels, join, meet, sec["bottom"][0],
-                                        diff)
+        alg = GeneralizedBooleanAlgebra(labels, join, meet, bottom, diff)
     else:
         alg = GeneralizedBooleanAlgebra.from_order(*_order(sec, lineno))
     report = alg.validate()
@@ -210,18 +212,17 @@ def _iba(inst, lineno, sec, flags):
     if "idealize" in sec:
         return idealize(inst.get(_one(sec, "idealize"), "gba"))
     atoms = sec.get("atoms", [])
-    omit = sec.get("ideal-omits", [])
-    if len(omit) != 1 or omit[0] not in atoms:
+    omit = _one(sec, "ideal-omits")
+    if omit not in atoms:
         raise ParseError(lineno, "iba needs 'ideal-omits A' with A among the atoms")
     ba = BooleanAlgebra.powerset(atoms)
-    return IdealizedBooleanAlgebra(ba, frozenset(s for s in ba.carrier if omit[0] not in s))
+    return IdealizedBooleanAlgebra(ba, frozenset(s for s in ba.carrier
+                                                 if omit not in s))
 
 
 def _frame(inst, lineno, sec, flags):
     frame = FiniteFrame(*_order(sec, lineno))
-    if len(sec.get("point", [])) != 1:
-        raise ParseError(lineno, "frame needs 'point L' (a join-prime focus)")
-    return PointedFiniteFrame(frame, focus=sec["point"][0])
+    return PointedFiniteFrame(frame, focus=_one(sec, "point"))
 
 
 def _framereal(inst, lineno, sec, flags):

@@ -44,6 +44,11 @@ def parse_extended(token):
     return parse_rational(token)
 
 
+def as_fraction(v):
+    """v as a Fraction, without rebuilding one that already is."""
+    return v if type(v) is Fraction else Fraction(v)
+
+
 def chance(rng, num, den):
     """rng.random() < num/den, decided exactly on the draw's integer ratio."""
     x, y = rng.random().as_integer_ratio()

@@ -23,17 +23,12 @@ from operator import ge, le
 
 from .elements import Carrier, cut_grid
 from .errors import PositivityError, StructureError, certify
-from .rat import chance, format_rational
+from .rat import as_fraction, chance, format_rational
 
 
 def _ceil(f):
     f = Fraction(f)
     return -((-f.numerator) // f.denominator)
-
-
-def _rational(v):
-    """v as a Fraction, without rebuilding one that already is."""
-    return v if type(v) is Fraction else Fraction(v)
 
 
 def poly_sign(coeffs):
@@ -44,7 +39,7 @@ def poly_sign(coeffs):
     N = max(1, ceil(sum_{k>j} |c_k| / |c_j|)) + 1 with j the first nonzero
     index, which dominates the lower-order terms rigorously.
     """
-    coeffs = [_rational(c) for c in coeffs]
+    coeffs = [as_fraction(c) for c in coeffs]
     den = lcm(*(c.denominator for c in coeffs))
     return _sign_bound([c.numerator * (den // c.denominator) for c in coeffs])
 
@@ -87,10 +82,10 @@ class TailElement(Carrier):
             n = int(n)
             if n < 1:
                 raise StructureError(f"correction index {n} must be >= 1")
-            v = _rational(v)
+            v = as_fraction(v)
             if v != 0:
                 corr[n] = v
-        tail = tuple(_rational(c) for c in tail)
+        tail = tuple(as_fraction(c) for c in tail)
         while tail and tail[-1] == 0:
             tail = tail[:-1]
         self.correction = corr
@@ -197,7 +192,7 @@ class TailElement(Carrier):
                                       (tuple(-a for a in nums), den))
 
     def scale(self, q):
-        q = Fraction(q)
+        q = as_fraction(q)
         if not q:
             return TailElement()
         nums, den = self._ints()
@@ -254,11 +249,30 @@ class TailElement(Carrier):
         return not self.correction and not self.tail
 
     def __abs__(self):
-        return self.join(-self)
+        """|g| in one pass; the same element as g.join(-g).
+
+        Past the crossover bound of g against zero, g has the eventual sign
+        of its tail, so |g| keeps the tail of w = g (w = -g when that sign is
+        negative), corrected on 1..bound, where w is evaluated once per position.
+        """
+        sign, tail_bound = _sign_bound(self._ints()[0])
+        w = self if sign >= 0 else -self
+        corr = {}
+        for n in range(1, max(self.correction, default=0) + tail_bound + 2):
+            t = w._tail_pair(n)
+            v = _add_correction(w.correction, n, *t)
+            # the correction |g|(n) - tail(n): w's own where w(n) >= 0
+            if v[0] >= 0:
+                delta = w.correction.get(n)
+            else:
+                delta = _difference((-v[0], v[1]), t)
+            if delta:
+                corr[n] = delta
+        return TailElement._canonical(corr, w.tail, w._itail)
 
     def meet_const(self, c):
         """Pointwise min with a positive rational constant (crossover-certified)."""
-        c = Fraction(c)
+        c = as_fraction(c)
         if c <= 0:
             raise PositivityError(f"meet_const needs c > 0, got {c}")
         const = (c.numerator, c.denominator)

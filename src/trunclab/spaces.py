@@ -17,9 +17,11 @@ class PointedBooleanSpace:
         object.__setattr__(self, "points", frozenset(self.points))
         if self.star not in self.points:
             raise StructureError(f"star {self.star!r} not in points")
-        # not a dataclass field, so equality and hash ignore it
-        object.__setattr__(self, "_nonstar", tuple(
-            p for p in sorted_labels(self.points) if p != self.star))
+        # not dataclass fields, so equality and hash ignore them; _index maps
+        # each non-basepoint label to its position in nonstar
+        nonstar = tuple(p for p in sorted_labels(self.points) if p != self.star)
+        object.__setattr__(self, "_nonstar", nonstar)
+        object.__setattr__(self, "_index", {p: i for i, p in enumerate(nonstar)})
 
     @property
     def nonstar(self):

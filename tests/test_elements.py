@@ -1,21 +1,29 @@
 """Trunc calculus on simple elements: ops, sequences, quotients, suprema."""
 
+import math
+import operator
 from fractions import Fraction as F
+from functools import reduce
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from trunclab import elements
 from trunclab.elements import (GoodSequence, SimpleElement, SimpleTrunc,
                                apply_op, bound_witness,
                                bounded_away_from_zero, clearance,
                                clearance_decomposition, clearance_step,
-                               dini_check, element_from_good,
+                               cut_grid, dini_check, element_from_good,
                                good_from_element, is_unital_component, lc,
                                normal_form, normal_form_reconstruct,
                                pointwise_sup, restriction_hom,
                                truncation_sequence,
                                truncation_sequence_check, uc, yosida_quotient)
-from trunclab.errors import (PositivityError, SpaceMismatchError,
-                             StructureError)
+from trunclab.errors import (CertificationError, PositivityError,
+                             SpaceMismatchError, StructureError)
+from trunclab.seqspace import TailElement
 from trunclab.spaces import space
 
 X3 = space("1", "2", "3")
@@ -25,18 +33,27 @@ def el(a, b, c):
     return SimpleElement(X3, {"1": F(a), "2": F(b), "3": F(c)})
 
 
-def test_values_are_stored_as_fractions():
-    half = F(1, 2)
-
+def test_values_are_integer_numerators_over_one_denominator():
     class Sub(F):
         pass
 
-    g = SimpleElement(X3, {"1": half, "2": "3/4", "3": Sub(5)})
-    assert g.value("1") is half  # a Fraction is kept, not built again
+    g = SimpleElement(X3, {"1": F(1, 2), "2": "3/4", "3": Sub(5)})
+    assert (g._nums, g._den) == ((2, 3, 20), 4)
     assert [type(g.value(p)) for p in "123"] == [F, F, F]
-    assert [g.value(p) for p in "123"] == [half, F(3, 4), F(5)]
-    assert SimpleElement(X3, {"1": True, "2": -2}).items() == (
-        ("1", F(1)), ("2", F(-2)), ("3", F(0)))
+    assert [g.value(p) for p in "123"] == [F(1, 2), F(3, 4), F(5)]
+    assert g.value("*") == 0 and type(g.value("*")) is F
+    h = SimpleElement(X3, {"1": True, "2": -2, "3": 1})
+    assert (h._nums, h._den) == ((1, -2, 1), 1)
+    assert h.items() == (("1", F(1)), ("2", F(-2)), ("3", F(1)))
+    # every input type gives the same Fractions
+    for v in (F(3, 2), "3/2", Sub(3, 2), "6/4"):
+        assert SimpleElement(X3, {"2": v}).value("2") == F(3, 2)
+    assert SimpleElement(X3, {"2": 7}).value("2") == F(7)
+    # results come back in lowest terms, so equal elements store equal tuples
+    assert ((g - g)._nums, (g - g)._den) == ((0, 0, 0), 1)
+    k = g.scale(F(4, 3)) + el(F(1, 3), 0, F(1, 3))
+    assert (k._nums, k._den) == ((1, 1, 7), 1) and k == el(1, 1, 7)
+    assert (g.restrict_to({"3"})._nums, g.restrict_to({"3"})._den) == ((0, 0, 5), 1)
     with pytest.raises(ValueError):
         SimpleElement(X3, {"1": "x"})
 
@@ -68,6 +85,8 @@ def test_space_mismatch_and_positivity_errors():
     other = space("1", "2")
     with pytest.raises(SpaceMismatchError):
         el(1, 1, 1) + SimpleElement(other, {"1": 1})
+    with pytest.raises(SpaceMismatchError):
+        el(1, 1, 1).meet(TailElement.zero())  # another model's element
     with pytest.raises(PositivityError):
         el(-1, 0, 0).truncate()
     with pytest.raises(PositivityError):
@@ -252,3 +271,111 @@ def test_restriction_hom_preserves_sup():
     sup = pointwise_sup(fam)
     _, theta = restriction_hom(X3, {"1", "3"})
     assert theta(sup) == pointwise_sup([theta(g) for g in fam])
+
+
+# --- the label -> Fraction dict carrier the integer one replaced, as reference
+
+def ref_zip(a, b, fn):
+    return {p: fn(a[p], b[p]) for p in a}
+
+
+def ref_map(a, fn):
+    return {p: fn(v) for p, v in a.items()}
+
+
+def ref_level_sets(a):
+    out = {}
+    for p, v in a.items():
+        if v != 0:
+            out.setdefault(v, set()).add(p)
+    return {v: frozenset(s) for v, s in out.items()}
+
+
+def ref_bound_witness(a):
+    m = max(a.values())
+    n = 1
+    while n < m:
+        n += 1
+    return n
+
+
+def ref_upper_cut(g, r):
+    """The set {p : g(p) > r}, including the basepoint when r < 0."""
+    cut = {p for p, v in g.values.items() if v > r}
+    if r < 0:
+        cut.add(g.space.star)
+    return frozenset(cut)
+
+
+def ref_sup_witness(family, b):
+    """The Fraction cut test of pointwise_sup: the first failing cut, or None."""
+    values = [v for g in family for v in g.values.values()]
+    values += list(b.values.values()) + [0]
+    for r in cut_grid(values):
+        union = frozenset().union(*(ref_upper_cut(g, r) for g in family))
+        if union != ref_upper_cut(b, r):
+            return r
+    return None
+
+
+VALUES = st.one_of(st.just(F(0)),
+                   st.fractions(min_value=-6, max_value=6, max_denominator=12))
+TRIPLES = st.tuples(VALUES, VALUES, VALUES)
+POSITIVE = st.fractions(min_value=F(1, 12), max_value=4, max_denominator=12)
+
+
+def assert_holds(h, vals):
+    """h has exactly the values vals, in lowest terms over one denominator."""
+    assert h.items() == tuple(vals.items()) and h.values == vals
+    assert h == SimpleElement(X3, vals) and hash(h) == hash(SimpleElement(X3, vals))
+    assert h._den > 0 and math.gcd(h._den, *h._nums) == 1
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(TRIPLES, TRIPLES, st.fractions(min_value=-3, max_value=3, max_denominator=6),
+       POSITIVE, st.sets(st.sampled_from("123")))
+def test_integer_operations_match_the_fraction_reference(va, vb, q, c, keep):
+    f, g = el(*va), el(*vb)
+    a, b = f.values, g.values
+    assert a == dict(zip("123", va)) and [f.value(p) for p in "123"] == list(va)
+    for op, fn in (("__add__", operator.add), ("__sub__", operator.sub),
+                   ("meet", min), ("join", max)):
+        assert_holds(getattr(f, op)(g), ref_zip(a, b, fn))
+    assert_holds(-f, ref_map(a, operator.neg))
+    assert_holds(f.scale(q), ref_map(a, lambda v: q * v))
+    assert_holds(f.restrict_to(keep),
+                 {p: v if p in keep else F(0) for p, v in a.items()})
+    af, aa = abs(f), ref_map(a, abs)
+    assert_holds(af, aa)
+    assert_holds(af.truncate(), ref_map(aa, lambda v: min(v, F(1))))
+    assert_holds(af.trunc_at(c), ref_map(aa, lambda v: min(v, c)))
+    assert_holds(af.tminus(c), ref_map(aa, lambda v: max(v - c, F(0))))
+    assert f.is_nonneg() == all(v >= 0 for v in a.values())
+    assert f.is_zero() == all(v == 0 for v in a.values())
+    assert f.support() == frozenset(p for p, v in a.items() if v != 0)
+    assert f.max_value() == max(a.values())
+    assert list(f.level_sets().items()) == list(ref_level_sets(a).items())
+    positive = [v for v in aa.values() if v > 0]
+    assert clearance(af) == (min(positive) if positive else 0)
+    assert bound_witness(af) == ref_bound_witness(aa)
+    assert repr(f) == "<" + ",".join(f"{p}:{v}" for p, v in a.items()) + ">"
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.lists(TRIPLES, min_size=1, max_size=4), st.sampled_from("123"), VALUES)
+def test_pointwise_sup_matches_the_fraction_reference(rows, point, shift):
+    family = [el(*r) for r in rows]
+    honest = reduce(lambda x, y: x.join(y), family)
+    assert ref_sup_witness(family, honest) is None
+    assert pointwise_sup(family) == honest
+    # a forged sup, raised or lowered at one point, fails at the same first cut
+    forged = honest + SimpleElement(X3, {point: shift})
+    with mock.patch.object(elements, "reduce", lambda fn, fam: forged):
+        try:
+            pointwise_sup(family)
+            witness = None
+        except CertificationError as exc:
+            witness = exc.witness
+    assert witness == ref_sup_witness(family, forged)
+    assert (witness is None) == (shift == 0)
+    assert witness is None or type(witness) is F

@@ -235,6 +235,71 @@ def test_one_token_section_without_its_token_names_the_line(tmp_path, capsys,
     assert err.startswith("input error: line 1: ") and "list index" not in err
 
 
+# the objects the one-token lines below name
+PREAMBLE = """\
+space X points * 1 star *
+gba A family { } { 1 }
+frame F elements bot top covers bot<top point top
+seqtrunc S1 degree 1
+"""
+
+
+@pytest.mark.parametrize("line, section", [
+    ("seqtrunc S degree 1 2", "degree"), ("space Y points * 1 star * 1", "star"),
+    ("element e space X junk values 1=0", "space"),
+    ("trunc T space X X components { }", "space"),
+    ("gba P elements o bottom o o join o,o=o meet o,o=o", "bottom"),
+    ("iba I atoms a b ideal-omits a b", "ideal-omits"),
+    ("iba I idealize A A", "idealize"),
+    ("frame G elements bot top covers bot<top point top bot", "point"),
+    ("framereal r frame F F cells 0=top", "frame"),
+    ("surjection q source F F target F map bot=bot top=top", "source"),
+    ("surjection q source F target F x map bot=bot top=top", "target"),
+    ("tailel t trunc S1 S1 tail 1", "trunc"),
+    ("kernel K model S1 S1 support all", "model")])
+def test_one_token_section_with_extra_tokens_names_the_line(tmp_path, capsys,
+                                                            line, section):
+    _, errors = parse_instance_text(PREAMBLE + line + "\n")
+    assert [e.lineno for e in errors] == [5]
+    assert f"section '{section}' takes one token, got [" in str(errors[0])
+    path = tmp_path / "long.tl"
+    path.write_text(PREAMBLE + line + "\n")
+    assert main(["check", "--file", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("input error: line 5: ")
+
+
+def test_one_token_sections_with_one_token_still_parse():
+    inst, errors = parse_instance_text(
+        PREAMBLE + "iba I atoms a b ideal-omits b\n"
+        "gba P elements o bottom o join o,o=o meet o,o=o\n")
+    assert errors == [] and inst.kinds["I"] == "iba" and inst.kinds["P"] == "gba"
+    assert inst.get("X").star == "*" and inst.get("S1").degree == 1
+
+
+@pytest.mark.parametrize("bounds, interval", [
+    (["-inf", "1"], "(-inf,1)"), (["-1/2", "1"], "(-1/2,1)"),
+    (["-3", "-1/4"], "(-3,-1/4)"), (["-inf", "-0.5"], "(-inf,-1/2)")])
+def test_frame_eval_takes_negative_ends_as_arguments(sample_file, capsys,
+                                                     bounds, interval):
+    assert main(["frame-eval", "u", *bounds, "--file", sample_file, "--json"]) == 0
+    two_tokens = json.loads(capsys.readouterr().out)
+    assert main(["frame-eval", "u", interval, "--file", sample_file, "--json"]) == 0
+    one_token = json.loads(capsys.readouterr().out)
+    assert two_tokens["checks"] == one_token["checks"]
+    assert two_tokens["data"] == one_token["data"]
+    assert two_tokens["checks"][0]["name"] == f"frame-eval u {interval}"
+
+
+@pytest.mark.parametrize("argv", [
+    ["frame-eval", "u", "-inf", "1", "--bogus"], ["frame-eval", "u", "-x", "1"],
+    ["frame-eval", "u", "-1e3", "1"], ["check", "--bogus"]])
+def test_unknown_options_still_exit_2(sample_file, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--file", sample_file])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_non_utf8_file_is_an_input_error(tmp_path, capsys):
     path = tmp_path / "latin1.tl"
     path.write_bytes(b"space X points 1 2 star 1\n# caf\xe9\n")

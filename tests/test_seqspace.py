@@ -368,6 +368,17 @@ def test_operations_build_the_reference_elements(fc, ft, gc, gt, c, r, q):
             assert h.value(n) == k * reference_value(fc, ft, n)
 
 
+@settings(max_examples=150, deadline=None)
+@given(CORRECTIONS, SMALL_TAILS)
+def test_abs_is_the_join_with_the_negation(corr, tail):
+    g = TailElement(corr, tail)
+    for h in (g, -g, g.scale(F(-5, 3))):
+        got, ref = abs(h), h.join(-h)
+        assert got == ref and got._ints() == ref._ints()
+        assert list(got.correction.items()) == list(ref.correction.items())
+        assert got.is_nonneg()
+
+
 @settings(max_examples=60, deadline=None)
 @given(CORRECTIONS, SMALL_TAILS)
 def test_sup_of_filtration_matches_the_reference(corr, tail):
