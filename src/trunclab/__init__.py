@@ -21,12 +21,11 @@ from .errors import (BudgetError, CertificationError, ParseError,
 from .frames import (FiniteFrame, FrameReal, FrameSurjection, OpenInterval,
                      PointedFiniteFrame, chi, drop, e0q_exhaustive,
                      e0q_member, frame_dini, frame_pointwise_sup,
-                     frame_uc_check, frame_validate, induced_op,
-                     surjection_tools)
+                     frame_uc_check, induced_op, surjection_tools)
 from .gba import (BooleanAlgebra, GeneralizedBooleanAlgebra,
                   IdealizedBooleanAlgebra, clopen, find_gba_isomorphism,
-                  find_iba_isomorphism, gba_diff, gba_validate, iba_forget,
-                  idealize, stone)
+                  find_iba_isomorphism, gba_validate, iba_forget, idealize,
+                  stone)
 from .hyper import hyperarchimedean
 from .kernels import (KernelSpec, kernel_closure, kernel_conditions,
                       pointwise_closed)

@@ -63,7 +63,75 @@ class Carrier:
         return self._cap(n)
 
 
-class SimpleElement(Carrier):
+class StepValues(Carrier):
+    """A carrier whose finite values are integer numerators over one denominator.
+
+    A subclass stores _nums and _den > 0 and supplies _finite(), the pair it
+    computes with, _renum(nums, den), the element of its own shape with new
+    numerators, and _combine(other, fn), fn of the two operands' values.
+    The arithmetic, lattice and truncation operations follow.
+    """
+
+    __slots__ = ()
+
+    def _finite(self):
+        return self._nums, self._den
+
+    def _aligned(self, other):
+        """Both operands' numerators over their least common denominator."""
+        (a, da), (b, db) = self._finite(), other._finite()
+        if da == db:
+            return a, b, da
+        den = lcm(da, db)
+        sa, sb = den // da, den // db
+        return [x * sa for x in a], [y * sb for y in b], den
+
+    def _with_const(self, c):
+        """The numerators and the constant c over their least common denominator."""
+        nums, d = self._finite()
+        cn, cd = c.numerator, c.denominator
+        if d % cd == 0:
+            return nums, cn * (d // cd), d
+        den = lcm(d, cd)
+        s = den // d
+        return [n * s for n in nums], cn * (den // cd), den
+
+    def __neg__(self):
+        nums, den = self._finite()
+        return self._renum([-n for n in nums], den)
+
+    def scale(self, q):
+        q = as_fraction(q)
+        nums, den = self._finite()
+        return self._renum([n * q.numerator for n in nums], den * q.denominator)
+
+    def _cap(self, c):
+        nums, c, den = self._with_const(c)
+        if max(nums, default=0) <= c:
+            return self  # nothing to cap
+        return self._renum([min(n, c) for n in nums], den)
+
+    def _excess(self, r):
+        nums, r, den = self._with_const(r)
+        return self._renum([n - r if n > r else 0 for n in nums], den)
+
+    def __add__(self, other):
+        return self._combine(other, operator.add)
+
+    def __sub__(self, other):
+        return self._combine(other, operator.sub)
+
+    def meet(self, other):
+        return self._combine(other, min)
+
+    def join(self, other):
+        return self._combine(other, max)
+
+    def is_nonneg(self):
+        return min(self._nums, default=0) >= 0
+
+
+class SimpleElement(StepValues):
     """Rational-valued function on a pointed space, zero at the basepoint.
 
     The values are integer numerators aligned with space.nonstar over one
@@ -138,67 +206,21 @@ class SimpleElement(Carrier):
         return f"<{inner}>"
 
     def _aligned(self, other):
-        """Both operands' numerators over their least common denominator."""
         if not isinstance(other, SimpleElement):
             raise SpaceMismatchError(f"{other!r} is not a simple element")
         if self.space is not other.space and self.space != other.space:
             raise SpaceMismatchError(f"{self.space} vs {other.space}")
-        a, da, b, db = self._nums, self._den, other._nums, other._den
-        if da == db:
-            return a, b, da
-        den = lcm(da, db)
-        sa, sb = den // da, den // db
-        return [x * sa for x in a], [y * sb for y in b], den
+        return super()._aligned(other)
 
-    def _with_const(self, c):
-        """The numerators and the constant c over their least common denominator."""
-        cn, cd = c.numerator, c.denominator
-        if self._den % cd == 0:
-            return self._nums, cn * (self._den // cd), self._den
-        den = lcm(self._den, cd)
-        s = den // self._den
-        return [n * s for n in self._nums], cn * (den // cd), den
+    def _renum(self, nums, den):
+        return self._canonical(self.space, tuple(nums), den)
 
     def _combine(self, other, fn):
         a, b, den = self._aligned(other)
-        return self._canonical(self.space, tuple(map(fn, a, b)), den)
-
-    def __add__(self, other):
-        return self._combine(other, operator.add)
-
-    def __sub__(self, other):
-        return self._combine(other, operator.sub)
-
-    def __neg__(self):
-        return self._canonical(self.space, tuple(-n for n in self._nums), self._den)
-
-    def scale(self, q):
-        q = as_fraction(q)
-        return self._canonical(self.space, tuple(n * q.numerator for n in self._nums),
-                               self._den * q.denominator)
-
-    def meet(self, other):
-        return self._combine(other, min)
-
-    def join(self, other):
-        return self._combine(other, max)
+        return self._renum(map(fn, a, b), den)
 
     def __abs__(self):
-        return self._canonical(self.space, tuple(map(abs, self._nums)), self._den)
-
-    def _cap(self, c):
-        nums, c, den = self._with_const(c)
-        if max(nums, default=0) <= c:
-            return self  # nothing to cap
-        return self._canonical(self.space, tuple(min(n, c) for n in nums), den)
-
-    def _excess(self, r):
-        nums, r, den = self._with_const(r)
-        excess = tuple(n - r if n > r else 0 for n in nums)
-        return self._canonical(self.space, excess, den)
-
-    def is_nonneg(self):
-        return min(self._nums, default=0) >= 0
+        return self._renum(map(abs, self._nums), self._den)
 
     def is_zero(self):
         return not any(self._nums)
@@ -233,74 +255,35 @@ class SimpleElement(Carrier):
         return {Fraction(n, self._den): frozenset(s) for n, s in out.items()}
 
 
-def _scale_image(box, q):
-    a, b = box
-    if q > 0:
-        return (q * a, q * b, False, False)
-    if q < 0:
-        return (q * b, q * a, False, False)
-    return (ZERO, ZERO, True, True)
-
-
-def _clamp_image(box, cap):
-    a, b = box
-    if b <= cap:
-        return (a, b, False, False)
-    if a >= cap:
-        return (cap, cap, True, True)
-    return (a, cap, False, True)
-
-
-def _tminus_image(box, r):
-    a, b = box
-    if b <= r:
-        return (ZERO, ZERO, True, True)
-    if a >= r:
-        return (a - r, b - r, False, False)
-    return (ZERO, b - r, True, False)
-
-
 @dataclass(frozen=True)
 class Op:
     """One operation tag of the truncation calculus, for all three carriers.
 
     method names the carrier method that computes the tag: it takes the
     other operands and then the rational parameter, if the tag has one.
-    The rest serves the join-of-meets oracle on frame reals.  scalar and
-    image take the operand values, or open boxes (lo, hi), followed by the
-    parameter.  image is the exact image (lo, hi, lo_attained, hi_attained)
-    of a box: every tag is monotone in each coordinate (sub antitone in the
-    second), so the endpoints sit at the box corners, and the clamping tags
-    may attain their kink values.  kinks gives the values where scalar bends,
-    which the oracle adds to its grid.
+    The rest serves the join-of-meets oracle on frame reals: scalar takes
+    the operand values followed by the parameter, and kinks gives the values
+    where scalar bends, which the oracle adds to its grid.  Every scalar is
+    continuous, which the oracle relies on.
     """
 
     arity: int
     takes_param: bool
     method: str
     scalar: object
-    image: object
     kinks: object = lambda *param: ()
 
 
 OPS = {
-    "add": Op(2, False, "__add__", lambda a, b: a + b,
-              lambda x, y: (x[0] + y[0], x[1] + y[1], False, False)),
-    "sub": Op(2, False, "__sub__", lambda a, b: a - b,
-              lambda x, y: (x[0] - y[1], x[1] - y[0], False, False)),
-    "negate": Op(1, False, "__neg__", lambda v: -v,
-                 lambda x: (-x[1], -x[0], False, False)),
-    "scale": Op(1, True, "scale", lambda v, q: q * v, _scale_image),
-    "meet": Op(2, False, "meet", min,
-               lambda x, y: (min(x[0], y[0]), min(x[1], y[1]), False, False)),
-    "join": Op(2, False, "join", max,
-               lambda x, y: (max(x[0], y[0]), max(x[1], y[1]), False, False)),
-    "truncate": Op(1, False, "truncate", lambda v: min(v, ONE),
-                   lambda x: _clamp_image(x, ONE), lambda: (ONE,)),
-    "tminus": Op(1, True, "tminus", lambda v, r: max(v - r, ZERO),
-                 _tminus_image, lambda r: (r,)),
-    "truncN": Op(1, True, "trunc_at", lambda v, n: min(v, n),
-                 _clamp_image, lambda n: (n,)),
+    "add": Op(2, False, "__add__", lambda a, b: a + b),
+    "sub": Op(2, False, "__sub__", lambda a, b: a - b),
+    "negate": Op(1, False, "__neg__", lambda v: -v),
+    "scale": Op(1, True, "scale", lambda v, q: q * v),
+    "meet": Op(2, False, "meet", min),
+    "join": Op(2, False, "join", max),
+    "truncate": Op(1, False, "truncate", lambda v: min(v, ONE), lambda: (ONE,)),
+    "tminus": Op(1, True, "tminus", lambda v, r: max(v - r, ZERO), lambda r: (r,)),
+    "truncN": Op(1, True, "trunc_at", lambda v, n: min(v, n), lambda n: (n,)),
 }
 
 
@@ -632,17 +615,23 @@ def yosida_quotient(space, gens):
     return qspace, mapped, projection
 
 
+def int_cut_grid(points, one):
+    """cut_grid on ints: the points, the midpoints and one beyond each end.
+
+    The points are values scaled by one = 2 * a common denominator, so they
+    are even and the midpoints stay ints.
+    """
+    vals = sorted(set(points)) or [0]
+    return sorted({*vals, *((x + y) // 2 for x, y in zip(vals, vals[1:])),
+                   vals[0] - one, vals[-1] + one})
+
+
 def cut_grid(values):
     """All cut points among the values, plus midpoints and one beyond each end."""
-    vals = sorted(set(Fraction(v) for v in values))
-    if not vals:
-        vals = [Fraction(0)]
-    grid = list(vals)
-    for a, b in zip(vals, vals[1:]):
-        grid.append((a + b) / 2)
-    grid.append(vals[0] - 1)
-    grid.append(vals[-1] + 1)
-    return sorted(set(grid))
+    vals = [as_fraction(v) for v in values]
+    d = 2 * lcm(*(v.denominator for v in vals))
+    grid = int_cut_grid((v.numerator * (d // v.denominator) for v in vals), d)
+    return [Fraction(r, d) for r in grid]
 
 
 def pointwise_sup(family):
@@ -650,8 +639,8 @@ def pointwise_sup(family):
 
     At each r of cut_grid(all values and 0) the union over the family of the
     upper cuts {p : g(p) > r} must be the sup's upper cut; the first r where
-    they differ is the witness.  It runs on ints: scaled by d = 2 * lcm of the
-    denominators the values are even, so the grid's midpoints stay ints.
+    they differ is the witness.  It runs on int_cut_grid, scaled by d = 2 *
+    lcm of the denominators.
     """
     family = list(family)
     if not family:
@@ -660,13 +649,11 @@ def pointwise_sup(family):
     d = 2 * lcm(b._den, *(g._den for g in family))
     rows = [[n * (d // g._den) for n in g._nums] for g in family]
     top = [n * (d // b._den) for n in b._nums]
-    vals = sorted({0, *top}.union(*rows))
-    grid = sorted({*vals, *((x + y) // 2 for x, y in zip(vals, vals[1:])),
-                   vals[0] - d, vals[-1] + d})
-    for r in grid:  # the basepoint, in both cuts when r < 0, is left out
+    for r in int_cut_grid({0, *top}.union(*rows), d):
+        # the basepoint, in both cuts when r < 0, is left out
         union = {i for row in rows for i, v in enumerate(row) if v > r}
-        certify(union == {i for i, v in enumerate(top) if v > r},
-                "pointwise sup fails the cut test", Fraction(r, d))
+        if union != {i for i, v in enumerate(top) if v > r}:
+            certify(False, "pointwise sup fails the cut test", Fraction(r, d))
     return b
 
 

@@ -11,24 +11,19 @@ their adjoints, with density decided exactly.
 """
 
 import itertools
-import math
-import operator
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
+from math import gcd, lcm
 
-from .elements import (OPS, ZERO, Carrier, DiniReport, apply_op, cut_grid,
+from .elements import (OPS, DiniReport, StepValues, apply_op, int_cut_grid,
                        is_unital_component)
 from .errors import (BudgetError, PositivityError, SpaceMismatchError,
                      StructureError, UnsupportedOperationError, certify)
-from .gba import Violation, order_lattice, transitive_closure
+from .gba import Violation, order_lattice
 from .rat import (NEG_INF, POS_INF, as_fraction, format_label, format_rational,
                   is_finite)
-
-
-def frame_validate(labels, leq_pairs):
-    """Violations of the finite-frame laws for a raw (labels, order) pair."""
-    return _frame_tables(labels, leq_pairs)[0]
 
 
 def _frame_tables(labels, leq_pairs):
@@ -58,18 +53,13 @@ class FiniteFrame:
         self.labels = tuple(labels)
         self.index = {x: i for i, x in enumerate(self.labels)}
         self._up = up  # bit j of _up[i] is set iff labels[i] <= labels[j]
-        bot = up.index((1 << len(up)) - 1)
-        self.bottom = self.labels[bot]
-        self.top = self.labels[next(i for i, u in enumerate(up) if u == 1 << i)]
+        self._bot = bot = up.index((1 << len(up)) - 1)
+        self._top = next(i for i, u in enumerate(up) if u == 1 << i)
+        self.bottom, self.top = self.labels[bot], self.labels[self._top]
         self.pseudo = {x: self.labels[self._implies(i, bot)]
                        for i, x in enumerate(self.labels)}
         self.complemented = frozenset(
             x for x in self.labels if self.join(x, self.pseudo[x]) == self.top)
-
-    @classmethod
-    def from_covers(cls, labels, covers):
-        labels = list(labels)
-        return cls(labels, transitive_closure({(x, x) for x in labels} | set(covers)))
 
     @classmethod
     def from_sets(cls, family):
@@ -121,18 +111,6 @@ class FiniteFrame:
             raise StructureError(f"{x} is not complemented")
         return self.pseudo[x]
 
-    def derived_tables(self):
-        """The computed structure: implication, pseudocomplement, rather-below,
-        complemented elements, and trivial compactness at finite scale."""
-        rb = {(x, y) for x in self.labels for y in self.labels
-              if self.rather_below(x, y)}
-        return {"implies": {(x, y): self.implies(x, y)
-                            for x in self.labels for y in self.labels},
-                "pseudocomplement": dict(self.pseudo),
-                "rather_below": rb,
-                "complemented": self.complemented,
-                "compact": True}
-
     def __len__(self):
         return len(self.labels)
 
@@ -142,6 +120,17 @@ class FiniteFrame:
 
     def __hash__(self):
         return hash(self.labels)
+
+
+def _unpreserved(fr, f, laws):
+    """The first (law, x, y) where f, listed by the indices of fr, fails
+    f(x op y) = f(x) op f(y); laws lists (law, op table of fr, op table of
+    the target) in the order they are tried on each pair."""
+    for (i, x), (j, y) in itertools.product(enumerate(fr.labels), repeat=2):
+        for law, table, target in laws:
+            if f[table[i][j]] != target[f[i]][f[j]]:
+                return law, x, y
+    return None
 
 
 class PointedFiniteFrame:
@@ -163,12 +152,11 @@ class PointedFiniteFrame:
         fr = self.frame
         if not self.point(fr.top) or self.point(fr.bottom):
             raise StructureError("point must send top to top and bottom to bottom")
-        t = [self.point(x) for x in fr.labels]
-        for (i, x), (j, y) in itertools.product(enumerate(fr.labels), repeat=2):
-            if t[fr._meet[i][j]] != (t[i] and t[j]):
-                raise StructureError(f"point not meet-preserving at ({x},{y})")
-            if t[fr._join[i][j]] != (t[i] or t[j]):
-                raise StructureError(f"point not join-preserving at ({x},{y})")
+        bad = _unpreserved(fr, [int(self.point(x)) for x in fr.labels],
+                           [("meet", fr._meet, ((0, 0), (0, 1))),
+                            ("join", fr._join, ((0, 1), (1, 1)))])
+        if bad:
+            raise StructureError("point not {}-preserving at ({},{})".format(*bad))
 
     def __eq__(self, other):
         return (isinstance(other, PointedFiniteFrame)
@@ -194,14 +182,6 @@ class OpenInterval:
     closed_lo: bool = False
     closed_hi: bool = False
 
-    def contains(self, v):
-        if v is NEG_INF:
-            return bool(self.closed_lo)
-        if v is POS_INF:
-            return bool(self.closed_hi)
-        return ((self.lo is NEG_INF or self.lo < v)
-                and (self.hi is POS_INF or v < self.hi))
-
     def restrict_to_reals(self):
         """The image under U -> U n (-inf, inf), dropping the infinite ends."""
         return OpenInterval(self.lo, self.hi)
@@ -213,35 +193,38 @@ class OpenInterval:
 
 
 def ray_below(r):
-    return OpenInterval(NEG_INF, Fraction(r))
+    return OpenInterval(NEG_INF, as_fraction(r))
 
 
 def ray_above(r):
-    return OpenInterval(Fraction(r), POS_INF)
+    return OpenInterval(as_fraction(r), POS_INF)
 
 
 def real_line():
     return OpenInterval(NEG_INF, POS_INF)
 
 
-class FrameReal(Carrier):
+class FrameReal(StepValues):
     """Step-valued frame real: disjoint complemented cells with join top.
 
     extended=True admits +/-inf cells (the D-type); pointed=False skips
     the basepoint-cell rule, for deliberately unpointed test elements.
-    The operations are cell-wise: _zip combines two operands' values on the
-    meets of their cells, _map applies a function to each cell value.
+    The finite values are integer numerators _nums, ascending and distinct,
+    over one denominator _den > 0 in lowest terms; _cells holds the frame
+    index of each value's cell, and _neg and _pos those of the -inf and
+    +inf cells, or None.  cells, values and eval give Fractions and labels.
+
+    The public constructor validates the cells; the cell-wise operation
+    results go through _canonical, which only merges equal values: refined
+    partitions stay partitions, and every tag maps (0, 0) to 0.
     """
 
     def __init__(self, pframe, cells, extended=False, pointed=True):
-        self.pframe = pframe
-        self.extended = extended
-        self.pointed = pointed
         fr = pframe.frame
         merged = {}
         for value, cell in cells:
             if is_finite(value):
-                value = Fraction(value)
+                value = as_fraction(value)
             elif not extended:
                 raise StructureError("infinite values need a D-type frame real")
             if cell not in fr.index:
@@ -249,109 +232,143 @@ class FrameReal(Carrier):
             if cell == fr.bottom:
                 continue
             merged[value] = fr.join(merged[value], cell) if value in merged else cell
-        self.cells = tuple((v, merged[v]) for v in sorted(merged))
+        neg, pos = (merged.pop(v, None) for v in (NEG_INF, POS_INF))
+        den = lcm(*(v.denominator for v in merged))
+        self._store(pframe, [(v.numerator * (den // v.denominator), fr.index[c])
+                             for v, c in merged.items()], den)
+        self.extended, self.pointed = extended, pointed
+        self._neg, self._pos = (None if c is None else fr.index[c] for c in (neg, pos))
         self._validate()
+
+    @classmethod
+    def _canonical(cls, pframe, pairs, den, validate=False):
+        """A finite pointed real from (numerator over den, cell index) pairs.
+
+        validate=True still checks the point rule, for unpointed operands.
+        """
+        e = object.__new__(cls)
+        e._store(pframe, pairs, den)
+        if validate:
+            e._validate()
+        return e
+
+    def _store(self, pframe, pairs, den):
+        """Merge the cells of equal numerators, sort, and divide out the gcd."""
+        join = pframe.frame._join
+        merged = {}
+        for n, c in pairs:
+            merged[n] = join[merged[n]][c] if n in merged else c
+        nums = sorted(merged)
+        g = gcd(den, *nums)
+        self.pframe, self.extended, self.pointed = pframe, False, True
+        self._nums, self._den = tuple(n // g for n in nums), den // g
+        self._cells = tuple(merged[n] for n in nums)
+        self._neg = self._pos = None
+
+    def _items(self):
+        """(numerator or +/-inf, cell index) in value order."""
+        out = [] if self._neg is None else [(NEG_INF, self._neg)]
+        out += zip(self._nums, self._cells)
+        return out if self._pos is None else out + [(POS_INF, self._pos)]
 
     def _validate(self):
         fr = self.pframe.frame
-        items = self.cells
+        items = self._items()
         for i, (_, c) in enumerate(items):
-            for j in range(i + 1, len(items)):
-                if fr.meet(c, items[j][1]) != fr.bottom:
-                    raise StructureError(
-                        f"cells {c!r} and {items[j][1]!r} are not disjoint")
-        if fr.join_all(c for _, c in items) != fr.top:
+            for _, d in items[i + 1:]:
+                if fr._meet[c][d] != fr._bot:
+                    raise StructureError(f"cells {fr.labels[c]!r} and {fr.labels[d]!r} "
+                                         "are not disjoint")
+        if self._join(c for _, c in items) != fr._top:
             raise StructureError("cells do not cover the frame")
         if self.pointed:
-            pointed_cells = [(v, c) for v, c in items if self.pframe.point(c)]
-            if len(pointed_cells) != 1 or pointed_cells[0][0] != 0:
+            pointed_cells = [n for n, c in items if self.pframe.point(fr.labels[c])]
+            if pointed_cells != [0]:
                 raise StructureError(
                     "the cell containing the designated point must carry 0")
 
+    def _join(self, cells):
+        """Frame index of the join of the given cell indices."""
+        join = self.pframe.frame._join
+        acc = self.pframe.frame._bot
+        for c in cells:
+            acc = join[acc][c]
+        return acc
+
     @classmethod
     def zero(cls, pframe):
-        return cls(pframe, [(Fraction(0), pframe.frame.top)])
+        return cls._canonical(pframe, [(0, pframe.frame._top)], 1)
+
+    @property
+    def cells(self):
+        labels, den = self.pframe.frame.labels, self._den
+        return tuple((Fraction(n, den) if is_finite(n) else n, labels[c])
+                     for n, c in self._items())
 
     def values(self):
-        return [v for v, _ in self.cells]
+        return [Fraction(n, self._den) if is_finite(n) else n for n, _ in self._items()]
 
     def to_json(self):
         """The report form: each cell value to its frame element."""
         return {format_rational(v): format_label(c) for v, c in self.cells}
 
     def finite_part_join(self):
-        fr = self.pframe.frame
-        return fr.join_all(c for v, c in self.cells if is_finite(v))
+        return self.pframe.frame.labels[self._join(self._cells)]
+
+    def _rank(self, x, strict):
+        """How many finite values lie below x, or at or below it unless strict."""
+        if not is_finite(x):
+            return 0 if x is NEG_INF else len(self._nums)
+        p, q = x.numerator * self._den, x.denominator
+        if strict:
+            return bisect_left(self._nums, -(-p // q))
+        return bisect_right(self._nums, p // q)
 
     def eval(self, interval):
         """The frame element assigned to an open interval: join of matching cells."""
-        fr = self.pframe.frame
-        return fr.join_all(c for v, c in self.cells if interval.contains(v))
+        cells = self._cells[self._rank(interval.lo, False):self._rank(interval.hi, True)]
+        if interval.closed_lo and self._neg is not None:
+            cells += (self._neg,)
+        if interval.closed_hi and self._pos is not None:
+            cells += (self._pos,)
+        return self.pframe.frame.labels[self._join(cells)]
 
-    def _zip(self, other, fn):
-        if not isinstance(other, FrameReal):
-            return NotImplemented
-        if self.pframe != other.pframe:
-            raise SpaceMismatchError("frame reals over different pointed frames")
-        if self.extended or other.extended:
-            raise UnsupportedOperationError("arithmetic needs finite-valued operands")
-        fr = self.pframe.frame
-        cells = []
-        for v1, c1 in self.cells:
-            for v2, c2 in other.cells:
-                c = fr.meet(c1, c2)
-                if c != fr.bottom:
-                    cells.append((fn(v1, v2), c))
-        return FrameReal(self.pframe, cells)
-
-    def _map(self, fn):
+    def _finite(self):
         if self.extended:
             raise UnsupportedOperationError("arithmetic needs finite-valued operands")
-        return FrameReal(self.pframe, [(fn(v), c) for v, c in self.cells])
+        return self._nums, self._den
 
-    def __add__(self, other):
-        return self._zip(other, operator.add)
+    def _renum(self, nums, den):
+        return self._canonical(self.pframe, zip(nums, self._cells), den,
+                               validate=not self.pointed)
 
-    def __sub__(self, other):
-        return self._zip(other, operator.sub)
-
-    def __neg__(self):
-        return self._map(operator.neg)
-
-    def scale(self, q):
-        q = as_fraction(q)
-        return self._map(lambda v: q * v)
-
-    def meet(self, other):
-        return self._zip(other, min)
-
-    def join(self, other):
-        return self._zip(other, max)
-
-    def _cap(self, c):
-        return self._map(lambda v: min(v, c))
-
-    def _excess(self, r):
-        return self._map(lambda v: max(v - r, ZERO))
+    def _combine(self, other, fn):
+        """fn of the two operands' values on the meets of their cells."""
+        if not isinstance(other, FrameReal):
+            raise SpaceMismatchError(f"{other!r} is not a frame real")
+        if self.pframe is not other.pframe and self.pframe != other.pframe:
+            raise SpaceMismatchError("frame reals over different pointed frames")
+        a, b, den = self._aligned(other)
+        meet, bot = self.pframe.frame._meet, self.pframe.frame._bot
+        pairs = [(fn(x, y), m) for x, c in zip(a, self._cells)
+                 for y, d in zip(b, other._cells) if (m := meet[c][d]) != bot]
+        return self._canonical(self.pframe, pairs, den,
+                               validate=not (self.pointed and other.pointed))
 
     def is_nonneg(self):
-        return all(v >= 0 for v in self.values())
+        return self._neg is None and super().is_nonneg()
 
     def leq(self, other):
-        diff = other - self
-        return diff.is_nonneg()
-
-    def coz(self):
-        """The cozero element g(0, inf) v g(-inf, 0)."""
-        fr = self.pframe.frame
-        return fr.join(self.eval(ray_above(0)), self.eval(ray_below(0)))
+        return (other - self).is_nonneg()
 
     def __eq__(self, other):
-        return (isinstance(other, FrameReal) and self.pframe == other.pframe
-                and self.cells == other.cells)
+        return (isinstance(other, FrameReal) and self._nums == other._nums
+                and self._den == other._den and self._cells == other._cells
+                and self._neg == other._neg and self._pos == other._pos
+                and self.pframe == other.pframe)
 
     def __hash__(self):
-        return hash((self.pframe, self.cells))
+        return hash((self.pframe, self._nums, self._den, self._cells))
 
     def __repr__(self):
         inner = ", ".join(f"{v}:{c}" for v, c in self.cells)
@@ -375,17 +392,12 @@ def induced_op(tag, operands, param=None):
     return result
 
 
-def _grid_intervals(grid):
-    """The line, the rays and the intervals of a grid, None for an unbounded end."""
-    return ([(None, None)] + [e for r in grid for e in ((None, r), (r, None))]
-            + list(itertools.combinations(grid, 2)))
-
-
-def _join_inside(join, acc, items, lo, hi):
-    """Join into acc the element m of every item (a, b, m) with lo <= a, b <= hi."""
-    for a, b, m in items:
-        if (lo is None or lo <= a) and (hi is None or b <= hi):
-            acc = join[acc][m]
+def _join_inside(fr, items, lo, hi):
+    """Join of the element m of every item (w, m) with lo < w < hi."""
+    acc = fr._bot
+    for w, m in items:
+        if (lo is None or lo < w) and (hi is None or w < hi):
+            acc = fr._join[acc][m]
     return acc
 
 
@@ -397,48 +409,36 @@ def oracle_mismatch(tag, operands, result, param=None):
     to consider one tight box around each tuple of operand values: general
     opens decompose into intervals and frame distributivity splits their
     contributions, while a tight box around a value tuple realizes the meet
-    of the corresponding cells.  The half-width gamma is chosen so small
-    that a tight box's image lies in V exactly when the tuple's value does.
+    of the corresponding cells, which are the operands' own cells.  Every
+    tag is continuous, so a tight enough box maps inside an open V exactly
+    when the tuple's value lies in V: each tuple adds its meet at its value.
 
-    It runs on ints: grid points, image ends and result cell values (images
-    attained at both ends) scaled by twice their common denominator, an
-    attained end moved one step inward, so lo <= a and b <= hi is "inside".
+    It runs on ints: grid, tuple values and result values scaled by twice
+    their common denominator.
     """
     fr = operands[0].pframe.frame
     op = OPS[tag]
     params = () if param is None else (Fraction(param),)
-    grid = cut_grid([v for g in operands for v in g.values()] + list(op.kinks(*params)))
-    combos = list(itertools.product(*(g.values() for g in operands)))
-    outputs = {op.scalar(*combo, *params) for combo in combos}
-    d = math.lcm(*(x.denominator for x in [*grid, *outputs]))
-    ints = [{x.numerator * (d // x.denominator) for x in xs} for xs in (grid, outputs)]
-    gap = min((abs(c - w) for c in ints[0] for w in ints[1] if c != w), default=d)
-    gamma = Fraction(gap, d * 2 * (len(operands) + 1))
-    tight = [{v: fr.index[g.eval(OpenInterval(v - gamma, v + gamma))]
-              for v in g.values()} for g in operands]
-    top, bot = fr.index[fr.top], fr.index[fr.bottom]
-    boxes = []
-    for combo in combos:
-        meet = top
-        for cell_of, v in zip(tight, combo):
-            meet = fr._meet[meet][cell_of[v]]
-        if meet != bot:
-            boxes.append((*op.image(*[(v - gamma, v + gamma) for v in combo], *params),
-                          meet))
-    cells = [(v, fr.index[c]) for v, c in result.cells if is_finite(v)]
-    ends = [x for box in boxes for x in box[:2]] + [v for v, _ in cells]
-    den = 2 * math.lcm(*(x.denominator for x in grid + ends))
-
-    def s(x):
-        return x.numerator * (den // x.denominator)
-
-    boxes = [(s(lo) - lo_att, s(hi) + hi_att, m) for lo, hi, lo_att, hi_att, m in boxes]
-    cells = [(s(v) - 1, s(v) + 1, m) for v, m in cells]
-    for lo, hi in _grid_intervals([s(r) for r in grid]):
-        if (_join_inside(fr._join, bot, boxes, lo, hi)
-                != _join_inside(fr._join, bot, cells, lo, hi)):
-            return OpenInterval(NEG_INF if lo is None else Fraction(lo, den),
-                                POS_INF if hi is None else Fraction(hi, den))
+    kinks = op.kinks(*params)
+    items = []
+    for combo in itertools.product(*(zip(g.values(), g._cells) for g in operands)):
+        m = fr._top
+        for _, c in combo:
+            m = fr._meet[m][c]
+        if m != fr._bot:
+            items.append((op.scalar(*(v for v, _ in combo), *params), m))
+    d = 2 * lcm(result._den, *(g._den for g in operands),
+                *(x.denominator for x in kinks), *(w.denominator for w, _ in items))
+    grid = int_cut_grid({*(n * (d // g._den) for g in operands for n in g._nums),
+                         *(x.numerator * (d // x.denominator) for x in kinks)}, d)
+    items = [(w.numerator * (d // w.denominator), m) for w, m in items]
+    cells = [(n * (d // result._den), c) for n, c in zip(result._nums, result._cells)]
+    # the line, the rays and the intervals of the grid, None for an open end
+    rays = [e for r in grid for e in ((None, r), (r, None))]
+    for lo, hi in [(None, None), *rays, *itertools.combinations(grid, 2)]:
+        if _join_inside(fr, items, lo, hi) != _join_inside(fr, cells, lo, hi):
+            return OpenInterval(NEG_INF if lo is None else Fraction(lo, d),
+                                POS_INF if hi is None else Fraction(hi, d))
     return None
 
 
@@ -492,14 +492,10 @@ class FrameSurjection:
                 raise StructureError(f"map not total at {x!r}")
         if self.mapping[fs.top] != ft.top or self.mapping[fs.bottom] != ft.bottom:
             raise StructureError("map must preserve top and bottom")
-        for x in fs.labels:
-            for y in fs.labels:
-                if self.mapping[fs.join(x, y)] != ft.join(self.mapping[x],
-                                                          self.mapping[y]):
-                    raise StructureError(f"map not join-preserving at ({x},{y})")
-                if self.mapping[fs.meet(x, y)] != ft.meet(self.mapping[x],
-                                                          self.mapping[y]):
-                    raise StructureError(f"map not meet-preserving at ({x},{y})")
+        bad = _unpreserved(fs, [ft.index[self.mapping[x]] for x in fs.labels],
+                           [("join", fs._join, ft._join), ("meet", fs._meet, ft._meet)])
+        if bad:
+            raise StructureError("map not {}-preserving at ({},{})".format(*bad))
         if set(self.mapping.values()) != set(ft.labels):
             raise StructureError("map not surjective")
         for x in fs.labels:
@@ -522,10 +518,6 @@ class FrameSurjection:
         return next(((x, y) for x in fs.labels for y in ft.labels
                      if ft.leq(self.mapping[x], y) != fs.leq(x, self.adjoint[y])),
                     None)
-
-    def galois_holds(self):
-        """q(x) <= y iff x <= adjoint(y), over all pairs."""
-        return self.galois_failure() is None
 
 
 def surjection_tools(q):
@@ -567,11 +559,9 @@ def drop(q, h_prime):
                     "infinite cells must collapse under the condition", (v, c))
     h = FrameReal(q.target, cells, pointed=h_prime.pointed)
     probes = [real_line()]
-    for r in cut_grid([v for v in h_prime.values() if is_finite(v)] + [0]):
-        probes.append(OpenInterval(NEG_INF, r, closed_lo=True))
-        probes.append(OpenInterval(r, POS_INF, closed_hi=True))
-        probes.append(ray_below(r))
-        probes.append(ray_above(r))
+    for r in _cut_points([h_prime], 0):
+        probes += [OpenInterval(NEG_INF, r, closed_lo=True),
+                   OpenInterval(r, POS_INF, closed_hi=True), ray_below(r), ray_above(r)]
     for u in probes:
         certify(q(h_prime.eval(u)) == h.eval(u.restrict_to_reals()),
                 "drop square q o h' = h o p fails", u)
@@ -594,9 +584,8 @@ class LiftResult:
 def _certify_lift(q, h, h_prime):
     """Certify q o h' = h o p on the real line and the rays at every cut of h."""
     probes = [real_line()]
-    for r in cut_grid(h.values() + [0]):
-        probes.append(ray_below(r))
-        probes.append(ray_above(r))
+    for r in _cut_points([h], 0):
+        probes += [ray_below(r), ray_above(r)]
     for u in probes:
         certify(q(h_prime.eval(u)) == h.eval(u),
                 "the lift must satisfy q o h' = h o p", u)
@@ -631,10 +620,8 @@ def e0q_exhaustive(q, h, max_frame=20):
     if len(fs) > max_frame:
         raise BudgetError(f"source frame exceeds the {max_frame}-element bound")
     target_cells = list(h.cells)
-    candidate_sets = []
-    for v, x in target_cells:
-        cands = [c for c in fs.labels if c in fs.complemented and q(c) == x]
-        candidate_sets.append(cands)
+    candidate_sets = [[c for c in fs.labels if c in fs.complemented and q(c) == x]
+                      for _, x in target_cells]
 
     def search(i, chosen, acc):
         if i == len(target_cells):
@@ -656,6 +643,13 @@ def e0q_exhaustive(q, h, max_frame=20):
 
 # --- pointwise suprema and Dini --------------------------------------------
 
+def _cut_points(reals, *extra):
+    """cut_grid of the reals' finite values and the extra ints, built on ints."""
+    d = 2 * lcm(*(g._den for g in reals))
+    points = {n * (d // g._den) for g in reals for n in g._nums}
+    return [Fraction(r, d) for r in int_cut_grid(points.union(x * d for x in extra), d)]
+
+
 def frame_pointwise_sup(family):
     """Cell-wise maximum, verified by the defining join equation at all cuts."""
     family = list(family)
@@ -663,7 +657,7 @@ def frame_pointwise_sup(family):
         raise StructureError("pointwise sup of an empty family")
     sup = reduce(lambda a, b: a.join(b), family)
     fr = sup.pframe.frame
-    for r in cut_grid([v for g in family + [sup] for v in g.values()]):
+    for r in _cut_points(family + [sup]):
         lhs = fr.join_all(g.eval(ray_above(r)) for g in family)
         certify(lhs == sup.eval(ray_above(r)), "pointwise sup fails the cut test", r)
     return sup
@@ -687,9 +681,8 @@ def frame_dini(seq):
             raise StructureError(f"sequence not nonincreasing at index {i + 2}")
     if seq[-1] != FrameReal.zero(seq[-1].pframe):
         return DiniReport(False, False, {})
-    values = [v for g in seq for v in g.values()] + [0]
     index_map = {}
-    for eps in [e for e in cut_grid(values) if e > 0]:
+    for eps in [e for e in _cut_points(seq, 0) if e > 0]:
         m = next(i for i in range(1, len(seq) + 1)
                  if all(t.eval(ray_below(eps)) == fr.top for t in seq[i - 1:]))
         index_map[eps] = m

@@ -362,20 +362,23 @@ class IdealizedBooleanAlgebra:
         report = ValidationReport(list(self.algebra.validate().violations))
         alg = self.algebra
         if not self.ideal <= alg.carrier:
-            report.add("ideal not a subset of carrier", tuple(self.ideal - alg.carrier))
+            report.add("ideal not a subset of carrier",
+                       tuple(sorted_labels(self.ideal - alg.carrier)))
             return report
         if alg.top in self.ideal:
             report.add("ideal not proper", alg.top)
         if alg.bottom not in self.ideal:
             report.add("ideal misses bottom", alg.bottom)
-        for a in self.ideal:
-            for b in sorted_labels(alg.carrier):
+        labels = sorted_labels(alg.carrier)
+        ideal = [a for a in labels if a in self.ideal]
+        for a in ideal:
+            for b in labels:
                 if alg.leq(b, a) and b not in self.ideal:
                     report.add("ideal not a downset", a, b)
-            for b in self.ideal:
+            for b in ideal:
                 if alg.join[(a, b)] not in self.ideal:
                     report.add("ideal not join-closed", a, b)
-        for b in sorted_labels(alg.carrier):
+        for b in labels:
             inside = (b in self.ideal, alg.complement[b] in self.ideal)
             if inside == (False, False):
                 report.add("ideal not maximal", b)
@@ -390,11 +393,6 @@ class IdealizedBooleanAlgebra:
 def gba_validate(algebra):
     """Validation report for a generalized Boolean algebra candidate."""
     return algebra.validate()
-
-
-def gba_diff(algebra, a, b):
-    """The unique c with c v b = a v b and c ^ b = bottom."""
-    return algebra.diff(a, b)
 
 
 def idealize(algebra):

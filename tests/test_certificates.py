@@ -1,8 +1,13 @@
 """Certificates are explicit checks that stay on under python -O."""
 
 import ast
+import importlib
 import json
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 from pathlib import Path
 
@@ -105,3 +110,64 @@ def test_failed_certificate_exits_1_with_its_witness(argv, target, attr, broken,
     assert [c["name"] for c in failed] == ["certificate"]
     assert failed[0]["detail"].startswith(message)
     assert "(witness " in failed[0]["detail"]
+
+
+def test_forged_canonical_result_exits_1_under_python_O(tmp_path):
+    """Operation results skip validation (FrameReal._canonical); a wrong one
+    still fails the join-of-meets oracle, also with asserts stripped."""
+    script = textwrap.dedent("""
+        import contextlib, io, json, sys
+        from trunclab import cli
+        from trunclab.frames import FrameReal
+
+        honest = FrameReal._canonical.__func__
+
+        def forged(cls, pframe, pairs, den, validate=False):
+            pairs = [(n + den if n else n, c) for n, c in pairs]  # nonzero values + 1
+            return honest(cls, pframe, pairs, den, validate)
+
+        FrameReal._canonical = classmethod(forged)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(["induced-op", "add", "u", "v", "--file", sys.argv[1],
+                             "--json"])
+        print(json.dumps({"optimize": sys.flags.optimize, "exit": code,
+                          "report": out.getvalue()}))
+    """)
+    proc = subprocess.run([sys.executable, "-O", "-c", script, INSTANCE],
+                          env=_env_with_src(), capture_output=True, text=True,
+                          timeout=120, check=False)
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["optimize"] == 1 and result["exit"] == 1
+    report = json.loads(result["report"])
+    failed = [c for c in report["checks"] if not c["passed"]]
+    assert [c["name"] for c in failed] == ["certificate"]
+    # u + v is 5/2 on b, the top of the grid; the forged result's 7/2 lies above it
+    assert failed[0]["detail"] == ("join-of-meets oracle disagrees "
+                                   "(witness (5/2,inf))")
+
+
+def _env_with_src():
+    src = str(PACKAGE.parent)
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
+def _probe_names():
+    tree = ast.parse((PACKAGE.parents[1] / "perfbench" / "tracing.py")
+                     .read_text(encoding="utf-8"))
+    node = next(n for n in tree.body if isinstance(n, ast.Assign)
+                and [t.id for t in n.targets if isinstance(t, ast.Name)] == ["PROBES"])
+    return [ast.literal_eval(key) for key in node.value.keys]
+
+
+@pytest.mark.parametrize("name", _probe_names())
+def test_benchmark_probe_names_resolve(name):
+    """The benchmark's named probes wrap trunclab attributes by dotted name;
+    a rename would silently leave a probe reading zero."""
+    module, *attrs = name.split(".")
+    obj = importlib.import_module(f"trunclab.{module}")
+    for attr in attrs:
+        assert hasattr(obj, attr), f"{name}: no {attr!r} on {obj!r}"
+        obj = getattr(obj, attr)

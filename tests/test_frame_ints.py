@@ -1,0 +1,384 @@
+"""The integer frame reals against the Fraction frame reals they replaced.
+
+RefFrameReal is the earlier FrameReal: Fraction cells keyed by label, every
+result rebuilt through the validating constructor, and eval through
+interval membership on Fractions.  The reference certifiers below are the earlier
+pointwise-sup cut test, Dini index map, drop square and lift probes on
+cut_grid's Fractions.  Hypothesis compares them with the integer layer.
+"""
+
+import itertools
+import operator
+import random
+from fractions import Fraction as F
+from functools import reduce
+from unittest import mock
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from trunclab import frames
+from trunclab.elements import OPS, ZERO, Carrier, apply_op, cut_grid
+from trunclab.errors import (CertificationError, PositivityError,
+                             SpaceMismatchError, StructureError,
+                             UnsupportedOperationError)
+from trunclab.frames import (FrameReal, OpenInterval, _certify_lift, drop,
+                             e0q_member, frame_dini, frame_pointwise_sup,
+                             ray_above, ray_below, real_line)
+from trunclab.rat import NEG_INF, POS_INF, as_fraction, is_finite
+from trunclab.sampling import dense_surjection, frame_real, pointed_frame
+
+from test_frames import interval_contains
+
+SEEDS = st.integers(0, 10**6)
+
+
+class RefFrameReal(Carrier):
+    """The Fraction frame real: the reference for the integer one."""
+
+    def __init__(self, pframe, cells, extended=False, pointed=True):
+        self.pframe = pframe
+        self.extended = extended
+        self.pointed = pointed
+        fr = pframe.frame
+        merged = {}
+        for value, cell in cells:
+            if is_finite(value):
+                value = F(value)
+            elif not extended:
+                raise StructureError("infinite values need a D-type frame real")
+            if cell not in fr.index:
+                raise StructureError(f"unknown frame element {cell!r}")
+            if cell == fr.bottom:
+                continue
+            merged[value] = fr.join(merged[value], cell) if value in merged else cell
+        self.cells = tuple((v, merged[v]) for v in sorted(merged))
+        self._validate()
+
+    def _validate(self):
+        fr = self.pframe.frame
+        items = self.cells
+        for i, (_, c) in enumerate(items):
+            for j in range(i + 1, len(items)):
+                if fr.meet(c, items[j][1]) != fr.bottom:
+                    raise StructureError(
+                        f"cells {c!r} and {items[j][1]!r} are not disjoint")
+        if fr.join_all(c for _, c in items) != fr.top:
+            raise StructureError("cells do not cover the frame")
+        if self.pointed:
+            pointed_cells = [(v, c) for v, c in items if self.pframe.point(c)]
+            if len(pointed_cells) != 1 or pointed_cells[0][0] != 0:
+                raise StructureError(
+                    "the cell containing the designated point must carry 0")
+
+    def values(self):
+        return [v for v, _ in self.cells]
+
+    def finite_part_join(self):
+        return self.pframe.frame.join_all(c for v, c in self.cells if is_finite(v))
+
+    def eval(self, interval):
+        fr = self.pframe.frame
+        return fr.join_all(c for v, c in self.cells if interval_contains(interval, v))
+
+    def _zip(self, other, fn):
+        if self.pframe != other.pframe:
+            raise SpaceMismatchError("frame reals over different pointed frames")
+        if self.extended or other.extended:
+            raise UnsupportedOperationError("arithmetic needs finite-valued operands")
+        fr = self.pframe.frame
+        cells = [(fn(v1, v2), fr.meet(c1, c2)) for v1, c1 in self.cells
+                 for v2, c2 in other.cells if fr.meet(c1, c2) != fr.bottom]
+        return RefFrameReal(self.pframe, cells)
+
+    def _map(self, fn):
+        if self.extended:
+            raise UnsupportedOperationError("arithmetic needs finite-valued operands")
+        return RefFrameReal(self.pframe, [(fn(v), c) for v, c in self.cells])
+
+    def __add__(self, other):
+        return self._zip(other, operator.add)
+
+    def __sub__(self, other):
+        return self._zip(other, operator.sub)
+
+    def __neg__(self):
+        return self._map(operator.neg)
+
+    def scale(self, q):
+        q = as_fraction(q)
+        return self._map(lambda v: q * v)
+
+    def meet(self, other):
+        return self._zip(other, min)
+
+    def join(self, other):
+        return self._zip(other, max)
+
+    def _cap(self, c):
+        return self._map(lambda v: min(v, c))
+
+    def _excess(self, r):
+        return self._map(lambda v: max(v - r, ZERO))
+
+    def is_nonneg(self):
+        return all(v >= 0 for v in self.values())
+
+    def leq(self, other):
+        return (other - self).is_nonneg()
+
+    def __repr__(self):
+        inner = ", ".join(f"{v}:{c}" for v, c in self.cells)
+        return f"FrameReal[{inner}]"
+
+
+def ref(g):
+    return RefFrameReal(g.pframe, g.cells, extended=g.extended, pointed=g.pointed)
+
+
+def outcome(fn, *args):
+    """The cells of fn(*args), or the type and text of what it raised."""
+    try:
+        return fn(*args).cells
+    except (StructureError, PositivityError, UnsupportedOperationError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def random_intervals(rng, values, count=12):
+    """Open intervals and closed-at-infinity rays around the given values."""
+    finite = sorted({v for v in values if is_finite(v)} | {F(0)})
+    points = finite + [v + d for v in finite for d in (F(-1, 3), F(1, 7))]
+    ends = [NEG_INF, POS_INF] + points
+    out = [real_line(), OpenInterval(NEG_INF, POS_INF, True, True)]
+    for _ in range(count):
+        lo, hi = rng.choice(ends), rng.choice(ends)
+        out.append(OpenInterval(lo, hi, lo is NEG_INF and rng.random() < 0.5,
+                                hi is POS_INF and rng.random() < 0.5))
+    return out
+
+
+def dtype_real(rng, pf):
+    """A D-type real: a random real's non-point cells sent to +/-inf at random."""
+    cells = []
+    for v, c in frame_real(rng, pf).cells:
+        if v != 0 and rng.random() < 0.5:
+            v = rng.choice([NEG_INF, POS_INF])
+        cells.append((v, c))
+    return cells
+
+
+PARAMS = [F(2), F(-1, 2), F(0), F(3, 4), F(1), F(2, 3), F(3), F(-5, 2)]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(SEEDS)
+def test_operations_match_the_fraction_reference(seed):
+    rng = random.Random(seed)
+    pf = pointed_frame(rng)
+    f, g = frame_real(rng, pf), frame_real(rng, pf)
+    fpos = frame_real(rng, pf, nonneg=True)
+    for tag, op in OPS.items():
+        for operands in ([f, g], [g, f], [fpos, f]) if op.arity == 2 else ([f], [fpos]):
+            param = rng.choice(PARAMS) if op.takes_param else None
+            got = outcome(apply_op, tag, operands, param)
+            assert got == outcome(apply_op, tag, [ref(x) for x in operands], param), tag
+            if not isinstance(got[0], str):
+                # the unvalidated result is the validated one
+                result = apply_op(tag, operands, param)
+                assert result == FrameReal(pf, result.cells)
+                assert hash(result) == hash(FrameReal(pf, result.cells))
+    assert f.leq(f.join(g)) and f.meet(g).leq(g)
+    assert (f.leq(g), f.is_nonneg()) == (ref(f).leq(ref(g)), ref(f).is_nonneg())
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(SEEDS)
+def test_eval_matches_the_fraction_reference(seed):
+    rng = random.Random(seed)
+    pf = pointed_frame(rng)
+    for g in (frame_real(rng, pf), frame_real(rng, pf, nonneg=True).scale(F(5, 3))):
+        r = ref(g)
+        for u in random_intervals(rng, g.values()):
+            assert g.eval(u) == r.eval(u), u
+        assert g.values() == r.values() and g.finite_part_join() == r.finite_part_join()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(SEEDS)
+def test_dtype_cells_match_the_fraction_reference(seed):
+    rng = random.Random(seed)
+    pf = pointed_frame(rng)
+    cells = dtype_real(rng, pf)
+    for pointed in (True, False):
+        g = FrameReal(pf, cells, extended=True, pointed=pointed)
+        r = RefFrameReal(pf, cells, extended=True, pointed=pointed)
+        assert g.cells == r.cells and g.values() == r.values()
+        assert repr(g) == "FrameReal[" + ", ".join(f"{v}:{c}" for v, c in r.cells) + "]"
+        assert g.finite_part_join() == r.finite_part_join()
+        assert g.is_nonneg() == r.is_nonneg()
+        for u in random_intervals(rng, g.values()):
+            assert g.eval(u) == r.eval(u), u
+        assert outcome(lambda: g + g) == outcome(lambda: r + r)
+        assert outcome(g.scale, 2) == outcome(r.scale, 2)
+        assert outcome(g.truncate) == outcome(r.truncate)
+
+
+def scrambled_cells(rng, pf):
+    """A cell list that may break any rule: overlaps, gaps, values at the point."""
+    labels = pf.frame.labels
+    cells = []
+    for _ in range(rng.randint(0, 4)):
+        value = rng.choice([F(0), F(1), F(-1, 2), F(3, 2), POS_INF, NEG_INF])
+        cells.append((value, rng.choice(labels)))
+    return cells
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(SEEDS)
+def test_validation_matches_the_fraction_reference(seed):
+    rng = random.Random(seed)
+    pf = pointed_frame(rng)
+    for cells in (scrambled_cells(rng, pf), dtype_real(rng, pf),
+                  frame_real(rng, pf).cells):
+        for extended, pointed in itertools.product((False, True), repeat=2):
+            got = outcome(FrameReal, pf, cells, extended, pointed)
+            assert got == outcome(RefFrameReal, pf, cells, extended, pointed)
+
+
+def ref_cut_test(family, sup):
+    """The earlier cut test of frame_pointwise_sup: the first failing r."""
+    fr = sup.pframe.frame
+    for r in cut_grid([v for g in family + [sup] for v in g.values()]):
+        if fr.join_all(g.eval(ray_above(r)) for g in family) != sup.eval(ray_above(r)):
+            return r
+    return None
+
+
+def sup_witness(family, sup):
+    """The witness of frame_pointwise_sup when its join of the family is sup."""
+    def forged(fn, items, *start):
+        return reduce(fn, items, *start) if start else sup
+
+    with mock.patch.object(frames, "reduce", forged):
+        try:
+            frame_pointwise_sup(family)
+        except CertificationError as exc:
+            return exc.witness
+    return None
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(SEEDS)
+def test_pointwise_sup_matches_the_fraction_reference(seed):
+    rng = random.Random(seed)
+    pf = pointed_frame(rng)
+    family = [frame_real(rng, pf) for _ in range(rng.randint(1, 4))]
+    sup = frame_pointwise_sup(family)
+    assert sup.cells == reduce(RefFrameReal.join, map(ref, family)).cells
+    for forged in (sup, sup.scale(F(1, 2)), sup + frame_real(rng, pf), family[0]):
+        assert sup_witness(family, forged) == ref_cut_test(
+            [ref(g) for g in family], ref(forged))
+
+
+def ref_dini(seq):
+    fr = seq[0].pframe.frame
+    values = [v for g in seq for v in g.values()] + [0]
+    return {eps: next(i for i in range(1, len(seq) + 1)
+                      if all(t.eval(ray_below(eps)) == fr.top for t in seq[i - 1:]))
+            for eps in cut_grid(values) if eps > 0}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(SEEDS)
+def test_dini_matches_the_fraction_reference(seed):
+    rng = random.Random(seed)
+    pf = pointed_frame(rng)
+    g = frame_real(rng, pf, nonneg=True)
+    seq = [g.scale(F(1, k)) for k in range(1, rng.randint(2, 5) + 1)]
+    seq += [FrameReal.zero(pf)] * 2
+    rep = frame_dini(seq)
+    assert rep.limit_is_zero and rep.index_map == ref_dini([ref(t) for t in seq])
+    if g != FrameReal.zero(pf):
+        with pytest.raises(StructureError, match="not nonincreasing at index 3"):
+            frame_dini(seq[::-1])
+
+
+def ref_drop(q, hp, forge=lambda h: h):
+    """The earlier drop: (ok, result cells or condition, None), or (True,
+    first failing probe, "failed").
+
+    forge stands in for a faulty result: it maps the true result to the one
+    the square is checked against.
+    """
+    ft = q.target.frame
+    condition = q(hp.finite_part_join())
+    if condition != ft.top:
+        return False, condition, None
+    h = forge(RefFrameReal(q.target, [(v, q(c)) for v, c in hp.cells if is_finite(v)],
+                           pointed=hp.pointed))
+    probes = [real_line()]
+    for r in cut_grid([v for v in hp.values() if is_finite(v)] + [0]):
+        probes += [OpenInterval(NEG_INF, r, closed_lo=True),
+                   OpenInterval(r, POS_INF, closed_hi=True), ray_below(r), ray_above(r)]
+    bad = next((u for u in probes
+                if q(hp.eval(u)) != h.eval(u.restrict_to_reals())), None)
+    return (True, h.cells, None) if bad is None else (True, bad, "failed")
+
+
+def ref_lift_probe(q, h, hp):
+    """The earlier lift certificate: the first probe where q o h' != h o p."""
+    probes = [real_line()]
+    for r in cut_grid(h.values() + [0]):
+        probes += [ray_below(r), ray_above(r)]
+    return next((u for u in probes if q(hp.eval(u)) != h.eval(u)), None)
+
+
+def lift_witness(q, h, hp):
+    try:
+        _certify_lift(q, h, hp)
+    except CertificationError as exc:
+        return exc.witness
+    return None
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(SEEDS)
+def test_drop_square_and_lift_probes_match_the_fraction_reference(seed):
+    rng = random.Random(seed)
+    pf = pointed_frame(rng, max_points=3, max_size=12)
+    q = dense_surjection(rng, pf)
+    h = frame_real(rng, q.target)
+    lift = e0q_member(q, h)
+    if lift.ok:
+        assert lift_witness(q, h, lift.witness) is None
+        assert ref_lift_probe(q, ref(h), ref(lift.witness)) is None
+        for forged in (lift.witness.scale(2), frame_real(rng, q.source)):
+            assert lift_witness(q, h, forged) == ref_lift_probe(q, ref(h), ref(forged))
+    for cells in (dtype_real(rng, q.source), lift.witness.cells if lift.ok else []):
+        if not cells:
+            continue
+        hp = FrameReal(q.source, cells, extended=True)
+        assert drop_outcome(q, hp) == ref_drop(q, ref(hp))
+        # a faulty result, twice the true one, fails the square at the same probe
+        with mock.patch.object(frames, "FrameReal",
+                               lambda *args, **kw: FrameReal(*args, **kw).scale(2)):
+            got = drop_outcome(q, hp)
+        assert got == ref_drop(q, ref(hp), forge=lambda h: h.scale(2))
+
+
+def drop_outcome(q, hp):
+    """drop as (ok, result cells or condition, failing probe of the square)."""
+    try:
+        res = drop(q, hp)
+    except CertificationError as exc:
+        return True, exc.witness, "failed"
+    return (True, res.result.cells, None) if res.ok else (False, res.condition_value, None)
+
+
+def test_mixed_models_are_a_space_mismatch():
+    rng = random.Random(3)
+    g = frame_real(rng, pointed_frame(rng))
+    for fn in (lambda: g + 1, lambda: g.meet(ref(g)), lambda: g.join("x")):
+        with pytest.raises(SpaceMismatchError):
+            fn()

@@ -19,9 +19,9 @@ from trunclab.frames import (FiniteFrame, FrameReal, FrameSurjection,
                              OpenInterval, PointedFiniteFrame,
                              chi, drop, e0q_exhaustive, e0q_member,
                              frame_dini, frame_pointwise_sup, frame_uc_check,
-                             frame_validate, induced_op, oracle_mismatch,
+                             _frame_tables, induced_op, oracle_mismatch,
                              ray_above, ray_below, real_line, surjection_tools)
-from trunclab.gba import Violation
+from trunclab.gba import Violation, transitive_closure
 from trunclab.rat import NEG_INF, POS_INF
 from trunclab.sampling import (booleanization, dense_surjection, downset_frame,
                                frame_real, pointed_frame, random_poset)
@@ -38,12 +38,41 @@ def chi_b():
     return chi(PF4, B)
 
 
+def frame_validate(labels, leq_pairs):
+    """Violations of the finite-frame laws for a raw (labels, order) pair."""
+    return _frame_tables(labels, leq_pairs)[0]
+
+
+def derived_tables(frame):
+    """The computed structure: implication, pseudocomplement, rather-below,
+    complemented elements, and trivial compactness at finite scale."""
+    rb = {(x, y) for x in frame.labels for y in frame.labels
+          if frame.rather_below(x, y)}
+    return {"implies": {(x, y): frame.implies(x, y)
+                        for x in frame.labels for y in frame.labels},
+            "pseudocomplement": dict(frame.pseudo),
+            "rather_below": rb,
+            "complemented": frame.complemented,
+            "compact": True}
+
+
+def frame_from_covers(labels, covers):
+    labels = list(labels)
+    return FiniteFrame(labels, transitive_closure({(x, x) for x in labels} | set(covers)))
+
+
+def galois_holds(q):
+    """q(x) <= y iff x <= adjoint(y), over all pairs."""
+    return q.galois_failure() is None
+
+
 def test_derived_tables_f4():
     assert F4.pseudo[A] == B
     assert F4.rather_below(A, A)
     assert F4.complemented == frozenset(F4.labels)
-    tables = F4.derived_tables()
+    tables = derived_tables(F4)
     assert tables["compact"] is True
+    assert tables["implies"][(A, B)] == B and tables["rather_below"] >= {(A, A)}
 
 
 def test_derived_tables_chain():
@@ -60,7 +89,7 @@ def test_pentagon_rejected():
         | {(x, "i") for x in "oabc"} | {("a", "c")})
     assert any(v.law == "distributivity" for v in violations)
     with pytest.raises(StructureError):
-        FiniteFrame.from_covers(
+        frame_from_covers(
             ["o", "a", "b", "c", "i"],
             [("o", "a"), ("a", "c"), ("c", "i"), ("o", "b"), ("b", "i")])
 
@@ -180,7 +209,7 @@ def test_non_dense_surjection_witness():
     ptwo = PointedFiniteFrame(two, focus=1)
     q = FrameSurjection(pc3, ptwo, {0: 0, 1: 0, 2: 1})
     assert not q.dense
-    assert q.galois_holds()
+    assert galois_holds(q)
 
 
 def test_drop_identity_and_refusal():
@@ -438,19 +467,77 @@ def reference_grid_intervals(grid):
     return out
 
 
+def interval_contains(u, v):
+    """Membership of an extended value in an OpenInterval."""
+    if v is NEG_INF:
+        return bool(u.closed_lo)
+    if v is POS_INF:
+        return bool(u.closed_hi)
+    return (u.lo is NEG_INF or u.lo < v) and (u.hi is POS_INF or v < u.hi)
+
+
 def reference_image_inside(image, v_int):
     lo, hi, lo_att, hi_att = image
     if lo == hi and lo_att and hi_att:
-        return v_int.contains(lo)
-    lo_ok = v_int.contains(lo) if lo_att else (
+        return interval_contains(v_int, lo)
+    lo_ok = interval_contains(v_int, lo) if lo_att else (
         v_int.lo == NEG_INF or v_int.lo < lo or (v_int.lo == lo and not lo_att))
-    hi_ok = v_int.contains(hi) if hi_att else (
+    hi_ok = interval_contains(v_int, hi) if hi_att else (
         v_int.hi == POS_INF or v_int.hi > hi or (v_int.hi == hi and not hi_att))
     return lo_ok and hi_ok
 
 
+def _scale_image(box, q):
+    a, b = box
+    if q > 0:
+        return (q * a, q * b, False, False)
+    if q < 0:
+        return (q * b, q * a, False, False)
+    return (F(0), F(0), True, True)
+
+
+def _clamp_image(box, cap):
+    a, b = box
+    if b <= cap:
+        return (a, b, False, False)
+    if a >= cap:
+        return (cap, cap, True, True)
+    return (a, cap, False, True)
+
+
+def _tminus_image(box, r):
+    a, b = box
+    if b <= r:
+        return (F(0), F(0), True, True)
+    if a >= r:
+        return (a - r, b - r, False, False)
+    return (F(0), b - r, True, False)
+
+
+# The exact image (lo, hi, lo_attained, hi_attained) of an open box under
+# each tag: every tag is monotone in each coordinate (sub antitone in the
+# second), so the endpoints sit at the box corners, and the clamping tags
+# may attain their kink values.
+REFERENCE_IMAGES = {
+    "add": lambda x, y: (x[0] + y[0], x[1] + y[1], False, False),
+    "sub": lambda x, y: (x[0] - y[1], x[1] - y[0], False, False),
+    "negate": lambda x: (-x[1], -x[0], False, False),
+    "scale": _scale_image,
+    "meet": lambda x, y: (min(x[0], y[0]), min(x[1], y[1]), False, False),
+    "join": lambda x, y: (max(x[0], y[0]), max(x[1], y[1]), False, False),
+    "truncate": lambda x: _clamp_image(x, F(1)),
+    "tminus": _tminus_image,
+    "truncN": _clamp_image,
+}
+
+
 def reference_oracle_mismatch(tag, operands, result, param=None):
-    """The join-of-meets oracle on Fractions, labels and result.eval."""
+    """The join-of-meets oracle on Fractions, labels, box images and result.eval.
+
+    The box half-width gamma is small enough for the boxes' images to stay
+    within the gap: it is divided by the tag's Lipschitz bound, |q| for
+    scale:q.
+    """
     fr = operands[0].pframe.frame
     op = OPS[tag]
     params = () if param is None else (F(param),)
@@ -458,7 +545,8 @@ def reference_oracle_mismatch(tag, operands, result, param=None):
     combos = list(itertools.product(*(g.values() for g in operands)))
     outputs = {op.scalar(*combo, *params) for combo in combos}
     gaps = [abs(c - w) for c in grid for w in outputs if c != w]
-    gamma = min(gaps, default=F(1)) / (2 * (len(operands) + 1))
+    lipschitz = max(1, abs(params[0])) if tag == "scale" else 1
+    gamma = min(gaps, default=F(1)) / (2 * (len(operands) + 1) * lipschitz)
     boxes = []
     for combo in combos:
         meet = fr.top
@@ -466,7 +554,7 @@ def reference_oracle_mismatch(tag, operands, result, param=None):
             meet = fr.meet(meet, g.eval(OpenInterval(v - gamma, v + gamma)))
         if meet == fr.bottom:
             continue
-        image = op.image(*[(v - gamma, v + gamma) for v in combo], *params)
+        image = REFERENCE_IMAGES[tag](*[(v - gamma, v + gamma) for v in combo], *params)
         boxes.append((image, meet))
     for v_int in reference_grid_intervals(grid):
         formula = fr.join_all(m for image, m in boxes
@@ -476,7 +564,7 @@ def reference_oracle_mismatch(tag, operands, result, param=None):
     return None
 
 
-PARAMS = {"scale": [F(2), F(-1, 2), F(0), F(3, 4)], "tminus": [F(1, 2), F(1), F(2, 3)],
+PARAMS = {"scale": [F(2), F(-1, 2), F(0), F(3, 4), F(10), F(-7)], "tminus": [F(1, 2), F(1), F(2, 3)],
           "truncN": [F(1), F(2), F(3)]}
 
 
@@ -527,6 +615,19 @@ def test_oracle_names_the_first_reference_interval():
     got = oracle_mismatch("truncate", [u.scale(2)], forged)
     assert got == reference_oracle_mismatch("truncate", [u.scale(2)], forged)
     assert got == OpenInterval(F(1), POS_INF) and repr(got) == "(1,inf)"
+
+
+def test_large_scale_factors_pass_the_oracle():
+    # the tight boxes' images scale with |q|; a half-width taken without
+    # that factor refuted this correct result at (-inf,1/20)
+    g = FrameReal(PF4, [(F(1, 10), B), (F(0), A)])
+    for q in (F(10), F(-10), F(40, 3)):
+        result = induced_op("scale", [g], param=q)
+        assert result.cells == tuple(sorted([(q / 10, B), (F(0), A)]))
+        assert reference_oracle_mismatch("scale", [g], result, q) is None
+    forged = FrameReal(PF4, [(F(2), B), (F(0), A)])
+    got = oracle_mismatch("scale", [g], forged, 10)
+    assert got == reference_oracle_mismatch("scale", [g], forged, 10) is not None
 
 
 def label_tables(frame):
@@ -621,3 +722,53 @@ def test_frame_violations_ignore_the_hash_seed(tmp_path):
     assert runs[0][0] == 2
     assert ("order not antisymmetric at ('b', 'c'), "
             "order not antisymmetric at ('c', 'b')") in runs[0][1]
+
+
+def reference_point_error(frame, true_set):
+    """The label-level point check: its message at the first failing pair."""
+    for x, y in itertools.product(frame.labels, repeat=2):
+        if (frame.meet(x, y) in true_set) != (x in true_set and y in true_set):
+            return f"point not meet-preserving at ({x},{y})"
+        if (frame.join(x, y) in true_set) != (x in true_set or y in true_set):
+            return f"point not join-preserving at ({x},{y})"
+    return None
+
+
+def reference_map_error(fs, ft, mapping):
+    """The label-level join and meet preservation check of a frame map."""
+    for x, y in itertools.product(fs.labels, repeat=2):
+        if mapping[fs.join(x, y)] != ft.join(mapping[x], mapping[y]):
+            return f"map not join-preserving at ({x},{y})"
+        if mapping[fs.meet(x, y)] != ft.meet(mapping[x], mapping[y]):
+            return f"map not meet-preserving at ({x},{y})"
+    return None
+
+
+def structure_error(fn, *args):
+    try:
+        fn(*args)
+    except StructureError as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(0, 10**6))
+def test_preservation_errors_match_the_label_level_checks(seed):
+    rng = random.Random(seed)
+    frame, _ = downset_frame(rng)
+    inner = [x for x in frame.labels if x not in (frame.top, frame.bottom)]
+    true_set = frozenset(x for x in inner if rng.random() < 0.5) | {frame.top}
+    want = reference_point_error(frame, true_set)
+    got = structure_error(PointedFiniteFrame, frame, None, true_set)
+    assert got == want
+    source, target = pointed_frame(rng), pointed_frame(rng)
+    fs, ft = source.frame, target.frame
+    mapping = {x: rng.choice(ft.labels) for x in fs.labels}
+    mapping.update({fs.top: ft.top, fs.bottom: ft.bottom})
+    want = reference_map_error(fs, ft, mapping)
+    got = structure_error(FrameSurjection, source, target, mapping)
+    if want is None:  # a later check, surjective or pointed, may still fail
+        assert got is None or "preserving" not in got
+    else:
+        assert got == want

@@ -1,6 +1,10 @@
 """Generalized/idealized Boolean algebras and the finite Stone functors."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +14,7 @@ from trunclab.errors import StructureError
 from trunclab.gba import (BooleanAlgebra, GeneralizedBooleanAlgebra,
                           IdealizedBooleanAlgebra, Primed, ValidationReport,
                           clopen, find_gba_isomorphism, find_iba_isomorphism,
-                          gba_diff, gba_validate, iba_forget, idealize, stone,
+                          gba_validate, iba_forget, idealize, stone,
                           transitive_closure)
 from trunclab.rat import sorted_labels
 from trunclab.sampling import closed_set_family, random_gba, random_poset
@@ -59,10 +63,10 @@ def test_diff_examples():
     alg = powerset_gba("1", "2")
     full, one, two, none = (frozenset({"1", "2"}), frozenset({"1"}),
                             frozenset({"2"}), frozenset())
-    assert gba_diff(alg, full, two) == one
+    assert alg.diff(full, two) == one
     for a in alg.carrier:
-        assert gba_diff(alg, a, none) == a
-    assert gba_diff(alg, one, full) == none
+        assert alg.diff(a, none) == a
+    assert alg.diff(one, full) == none
 
 
 def test_idealize_powerset2():
@@ -428,3 +432,36 @@ def test_from_order_matches_the_reference_tables(seed, size, kind):
     alg = GeneralizedBooleanAlgebra.from_order(reversed(labels), leq)
     assert (alg.join, alg.meet, alg.bottom) == (join, meet, bottoms[0])
     assert alg.carrier == frozenset(labels)
+
+
+BAD_IDEAL = """
+from trunclab.gba import BooleanAlgebra, IdealizedBooleanAlgebra
+from trunclab.rat import format_label
+ba = BooleanAlgebra.powerset(["p", "q", "r", "s"])
+ideal = [a for a in ba.carrier if len(a) == 1] + [frozenset("pq")]
+def fmt(x):
+    return " ".join(map(fmt, x)) if isinstance(x, tuple) else format_label(x)
+for extra in ([frozenset("xy"), frozenset("z")], []):
+    for v in IdealizedBooleanAlgebra(ba, ideal + extra).validate().violations:
+        print(v.law, fmt(v.witness))
+"""
+
+
+def test_ideal_violations_ignore_the_hash_seed():
+    # the ideal's labels are frozensets of strings, whose set order follows
+    # the hash seed; the report walks them in label order instead
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    runs = []
+    for seed in ("0", "1", "4"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join(
+                       p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run([sys.executable, "-c", BAD_IDEAL], env=env,
+                              capture_output=True, text=True, timeout=120, check=False)
+        assert proc.returncode == 0, proc.stderr
+        runs.append(proc.stdout)
+    assert runs == [runs[0]] * 3
+    lines = runs[0].splitlines()
+    assert lines[0] == "ideal not a subset of carrier {x,y} {z}"
+    assert "ideal not a downset {p} {}" in lines
+    assert "ideal not join-closed {p} {r}" in lines
