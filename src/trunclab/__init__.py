@@ -24,7 +24,7 @@ from .frames import (FiniteFrame, FrameReal, FrameSurjection, OpenInterval,
                      frame_uc_check, induced_op, surjection_tools)
 from .gba import (BooleanAlgebra, GeneralizedBooleanAlgebra,
                   IdealizedBooleanAlgebra, clopen, find_gba_isomorphism,
-                  find_iba_isomorphism, gba_validate, iba_forget, idealize,
+                  find_iba_isomorphism, iba_forget, idealize, map_failure,
                   stone)
 from .hyper import hyperarchimedean
 from .kernels import (KernelSpec, kernel_closure, kernel_conditions,

@@ -33,7 +33,7 @@ from .seqspace import ex1_report
 def cmd_check(inst, names, args, report):
     targets = names or list(inst.order)
     for name in targets:
-        obj = inst.get(name)
+        inst.get(name)  # refuses an unknown name
         report.add_check(f"{inst.kinds[name]} {name}", True, "validated")
     report.put("objects", {n: inst.kinds[n] for n in targets})
 

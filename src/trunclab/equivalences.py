@@ -9,9 +9,9 @@ algebra of the full simple trunc with the forgotten clopen algebra.
 from dataclasses import dataclass, field
 
 from .elements import lc, uc
+from .errors import StructureError
 from .gba import (clopen, find_gba_isomorphism, find_iba_isomorphism,
-                  iba_forget, idealize, stone)
-from .rat import sorted_labels
+                  iba_forget, idealize, map_failure, stone)
 from .spaces import pointed_bijection
 
 
@@ -38,34 +38,14 @@ class EquivalenceReport:
         return f"EquivalenceReport({head}{body})"
 
 
-def _verify_iba_map(phi, bi, bj):
-    ai, aj = bi.algebra, bj.algebra
-    if len(set(phi.values())) != len(ai.carrier):
-        return "not bijective"
-    for x in ai.carrier:
-        if phi[ai.complement[x]] != aj.complement[phi[x]]:
-            return f"complement mismatch at {x!r}"
-        for y in ai.carrier:
-            if phi[ai.join[(x, y)]] != aj.join[(phi[x], phi[y])]:
-                return f"join mismatch at ({x!r},{y!r})"
-            if phi[ai.meet[(x, y)]] != aj.meet[(phi[x], phi[y])]:
-                return f"meet mismatch at ({x!r},{y!r})"
-    if {phi[x] for x in bi.ideal} != set(bj.ideal):
-        return "ideal not preserved"
-    return None
-
-
-def _gba_tables_equal(a, b):
-    if a.carrier != b.carrier or a.bottom != b.bottom:
-        return "carriers differ"
-    for x in a.carrier:
-        for y in a.carrier:
-            if a.join[(x, y)] != b.join[(x, y)] or a.meet[(x, y)] != b.meet[(x, y)]:
-                return f"tables differ at ({x!r},{y!r})"
-            if a.diff_table and b.diff_table and \
-                    a.diff_table[(x, y)] != b.diff_table[(x, y)]:
-                return f"diff differs at ({x!r},{y!r})"
-    return None
+def _trip(name, check):
+    """The RoundTrip of check() -> None or a failure message; a StructureError
+    raised while building the trip is its failure, as the space was valid."""
+    try:
+        problem = check()
+    except StructureError as exc:
+        problem = str(exc)
+    return RoundTrip(name, problem is None, problem or "")
 
 
 def equivalence_witness(x, max_points=6):
@@ -77,34 +57,41 @@ def equivalence_witness(x, max_points=6):
     if len(x.points) > max_points:
         return EquivalenceReport(False, [RoundTrip(
             "budget", False, f"{len(x.points)} points exceed the bound {max_points}")])
-    trips = []
-
     bi = clopen(x)
-    back = stone(bi)
-    canonical = {p: frozenset({p}) for p in sorted_labels(x.points)}
-    ok = (set(canonical.values()) == set(back.points)
-          and canonical[x.star] == back.star)
-    if not ok and pointed_bijection(x, back) is not None:
-        ok = True
-    trips.append(RoundTrip("stone(clopen(X)) ~ X", ok,
-                           "" if ok else "no pointed bijection"))
+    forgotten = None  # forget(B), once the second trip has validated it
 
-    forgotten = iba_forget(bi)
-    rebuilt = idealize(forgotten)
-    phi = {a: a for a in forgotten.carrier}
-    for a in forgotten.carrier:
-        phi[rebuilt.algebra.complement[a]] = bi.algebra.complement[a]
-    problem = _verify_iba_map(phi, rebuilt, bi)
-    if problem is not None and find_iba_isomorphism(rebuilt, bi) is not None:
-        problem = None
-    trips.append(RoundTrip("idealize(forget(B)) ~ B", problem is None,
-                           problem or ""))
+    def stone_clopen():
+        # finite pointed spaces are discrete: any pointed bijection is an iso
+        if pointed_bijection(x, stone(bi)) is None:
+            return "no pointed bijection"
+        return None
 
-    from_trunc = uc(lc(x))
-    problem = _gba_tables_equal(from_trunc, forgotten)
-    if problem is not None and find_gba_isomorphism(from_trunc, forgotten) is not None:
-        problem = None
-    trips.append(RoundTrip("uc(lc(X)) ~ forget(clopen(X))", problem is None,
-                           problem or ""))
+    def idealize_forget():
+        nonlocal forgotten
+        algebra = iba_forget(bi)
+        rebuilt = idealize(algebra)  # raises unless forget(B) is a valid gBa
+        forgotten = algebra
+        phi = {a: a for a in forgotten.carrier}
+        for a in forgotten.carrier:
+            phi[rebuilt.algebra.complement[a]] = bi.algebra.complement[a]
+        problem = map_failure(phi, rebuilt, bi)
+        if problem is not None and find_iba_isomorphism(rebuilt, bi) is not None:
+            problem = None
+        return problem
 
-    return EquivalenceReport(True, trips)
+    def uc_forget():
+        # Relative complements are unique, so valid gBas with equal join and
+        # meet tables have equal diff tables: idealize validated forget(B) in
+        # the trip before, and uc validates its own result.
+        if forgotten is None:
+            return "forget(clopen(X)) is not a valid gBa"
+        from_trunc = uc(lc(x))
+        problem = map_failure({a: a for a in from_trunc.carrier}, from_trunc, forgotten)
+        if problem is not None and find_gba_isomorphism(from_trunc, forgotten) is not None:
+            problem = None
+        return problem
+
+    return EquivalenceReport(True, [
+        _trip("stone(clopen(X)) ~ X", stone_clopen),
+        _trip("idealize(forget(B)) ~ B", idealize_forget),
+        _trip("uc(lc(X)) ~ forget(clopen(X))", uc_forget)])

@@ -105,15 +105,20 @@ def order_lattice(labels, leq_pairs):
     return out, None if out else (labels, up, join, meet)
 
 
-class _LabelTables:
-    """An explicit lattice: a carrier, join and meet tables keyed by label
-    pairs, and a bottom; validate() memoizes its report in _validated."""
+class GeneralizedBooleanAlgebra:
+    """Explicit finite gBa: carrier plus total join/meet tables and bottom.
 
-    def __init__(self, carrier, join, meet, bottom):
+    The relative-complement table may be supplied or derived by exhaustive
+    search during validation.  Carriers stay desk-scale (tens of elements),
+    so every check is exhaustive rather than sampled.
+    """
+
+    def __init__(self, carrier, join, meet, bottom, diff=None):
         self.carrier = frozenset(carrier)
         self.join = dict(join)
         self.meet = dict(meet)
         self.bottom = bottom
+        self.diff_table = dict(diff) if diff is not None else None
         self._validated = None
 
     def leq(self, a, b):
@@ -126,19 +131,6 @@ class _LabelTables:
 
     def __len__(self):
         return len(self.carrier)
-
-
-class GeneralizedBooleanAlgebra(_LabelTables):
-    """Explicit finite gBa: carrier plus total join/meet tables and bottom.
-
-    The relative-complement table may be supplied or derived by exhaustive
-    search during validation.  Carriers stay desk-scale (tens of elements),
-    so every check is exhaustive rather than sampled.
-    """
-
-    def __init__(self, carrier, join, meet, bottom, diff=None):
-        super().__init__(carrier, join, meet, bottom)
-        self.diff_table = dict(diff) if diff is not None else None
 
     @classmethod
     def from_sets(cls, family):
@@ -179,16 +171,21 @@ class GeneralizedBooleanAlgebra(_LabelTables):
         return self.diff_table[(a, b)]
 
     def validate(self):
-        """Check every gBa axiom exhaustively; report all violations with witnesses.
+        """Every law of the algebra with its witnesses (see _check); computed once."""
+        if self._validated is None:
+            report = ValidationReport()
+            self._check(report)
+            self._validated = report
+        return self._validated
+
+    def _check(self, report):
+        """Add every gBa axiom violation to report.
 
         The laws run on integer tables: the carrier is numbered in
         sorted_labels order, J[a][b] is the number of a v b and M[a][b] that
         of a ^ b.  Witnesses are reported as labels, in the order a, b, c.
-        The result is computed once per algebra.
+        A valid algebra without a diff table gets the derived one.
         """
-        if self._validated is not None:
-            return self._validated
-        report = ValidationReport()
         elems = sorted_labels(self.carrier)
         index = {x: i for i, x in enumerate(elems)}
         tables = []
@@ -205,8 +202,7 @@ class GeneralizedBooleanAlgebra(_LabelTables):
         if self.bottom not in index:
             report.add("bottom not in carrier", self.bottom)
         if not report.ok:
-            self._validated = report
-            return report
+            return
         J, M = tables
         bot = index[self.bottom]
         n = len(elems)
@@ -278,11 +274,10 @@ class GeneralizedBooleanAlgebra(_LabelTables):
                             report.add("diff equations fail", x, y)
         if report.ok and self.diff_table is None:
             self.diff_table = derived
-        self._validated = report
-        return report
 
     def __eq__(self, other):
-        return (isinstance(other, GeneralizedBooleanAlgebra)
+        # a Boolean algebra never equals a plain gBa
+        return (type(other) is type(self)
                 and self.carrier == other.carrier and self.join == other.join
                 and self.meet == other.meet and self.bottom == other.bottom)
 
@@ -290,8 +285,8 @@ class GeneralizedBooleanAlgebra(_LabelTables):
         return hash((self.carrier, self.bottom))
 
 
-class BooleanAlgebra(_LabelTables):
-    """Explicit finite Boolean algebra with complement table and top."""
+class BooleanAlgebra(GeneralizedBooleanAlgebra):
+    """Explicit finite Boolean algebra: a gBa with complement table and top."""
 
     def __init__(self, carrier, join, meet, complement, bottom, top):
         super().__init__(carrier, join, meet, bottom)
@@ -308,14 +303,9 @@ class BooleanAlgebra(_LabelTables):
         comp = {a: base - a for a in carrier}
         return cls(carrier, join, meet, comp, frozenset(), base)
 
-    def validate(self):
-        """The gBa laws, then the complement and top laws; computed once."""
-        if self._validated is not None:
-            return self._validated
-        report = ValidationReport()
-        as_gba = GeneralizedBooleanAlgebra(self.carrier, self.join, self.meet,
-                                           self.bottom, diff=None)
-        report.violations.extend(as_gba.validate().violations)
+    def _check(self, report):
+        """The gBa laws, then the complement and top laws."""
+        super()._check(report)
         for a in sorted_labels(self.carrier):
             na = self.complement.get(a)
             if na is None or na not in self.carrier:
@@ -327,17 +317,11 @@ class BooleanAlgebra(_LabelTables):
                 report.add("complement meet law", a)
             if self.join[(a, self.top)] != self.top:
                 report.add("top not greatest", a)
-        self._validated = report
-        return report
 
     def __eq__(self, other):
-        return (isinstance(other, BooleanAlgebra)
-                and self.carrier == other.carrier and self.join == other.join
-                and self.meet == other.meet
-                and self.complement == other.complement)
+        return super().__eq__(other) and self.complement == other.complement
 
-    def __hash__(self):
-        return hash((self.carrier, self.bottom, self.top))
+    __hash__ = GeneralizedBooleanAlgebra.__hash__
 
 
 class IdealizedBooleanAlgebra:
@@ -346,6 +330,7 @@ class IdealizedBooleanAlgebra:
     def __init__(self, algebra, ideal):
         self.algebra = algebra
         self.ideal = frozenset(ideal)
+        self._validated = None
 
     def __eq__(self, other):
         return (isinstance(other, IdealizedBooleanAlgebra)
@@ -355,16 +340,22 @@ class IdealizedBooleanAlgebra:
         return hash((self.algebra, self.ideal))
 
     def validate(self):
-        """The algebra's violations, then the maximal-ideal laws.
+        """The algebra's violations, then the maximal-ideal laws; computed once.
 
         The report is a new one: the algebra's own report stays untouched.
         """
-        report = ValidationReport(list(self.algebra.validate().violations))
+        if self._validated is None:
+            report = ValidationReport(list(self.algebra.validate().violations))
+            self._check(report)
+            self._validated = report
+        return self._validated
+
+    def _check(self, report):
         alg = self.algebra
         if not self.ideal <= alg.carrier:
             report.add("ideal not a subset of carrier",
                        tuple(sorted_labels(self.ideal - alg.carrier)))
-            return report
+            return
         if alg.top in self.ideal:
             report.add("ideal not proper", alg.top)
         if alg.bottom not in self.ideal:
@@ -384,15 +375,9 @@ class IdealizedBooleanAlgebra:
                 report.add("ideal not maximal", b)
             if inside == (True, True):
                 report.add("ideal not proper (element and complement)", b)
-        return report
 
     def __len__(self):
         return len(self.algebra)
-
-
-def gba_validate(algebra):
-    """Validation report for a generalized Boolean algebra candidate."""
-    return algebra.validate()
 
 
 def idealize(algebra):
@@ -462,20 +447,38 @@ def clopen(x):
     return IdealizedBooleanAlgebra(ba, ideal)
 
 
-def _join_all(table, bottom, elems):
-    acc = bottom
-    for e in elems:
-        acc = table[(acc, e)]
-    return acc
+def map_failure(phi, a, b):
+    """Why phi is not an isomorphism a -> b, or None when it is one.
+
+    a and b are both gBas or both iBas.  phi must be a bijection between
+    the carriers that preserves join and meet; between iBas it must also
+    preserve complements and carry the ideal onto the ideal.  The first
+    failure found is the message.
+    """
+    ideals = isinstance(a, IdealizedBooleanAlgebra)
+    la, lb = (a.algebra, b.algebra) if ideals else (a, b)
+    if set(phi) != la.carrier or set(phi.values()) != lb.carrier or len(la) != len(lb):
+        return "not bijective"
+    for x in la.carrier:
+        if ideals and phi[la.complement[x]] != lb.complement[phi[x]]:
+            return f"complement mismatch at {x!r}"
+        for y in la.carrier:
+            if phi[la.join[(x, y)]] != lb.join[(phi[x], phi[y])]:
+                return f"join mismatch at ({x!r},{y!r})"
+            if phi[la.meet[(x, y)]] != lb.meet[(phi[x], phi[y])]:
+                return f"meet mismatch at ({x!r},{y!r})"
+    if ideals and {phi[x] for x in a.ideal} != b.ideal:
+        return "ideal not preserved"
+    return None
 
 
-def _lattice_isomorphisms(a, b, pinned=None):
-    """Join- and meet-preserving bijections a -> b, one per atom bijection.
+def _atom_maps(a, b, pinned=None):
+    """Candidate maps a -> b between lattices, one per atom bijection.
 
     Elements of a finite (generalized) Boolean algebra are joins of the
-    atoms below them, so it is enough to try atom bijections (those that
-    agree with the pinned atom pairs) and extend them by joins; atom counts
-    prune the search immediately.
+    atoms below them, so an isomorphism is fixed by where it sends the
+    atoms: try the atom bijections that agree with the pinned atom pairs
+    and extend them by joins.  Atom counts prune the search immediately.
     """
     if len(a) != len(b):
         return
@@ -489,19 +492,17 @@ def _lattice_isomorphisms(a, b, pinned=None):
             continue
         phi = {}
         for x in sorted_labels(a.carrier):
-            below = [amap[t] for t in atoms_a if a.leq(t, x)]
-            phi[x] = _join_all(b.join, b.bottom, below)
-        if len(set(phi.values())) != len(a):
-            continue
-        if all(phi[a.join[(x, y)]] == b.join[(phi[x], phi[y])]
-               and phi[a.meet[(x, y)]] == b.meet[(phi[x], phi[y])]
-               for x in a.carrier for y in a.carrier):
-            yield phi
+            phi[x] = b.bottom
+            for t in atoms_a:
+                if a.leq(t, x):
+                    phi[x] = b.join[(phi[x], amap[t])]
+        yield phi
 
 
 def find_gba_isomorphism(a, b):
     """Exhaustive isomorphism search between two valid finite gBas."""
-    return next(_lattice_isomorphisms(a, b), None)
+    return next((phi for phi in _atom_maps(a, b) if map_failure(phi, a, b) is None),
+                None)
 
 
 def find_iba_isomorphism(bi, bj):
@@ -511,10 +512,5 @@ def find_iba_isomorphism(bi, bj):
     star_j = [t for t in aj.atoms() if t not in bj.ideal]
     if len(star_i) != 1 or len(star_j) != 1:
         return None
-    for phi in _lattice_isomorphisms(ai, aj, pinned={star_i[0]: star_j[0]}):
-        if any(phi[ai.complement[x]] != aj.complement[phi[x]] for x in ai.carrier):
-            continue
-        if {phi[x] for x in bi.ideal} != set(bj.ideal):
-            continue
-        return phi
-    return None
+    return next((phi for phi in _atom_maps(ai, aj, pinned={star_i[0]: star_j[0]})
+                 if map_failure(phi, bi, bj) is None), None)

@@ -32,8 +32,7 @@ from dataclasses import dataclass, field
 from .elements import GoodSequence, SimpleElement, SimpleTrunc
 from .errors import ParseError, TruncLabError
 from .frames import FiniteFrame, FrameReal, FrameSurjection, PointedFiniteFrame
-from .gba import (BooleanAlgebra, GeneralizedBooleanAlgebra,
-                  IdealizedBooleanAlgebra, idealize, transitive_closure)
+from .gba import GeneralizedBooleanAlgebra, clopen, idealize, transitive_closure
 from .kernels import KernelSpec
 from .rat import parse_extended, parse_rational
 from .seqspace import SeqTrunc, TailElement
@@ -215,9 +214,7 @@ def _iba(inst, lineno, sec, flags):
     omit = _one(sec, "ideal-omits")
     if omit not in atoms:
         raise ParseError(lineno, "iba needs 'ideal-omits A' with A among the atoms")
-    ba = BooleanAlgebra.powerset(atoms)
-    return IdealizedBooleanAlgebra(ba, frozenset(s for s in ba.carrier
-                                                 if omit not in s))
+    return clopen(PointedBooleanSpace(atoms, omit))
 
 
 def _frame(inst, lineno, sec, flags):

@@ -372,10 +372,6 @@ class SeqTrunc:
     def __contains__(self, g):
         return isinstance(g, TailElement) and g.degree() <= self.degree
 
-    def member(self, g):
-        ok = g in self
-        return ok, (None if ok else g.degree())
-
     def tail_units(self):
         """The pure tails n^(-1), ..., n^(-degree), slot by slot."""
         return [TailElement.tail_unit(k + 1) for k in range(self.degree)]

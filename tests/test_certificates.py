@@ -171,3 +171,56 @@ def test_benchmark_probe_names_resolve(name):
     for attr in attrs:
         assert hasattr(obj, attr), f"{name}: no {attr!r} on {obj!r}"
         obj = getattr(obj, attr)
+
+
+FORGED_FORGET = textwrap.dedent("""
+    import contextlib, io, json, sys
+    from trunclab import cli, equivalences
+
+    honest = equivalences.iba_forget
+
+    def forged(bi):
+        alg = honest(bi)
+        alg.diff_table[(frozenset({"1"}), frozenset())] = frozenset()  # is {1}
+        return alg
+
+    equivalences.iba_forget = forged
+    runs = []
+    for argv in (["equivalence", "x", "--file", sys.argv[1]],
+                 ["suite", "equivalences", "--cases", "3"]):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main([*argv, "--json"])
+        runs.append({"exit": code, "report": json.loads(out.getvalue())})
+    print(json.dumps({"optimize": sys.flags.optimize, "runs": runs}))
+""")
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["python", "python -O"])
+def test_broken_round_trip_is_a_failed_check(flags, tmp_path):
+    """A round trip that raises while it is built fails that trip (exit 1);
+    the space itself is valid, so it is not an input error (exit 2)."""
+    path = tmp_path / "x.tl"
+    path.write_text("space x points * 1 2 star *\n", encoding="utf-8")
+    proc = subprocess.run([sys.executable, *flags, "-c", FORGED_FORGET, str(path)],
+                          env=_env_with_src(), capture_output=True, text=True,
+                          timeout=120, check=False)
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["optimize"] == len(flags)
+    equivalence, suite = result["runs"]
+    assert equivalence["exit"] == 1
+    checks = {c["name"]: c for c in equivalence["report"]["checks"]}
+    assert checks["x: stone(clopen(X)) ~ X"]["passed"]
+    trip = checks["x: idealize(forget(B)) ~ B"]
+    assert not trip["passed"]
+    assert trip["detail"].startswith("idealize needs a valid gBa: invalid: "
+                                     "[diff equations fail at ")
+    assert checks["x: uc(lc(X)) ~ forget(clopen(X))"] == {
+        "name": "x: uc(lc(X)) ~ forget(clopen(X))", "passed": False,
+        "detail": "forget(clopen(X)) is not a valid gBa"}
+    assert suite["exit"] == 1
+    [check] = suite["report"]["checks"]
+    assert not check["passed"]
+    assert check["detail"].startswith(
+        "3 cases; first failure: equivalence fails on 2 points: ")

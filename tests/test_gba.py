@@ -14,10 +14,11 @@ from trunclab.errors import StructureError
 from trunclab.gba import (BooleanAlgebra, GeneralizedBooleanAlgebra,
                           IdealizedBooleanAlgebra, Primed, ValidationReport,
                           clopen, find_gba_isomorphism, find_iba_isomorphism,
-                          gba_validate, iba_forget, idealize, stone,
+                          iba_forget, idealize, map_failure, stone,
                           transitive_closure)
 from trunclab.rat import sorted_labels
-from trunclab.sampling import closed_set_family, random_gba, random_poset
+from trunclab.sampling import (closed_set_family, random_gba, random_poset,
+                               random_space)
 from trunclab.spaces import PointedBooleanSpace, pointed_bijection, space
 
 
@@ -32,7 +33,7 @@ def powerset_gba(*labels):
 
 def test_powerset_family_is_valid():
     alg = powerset_gba("1", "2")
-    assert gba_validate(alg).ok
+    assert alg.validate().ok
 
 
 def test_broken_diff_table_reports_witness():
@@ -371,7 +372,22 @@ def test_boolean_algebra_validates_once(monkeypatch):
     ba = BooleanAlgebra.powerset(["p", "q"])
     first, second = ba.validate(), ba.validate()
     assert first == second and first.ok
-    assert len(built) == 1
+    assert built == [ba]  # no gBa copy of its tables
+
+
+def test_stone_then_forget_checks_the_ideal_once(monkeypatch):
+    checked = []
+    check = IdealizedBooleanAlgebra._check
+
+    def counting_check(self, report):
+        checked.append(self)
+        check(self, report)
+
+    monkeypatch.setattr(IdealizedBooleanAlgebra, "_check", counting_check)
+    bi = clopen(space("1", "2"))
+    stone(bi)
+    iba_forget(bi)
+    assert checked == [bi]
 
 
 def test_invalid_iba_keeps_the_algebra_report_clean():
@@ -381,6 +397,173 @@ def test_invalid_iba_keeps_the_algebra_report_clean():
     second = not_maximal.validate().violations
     assert first and first == second
     assert ba.validate().ok
+
+
+# --- one isomorphism check against the earlier per-caller checks -------------
+
+def reference_iba_map(phi, bi, bj):
+    """The round-trip map check that map_failure replaced, for iBas."""
+    ai, aj = bi.algebra, bj.algebra
+    if len(set(phi.values())) != len(ai.carrier):
+        return "not bijective"
+    for x in ai.carrier:
+        if phi[ai.complement[x]] != aj.complement[phi[x]]:
+            return f"complement mismatch at {x!r}"
+        for y in ai.carrier:
+            if phi[ai.join[(x, y)]] != aj.join[(phi[x], phi[y])]:
+                return f"join mismatch at ({x!r},{y!r})"
+            if phi[ai.meet[(x, y)]] != aj.meet[(phi[x], phi[y])]:
+                return f"meet mismatch at ({x!r},{y!r})"
+    if {phi[x] for x in bi.ideal} != set(bj.ideal):
+        return "ideal not preserved"
+    return None
+
+
+def reference_tables_equal(a, b):
+    """The label-for-label gBa comparison that map_failure replaced."""
+    if a.carrier != b.carrier or a.bottom != b.bottom:
+        return "carriers differ"
+    for x in a.carrier:
+        for y in a.carrier:
+            if a.join[(x, y)] != b.join[(x, y)] or a.meet[(x, y)] != b.meet[(x, y)]:
+                return f"tables differ at ({x!r},{y!r})"
+            if a.diff_table and b.diff_table and \
+                    a.diff_table[(x, y)] != b.diff_table[(x, y)]:
+                return f"diff differs at ({x!r},{y!r})"
+    return None
+
+
+def reference_boolean_violations(ba):
+    """BooleanAlgebra.validate as it was: the gBa laws on a gBa copy of the
+    tables, then the complement and top laws."""
+    report = ValidationReport()
+    as_gba = GeneralizedBooleanAlgebra(ba.carrier, ba.join, ba.meet, ba.bottom)
+    report.violations.extend(as_gba.validate().violations)
+    for a in sorted_labels(ba.carrier):
+        na = ba.complement.get(a)
+        if na is None or na not in ba.carrier:
+            report.add("complement table not total", a)
+            continue
+        if ba.join[(a, na)] != ba.top:
+            report.add("complement join law", a)
+        if ba.meet[(a, na)] != ba.bottom:
+            report.add("complement meet law", a)
+        if ba.join[(a, ba.top)] != ba.top:
+            report.add("top not greatest", a)
+    return report.violations
+
+
+def sample_iba(rng, kind):
+    if kind == "clopen":
+        return clopen(random_space(rng))
+    return idealize(random_gba(rng, max_base=3))
+
+
+def atom_map(alg, images):
+    """Each element to the join of the images of the atoms below it."""
+    amap = dict(zip(alg.atoms(), images))
+    phi = {}
+    for x in alg.carrier:
+        phi[x] = alg.bottom
+        for t, image in amap.items():
+            if alg.leq(t, x):
+                phi[x] = alg.join[(phi[x], image)]
+    return phi
+
+
+def forged_algebra(rng, alg, table):
+    """A copy of a Boolean algebra with one entry of one table replaced."""
+    elems = sorted_labels(alg.carrier)
+    tables = {"join": dict(alg.join), "meet": dict(alg.meet),
+              "complement": dict(alg.complement)}
+    key = rng.choice(elems) if table == "complement" else (
+        rng.choice(elems), rng.choice(elems))
+    tables[table][key] = rng.choice(elems)
+    return BooleanAlgebra(alg.carrier, tables["join"], tables["meet"],
+                          tables["complement"], alg.bottom, alg.top)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.integers(0, 10**6), st.sampled_from(["clopen", "idealize"]),
+       st.sampled_from(["none", "phi", "ideal", "join", "meet", "complement"]),
+       st.booleans())
+def test_map_failure_matches_the_iba_reference(seed, kind, forge, source_side):
+    rng = random.Random(seed)
+    bi = sample_iba(rng, kind)
+    atoms = bi.algebra.atoms()
+    phi = atom_map(bi.algebra, rng.sample(atoms, len(atoms)))
+    elems = sorted_labels(bi.algebra.carrier)
+    forged = bi
+    if forge == "phi":
+        x, y = rng.sample(elems, 2)
+        phi[x] = phi[y]
+    elif forge == "ideal":
+        forged = IdealizedBooleanAlgebra(bi.algebra, bi.ideal ^ {rng.choice(elems)})
+    elif forge != "none":
+        forged = IdealizedBooleanAlgebra(forged_algebra(rng, bi.algebra, forge),
+                                         bi.ideal)
+    a, b = (forged, bi) if source_side else (bi, forged)
+    assert map_failure(phi, a, b) == reference_iba_map(phi, a, b)
+
+
+def test_map_failure_finds_every_kind_of_iba_failure():
+    bi = clopen(space("1", "2"))
+    alg = bi.algebra
+    one, two, both = frozenset({"1"}), frozenset({"2"}), frozenset({"1", "2"})
+    swap = atom_map(alg, [frozenset({"*"}), two, one])
+    assert map_failure(swap, bi, bi) is None
+    star = atom_map(alg, [one, frozenset({"*"}), two])
+    assert map_failure(star, bi, bi) == "ideal not preserved"
+    comp = dict(alg.complement)
+    comp[both] = one
+    bad = IdealizedBooleanAlgebra(BooleanAlgebra(alg.carrier, alg.join, alg.meet,
+                                                 comp, alg.bottom, alg.top), bi.ideal)
+    identity = {x: x for x in alg.carrier}
+    assert map_failure(identity, bi, bad) == reference_iba_map(identity, bi, bad)
+    assert map_failure(identity, bi, bad).startswith("complement mismatch at ")
+    assert map_failure({**identity, one: two}, bi, bi) == "not bijective"
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(0, 10**6), st.sampled_from(["clopen", "idealize"]),
+       st.sampled_from(["none", "join", "meet", "diff", "bottom", "carrier"]))
+def test_identity_map_failure_matches_the_table_reference(seed, kind, forge):
+    # The reference also compares diff tables and bottoms; map_failure does
+    # not need to, because relative complements are unique and a lattice
+    # isomorphism keeps the bottom, once both algebras validate.
+    rng = random.Random(seed)
+    a = iba_forget(sample_iba(rng, kind))
+    elems = sorted_labels(a.carrier)
+    join, meet, diff = dict(a.join), dict(a.meet), dict(a.diff_table)
+    carrier, bottom = a.carrier, a.bottom
+    pair = (rng.choice(elems), rng.choice(elems))
+    if forge in ("join", "meet", "diff"):
+        {"join": join, "meet": meet, "diff": diff}[forge][pair] = rng.choice(elems)
+    elif forge == "bottom":
+        bottom = rng.choice(elems)
+    elif forge == "carrier":
+        carrier = a.carrier | {"extra"}
+    b = GeneralizedBooleanAlgebra(carrier, join, meet, bottom, diff)
+    identity = {x: x for x in a.carrier}
+    verdict = map_failure(identity, a, b) is None and a.validate().ok and b.validate().ok
+    assert verdict == (reference_tables_equal(a, b) is None)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(0, 10**6), st.sampled_from(["clopen", "idealize"]),
+       st.sampled_from(["none", "join", "meet", "complement", "outside"]))
+def test_boolean_validate_matches_the_copy_reference(seed, kind, forge):
+    rng = random.Random(seed)
+    alg = sample_iba(rng, kind).algebra
+    if forge == "outside":
+        comp = dict(alg.complement)
+        comp[rng.choice(sorted_labels(alg.carrier))] = "outside"
+        alg = BooleanAlgebra(alg.carrier, alg.join, alg.meet, comp, alg.bottom, alg.top)
+    elif forge != "none":
+        alg = forged_algebra(rng, alg, forge)
+    expected = reference_boolean_violations(alg)
+    assert alg.validate().violations == expected
+    assert (forge == "none") <= (expected == [])
 
 
 # --- from_order against the label-keyed order tables ------------------------

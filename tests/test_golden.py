@@ -11,6 +11,9 @@ corpus after a deliberate output change, run from the repository root:
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -137,6 +140,31 @@ def test_corpus_matches_argv_list():
 @pytest.mark.parametrize("entry", _load(), ids=lambda e: " ".join(e["argv"]))
 def test_golden(entry):
     assert run(entry["argv"]) == (entry["exit"], entry["stdout"])
+
+
+REPLAY = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import test_golden
+entries = test_golden._load()
+print(json.dumps({"optimize": sys.flags.optimize, "entries": len(entries),
+                  "mismatches": [e["argv"] for e in entries if test_golden.run(
+                      e["argv"]) != (e["exit"], e["stdout"])]}))
+"""
+
+
+def test_corpus_replays_under_python_O():
+    """The whole corpus, replayed in one process with asserts stripped: a
+    check that lived in an assert would vanish and change some output."""
+    here = Path(__file__).resolve().parent
+    src = str(here.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-O", "-c", REPLAY, str(here)], env=env,
+                          capture_output=True, text=True, timeout=600, check=False)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result == {"optimize": 1, "entries": len(ARGVS), "mismatches": []}
 
 
 def record():

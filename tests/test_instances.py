@@ -315,3 +315,15 @@ def test_a_bare_value_error_is_not_an_input_error(sample_file, capsys, monkeypat
     with pytest.raises(ValueError, match="a bug"):
         main(["check", "--file", sample_file])
     assert "input error" not in capsys.readouterr().err
+
+
+def test_iba_atoms_line_is_the_clopen_algebra_of_its_space():
+    from trunclab.gba import clopen
+    from trunclab.spaces import PointedBooleanSpace
+    inst, errors = parse_instance_text("iba D atoms p q r ideal-omits r\n")
+    assert errors == []
+    assert inst.get("D", "iba") == clopen(PointedBooleanSpace({"p", "q", "r"}, "r"))
+    for line in ("iba D atoms p q ideal-omits r", "iba D ideal-omits r"):
+        _, errors = parse_instance_text(line + "\n")
+        assert [str(e) for e in errors] == [
+            "line 1: iba needs 'ideal-omits A' with A among the atoms"]
