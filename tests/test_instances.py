@@ -9,8 +9,10 @@ from trunclab import cli
 from trunclab.cli import main
 from trunclab.elements import SimpleElement
 from trunclab.errors import ParseError
+from trunclab.gba import clopen
 from trunclab.instances import parse_instance, parse_instance_text
 from trunclab.seqspace import TailElement
+from trunclab.spaces import PointedBooleanSpace
 
 SAMPLE = """\
 # sample instance
@@ -318,8 +320,6 @@ def test_a_bare_value_error_is_not_an_input_error(sample_file, capsys, monkeypat
 
 
 def test_iba_atoms_line_is_the_clopen_algebra_of_its_space():
-    from trunclab.gba import clopen
-    from trunclab.spaces import PointedBooleanSpace
     inst, errors = parse_instance_text("iba D atoms p q r ideal-omits r\n")
     assert errors == []
     assert inst.get("D", "iba") == clopen(PointedBooleanSpace({"p", "q", "r"}, "r"))
