@@ -23,7 +23,7 @@ from .errors import (BudgetError, PositivityError, SpaceMismatchError,
                      StructureError, UnsupportedOperationError, certify)
 from .gba import Violation, order_lattice
 from .rat import (NEG_INF, POS_INF, as_fraction, format_label, format_rational,
-                  is_finite)
+                  is_finite, sorted_labels)
 
 
 def _frame_tables(labels, leq_pairs):
@@ -42,13 +42,41 @@ def _frame_tables(labels, leq_pairs):
     return out, tables
 
 
+def _sublattice_tables(labels, join, meet):
+    """order_lattice's tables of labels closed under the join and meet of a
+    distributive lattice, or None if not closed.  A sublattice is distributive
+    and a <= b iff a v b = b, so no order law or distributivity is checked."""
+    labels = sorted_labels(dict.fromkeys(labels))
+    index = {x: i for i, x in enumerate(labels)}
+    n = len(labels)
+    J, M = [[0] * n for _ in labels], [[0] * n for _ in labels]
+    try:
+        for i, a in enumerate(labels):  # both operations commute: fill both halves
+            for j in range(i, n):
+                J[i][j] = J[j][i] = index[join(a, labels[j])]
+                M[i][j] = M[j][i] = index[meet(a, labels[j])]
+    except KeyError:
+        return None
+    up = [sum(1 << j for j, k in enumerate(row) if j == k) for row in J]
+    return (labels, up, J, M) if labels else None
+
+
 class FiniteFrame:
     """Validated finite frame with all derived tables precomputed."""
 
-    def __init__(self, labels, leq_pairs):
-        violations, tables = _frame_tables(labels, leq_pairs)
-        if violations:
-            raise StructureError(f"not a finite frame: {violations[:3]}")
+    def __init__(self, labels, leq_pairs=None, *, _ops=None):
+        """Validate labels under leq_pairs, or as a sublattice of a distributive
+        lattice with _ops = (join, meet); labels not closed under _ops take the
+        order path with a <= b iff join(a, b) == b."""
+        labels = list(labels)
+        tables = _ops and _sublattice_tables(labels, *_ops)
+        if not tables:
+            if _ops:
+                leq_pairs = {(a, b) for a in labels for b in labels
+                             if _ops[0](a, b) == b}
+            violations, tables = _frame_tables(labels, leq_pairs)
+            if violations:
+                raise StructureError(f"not a finite frame: {violations[:3]}")
         labels, up, self._join, self._meet = tables
         self.labels = tuple(labels)
         self.index = {x: i for i, x in enumerate(self.labels)}
@@ -63,22 +91,24 @@ class FiniteFrame:
 
     @classmethod
     def from_sets(cls, family):
-        fam = {frozenset(s) for s in family}
-        leq = {(a, b) for a in fam for b in fam if a <= b}
-        return cls(fam, leq)
+        """The frame of a set family under union and intersection."""
+        return cls({frozenset(s) for s in family},
+                   _ops=(frozenset.__or__, frozenset.__and__))
 
     @classmethod
     def chain(cls, size):
-        labels = list(range(size))
-        return cls(labels, {(i, j) for i in labels for j in labels if i <= j})
+        return cls(range(size), _ops=(max, min))
 
     @classmethod
     def product(cls, a, b):
-        labels = [(x, y) for x in a.labels for y in b.labels]
-        leq = {((x1, y1), (x2, y2))
-               for (x1, y1) in labels for (x2, y2) in labels
-               if a.leq(x1, x2) and b.leq(y1, y2)}
-        return cls(labels, leq)
+        def pairwise(fa, fb):
+            return lambda p, q: (fa(p[0], q[0]), fb(p[1], q[1]))
+        return cls([(x, y) for x in a.labels for y in b.labels],
+                   _ops=(pairwise(a.join, b.join), pairwise(a.meet, b.meet)))
+
+    def subframe(self, labels):
+        """The frame on labels closed under this frame's join and meet."""
+        return FiniteFrame(labels, _ops=(self.join, self.meet))
 
     def leq(self, x, y):
         return bool(self._up[self.index[x]] >> self.index[y] & 1)

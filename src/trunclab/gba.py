@@ -304,18 +304,18 @@ class BooleanAlgebra(GeneralizedBooleanAlgebra):
         return cls(carrier, join, meet, comp, frozenset(), base)
 
     def _check(self, report):
-        """The gBa laws, then the complement and top laws."""
+        """The gBa laws, then the complement and top laws; no entry, no law."""
         super()._check(report)
         for a in sorted_labels(self.carrier):
             na = self.complement.get(a)
             if na is None or na not in self.carrier:
                 report.add("complement table not total", a)
                 continue
-            if self.join[(a, na)] != self.top:
+            if self.join.get((a, na), _ABSENT) != self.top:
                 report.add("complement join law", a)
-            if self.meet[(a, na)] != self.bottom:
+            if self.meet.get((a, na), _ABSENT) != self.bottom:
                 report.add("complement meet law", a)
-            if self.join[(a, self.top)] != self.top:
+            if self.join.get((a, self.top), _ABSENT) != self.top:
                 report.add("top not greatest", a)
 
     def __eq__(self, other):
@@ -364,13 +364,13 @@ class IdealizedBooleanAlgebra:
         ideal = [a for a in labels if a in self.ideal]
         for a in ideal:
             for b in labels:
-                if alg.leq(b, a) and b not in self.ideal:
+                if alg.join.get((b, a), _ABSENT) == a and b not in self.ideal:
                     report.add("ideal not a downset", a, b)
             for b in ideal:
-                if alg.join[(a, b)] not in self.ideal:
+                if alg.join.get((a, b), _ABSENT) not in self.ideal:
                     report.add("ideal not join-closed", a, b)
         for b in labels:
-            inside = (b in self.ideal, alg.complement[b] in self.ideal)
+            inside = (b in self.ideal, alg.complement.get(b, _ABSENT) in self.ideal)
             if inside == (False, False):
                 report.add("ideal not maximal", b)
             if inside == (True, True):

@@ -7,10 +7,11 @@ frame reals); set families are closed under the Boolean operations by
 saturation.
 """
 
+import itertools
 from fractions import Fraction
 
 from .elements import SimpleElement
-from .errors import certify
+from .errors import StructureError, certify
 from .frames import FiniteFrame, FrameReal, FrameSurjection, PointedFiniteFrame
 from .gba import GeneralizedBooleanAlgebra, transitive_closure
 from .rat import chance
@@ -86,20 +87,10 @@ def downset_frame(rng, max_points=4, max_size=20):
         points = [("a", i) for i in range(n1)] + [("b", i) for i in range(n2)]
         leq = {((("a", i), ("a", j))) for (i, j) in leq1}
         leq |= {((("b", i), ("b", j))) for (i, j) in leq2}
-        downsets = set()
-
-        def close_down(s):
-            out = set(s)
-            for p in list(out):
-                for q in points:
-                    if (q, p) in leq:
-                        out.add(q)
-            return frozenset(out)
-
-        import itertools
-        for r in range(len(points) + 1):
-            for combo in itertools.combinations(points, r):
-                downsets.add(close_down(combo))
+        below = {p: frozenset(q for q in points if (q, p) in leq) for p in points}
+        downsets = {frozenset().union(*map(below.get, combo))
+                    for r in range(len(points) + 1)
+                    for combo in itertools.combinations(points, r)}
         if len(downsets) <= max_size:
             return FiniteFrame.from_sets(downsets), points
 
@@ -143,10 +134,8 @@ def booleanization(pframe):
     some finite frames (the three-chain, Boolean frames, products of such);
     when any condition fails the constructor rejects and None is returned.
     """
-    from .errors import StructureError
-
     fr = pframe.frame
-    comp = sorted(set(fr.complemented), key=lambda c: fr.index[c])
+    comp = [x for x in fr.labels if x in fr.complemented]
     mapping = {x: fr.pseudo[fr.pseudo[x]] for x in fr.labels}
     if any(mapping[x] not in comp for x in fr.labels):
         return None
@@ -154,10 +143,8 @@ def booleanization(pframe):
         if pframe.point(mapping[x]) != pframe.point(x):
             return None
     try:
-        target_frame = FiniteFrame(comp, {(a, b) for a in comp for b in comp
-                                          if fr.leq(a, b)})
         target = PointedFiniteFrame(
-            target_frame, true_set=frozenset(c for c in comp if pframe.point(c)))
+            fr.subframe(comp), true_set=frozenset(c for c in comp if pframe.point(c)))
         return FrameSurjection(pframe, target, mapping)
     except StructureError:
         return None
@@ -167,12 +154,10 @@ def open_quotient(pframe, y):
     """x -> x ^ y onto the downset of y; dense iff y is a dense element."""
     fr = pframe.frame
     down = [x for x in fr.labels if fr.leq(x, y)]
-    target_frame = FiniteFrame(down, {(a, b) for a in down for b in down
-                                      if fr.leq(a, b)})
     mapping = {x: fr.meet(x, y) for x in fr.labels}
     if not pframe.point(y):
         return None
-    target = PointedFiniteFrame(target_frame,
+    target = PointedFiniteFrame(fr.subframe(down),
                                 true_set=frozenset(x for x in down if pframe.point(x)))
     return FrameSurjection(pframe, target, mapping)
 

@@ -23,8 +23,10 @@ from trunclab.frames import (FiniteFrame, FrameReal, FrameSurjection,
                              ray_above, ray_below, real_line, surjection_tools)
 from trunclab.gba import Violation, transitive_closure
 from trunclab.rat import NEG_INF, POS_INF
+from trunclab import frames
 from trunclab.sampling import (booleanization, dense_surjection, downset_frame,
-                               frame_real, pointed_frame, random_poset)
+                               frame_real, open_quotient, pointed_frame,
+                               random_poset)
 
 from test_gba import order_tables
 
@@ -772,3 +774,86 @@ def test_preservation_errors_match_the_label_level_checks(seed):
         assert got is None or "preserving" not in got
     else:
         assert got == want
+
+
+# --- set-family frames and sub-frames against the order path ---------------
+
+def frame_state(frame):
+    return (frame.labels, frame._up, frame._join, frame._meet, frame.pseudo,
+            frame.complemented)
+
+
+def order_path(labels, leq):
+    """The frame of the generic constructor, or its StructureError message."""
+    try:
+        return frame_state(FiniteFrame(labels, leq))
+    except StructureError as exc:
+        return str(exc)
+
+
+def subset_order(family):
+    return {(a, b) for a in family for b in family if a <= b}
+
+
+def sub_frames(pframe):
+    """The targets of every open_quotient and of booleanization."""
+    quotients = [open_quotient(pframe, y) for y in pframe.frame.labels]
+    return [q.target.frame for q in quotients + [booleanization(pframe)] if q]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(0, 10**6))
+def test_sublattice_path_matches_the_order_path(seed):
+    pframe = pointed_frame(random.Random(seed))
+    fr = pframe.frame
+    family = set(fr.labels)
+    assert frame_state(FiniteFrame.from_sets(family)) == frame_state(fr)
+    assert frame_state(fr) == order_path(family, subset_order(family))
+    targets = sub_frames(pframe)
+    assert targets
+    for sub in [fr, *targets]:
+        leq = {(a, b) for a in sub.labels for b in sub.labels if fr.leq(a, b)}
+        assert frame_state(sub) == order_path(sub.labels, leq)
+        violations, join, meet = reference_frame_tables(sub.labels, leq)
+        assert violations == [] and label_tables(sub) == (join, meet, leq)
+
+
+def test_chains_and_products_match_the_order_path():
+    c3, c2 = FiniteFrame.chain(3), FiniteFrame.chain(2)
+    for frame in (c3, c2, FiniteFrame.chain(12), FiniteFrame.product(c3, c2)):
+        assert frame_state(frame) == order_path(frame.labels, label_tables(frame)[2])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.lists(st.frozensets(st.integers(0, 3)), max_size=7))
+def test_unclosed_set_families_take_the_order_path(family):
+    try:
+        got = frame_state(FiniteFrame.from_sets(family))
+    except StructureError as exc:
+        got = str(exc)
+    assert got == order_path(set(family), subset_order(set(family)))
+
+
+def test_empty_family_has_no_least_element():
+    with pytest.raises(StructureError) as err:
+        FiniteFrame.from_sets([])
+    assert str(err.value) == "not a finite frame: [no least element at ()]"
+
+
+def test_sampled_frames_skip_the_order_path(monkeypatch):
+    calls = []
+    order_tables_of = frames._frame_tables
+
+    def counted(labels, leq_pairs):
+        calls.append(labels)
+        return order_tables_of(labels, leq_pairs)
+
+    monkeypatch.setattr(frames, "_frame_tables", counted)
+    for seed in range(30):
+        pframe = pointed_frame(random.Random(seed))
+        sub_frames(pframe)
+        dense_surjection(random.Random(seed), pframe)
+    assert calls == []
+    with pytest.raises(StructureError, match="no unique join"):
+        FiniteFrame.from_sets([A, B])
+    assert len(calls) == 1

@@ -1,5 +1,6 @@
 """Generalized/idealized Boolean algebras and the finite Stone functors."""
 
+import json
 import os
 import random
 import subprocess
@@ -648,3 +649,36 @@ def test_ideal_violations_ignore_the_hash_seed():
     assert lines[0] == "ideal not a subset of carrier {x,y} {z}"
     assert "ideal not a downset {p} {}" in lines
     assert "ideal not join-closed {p} {r}" in lines
+
+
+PARTIAL_TABLES = """
+import json, sys
+from trunclab.gba import BooleanAlgebra, IdealizedBooleanAlgebra
+p, q = frozenset("p"), frozenset("q")
+no_join = BooleanAlgebra.powerset(["p", "q"])
+del no_join.join[(p, q)]
+no_comp = BooleanAlgebra.powerset(["p", "q"])
+del no_comp.complement[q]
+reports = [[[v.law, repr(v.witness)] for v in alg.validate().violations]
+           for alg in (no_join, IdealizedBooleanAlgebra(no_join, [frozenset(), p]),
+                       IdealizedBooleanAlgebra(no_comp, [frozenset(), p]))]
+print(json.dumps({"optimize": sys.flags.optimize, "reports": reports}))
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["python", "python -O"])
+def test_partial_tables_are_reported_not_raised(flags):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, *flags, "-c", PARTIAL_TABLES], env=env,
+                          capture_output=True, text=True, timeout=120, check=False)
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["optimize"] == len(flags)
+    p, q = "(frozenset({'p'}),)", "(frozenset({'q'}),)"
+    pq = "(frozenset({'p'}), frozenset({'q'}))"
+    gaps = [["join table not total", pq], ["complement join law", p]]
+    assert result["reports"] == [
+        gaps, gaps,
+        [["complement table not total", q], ["ideal not maximal", q]]]
