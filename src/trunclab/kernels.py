@@ -62,8 +62,8 @@ class KernelSpec:
 
     KernelSpec(model, support=..., tails_allowed=...) builds the description
     class that _DESCRIPTIONS assigns to the model's type.  Each class owns
-    membership, member sampling, the condition-(1) hypothesis, condition
-    (3), the closure round and the structured families on its model.
+    membership, the condition-(1) hypothesis, condition (3), the closure
+    round and the structured families on its model.
     Convexity of the description is decided exactly at construction.
     """
 
@@ -130,12 +130,6 @@ class SupportKernel(KernelSpec):
         ok, _ = self.model.member(g)
         return ok and g.support() <= self.support
 
-    def _sample_member(self, rng, count):
-        """Nonnegative members of K: samples of the subtrunc on the support."""
-        subfamily = [s for s in self.model.components if s <= self.support]
-        subtrunc = SimpleTrunc(self.model.space, subfamily)
-        return subtrunc.sample_elements(rng, count, nonneg=True)
-
     def describe(self):
         return {"kind": "support", "support": self.support}
 
@@ -164,16 +158,13 @@ class SupportKernel(KernelSpec):
         tminus(1/n)(g) increases with n, so convexity reduces the quantifier
         to the stable regime n > 1/clearance(g).
         """
-        samples = 0
         gs = self.model.sample_elements(rng, budget, nonneg=True)
-        gs += self._sample_member(rng, max(4, budget // 8))
-        for g in gs[:budget]:
-            samples += 1
+        for samples, g in enumerate(gs, 1):
             c = clearance(g)
             n = 1 if c == 0 else _ceil(1 / c) + 1
             if self.contains(g.tminus(Fraction(1, n))) and not self.contains(g):
                 return ConditionVerdict(False, samples, g)
-        return ConditionVerdict(True, samples)
+        return ConditionVerdict(True, len(gs))
 
     def _closure_round(self):
         return self  # rules add nothing beyond a support description
@@ -223,21 +214,6 @@ class SeqKernel(KernelSpec):
             return kind == "finite" and data <= self.support
         return True
 
-    def _sample_member(self, rng, count):
-        """Nonnegative members of K built inside the description."""
-        out = [unit for unit, allowed in zip(self.model.tail_units(),
-                                             self.tails_allowed) if allowed]
-        if self.support:
-            out.append(TailElement.chi(self.support))
-        for g in self.model.sample_elements(rng, count, nonneg=True):
-            tail = [c if allowed else 0
-                    for c, allowed in zip(g.tail, self.tails_allowed)]
-            h = TailElement(g.correction, tail)
-            if self.support is not None:
-                h = TailElement({n: h.value(n) for n in self.support})
-            out.append(h)
-        return out
-
     def describe(self):
         return {"kind": "seq", "support": self.support,
                 "tails_allowed": self.tails_allowed}
@@ -252,16 +228,7 @@ class SeqKernel(KernelSpec):
         support window and the nonzero-slot pattern.
         """
         ag = abs(g)
-        _, wa = ag.crossover(TailElement.zero())
-        _, wh = h.crossover(TailElement.zero())
-        n_star = 1
-        for k in range(1, max(wa, wh) + 1):
-            if (a := ag.value(k)) > 0:
-                n_star = max(n_star, _ceil(h.value(k) / a) + 1)
-        for a, b in zip_longest(ag.tail, h.tail, fillvalue=Fraction(0)):
-            if a != 0:
-                n_star = max(n_star, _ceil(abs(b) / abs(a)) + 2)
-        pos = (ag.scale(n_star) - h).join(TailElement.zero())
+        pos = (ag.scale(_n_star(ag, h)) - h).join(TailElement.zero())
         return self.contains(pos)
 
     def condition3(self, budget, rng):
@@ -306,37 +273,45 @@ class SeqKernel(KernelSpec):
         yield ("support-filtration", filt_in, prefix)
 
 
+def _n_star(ag, h):
+    """n* of condition1_hypothesis for ag = |g|, on integer pairs: each
+    ceiling of a ratio p/q, q > 0, of cross products is -(-p // q)."""
+    _, wa = ag.crossover(TailElement.zero())
+    _, wh = h.crossover(TailElement.zero())
+    n_star = 1
+    for k in range(1, max(wa, wh) + 1):
+        a_num, a_den = ag._pair(k)
+        if a_num > 0:
+            h_num, h_den = h._pair(k)
+            n_star = max(n_star, -(-h_num * a_den // (h_den * a_num)) + 1)
+    (a_nums, a_den), (h_nums, h_den) = ag._ints(), h._ints()
+    for a, b in zip_longest(a_nums, h_nums, fillvalue=0):
+        if a:
+            n_star = max(n_star, -(-abs(b) * a_den // (h_den * abs(a))) + 2)
+    return n_star
+
+
 _DESCRIPTIONS = {SimpleTrunc: SupportKernel, SeqTrunc: SeqKernel}
 
 
 def _cond1(kernel, budget, rng):
     model = kernel.model
-    gs = model.sample_elements(rng, budget)
-    gs += kernel._sample_member(rng, max(4, budget // 8))
-    hs = model.sample_elements(rng, budget, nonneg=True)
     units = model.tail_units()
-    hs += units
-    gs = units + gs
-    samples = 0
-    for g in gs[:budget]:
-        h = hs[samples % len(hs)]
-        samples += 1
+    gs = (units + model.sample_elements(rng, budget))[:budget]
+    hs = model.sample_elements(rng, budget, nonneg=True) + units
+    for i, g in enumerate(gs):
+        h = hs[i % len(hs)]
         if kernel.condition1_hypothesis(g, h) and not kernel.contains(g):
-            return ConditionVerdict(False, samples, (g, h))
-    return ConditionVerdict(True, samples)
+            return ConditionVerdict(False, i + 1, (g, h))
+    return ConditionVerdict(True, len(gs))
 
 
 def _cond2(kernel, budget, rng):
-    model = kernel.model
-    gs = model.sample_elements(rng, budget, nonneg=True)
-    gs += [k.scale(n) for k in kernel._sample_member(rng, max(4, budget // 8))
-           for n in (2, 5)]
-    samples = 0
-    for g in gs[:budget]:
-        samples += 1
+    gs = kernel.model.sample_elements(rng, budget, nonneg=True)
+    for samples, g in enumerate(gs, 1):
         if kernel.contains(g.truncate()) and not kernel.contains(g):
             return ConditionVerdict(False, samples, g)
-    return ConditionVerdict(True, samples)
+    return ConditionVerdict(True, len(gs))
 
 
 def kernel_conditions(kernel, budget=200, seed=0):

@@ -4,8 +4,9 @@ A TailElement represents a function g on {1, 2, 3, ...} with g(omega) = 0:
 g(n) = correction(n) + sum_k c_k * n^(-k), with finitely many corrections and
 a fixed tail-degree bound.  Degree 1 carries the hyperarchimedean-but-not-
 simple example; degree 2 exists to refute hyperarchimedeanness.  All lattice
-operations are computed exactly via a certified crossover bound N beyond
-which tail comparison is decided by the leading coefficient.
+operations are computed exactly via a certified sign bound N from which
+tail comparison is decided by the leading coefficient, so they visit only
+the positions below N and the corrected ones.
 
 Evaluation stays exact without building a Fraction per term: each element
 keeps its tail as integer numerators over one common denominator, so a tail
@@ -51,6 +52,16 @@ def _sign_bound(nums):
             rest = sum(abs(c) for c in nums[j + 1:])
             return (1 if lead > 0 else -1), max(1, -(-rest // abs(lead))) + 1
     return 0, 1
+
+
+def _positions(nums, *corrections):
+    """(sign, P): the eventual sign of the tail with numerators nums and, in
+    increasing order, 1..N-1 below its sign bound N and the corrected
+    positions from N on.  Off P no correction applies and the tail has the
+    strict sign `sign`, or vanishes when sign is 0."""
+    sign, bound = _sign_bound(nums)
+    far = sorted({n for corr in corrections for n in corr if n >= bound})
+    return sign, [*range(1, bound), *far]
 
 
 def _add_correction(correction, n, num, den):
@@ -210,16 +221,21 @@ class TailElement(Carrier):
         sign, tail_bound = _sign_bound(self._tail_numerators(other, -1)[0])
         return sign, max([*self.correction, *other.correction, 0]) + tail_bound + 1
 
-    def _combine(self, other, prefer, own_tail, bound):
+    def _combine(self, other, prefer):
         """Pointwise pick: self(n) where prefer(self(n), other(n)), else other(n).
 
-        Past bound the pick is the same at every n, so the result keeps
-        self's tail when own_tail and other's otherwise, corrected on
-        1..bound.  Each operand's tail is evaluated once per position.
+        Off the positions P of the tail difference neither operand is
+        corrected and self - other has its eventual sign, so the pick there
+        is the same operand at every n: self when prefer(sign, 0).  The
+        result keeps that operand's tail, corrected only on P, where each
+        operand's tail is evaluated once.
         """
+        sign, positions = _positions(self._tail_numerators(other, -1)[0],
+                                     self.correction, other.correction)
+        own_tail = prefer(sign, 0)
         winner = self if own_tail else other
         corr = {}
-        for n in range(1, bound + 1):
+        for n in positions:
             ts, to = self._tail_pair(n), other._tail_pair(n)
             a = _add_correction(self.correction, n, *ts)
             b = _add_correction(other.correction, n, *to)
@@ -234,16 +250,14 @@ class TailElement(Carrier):
         return TailElement._canonical(corr, winner.tail, winner._itail)
 
     def meet(self, other):
-        sign, bound = self.crossover(other)
-        return self._combine(other, le, sign <= 0, bound)
+        return self._combine(other, le)
 
     def join(self, other):
-        sign, bound = self.crossover(other)
-        return self._combine(other, ge, sign >= 0, bound)
+        return self._combine(other, ge)
 
     def is_nonneg(self):
-        sign, bound = self.crossover(TailElement.zero())
-        return sign >= 0 and all(self._pair(n)[0] >= 0 for n in range(1, bound + 1))
+        sign, positions = _positions(self._ints()[0], self.correction)
+        return sign >= 0 and all(self._pair(n)[0] >= 0 for n in positions)
 
     def is_zero(self):
         return not self.correction and not self.tail
@@ -251,14 +265,14 @@ class TailElement(Carrier):
     def __abs__(self):
         """|g| in one pass; the same element as g.join(-g).
 
-        Past the crossover bound of g against zero, g has the eventual sign
-        of its tail, so |g| keeps the tail of w = g (w = -g when that sign is
-        negative), corrected on 1..bound, where w is evaluated once per position.
+        Off the positions P of g, g is its tail and has the tail's eventual
+        sign, so |g| keeps the tail of w = g (w = -g when that sign is
+        negative), corrected only on P, where w is evaluated once.
         """
-        sign, tail_bound = _sign_bound(self._ints()[0])
+        sign, positions = _positions(self._ints()[0], self.correction)
         w = self if sign >= 0 else -self
         corr = {}
-        for n in range(1, max(self.correction, default=0) + tail_bound + 2):
+        for n in positions:
             t = w._tail_pair(n)
             v = _add_correction(w.correction, n, *t)
             # the correction |g|(n) - tail(n): w's own where w(n) >= 0
@@ -277,7 +291,7 @@ class TailElement(Carrier):
             raise PositivityError(f"meet_const needs c > 0, got {c}")
         const = (c.numerator, c.denominator)
         corr = {}
-        for n in range(1, self._below_bound(c) + 1):
+        for n in self._positions_below(c):
             t = self._tail_pair(n)
             v = _add_correction(self.correction, n, *t)
             if v[0] * const[1] <= const[0] * v[1]:
@@ -293,29 +307,31 @@ class TailElement(Carrier):
     def _excess(self, r):
         """(value - r)+ pointwise; the result has finite support."""
         corr = {}
-        for n in range(1, self._below_bound(r) + 1):
+        for n in self._positions_below(r):
             num, den = self._pair(n)
             excess = num * r.denominator - r.numerator * den
             if excess > 0:
                 corr[n] = Fraction(excess, den * r.denominator)
         return TailElement._canonical(corr, ())
 
-    def _below_bound(self, c):
-        """The crossover bound N of self against a constant c > 0."""
+    def _positions_below(self, c):
+        """The positions P of self - c for a constant c > 0; off them self < c
+        and self is its tail."""
         nums, den = self._ints()
-        sign, tail_bound = _sign_bound([-c.numerator * den]
-                                       + [a * c.denominator for a in nums])
+        sign, positions = _positions([-c.numerator * den]
+                                     + [a * c.denominator for a in nums],
+                                     self.correction)
         certify(sign < 0, "tails vanish at infinity, so an element falls "
                 "below a positive constant eventually", self)
-        return max(self.correction, default=0) + tail_bound + 1
+        return positions
 
     def support(self):
         """("finite", positions) when the tail vanishes, else ("cofinite", zeros)."""
         if not self.tail:
             return "finite", frozenset(self.correction)
-        sign, bound = self.crossover(TailElement.zero())
+        sign, positions = _positions(self._ints()[0], self.correction)
         certify(sign != 0, "a nonzero tail has an eventual sign", self)
-        zeros = frozenset(n for n in range(1, bound + 1) if self._pair(n)[0] == 0)
+        zeros = frozenset(n for n in positions if self._pair(n)[0] == 0)
         return "cofinite", zeros
 
     def restrict_to_cozero_of(self, g):
@@ -339,12 +355,11 @@ class TailElement(Carrier):
         af = abs(self)
         if af.tail and (not g.tail or af.order() < g.order()):
             return False
-        _, bound_f = af.crossover(TailElement.zero())
-        _, bound_g = g.crossover(TailElement.zero())
-        for n in range(1, max(bound_f, bound_g) + 1):
-            if af._pair(n)[0] > 0 and g._pair(n)[0] == 0:
-                return False
-        return True
+        # off these positions g is its tail, nonzero past g's sign bound
+        # when g has one, and |self| is its tail, which is zero when g's is
+        _, positions = _positions(g._ints()[0], g.correction, af.correction)
+        return not any(af._pair(n)[0] > 0 and g._pair(n)[0] == 0
+                       for n in positions)
 
     def max_value(self):
         """Exact supremum of a nonnegative element (attained; values tend to 0)."""

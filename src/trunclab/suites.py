@@ -512,7 +512,10 @@ def suite_seq_closure(rng, cases, failures, seed):
                 expect = {"add": a + b, "sub": a - b, "negate": -a, "scale": a * _SCALE,
                           "meet": min(a, b), "join": max(a, b), "truncate": min(p, 1),
                           "tminus": max(p - _HALF, 0), "truncN": min(p, 2)}
-                wrong = [k for k, res in results.items() if res.value(n) != expect[k]]
+                # res(n) as an integer pair against the Fraction expected
+                wrong = [k for k, res in results.items()
+                         if (v := res._pair(n))[0] * expect[k].denominator
+                         != expect[k].numerator * v[1]]
                 if wrong:
                     failures.append(f"{wrong[0]} pointwise mismatch at n={n}")
                     break

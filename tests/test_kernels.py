@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import json
+import math
 import os
 import random
 import subprocess
@@ -12,6 +13,8 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from test_seqspace import CORRECTIONS, SMALL_TAILS
 
 from trunclab import kernels, suites
 from trunclab.elements import SimpleElement, SimpleTrunc, lc
@@ -256,11 +259,32 @@ def _unchecked(cls, model, support, flags):
     return spec
 
 
+def _sample_member(spec, rng, count):
+    """Nonnegative members of K: on a SupportKernel samples of the subtrunc
+    on the support, on a SeqKernel elements built inside the description."""
+    model = spec.model
+    if isinstance(spec, SupportKernel):
+        subfamily = [s for s in model.components if s <= spec.support]
+        return SimpleTrunc(model.space, subfamily).sample_elements(
+            rng, count, nonneg=True)
+    out = [unit for unit, allowed in zip(model.tail_units(), spec.tails_allowed)
+           if allowed]
+    if spec.support:
+        out.append(TailElement.chi(spec.support))
+    for g in model.sample_elements(rng, count, nonneg=True):
+        tail = [c if allowed else 0 for c, allowed in zip(g.tail, spec.tails_allowed)]
+        h = TailElement(g.correction, tail)
+        if spec.support is not None:
+            h = TailElement({n: h.value(n) for n in spec.support})
+        out.append(h)
+    return out
+
+
 def _sampled_escape(spec, seed=0, cases=20):
     """The sampled convexity probe: is some meet of a member of K with a
     tail unit or a sampled element outside K?"""
     rng = random.Random(seed)
-    members = spec._sample_member(rng, cases)
+    members = _sample_member(spec, rng, cases)
     pool = (spec.model.tail_units()
             + spec.model.sample_elements(rng, cases, nonneg=True)[:8])
     return any(not spec.contains(g.meet(h)) for g in members for h in pool)
@@ -302,3 +326,25 @@ def test_building_a_kernel_draws_no_samples(monkeypatch):
     assert kinds == {SeqKernel, SupportKernel}
     with pytest.raises(ParseError, match="not convex"):
         parse_instance(GOLDEN / "nonconvex_kernel.tl")
+
+
+def reference_n_star(ag, h):
+    """n* of condition1_hypothesis on Fraction values, as it once was computed."""
+    _, wa = ag.crossover(TailElement.zero())
+    _, wh = h.crossover(TailElement.zero())
+    n_star = 1
+    for k in range(1, max(wa, wh) + 1):
+        if (a := ag.value(k)) > 0:
+            n_star = max(n_star, math.ceil(h.value(k) / a) + 1)
+    for a, b in itertools.zip_longest(ag.tail, h.tail, fillvalue=F(0)):
+        if a != 0:
+            n_star = max(n_star, math.ceil(abs(b) / abs(a)) + 2)
+    return n_star
+
+
+@settings(max_examples=150, deadline=None)
+@given(CORRECTIONS, SMALL_TAILS, CORRECTIONS, SMALL_TAILS)
+def test_integer_n_star_matches_the_fraction_reference(gc, gt, hc, ht):
+    g, h = TailElement(gc, gt), TailElement(hc, ht)
+    for ag, k in ((abs(g), h), (abs(g), abs(h)), (abs(h), g.scale(F(-7, 3)))):
+        assert kernels._n_star(ag, k) == reference_n_star(ag, k)

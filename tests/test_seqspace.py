@@ -3,11 +3,12 @@
 import functools
 import itertools
 import math
+import operator
 import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from trunclab import seqspace
@@ -400,3 +401,178 @@ def test_sup_of_filtration_rejects_a_forged_filtration(monkeypatch, forge):
     monkeypatch.setattr(seqspace, "partial_truncations", forged)
     assert not sup_of_filtration_is(G0)
     assert not reference_sup_of_filtration_is(G0)
+
+
+# --- the sparse position loops against the dense ones ---------------------
+#
+# The dense references visit every position 1..bound of the crossover bound,
+# as the carrier once did; the carrier visits 1..N-1 and the corrections.
+
+def dense_pick(f, g, prefer):
+    sign, bound = f.crossover(g)
+    own_tail = prefer(sign, 0)
+    winner = f if own_tail else g
+    corr = {}
+    for n in range(1, bound + 1):
+        ts, to = f._tail_pair(n), g._tail_pair(n)
+        a = seqspace._add_correction(f.correction, n, *ts)
+        b = seqspace._add_correction(g.correction, n, *to)
+        pick_f = prefer(a[0] * b[1], b[0] * a[1])
+        if pick_f == own_tail:
+            delta = winner.correction.get(n)
+        else:
+            delta = seqspace._difference(a if pick_f else b, ts if own_tail else to)
+        if delta:
+            corr[n] = delta
+    return TailElement._canonical(corr, winner.tail, winner._itail)
+
+
+def dense_abs(f):
+    sign, tail_bound = seqspace._sign_bound(f._ints()[0])
+    w = f if sign >= 0 else -f
+    corr = {}
+    for n in range(1, max(f.correction, default=0) + tail_bound + 2):
+        t = w._tail_pair(n)
+        v = seqspace._add_correction(w.correction, n, *t)
+        delta = (w.correction.get(n) if v[0] >= 0
+                 else seqspace._difference((-v[0], v[1]), t))
+        if delta:
+            corr[n] = delta
+    return TailElement._canonical(corr, w.tail, w._itail)
+
+
+def dense_below_bound(f, c):
+    nums, den = f._ints()
+    sign, tail_bound = seqspace._sign_bound([-c.numerator * den]
+                                            + [a * c.denominator for a in nums])
+    assert sign < 0
+    return max(f.correction, default=0) + tail_bound + 1
+
+
+def dense_meet_const(f, c):
+    c = F(c)
+    corr = {}
+    for n in range(1, dense_below_bound(f, c) + 1):
+        t = f._tail_pair(n)
+        v = seqspace._add_correction(f.correction, n, *t)
+        delta = (f.correction.get(n) if v[0] * c.denominator <= c.numerator * v[1]
+                 else seqspace._difference((c.numerator, c.denominator), t))
+        if delta:
+            corr[n] = delta
+    return TailElement._canonical(corr, f.tail, f._itail)
+
+
+def dense_tminus(f, r):
+    corr = {}
+    for n in range(1, dense_below_bound(f, r) + 1):
+        num, den = f._pair(n)
+        excess = num * r.denominator - r.numerator * den
+        if excess > 0:
+            corr[n] = F(excess, den * r.denominator)
+    return TailElement._canonical(corr, ())
+
+
+def dense_is_nonneg(f):
+    sign, bound = f.crossover(TailElement.zero())
+    return sign >= 0 and all(f._pair(n)[0] >= 0 for n in range(1, bound + 1))
+
+
+def dense_support(f):
+    if not f.tail:
+        return "finite", frozenset(f.correction)
+    _, bound = f.crossover(TailElement.zero())
+    return "cofinite", frozenset(n for n in range(1, bound + 1) if f._pair(n)[0] == 0)
+
+
+def dense_dominated_by(f, g):
+    af = dense_abs(f)
+    if af.tail and (not g.tail or af.order() < g.order()):
+        return False
+    _, bound_f = af.crossover(TailElement.zero())
+    _, bound_g = g.crossover(TailElement.zero())
+    return not any(af._pair(n)[0] > 0 and g._pair(n)[0] == 0
+                   for n in range(1, max(bound_f, bound_g) + 1))
+
+
+def same_element(got, ref):
+    """Equal corrections in the same order, tails and integer tails."""
+    assert list(got.correction.items()) == list(ref.correction.items())
+    assert got.tail == ref.tail and got._ints() == ref._ints()
+
+
+def check_sparse_against_dense(f, g, c, r, ops=None):
+    """Every sparse loop of f and g against its dense reference."""
+    af, ag = abs(f), abs(g)  # inputs only; "abs" compares af with dense_abs
+    builds = {
+        "meet": lambda: (f.meet(g), dense_pick(f, g, operator.le)),
+        "join": lambda: (f.join(g), dense_pick(f, g, operator.ge)),
+        "abs": lambda: (af, dense_abs(f)),
+        "meet_const": lambda: (af.meet_const(c), dense_meet_const(af, c)),
+        "tminus": lambda: (af.tminus(r), dense_tminus(af, r)),
+        "truncate": lambda: (af.truncate(), dense_meet_const(af, 1)),
+        "trunc_at": lambda: (af.trunc_at(c), dense_meet_const(af, c)),
+    }
+    answers = {
+        "is_nonneg": lambda: [(h.is_nonneg(), dense_is_nonneg(h)) for h in (f, af)],
+        "support": lambda: [(h.support(), dense_support(h))
+                            for h in (f, af) if h.tail and leading_sign(h.tail)],
+        "dominated_by": lambda: [(f.dominated_by(h), dense_dominated_by(f, h))
+                                 for h in (ag, af, af.scale(2), ag + af)],
+    }
+    for name in ops or [*builds, *answers]:
+        if name in builds:
+            same_element(*builds[name]())
+        else:
+            for got, ref in answers[name]():
+                assert got == ref, name
+
+
+# Corrections near the front and, less often, far out.
+NEAR_OR_FAR = st.one_of(st.integers(1, 40), st.integers(1, 1000))
+SPARSE_CORRECTIONS = st.dictionaries(NEAR_OR_FAR, RATIONALS, max_size=4)
+
+
+@settings(max_examples=150, deadline=None)
+@given(SPARSE_CORRECTIONS, SMALL_TAILS, SPARSE_CORRECTIONS, SMALL_TAILS,
+       POSITIVE, POSITIVE)
+def test_sparse_loops_match_the_dense_reference(fc, ft, gc, gt, c, r):
+    f, g = TailElement(fc, ft), TailElement(gc, gt)
+    check_sparse_against_dense(f, g, c, r)
+    check_sparse_against_dense(f, -f, c, r, ["meet", "join"])
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.integers(1, 10 ** 6), RATIONALS, SMALL_TAILS, SPARSE_CORRECTIONS,
+       SMALL_TAILS, st.sampled_from(["meet", "join", "abs", "meet_const", "tminus",
+                                     "truncate", "trunc_at", "is_nonneg", "support",
+                                     "dominated_by"]))
+@example(10 ** 6, F(-1), [F(1)], {}, [], "abs")
+def test_sparse_loops_match_the_dense_reference_far_out(far, v, ft, gc, gt, op):
+    """One correction up to position 10**6, one operation per example (the
+    dense reference walks every position up to it)."""
+    f, g = TailElement({far: v, 1: F(1, 2)}, ft), TailElement(gc, gt)
+    check_sparse_against_dense(f, g, F(1, 3), F(2, 3), [op])
+
+
+def test_a_far_correction_visits_only_its_position(monkeypatch):
+    far = 10 ** 9
+    seen = []
+    tail_pair = TailElement._tail_pair
+
+    def counting(self, n):
+        seen.append(n)
+        return tail_pair(self, n)
+
+    g = TailElement({far: -1}, [1])
+    monkeypatch.setattr(TailElement, "_tail_pair", counting)
+    ag = abs(g)
+    results = [ag, g.join(TailElement.zero()), g.meet(TailElement.zero()),
+               ag.truncate(), g.is_nonneg(), g.support(), g.dominated_by(ag)]
+    # the sign bound of the tail 1/n is 2: positions 1 and far only, with
+    # at most two tails evaluated at each of them per operation
+    assert set(seen) == {1, far} and len(seen) <= 2 * 2 * len(results)
+    monkeypatch.undo()
+    assert ag == TailElement({far: 1 - F(2, far)}, [1])
+    assert results[1:4] == [TailElement({far: -F(1, far)}, [1]),
+                            TailElement({far: F(1, far) - 1}), ag]
+    assert results[4:] == [False, ("cofinite", frozenset()), True]

@@ -1,9 +1,16 @@
 """The suite registry: names, execution order, run_all caps and case counts."""
 
 import inspect
+import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
+import trunclab
 from trunclab import suites
 
 NAMES = ["trunc-axioms", "identities", "good-sequences", "idealization",
@@ -60,3 +67,32 @@ def test_run_all_applies_the_caps(monkeypatch):
 def test_a_negative_budget_counts_no_cases():
     for name in ("trunc-axioms", "good-sequences", "cut-cases", "normal-clearance"):
         assert suites.SUITES[name](seed=0, cases=-1).cases == 0
+
+
+PLANTED_JOIN = textwrap.dedent("""
+    import json, sys
+    from trunclab import suites
+    from trunclab.seqspace import TailElement
+    honest = suites.SUITES["seq-closure"](seed=0, cases=20)
+    TailElement.join = lambda self, other: self
+    planted = suites.SUITES["seq-closure"](seed=0, cases=20)
+    print(json.dumps({"optimize": sys.flags.optimize, "honest": honest.failures,
+                      "planted": planted.failures}))
+""")
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["python", "python -O"])
+def test_seq_closure_oracle_catches_a_planted_join(flags):
+    """The seq-closure oracle compares the results it is handed: a join that
+    returns its left operand is a pointwise mismatch, also under python -O."""
+    src = str(Path(trunclab.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, *flags, "-c", PLANTED_JOIN], env=env,
+                          capture_output=True, text=True, timeout=120, check=False)
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["optimize"] == len(flags)
+    assert result["honest"] == []
+    assert result["planted"]
+    assert all(f.startswith("join pointwise mismatch at n=") for f in result["planted"])
