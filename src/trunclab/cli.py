@@ -56,6 +56,7 @@ def cmd_normal_form(inst, names, args, report):
 
 
 def cmd_good_seq(inst, names, args, report):
+    _require(names, "good-seq ELEMENT|GOODSEQ...")
     for name in names:
         obj = inst.get(name)
         if isinstance(obj, SimpleElement):
@@ -71,6 +72,7 @@ def cmd_good_seq(inst, names, args, report):
 
 
 def cmd_trunc_seq(inst, names, args, report):
+    _require(names, "trunc-seq ELEMENT|SEQUENCE...")
     for name in names:
         obj = inst.get(name)
         if isinstance(obj, SimpleElement):
@@ -195,6 +197,7 @@ def cmd_kernel_check(inst, names, args, report):
 
 
 def cmd_kernel_close(inst, names, args, report):
+    _require(names, "kernel-close KERNEL...")
     for name in names:
         k = inst.get(name, "kernel")
         closed = kernel_closure(k)
@@ -204,6 +207,7 @@ def cmd_kernel_close(inst, names, args, report):
 
 
 def cmd_pointwise(inst, names, args, report):
+    _require(names, "pointwise ELEMENT...|FRAMEREAL...|KERNEL")
     objs = [inst.get(n) for n in names]
     if len(objs) == 1 and isinstance(objs[0], KernelSpec):
         verdict = pointwise_closed(objs[0], budget=args.cases, seed=args.seed)

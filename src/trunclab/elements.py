@@ -9,7 +9,6 @@ separate points, and grid-verified pointwise suprema with a Dini check.
 """
 
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations
@@ -19,6 +18,7 @@ from .errors import (PositivityError, SpaceMismatchError, StructureError,
                      UnsupportedOperationError, certify)
 from .gba import GeneralizedBooleanAlgebra
 from .rat import as_fraction, format_rational, sorted_labels
+from .records import record
 from .spaces import PointedBooleanSpace
 
 
@@ -255,7 +255,7 @@ class SimpleElement(StepValues):
         return {Fraction(n, self._den): frozenset(s) for n, s in out.items()}
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Op:
     """One operation tag of the truncation calculus, for all three carriers.
 
@@ -460,7 +460,7 @@ def clearance_decomposition(g):
     return pairs
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class GoodSequence:
     """Nonincreasing truncated terms with f_n = truncate(f_n + f_{n+1}), tail zero."""
 
@@ -657,7 +657,7 @@ def pointwise_sup(family):
     return b
 
 
-@dataclass
+@record
 class DiniReport:
     limit_is_zero: bool
     uniform: bool

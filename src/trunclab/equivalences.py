@@ -6,23 +6,22 @@ idealized Boolean algebras, and the agreement of the unital-component
 algebra of the full simple trunc with the forgotten clopen algebra.
 """
 
-from dataclasses import dataclass, field
-
 from .elements import lc, uc
 from .errors import StructureError
 from .gba import (clopen, find_gba_isomorphism, find_iba_isomorphism,
                   iba_forget, idealize, map_failure, stone)
+from .records import field, record
 from .spaces import pointed_bijection
 
 
-@dataclass
+@record
 class RoundTrip:
     name: str
     verified: bool
     detail: str = ""
 
 
-@dataclass
+@record
 class EquivalenceReport:
     complete: bool
     trips: list = field(default_factory=list)

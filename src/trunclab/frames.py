@@ -12,7 +12,6 @@ their adjoints, with density decided exactly.
 
 import itertools
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from math import gcd, lcm
@@ -24,6 +23,7 @@ from .errors import (BudgetError, PositivityError, SpaceMismatchError,
 from .gba import Violation, order_lattice
 from .rat import (NEG_INF, POS_INF, as_fraction, format_label, format_rational,
                   is_finite, sorted_labels)
+from .records import record
 
 
 def _frame_tables(labels, leq_pairs):
@@ -199,7 +199,7 @@ class PointedFiniteFrame:
         return f"PointedFiniteFrame({len(self.frame)} elements)"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class OpenInterval:
     """An open rational interval, optionally closed at infinite endpoints.
 
@@ -557,7 +557,7 @@ def surjection_tools(q):
     return {"adjoint": dict(q.adjoint), "dense": q.dense}
 
 
-@dataclass
+@record
 class DropResult:
     ok: bool
     result: object = None  # FrameReal on the target when ok
@@ -598,7 +598,7 @@ def drop(q, h_prime):
     return DropResult(True, result=h)
 
 
-@dataclass
+@record
 class LiftResult:
     ok: bool
     witness: object = None  # FrameReal on the source when ok

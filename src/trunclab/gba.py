@@ -9,16 +9,16 @@ finite gBas, iBas and pointed Boolean spaces.
 """
 
 import itertools
-from dataclasses import dataclass, field
 
 from .errors import StructureError
 from .rat import sorted_labels
+from .records import field, record
 from .spaces import PointedBooleanSpace
 
 _ABSENT = object()  # a missing table entry, which no carrier holds
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Primed:
     """Tag wrapper for the formal complements adjoined by idealize()."""
 
@@ -28,7 +28,7 @@ class Primed:
         return f"{self.base}'"
 
 
-@dataclass
+@record
 class Violation:
     law: str
     witness: tuple
@@ -37,7 +37,7 @@ class Violation:
         return f"{self.law} at {self.witness}"
 
 
-@dataclass
+@record
 class ValidationReport:
     violations: list = field(default_factory=list)
 

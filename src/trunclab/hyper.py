@@ -8,12 +8,12 @@ refutation witness is exact, acceptance remains sampled.
 """
 
 import random
-from dataclasses import dataclass
 
 from .errors import BudgetError
+from .records import record
 
 
-@dataclass
+@record
 class HyperVerdict:
     passed: bool
     samples: int

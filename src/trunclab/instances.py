@@ -27,19 +27,18 @@ entry: section keywords, flag words (`stable` only as the last token), a
 builder.
 """
 
-from dataclasses import dataclass, field
-
 from .elements import GoodSequence, SimpleElement, SimpleTrunc
 from .errors import ParseError, TruncLabError
 from .frames import FiniteFrame, FrameReal, FrameSurjection, PointedFiniteFrame
 from .gba import GeneralizedBooleanAlgebra, clopen, idealize, transitive_closure
 from .kernels import KernelSpec
 from .rat import parse_extended, parse_rational
+from .records import field, record
 from .seqspace import SeqTrunc, TailElement
 from .spaces import PointedBooleanSpace
 
 
-@dataclass
+@record
 class Sequence:
     """An ordered list of named elements with a stability flag."""
 
@@ -47,7 +46,7 @@ class Sequence:
     stable: bool = False
 
 
-@dataclass
+@record
 class Instance:
     """Typed symbol table; names are unique across kinds."""
 

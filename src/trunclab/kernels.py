@@ -22,17 +22,17 @@ ask for them, and every later call returns the same frozen report.
 
 import functools
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
 
 from .elements import (SimpleElement, SimpleTrunc, bound_witness, clearance,
                        truncation_sequence)
 from .errors import BudgetError, StructureError, certify
+from .records import record
 from .seqspace import SeqTrunc, TailElement, _ceil, partial_truncations
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ConditionVerdict:
     passed: bool
     samples: int
@@ -46,7 +46,7 @@ class ConditionVerdict:
         return f"FAIL ({tag}, witness={self.witness!r})"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ConditionsReport:
     cond1: ConditionVerdict
     cond2: ConditionVerdict
@@ -353,7 +353,7 @@ def kernel_closure(kernel, max_rounds=64):
     raise BudgetError(f"closure did not stabilize in {max_rounds} rounds")
 
 
-@dataclass
+@record
 class PointwiseVerdict:
     closed: bool
     witness: object = None  # (sup, family) when not closed

@@ -1,10 +1,10 @@
 """Reports: per-check outcomes with a canonical machine-readable section."""
 
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .rat import format_label, format_rational, is_finite
+from .records import field, record
 
 
 def canon(value):
@@ -15,32 +15,26 @@ def canon(value):
     """
     if isinstance(value, Fraction) or not is_finite(value):
         return format_rational(value)
-    if isinstance(value, bool) or value is None:
+    if value is None or isinstance(value, (int, str)):  # bool is an int
         return value
-    if isinstance(value, int):
-        return value
-    if isinstance(value, str):
-        return value
-    if isinstance(value, frozenset):
+    if isinstance(value, (frozenset, set)):
         return sorted((canon(v) for v in value), key=json.dumps)
     if isinstance(value, (list, tuple)):
         return [canon(v) for v in value]
-    if isinstance(value, set):
-        return sorted((canon(v) for v in value), key=json.dumps)
     if isinstance(value, dict):
         return {format_label(k) if not isinstance(k, str) else k: canon(v)
                 for k, v in sorted(value.items(), key=lambda kv: format_label(kv[0]))}
     return repr(value)
 
 
-@dataclass
+@record
 class CheckResult:
     name: str
     passed: bool
     detail: str = ""
 
 
-@dataclass
+@record
 class Report:
     command: str
     checks: list = field(default_factory=list)

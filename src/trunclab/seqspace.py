@@ -16,7 +16,6 @@ unreduced integer pairs (num, den), den > 0, making a Fraction only for a
 correction they keep.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
 from math import lcm
@@ -25,6 +24,7 @@ from operator import ge, le
 from .elements import Carrier, cut_grid
 from .errors import PositivityError, StructureError, certify
 from .rat import as_fraction, chance, format_rational
+from .records import record
 
 
 def _ceil(f):
@@ -374,7 +374,7 @@ class TailElement(Carrier):
         return max([best] + [self.value(n) for n in range(window + 1, horizon + 1)])
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SeqTrunc:
     """Carrier descriptor: all TailElements with tail degree <= degree."""
 
@@ -507,7 +507,7 @@ def sup_of_filtration_is(g):
     return all((top > r) == (v > r) for r in cuts for top, v in zip(reach, values))
 
 
-@dataclass
+@record
 class Ex1Report:
     """The five-part counterexample battery on the degree-1 trunc."""
 

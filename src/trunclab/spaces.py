@@ -1,12 +1,11 @@
 """Finite pointed Boolean spaces: a finite label set with one designated point."""
 
-from dataclasses import dataclass
-
 from .errors import StructureError
 from .rat import sorted_labels
+from .records import record
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class PointedBooleanSpace:
     """A finite set of opaque point labels plus a designated basepoint."""
 
@@ -17,7 +16,7 @@ class PointedBooleanSpace:
         object.__setattr__(self, "points", frozenset(self.points))
         if self.star not in self.points:
             raise StructureError(f"star {self.star!r} not in points")
-        # not dataclass fields, so equality and hash ignore them; _index maps
+        # not record fields, so equality and hash ignore them; _index maps
         # each non-basepoint label to its position in nonstar
         nonstar = tuple(p for p in sorted_labels(self.points) if p != self.star)
         object.__setattr__(self, "_nonstar", nonstar)

@@ -9,7 +9,6 @@ functions at their stated budgets.
 """
 
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import zip_longest
 
@@ -29,13 +28,14 @@ from .gba import clopen, iba_forget, idealize, map_failure, stone
 from .hyper import hyperarchimedean
 from .kernels import KernelSpec, kernel_closure, kernel_conditions, pointwise_closed
 from .rat import POS_INF, chance
+from .records import field, record
 from .seqspace import (SeqTrunc, TailElement, bounded_away_from_zero_tail,
                        enough_uc_check, ex1_report, partial_truncations,
                        poly_sign, simple_part_member, sup_of_filtration_is)
 from .spaces import PointedBooleanSpace
 
 
-@dataclass
+@record
 class SuiteResult:
     name: str
     cases: int

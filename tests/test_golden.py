@@ -89,6 +89,7 @@ ARGVS = [
     ("good-seq", "T", *F, *J),
     ("frame-eval", "u", "(a,b)", *F, *J),
     ("dini", "es", *F, *J),
+    *[(command, *F, *J) for command in ("good-seq", "trunc-seq", "kernel-close", "pointwise")],
     ("suite", "nosuch", *J),
     ("check", "--file", "missing.tl", *J),
     ("check", "--file", "bad_kernel.tl", *J),

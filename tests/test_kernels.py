@@ -1,6 +1,5 @@
 """Kernel conditions, staged closure, and pointwise closure."""
 
-import dataclasses
 import itertools
 import json
 import math
@@ -23,6 +22,7 @@ from trunclab.instances import parse_instance, parse_instance_text
 from trunclab.kernels import (KernelSpec, SeqKernel, SupportKernel,
                               kernel_closure, kernel_conditions,
                               pointwise_closed)
+from trunclab.records import FrozenRecordError
 from trunclab.seqspace import SeqTrunc, TailElement
 from trunclab.spaces import space
 
@@ -174,9 +174,9 @@ def test_identical_kernel_conditions_are_computed_once(monkeypatch):
     first = public(k, 40, 0)
     assert public(KernelSpec(SeqTrunc(1)), budget=40, seed=0) is first
     assert len(computed) == 14
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(FrozenRecordError):
         first.cond1 = first.cond3
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(FrozenRecordError):
         first.cond3.passed = True
 
 
