@@ -26,7 +26,7 @@ def record(cls=None, *, frozen=False):
     ns, params, lines = {"__name__": cls.__module__, "_set": object.__setattr__}, ["self"], []
     for n in names:
         value = n
-        d = ns[f"_d_{n}"] = own.get(n, field)
+        d = ns[f"_d_{n}"] = own.get(n, field)  # the class field itself: no default
         params.append(n if d is field else f"{n}=_d_{n}")
         if isinstance(d, field):
             ns[f"_f_{n}"], value = d.make, f"_f_{n}() if {n} is _d_{n} else {n}"
