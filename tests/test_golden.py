@@ -1,8 +1,9 @@
 """The golden corpus: recorded CLI runs replayed in-process through cli.main.
 
 Each entry of tests/golden/corpus.json is an argv (with --file relative to
-tests/golden), the exit code and the exact stdout.  An uncaught exception
-counts as exit code 1, as it does for the interpreter.  To re-record the
+tests/golden), the exit code and the exact stdout; an entry that exits 1 or 2
+also keeps the first stderr line, which tells one refusal from another.  An
+uncaught exception counts as exit code 1, as it does for the interpreter.  To re-record the
 corpus after a deliberate output change, run from the repository root:
 
     PYTHONPATH=src python tests/test_golden.py
@@ -112,20 +113,27 @@ ARGVS = [
 
 
 def run(argv):
-    """(exit code, stdout) of one CLI run, with --file resolved in tests/golden."""
-    argv = list(argv)
-    if "--file" in argv:
-        at = argv.index("--file") + 1
-        argv[at] = str(GOLDEN / argv[at])
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+    """The corpus entry of one CLI run, with --file resolved in tests/golden.
+
+    The stderr line names a file as the argv does, relative to tests/golden.
+    """
+    resolved = list(argv)
+    if "--file" in resolved:
+        at = resolved.index("--file") + 1
+        resolved[at] = str(GOLDEN / resolved[at])
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            code = cli.main(argv)
+            code = cli.main(resolved)
         except SystemExit as exc:
             code = exc.code
         except Exception:  # noqa: BLE001 - a traceback exits 1
             code = 1
-    return code, out.getvalue()
+    entry = {"argv": list(argv), "exit": code, "stdout": out.getvalue()}
+    if code in (1, 2):
+        first = err.getvalue().partition("\n")[0]
+        entry["stderr"] = first.replace(str(GOLDEN) + os.sep, "")
+    return entry
 
 
 def _load():
@@ -140,7 +148,7 @@ def test_corpus_matches_argv_list():
 
 @pytest.mark.parametrize("entry", _load(), ids=lambda e: " ".join(e["argv"]))
 def test_golden(entry):
-    assert run(entry["argv"]) == (entry["exit"], entry["stdout"])
+    assert run(entry["argv"]) == entry
 
 
 REPLAY = """
@@ -149,8 +157,8 @@ sys.path.insert(0, sys.argv[1])
 import test_golden
 entries = test_golden._load()
 print(json.dumps({"optimize": sys.flags.optimize, "entries": len(entries),
-                  "mismatches": [e["argv"] for e in entries if test_golden.run(
-                      e["argv"]) != (e["exit"], e["stdout"])]}))
+                  "mismatches": [e["argv"] for e in entries
+                                 if test_golden.run(e["argv"]) != e]}))
 """
 
 
@@ -169,10 +177,7 @@ def test_corpus_replays_under_python_O():
 
 
 def record():
-    entries = []
-    for argv in ARGVS:
-        code, stdout = run(argv)
-        entries.append({"argv": list(argv), "exit": code, "stdout": stdout})
+    entries = [run(argv) for argv in ARGVS]
     CORPUS.write_text(json.dumps(entries, indent=1) + "\n", encoding="utf-8")
     return entries
 
