@@ -310,7 +310,7 @@ def suite_ex1(rng, cases, failures, seed):
     if simple_part_member(report.not_simple_witness):
         failures.append("1/n witness has finite range")
     if not report.kernel12_ok:
-        failures.append("kernel conditions (1)/(2) failed on samples")
+        failures.append("kernel conditions (1)/(2) failed")
     if report.kernel3_witness != TailElement.tail_unit(1):
         failures.append("kernel condition (3) witness is not the 1/n element")
     expected = TailElement({1: Fraction(2, 3), 2: Fraction(1, 6)})
@@ -465,7 +465,7 @@ def suite_kernels(rng, cases, failures, seed):
     specs.append(KernelSpec(SeqTrunc(2), support=None,
                             tails_allowed=(True, True)))
     for spec in specs:
-        conds = kernel_conditions(spec, budget=max(40, cases), seed=seed)
+        conds = kernel_conditions(spec)
         verdict = pointwise_closed(spec, budget=max(40, cases), seed=seed)
         if conds.all_pass != verdict.closed:
             failures.append(f"agreement fails for {spec!r}")
@@ -475,7 +475,7 @@ def suite_kernels(rng, cases, failures, seed):
             failures.append(f"closure not idempotent for {spec!r}")
         if spec.support is None and not all(closed.tails_allowed):
             failures.append(f"closure did not reach the whole trunc: {spec!r}")
-        if not kernel_conditions(closed, budget=40, seed=seed).all_pass:
+        if not kernel_conditions(closed).all_pass:
             failures.append(f"closure output fails conditions: {spec!r}")
     return len(specs)
 

@@ -8,6 +8,8 @@ directly over long finite prefixes and compare.
 import random
 from fractions import Fraction as F
 
+from test_kernels import condition1_hypothesis
+
 from trunclab.elements import SimpleTrunc, lc
 from trunclab.kernels import KernelSpec, SeqKernel, SupportKernel
 from trunclab.seqspace import SeqTrunc, poly_sign
@@ -94,7 +96,7 @@ def test_condition1_hypothesis_matches_brute_quantifier():
             hpool += trunc.tail_units()
             for i, g in enumerate(pool):
                 h = hpool[i % len(hpool)]
-                claimed = spec.condition1_hypothesis(g, h)
+                claimed = condition1_hypothesis(spec, g, h)
                 # claimed True must make every prefix member; claimed False
                 # must be witnessed at n = 200, past every stable threshold
                 if claimed:
@@ -108,7 +110,7 @@ def test_condition3_collapse_matches_brute_quantifier():
     rng = random.Random(44)
     for trunc, specs in _all_kernels():
         for spec in specs:
-            verdict = spec.condition3(60, random.Random(7))
+            verdict = spec.condition3()
             if verdict.passed:
                 # no g >= 0 meets the hypothesis up to n = 200 outside K
                 pool = [abs(g) for g in trunc.sample_elements(rng, 30)]

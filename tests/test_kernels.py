@@ -15,19 +15,20 @@ import pytest
 from hypothesis import given, settings
 from test_seqspace import CORRECTIONS, SMALL_TAILS
 
-from trunclab import kernels, suites
-from trunclab.elements import SimpleElement, SimpleTrunc, lc
+from trunclab import kernels
+from trunclab.elements import SimpleElement, SimpleTrunc, clearance, lc
 from trunclab.errors import BudgetError, ParseError, StructureError
 from trunclab.instances import parse_instance, parse_instance_text
-from trunclab.kernels import (KernelSpec, SeqKernel, SupportKernel,
-                              kernel_closure, kernel_conditions,
-                              pointwise_closed)
+from trunclab.kernels import (ConditionsReport, ConditionVerdict, KernelSpec,
+                              SeqKernel, SupportKernel, kernel_closure,
+                              kernel_conditions, pointwise_closed)
 from trunclab.records import FrozenRecordError
 from trunclab.seqspace import SeqTrunc, TailElement
 from trunclab.spaces import space
 
 X3 = space("1", "2", "3")
 FULL = lc(X3)
+T = SimpleTrunc(X3, [set(), {"1", "2"}, {"3"}, {"1", "2", "3"}])
 G0 = TailElement.tail_unit(1)
 
 
@@ -54,9 +55,10 @@ def test_zero_kernel_on_x3():
 def test_tail_zero_kernel_fails_condition3_exactly():
     k = KernelSpec(SeqTrunc(1), support=None, tails_allowed=(False,))
     report = kernel_conditions(k, budget=500, seed=0)
-    assert report.cond1.passed and report.cond1.samples >= 500
-    assert report.cond2.passed and report.cond2.samples >= 500
-    assert not report.cond3.passed and report.cond3.exact
+    for verdict in (report.cond1, report.cond2, report.cond3):
+        assert verdict.exact and verdict.samples == 0
+    assert report.cond1.passed and report.cond2.passed
+    assert not report.cond3.passed
     assert report.cond3.witness == G0
     # every truncated subtraction of the witness lies in the kernel
     for n in (1, 2, 3, 10):
@@ -151,29 +153,17 @@ def test_kernel_model_must_be_a_trunc():
     assert len(errors) == 1 and errors[0].lineno == 2
 
 
-def test_identical_kernel_conditions_are_computed_once(monkeypatch):
-    keys, computed = [], []
-    public, cond1 = kernels.kernel_conditions, kernels._cond1
+def test_kernel_conditions_are_exact_and_draw_no_samples(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a kernel condition sampled the carrier")
 
-    def recording(kernel, budget=200, seed=0):
-        keys.append((kernel, budget, seed))
-        return public(kernel, budget, seed)
-
-    def counting(kernel, budget, rng):
-        computed.append((kernel, budget))
-        return cond1(kernel, budget, rng)
-
-    monkeypatch.setattr(kernels, "kernel_conditions", recording)
-    monkeypatch.setattr(suites, "kernel_conditions", recording)
-    monkeypatch.setattr(kernels, "_cond1", counting)
-    kernels._conditions.cache_clear()
-    assert suites.suite_kernels(seed=0, cases=40).passed
-    assert len(keys) == 40 and len(set(keys)) == 14
-    assert len(computed) == 14  # one computation per distinct key
-    k = KernelSpec(SeqTrunc(1), tails_allowed=(False,))
-    first = public(k, 40, 0)
-    assert public(KernelSpec(SeqTrunc(1)), budget=40, seed=0) is first
-    assert len(computed) == 14
+    monkeypatch.setattr(SimpleTrunc, "sample_elements", refuse)
+    monkeypatch.setattr(SeqTrunc, "sample_elements", refuse)
+    for k in _descriptions():
+        first = kernel_conditions(k, budget=1, seed=0)
+        assert kernel_conditions(k, budget=500, seed=9) == first
+        for verdict in (first.cond1, first.cond2, first.cond3):
+            assert verdict.exact and verdict.samples == 0
     with pytest.raises(FrozenRecordError):
         first.cond1 = first.cond3
     with pytest.raises(FrozenRecordError):
@@ -348,3 +338,129 @@ def test_integer_n_star_matches_the_fraction_reference(gc, gt, hc, ht):
     g, h = TailElement(gc, gt), TailElement(hc, ht)
     for ag, k in ((abs(g), h), (abs(g), abs(h)), (abs(h), g.scale(F(-7, 3)))):
         assert kernels._n_star(ag, k) == reference_n_star(ag, k)
+
+
+# --- the sampled kernel conditions, kept as oracles for the exact rules -----
+
+def support_condition1_hypothesis(kernel, g, h):
+    """Decide (n|g| - h)+ in K for every n on a SupportKernel.
+
+    The sequence (n|g| - h)+ increases with n and K is convex, so membership
+    for all n is membership in the stabilized large-n regime, where the
+    support equals supp g.
+    """
+    ag = abs(g)
+    n_star = 1
+    for p in ag.support():
+        n_star = max(n_star, math.ceil(h.value(p) / ag.value(p)) + 1)
+    pos = ag.scale(n_star) - h
+    pos = pos.join(SimpleElement.zero(g.space))
+    assert pos.support() == ag.support()
+    return kernel.contains(pos)
+
+
+def condition1_hypothesis(kernel, g, h):
+    if isinstance(kernel, SupportKernel):
+        return support_condition1_hypothesis(kernel, g, h)
+    return kernel.condition1_hypothesis(g, h)
+
+
+def sampled_condition1(kernel, budget, rng):
+    model = kernel.model
+    units = model.tail_units()
+    gs = (units + model.sample_elements(rng, budget))[:budget]
+    hs = model.sample_elements(rng, budget, nonneg=True) + units
+    for i, g in enumerate(gs):
+        h = hs[i % len(hs)]
+        if condition1_hypothesis(kernel, g, h) and not kernel.contains(g):
+            return ConditionVerdict(False, i + 1, (g, h))
+    return ConditionVerdict(True, len(gs))
+
+
+def sampled_condition2(kernel, budget, rng):
+    gs = kernel.model.sample_elements(rng, budget, nonneg=True)
+    for samples, g in enumerate(gs, 1):
+        if kernel.contains(g.truncate()) and not kernel.contains(g):
+            return ConditionVerdict(False, samples, g)
+    return ConditionVerdict(True, len(gs))
+
+
+def sampled_support_condition3(kernel, budget, rng):
+    """Condition (3) on a SupportKernel with an exact hypothesis per sample:
+    tminus(1/n)(g) increases with n, so convexity reduces the quantifier to
+    the stable regime n > 1/clearance(g)."""
+    gs = kernel.model.sample_elements(rng, budget, nonneg=True)
+    for samples, g in enumerate(gs, 1):
+        c = clearance(g)
+        n = 1 if c == 0 else math.ceil(1 / c) + 1
+        if kernel.contains(g.tminus(F(1, n))) and not kernel.contains(g):
+            return ConditionVerdict(False, samples, g)
+    return ConditionVerdict(True, len(gs))
+
+
+def sampled_conditions(kernel, budget, seed):
+    """The conditions as they were once decided, by sampling the carrier."""
+    rng = random.Random(seed)
+    cond1 = sampled_condition1(kernel, budget, rng)
+    cond2 = sampled_condition2(kernel, budget, rng)
+    if isinstance(kernel, SupportKernel):
+        cond3 = sampled_support_condition3(kernel, budget, rng)
+    else:
+        cond3 = kernel.condition3()
+    return ConditionsReport(cond1, cond2, cond3)
+
+
+def _descriptions():
+    """Every convex flag pattern of degree 0-4 on the full support, a finite
+    support on each degree, and every support on lc(X3) and on T."""
+    for degree in range(5):
+        trunc = SeqTrunc(degree)
+        for allowed in range(degree + 1):
+            flags = (False,) * (degree - allowed) + (True,) * allowed
+            yield KernelSpec(trunc, support=None, tails_allowed=flags)
+        yield KernelSpec(trunc, support=frozenset({1, 3}))
+    for model in (FULL, T):
+        for k in range(4):
+            for support in itertools.combinations(["1", "2", "3"], k):
+                yield KernelSpec(model, support=frozenset(support))
+
+
+def test_descriptions_cover_every_convex_pattern():
+    seq = [k for k in _descriptions() if isinstance(k, SeqKernel)]
+    for degree in range(5):
+        patterns = {k.tails_allowed for k in seq
+                    if k.model.degree == degree and k.support is None}
+        assert patterns == {flags for flags in itertools.product(
+            (False, True), repeat=degree) if _accepted(SeqTrunc(degree), None, flags)}
+
+
+def _hypothesis_holds(k, label, witness, upto=60):
+    """The condition's hypothesis replayed for n = 1..upto."""
+    if label == "cond1":
+        g, h = witness
+        return all(k.contains((abs(g).scale(n) - h).join(g.scale(0)))
+                   for n in range(1, upto + 1))
+    return all(k.contains(witness.tminus(F(1, n))) for n in range(1, upto + 1))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_exact_conditions_agree_with_the_sampled_oracle(seed):
+    """The sampler never refutes an exact pass, and the witness of every
+    exact fail meets the condition's hypothesis outside K."""
+    for k in _descriptions():
+        exact = kernel_conditions(k)
+        sampled = sampled_conditions(k, budget=400, seed=seed)
+        for label in ("cond1", "cond2", "cond3"):
+            verdict = getattr(exact, label)
+            assert verdict.exact and verdict.samples == 0
+            if verdict.passed:
+                assert getattr(sampled, label).passed, (k, label)
+            else:
+                g = verdict.witness[0] if label == "cond1" else verdict.witness
+                assert not k.contains(g), (k, label)
+                assert _hypothesis_holds(k, label, verdict.witness), (k, label)
+
+
+def test_kernel_conditions_characterize_pointwise_closure():
+    for k in _descriptions():
+        assert kernel_conditions(k).all_pass == pointwise_closed(k).closed, k

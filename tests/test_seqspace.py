@@ -324,6 +324,19 @@ def reference_sup_of_filtration_is(g):
     return True
 
 
+def scan_sup_of_filtration_is(g):
+    """The cut test comparing every grid cut with every position as
+    Fractions, as the carrier once ran it."""
+    _, bound = g.crossover(TailElement.zero())
+    horizon = bound + 10
+    filtration = seqspace.partial_truncations(g, horizon)
+    values = [g.value(k) for k in range(1, horizon + 1)]
+    reach = [max((h.value(k) for h in filtration[k - 1:]), default=-1)
+             for k in range(1, horizon + 1)]
+    cuts = [x for x in cut_grid([F(0)] + values) if x >= 0]
+    return all((top > r) == (v > r) for r in cuts for top, v in zip(reach, values))
+
+
 # Degree 0-3 tails and corrections with mixed denominators.
 SMALL_TAILS = st.lists(RATIONALS, max_size=3)
 
@@ -385,22 +398,46 @@ def test_abs_is_the_join_with_the_negation(corr, tail):
 def test_sup_of_filtration_matches_the_reference(corr, tail):
     g = abs(TailElement(corr, tail))
     assert sup_of_filtration_is(g) == reference_sup_of_filtration_is(g)
+    assert sup_of_filtration_is(g) == scan_sup_of_filtration_is(g)
 
 
-@pytest.mark.parametrize("forge", ["drop-last", "lower-one-value"])
+@settings(max_examples=60, deadline=None)
+@given(CORRECTIONS, SMALL_TAILS, st.integers(0, 40), st.integers(1, 40), RATIONALS)
+def test_sup_of_filtration_matches_the_scan_on_forged_filtrations(corr, tail, i,
+                                                                    k, v):
+    """One term of the filtration takes any value at one position."""
+    g = abs(TailElement(corr, tail))
+
+    def forged(h, count):
+        hs = partial_truncations(h, count)
+        term = dict(hs[i % count].correction)
+        term[k] = abs(v)
+        hs[i % count] = TailElement(term)
+        return hs
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(seqspace, "partial_truncations", forged)
+        assert sup_of_filtration_is(g) == scan_sup_of_filtration_is(g)
+
+
+@pytest.mark.parametrize("forge", ["drop-last", "lower-one-value", "nudge-one-value"])
 def test_sup_of_filtration_rejects_a_forged_filtration(monkeypatch, forge):
     def forged(g, count):
         hs = partial_truncations(g, count)
         if forge == "drop-last":
             return hs[:-1]
         last = dict(hs[-1].correction)
-        last[count] = F(0)  # h_count(count) = 0 < g(count)
+        # h_count(count) = 0 < g(count), or above g(count) by less than
+        # one step of the scaled grid
+        last[count] = (F(0) if forge == "lower-one-value"
+                       else g.value(count) + F(1, 10 ** 9))
         return hs[:-1] + [TailElement(last)]
 
     assert sup_of_filtration_is(G0)
     monkeypatch.setattr(seqspace, "partial_truncations", forged)
     assert not sup_of_filtration_is(G0)
     assert not reference_sup_of_filtration_is(G0)
+    assert not scan_sup_of_filtration_is(G0)
 
 
 # --- the sparse position loops against the dense ones ---------------------
