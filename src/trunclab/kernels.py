@@ -64,7 +64,7 @@ class KernelSpec:
     KernelSpec(model, support=..., tails_allowed=...) builds the description
     class that _DESCRIPTIONS assigns to the model's type.  Each class owns
     membership, conditions (1) and (3), the closure round and the
-    structured families on its model.
+    structured families on its model; condition (2) is decided here.
     Convexity of the description is decided exactly at construction.
     """
 
@@ -94,6 +94,17 @@ class KernelSpec:
             raise StructureError(
                 f"description is not convex: 0 <= {f!r} <= {g!r} in K "
                 f"but the meet is outside K")
+
+    def condition2(self):
+        """Exact condition (2): it always holds, on both description classes.
+
+        For g >= 0, truncate(g) = g ^ 1 is positive exactly where g is.  On
+        the sequence model g -> 0 at omega, so g ^ 1 = g from some position
+        on and the two share their tail.  Membership in a description depends
+        only on the support and the tail, so truncate(g) is in K exactly when
+        g is.
+        """
+        return _EXACT_PASS
 
     def __contains__(self, g):
         return self.contains(g)
@@ -302,19 +313,8 @@ def kernel_conditions(kernel, budget=200, seed=0):
     budget and seed draw nothing, but a budget <= 0 is still refused."""
     if budget <= 0:
         raise BudgetError("kernel_conditions needs a positive budget")
-    return ConditionsReport(cond1=kernel.condition1(), cond2=_condition2(kernel),
+    return ConditionsReport(cond1=kernel.condition1(), cond2=kernel.condition2(),
                             cond3=kernel.condition3())
-
-
-def _condition2(kernel):
-    """Exact condition (2): it always holds, on both description classes.
-
-    For g >= 0, truncate(g) = g ^ 1 is positive exactly where g is.  On the
-    sequence model g -> 0 at omega, so g ^ 1 = g from some position on and
-    the two share their tail.  Membership in a description depends only on
-    the support and the tail, so truncate(g) is in K exactly when g is.
-    """
-    return _EXACT_PASS
 
 
 def kernel_closure(kernel, max_rounds=64):

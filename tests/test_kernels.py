@@ -415,23 +415,14 @@ def _descriptions():
     support on each degree, and every support on lc(X3) and on T."""
     for degree in range(5):
         trunc = SeqTrunc(degree)
-        for allowed in range(degree + 1):
-            flags = (False,) * (degree - allowed) + (True,) * allowed
-            yield KernelSpec(trunc, support=None, tails_allowed=flags)
+        for flags in itertools.product((False, True), repeat=degree):
+            if _accepted(trunc, None, flags):
+                yield KernelSpec(trunc, support=None, tails_allowed=flags)
         yield KernelSpec(trunc, support=frozenset({1, 3}))
     for model in (FULL, T):
         for k in range(4):
             for support in itertools.combinations(["1", "2", "3"], k):
                 yield KernelSpec(model, support=frozenset(support))
-
-
-def test_descriptions_cover_every_convex_pattern():
-    seq = [k for k in _descriptions() if isinstance(k, SeqKernel)]
-    for degree in range(5):
-        patterns = {k.tails_allowed for k in seq
-                    if k.model.degree == degree and k.support is None}
-        assert patterns == {flags for flags in itertools.product(
-            (False, True), repeat=degree) if _accepted(SeqTrunc(degree), None, flags)}
 
 
 def _hypothesis_holds(k, label, witness, upto=60):
