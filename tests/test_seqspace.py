@@ -234,9 +234,10 @@ def test_lattice_operations_match_the_pointwise_oracle(fc, ft, gc, gt, c, r):
         assert af.value(n) == abs(ref_f(n))
     for res in (meet, join, af):
         assert max(res.correction, default=0) <= horizon
-    # past the corrections and total/min(c, r), the tail stays below c and r
+    # past the corrections of |f| (which reach f's last sign change, not
+    # only those of f) and total/min(c, r), the tail stays below c and r
     total = sum(abs(x) for x in ft)
-    limit = max(fc, default=0) + math.ceil(total / min(c, r)) + 20
+    limit = max(af.correction, default=0) + math.ceil(total / min(c, r)) + 20
     low, excess = af.meet_const(c), af.tminus(r)
     assert low.tail == af.tail and excess.tail == ()
     for n in range(1, limit + 1):
