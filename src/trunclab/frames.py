@@ -130,12 +130,6 @@ class FiniteFrame:
                 acc = self._join[acc][k]
         return acc
 
-    def implies(self, x, y):
-        return self.labels[self._implies(self.index[x], self.index[y])]
-
-    def rather_below(self, x, y):
-        return self.join(self.pseudo[x], y) == self.top
-
     def complement(self, x):
         if x not in self.complemented:
             raise StructureError(f"{x} is not complemented")
