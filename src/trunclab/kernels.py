@@ -22,7 +22,7 @@ sequences, good-sequence partial sums, support filtrations).
 
 import random
 from fractions import Fraction
-from itertools import zip_longest
+from itertools import chain, zip_longest
 
 from .elements import SimpleTrunc, bound_witness, truncation_sequence
 from .errors import BudgetError, StructureError, certify
@@ -360,15 +360,15 @@ def pointwise_closed(kernel, budget=200, seed=0):
     so a witness is exact; the verdict is cross-checked against the kernel
     conditions, which must agree.  Each description yields (kind,
     whole-infinite-family-in-K, reporting prefix) per family, deciding the
-    membership of the entire family exactly.
+    membership of the entire family exactly.  Samples are drawn one by one.
     """
     if budget <= 0:
         raise BudgetError("pointwise_closed needs a positive budget")
     rng = random.Random(seed)
     model = kernel.model
-    candidates = model.tail_units() + model.sample_elements(rng, budget, nonneg=True)
+    samples = (model.sample_elements(rng, 1, nonneg=True)[0] for _ in range(budget))
     verdict = PointwiseVerdict(True)
-    for g in candidates:
+    for g in chain(model.tail_units(), samples):
         if kernel.contains(g):
             continue
         for kind, whole_family_in_k, prefix in kernel._structured_families(g):

@@ -13,12 +13,13 @@ keeps its tail as integer numerators over one common denominator, so a tail
 value is a Horner loop over ints, a crossover sign and bound come from those
 numerators, and the lattice operations compare and subtract values as
 unreduced integer pairs (num, den), den > 0, making a Fraction only for a
-correction they keep.
+correction they keep.  The sampler picks its values from one module-level
+pool and builds each sample in canonical form, with no validating pass.
 """
 
 from bisect import bisect_left
 from fractions import Fraction
-from itertools import zip_longest
+from itertools import chain, zip_longest
 from math import lcm
 from operator import ge, le
 
@@ -26,6 +27,9 @@ from .elements import Carrier, int_cut_grid
 from .errors import PositivityError, StructureError, certify
 from .rat import as_fraction, chance, format_rational
 from .records import record
+
+_POOL = [Fraction(n, d) for n in range(-3, 4) for d in (1, 2)]  # sample values
+_ZERO = Fraction(0)
 
 
 def _ceil(f):
@@ -393,18 +397,19 @@ class SeqTrunc:
         return [TailElement.tail_unit(k + 1) for k in range(self.degree)]
 
     def sample_elements(self, rng, count, nonneg=False):
+        """Seeded members, |g| when nonneg: values from _POOL, corrections at 1..8."""
         out = []
-        pool = [Fraction(n, d) for n in range(-3, 4) for d in (1, 2)]
         for _ in range(count):
             corr = {}
             for _ in range(rng.randint(0, 3)):
-                corr[rng.randint(1, 8)] = pool[rng.randrange(len(pool))]
-            tail = [pool[rng.randrange(len(pool))] if chance(rng, 7, 10) else 0
+                corr[rng.randint(1, 8)] = _POOL[rng.randrange(len(_POOL))]
+            tail = [_POOL[rng.randrange(len(_POOL))] if chance(rng, 7, 10) else _ZERO
                     for _ in range(self.degree)]
-            g = TailElement(corr, tail)
-            if nonneg:
-                g = abs(g)
-            out.append(g)
+            while tail and not tail[-1]:
+                tail.pop()
+            g = TailElement._canonical({n: v for n, v in corr.items() if v},
+                                       tuple(tail))
+            out.append(abs(g) if nonneg else g)
         return out
 
 
@@ -464,13 +469,11 @@ def enough_uc_check(trunc, rng=None, budget=50):
 
     Unital components here are characteristic functions of finite sets, so
     truncate(g) <= u forces a finite cozero set; any nonzero tail refutes.
-    The canonical 1/n element is always tested first.
+    The canonical 1/n element is tested first; samples are drawn one by one.
     """
-    candidates = trunc.tail_units()[:1]
-    if rng is not None:
-        candidates.extend(abs(g) for g in trunc.sample_elements(rng, budget))
-    candidates.append(TailElement.chi([1, 2]))
-    for g in candidates:
+    draws = range(budget) if rng is not None else ()
+    samples = (trunc.sample_elements(rng, 1, nonneg=True)[0] for _ in draws)
+    for g in chain(trunc.tail_units()[:1], samples, [TailElement.chi([1, 2])]):
         if g.tail:
             return False, g
         kind, supp = g.support()

@@ -10,7 +10,6 @@ functions at their stated budgets.
 
 import random
 from fractions import Fraction
-from itertools import zip_longest
 
 from . import sampling
 from .elements import (SimpleElement, bound_witness, bounded_away_from_zero,
@@ -31,7 +30,7 @@ from .rat import POS_INF, chance
 from .records import field, record
 from .seqspace import (SeqTrunc, TailElement, bounded_away_from_zero_tail,
                        enough_uc_check, ex1_report, partial_truncations,
-                       poly_sign, simple_part_member, sup_of_filtration_is)
+                       simple_part_member, sup_of_filtration_is)
 from .spaces import PointedBooleanSpace
 
 
@@ -482,7 +481,7 @@ def suite_kernels(rng, cases, failures, seed):
 
 # --- 14. sequence-model closure -----------------------------------------------------------
 
-_HALF, _SCALE = Fraction(1, 2), Fraction(-3, 2)
+_HALF, _SCALE = Fraction(1, 2), Fraction(-3, 2)  # the oracle writes p - 1/2 itself
 
 
 @_suite("seq-closure", 150)
@@ -505,17 +504,19 @@ def suite_seq_closure(rng, cases, failures, seed):
                 if res.degree() > degree:
                     failures.append(f"{name} left the degree-{degree} carrier")
             # ten positions past the corrections and the sign bound of f - g
-            diff = [a - b for a, b in zip_longest(f.tail, g.tail, fillvalue=0)]
-            horizon = max([*f.correction, *g.correction, 0]) + poly_sign(diff)[1] + 11
+            horizon = f.crossover(g)[1] + 10
             for n in range(1, horizon + 1):
-                a, b, p = f.value(n), g.value(n), fpos.value(n)
-                expect = {"add": a + b, "sub": a - b, "negate": -a, "scale": a * _SCALE,
-                          "meet": min(a, b), "join": max(a, b), "truncate": min(p, 1),
-                          "tminus": max(p - _HALF, 0), "truncN": min(p, 2)}
-                # res(n) as an integer pair against the Fraction expected
+                # the operands' values as integer pairs; a and b over one d
+                (a, da), (b, db), (p, dp) = f._pair(n), g._pair(n), fpos._pair(n)
+                x, y, d = a * db, b * da, da * db
+                expect = {"add": (x + y, d), "sub": (x - y, d), "negate": (-a, da),
+                          "scale": (a * _SCALE.numerator, da * _SCALE.denominator),
+                          "meet": (min(x, y), d), "join": (max(x, y), d),
+                          "truncate": (p, dp) if p <= dp else (1, 1),
+                          "tminus": (2 * p - dp, 2 * dp) if 2 * p > dp else (0, 1),
+                          "truncN": (p, dp) if p <= 2 * dp else (2, 1)}
                 wrong = [k for k, res in results.items()
-                         if (v := res._pair(n))[0] * expect[k].denominator
-                         != expect[k].numerator * v[1]]
+                         if (v := res._pair(n))[0] * expect[k][1] != expect[k][0] * v[1]]
                 if wrong:
                     failures.append(f"{wrong[0]} pointwise mismatch at n={n}")
                     break

@@ -20,8 +20,8 @@ from trunclab.elements import SimpleElement, SimpleTrunc, clearance, lc
 from trunclab.errors import BudgetError, ParseError, StructureError
 from trunclab.instances import parse_instance, parse_instance_text
 from trunclab.kernels import (ConditionsReport, ConditionVerdict, KernelSpec,
-                              SeqKernel, SupportKernel, kernel_closure,
-                              kernel_conditions, pointwise_closed)
+                              PointwiseVerdict, SeqKernel, SupportKernel,
+                              kernel_closure, kernel_conditions, pointwise_closed)
 from trunclab.records import FrozenRecordError
 from trunclab.seqspace import SeqTrunc, TailElement
 from trunclab.spaces import space
@@ -455,3 +455,37 @@ def test_exact_conditions_agree_with_the_sampled_oracle(seed):
 def test_kernel_conditions_characterize_pointwise_closure():
     for k in _descriptions():
         assert kernel_conditions(k).all_pass == pointwise_closed(k).closed, k
+
+
+def eager_pointwise_closed(kernel, budget=200, seed=0):
+    """pointwise_closed as it once was, every sample drawn before the search;
+    also the number of samples a search drawing one at a time needs."""
+    rng = random.Random(seed)
+    units = kernel.model.tail_units()
+    candidates = units + kernel.model.sample_elements(rng, budget, nonneg=True)
+    for i, g in enumerate(candidates):
+        if kernel.contains(g):
+            continue
+        for kind, whole_family_in_k, prefix in kernel._structured_families(g):
+            if whole_family_in_k:
+                draws = max(0, i + 1 - len(units))
+                return PointwiseVerdict(False, (g, prefix), kind), draws
+    return PointwiseVerdict(True), budget
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_lazy_pointwise_closure_matches_the_eager_search(monkeypatch, seed):
+    """Drawing one sample at a time gives the same verdict and witness, and
+    draws nothing past the first witness."""
+    drawn = []
+    for cls in (SimpleTrunc, SeqTrunc):
+        def counted(self, rng, count, nonneg=False, sample=cls.sample_elements):
+            drawn.append(count)
+            return sample(self, rng, count, nonneg)
+        monkeypatch.setattr(cls, "sample_elements", counted)
+    for k in _descriptions():
+        for budget in (1, 40):
+            want, draws = eager_pointwise_closed(k, budget, seed)
+            drawn.clear()
+            assert pointwise_closed(k, budget, seed) == want, k
+            assert drawn == [1] * draws, k

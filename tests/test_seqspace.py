@@ -16,6 +16,7 @@ from trunclab.elements import apply_op, cut_grid
 from trunclab.errors import (PositivityError, StructureError,
                              UnsupportedOperationError)
 from trunclab.hyper import hyperarchimedean
+from trunclab.rat import chance
 from trunclab.seqspace import (SeqTrunc, TailElement, baf_infinity,
                                bounded_away_from_zero_tail, clearance_chain,
                                enough_uc_check, ex1_report,
@@ -135,6 +136,78 @@ def test_enough_uc():
     assert not ok and witness == G0
     ok, _ = enough_uc_check(SeqTrunc(0), rng=random.Random(0))
     assert ok
+
+
+def reference_sample_elements(trunc, rng, count, nonneg=False):
+    """SeqTrunc.sample_elements as it once was: a Fraction pool per call,
+    every sample through the validating constructor, |g| through abs."""
+    out = []
+    pool = [F(n, d) for n in range(-3, 4) for d in (1, 2)]
+    for _ in range(count):
+        corr = {}
+        for _ in range(rng.randint(0, 3)):
+            corr[rng.randint(1, 8)] = pool[rng.randrange(len(pool))]
+        tail = [pool[rng.randrange(len(pool))] if chance(rng, 7, 10) else 0
+                for _ in range(trunc.degree)]
+        g = TailElement(corr, tail)
+        if nonneg:
+            g = abs(g)
+        out.append(g)
+    return out
+
+
+def parts(g):
+    """The correction in insertion order and the tail, with value types."""
+    return ([(n, type(v), v) for n, v in g.correction.items()],
+            [(type(c), c) for c in g.tail])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 3), st.integers(0, 20), st.booleans(), st.integers(0, 2 ** 32))
+def test_sampler_matches_the_reference(degree, count, nonneg, seed):
+    trunc = SeqTrunc(degree)
+    ours, theirs = random.Random(seed), random.Random(seed)
+    got = trunc.sample_elements(ours, count, nonneg)
+    want = reference_sample_elements(trunc, theirs, count, nonneg)
+    assert [parts(g) for g in got] == [parts(g) for g in want]
+    assert ours.getstate() == theirs.getstate()
+
+
+def reference_enough_uc_check(trunc, rng, budget=50):
+    """enough_uc_check as it once was: every sample drawn before the search."""
+    candidates = trunc.tail_units()[:1]
+    candidates.extend(abs(g) for g in reference_sample_elements(trunc, rng, budget))
+    candidates.append(TailElement.chi([1, 2]))
+    for g in candidates:
+        if g.tail:
+            return False, g
+    return True, None
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+def test_enough_uc_refutes_with_1_over_n_before_any_draw(monkeypatch, degree):
+    def refuse(*args, **kwargs):
+        raise AssertionError("enough_uc_check drew a sample")
+
+    monkeypatch.setattr(SeqTrunc, "sample_elements", refuse)
+    assert enough_uc_check(SeqTrunc(degree), rng=random.Random(0)) == (False, G0)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_enough_uc_examines_every_sample_on_degree_0(monkeypatch, seed):
+    trunc, budget = SeqTrunc(0), 30
+    theirs = random.Random(seed)
+    want = [abs(g) for g in reference_sample_elements(trunc, random.Random(seed),
+                                                       budget)]
+    assert reference_enough_uc_check(trunc, theirs, budget) == (True, None)
+    examined = []
+    support = TailElement.support
+    monkeypatch.setattr(TailElement, "support",
+                        lambda self: examined.append(self) or support(self))
+    ours = random.Random(seed)
+    assert enough_uc_check(trunc, rng=ours, budget=budget) == (True, None)
+    assert examined == want + [TailElement.chi([1, 2])]
+    assert ours.getstate() == theirs.getstate()
 
 
 def test_max_value():

@@ -12,6 +12,7 @@ import pytest
 
 import trunclab
 from trunclab import suites
+from trunclab.seqspace import TailElement
 
 NAMES = ["trunc-axioms", "identities", "good-sequences", "idealization",
          "equivalences", "induced-oracle", "cut-cases", "normal-clearance",
@@ -96,3 +97,37 @@ def test_seq_closure_oracle_catches_a_planted_join(flags):
     assert result["honest"] == []
     assert result["planted"]
     assert all(f.startswith("join pointwise mismatch at n=") for f in result["planted"])
+
+
+# The nine operations of the seq-closure suite by the TailElement method
+# that computes each.
+SEQ_CLOSURE_OPS = {"add": "__add__", "sub": "__sub__", "negate": "__neg__",
+                   "scale": "scale", "meet": "meet", "join": "join",
+                   "truncate": "truncate", "tminus": "tminus", "truncN": "trunc_at"}
+
+
+def one_too_large_at_1(res):
+    return TailElement({**res.correction, 1: res.correction.get(1, 0) + 1}, res.tail)
+
+
+def past_degree_2(res):
+    """The same element plus n^-3, outside both carriers the suite tests."""
+    return TailElement(res.correction, [*res.tail, 0, 0][:2] + [1])
+
+
+@pytest.mark.parametrize("plant, message", [
+    (one_too_large_at_1, "{op} pointwise mismatch at n="),
+    (past_degree_2, "{op} left the degree-")], ids=["value", "degree"])
+@pytest.mark.parametrize("op", SEQ_CLOSURE_OPS)
+def test_seq_closure_oracle_catches_a_planted_fault(monkeypatch, op, plant, message):
+    """A wrong result of any one operation is reported under its name: the
+    oracle evaluates the operands, never the operation under test."""
+    honest = {name: getattr(TailElement, name) for name in SEQ_CLOSURE_OPS.values()}
+    method = SEQ_CLOSURE_OPS[op]
+    monkeypatch.setattr(TailElement, method,
+                        lambda self, *args: plant(honest[method](self, *args)))
+    if op == "negate":  # f - g is f + (-g): keep the subtraction honest
+        monkeypatch.setattr(TailElement, "__sub__", lambda self, other:
+                            honest["__add__"](self, honest["__neg__"](other)))
+    failures = suites.SUITES["seq-closure"](seed=0, cases=20).failures
+    assert any(f.startswith(message.format(op=op)) for f in failures), failures
