@@ -23,13 +23,12 @@ from itertools import chain, zip_longest
 from math import lcm
 from operator import ge, le
 
-from .elements import Carrier, int_cut_grid
+from .elements import ZERO, Carrier, int_cut_grid
 from .errors import PositivityError, StructureError, certify
 from .rat import as_fraction, chance, format_rational
 from .records import record
 
 _POOL = [Fraction(n, d) for n in range(-3, 4) for d in (1, 2)]  # sample values
-_ZERO = Fraction(0)
 
 
 def _ceil(f):
@@ -403,7 +402,7 @@ class SeqTrunc:
             corr = {}
             for _ in range(rng.randint(0, 3)):
                 corr[rng.randint(1, 8)] = _POOL[rng.randrange(len(_POOL))]
-            tail = [_POOL[rng.randrange(len(_POOL))] if chance(rng, 7, 10) else _ZERO
+            tail = [_POOL[rng.randrange(len(_POOL))] if chance(rng, 7, 10) else ZERO
                     for _ in range(self.degree)]
             while tail and not tail[-1]:
                 tail.pop()
