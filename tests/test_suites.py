@@ -12,6 +12,7 @@ import pytest
 
 import trunclab
 from trunclab import suites
+from trunclab.elements import OPS
 from trunclab.seqspace import TailElement
 
 NAMES = ["trunc-axioms", "identities", "good-sequences", "idealization",
@@ -99,11 +100,8 @@ def test_seq_closure_oracle_catches_a_planted_join(flags):
     assert all(f.startswith("join pointwise mismatch at n=") for f in result["planted"])
 
 
-# The nine operations of the seq-closure suite by the TailElement method
-# that computes each.
-SEQ_CLOSURE_OPS = {"add": "__add__", "sub": "__sub__", "negate": "__neg__",
-                   "scale": "scale", "meet": "meet", "join": "join",
-                   "truncate": "truncate", "tminus": "tminus", "truncN": "trunc_at"}
+# The nine operations of the seq-closure suite by the method computing each.
+SEQ_CLOSURE_OPS = {tag: op.method for tag, op in OPS.items()}
 
 
 def one_too_large_at_1(res):
