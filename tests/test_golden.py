@@ -92,6 +92,8 @@ ARGVS = [
     ("dini", "es", *F, *J),
     *[(command, *F, *J) for command in ("good-seq", "trunc-seq", "kernel-close", "pointwise")],
     ("suite", "nosuch", *J),
+    ("kernel-check", "K", "--cases", "0", *K, *J),
+    ("pointwise", "K1", "--cases", "-1", *K, *J),
     ("check", "--file", "missing.tl", *J),
     ("check", "--file", "bad_kernel.tl", *J),
     ("check", "--file", "nonconvex_kernel.tl", *J),
