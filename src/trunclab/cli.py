@@ -19,7 +19,7 @@ from .elements import (Carrier, GoodSequence, SimpleElement, SimpleTrunc,
                        normal_form, pointwise_sup, truncation_sequence,
                        truncation_sequence_check, uc)
 from .equivalences import equivalence_witness
-from .errors import CertificationError, ParseError, TruncLabError
+from .errors import BudgetError, CertificationError, ParseError, TruncLabError
 from .frames import (FrameReal, OpenInterval, drop, e0q_member, frame_dini,
                      frame_pointwise_sup, frame_uc_check, induced_op,
                      surjection_tools)
@@ -183,14 +183,21 @@ def cmd_e0q(inst, names, args, report):
         report.put("witness", result.witness.to_json())
 
 
+def _refuse_cases(args, decider):
+    # kernel verdicts draw nothing, but a count of --cases <= 0 is invalid input
+    if args.cases <= 0:
+        raise BudgetError(f"{decider} needs a positive budget")
+
+
 def cmd_kernel_check(inst, names, args, report):
     _require(names, "kernel-check KERNEL...")
     for name in names:
         k = inst.get(name, "kernel")
-        conds = kernel_conditions(k, budget=args.cases, seed=args.seed)
+        _refuse_cases(args, "kernel_conditions")
+        conds = kernel_conditions(k)
         for label, verdict in (("(1)", conds.cond1), ("(2)", conds.cond2),
                                ("(3)", conds.cond3)):
-            detail = "exact" if verdict.exact else f"{verdict.samples} samples"
+            detail = "exact"
             if not verdict.passed:
                 detail += f", witness {verdict.witness!r}"
             report.add_check(f"{name} condition {label}", verdict.passed, detail)
@@ -210,7 +217,8 @@ def cmd_pointwise(inst, names, args, report):
     _require(names, "pointwise ELEMENT...|FRAMEREAL...|KERNEL")
     objs = [inst.get(n) for n in names]
     if len(objs) == 1 and isinstance(objs[0], KernelSpec):
-        verdict = pointwise_closed(objs[0], budget=args.cases, seed=args.seed)
+        _refuse_cases(args, "pointwise_closed")
+        verdict = pointwise_closed(objs[0])
         report.add_check(f"pointwise-closed {names[0]}", verdict.closed,
                          "" if verdict.closed else
                          f"{verdict.family_kind} sup escapes")

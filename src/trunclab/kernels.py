@@ -15,17 +15,17 @@ are decided exactly from the description, no element sampled: each rule
 is proved in the docstring of the method that applies it, and a failing
 verdict carries a witness that is certified against the description.
 
-The staged closure iterates the three rules on descriptions to a fixpoint,
-and pointwise closure is probed through structured families (truncation
-sequences, good-sequence partial sums, support filtrations).
+The closure applies the three rules to a description in one round, and
+pointwise closure is decided from the description too: pointwise_escape
+names a family inside K whose pointwise sup leaves K, or proves that none
+exists.
 """
 
-import random
 from fractions import Fraction
-from itertools import chain, zip_longest
+from itertools import zip_longest
 
-from .elements import SimpleTrunc, bound_witness, truncation_sequence
-from .errors import BudgetError, StructureError, certify
+from .elements import SimpleTrunc
+from .errors import StructureError, certify
 from .records import record
 from .seqspace import SeqTrunc, TailElement, partial_truncations
 
@@ -33,18 +33,15 @@ from .seqspace import SeqTrunc, TailElement, partial_truncations
 @record(frozen=True)
 class ConditionVerdict:
     passed: bool
-    samples: int
     witness: object = None
-    exact: bool = False
 
     def __repr__(self):
-        tag = "exact" if self.exact else f"{self.samples} samples"
         if self.passed:
-            return f"pass ({tag})"
-        return f"FAIL ({tag}, witness={self.witness!r})"
+            return "pass (exact)"
+        return f"FAIL (exact, witness={self.witness!r})"
 
 
-_EXACT_PASS = ConditionVerdict(True, 0, exact=True)
+_EXACT_PASS = ConditionVerdict(True)
 
 
 @record(frozen=True)
@@ -63,8 +60,8 @@ class KernelSpec:
 
     KernelSpec(model, support=..., tails_allowed=...) builds the description
     class that _DESCRIPTIONS assigns to the model's type.  Each class owns
-    membership, conditions (1) and (3), the closure round and the
-    structured families on its model; condition (2) is decided here.
+    membership, conditions (1) and (3), the closure round and the pointwise
+    escape on its model; condition (2) is decided here.
     Convexity of the description is decided exactly at construction.
     """
 
@@ -160,16 +157,14 @@ class SupportKernel(KernelSpec):
     def _closure_round(self):
         return self  # rules add nothing beyond a support description
 
-    def _structured_families(self, g):
-        """On finite spaces the families become eventually constant at g."""
-        seq = truncation_sequence(g, upto=bound_witness(g) + 2)
-        seq_in = all(self.contains(t) for t in seq)
-        yield ("truncation-sequence", seq_in, seq)
-        yield ("good-partial-sums", seq_in, seq)
-        pts = list(g.space.nonstar)
-        filtration = [g.restrict_to(pts[:n]) for n in range(1, len(pts) + 1)]
-        yield ("support-filtration", all(self.contains(t) for t in filtration),
-               filtration)
+    def pointwise_escape(self):
+        """No family in K has a pointwise sup outside K.
+
+        The sup is positive at a point only where some member is, so its
+        support lies in the union of the members' supports, inside the
+        support of K.
+        """
+        return None
 
 
 class SeqKernel(KernelSpec):
@@ -230,7 +225,7 @@ class SeqKernel(KernelSpec):
         h, g = self.model.tail_units()[:2]
         certify(self.condition1_hypothesis(g, h) and not self.contains(g),
                 "n^-2 must meet the condition-(1) hypothesis outside K", (g, h))
-        return ConditionVerdict(False, 0, (g, h), exact=True)
+        return ConditionVerdict(False, (g, h))
 
     def condition1_hypothesis(self, g, h):
         """Exact decision of the condition-(1) hypothesis on the sequence model.
@@ -250,15 +245,14 @@ class SeqKernel(KernelSpec):
 
         tminus(1/n)(g) always has zero tail and finite support inside supp g,
         so the hypothesis holds for every g >= 0 supported in the descriptor.
+        It fails only on support all with slot 1 (by convexity) disallowed.
         """
-        if self.support is None:
-            for unit, allowed in zip(self.model.tail_units(), self.tails_allowed):
-                if not allowed:
-                    certify(all(self.contains(unit.tminus(Fraction(1, n)))
-                                for n in (1, 2, 3, 7)),
-                            "tminus(1/n) of a tail unit must lie in K", unit)
-                    return ConditionVerdict(False, 0, unit, exact=True)
-        return ConditionVerdict(True, 0, exact=True)
+        if self.support is not None or all(self.tails_allowed):
+            return _EXACT_PASS
+        unit = self.model.tail_units()[0]
+        certify(all(self.contains(unit.tminus(Fraction(1, n))) for n in (1, 2, 3, 7)),
+                "tminus(1/n) of a tail unit must lie in K", unit)
+        return ConditionVerdict(False, unit)
 
     def _closure_round(self):
         if self.support is None and not all(self.tails_allowed):
@@ -266,25 +260,21 @@ class SeqKernel(KernelSpec):
             return KernelSpec(self.model, tails_allowed=(True,) * self.model.degree)
         return self
 
-    def _structured_families(self, g):
-        """Every truncation g ^ n shares support and tail with g, and every
-        filtration chunk has finite support and zero tail, so the quantifiers
-        collapse to support-descriptor tests."""
-        seq_prefix = [g.trunc_at(n) for n in (1, 2, 3)]
-        seq_in = self.contains(g)
-        certify(seq_in == all(self.contains(t) for t in seq_prefix),
-                "the truncations of g must lie in K exactly when g does", g)
-        yield ("truncation-sequence", seq_in, seq_prefix)
-        yield ("good-partial-sums", seq_in, seq_prefix)
-        prefix = partial_truncations(g, 6)
-        if self.support is None:
-            filt_in = True  # chunks have zero tail and finite support
-            certify(all(self.contains(h) for h in prefix),
-                    "support filtration terms must lie in K", g)
-        else:
-            kind, data = g.support()
-            filt_in = kind == "finite" and data <= self.support
-        yield ("support-filtration", filt_in, prefix)
+    def pointwise_escape(self):
+        """The support filtration of n^-1 when K is neither finitely
+        supported nor the whole trunc, else None.
+
+        - Finite support S: every member vanishes off S, so the sup does
+          too; a finitely supported element has zero tail and lies in K.
+        - Support all, every slot allowed: K is the whole trunc.
+        - Otherwise some slot is disallowed, so slot 1 is, by convexity.
+          The chunks n^-1 * chi({1..m}) have finite support and zero tail,
+          so they lie in K, and their pointwise sup n^-1 does not.
+        """
+        if self.support is not None or all(self.tails_allowed):
+            return None
+        g = self.model.tail_units()[0]
+        return ("support-filtration", g, partial_truncations(g, 6))
 
 
 def _n_star(ag, h):
@@ -308,35 +298,26 @@ def _n_star(ag, h):
 _DESCRIPTIONS = {SimpleTrunc: SupportKernel, SeqTrunc: SeqKernel}
 
 
-def kernel_conditions(kernel, budget=200, seed=0):
-    """Per-condition exact verdicts with witnesses; see module docstring.
-    budget and seed draw nothing, but a budget <= 0 is still refused."""
-    if budget <= 0:
-        raise BudgetError("kernel_conditions needs a positive budget")
+def kernel_conditions(kernel):
+    """Per-condition exact verdicts with witnesses; see module docstring."""
     return ConditionsReport(cond1=kernel.condition1(), cond2=kernel.condition2(),
                             cond3=kernel.condition3())
 
 
-def kernel_closure(kernel, max_rounds=64):
+def kernel_closure(kernel):
     """Least description closed under the three rules plus convex generation.
 
-    Rules act on descriptions.  On finite spaces every support description
-    is already closed.  On the sequence model over the full support,
-    rule (3) adjoins every nonnegative element (tminus(1/n) always lands in
-    the description), so the description becomes the whole trunc; over a
-    finite support nothing new appears.  The supported models stabilize in
-    a few rounds; the round bound guards against regressions.
+    Rules act on descriptions, and one round reaches the closure.  On finite
+    spaces every support description is already closed.  On the sequence
+    model over the full support, rule (3) adjoins every nonnegative element
+    (tminus(1/n) always lands in the description), so the description
+    becomes the whole trunc; over a finite support nothing new appears.
     """
-    current = kernel
-    for _ in range(max_rounds):
-        nxt = current._closure_round()
-        if nxt == current:
-            report = kernel_conditions(nxt)
-            certify(report.all_pass,
-                    "closure output must satisfy the kernel conditions", report)
-            return nxt
-        current = nxt
-    raise BudgetError(f"closure did not stabilize in {max_rounds} rounds")
+    closed = kernel._closure_round()
+    certify(closed._closure_round() == closed, "closure must be idempotent", closed)
+    report = kernel_conditions(closed)
+    certify(report.all_pass, "closure output must satisfy the kernel conditions", report)
+    return closed
 
 
 @record
@@ -351,32 +332,20 @@ class PointwiseVerdict:
         return f"NOT pointwise closed ({self.family_kind}, sup={self.witness[0]!r})"
 
 
-def pointwise_closed(kernel, budget=200, seed=0):
-    """Search structured families inside K+ whose pointwise sup escapes K.
+def pointwise_closed(kernel):
+    """Decide exactly whether some family in K has a pointwise sup outside K.
 
-    Families probed per candidate g: the truncation sequence of g, the
-    good-sequence partial sums (the same truncations), and the support
-    filtration g * chi(first n points).  Every probe has pointwise sup g,
-    so a witness is exact; the verdict is cross-checked against the kernel
-    conditions, which must agree.  Each description yields (kind,
-    whole-infinite-family-in-K, reporting prefix) per family, deciding the
-    membership of the entire family exactly.  Samples are drawn one by one.
+    An escaping family is certified to lie in K with its sup outside K, and
+    the verdict to agree with the kernel conditions (the paper's
+    characterization of pointwise closure).
     """
-    if budget <= 0:
-        raise BudgetError("pointwise_closed needs a positive budget")
-    rng = random.Random(seed)
-    model = kernel.model
-    samples = (model.sample_elements(rng, 1, nonneg=True)[0] for _ in range(budget))
+    escape = kernel.pointwise_escape()
     verdict = PointwiseVerdict(True)
-    for g in chain(model.tail_units(), samples):
-        if kernel.contains(g):
-            continue
-        for kind, whole_family_in_k, prefix in kernel._structured_families(g):
-            if whole_family_in_k:
-                verdict = PointwiseVerdict(False, (g, prefix), kind)
-                break
-        if not verdict.closed:
-            break
+    if escape is not None:
+        kind, sup, family = escape
+        certify(all(kernel.contains(h) for h in family) and not kernel.contains(sup),
+                "the escaping family must lie in K and its sup outside K", escape)
+        verdict = PointwiseVerdict(False, (sup, family), kind)
     report = kernel_conditions(kernel)
     certify(report.all_pass == verdict.closed,
             "pointwise closure must agree with the kernel conditions",

@@ -19,7 +19,7 @@ pool and builds each sample in canonical form, with no validating pass.
 
 from bisect import bisect_left
 from fractions import Fraction
-from itertools import chain, zip_longest
+from itertools import zip_longest
 from math import lcm
 from operator import ge, le
 
@@ -463,29 +463,24 @@ def clearance_chain(g, length):
     return out
 
 
-def enough_uc_check(trunc, rng=None, budget=50):
-    """Search for g >= 0 with no unital component above truncate(g).
+def enough_uc_check(trunc):
+    """Does every g >= 0 have a unital component above truncate(g)?  (True,
+    None) or (False, witness), decided from the degree.
 
     Unital components here are characteristic functions of finite sets, so
-    truncate(g) <= u forces a finite cozero set; any nonzero tail refutes.
-    The canonical 1/n element is tested first; samples are drawn one by one.
+    truncate(g) <= u forces a finite cozero set.  On degree 0 every g >= 0
+    has finite support, and truncate(g) <= chi(supp g).  On degree >= 1 the
+    1/n element has cozero set all of N and refutes.
     """
-    draws = range(budget) if rng is not None else ()
-    samples = (trunc.sample_elements(rng, 1, nonneg=True)[0] for _ in draws)
-    for g in chain(trunc.tail_units()[:1], samples, [TailElement.chi([1, 2])]):
-        if g.tail:
-            return False, g
-        kind, supp = g.support()
-        u = TailElement.chi(supp)
-        certify((u - g.truncate()).is_nonneg(),
-                "chi(supp g) must dominate truncate(g)", g)
-    return True, None
+    if trunc.degree == 0:
+        return True, None
+    return False, trunc.tail_units()[0]
 
 
 def partial_truncations(g, count):
     """The support filtration g * chi({1..n}) for n = 1..count."""
-    values = {k: g.value(k) for k in range(1, count + 1)}
-    return [TailElement({k: values[k] for k in range(1, n + 1)})
+    values = {k: v for k in range(1, count + 1) if (v := g.value(k))}
+    return [TailElement._canonical({k: v for k, v in values.items() if k <= n}, ())
             for n in range(1, count + 1)]
 
 
@@ -543,7 +538,7 @@ class Ex1Report:
 def ex1_report(seed=0, samples=500):
     """Run the full battery on the degree-1 trunc; see Ex1Report fields."""
     from .hyper import hyperarchimedean
-    from .kernels import KernelSpec, kernel_conditions
+    from .kernels import KernelSpec, kernel_conditions, pointwise_closed
 
     trunc = SeqTrunc(degree=1)
     hyper = hyperarchimedean(trunc, budget=samples, seed=seed)
@@ -557,10 +552,9 @@ def ex1_report(seed=0, samples=500):
             "kernel conditions (1) and (2) must hold", conds)
     certify(not conds.cond3.passed and conds.cond3.witness == g0,
             "kernel condition (3) must fail at the 1/n element", conds.cond3)
-    filtration = partial_truncations(g0, 5)
-    certify(all(not h.tail for h in filtration),
-            "support filtration terms must have zero tail", filtration)
-    sup_ok = sup_of_filtration_is(g0)
+    verdict = pointwise_closed(kernel)
+    certify(not verdict.closed and verdict.witness[0] == g0,
+            "the tail-zero kernel must not be pointwise closed at 1/n", verdict)
     return Ex1Report(
         hyper_ok=hyper.passed,
         hyper_samples=hyper.samples,
@@ -569,6 +563,6 @@ def ex1_report(seed=0, samples=500):
         kernel12_ok=conds.cond1.passed and conds.cond2.passed,
         kernel3_witness=g0,
         kernel3_example=g0.tminus(Fraction(1, 3)),
-        pointwise_witness=filtration,
-        pointwise_sup_ok=sup_ok,
+        pointwise_witness=verdict.witness[1],
+        pointwise_sup_ok=sup_of_filtration_is(g0),
     )

@@ -15,15 +15,16 @@ import pytest
 from hypothesis import given, settings
 from test_seqspace import CORRECTIONS, SMALL_TAILS
 
-from trunclab import kernels
-from trunclab.elements import SimpleElement, SimpleTrunc, clearance, lc
-from trunclab.errors import BudgetError, ParseError, StructureError
+from trunclab import cli, kernels
+from trunclab.elements import (SimpleElement, SimpleTrunc, bound_witness, clearance,
+                               lc, truncation_sequence)
+from trunclab.errors import ParseError, StructureError
 from trunclab.instances import parse_instance, parse_instance_text
 from trunclab.kernels import (ConditionsReport, ConditionVerdict, KernelSpec,
                               PointwiseVerdict, SeqKernel, SupportKernel,
                               kernel_closure, kernel_conditions, pointwise_closed)
 from trunclab.records import FrozenRecordError
-from trunclab.seqspace import SeqTrunc, TailElement
+from trunclab.seqspace import SeqTrunc, TailElement, enough_uc_check, partial_truncations
 from trunclab.spaces import space
 
 X3 = space("1", "2", "3")
@@ -34,29 +35,27 @@ G0 = TailElement.tail_unit(1)
 
 def test_finite_support_kernel_passes_all_conditions():
     k = KernelSpec(FULL, support={"1", "2"})
-    report = kernel_conditions(k, budget=150, seed=2)
+    report = kernel_conditions(k)
     assert report.all_pass
-    assert pointwise_closed(k, budget=100, seed=2).closed
+    assert pointwise_closed(k).closed
     assert kernel_closure(k) == k
 
 
 def test_whole_trunc_kernel():
     k = KernelSpec(FULL)
-    assert kernel_conditions(k, budget=80).all_pass
-    assert pointwise_closed(k, budget=60).closed
+    assert kernel_conditions(k).all_pass
+    assert pointwise_closed(k).closed
 
 
 def test_zero_kernel_on_x3():
     k = KernelSpec(FULL, support=frozenset())
-    assert kernel_conditions(k, budget=80).all_pass
+    assert kernel_conditions(k).all_pass
     assert kernel_closure(k) == k
 
 
 def test_tail_zero_kernel_fails_condition3_exactly():
     k = KernelSpec(SeqTrunc(1), support=None, tails_allowed=(False,))
-    report = kernel_conditions(k, budget=500, seed=0)
-    for verdict in (report.cond1, report.cond2, report.cond3):
-        assert verdict.exact and verdict.samples == 0
+    report = kernel_conditions(k)
     assert report.cond1.passed and report.cond2.passed
     assert not report.cond3.passed
     assert report.cond3.witness == G0
@@ -68,7 +67,7 @@ def test_tail_zero_kernel_fails_condition3_exactly():
 
 def test_tail_zero_kernel_not_pointwise_closed():
     k = KernelSpec(SeqTrunc(1), support=None, tails_allowed=(False,))
-    verdict = pointwise_closed(k, budget=100, seed=0)
+    verdict = pointwise_closed(k)
     assert not verdict.closed
     assert verdict.family_kind == "support-filtration"
     sup, family = verdict.witness
@@ -82,7 +81,7 @@ def test_kernel_closure_reaches_whole_trunc():
     assert closed.tails_allowed == (True,)
     assert closed.support is None
     assert kernel_closure(closed) == closed
-    assert kernel_conditions(closed, budget=60).all_pass
+    assert kernel_conditions(closed).all_pass
 
 
 def test_kernel_closure_idempotent_and_extensive():
@@ -102,8 +101,8 @@ def test_kernel_closure_idempotent_and_extensive():
 def test_agreement_on_degree2_variants():
     for flags in ((False, False), (False, True), (True, True)):
         k = KernelSpec(SeqTrunc(2), support=None, tails_allowed=flags)
-        conds = kernel_conditions(k, budget=120, seed=1)
-        verdict = pointwise_closed(k, budget=120, seed=1)
+        conds = kernel_conditions(k)
+        verdict = pointwise_closed(k)
         assert conds.all_pass == verdict.closed == all(flags)
 
 
@@ -111,7 +110,7 @@ def test_condition1_fails_on_degree2_tail_zero_kernel():
     # the 1/n^2 element is dominated by 1/n, so the archimedean hypothesis
     # holds while the conclusion fails
     k = KernelSpec(SeqTrunc(2), support=None, tails_allowed=(False, False))
-    report = kernel_conditions(k, budget=200, seed=0)
+    report = kernel_conditions(k)
     assert not report.cond1.passed
     g, h = report.cond1.witness
     assert g.order() is not None and g.order() > h.order()
@@ -137,12 +136,21 @@ def test_membership_decisions():
     assert not ks.contains(G0)
 
 
-def test_budget_guard():
-    k = KernelSpec(FULL, support={"1"})
-    with pytest.raises(BudgetError):
-        kernel_conditions(k, budget=0)
-    with pytest.raises(BudgetError):
-        pointwise_closed(k, budget=0)
+def test_budget_guard(capsys):
+    """--cases sizes no kernel verdict, but a count <= 0 is still refused
+    as an input error, on both description classes."""
+    path = str(GOLDEN / "kernels.tl")
+    for argv, decider in ((("kernel-check", "K"), "kernel_conditions"),
+                          (("kernel-check", "K1"), "kernel_conditions"),
+                          (("pointwise", "K"), "pointwise_closed"),
+                          (("pointwise", "K1"), "pointwise_closed")):
+        for cases in ("0", "-1"):
+            assert cli.main([*argv, "--cases", cases, "--file", path]) == 2
+            out, err = capsys.readouterr()
+            assert (out, err) == ("", f"input error: {decider} needs a positive budget\n")
+    for argv in (("kernel-check", "K1"), ("pointwise", "K1")):
+        assert cli.main([*argv, "--cases", "1", "--file", path, "--json"]) == 0
+    capsys.readouterr()
 
 
 def test_kernel_model_must_be_a_trunc():
@@ -154,16 +162,19 @@ def test_kernel_model_must_be_a_trunc():
 
 
 def test_kernel_conditions_are_exact_and_draw_no_samples(monkeypatch):
+    """Kernel conditions, pointwise closure and the enough-components check
+    are decided without sampling the carrier."""
     def refuse(*args, **kwargs):
-        raise AssertionError("a kernel condition sampled the carrier")
+        raise AssertionError("a kernel decision sampled the carrier")
 
     monkeypatch.setattr(SimpleTrunc, "sample_elements", refuse)
     monkeypatch.setattr(SeqTrunc, "sample_elements", refuse)
     for k in _descriptions():
-        first = kernel_conditions(k, budget=1, seed=0)
-        assert kernel_conditions(k, budget=500, seed=9) == first
-        for verdict in (first.cond1, first.cond2, first.cond3):
-            assert verdict.exact and verdict.samples == 0
+        first = kernel_conditions(k)
+        assert kernel_conditions(k) == first
+        assert pointwise_closed(k).closed == first.all_pass
+    for degree in range(4):
+        assert enough_uc_check(SeqTrunc(degree))[0] == (degree == 0)
     with pytest.raises(FrozenRecordError):
         first.cond1 = first.cond3
     with pytest.raises(FrozenRecordError):
@@ -181,8 +192,8 @@ def test_failed_certificate_raises_under_python_O(tmp_path):
                                       KernelSpec, kernel_closure)
         from trunclab.seqspace import SeqTrunc
 
-        bad = ConditionsReport(ConditionVerdict(False, 1, "forced"),
-                               ConditionVerdict(True, 1), ConditionVerdict(True, 1))
+        bad = ConditionsReport(ConditionVerdict(False, "forced"),
+                               ConditionVerdict(True), ConditionVerdict(True))
         kernels.kernel_conditions = lambda *args, **kwargs: bad
         try:
             kernel_closure(KernelSpec(SeqTrunc(1)))
@@ -373,16 +384,16 @@ def sampled_condition1(kernel, budget, rng):
     for i, g in enumerate(gs):
         h = hs[i % len(hs)]
         if condition1_hypothesis(kernel, g, h) and not kernel.contains(g):
-            return ConditionVerdict(False, i + 1, (g, h))
-    return ConditionVerdict(True, len(gs))
+            return ConditionVerdict(False, (g, h))
+    return ConditionVerdict(True)
 
 
 def sampled_condition2(kernel, budget, rng):
     gs = kernel.model.sample_elements(rng, budget, nonneg=True)
-    for samples, g in enumerate(gs, 1):
+    for g in gs:
         if kernel.contains(g.truncate()) and not kernel.contains(g):
-            return ConditionVerdict(False, samples, g)
-    return ConditionVerdict(True, len(gs))
+            return ConditionVerdict(False, g)
+    return ConditionVerdict(True)
 
 
 def sampled_support_condition3(kernel, budget, rng):
@@ -390,12 +401,12 @@ def sampled_support_condition3(kernel, budget, rng):
     tminus(1/n)(g) increases with n, so convexity reduces the quantifier to
     the stable regime n > 1/clearance(g)."""
     gs = kernel.model.sample_elements(rng, budget, nonneg=True)
-    for samples, g in enumerate(gs, 1):
+    for g in gs:
         c = clearance(g)
         n = 1 if c == 0 else math.ceil(1 / c) + 1
         if kernel.contains(g.tminus(F(1, n))) and not kernel.contains(g):
-            return ConditionVerdict(False, samples, g)
-    return ConditionVerdict(True, len(gs))
+            return ConditionVerdict(False, g)
+    return ConditionVerdict(True)
 
 
 def sampled_conditions(kernel, budget, seed):
@@ -443,7 +454,6 @@ def test_exact_conditions_agree_with_the_sampled_oracle(seed):
         sampled = sampled_conditions(k, budget=400, seed=seed)
         for label in ("cond1", "cond2", "cond3"):
             verdict = getattr(exact, label)
-            assert verdict.exact and verdict.samples == 0
             if verdict.passed:
                 assert getattr(sampled, label).passed, (k, label)
             else:
@@ -457,35 +467,57 @@ def test_kernel_conditions_characterize_pointwise_closure():
         assert kernel_conditions(k).all_pass == pointwise_closed(k).closed, k
 
 
-def eager_pointwise_closed(kernel, budget=200, seed=0):
-    """pointwise_closed as it once was, every sample drawn before the search;
-    also the number of samples a search drawing one at a time needs."""
+def reference_families(kernel, g):
+    """The structured families that the sampled search probed for a
+    candidate g: (kind, whole infinite family in K, reporting prefix)."""
+    if isinstance(kernel, SupportKernel):
+        # on finite spaces the families become eventually constant at g
+        seq = truncation_sequence(g, upto=bound_witness(g) + 2)
+        seq_in = all(kernel.contains(t) for t in seq)
+        yield ("truncation-sequence", seq_in, seq)
+        yield ("good-partial-sums", seq_in, seq)
+        pts = list(g.space.nonstar)
+        filtration = [g.restrict_to(pts[:n]) for n in range(1, len(pts) + 1)]
+        yield ("support-filtration", all(kernel.contains(t) for t in filtration),
+               filtration)
+        return
+    # every truncation g ^ n shares support and tail with g, and every
+    # filtration chunk has finite support and zero tail
+    seq_prefix = [g.trunc_at(n) for n in (1, 2, 3)]
+    seq_in = kernel.contains(g)
+    assert seq_in == all(kernel.contains(t) for t in seq_prefix)
+    yield ("truncation-sequence", seq_in, seq_prefix)
+    yield ("good-partial-sums", seq_in, seq_prefix)
+    prefix = partial_truncations(g, 6)
+    if kernel.support is None:
+        assert all(kernel.contains(h) for h in prefix)
+        filt_in = True
+    else:
+        kind, data = g.support()
+        filt_in = kind == "finite" and data <= kernel.support
+    yield ("support-filtration", filt_in, prefix)
+
+
+def sampled_pointwise_closed(kernel, budget=200, seed=0):
+    """pointwise_closed as it once was: the tail units, then samples drawn
+    one at a time, each outside K probed through its structured families."""
     rng = random.Random(seed)
-    units = kernel.model.tail_units()
-    candidates = units + kernel.model.sample_elements(rng, budget, nonneg=True)
-    for i, g in enumerate(candidates):
+    model = kernel.model
+    samples = (model.sample_elements(rng, 1, nonneg=True)[0] for _ in range(budget))
+    for g in itertools.chain(model.tail_units(), samples):
         if kernel.contains(g):
             continue
-        for kind, whole_family_in_k, prefix in kernel._structured_families(g):
+        for kind, whole_family_in_k, prefix in reference_families(kernel, g):
             if whole_family_in_k:
-                draws = max(0, i + 1 - len(units))
-                return PointwiseVerdict(False, (g, prefix), kind), draws
-    return PointwiseVerdict(True), budget
+                return PointwiseVerdict(False, (g, prefix), kind)
+    return PointwiseVerdict(True)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_lazy_pointwise_closure_matches_the_eager_search(monkeypatch, seed):
-    """Drawing one sample at a time gives the same verdict and witness, and
-    draws nothing past the first witness."""
-    drawn = []
-    for cls in (SimpleTrunc, SeqTrunc):
-        def counted(self, rng, count, nonneg=False, sample=cls.sample_elements):
-            drawn.append(count)
-            return sample(self, rng, count, nonneg)
-        monkeypatch.setattr(cls, "sample_elements", counted)
+def test_lazy_pointwise_closure_matches_the_eager_search(seed):
+    """The exact verdict and witness are those of the sampled search, at
+    every budget and seed: a witness only ever came from a tail unit."""
     for k in _descriptions():
+        want = pointwise_closed(k)
         for budget in (1, 40):
-            want, draws = eager_pointwise_closed(k, budget, seed)
-            drawn.clear()
-            assert pointwise_closed(k, budget, seed) == want, k
-            assert drawn == [1] * draws, k
+            assert sampled_pointwise_closed(k, budget, seed) == want, (k, budget)

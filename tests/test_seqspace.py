@@ -132,9 +132,9 @@ def test_bounded_away_from_zero_tail():
 
 
 def test_enough_uc():
-    ok, witness = enough_uc_check(SeqTrunc(1), rng=random.Random(0))
+    ok, witness = enough_uc_check(SeqTrunc(1))
     assert not ok and witness == G0
-    ok, _ = enough_uc_check(SeqTrunc(0), rng=random.Random(0))
+    ok, _ = enough_uc_check(SeqTrunc(0))
     assert ok
 
 
@@ -190,24 +190,21 @@ def test_enough_uc_refutes_with_1_over_n_before_any_draw(monkeypatch, degree):
         raise AssertionError("enough_uc_check drew a sample")
 
     monkeypatch.setattr(SeqTrunc, "sample_elements", refuse)
-    assert enough_uc_check(SeqTrunc(degree), rng=random.Random(0)) == (False, G0)
+    assert enough_uc_check(SeqTrunc(degree)) == (False, G0)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_enough_uc_examines_every_sample_on_degree_0(monkeypatch, seed):
-    trunc, budget = SeqTrunc(0), 30
-    theirs = random.Random(seed)
-    want = [abs(g) for g in reference_sample_elements(trunc, random.Random(seed),
-                                                       budget)]
-    assert reference_enough_uc_check(trunc, theirs, budget) == (True, None)
-    examined = []
-    support = TailElement.support
-    monkeypatch.setattr(TailElement, "support",
-                        lambda self: examined.append(self) or support(self))
-    ours = random.Random(seed)
-    assert enough_uc_check(trunc, rng=ours, budget=budget) == (True, None)
-    assert examined == want + [TailElement.chi([1, 2])]
-    assert ours.getstate() == theirs.getstate()
+def test_enough_uc_agrees_with_the_sampled_reference(seed):
+    """The verdict decided from the degree is the sampled search's, and on
+    degree 0 every sample the search examines has a unital component above
+    its truncation."""
+    for degree in range(4):
+        trunc = SeqTrunc(degree)
+        want = reference_enough_uc_check(trunc, random.Random(seed), 30)
+        assert enough_uc_check(trunc) == want
+    for g in reference_sample_elements(SeqTrunc(0), random.Random(seed), 30, True):
+        _, supp = g.support()
+        assert (TailElement.chi(supp) - g.truncate()).is_nonneg()
 
 
 def test_max_value():
@@ -413,6 +410,24 @@ def scan_sup_of_filtration_is(g):
 
 # Degree 0-3 tails and corrections with mixed denominators.
 SMALL_TAILS = st.lists(RATIONALS, max_size=3)
+
+
+def reference_partial_truncations(g, count):
+    """partial_truncations as it once was: each chunk through the validating
+    constructor."""
+    values = {k: g.value(k) for k in range(1, count + 1)}
+    return [TailElement({k: values[k] for k in range(1, n + 1)})
+            for n in range(1, count + 1)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(CORRECTIONS, SMALL_TAILS, st.integers(0, 12))
+def test_partial_truncations_match_the_reference(corr, tail, count):
+    """Equal chunks, with the correction in the same order and of the same
+    value types."""
+    g = TailElement(corr, tail)
+    got, want = partial_truncations(g, count), reference_partial_truncations(g, count)
+    assert [parts(h) for h in got] == [parts(h) for h in want]
 
 
 @settings(max_examples=150, deadline=None)
