@@ -97,6 +97,7 @@ ARGVS = [
     ("check", "--file", "missing.tl", *J),
     ("check", "--file", "bad_kernel.tl", *J),
     ("check", "--file", "nonconvex_kernel.tl", *J),
+    ("check", "--file", "unknown_point.tl", *J),
     ("induced-op", "mul", "g", "g", *F, *J),
     ("induced-op", "add", "g", "u", *F, *J),
     ("induced-op", "add", "w", "w", *F, *J),
