@@ -22,7 +22,7 @@ from .errors import (BudgetError, PositivityError, SpaceMismatchError,
                      StructureError, UnsupportedOperationError, certify)
 from .gba import Violation, order_lattice
 from .rat import (NEG_INF, POS_INF, as_fraction, format_label, format_rational,
-                  is_finite, sorted_labels)
+                  is_finite, sort_key, sorted_labels)
 from .records import record
 
 
@@ -42,73 +42,78 @@ def _frame_tables(labels, leq_pairs):
     return out, tables
 
 
-def _sublattice_tables(labels, join, meet):
-    """order_lattice's tables of labels closed under the join and meet of a
-    distributive lattice, or None if not closed.  A sublattice is distributive
-    and a <= b iff a v b = b, so no order law or distributivity is checked."""
-    labels = sorted_labels(dict.fromkeys(labels))
-    index = {x: i for i, x in enumerate(labels)}
-    n = len(labels)
-    J, M = [[0] * n for _ in labels], [[0] * n for _ in labels]
-    try:
-        for i, a in enumerate(labels):  # both operations commute: fill both halves
-            for j in range(i, n):
-                J[i][j] = J[j][i] = index[join(a, labels[j])]
-                M[i][j] = M[j][i] = index[meet(a, labels[j])]
-    except KeyError:
-        return None
-    up = [sum(1 << j for j, k in enumerate(row) if j == k) for row in J]
-    return (labels, up, J, M) if labels else None
-
-
 class FiniteFrame:
     """Validated finite frame with all derived tables precomputed."""
 
-    def __init__(self, labels, leq_pairs=None, *, _ops=None):
-        """Validate labels under leq_pairs, or as a sublattice of a distributive
-        lattice with _ops = (join, meet); labels not closed under _ops take the
-        order path with a <= b iff join(a, b) == b."""
-        labels = list(labels)
-        tables = _ops and _sublattice_tables(labels, *_ops)
-        if not tables:
-            if _ops:
-                leq_pairs = {(a, b) for a in labels for b in labels
-                             if _ops[0](a, b) == b}
+    def __init__(self, labels, leq_pairs=None, *, _tables=None):
+        """Validate labels under leq_pairs, or trust _tables = (join, meet), the
+        index tables of a distributive lattice on labels in sorted_labels order."""
+        if _tables is None or not labels:
             violations, tables = _frame_tables(labels, leq_pairs)
             if violations:
                 raise StructureError(f"not a finite frame: {violations[:3]}")
-        labels, up, self._join, self._meet = tables
+            labels, up, self._join, self._meet = tables
+        else:  # a <= b iff a v b = b
+            self._join, self._meet = _tables
+            up = [sum([1 << j for j, k in enumerate(row) if j == k]) for row in self._join]
         self.labels = tuple(labels)
         self.index = {x: i for i, x in enumerate(self.labels)}
         self._up = up  # bit j of _up[i] is set iff labels[i] <= labels[j]
         self._bot = bot = up.index((1 << len(up)) - 1)
-        self._top = next(i for i, u in enumerate(up) if u == 1 << i)
-        self.bottom, self.top = self.labels[bot], self.labels[self._top]
-        self.pseudo = {x: self.labels[self._implies(i, bot)]
-                       for i, x in enumerate(self.labels)}
-        self.complemented = frozenset(
-            x for x in self.labels if self.join(x, self.pseudo[x]) == self.top)
+        self._top = top = next(i for i, u in enumerate(up) if u == 1 << i)
+        self.bottom, self.top = self.labels[bot], self.labels[top]
+        # the pseudocomplement of i joins every k with i ^ k = bottom
+        pseudo = [self._join_of([k for k, m in enumerate(row) if m == bot])
+                  for row in self._meet]
+        self.pseudo = dict(zip(self.labels, map(self.labels.__getitem__, pseudo)))
+        self.complemented = frozenset(x for x, row, p in zip(self.labels, self._join, pseudo)
+                                      if row[p] == top)
 
     @classmethod
     def from_sets(cls, family):
-        """The frame of a set family under union and intersection."""
-        return cls({frozenset(s) for s in family},
-                   _ops=(frozenset.__or__, frozenset.__and__))
+        """The frame of a set family under union and intersection, its sets
+        looked up by bitmask and sorted by sort_key with each point keyed once
+        (an unclosed family takes the order path)."""
+        family = {frozenset(s) for s in family}
+        keys = {p: sort_key(p) for p in frozenset().union(*family)}
+        bits = {p: 1 << i for i, p in enumerate(keys)}
+        labels = sorted(family, key=lambda s: ("frozenset", tuple(sorted(map(keys.get, s)))))
+        masks = [sum(map(bits.get, s)) for s in labels]
+        at = {m: i for i, m in enumerate(masks)}
+        try:
+            return cls(labels, _tables=([[at[a | b] for b in masks] for a in masks],
+                                        [[at[a & b] for b in masks] for a in masks]))
+        except KeyError:  # a union or intersection outside the family
+            return cls(labels, {(a, b) for a in labels for b in labels if a <= b})
 
     @classmethod
     def chain(cls, size):
-        return cls(range(size), _ops=(max, min))
+        """0 < 1 < ... < size - 1, in sorted_labels order (10 before 2)."""
+        labels = sorted_labels(range(size))
+        at = {x: i for i, x in enumerate(labels)}
+        return cls(labels, _tables=[[[at[op(a, b)] for b in labels] for a in labels]
+                                    for op in (max, min)])
 
     @classmethod
     def product(cls, a, b):
-        def pairwise(fa, fb):
-            return lambda p, q: (fa(p[0], q[0]), fb(p[1], q[1]))
-        return cls([(x, y) for x in a.labels for y in b.labels],
-                   _ops=(pairwise(a.join, b.join), pairwise(a.meet, b.meet)))
+        """Pairs in itertools.product order, which is sorted_labels order."""
+        n = len(b)
+        return cls(list(itertools.product(a.labels, b.labels)), _tables=[
+            [[x * n + y for x in ta[i] for y in tb[j]] for i in range(len(a)) for j in range(n)]
+            for ta, tb in ((a._join, b._join), (a._meet, b._meet))])
 
     def subframe(self, labels):
-        """The frame on labels closed under this frame's join and meet."""
-        return FiniteFrame(labels, _ops=(self.join, self.meet))
+        """The frame on labels closed under this frame's join and meet: these
+        tables restricted to them, in this frame's order.  Unclosed labels
+        take the order path."""
+        keep = sorted({self.index[x] for x in labels})
+        labels, at = [self.labels[k] for k in keep], {k: i for i, k in enumerate(keep)}
+        try:
+            return FiniteFrame(labels, _tables=[[[at[t[i][j]] for j in keep] for i in keep]
+                                                for t in (self._join, self._meet)])
+        except KeyError:  # a join or meet outside labels
+            return FiniteFrame(labels, {(a, b) for a in labels for b in labels
+                                        if self.leq(a, b)})
 
     def leq(self, x, y):
         return bool(self._up[self.index[x]] >> self.index[y] & 1)
@@ -122,12 +127,11 @@ class FiniteFrame:
     def join_all(self, xs):
         return reduce(self.join, xs, self.bottom)
 
-    def _implies(self, i, j):
-        """Index of i -> j: the join of every k with i ^ k <= j."""
-        acc = self.index[self.bottom]
-        for k, m in enumerate(self._meet[i]):
-            if self._up[m] >> j & 1:
-                acc = self._join[acc][k]
+    def _join_of(self, ks):
+        """Index of the join of the indices ks."""
+        join, acc = self._join, self._bot
+        for k in ks:
+            acc = join[acc][k]
         return acc
 
     def complement(self, x):
@@ -149,11 +153,14 @@ class FiniteFrame:
 def _unpreserved(fr, f, laws):
     """The first (law, x, y) where f, listed by the indices of fr, fails
     f(x op y) = f(x) op f(y); laws lists (law, op table of fr, op table of
-    the target) in the order they are tried on each pair."""
-    for (i, x), (j, y) in itertools.product(enumerate(fr.labels), repeat=2):
-        for law, table, target in laws:
-            if f[table[i][j]] != target[f[i]][f[j]]:
-                return law, x, y
+    the target) in the order they are tried on each pair.  A row of pairs
+    is compared whole and scanned only when it differs."""
+    for i, fx in enumerate(f):
+        rows = [([f[k] for k in table[i]], list(map(target[fx].__getitem__, f)))
+                for _, table, target in laws]
+        if any(got != want for got, want in rows):
+            return next((law, fr.labels[i], fr.labels[j]) for j in range(len(f))
+                        for (law, _, _), (got, want) in zip(laws, rows) if got[j] != want[j])
     return None
 
 
@@ -165,7 +172,10 @@ class PointedFiniteFrame:
         if true_set is None:
             if focus is None:
                 raise StructureError("need a focal element or an explicit filter")
-            true_set = frozenset(x for x in frame.labels if frame.leq(focus, x))
+            if focus not in frame.index:
+                raise StructureError(f"unknown frame element {focus!r}")
+            up = frame._up[frame.index[focus]]
+            true_set = (x for i, x in enumerate(frame.labels) if up >> i & 1)
         self.true_set = frozenset(true_set)
         self._validate()
 
@@ -173,13 +183,17 @@ class PointedFiniteFrame:
         return x in self.true_set
 
     def _validate(self):
+        """The true-set t must be a prime filter: some up-set whose complement's
+        join g lies outside it.  Only a failing point is scanned for a witness."""
         fr = self.frame
         if not self.point(fr.top) or self.point(fr.bottom):
             raise StructureError("point must send top to top and bottom to bottom")
-        bad = _unpreserved(fr, [int(self.point(x)) for x in fr.labels],
-                           [("meet", fr._meet, ((0, 0), (0, 1))),
-                            ("join", fr._join, ((0, 1), (1, 1)))])
-        if bad:
+        t = sum(1 << i for i, x in enumerate(fr.labels) if x in self.true_set)
+        g = fr._join_of(i for i in range(len(fr)) if not t >> i & 1)
+        if t not in fr._up or t >> g & 1:
+            bad = _unpreserved(fr, [t >> i & 1 for i in range(len(fr))],
+                               [("meet", fr._meet, ((0, 0), (0, 1))),
+                                ("join", fr._join, ((0, 1), (1, 1)))])
             raise StructureError("point not {}-preserving at ({},{})".format(*bad))
 
     def __eq__(self, other):
@@ -303,21 +317,13 @@ class FrameReal(StepValues):
                 if fr._meet[c][d] != fr._bot:
                     raise StructureError(f"cells {fr.labels[c]!r} and {fr.labels[d]!r} "
                                          "are not disjoint")
-        if self._join(c for _, c in items) != fr._top:
+        if fr._join_of(c for _, c in items) != fr._top:
             raise StructureError("cells do not cover the frame")
         if self.pointed:
             pointed_cells = [n for n, c in items if self.pframe.point(fr.labels[c])]
             if pointed_cells != [0]:
                 raise StructureError(
                     "the cell containing the designated point must carry 0")
-
-    def _join(self, cells):
-        """Frame index of the join of the given cell indices."""
-        join = self.pframe.frame._join
-        acc = self.pframe.frame._bot
-        for c in cells:
-            acc = join[acc][c]
-        return acc
 
     @classmethod
     def zero(cls, pframe):
@@ -337,7 +343,8 @@ class FrameReal(StepValues):
         return {format_rational(v): format_label(c) for v, c in self.cells}
 
     def finite_part_join(self):
-        return self.pframe.frame.labels[self._join(self._cells)]
+        fr = self.pframe.frame
+        return fr.labels[fr._join_of(self._cells)]
 
     def _rank(self, x, strict):
         """How many finite values lie below x, or at or below it unless strict."""
@@ -355,7 +362,8 @@ class FrameReal(StepValues):
             cells += (self._neg,)
         if interval.closed_hi and self._pos is not None:
             cells += (self._pos,)
-        return self.pframe.frame.labels[self._join(cells)]
+        fr = self.pframe.frame
+        return fr.labels[fr._join_of(cells)]
 
     def _finite(self):
         if self.extended:
@@ -501,23 +509,23 @@ class FrameSurjection:
         self.source = source
         self.target = target
         self.mapping = dict(mapping)
-        self._validate()
+        f = self._validate()
         fs, ft = source.frame, target.frame
-        self.adjoint = {y: fs.join_all(x for x in fs.labels
-                                       if ft.leq(self.mapping[x], y))
-                        for y in ft.labels}
-        self.dense = all(self.mapping[x] != ft.bottom or x == fs.bottom
-                         for x in fs.labels)
+        self.adjoint = {y: fs.labels[fs._join_of(x for x, fx in enumerate(f)
+                                                 if ft._up[fx] >> j & 1)]
+                        for j, y in enumerate(ft.labels)}
+        self.dense = f.count(ft._bot) == 1
 
     def _validate(self):
+        """The map listed by the source's indices, once it is checked."""
         fs, ft = self.source.frame, self.target.frame
         for x in fs.labels:
             if x not in self.mapping or self.mapping[x] not in ft.index:
                 raise StructureError(f"map not total at {x!r}")
         if self.mapping[fs.top] != ft.top or self.mapping[fs.bottom] != ft.bottom:
             raise StructureError("map must preserve top and bottom")
-        bad = _unpreserved(fs, [ft.index[self.mapping[x]] for x in fs.labels],
-                           [("join", fs._join, ft._join), ("meet", fs._meet, ft._meet)])
+        f = [ft.index[self.mapping[x]] for x in fs.labels]
+        bad = _unpreserved(fs, f, [("join", fs._join, ft._join), ("meet", fs._meet, ft._meet)])
         if bad:
             raise StructureError("map not {}-preserving at ({},{})".format(*bad))
         if set(self.mapping.values()) != set(ft.labels):
@@ -525,6 +533,7 @@ class FrameSurjection:
         for x in fs.labels:
             if self.target.point(self.mapping[x]) != self.source.point(x):
                 raise StructureError(f"map not pointed at {x!r}")
+        return f
 
     def __call__(self, x):
         return self.mapping[x]

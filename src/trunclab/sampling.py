@@ -85,8 +85,7 @@ def downset_frame(rng, max_points=4, max_size=20):
         leq1 = random_poset(rng, n1)
         leq2 = random_poset(rng, n2)
         points = [("a", i) for i in range(n1)] + [("b", i) for i in range(n2)]
-        leq = {((("a", i), ("a", j))) for (i, j) in leq1}
-        leq |= {((("b", i), ("b", j))) for (i, j) in leq2}
+        leq = {((s, i), (s, j)) for s, rel in (("a", leq1), ("b", leq2)) for i, j in rel}
         below = {p: frozenset(q for q in points if (q, p) in leq) for p in points}
         downsets = {frozenset().union(*map(below.get, combo))
                     for r in range(len(points) + 1)
@@ -104,27 +103,29 @@ def pointed_frame(rng, max_points=4, max_size=20):
 
 
 def frame_real(rng, pframe, max_blocks=3, nonneg=False):
-    """A random step frame real: group the Boolean atoms into valued blocks."""
+    """A random step frame real: group the Boolean atoms into valued blocks.
+    Bottom up (larger up-sets first), a nonzero complemented element is an
+    atom iff no atom found so far lies below it."""
     fr = pframe.frame
-    comp = [c for c in fr.labels if c in fr.complemented and c != fr.bottom]
-    atoms = [c for c in comp
-             if not any(d != c and d != fr.bottom and fr.leq(d, c) for d in comp)]
+    atoms, above = [], 0
+    for i in sorted(map(fr.index.get, fr.complemented - {fr.bottom}),
+                    key=lambda i: -fr._up[i].bit_count()):
+        if not above >> i & 1:
+            atoms.append(i)
+            above |= fr._up[i]
     blocks = {}
-    for atom in atoms:
-        blocks.setdefault(rng.randrange(max_blocks), []).append(atom)
-    cells = []
-    point_value_cell = None
+    for i in sorted(atoms):
+        blocks.setdefault(rng.randrange(max_blocks), []).append(i)
+    cells, point_cell = [], None
     for members in blocks.values():
-        cell = fr.join_all(members)
+        cell = fr.labels[fr._join_of(members)]
         if pframe.point(cell):
-            point_value_cell = cell
+            point_cell = cell
         else:
-            v = rational(rng, nonneg=nonneg)
-            cells.append((v, cell))
-    certify(point_value_cell is not None,
-            "the point must lie in one block of Boolean atoms", atoms)
-    cells.append((Fraction(0), point_value_cell))
-    return FrameReal(pframe, cells)
+            cells.append((rational(rng, nonneg=nonneg), cell))
+    certify(point_cell is not None, "the point must lie in one block of Boolean atoms",
+            [fr.labels[i] for i in sorted(atoms)])
+    return FrameReal(pframe, cells + [(Fraction(0), point_cell)])
 
 
 def booleanization(pframe):
@@ -135,13 +136,11 @@ def booleanization(pframe):
     when any condition fails the constructor rejects and None is returned.
     """
     fr = pframe.frame
-    comp = [x for x in fr.labels if x in fr.complemented]
     mapping = {x: fr.pseudo[fr.pseudo[x]] for x in fr.labels}
-    if any(mapping[x] not in comp for x in fr.labels):
+    if any(y not in fr.complemented or pframe.point(y) != pframe.point(x)
+           for x, y in mapping.items()):
         return None
-    for x in fr.labels:
-        if pframe.point(mapping[x]) != pframe.point(x):
-            return None
+    comp = [x for x in fr.labels if x in fr.complemented]
     try:
         target = PointedFiniteFrame(
             fr.subframe(comp), true_set=frozenset(c for c in comp if pframe.point(c)))
@@ -165,22 +164,13 @@ def open_quotient(pframe, y):
 def dense_surjection(rng, pframe):
     """A random dense pointed surjection out of pframe (identity fallback)."""
     fr = pframe.frame
-    options = []
-    dense_elems = [y for y in fr.labels
-                   if fr.pseudo[y] == fr.bottom and pframe.point(y)]
-    for y in dense_elems:
-        q = open_quotient(pframe, y)
-        if q is not None and q.dense:
-            options.append(q)
-    b = booleanization(pframe)
-    if b is not None and b.dense:
-        options.append(b)
-    identity = FrameSurjection(pframe, pframe, {x: x for x in fr.labels})
-    options.append(identity)
+    options = [open_quotient(pframe, y) for y in fr.labels
+               if fr.pseudo[y] == fr.bottom and pframe.point(y)] + [booleanization(pframe)]
+    options = [q for q in options if q is not None and q.dense]
+    options.append(FrameSurjection(pframe, pframe, {x: x for x in fr.labels}))
     return options[rng.randrange(len(options))]
 
 
 def random_space(rng, max_points=4):
     n = rng.randint(1, max_points)
-    return PointedBooleanSpace(frozenset({"*"} | {str(i) for i in range(1, n + 1)}),
-                               "*")
+    return PointedBooleanSpace(frozenset({"*"} | {str(i) for i in range(1, n + 1)}), "*")

@@ -19,10 +19,10 @@ from trunclab.frames import (FiniteFrame, FrameReal, FrameSurjection,
                              OpenInterval, PointedFiniteFrame,
                              chi, drop, e0q_exhaustive, e0q_member,
                              frame_dini, frame_pointwise_sup, frame_uc_check,
-                             _frame_tables, induced_op, oracle_mismatch,
+                             _frame_tables, _unpreserved, induced_op, oracle_mismatch,
                              ray_above, ray_below, real_line, surjection_tools)
 from trunclab.gba import Violation, transitive_closure
-from trunclab.rat import NEG_INF, POS_INF
+from trunclab.rat import NEG_INF, POS_INF, sorted_labels
 from trunclab import frames
 from trunclab.sampling import (booleanization, dense_surjection, downset_frame,
                                frame_real, open_quotient, pointed_frame,
@@ -46,8 +46,8 @@ def frame_validate(labels, leq_pairs):
 
 
 def implies(frame, x, y):
-    """The Heyting implication x -> y."""
-    return frame.labels[frame._implies(frame.index[x], frame.index[y])]
+    """The Heyting implication x -> y: the join of every z with x ^ z <= y."""
+    return frame.join_all(z for z in frame.labels if frame.leq(frame.meet(x, z), y))
 
 
 def rather_below(frame, x, y):
@@ -111,6 +111,12 @@ def test_point_validation():
         PointedFiniteFrame(C3, true_set=frozenset({1}))  # misses top
     pf = PointedFiniteFrame(C3, focus=1)
     assert pf.point(1) and pf.point(2) and not pf.point(0)
+
+
+def test_unknown_focal_point_is_a_structure_error():
+    with pytest.raises(StructureError) as err:
+        PointedFiniteFrame(F4, focus="zz")
+    assert str(err.value) == "unknown frame element 'zz'"
 
 
 def test_chi_eval_cases():
@@ -867,3 +873,154 @@ def test_sampled_frames_skip_the_order_path(monkeypatch):
     with pytest.raises(StructureError, match="no unique join"):
         FiniteFrame.from_sets([A, B])
     assert len(calls) == 1
+
+
+# --- integer-table constructors against the label-callable construction -----
+
+def reference_sublattice_tables(labels, join, meet):
+    """(labels, up, join, meet) of labels closed under the callables join and
+    meet of a distributive lattice, sorted and filled pair by pair, or None if
+    not closed: how a derived frame was once built."""
+    labels = sorted_labels(dict.fromkeys(labels))
+    index = {x: i for i, x in enumerate(labels)}
+    n = len(labels)
+    J, M = [[0] * n for _ in labels], [[0] * n for _ in labels]
+    try:
+        for i, a in enumerate(labels):
+            for j in range(i, n):
+                J[i][j] = J[j][i] = index[join(a, labels[j])]
+                M[i][j] = M[j][i] = index[meet(a, labels[j])]
+    except KeyError:
+        return None
+    up = [sum(1 << j for j, k in enumerate(row) if j == k) for row in J]
+    return (labels, up, J, M) if labels else None
+
+
+def reference_state(labels, join, meet):
+    """frame_state of the frame on labels under the callables join and meet,
+    or the StructureError message, as the callable construction gave them:
+    unclosed labels take the order path with a <= b iff join(a, b) == b."""
+    labels = list(labels)
+    tables = reference_sublattice_tables(labels, join, meet)
+    if not tables:
+        violations, tables = _frame_tables(
+            labels, {(a, b) for a in labels for b in labels if join(a, b) == b})
+        if violations:
+            return f"not a finite frame: {violations[:3]}"
+    labels, up, J, M = tables
+    bot = up.index((1 << len(up)) - 1)
+    top = next(i for i, u in enumerate(up) if u == 1 << i)
+
+    def implies(i, j):
+        acc = bot
+        for k, m in enumerate(M[i]):
+            if up[m] >> j & 1:
+                acc = J[acc][k]
+        return acc
+
+    pseudo = {x: labels[implies(i, bot)] for i, x in enumerate(labels)}
+    complemented = frozenset(x for i, x in enumerate(labels)
+                             if J[i][labels.index(pseudo[x])] == top)
+    return tuple(labels), up, J, M, pseudo, complemented
+
+
+def state_or_error(build, *args):
+    try:
+        return frame_state(build(*args))
+    except StructureError as exc:
+        return str(exc)
+
+
+def pairwise(fa, fb):
+    return lambda p, q: (fa(p[0], q[0]), fb(p[1], q[1]))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(0, 10**6))
+def test_integer_tables_match_the_callable_construction(seed):
+    rng = random.Random(seed)
+    pframe = pointed_frame(rng)
+    fr = pframe.frame
+    union, inter = frozenset.__or__, frozenset.__and__
+    assert frame_state(fr) == reference_state(set(fr.labels), union, inter)
+    for sub in sub_frames(pframe):
+        assert frame_state(sub) == reference_state(sub.labels, fr.join, fr.meet)
+    # an unclosed subset of the labels, in a scrambled order
+    some = [x for x in fr.labels if rng.random() < 0.5][::-1]
+    if some:
+        assert state_or_error(fr.subframe, some) == reference_state(some, fr.join, fr.meet)
+
+
+def test_chains_and_products_match_the_callable_construction():
+    for n in range(1, 13):
+        assert frame_state(FiniteFrame.chain(n)) == reference_state(range(n), max, min)
+    assert FiniteFrame.chain(12).labels[:5] == (0, 1, 10, 11, 2)
+    c3, c2 = FiniteFrame.chain(3), FiniteFrame.chain(2)
+    for a, b in ((c3, c2), (c2, c3), (FiniteFrame.product(c2, c2), c3), (F4, c2)):
+        pairs = [(x, y) for x in a.labels for y in b.labels]
+        want = reference_state(pairs, pairwise(a.join, b.join), pairwise(a.meet, b.meet))
+        assert frame_state(FiniteFrame.product(a, b)) == want
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.lists(st.frozensets(st.integers(0, 3)), max_size=7))
+def test_set_families_match_the_callable_construction(family):
+    want = reference_state({frozenset(s) for s in family}, frozenset.__or__,
+                           frozenset.__and__)
+    assert state_or_error(FiniteFrame.from_sets, family) == want
+
+
+def test_empty_families_match_the_callable_construction():
+    want = "not a finite frame: [no least element at ()]"
+    assert reference_state([], max, min) == want
+    assert state_or_error(FiniteFrame.from_sets, []) == want
+    assert state_or_error(FiniteFrame.chain, 0) == want
+    assert state_or_error(F4.subframe, []) == want
+
+
+LABEL_ORDER = """
+import random, sys
+from trunclab.rat import format_label
+from trunclab.sampling import open_quotient, pointed_frame
+for seed in range(40):
+    pframe = pointed_frame(random.Random(seed))
+    frames = [pframe.frame] + [q.target.frame for q in (
+        open_quotient(pframe, y) for y in pframe.frame.labels) if q]
+    print([[format_label(x) for x in fr.labels] for fr in frames])
+"""
+
+
+def test_label_order_ignores_the_hash_seed():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outs = []
+    for seed in ("0", "3"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join(
+                       p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run([sys.executable, "-c", LABEL_ORDER], env=env,
+                              capture_output=True, text=True, timeout=120, check=False)
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1] and outs[0].count("\n") == 40
+
+
+def unpreserved_point_error(frame, true_set):
+    bad = _unpreserved(frame, [int(x in true_set) for x in frame.labels],
+                       [("meet", frame._meet, ((0, 0), (0, 1))),
+                        ("join", frame._join, ((0, 1), (1, 1)))])
+    return bad and "point not {}-preserving at ({},{})".format(*bad)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.integers(0, 10**6))
+def test_point_check_reports_the_pairwise_witness(seed):
+    # up-sets of one element (filters, prime or not), and random true sets
+    rng = random.Random(seed)
+    frame, _ = downset_frame(rng)
+    inner = [x for x in frame.labels if x not in (frame.top, frame.bottom)]
+    focus = rng.choice(inner or [frame.top])
+    sets = [frozenset(x for x in frame.labels if frame.leq(focus, x)),
+            frozenset(x for x in inner if rng.random() < 0.5) | {frame.top}]
+    for true_set in sets:
+        want = unpreserved_point_error(frame, true_set)
+        assert structure_error(PointedFiniteFrame, frame, None, true_set) == want
