@@ -333,7 +333,7 @@ def main(argv=None):
     try:
         if args.command not in _NO_FILE:
             if not args.file:
-                print(f"error: {args.command} requires --file", file=sys.stderr)
+                print(f"input error: {args.command} requires --file", file=sys.stderr)
                 return 2
             inst = parse_instance(args.file)
         else:

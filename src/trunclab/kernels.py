@@ -325,6 +325,7 @@ class PointwiseVerdict:
     closed: bool
     witness: object = None  # (sup, family) when not closed
     family_kind: str = None
+    conditions: ConditionsReport = None  # what the verdict was certified against
 
     def __repr__(self):
         if self.closed:
@@ -340,13 +341,13 @@ def pointwise_closed(kernel):
     characterization of pointwise closure).
     """
     escape = kernel.pointwise_escape()
-    verdict = PointwiseVerdict(True)
+    report = kernel_conditions(kernel)
+    verdict = PointwiseVerdict(True, conditions=report)
     if escape is not None:
         kind, sup, family = escape
         certify(all(kernel.contains(h) for h in family) and not kernel.contains(sup),
                 "the escaping family must lie in K and its sup outside K", escape)
-        verdict = PointwiseVerdict(False, (sup, family), kind)
-    report = kernel_conditions(kernel)
+        verdict = PointwiseVerdict(False, (sup, family), kind, report)
     certify(report.all_pass == verdict.closed,
             "pointwise closure must agree with the kernel conditions",
             (report, verdict))

@@ -538,7 +538,7 @@ class Ex1Report:
 def ex1_report(seed=0, samples=500):
     """Run the full battery on the degree-1 trunc; see Ex1Report fields."""
     from .hyper import hyperarchimedean
-    from .kernels import KernelSpec, kernel_conditions, pointwise_closed
+    from .kernels import KernelSpec, pointwise_closed
 
     trunc = SeqTrunc(degree=1)
     hyper = hyperarchimedean(trunc, budget=samples, seed=seed)
@@ -547,12 +547,12 @@ def ex1_report(seed=0, samples=500):
     certify(not baf, "the 1/n element must not be bounded away from zero", g0)
     chain = clearance_chain(g0, 6)
     kernel = KernelSpec(trunc, support=None, tails_allowed=(False,))
-    conds = kernel_conditions(kernel)
+    verdict = pointwise_closed(kernel)
+    conds = verdict.conditions
     certify(conds.cond1.passed and conds.cond2.passed,
             "kernel conditions (1) and (2) must hold", conds)
     certify(not conds.cond3.passed and conds.cond3.witness == g0,
             "kernel condition (3) must fail at the 1/n element", conds.cond3)
-    verdict = pointwise_closed(kernel)
     certify(not verdict.closed and verdict.witness[0] == g0,
             "the tail-zero kernel must not be pointwise closed at 1/n", verdict)
     return Ex1Report(

@@ -1,4 +1,6 @@
 """CLI fuzz: any argv on any instance file exits 0, 1 or 2, never a traceback.
+On exit 2 the last stderr line is one refusal: `input error: ...`, or
+argparse's `trunclab: error: ...`.
 
 An argv is a golden-corpus command on instance.tl, or any command with any
 names, with its argument list broken by dropping, inserting, replacing or
@@ -89,3 +91,5 @@ def test_any_argv_exits_0_1_or_2_without_a_traceback(call, arg_edits, line_edits
     assert "Traceback" not in out + err, argv
     if code == 2:
         assert out == "", argv
+        last = err.rstrip("\n").rpartition("\n")[2]
+        assert last.startswith(("input error: ", "trunclab: error: ")), (argv, err)

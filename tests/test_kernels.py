@@ -24,7 +24,8 @@ from trunclab.kernels import (ConditionsReport, ConditionVerdict, KernelSpec,
                               PointwiseVerdict, SeqKernel, SupportKernel,
                               kernel_closure, kernel_conditions, pointwise_closed)
 from trunclab.records import FrozenRecordError
-from trunclab.seqspace import SeqTrunc, TailElement, enough_uc_check, partial_truncations
+from trunclab.seqspace import (SeqTrunc, TailElement, enough_uc_check, ex1_report,
+                               partial_truncations)
 from trunclab.spaces import space
 
 X3 = space("1", "2", "3")
@@ -73,6 +74,24 @@ def test_tail_zero_kernel_not_pointwise_closed():
     sup, family = verdict.witness
     assert sup == G0
     assert all(k.contains(h) for h in family)
+
+
+def test_verdict_keeps_the_conditions_it_was_certified_against():
+    for k in _descriptions():
+        verdict = pointwise_closed(k)
+        assert verdict.conditions == kernel_conditions(k)
+        assert verdict.conditions.all_pass == verdict.closed
+        assert "conditions" not in repr(verdict)
+
+
+def test_ex1_report_decides_the_kernel_conditions_once(monkeypatch):
+    calls = []
+    decide = kernels.kernel_conditions
+    monkeypatch.setattr(kernels, "kernel_conditions",
+                        lambda k: calls.append(k) or decide(k))
+    report = ex1_report(samples=20)
+    assert report.ok and report.kernel12_ok
+    assert len(calls) == 1
 
 
 def test_kernel_closure_reaches_whole_trunc():
@@ -509,8 +528,8 @@ def sampled_pointwise_closed(kernel, budget=200, seed=0):
             continue
         for kind, whole_family_in_k, prefix in reference_families(kernel, g):
             if whole_family_in_k:
-                return PointwiseVerdict(False, (g, prefix), kind)
-    return PointwiseVerdict(True)
+                return PointwiseVerdict(False, (g, prefix), kind, kernel_conditions(kernel))
+    return PointwiseVerdict(True, conditions=kernel_conditions(kernel))
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
