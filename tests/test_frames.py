@@ -752,6 +752,13 @@ def reference_point_error(frame, true_set):
     return None
 
 
+def unpreserved_point_error(frame, true_set):
+    bad = _unpreserved(frame, [int(x in true_set) for x in frame.labels],
+                       [("meet", frame._meet, ((0, 0), (0, 1))),
+                        ("join", frame._join, ((0, 1), (1, 1)))])
+    return bad and "point not {}-preserving at ({},{})".format(*bad)
+
+
 def reference_map_error(fs, ft, mapping):
     """The label-level join and meet preservation check of a frame map."""
     for x, y in itertools.product(fs.labels, repeat=2):
@@ -779,7 +786,7 @@ def test_preservation_errors_match_the_label_level_checks(seed):
     true_set = frozenset(x for x in inner if rng.random() < 0.5) | {frame.top}
     want = reference_point_error(frame, true_set)
     got = structure_error(PointedFiniteFrame, frame, None, true_set)
-    assert got == want
+    assert got == want == unpreserved_point_error(frame, true_set)
     source, target = pointed_frame(rng), pointed_frame(rng)
     fs, ft = source.frame, target.frame
     mapping = {x: rng.choice(ft.labels) for x in fs.labels}
@@ -790,9 +797,15 @@ def test_preservation_errors_match_the_label_level_checks(seed):
         assert got is None or "preserving" not in got
     else:
         assert got == want
+    # the up-set of one element: a filter, prime only at a join-prime focus
+    focus = rng.choice(inner or [frame.top])
+    up_set = frozenset(x for x in frame.labels if frame.leq(focus, x))
+    got = structure_error(PointedFiniteFrame, frame, None, up_set)
+    assert got == reference_point_error(frame, up_set) == unpreserved_point_error(frame, up_set)
 
 
-# --- set-family frames and sub-frames against the order path ---------------
+# --- set-family frames, sub-frames, chains and products against the order
+# path and against the construction from label callables ------------------
 
 def frame_state(frame):
     return (frame.labels, frame._up, frame._join, frame._meet, frame.pseudo,
@@ -816,66 +829,6 @@ def sub_frames(pframe):
     quotients = [open_quotient(pframe, y) for y in pframe.frame.labels]
     return [q.target.frame for q in quotients + [booleanization(pframe)] if q]
 
-
-@settings(max_examples=40, deadline=None, derandomize=True)
-@given(st.integers(0, 10**6))
-def test_sublattice_path_matches_the_order_path(seed):
-    pframe = pointed_frame(random.Random(seed))
-    fr = pframe.frame
-    family = set(fr.labels)
-    assert frame_state(FiniteFrame.from_sets(family)) == frame_state(fr)
-    assert frame_state(fr) == order_path(family, subset_order(family))
-    targets = sub_frames(pframe)
-    assert targets
-    for sub in [fr, *targets]:
-        leq = {(a, b) for a in sub.labels for b in sub.labels if fr.leq(a, b)}
-        assert frame_state(sub) == order_path(sub.labels, leq)
-        violations, join, meet = reference_frame_tables(sub.labels, leq)
-        assert violations == [] and label_tables(sub) == (join, meet, leq)
-
-
-def test_chains_and_products_match_the_order_path():
-    c3, c2 = FiniteFrame.chain(3), FiniteFrame.chain(2)
-    for frame in (c3, c2, FiniteFrame.chain(12), FiniteFrame.product(c3, c2)):
-        assert frame_state(frame) == order_path(frame.labels, label_tables(frame)[2])
-
-
-@settings(max_examples=150, deadline=None, derandomize=True)
-@given(st.lists(st.frozensets(st.integers(0, 3)), max_size=7))
-def test_unclosed_set_families_take_the_order_path(family):
-    try:
-        got = frame_state(FiniteFrame.from_sets(family))
-    except StructureError as exc:
-        got = str(exc)
-    assert got == order_path(set(family), subset_order(set(family)))
-
-
-def test_empty_family_has_no_least_element():
-    with pytest.raises(StructureError) as err:
-        FiniteFrame.from_sets([])
-    assert str(err.value) == "not a finite frame: [no least element at ()]"
-
-
-def test_sampled_frames_skip_the_order_path(monkeypatch):
-    calls = []
-    order_tables_of = frames._frame_tables
-
-    def counted(labels, leq_pairs):
-        calls.append(labels)
-        return order_tables_of(labels, leq_pairs)
-
-    monkeypatch.setattr(frames, "_frame_tables", counted)
-    for seed in range(30):
-        pframe = pointed_frame(random.Random(seed))
-        sub_frames(pframe)
-        dense_surjection(random.Random(seed), pframe)
-    assert calls == []
-    with pytest.raises(StructureError, match="no unique join"):
-        FiniteFrame.from_sets([A, B])
-    assert len(calls) == 1
-
-
-# --- integer-table constructors against the label-callable construction -----
 
 def reference_sublattice_tables(labels, join, meet):
     """(labels, up, join, meet) of labels closed under the callables join and
@@ -935,27 +888,36 @@ def pairwise(fa, fb):
     return lambda p, q: (fa(p[0], q[0]), fb(p[1], q[1]))
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
+@settings(max_examples=40, deadline=None, derandomize=True)
 @given(st.integers(0, 10**6))
-def test_integer_tables_match_the_callable_construction(seed):
+def test_sublattice_path_matches_the_order_path(seed):
     rng = random.Random(seed)
     pframe = pointed_frame(rng)
     fr = pframe.frame
-    union, inter = frozenset.__or__, frozenset.__and__
-    assert frame_state(fr) == reference_state(set(fr.labels), union, inter)
-    for sub in sub_frames(pframe):
+    family = set(fr.labels)
+    assert frame_state(FiniteFrame.from_sets(family)) == frame_state(fr)
+    assert frame_state(fr) == order_path(family, subset_order(family))
+    assert frame_state(fr) == reference_state(family, frozenset.__or__, frozenset.__and__)
+    targets = sub_frames(pframe)
+    assert targets
+    for sub in [fr, *targets]:
+        leq = {(a, b) for a in sub.labels for b in sub.labels if fr.leq(a, b)}
+        assert frame_state(sub) == order_path(sub.labels, leq)
         assert frame_state(sub) == reference_state(sub.labels, fr.join, fr.meet)
-    # an unclosed subset of the labels, in a scrambled order
-    some = [x for x in fr.labels if rng.random() < 0.5][::-1]
-    if some:
-        assert state_or_error(fr.subframe, some) == reference_state(some, fr.join, fr.meet)
+        violations, join, meet = reference_frame_tables(sub.labels, leq)
+        assert violations == [] and label_tables(sub) == (join, meet, leq)
+    # a subset of the labels, most often unclosed, in a scrambled order
+    some = [x for x in fr.labels if rng.random() < 0.5][::-1] or [fr.top]
+    assert state_or_error(fr.subframe, some) == reference_state(some, fr.join, fr.meet)
 
 
-def test_chains_and_products_match_the_callable_construction():
+def test_chains_and_products_match_the_order_path():
+    c3, c2 = FiniteFrame.chain(3), FiniteFrame.chain(2)
+    for frame in (c3, c2, FiniteFrame.chain(12), FiniteFrame.product(c3, c2)):
+        assert frame_state(frame) == order_path(frame.labels, label_tables(frame)[2])
     for n in range(1, 13):
         assert frame_state(FiniteFrame.chain(n)) == reference_state(range(n), max, min)
     assert FiniteFrame.chain(12).labels[:5] == (0, 1, 10, 11, 2)
-    c3, c2 = FiniteFrame.chain(3), FiniteFrame.chain(2)
     for a, b in ((c3, c2), (c2, c3), (FiniteFrame.product(c2, c2), c3), (F4, c2)):
         pairs = [(x, y) for x in a.labels for y in b.labels]
         want = reference_state(pairs, pairwise(a.join, b.join), pairwise(a.meet, b.meet))
@@ -964,33 +926,55 @@ def test_chains_and_products_match_the_callable_construction():
 
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(st.lists(st.frozensets(st.integers(0, 3)), max_size=7))
-def test_set_families_match_the_callable_construction(family):
-    want = reference_state({frozenset(s) for s in family}, frozenset.__or__,
-                           frozenset.__and__)
-    assert state_or_error(FiniteFrame.from_sets, family) == want
+def test_unclosed_set_families_take_the_order_path(family):
+    got = state_or_error(FiniteFrame.from_sets, family)
+    assert got == order_path(set(family), subset_order(set(family)))
+    assert got == reference_state(set(family), frozenset.__or__, frozenset.__and__)
 
 
-def test_empty_families_match_the_callable_construction():
+def test_empty_family_has_no_least_element():
+    with pytest.raises(StructureError) as err:
+        FiniteFrame.from_sets([])
     want = "not a finite frame: [no least element at ()]"
-    assert reference_state([], max, min) == want
-    assert state_or_error(FiniteFrame.from_sets, []) == want
+    assert str(err.value) == want == reference_state([], max, min)
     assert state_or_error(FiniteFrame.chain, 0) == want
     assert state_or_error(F4.subframe, []) == want
 
 
+def test_sampled_frames_skip_the_order_path(monkeypatch):
+    calls = []
+    order_tables_of = frames._frame_tables
+
+    def counted(labels, leq_pairs):
+        calls.append(labels)
+        return order_tables_of(labels, leq_pairs)
+
+    monkeypatch.setattr(frames, "_frame_tables", counted)
+    for seed in range(30):
+        pframe = pointed_frame(random.Random(seed))
+        sub_frames(pframe)
+        dense_surjection(random.Random(seed), pframe)
+    assert calls == []
+    with pytest.raises(StructureError, match="no unique join"):
+        FiniteFrame.from_sets([A, B])
+    assert len(calls) == 1
+
+
 LABEL_ORDER = """
-import random, sys
+import random
 from trunclab.rat import format_label
-from trunclab.sampling import open_quotient, pointed_frame
+from trunclab.sampling import booleanization, open_quotient, pointed_frame
 for seed in range(40):
     pframe = pointed_frame(random.Random(seed))
-    frames = [pframe.frame] + [q.target.frame for q in (
-        open_quotient(pframe, y) for y in pframe.frame.labels) if q]
+    maps = [open_quotient(pframe, y) for y in pframe.frame.labels]
+    frames = [pframe.frame] + [q.target.frame for q in maps + [booleanization(pframe)] if q]
     print([[format_label(x) for x in fr.labels] for fr in frames])
 """
 
 
 def test_label_order_ignores_the_hash_seed():
+    """Set-family frames and their sub-frames list their labels in one order
+    under every PYTHONHASHSEED, though set iteration order changes."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     outs = []
     for seed in ("0", "3"):
@@ -1002,25 +986,3 @@ def test_label_order_ignores_the_hash_seed():
         assert proc.returncode == 0, proc.stderr
         outs.append(proc.stdout)
     assert outs[0] == outs[1] and outs[0].count("\n") == 40
-
-
-def unpreserved_point_error(frame, true_set):
-    bad = _unpreserved(frame, [int(x in true_set) for x in frame.labels],
-                       [("meet", frame._meet, ((0, 0), (0, 1))),
-                        ("join", frame._join, ((0, 1), (1, 1)))])
-    return bad and "point not {}-preserving at ({},{})".format(*bad)
-
-
-@settings(max_examples=80, deadline=None, derandomize=True)
-@given(st.integers(0, 10**6))
-def test_point_check_reports_the_pairwise_witness(seed):
-    # up-sets of one element (filters, prime or not), and random true sets
-    rng = random.Random(seed)
-    frame, _ = downset_frame(rng)
-    inner = [x for x in frame.labels if x not in (frame.top, frame.bottom)]
-    focus = rng.choice(inner or [frame.top])
-    sets = [frozenset(x for x in frame.labels if frame.leq(focus, x)),
-            frozenset(x for x in inner if rng.random() < 0.5) | {frame.top}]
-    for true_set in sets:
-        want = unpreserved_point_error(frame, true_set)
-        assert structure_error(PointedFiniteFrame, frame, None, true_set) == want
