@@ -78,6 +78,7 @@ ARGVS = [
     ("pointwise", "g", "h", "gn", *F, *J),
     ("pointwise", "u", "v", "un", *F, *J),
     ("dini", "s", "fd", *F, *J),
+    *[("dini", seq, "--file", "dini_models.tl", *J) for seq in ("ts", "dw", "dz")],
     ("ex1-report", *C, *J),
     ("suite", "trunc-axioms", *C, *J),
     ("suite", "trunc-axioms", "identities", "cut-cases", "--cases", "6",
