@@ -20,7 +20,7 @@ from .elements import (Carrier, GoodSequence, SimpleElement, SimpleTrunc,
                        truncation_sequence_check, uc)
 from .equivalences import equivalence_witness
 from .errors import BudgetError, CertificationError, ParseError, TruncLabError
-from .frames import (FrameReal, OpenInterval, drop, e0q_member, frame_dini,
+from .frames import (FrameReal, OpenInterval, drop, e0q_member,
                      frame_pointwise_sup, frame_uc_check, induced_op,
                      surjection_tools)
 from .instances import Instance, Sequence, parse_instance
@@ -236,12 +236,7 @@ def cmd_pointwise(inst, names, args, report):
 def cmd_dini(inst, names, args, report):
     _require(names, "dini SEQUENCE...")
     for name in names:
-        seq = inst.get(name, "sequence")
-        terms = list(seq.terms)
-        if terms and isinstance(terms[0], FrameReal):
-            rep = frame_dini(terms)
-        else:
-            rep = dini_check(terms)
+        rep = dini_check(inst.get(name, "sequence").terms)
         report.add_check(f"dini {name}: limit zero", rep.limit_is_zero)
         if rep.limit_is_zero:
             report.add_check(f"dini {name}: uniform", rep.uniform)

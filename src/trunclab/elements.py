@@ -63,6 +63,10 @@ class Carrier:
         self._require_nonneg("trunc_at")
         return self._cap(n)
 
+    def grid_values(self):
+        """The values whose cuts make dini_check's epsilon grid: the maximum."""
+        return [self.max_value()]
+
 
 class StepValues(Carrier):
     """A carrier whose finite values are integer numerators over one denominator.
@@ -672,11 +676,12 @@ class DiniReport:
 
 
 def dini_check(seq):
-    """Monotone nonincreasing, nonnegative, eventually constant sequences.
+    """Monotone nonincreasing, nonnegative, eventually constant sequences of
+    simple elements, tail elements or frame reals.
 
     When the pointwise limit (the stable tail) is zero, reports the index
     function epsilon -> m realizing the uniform criterion max(g_n) < epsilon
-    for n >= m.
+    for n >= m, at each epsilon > 0 of the cut grid of the terms' grid_values.
     """
     seq = list(seq)
     if not seq:
@@ -687,10 +692,10 @@ def dini_check(seq):
     for i in range(len(seq) - 1):
         if not (seq[i] - seq[i + 1]).is_nonneg():
             raise StructureError(f"sequence not nonincreasing at index {i + 2}")
-    if not seq[-1].is_zero():
-        return DiniReport(False, False, {})
     maxima = [t.max_value() for t in seq]
-    grid = [e for e in cut_grid(maxima + [0]) if e > 0]
+    if maxima[-1] != 0:  # a nonnegative term is zero iff its maximum is
+        return DiniReport(False, False, {})
+    grid = [e for e in cut_grid([0, *(v for t in seq for v in t.grid_values())]) if e > 0]
     index_map = {}
     for eps in grid:
         m = next(i for i in range(1, len(seq) + 1)

@@ -16,10 +16,10 @@ from fractions import Fraction
 from functools import reduce
 from math import gcd, lcm
 
-from .elements import (OPS, DiniReport, StepValues, apply_op, int_cut_grid,
+from .elements import (OPS, StepValues, apply_op, cut_grid, int_cut_grid,
                        is_unital_component)
-from .errors import (BudgetError, PositivityError, SpaceMismatchError,
-                     StructureError, UnsupportedOperationError, certify)
+from .errors import (BudgetError, SpaceMismatchError, StructureError,
+                     UnsupportedOperationError, certify)
 from .gba import Violation, order_lattice
 from .rat import (NEG_INF, POS_INF, as_fraction, format_label, format_rational,
                   is_finite, sort_key, sorted_labels)
@@ -259,7 +259,7 @@ class FrameReal(StepValues):
 
     def __init__(self, pframe, cells, extended=False, pointed=True):
         fr = pframe.frame
-        merged = {}
+        finite, ends = [], {NEG_INF: fr._bot, POS_INF: fr._bot}
         for value, cell in cells:
             if is_finite(value):
                 value = as_fraction(value)
@@ -267,15 +267,16 @@ class FrameReal(StepValues):
                 raise StructureError("infinite values need a D-type frame real")
             if cell not in fr.index:
                 raise StructureError(f"unknown frame element {cell!r}")
-            if cell == fr.bottom:
-                continue
-            merged[value] = fr.join(merged[value], cell) if value in merged else cell
-        neg, pos = (merged.pop(v, None) for v in (NEG_INF, POS_INF))
-        den = lcm(*(v.denominator for v in merged))
-        self._store(pframe, [(v.numerator * (den // v.denominator), fr.index[c])
-                             for v, c in merged.items()], den)
+            c = fr.index[cell]
+            if not is_finite(value):
+                ends[value] = fr._join[ends[value]][c]
+            elif c != fr._bot:
+                finite.append((value, c))
+        den = lcm(*(v.denominator for v, _ in finite))
+        self._store(pframe, [(v.numerator * (den // v.denominator), c)
+                             for v, c in finite], den)
         self.extended, self.pointed = extended, pointed
-        self._neg, self._pos = (None if c is None else fr.index[c] for c in (neg, pos))
+        self._neg, self._pos = (None if c == fr._bot else c for c in ends.values())
         self._validate()
 
     @classmethod
@@ -337,6 +338,15 @@ class FrameReal(StepValues):
 
     def values(self):
         return [Fraction(n, self._den) if is_finite(n) else n for n, _ in self._items()]
+
+    def grid_values(self):
+        """Every finite value: the cuts of the drop and lift squares, the
+        pointwise-sup test and the frame Dini report."""
+        return [Fraction(n, self._den) for n in self._nums]
+
+    def max_value(self):
+        """The last value: inf when there is a +inf cell."""
+        return self.values()[-1]
 
     def to_json(self):
         """The report form: each cell value to its frame element."""
@@ -591,13 +601,7 @@ def drop(q, h_prime):
             certify(q(c) == ft.bottom,
                     "infinite cells must collapse under the condition", (v, c))
     h = FrameReal(q.target, cells, pointed=h_prime.pointed)
-    probes = [real_line()]
-    for r in _cut_points([h_prime], 0):
-        probes += [OpenInterval(NEG_INF, r, closed_lo=True),
-                   OpenInterval(r, POS_INF, closed_hi=True), ray_below(r), ray_above(r)]
-    for u in probes:
-        certify(q(h_prime.eval(u)) == h.eval(u.restrict_to_reals()),
-                "drop square q o h' = h o p fails", u)
+    _certify_square(q, h_prime, h, h_prime, "drop square q o h' = h o p fails")
     return DropResult(True, result=h)
 
 
@@ -614,14 +618,18 @@ class LiftResult:
         return f"LiftResult(refuted: {self.note})"
 
 
-def _certify_lift(q, h, h_prime):
-    """Certify q o h' = h o p on the real line and the rays at every cut of h."""
+def _certify_square(q, h_prime, h, given, message):
+    """Certify q o h' = h o p on the real line, then at each cut r of the
+    given real's finite values and 0 on [-inf, r) and (r, +inf] when h' is
+    extended and on (-inf, r) and (r, inf); the first failing open is the witness."""
     probes = [real_line()]
-    for r in _cut_points([h], 0):
+    for r in cut_grid([0, *given.grid_values()]):
+        if h_prime.extended:
+            probes += [OpenInterval(NEG_INF, r, closed_lo=True),
+                       OpenInterval(r, POS_INF, closed_hi=True)]
         probes += [ray_below(r), ray_above(r)]
     for u in probes:
-        certify(q(h_prime.eval(u)) == h.eval(u),
-                "the lift must satisfy q o h' = h o p", u)
+        certify(q(h_prime.eval(u)) == h.eval(u.restrict_to_reals()), message, u)
 
 
 def e0q_member(q, h, max_frame=20):
@@ -640,7 +648,7 @@ def e0q_member(q, h, max_frame=20):
     cand = [(v, q.adjoint[c]) for v, c in h.cells]
     if fs.join_all(c for _, c in cand) == fs.top:
         h_prime = FrameReal(q.source, cand)
-        _certify_lift(q, h, h_prime)
+        _certify_square(q, h_prime, h, h, "the lift must satisfy q o h' = h o p")
         return LiftResult(True, witness=h_prime, method="adjoint")
     return e0q_exhaustive(q, h, max_frame=max_frame)
 
@@ -670,18 +678,11 @@ def e0q_exhaustive(q, h, max_frame=20):
     if cells is None:
         return LiftResult(False, note="no complemented partition lifts the cells")
     h_prime = FrameReal(q.source, [(v, c) for (v, _), c in zip(target_cells, cells)])
-    _certify_lift(q, h, h_prime)
+    _certify_square(q, h_prime, h, h, "the lift must satisfy q o h' = h o p")
     return LiftResult(True, witness=h_prime, method="exhaustive")
 
 
-# --- pointwise suprema and Dini --------------------------------------------
-
-def _cut_points(reals, *extra):
-    """cut_grid of the reals' finite values and the extra ints, built on ints."""
-    d = 2 * lcm(*(g._den for g in reals))
-    points = {n * (d // g._den) for g in reals for n in g._nums}
-    return [Fraction(r, d) for r in int_cut_grid(points.union(x * d for x in extra), d)]
-
+# --- pointwise suprema ---------------------------------------------------
 
 def frame_pointwise_sup(family):
     """Cell-wise maximum, verified by the defining join equation at all cuts."""
@@ -690,33 +691,8 @@ def frame_pointwise_sup(family):
         raise StructureError("pointwise sup of an empty family")
     sup = reduce(lambda a, b: a.join(b), family)
     fr = sup.pframe.frame
-    for r in _cut_points(family + [sup]):
+    for r in cut_grid([v for g in family + [sup] for v in g.grid_values()]):
         lhs = fr.join_all(g.eval(ray_above(r)) for g in family)
         certify(lhs == sup.eval(ray_above(r)), "pointwise sup fails the cut test", r)
     return sup
 
-
-def frame_dini(seq):
-    """Monotone nonincreasing nonnegative frame reals, last term stable.
-
-    When the stable tail is zero, compactness of the finite frame yields an
-    index function epsilon -> m with g_n(-inf, epsilon) = top for n >= m.
-    """
-    seq = list(seq)
-    if not seq:
-        raise StructureError("empty sequence")
-    fr = seq[0].pframe.frame
-    for t in seq:
-        if not t.is_nonneg():
-            raise PositivityError("frame_dini needs nonnegative terms")
-    for i in range(len(seq) - 1):
-        if not seq[i + 1].leq(seq[i]):
-            raise StructureError(f"sequence not nonincreasing at index {i + 2}")
-    if seq[-1] != FrameReal.zero(seq[-1].pframe):
-        return DiniReport(False, False, {})
-    index_map = {}
-    for eps in [e for e in _cut_points(seq, 0) if e > 0]:
-        m = next(i for i in range(1, len(seq) + 1)
-                 if all(t.eval(ray_below(eps)) == fr.top for t in seq[i - 1:]))
-        index_map[eps] = m
-    return DiniReport(True, True, index_map)

@@ -20,9 +20,8 @@ from .elements import (SimpleElement, bound_witness, bounded_away_from_zero,
                        truncation_sequence_check, uc)
 from .equivalences import equivalence_witness
 from .frames import (FiniteFrame, FrameReal, FrameSurjection, PointedFiniteFrame,
-                     chi, drop, e0q_exhaustive, e0q_member, frame_dini,
-                     frame_pointwise_sup, induced_op, ray_above, ray_below,
-                     surjection_tools)
+                     chi, drop, e0q_exhaustive, e0q_member, frame_pointwise_sup,
+                     induced_op, ray_above, ray_below, surjection_tools)
 from .gba import clopen, iba_forget, idealize, map_failure, stone
 from .hyper import hyperarchimedean
 from .kernels import KernelSpec, kernel_closure, pointwise_closed
@@ -360,7 +359,7 @@ def suite_dini(rng, cases, failures, seed):
         steps = rng.randint(2, 5)
         seq = [g.scale(Fraction(1, k)) for k in range(1, steps + 1)]
         seq += [FrameReal.zero(pf)] * 2
-        rep = frame_dini(seq)
+        rep = dini_check(seq)
         if not rep.limit_is_zero or not rep.uniform:
             failures.append(f"frame dini fails: g={g!r}")
         for eps, m in rep.index_map.items():

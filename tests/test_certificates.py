@@ -17,7 +17,7 @@ from trunclab import cli, frames
 from trunclab.elements import SimpleElement
 from trunclab.errors import CertificationError
 from trunclab.frames import (FiniteFrame, FrameReal, FrameSurjection,
-                             OpenInterval, PointedFiniteFrame, _certify_lift,
+                             OpenInterval, PointedFiniteFrame, _certify_square,
                              chi, real_line, surjection_tools)
 from trunclab.rat import chance
 
@@ -47,6 +47,22 @@ def test_package_has_no_floats():
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
              if isinstance(node, ast.Name) and node.id == "float"
              or isinstance(node, ast.Constant) and isinstance(node.value, float)]
+    assert found == []
+
+
+def test_package_has_no_unused_imports():
+    """Every name a module outside __init__ imports at its top level is used."""
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        found += [f"{path.relative_to(PACKAGE)}:{node.lineno} {name}"
+                  for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom))
+                  for alias in node.names
+                  for name in [(alias.asname or alias.name).partition(".")[0]]
+                  if name not in used]
     assert found == []
 
 
@@ -84,9 +100,10 @@ def test_galois_certificate_names_the_failing_pair():
 
 def test_lift_certificate_names_the_failing_probe():
     q, h = identity(), chi(PF4, B)
-    _certify_lift(q, h, h)
-    with pytest.raises(CertificationError) as info:
-        _certify_lift(q, h, h.scale(2))
+    message = "the lift must satisfy q o h' = h o p"
+    _certify_square(q, h, h, h, message)
+    with pytest.raises(CertificationError, match="the lift must satisfy") as info:
+        _certify_square(q, h.scale(2), h, h, message)
     assert isinstance(info.value.witness, OpenInterval)
 
 

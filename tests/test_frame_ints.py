@@ -5,6 +5,10 @@ result rebuilt through the validating constructor, and eval through
 interval membership on Fractions.  The reference certifiers below are the earlier
 pointwise-sup cut test, Dini index map, drop square and lift probes on
 cut_grid's Fractions.  Hypothesis compares them with the integer layer.
+
+old_dini_check, frame_dini and certify_lift are the Dini checks and the lift
+certificate from before dini_check served every model and drop and lift
+shared one square certificate.
 """
 
 import itertools
@@ -19,15 +23,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trunclab import frames
-from trunclab.elements import OPS, ZERO, Carrier, apply_op, cut_grid
+from trunclab.elements import (OPS, ZERO, Carrier, DiniReport, SimpleElement,
+                               apply_op, cut_grid, dini_check)
 from trunclab.errors import (CertificationError, PositivityError,
                              SpaceMismatchError, StructureError,
                              UnsupportedOperationError)
-from trunclab.frames import (FrameReal, OpenInterval, _certify_lift, drop,
-                             e0q_member, frame_dini, frame_pointwise_sup,
-                             ray_above, ray_below, real_line)
+from trunclab.frames import (FrameReal, OpenInterval, _certify_square, drop,
+                             e0q_member, frame_pointwise_sup, ray_above,
+                             ray_below, real_line)
 from trunclab.rat import NEG_INF, POS_INF, as_fraction, is_finite
-from trunclab.sampling import dense_surjection, frame_real, pointed_frame
+from trunclab.sampling import (dense_surjection, frame_real, pointed_frame,
+                               random_space, simple_element)
+from trunclab.seqspace import SeqTrunc, TailElement
 
 from test_frames import interval_contains
 
@@ -297,11 +304,99 @@ def test_dini_matches_the_fraction_reference(seed):
     g = frame_real(rng, pf, nonneg=True)
     seq = [g.scale(F(1, k)) for k in range(1, rng.randint(2, 5) + 1)]
     seq += [FrameReal.zero(pf)] * 2
-    rep = frame_dini(seq)
+    rep = dini_check(seq)
     assert rep.limit_is_zero and rep.index_map == ref_dini([ref(t) for t in seq])
     if g != FrameReal.zero(pf):
         with pytest.raises(StructureError, match="not nonincreasing at index 3"):
-            frame_dini(seq[::-1])
+            dini_check(seq[::-1])
+
+
+def old_dini_check(seq):
+    """dini_check before it served frame reals: simple and tail elements."""
+    seq = list(seq)
+    if not seq:
+        raise StructureError("empty sequence")
+    for t in seq:
+        if not t.is_nonneg():
+            raise PositivityError("dini_check needs nonnegative terms")
+    for i in range(len(seq) - 1):
+        if not (seq[i] - seq[i + 1]).is_nonneg():
+            raise StructureError(f"sequence not nonincreasing at index {i + 2}")
+    if not seq[-1].is_zero():
+        return DiniReport(False, False, {})
+    maxima = [t.max_value() for t in seq]
+    grid = [e for e in cut_grid(maxima + [0]) if e > 0]
+    index_map = {}
+    for eps in grid:
+        m = next(i for i in range(1, len(seq) + 1)
+                 if all(mx < eps for mx in maxima[i - 1:]))
+        index_map[eps] = m
+    return DiniReport(True, True, index_map)
+
+
+def frame_dini(seq):
+    """The Dini check of frame reals, with its grid on cut_grid's Fractions."""
+    seq = list(seq)
+    if not seq:
+        raise StructureError("empty sequence")
+    fr = seq[0].pframe.frame
+    for t in seq:
+        if not t.is_nonneg():
+            raise PositivityError("frame_dini needs nonnegative terms")
+    for i in range(len(seq) - 1):
+        if not seq[i + 1].leq(seq[i]):
+            raise StructureError(f"sequence not nonincreasing at index {i + 2}")
+    if seq[-1] != FrameReal.zero(seq[-1].pframe):
+        return DiniReport(False, False, {})
+    index_map = {}
+    grid = cut_grid([v for t in seq for v in t.values() if is_finite(v)] + [0])
+    for eps in [e for e in grid if e > 0]:
+        m = next(i for i in range(1, len(seq) + 1)
+                 if all(t.eval(ray_below(eps)) == fr.top for t in seq[i - 1:]))
+        index_map[eps] = m
+    return DiniReport(True, True, index_map)
+
+
+def dini_outcome(fn, seq):
+    """The report of fn(seq) as a tuple, or the type and text of what it raised."""
+    try:
+        rep = fn(seq)
+    except (PositivityError, StructureError, UnsupportedOperationError) as exc:
+        if isinstance(exc, PositivityError):  # frame_dini named itself here
+            return "PositivityError", "dini_check needs nonnegative terms"
+        return type(exc).__name__, str(exc)
+    return rep.limit_is_zero, rep.uniform, rep.index_map
+
+
+def dini_sequences(g, h, f, zero):
+    """Monotone, reversed, constant and mixed-sign sequences from nonnegative
+    g and h and any f."""
+    mono = [g.join(h), g, g.meet(h)] + [g.meet(h).scale(F(1, k)) for k in (2, 3)] + [zero]
+    return [mono, mono[::-1], [g, g], [g.scale(2), g, zero], [f], [g, f, zero],
+            [zero], [h.scale(F(1, 3)), zero, zero]]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(SEEDS)
+def test_dini_check_matches_the_old_check_on_every_model(seed):
+    rng = random.Random(seed)
+    sp, pf, trunc = random_space(rng), pointed_frame(rng), SeqTrunc(rng.randint(0, 2))
+    models = [
+        (old_dini_check, SimpleElement.zero(sp),
+         [simple_element(rng, sp, nonneg=True), simple_element(rng, sp, nonneg=True),
+          simple_element(rng, sp)]),
+        (old_dini_check, TailElement.zero(),
+         trunc.sample_elements(rng, 2, nonneg=True) + trunc.sample_elements(rng, 1)),
+        (frame_dini, FrameReal.zero(pf),
+         [frame_real(rng, pf, nonneg=True), frame_real(rng, pf, nonneg=True),
+          frame_real(rng, pf)]),
+    ]
+    for old, zero, (g, h, f) in models:
+        for seq in dini_sequences(g, h, f, zero):
+            assert dini_outcome(dini_check, seq) == dini_outcome(old, seq), seq
+    dtype = FrameReal(pf, dtype_real(rng, pf), extended=True)
+    for seq in ([dtype], [dtype, dtype], [FrameReal.zero(pf), dtype]):
+        assert dini_outcome(dini_check, seq) == dini_outcome(frame_dini, seq), seq
 
 
 def ref_drop(q, hp, forge=lambda h: h):
@@ -334,9 +429,24 @@ def ref_lift_probe(q, h, hp):
     return next((u for u in probes if q(hp.eval(u)) != h.eval(u)), None)
 
 
-def lift_witness(q, h, hp):
+def certify_lift(q, h, h_prime):
+    """The lift certificate before drop and lift shared _certify_square."""
+    probes = [real_line()]
+    for r in cut_grid(h.values() + [0]):
+        probes += [ray_below(r), ray_above(r)]
+    for u in probes:
+        if q(h_prime.eval(u)) != h.eval(u):
+            raise CertificationError("the lift must satisfy q o h' = h o p", u)
+
+
+def lift_witness(q, h, hp, certify=None):
+    """The failing probe of the lift square, or None; certify defaults to
+    the shared square certificate."""
     try:
-        _certify_lift(q, h, hp)
+        if certify is None:
+            _certify_square(q, hp, h, h, "the lift must satisfy q o h' = h o p")
+        else:
+            certify(q, h, hp)
     except CertificationError as exc:
         return exc.witness
     return None
@@ -354,7 +464,9 @@ def test_drop_square_and_lift_probes_match_the_fraction_reference(seed):
         assert lift_witness(q, h, lift.witness) is None
         assert ref_lift_probe(q, ref(h), ref(lift.witness)) is None
         for forged in (lift.witness.scale(2), frame_real(rng, q.source)):
-            assert lift_witness(q, h, forged) == ref_lift_probe(q, ref(h), ref(forged))
+            want = ref_lift_probe(q, ref(h), ref(forged))
+            assert lift_witness(q, h, forged) == want
+            assert lift_witness(q, h, forged, certify_lift) == want
     for cells in (dtype_real(rng, q.source), lift.witness.cells if lift.ok else []):
         if not cells:
             continue

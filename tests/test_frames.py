@@ -12,13 +12,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trunclab.elements import OPS, apply_op, cut_grid
+from trunclab.elements import OPS, apply_op, cut_grid, dini_check
 from trunclab.errors import (PositivityError, SpaceMismatchError,
                              StructureError)
 from trunclab.frames import (FiniteFrame, FrameReal, FrameSurjection,
                              OpenInterval, PointedFiniteFrame,
                              chi, drop, e0q_exhaustive, e0q_member,
-                             frame_dini, frame_pointwise_sup, frame_uc_check,
+                             frame_pointwise_sup, frame_uc_check,
                              _frame_tables, _unpreserved, induced_op, oracle_mismatch,
                              ray_above, ray_below, real_line, surjection_tools)
 from trunclab.gba import Violation, transitive_closure
@@ -305,11 +305,11 @@ def test_frame_pointwise_sup_examples():
 def test_frame_dini_example():
     u = chi_b()
     seq = [u.scale(F(1, n)) for n in range(1, 5)] + [FrameReal.zero(PF4)] * 2
-    rep = frame_dini(seq)
+    rep = dini_check(seq)
     assert rep.limit_is_zero and rep.uniform
     assert rep.index_map[F(1, 3)] == 4  # (1/n) chi(-inf, 1/3) = top iff 1/n < 1/3
     with pytest.raises(StructureError):
-        frame_dini([u, u.scale(2)])
+        dini_check([u, u.scale(2)])
 
 
 def test_bounded_reals_have_top_carrier():
