@@ -400,9 +400,6 @@ class FrameReal(StepValues):
     def is_nonneg(self):
         return self._neg is None and super().is_nonneg()
 
-    def leq(self, other):
-        return (other - self).is_nonneg()
-
     def __eq__(self, other):
         return (isinstance(other, FrameReal) and self._nums == other._nums
                 and self._den == other._den and self._cells == other._cells

@@ -105,6 +105,68 @@ def order_lattice(labels, leq_pairs):
     return out, None if out else (labels, up, join, meet)
 
 
+def _distributive_lattice(J, M, bot):
+    """Whether total integer tables J, M pass every law of _law_sweep, in
+    O(n^2) bitmask work.  Let a <= b iff J[a][b] == b, keep up- and down-sets
+    as bitmasks, and let D(x) be the join-irreducibles below x and E(x) the
+    other irreducibles; in a lattice, j is irreducible iff the elements
+    strictly below j are the down-set of one element.  It requires
+    (1) up[a] & down[a] == {a}: <= is reflexive and antisymmetric;
+    (2) up[bot] holds every element; (3) up[J[a][b]] == up[a] & up[b]: J is
+    the least upper bound and, where J[a][b] == b, <= is transitive;
+    (4) down[M[a][b]] == down[a] & down[b]; (5) E(J[a][b]) == E(a) & E(b).
+    Passing gives the laws: by (1)-(4) J, M are the join and meet of a lattice
+    with least element bot where up-sets tell elements apart, so every law
+    but distributivity holds; D preserves meets, joins by (5), and x is the
+    join of D(x), so D embeds the lattice in a powerset.  The laws give
+    passing: they make a distributive lattice ordered by a v b = b with bot
+    least, so (1)-(4) hold, and an irreducible j <= a v b is
+    j = (j ^ a) v (j ^ b), so j <= a or j <= b: (5).
+    """
+    up = [sum(1 << b for b, x in enumerate(Ja) if x == b) for Ja in J]
+    down = [sum(1 << a for a, x in enumerate(col) if x == b) for b, col in enumerate(zip(*J))]
+    if up[bot] != (1 << len(J)) - 1 or any(u & d != 1 << a for a, (u, d) in
+                                           enumerate(zip(up, down))):
+        return False
+    downs = set(down)
+    irreducible = sum(1 << j for j, d in enumerate(down) if d ^ 1 << j in downs)
+    return all(masks[t] == ma & mb for table, masks in
+               ((J, up), (M, down), (J, [irreducible & ~d for d in down]))
+               for ma, row in zip(masks, table) for t, mb in zip(row, masks))
+
+
+def _law_sweep(report, elems, J, M, bot):
+    """Add each lattice-law violation of J, M to report, witnesses as labels."""
+    n = len(elems)
+    for a in range(n):
+        Ja, Ma = J[a], M[a]
+        if Ja[a] != a:
+            report.add("join idempotence", elems[a])
+        if Ma[a] != a:
+            report.add("meet idempotence", elems[a])
+        if Ja[bot] != a:
+            report.add("bottom not least", elems[a])
+        if Ma[bot] != bot:
+            report.add("bottom meet law", elems[a])
+        for b in range(n):
+            jab, mab = Ja[b], Ma[b]
+            if jab != J[b][a]:
+                report.add("join commutativity", elems[a], elems[b])
+            if mab != M[b][a]:
+                report.add("meet commutativity", elems[a], elems[b])
+            if Ja[mab] != a:
+                report.add("absorption", elems[a], elems[b])
+            if Ma[jab] != a:
+                report.add("absorption", elems[a], elems[b])
+            for c in range(n):
+                if J[jab][c] != Ja[J[b][c]]:
+                    report.add("join associativity", elems[a], elems[b], elems[c])
+                if M[mab][c] != Ma[M[b][c]]:
+                    report.add("meet associativity", elems[a], elems[b], elems[c])
+                if Ma[J[b][c]] != J[mab][Ma[c]]:
+                    report.add("distributivity", elems[a], elems[b], elems[c])
+
+
 class GeneralizedBooleanAlgebra:
     """Explicit finite gBa: carrier plus total join/meet tables and bottom.
 
@@ -181,10 +243,10 @@ class GeneralizedBooleanAlgebra:
     def _check(self, report):
         """Add every gBa axiom violation to report.
 
-        The laws run on integer tables: the carrier is numbered in
-        sorted_labels order, J[a][b] is the number of a v b and M[a][b] that
-        of a ^ b.  Witnesses are reported as labels, in the order a, b, c.
-        A valid algebra without a diff table gets the derived one.
+        The laws run on integer tables: the carrier is numbered in sorted_labels
+        order, J[a][b] is the number of a v b and M[a][b] that of a ^ b.  Only if
+        _distributive_lattice fails does _law_sweep list witnesses, as labels in
+        the order a, b, c.  A valid algebra without a diff table gets the derived one.
         """
         elems = sorted_labels(self.carrier)
         index = {x: i for i, x in enumerate(elems)}
@@ -206,44 +268,8 @@ class GeneralizedBooleanAlgebra:
         J, M = tables
         bot = index[self.bottom]
         n = len(elems)
-        for a in range(n):
-            Ja, Ma = J[a], M[a]
-            if Ja[a] != a:
-                report.add("join idempotence", elems[a])
-            if Ma[a] != a:
-                report.add("meet idempotence", elems[a])
-            if Ja[bot] != a:
-                report.add("bottom not least", elems[a])
-            if Ma[bot] != bot:
-                report.add("bottom meet law", elems[a])
-            for b in range(n):
-                Jb, Mb = J[b], M[b]
-                jab, mab = Ja[b], Ma[b]
-                if jab != Jb[a]:
-                    report.add("join commutativity", elems[a], elems[b])
-                if mab != Mb[a]:
-                    report.add("meet commutativity", elems[a], elems[b])
-                if Ja[mab] != a:
-                    report.add("absorption", elems[a], elems[b])
-                if Ma[jab] != a:
-                    report.add("absorption", elems[a], elems[b])
-                # Rows over c: (a v b) v c, a v (b v c), (a ^ b) ^ c,
-                # a ^ (b ^ c), a ^ (b v c), (a ^ b) v (a ^ c).
-                ab_c = J[jab]
-                a_bc = list(map(Ja.__getitem__, Jb))
-                mab_c = M[mab]
-                a_mbc = list(map(Ma.__getitem__, Mb))
-                dist_l = list(map(Ma.__getitem__, Jb))
-                dist_r = list(map(J[mab].__getitem__, Ma))
-                if ab_c == a_bc and mab_c == a_mbc and dist_l == dist_r:
-                    continue
-                for c in range(n):
-                    if ab_c[c] != a_bc[c]:
-                        report.add("join associativity", elems[a], elems[b], elems[c])
-                    if mab_c[c] != a_mbc[c]:
-                        report.add("meet associativity", elems[a], elems[b], elems[c])
-                    if dist_l[c] != dist_r[c]:
-                        report.add("distributivity", elems[a], elems[b], elems[c])
+        if not _distributive_lattice(J, M, bot):
+            _law_sweep(report, elems, J, M, bot)
         # Candidates for a \ b are the c with c ^ b = bottom and c v b = a v b:
         # group, for each b, those c by c v b, in carrier order.
         by_join = [{} for _ in range(n)]

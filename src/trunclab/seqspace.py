@@ -36,21 +36,15 @@ def _ceil(f):
     return -((-f.numerator) // f.denominator)
 
 
-def poly_sign(coeffs):
-    """Eventual sign of c0 + c1/n + ... + cd/n^d, with a certified bound.
+def _sign_bound(nums):
+    """Eventual sign of c0 + c1/n + ... + cd/n^d, with a certified bound,
+    from the numerators of the c_k over one denominator.
 
     Returns (sign, N): for all n >= N the expression has the given constant
     sign; sign 0 means identically zero.  The bound is
     N = max(1, ceil(sum_{k>j} |c_k| / |c_j|)) + 1 with j the first nonzero
     index, which dominates the lower-order terms rigorously.
     """
-    coeffs = [as_fraction(c) for c in coeffs]
-    den = lcm(*(c.denominator for c in coeffs))
-    return _sign_bound([c.numerator * (den // c.denominator) for c in coeffs])
-
-
-def _sign_bound(nums):
-    """poly_sign of the numerators of coefficients over one denominator."""
     for j, lead in enumerate(nums):
         if lead:
             rest = sum(abs(c) for c in nums[j + 1:])

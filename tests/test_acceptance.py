@@ -16,7 +16,7 @@ CRITERIA = [
     (1, "truncation axioms on 200+200 random elements", suites.suite_trunc_axioms, 400, 2),
     (2, "fundamental identities on >=200 random (g,n,m)", suites.suite_identities, 200, 2),
     (3, "good-sequence bijection on >=200 random g", suites.suite_good_sequences, 200, 2),
-    (4, "idealization passes exhaustive Boolean axioms (<=16)", suites.suite_idealization, 40, 2),
+    (4, "idealization passes exhaustive Boolean axioms (<=16)", suites.suite_idealization, 40, 1),
     (5, "equivalence round trips on all spaces with <=5 points", suites.suite_equivalences, 5, 1),
     (6, "join-of-meets oracle on >=100 pairs, all 8 tags", suites.suite_induced_oracle, 100, 3),
     (7, "truncation case tables on >=200 random (g,r)", suites.suite_cut_cases, 200, 2),

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from trunclab import gba
 from trunclab.errors import StructureError
 from trunclab.gba import (BooleanAlgebra, GeneralizedBooleanAlgebra,
                           IdealizedBooleanAlgebra, Primed, ValidationReport,
@@ -357,6 +358,95 @@ def test_validate_matches_reference_on_broken_tables():
     no_bottom = GeneralizedBooleanAlgebra(alg.carrier, alg.join, alg.meet, "z")
     assert [v.law for v in assert_matches_reference(no_bottom)] == [
         "bottom not in carrier"]
+
+
+# --- the quadratic lattice certificate against the cubic sweep ---------------
+
+LATTICE_LAWS = {"join idempotence", "meet idempotence", "bottom not least",
+                "bottom meet law", "join commutativity", "meet commutativity",
+                "absorption", "join associativity", "meet associativity",
+                "distributivity"}
+
+
+def swept(monkeypatch):
+    """The algebras whose validation entered the per-triple sweep."""
+    seen, sweep = [], gba._law_sweep
+
+    def counting_sweep(report, elems, *tables):
+        seen.append(frozenset(elems))
+        sweep(report, elems, *tables)
+
+    monkeypatch.setattr(gba, "_law_sweep", counting_sweep)
+    return seen
+
+
+def assert_certificate_matches_reference(alg, seen):
+    """validate() equals the reference, and the sweep ran exactly when the
+    reference finds a broken lattice law on total, closed tables."""
+    del seen[:]
+    expected = assert_matches_reference(alg)
+    shapes = {"table not total", "not closed", "bottom not in carrier"}
+    if any(s in v.law for v in expected for s in shapes):
+        assert seen == []
+    else:
+        assert bool(seen) == any(v.law in LATTICE_LAWS for v in expected)
+    return expected
+
+
+def single_entry_mutants(alg):
+    """alg with one join or meet entry replaced by each other element."""
+    elems = sorted_labels(alg.carrier)
+    for name in ("join", "meet"):
+        for key, value in getattr(alg, name).items():
+            for other in elems:
+                if other != value:
+                    yield edited(alg, **{name: {key: other}})
+
+
+def test_certificate_matches_reference_on_single_entry_mutants(monkeypatch):
+    seen = swept(monkeypatch)
+    for alg in (powerset_gba("1", "2"),
+                gba_view(idealize(powerset_gba("1")).algebra)):
+        assert assert_certificate_matches_reference(alg, seen) == []
+        broken = [assert_certificate_matches_reference(m, seen)
+                  for m in single_entry_mutants(alg)]
+        assert len(broken) == 2 * 16 * 3 and all(broken)
+
+
+def test_certificate_matches_reference_on_small_lattices(monkeypatch):
+    seen = swept(monkeypatch)
+    n5 = lattice(["0", "a", "b", "c", "1"],
+                 {("0", "a"), ("a", "b"), ("b", "1"), ("0", "c"), ("c", "1")})
+    m3 = lattice(["0", "x", "y", "z", "1"],
+                 {("0", t) for t in "xyz"} | {(t, "1") for t in "xyz"})
+    m4 = lattice(["0", "w", "x", "y", "z", "1"],
+                 {("0", t) for t in "wxyz"} | {(t, "1") for t in "wxyz"})
+    chain = lattice(["b", "m", "t"], {("b", "m"), ("m", "t")})
+    for alg in (n5, m3, m4):
+        laws = {v.law for v in assert_certificate_matches_reference(alg, seen)}
+        assert "distributivity" in laws and seen
+    # a chain is distributive: the certificate passes, only complements fail
+    laws = {v.law for v in assert_certificate_matches_reference(chain, seen)}
+    assert laws == {"relative complement missing"} and seen == []
+
+
+def test_certificate_catches_a_wrong_meet_on_a_lattice_order(monkeypatch):
+    # the join table, and so the order, is the powerset's; the meet table
+    # is symmetric but names {1} as the meet of {1} and {2}
+    seen = swept(monkeypatch)
+    alg = powerset_gba("1", "2")
+    one, two = frozenset({"1"}), frozenset({"2"})
+    wrong = edited(alg, meet={(one, two): one, (two, one): one})
+    laws = {v.law for v in assert_certificate_matches_reference(wrong, seen)}
+    assert "absorption" in laws and "meet commutativity" not in laws and seen
+
+
+def test_clopen_of_five_points_never_enters_the_sweep(monkeypatch):
+    seen = swept(monkeypatch)
+    bi = clopen(space("1", "2", "3", "4"))
+    assert len(bi) == 32 and bi.validate().ok
+    assert iba_forget(bi).validate().ok and stone(bi) is not None
+    assert seen == []
 
 
 # --- validation runs once per algebra ----------------------------------------

@@ -20,10 +20,18 @@ from trunclab.rat import chance
 from trunclab.seqspace import (SeqTrunc, TailElement, baf_infinity,
                                bounded_away_from_zero_tail, clearance_chain,
                                enough_uc_check, ex1_report,
-                               partial_truncations, poly_sign,
-                               simple_part_member, sup_of_filtration_is)
+                               partial_truncations, simple_part_member,
+                               sup_of_filtration_is)
 
 G0 = TailElement.tail_unit(1)
+
+
+def poly_sign(coeffs):
+    """Eventual sign of c0 + c1/n + ... + cd/n^d and a bound past which it
+    holds: seqspace._sign_bound on the numerators over one denominator."""
+    coeffs = [F(c) for c in coeffs]
+    den = math.lcm(*(c.denominator for c in coeffs))
+    return seqspace._sign_bound([c.numerator * (den // c.denominator) for c in coeffs])
 
 
 def test_poly_sign_bounds():
