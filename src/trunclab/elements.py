@@ -23,6 +23,7 @@ from .spaces import PointedBooleanSpace
 
 
 ONE, ZERO = Fraction(1), Fraction(0)
+_COEFFS = [Fraction(n, d) for n in range(-3, 4) for d in (1, 2, 3)]  # sample values
 
 
 class Carrier:
@@ -337,6 +338,7 @@ class SimpleTrunc:
                             f"family not closed: {opname} of {set(a)} and {set(b)} "
                             f"gives {set(r)}")
         self.components = fam
+        self._sample_order = sorted(fam, key=lambda s: (len(s), str(sorted_labels(s))))
 
     def __eq__(self, other):
         return (isinstance(other, SimpleTrunc) and self.space == other.space
@@ -360,6 +362,21 @@ class SimpleTrunc:
     def tail_units(self):
         """The pure tails n^(-k) in the carrier: none on a finite space."""
         return []
+
+    def sample_elements(self, rng, count, nonneg=False):
+        """Seeded random members: rational combinations of component functions."""
+        comps = self._sample_order
+        out = []
+        for _ in range(count):
+            g = SimpleElement.zero(self.space)
+            for _ in range(rng.randint(1, 3)):
+                s = comps[rng.randrange(len(comps))]
+                g = g + SimpleElement.chi(self.space, s).scale(
+                    _COEFFS[rng.randrange(len(_COEFFS))])
+            if nonneg:
+                g = abs(g)
+            out.append(g)
+        return out
 
 
 def lc(space, family=None):

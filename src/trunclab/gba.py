@@ -149,21 +149,32 @@ def _law_sweep(report, elems, J, M, bot):
         if Ma[bot] != bot:
             report.add("bottom meet law", elems[a])
         for b in range(n):
+            Jb, Mb = J[b], M[b]
             jab, mab = Ja[b], Ma[b]
-            if jab != J[b][a]:
+            if jab != Jb[a]:
                 report.add("join commutativity", elems[a], elems[b])
-            if mab != M[b][a]:
+            if mab != Mb[a]:
                 report.add("meet commutativity", elems[a], elems[b])
             if Ja[mab] != a:
                 report.add("absorption", elems[a], elems[b])
             if Ma[jab] != a:
                 report.add("absorption", elems[a], elems[b])
+            # Rows over c: (a v b) v c, a v (b v c), (a ^ b) ^ c,
+            # a ^ (b ^ c), a ^ (b v c), (a ^ b) v (a ^ c).
+            ab_c = J[jab]
+            a_bc = list(map(Ja.__getitem__, Jb))
+            mab_c = M[mab]
+            a_mbc = list(map(Ma.__getitem__, Mb))
+            dist_l = list(map(Ma.__getitem__, Jb))
+            dist_r = list(map(J[mab].__getitem__, Ma))
+            if ab_c == a_bc and mab_c == a_mbc and dist_l == dist_r:
+                continue
             for c in range(n):
-                if J[jab][c] != Ja[J[b][c]]:
+                if ab_c[c] != a_bc[c]:
                     report.add("join associativity", elems[a], elems[b], elems[c])
-                if M[mab][c] != Ma[M[b][c]]:
+                if mab_c[c] != a_mbc[c]:
                     report.add("meet associativity", elems[a], elems[b], elems[c])
-                if Ma[J[b][c]] != J[mab][Ma[c]]:
+                if dist_l[c] != dist_r[c]:
                     report.add("distributivity", elems[a], elems[b], elems[c])
 
 

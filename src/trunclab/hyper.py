@@ -26,7 +26,7 @@ class HyperVerdict:
 
 
 def hyperarchimedean(model, budget=200, seed=0):
-    """Sampled verdict on a sequence trunc, exact per-pair checks and refutations.
+    """Sampled verdict with exact per-pair checks and exact refutations.
 
     The canonical refuting pair (1/n tail, 1/n^2 tail) is tested first on
     degree >= 2 sequence truncs, making that refutation deterministic.

@@ -8,7 +8,6 @@ directly over long finite prefixes and compare.
 import random
 from fractions import Fraction as F
 
-from test_elements import sample_elements
 from test_kernels import condition1_hypothesis
 from test_seqspace import poly_sign
 
@@ -93,8 +92,8 @@ def test_condition1_hypothesis_matches_brute_quantifier():
     rng = random.Random(43)
     for trunc, specs in _all_kernels():
         for spec in specs:
-            pool = sample_elements(trunc, rng, 30) + trunc.tail_units()
-            hpool = [abs(h) for h in sample_elements(trunc, rng, 30)]
+            pool = trunc.sample_elements(rng, 30) + trunc.tail_units()
+            hpool = [abs(h) for h in trunc.sample_elements(rng, 30)]
             hpool += trunc.tail_units()
             for i, g in enumerate(pool):
                 h = hpool[i % len(hpool)]
@@ -115,7 +114,7 @@ def test_condition3_collapse_matches_brute_quantifier():
             verdict = spec.condition3()
             if verdict.passed:
                 # no g >= 0 meets the hypothesis up to n = 200 outside K
-                pool = [abs(g) for g in sample_elements(trunc, rng, 30)]
+                pool = [abs(g) for g in trunc.sample_elements(rng, 30)]
                 for g in trunc.tail_units() + pool:
                     assert spec.contains(g) or not _hyp3_brute(spec, g, 200)
             else:

@@ -384,21 +384,33 @@ def test_pointwise_sup_matches_the_fraction_reference(rows, point, shift):
     assert witness is None or type(witness) is F
 
 
-def sample_elements(model, rng, count, nonneg=False):
-    """Seeded random members of a trunc.  A sequence trunc draws its own; a
-    simple trunc gets rational combinations of component functions, as
-    SimpleTrunc.sample_elements drew them before it left the package."""
-    if not isinstance(model, SimpleTrunc):
-        return model.sample_elements(rng, count, nonneg)
-    comps = sorted(model.components, key=lambda s: (len(s), str(sorted_labels(s))))
+def reference_simple_samples(trunc, rng, count, nonneg=False):
+    """SimpleTrunc.sample_elements as it once was: the components sorted and
+    the coefficient pool built on every call."""
+    comps = sorted(trunc.components, key=lambda s: (len(s), str(sorted_labels(s))))
     pool = [F(n, d) for n in range(-3, 4) for d in (1, 2, 3)]
     out = []
     for _ in range(count):
-        g = SimpleElement.zero(model.space)
+        g = SimpleElement.zero(trunc.space)
         for _ in range(rng.randint(1, 3)):
             s = comps[rng.randrange(len(comps))]
-            g = g + SimpleElement.chi(model.space, s).scale(pool[rng.randrange(len(pool))])
+            g = g + SimpleElement.chi(trunc.space, s).scale(pool[rng.randrange(len(pool))])
         if nonneg:
             g = abs(g)
         out.append(g)
     return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32), st.integers(0, 12), st.booleans(), st.booleans())
+def test_simple_sampler_matches_the_reference(seed, count, nonneg, one_at_a_time):
+    rng = random.Random(seed)
+    sp = random_space(rng)
+    trunc = rng.choice([lc(sp), SimpleTrunc(sp, [set(), set(sp.nonstar)])])
+    ours, theirs = random.Random(seed), random.Random(seed)
+    if one_at_a_time:
+        got = [trunc.sample_elements(ours, 1, nonneg)[0] for _ in range(count)]
+    else:
+        got = trunc.sample_elements(ours, count, nonneg)
+    assert got == reference_simple_samples(trunc, theirs, count, nonneg)
+    assert ours.getstate() == theirs.getstate()

@@ -13,7 +13,6 @@ from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
-from test_elements import sample_elements
 from test_seqspace import CORRECTIONS, SMALL_TAILS
 
 from trunclab import cli, kernels
@@ -187,6 +186,7 @@ def test_kernel_conditions_are_exact_and_draw_no_samples(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a kernel decision sampled the carrier")
 
+    monkeypatch.setattr(SimpleTrunc, "sample_elements", refuse)
     monkeypatch.setattr(SeqTrunc, "sample_elements", refuse)
     for k in _descriptions():
         first = kernel_conditions(k)
@@ -285,8 +285,8 @@ def _sample_member(spec, rng, count):
     model = spec.model
     if isinstance(spec, SupportKernel):
         subfamily = [s for s in model.components if s <= spec.support]
-        return sample_elements(SimpleTrunc(model.space, subfamily), rng, count,
-                               nonneg=True)
+        return SimpleTrunc(model.space, subfamily).sample_elements(
+            rng, count, nonneg=True)
     out = [unit for unit, allowed in zip(model.tail_units(), spec.tails_allowed)
            if allowed]
     if spec.support:
@@ -306,7 +306,7 @@ def _sampled_escape(spec, seed=0, cases=20):
     rng = random.Random(seed)
     members = _sample_member(spec, rng, cases)
     pool = (spec.model.tail_units()
-            + sample_elements(spec.model, rng, cases, nonneg=True)[:8])
+            + spec.model.sample_elements(rng, cases, nonneg=True)[:8])
     return any(not spec.contains(g.meet(h)) for g in members for h in pool)
 
 
@@ -339,6 +339,7 @@ def test_building_a_kernel_draws_no_samples(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a kernel description sampled the carrier")
 
+    monkeypatch.setattr(SimpleTrunc, "sample_elements", refuse)
     monkeypatch.setattr(SeqTrunc, "sample_elements", refuse)
     inst = parse_instance(GOLDEN / "kernels.tl")
     kinds = {type(inst.get(n)) for n in ("K", "K1", "K3", "K4")}
@@ -397,8 +398,8 @@ def condition1_hypothesis(kernel, g, h):
 def sampled_condition1(kernel, budget, rng):
     model = kernel.model
     units = model.tail_units()
-    gs = (units + sample_elements(model, rng, budget))[:budget]
-    hs = sample_elements(model, rng, budget, nonneg=True) + units
+    gs = (units + model.sample_elements(rng, budget))[:budget]
+    hs = model.sample_elements(rng, budget, nonneg=True) + units
     for i, g in enumerate(gs):
         h = hs[i % len(hs)]
         if condition1_hypothesis(kernel, g, h) and not kernel.contains(g):
@@ -407,7 +408,7 @@ def sampled_condition1(kernel, budget, rng):
 
 
 def sampled_condition2(kernel, budget, rng):
-    gs = sample_elements(kernel.model, rng, budget, nonneg=True)
+    gs = kernel.model.sample_elements(rng, budget, nonneg=True)
     for g in gs:
         if kernel.contains(g.truncate()) and not kernel.contains(g):
             return ConditionVerdict(False, g)
@@ -418,7 +419,7 @@ def sampled_support_condition3(kernel, budget, rng):
     """Condition (3) on a SupportKernel with an exact hypothesis per sample:
     tminus(1/n)(g) increases with n, so convexity reduces the quantifier to
     the stable regime n > 1/clearance(g)."""
-    gs = sample_elements(kernel.model, rng, budget, nonneg=True)
+    gs = kernel.model.sample_elements(rng, budget, nonneg=True)
     for g in gs:
         c = clearance(g)
         n = 1 if c == 0 else math.ceil(1 / c) + 1
@@ -521,7 +522,7 @@ def sampled_pointwise_closed(kernel, budget=200, seed=0):
     one at a time, each outside K probed through its structured families."""
     rng = random.Random(seed)
     model = kernel.model
-    samples = (sample_elements(model, rng, 1, nonneg=True)[0] for _ in range(budget))
+    samples = (model.sample_elements(rng, 1, nonneg=True)[0] for _ in range(budget))
     for g in itertools.chain(model.tail_units(), samples):
         if kernel.contains(g):
             continue

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trunclab.elements import SimpleElement, SimpleTrunc, bounded_away_from_zero, lc
+from trunclab.elements import SimpleElement, bounded_away_from_zero, lc
 from trunclab.equivalences import equivalence_witness
 from trunclab.frames import (FiniteFrame, FrameReal, PointedFiniteFrame, chi,
                              drop, frame_uc_check, ray_above)
@@ -16,8 +16,6 @@ from trunclab.sampling import (dense_surjection, frame_real, pointed_frame,
                                simple_element)
 from trunclab.seqspace import SeqTrunc, TailElement
 from trunclab.spaces import PointedBooleanSpace, space
-
-from test_elements import sample_elements
 
 X3 = space("1", "2", "3")
 
@@ -143,10 +141,8 @@ def test_equivalence_builds_one_clopen_algebra(monkeypatch):
     assert calls == [X3]
 
 
-def test_hyper_simple_trunc_samples(monkeypatch):
+def test_hyper_simple_trunc_samples():
     from trunclab.hyper import hyperarchimedean
-    # the package samples only sequence truncs; lend simple truncs the tests' sampler
-    monkeypatch.setattr(SimpleTrunc, "sample_elements", sample_elements, raising=False)
     full = lc(X3)
     assert hyperarchimedean(full, budget=100, seed=5).passed
     partial = lc(X3, [frozenset(), frozenset({"1", "2"}), frozenset({"3"}),
