@@ -16,8 +16,7 @@ from fractions import Fraction
 from functools import reduce
 from math import gcd, lcm
 
-from .elements import (OPS, StepValues, apply_op, cut_grid, int_cut_grid,
-                       is_unital_component)
+from .elements import OPS, StepValues, apply_op, int_cut_grid, is_unital_component
 from .errors import (BudgetError, SpaceMismatchError, StructureError,
                      UnsupportedOperationError, certify)
 from .gba import Violation, order_lattice
@@ -340,8 +339,7 @@ class FrameReal(StepValues):
         return [Fraction(n, self._den) if is_finite(n) else n for n, _ in self._items()]
 
     def grid_values(self):
-        """Every finite value: the cuts of the drop and lift squares, the
-        pointwise-sup test and the frame Dini report."""
+        """Every finite value: the cuts of the frame Dini report."""
         return [Fraction(n, self._den) for n in self._nums]
 
     def max_value(self):
@@ -618,9 +616,12 @@ class LiftResult:
 def _certify_square(q, h_prime, h, given, message):
     """Certify q o h' = h o p on the real line, then at each cut r of the
     given real's finite values and 0 on [-inf, r) and (r, +inf] when h' is
-    extended and on (-inf, r) and (r, inf); the first failing open is the witness."""
+    extended and on (-inf, r) and (r, inf); the first failing open is the witness.
+    The cuts come from int_cut_grid on the numerators scaled by 2."""
     probes = [real_line()]
-    for r in cut_grid([0, *given.grid_values()]):
+    d = 2 * given._den
+    for r in int_cut_grid([0, *(2 * n for n in given._nums)], d):
+        r = Fraction(r, d)
         if h_prime.extended:
             probes += [OpenInterval(NEG_INF, r, closed_lo=True),
                        OpenInterval(r, POS_INF, closed_hi=True)]
@@ -682,13 +683,16 @@ def e0q_exhaustive(q, h, max_frame=20):
 # --- pointwise suprema ---------------------------------------------------
 
 def frame_pointwise_sup(family):
-    """Cell-wise maximum, verified by the defining join equation at all cuts."""
+    """Cell-wise maximum, verified by the defining join equation at all cuts,
+    taken by int_cut_grid over d = 2 * lcm of the denominators."""
     family = list(family)
     if not family:
         raise StructureError("pointwise sup of an empty family")
     sup = reduce(lambda a, b: a.join(b), family)
     fr = sup.pframe.frame
-    for r in cut_grid([v for g in family + [sup] for v in g.grid_values()]):
+    d = 2 * lcm(*(g._den for g in family + [sup]))
+    for r in int_cut_grid({n * (d // g._den) for g in family + [sup] for n in g._nums}, d):
+        r = Fraction(r, d)
         lhs = fr.join_all(g.eval(ray_above(r)) for g in family)
         certify(lhs == sup.eval(ray_above(r)), "pointwise sup fails the cut test", r)
     return sup

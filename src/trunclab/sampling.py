@@ -5,6 +5,10 @@ reproducible from their seed.  Frames come from downset lattices of random
 posets (disconnected posets give nontrivial Boolean parts, hence nonzero
 frame reals); set families are closed under the Boolean operations by
 saturation.
+
+A sampled downset frame is built once per process and shared by every draw
+of the same poset (see downset_frame), so a caller must treat a sampled
+frame, like every FiniteFrame, as immutable.
 """
 
 import itertools
@@ -73,25 +77,49 @@ def random_poset(rng, size):
     return transitive_closure(leq)
 
 
-def downset_frame(rng, max_points=4, max_size=20):
-    """Frame of downsets of a random poset, capped at max_size elements.
+_FRAMES = {}  # (n1, n2, leq1, leq2) -> (frame, points), filled by _poset_frame
 
-    The poset is split into at least two comparability components so the
-    frame has nontrivial complemented elements.
-    """
-    while True:
-        n1 = rng.randint(1, max_points // 2)
-        n2 = rng.randint(1, max_points - n1)
-        leq1 = random_poset(rng, n1)
-        leq2 = random_poset(rng, n2)
-        points = [("a", i) for i in range(n1)] + [("b", i) for i in range(n2)]
+
+def _poset_frame(n1, n2, leq1, leq2, max_size):
+    """(frame, points) of the downsets of the two components leq1 and leq2,
+    or None when they have more than max_size downsets; nothing is built
+    then.  A frame is built once per process and kept in _FRAMES."""
+    key = (n1, n2, leq1, leq2)
+    if key not in _FRAMES:
+        points = tuple([("a", i) for i in range(n1)] + [("b", i) for i in range(n2)])
         leq = {((s, i), (s, j)) for s, rel in (("a", leq1), ("b", leq2)) for i, j in rel}
         below = {p: frozenset(q for q in points if (q, p) in leq) for p in points}
         downsets = {frozenset().union(*map(below.get, combo))
                     for r in range(len(points) + 1)
                     for combo in itertools.combinations(points, r)}
-        if len(downsets) <= max_size:
-            return FiniteFrame.from_sets(downsets), points
+        if len(downsets) > max_size:
+            return None
+        _FRAMES[key] = FiniteFrame.from_sets(downsets), points
+    frame, points = _FRAMES[key]
+    return (frame, points) if len(frame) <= max_size else None
+
+
+def downset_frame(rng, max_points=4, max_size=20):
+    """Frame of downsets of a random poset, capped at max_size elements.
+
+    The poset is split into at least two comparability components so the
+    frame has nontrivial complemented elements; the smallest such frame has
+    4 elements.  A draw over max_size is drawn again.  The frame is looked
+    up by its drawn poset (n1, n2, leq1, leq2) after every draw of the
+    attempt, so the draws are those of a fresh build, and the points come
+    as a tuple.  The cache holds one frame per poset of at most max_points
+    points that was drawn: 16 at the default max_points=4.
+    """
+    if max_points < 2 or max_size < 4:
+        raise StructureError("a downset frame of two components needs max_points >= 2 "
+                             f"and max_size >= 4, got {max_points} and {max_size}")
+    while True:
+        n1 = rng.randint(1, max_points // 2)
+        n2 = rng.randint(1, max_points - n1)
+        found = _poset_frame(n1, n2, frozenset(random_poset(rng, n1)),
+                             frozenset(random_poset(rng, n2)), max_size)
+        if found:
+            return found
 
 
 def pointed_frame(rng, max_points=4, max_size=20):

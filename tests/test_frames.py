@@ -23,7 +23,7 @@ from trunclab.frames import (FiniteFrame, FrameReal, FrameSurjection,
                              ray_above, ray_below, real_line, surjection_tools)
 from trunclab.gba import Violation, transitive_closure
 from trunclab.rat import NEG_INF, POS_INF, sorted_labels
-from trunclab import frames
+from trunclab import frames, sampling
 from trunclab.sampling import (booleanization, dense_surjection, downset_frame,
                                frame_real, open_quotient, pointed_frame,
                                random_poset)
@@ -949,15 +949,78 @@ def test_sampled_frames_skip_the_order_path(monkeypatch):
         calls.append(labels)
         return order_tables_of(labels, leq_pairs)
 
+    monkeypatch.setattr(sampling, "_FRAMES", {})  # so the frames are built here
     monkeypatch.setattr(frames, "_frame_tables", counted)
     for seed in range(30):
         pframe = pointed_frame(random.Random(seed))
         sub_frames(pframe)
         dense_surjection(random.Random(seed), pframe)
-    assert calls == []
+    assert calls == [] and sampling._FRAMES
     with pytest.raises(StructureError, match="no unique join"):
         FiniteFrame.from_sets([A, B])
     assert len(calls) == 1
+
+
+# --- the per-process cache of sampled downset frames ----------------------
+
+def sampled(seed, max_points, max_size):
+    rng = random.Random(seed)
+    pframe = pointed_frame(rng, max_points, max_size)
+    return pframe.frame, pframe.true_set, rng.getstate()
+
+
+@pytest.mark.parametrize("max_points, max_size", [(4, 20), (3, 12)])
+def test_cached_frames_give_the_draws_of_a_fresh_build(max_points, max_size, monkeypatch):
+    cold = []
+    for seed in range(40):
+        monkeypatch.setattr(sampling, "_FRAMES", {})
+        cold.append(sampled(seed, max_points, max_size))
+    monkeypatch.setattr(sampling, "_FRAMES", {})
+    for _ in range(2):  # filled as the seeds go, then warm throughout
+        warm = [sampled(seed, max_points, max_size) for seed in range(40)]
+        for (fc, tc, sc), (fw, tw, sw) in zip(cold, warm):
+            assert (frame_state(fw), tw, sw) == (frame_state(fc), tc, sc)
+    assert len({id(frame) for frame, _, _ in warm}) == len(sampling._FRAMES)
+    assert len(sampling._FRAMES) <= {4: 16, 3: 3}[max_points]
+
+
+def test_oversized_draws_build_no_frame(monkeypatch):
+    built = []
+
+    class Counted:
+        @staticmethod
+        def from_sets(family):
+            built.append(len(family))
+            return FiniteFrame.from_sets(family)
+
+    monkeypatch.setattr(sampling, "_FRAMES", {})
+    for seed in (0, 1, 5):  # cached frames that the bound below refuses
+        downset_frame(random.Random(seed))
+    assert min(map(len, (frame for frame, _ in sampling._FRAMES.values()))) > 6
+    monkeypatch.setattr(sampling, "FiniteFrame", Counted)
+    for seed in range(40):
+        frame, points = downset_frame(random.Random(seed), max_size=6)
+        assert len(frame) <= 6 and isinstance(points, tuple)
+    assert built and max(built) <= 6 and len(built) == len(sampling._FRAMES) - 3
+
+
+class NoDraws:
+    """An rng that fails any draw, so a missing bounds check cannot hang."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"drew with {name} before checking the bounds")
+
+
+@pytest.mark.parametrize("max_points, max_size", [(4, 3), (1, 20), (0, 20), (4, 0), (-1, -1)])
+def test_frame_samplers_refuse_bounds_no_frame_meets(max_points, max_size):
+    for sample in (downset_frame, pointed_frame):
+        with pytest.raises(StructureError, match="max_points >= 2 and max_size >= 4"):
+            sample(NoDraws(), max_points=max_points, max_size=max_size)
+
+
+def test_smallest_bounds_give_the_four_element_frame():
+    frame, points = downset_frame(random.Random(0), max_points=2, max_size=4)
+    assert len(frame) == 4 and points == (("a", 0), ("b", 0))
 
 
 LABEL_ORDER = """

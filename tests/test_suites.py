@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import trunclab
-from trunclab import suites
+from trunclab import sampling, suites
 from trunclab.elements import OPS
 from trunclab.seqspace import TailElement
 
@@ -69,6 +69,20 @@ def test_run_all_applies_the_caps(monkeypatch):
 def test_a_negative_budget_counts_no_cases():
     for name in ("trunc-axioms", "good-sequences", "cut-cases", "normal-clearance"):
         assert suites.SUITES[name](seed=0, cases=-1).cases == 0
+
+
+FRAME_SUITES = ["induced-oracle", "cut-cases", "drop-e0q", "identities", "dini",
+                "convergence"]
+
+
+def test_frame_suites_agree_with_a_cold_frame_cache(monkeypatch):
+    runs = [(name, seed) for name in FRAME_SUITES for seed in range(4)]
+    cold = []
+    for name, seed in runs:
+        monkeypatch.setattr(sampling, "_FRAMES", {})
+        cold.append(suites.SUITES[name](seed=seed, cases=30))
+    assert [suites.SUITES[name](seed=seed, cases=30) for name, seed in runs] == cold
+    assert sampling._FRAMES
 
 
 PLANTED_JOIN = textwrap.dedent("""
