@@ -969,12 +969,33 @@ def sampled(seed, max_points, max_size):
     return pframe.frame, pframe.true_set, rng.getstate()
 
 
+def reference_sampled(seed, max_points, max_size):
+    """sampled() as the uncached sampler drew it: every attempt builds."""
+    rng = random.Random(seed)
+    while True:
+        n1 = rng.randint(1, max_points // 2)
+        n2 = rng.randint(1, max_points - n1)
+        leq1, leq2 = random_poset(rng, n1), random_poset(rng, n2)
+        points = [("a", i) for i in range(n1)] + [("b", i) for i in range(n2)]
+        leq = {((s, i), (s, j)) for s, rel in (("a", leq1), ("b", leq2)) for i, j in rel}
+        downsets = {frozenset(q for q in points for p in combo if (q, p) in leq)
+                    for r in range(len(points) + 1)
+                    for combo in itertools.combinations(points, r)}
+        if len(downsets) <= max_size:
+            break
+    frame = FiniteFrame(downsets, subset_order(downsets))
+    focus = points[rng.randrange(len(points))]
+    return frame, frozenset(d for d in frame.labels if focus in d), rng.getstate()
+
+
 @pytest.mark.parametrize("max_points, max_size", [(4, 20), (3, 12)])
 def test_cached_frames_give_the_draws_of_a_fresh_build(max_points, max_size, monkeypatch):
     cold = []
     for seed in range(40):
         monkeypatch.setattr(sampling, "_FRAMES", {})
         cold.append(sampled(seed, max_points, max_size))
+        fr, true_set, state = reference_sampled(seed, max_points, max_size)
+        assert (frame_state(fr), true_set, state) == (frame_state(cold[-1][0]), *cold[-1][1:])
     monkeypatch.setattr(sampling, "_FRAMES", {})
     for _ in range(2):  # filled as the seeds go, then warm throughout
         warm = [sampled(seed, max_points, max_size) for seed in range(40)]
