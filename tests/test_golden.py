@@ -68,6 +68,7 @@ ARGVS = [
     ("drop", "q", "hz", *F, *J),
     ("drop", "q", "hz", *F),
     ("e0q", "q", "w2", *F, *J),
+    ("e0q", "q", "h", "--file", "e0q_refusal.tl", *J),
     ("kernel-check", "K", "K1", *C, *K, *J),
     ("kernel-check", "K3", "K4", *C, *K, *J),
     ("kernel-close", "K", "K1", "K3", "K4", *K, *J),
@@ -99,6 +100,7 @@ ARGVS = [
     ("check", "--file", "bad_kernel.tl", *J),
     ("check", "--file", "nonconvex_kernel.tl", *J),
     ("check", "--file", "unknown_point.tl", *J),
+    ("check", "--file", "pentagon.tl", *J),
     ("induced-op", "mul", "g", "g", *F, *J),
     ("induced-op", "add", "g", "u", *F, *J),
     ("induced-op", "add", "w", "w", *F, *J),
