@@ -266,17 +266,15 @@ class Op:
 
     method names the carrier method that computes the tag: it takes the
     other operands and then the rational parameter, if the tag has one.
-    The rest serves the join-of-meets oracle on frame reals: scalar takes
-    the operand values followed by the parameter, and kinks gives the values
-    where scalar bends, which the oracle adds to its grid.  Every scalar is
-    continuous, which the oracle relies on.
+    scalar serves the join-of-meets oracle on frame reals: it takes the
+    operand values followed by the parameter.  Every scalar is continuous,
+    which the oracle relies on.
     """
 
     arity: int
     takes_param: bool
     method: str
     scalar: object
-    kinks: object = lambda *param: ()
 
 
 OPS = {
@@ -286,9 +284,9 @@ OPS = {
     "scale": Op(1, True, "scale", lambda v, q: q * v),
     "meet": Op(2, False, "meet", min),
     "join": Op(2, False, "join", max),
-    "truncate": Op(1, False, "truncate", lambda v: min(v, ONE), lambda: (ONE,)),
-    "tminus": Op(1, True, "tminus", lambda v, r: max(v - r, ZERO), lambda r: (r,)),
-    "truncN": Op(1, True, "trunc_at", lambda v, n: min(v, n), lambda n: (n,)),
+    "truncate": Op(1, False, "truncate", lambda v: min(v, ONE)),
+    "tminus": Op(1, True, "tminus", lambda v, r: max(v - r, ZERO)),
+    "truncN": Op(1, True, "trunc_at", lambda v, n: min(v, n)),
 }
 
 

@@ -6,8 +6,8 @@ tables.  A frame real is a partition of the top into complemented cells,
 each carrying a rational value (extended reals allowed for the D-type used
 by drop/lift computations); the cell containing the designated point
 carries 0.  Induced operations are computed cell-wise and certified against
-the join-of-meets formula evaluated on a rational grid; surjections carry
-their adjoints, with density decided exactly.
+the join-of-meets formula, decided value by value; surjections carry their
+adjoints, with density decided exactly.
 """
 
 import itertools
@@ -19,25 +19,25 @@ from math import gcd, lcm
 from .elements import OPS, StepValues, apply_op, int_cut_grid, is_unital_component
 from .errors import (BudgetError, SpaceMismatchError, StructureError,
                      UnsupportedOperationError, certify)
-from .gba import Violation, order_lattice
+from .gba import ValidationReport, _distributive_lattice, _law_sweep, order_lattice
 from .rat import (NEG_INF, POS_INF, as_fraction, format_label, format_rational,
                   is_finite, sort_key, sorted_labels)
 from .records import record
 
 
 def _frame_tables(labels, leq_pairs):
-    """gba.order_lattice, then distributivity: its first failure, if any."""
+    """gba.order_lattice, then distributivity by gba._distributive_lattice;
+    a failure is named by the first violation gba._law_sweep lists, which
+    in a lattice is a distributivity witness (a, b, c)."""
     out, tables = order_lattice(labels, leq_pairs)
     if out:
         return out, None
-    labels, _, join, meet = tables
-    n = len(labels)
-    for a, b in itertools.product(range(n), repeat=2):
-        ma, jab = meet[a], join[meet[a][b]]
-        if [ma[x] for x in join[b]] != [jab[x] for x in ma]:
-            c = next(c for c in range(n) if ma[join[b][c]] != jab[ma[c]])
-            witness = (labels[a], labels[b], labels[c])
-            return [Violation("distributivity", witness)], None
+    labels, up, join, meet = tables
+    bot = up.index((1 << len(up)) - 1)
+    if not _distributive_lattice(join, meet, bot):
+        report = ValidationReport()
+        _law_sweep(report, labels, join, meet, bot)
+        return report.violations[:1], None
     return out, tables
 
 
@@ -417,8 +417,8 @@ class FrameReal(StepValues):
 def induced_op(tag, operands, param=None):
     """Induced operation on frame reals: apply_op, certified.
 
-    The cell-wise result is checked against the join-of-meets formula on
-    the rational grid generated by the operand values; disagreement raises.
+    The cell-wise result is checked against the join-of-meets formula at
+    every value of the formula and the result; disagreement raises.
     """
     operands = list(operands)
     if any(g.extended for g in operands):
@@ -429,17 +429,9 @@ def induced_op(tag, operands, param=None):
     return result
 
 
-def _join_inside(fr, items, lo, hi):
-    """Join of the element m of every item (w, m) with lo < w < hi."""
-    acc = fr._bot
-    for w, m in items:
-        if (lo is None or lo < w) and (hi is None or w < hi):
-            acc = fr._join[acc][m]
-    return acc
-
-
 def oracle_mismatch(tag, operands, result, param=None):
-    """First grid interval where the join-of-meets formula differs, or None.
+    """The tight open around the lowest value where the join-of-meets
+    formula and result differ, or None.
 
     The formula joins, over boxes of opens whose image lies inside V, the
     meets of the operand evaluations.  For step-valued operands it suffices
@@ -448,34 +440,31 @@ def oracle_mismatch(tag, operands, result, param=None):
     contributions, while a tight box around a value tuple realizes the meet
     of the corresponding cells, which are the operands' own cells.  Every
     tag is continuous, so a tight enough box maps inside an open V exactly
-    when the tuple's value lies in V: each tuple adds its meet at its value.
-
-    It runs on ints: grid, tuple values and result values scaled by twice
-    their common denominator.
+    when the tuple's value lies in V: V receives the join, over the values
+    w in V, of F(w), the join of the meets of the tuples of value w, and
+    result.eval(V) the join of the result's cells there.  So the two agree
+    on every open iff they agree at each value w of either side (a missing
+    one is bottom): the tight open around w, its ends the midpoints to the
+    neighbouring values or +/-inf, holds w alone.
     """
     fr = operands[0].pframe.frame
-    op = OPS[tag]
+    meet, join, bot = fr._meet, fr._join, fr._bot
+    scalar = OPS[tag].scalar
     params = () if param is None else (Fraction(param),)
-    kinks = op.kinks(*params)
-    items = []
-    for combo in itertools.product(*(zip(g.values(), g._cells) for g in operands)):
+    formula = {}
+    for combo in itertools.product(*(zip(g.grid_values(), g._cells) for g in operands)):
         m = fr._top
         for _, c in combo:
-            m = fr._meet[m][c]
-        if m != fr._bot:
-            items.append((op.scalar(*(v for v, _ in combo), *params), m))
-    d = 2 * lcm(result._den, *(g._den for g in operands),
-                *(x.denominator for x in kinks), *(w.denominator for w, _ in items))
-    grid = int_cut_grid({*(n * (d // g._den) for g in operands for n in g._nums),
-                         *(x.numerator * (d // x.denominator) for x in kinks)}, d)
-    items = [(w.numerator * (d // w.denominator), m) for w, m in items]
-    cells = [(n * (d // result._den), c) for n, c in zip(result._nums, result._cells)]
-    # the line, the rays and the intervals of the grid, None for an open end
-    rays = [e for r in grid for e in ((None, r), (r, None))]
-    for lo, hi in [(None, None), *rays, *itertools.combinations(grid, 2)]:
-        if _join_inside(fr, items, lo, hi) != _join_inside(fr, cells, lo, hi):
-            return OpenInterval(NEG_INF if lo is None else Fraction(lo, d),
-                                POS_INF if hi is None else Fraction(hi, d))
+            m = meet[m][c]
+        if m != bot:
+            w = scalar(*(v for v, _ in combo), *params)
+            formula[w] = join[formula.get(w, bot)][m]
+    cells = {Fraction(n, result._den): c for n, c in zip(result._nums, result._cells)}
+    values = sorted(formula.keys() | cells.keys())
+    for i, w in enumerate(values):
+        if formula.get(w, bot) != cells.get(w, bot):
+            return OpenInterval((values[i - 1] + w) / 2 if i else NEG_INF,
+                                (w + values[i + 1]) / 2 if i + 1 < len(values) else POS_INF)
     return None
 
 
@@ -630,13 +619,19 @@ def _certify_square(q, h_prime, h, given, message):
         certify(q(h_prime.eval(u)) == h.eval(u.restrict_to_reals()), message, u)
 
 
-def e0q_member(q, h, max_frame=20):
-    """Find h' on the source with q o h' = h o p, or refute exhaustively.
+def e0q_member(q, h):
+    """Find h' on the source with q o h' = h o p, or refute it.
 
     All step reals on finite frames are bounded, so a single factorization
-    of h itself suffices.  The adjoint candidate cells adjoint(x_i) are
-    tried first; if they fail to cover, the fallback enumerates complemented
-    preimage cells per value (bounded by max_frame source elements).
+    of h itself suffices, and the adjoint q_* decides it.  The square at a
+    tight open around each value maps a lift's cell there onto h's cell c
+    (by density a lift has no other values), so by the Galois law the
+    lift's cell lies below q_*(c); the lift's cells join to the top, so a
+    lift exists only if the adjoint cells q_*(c) do.  When they do, they
+    are a lift: disjoint, as q(q_*(c) ^ q_*(d)) <= c ^ d = bottom and q is
+    dense; complemented, as disjoint cells joining to the top; and pointed,
+    because q is and then q(q_*(c)) = c.  A refusal first certifies the
+    Galois law it rests on.
     """
     if not q.dense:
         raise StructureError("lifting requires a dense surjection")
@@ -648,11 +643,14 @@ def e0q_member(q, h, max_frame=20):
         h_prime = FrameReal(q.source, cand)
         _certify_square(q, h_prime, h, h, "the lift must satisfy q o h' = h o p")
         return LiftResult(True, witness=h_prime, method="adjoint")
-    return e0q_exhaustive(q, h, max_frame=max_frame)
+    failure = q.galois_failure()
+    certify(failure is None, "adjoint must satisfy the Galois law", failure)
+    return LiftResult(False, note="no complemented partition lifts the cells")
 
 
 def e0q_exhaustive(q, h, max_frame=20):
-    """Complete search over complemented partitions of the source."""
+    """Complete search over complemented partitions of the source: the
+    oracle that e0q_member is tested against."""
     if not q.dense:
         raise StructureError("lifting requires a dense surjection")
     fs = q.source.frame

@@ -17,13 +17,12 @@ correction they keep.  The sampler picks its values from one module-level
 pool and builds each sample in canonical form, with no validating pass.
 """
 
-from bisect import bisect_left
 from fractions import Fraction
 from itertools import zip_longest
 from math import lcm
 from operator import ge, le
 
-from .elements import ZERO, Carrier, int_cut_grid
+from .elements import ZERO, Carrier
 from .errors import PositivityError, StructureError, certify
 from .rat import as_fraction, chance, format_rational
 from .records import record
@@ -479,33 +478,26 @@ def partial_truncations(g, count):
 
 
 def sup_of_filtration_is(g):
-    """Verify the cut criterion: union_n h_n(r, inf) = g(r, inf) on a grid.
+    """Decide the cut criterion: union_n h_n(r, inf) = g(r, inf) for every r.
 
-    h_n = g * chi({1..n}), so h_m(k) = g(k) for m >= k.  For each grid cut
-    r >= 0 and every position k in the probe window, k lies in some h_n's
-    upper cut iff it lies in g's; the point omega sits in neither side for
-    r >= 0 and in both for r < 0.  On int_cut_grid, scaled by d = 2 * lcm of
-    the denominators, the cuts below a value x are the prefix that bisect
-    finds for ceil(x * d).
+    h_n = g * chi({1..n}).  On the probe window 1..horizon, with finitely
+    many terms, the union of the upper cuts equals g's upper cut at every r
+    exactly when the pointwise max of the terms equals g; the point omega
+    sits in neither side for r >= 0 and in both for r < 0.  So at every
+    position k the largest h_n(k), over every term, must be g(k).
     """
     if not g.is_nonneg():
         raise PositivityError("filtration suprema need g >= 0")
     _, bound = g.crossover(TailElement.zero())
     horizon = bound + 10
     filtration = partial_truncations(g, horizon)
-    pairs = [g._pair(k) for k in range(1, horizon + 1)]
-    d = 2 * lcm(*(den for _, den in pairs))
-    grid = int_cut_grid([0, *(num * (d // den) for num, den in pairs)], d)
-    cuts = [r for r in grid if r >= 0]
 
-    def scaled_up(pair):  # ceil(value * d)
-        return -(-pair[0] * d // pair[1])
+    def excess(k):  # 0 iff max_n h_n(k) = g(k): each term has the sign of h_n(k) - g(k)
+        num, den = g._pair(k)
+        return max((p * den - num * q for p, q in (h._pair(k) for h in filtration)),
+                   default=-1)
 
-    # k is in some h_n(r, inf), n >= k, iff the largest h_n(k) exceeds r >= 0
-    reach = [max((scaled_up(h._pair(k)) for h in filtration[k - 1:]), default=-1)
-             for k in range(1, horizon + 1)]
-    return all(bisect_left(cuts, top) == bisect_left(cuts, scaled_up(pair))
-               for top, pair in zip(reach, pairs))
+    return all(excess(k) == 0 for k in range(1, horizon + 1))
 
 
 @record

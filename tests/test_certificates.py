@@ -110,13 +110,20 @@ def test_lift_certificate_names_the_failing_probe():
 @pytest.mark.parametrize("argv, target, attr, broken, message", [
     (["induced-op", "add", "u", "v"], frames, "oracle_mismatch",
      lambda *args: real_line(), "join-of-meets oracle disagrees (witness (-inf,inf))"),
+    # u - v is -1/2 on b, strictly inside the gap (-1, 0) of the cut grid of
+    # the operand values 0, 1 and 3/2; a result of -3/4 there fails below -1/2
+    (["induced-op", "sub", "u", "v"], frames, "apply_op",
+     lambda tag, ops, param=None: FrameReal(ops[0].pframe, [(Fraction(-3, 4), "b"),
+                                                            (Fraction(0), "a")]),
+     "join-of-meets oracle disagrees (witness (-inf,-5/8))"),
     (["pointwise", "g", "h", "gn"], SimpleElement, "join", SimpleElement.meet,
      "pointwise sup fails the cut test"),
     (["pointwise", "u", "v", "un"], FrameReal, "join", FrameReal.meet,
      "pointwise sup fails the cut test"),
     (["drop", "q", "hz"], OpenInterval, "restrict_to_reals", lambda u: real_line(),
      "drop square"),
-], ids=["induced-op", "pointwise-simple", "pointwise-frame", "drop"])
+], ids=["induced-op", "induced-op-moved-value", "pointwise-simple", "pointwise-frame",
+        "drop"])
 def test_failed_certificate_exits_1_with_its_witness(argv, target, attr, broken,
                                                       message, monkeypatch, capsys):
     monkeypatch.setattr(target, attr, broken)
@@ -160,9 +167,10 @@ def test_forged_canonical_result_exits_1_under_python_O(tmp_path):
     report = json.loads(result["report"])
     failed = [c for c in report["checks"] if not c["passed"]]
     assert [c["name"] for c in failed] == ["certificate"]
-    # u + v is 5/2 on b, the top of the grid; the forged result's 7/2 lies above it
+    # u + v is 5/2 on b and the forged result says 7/2: the values 0, 5/2
+    # and 7/2 put the tight open (5/4,3) around 5/2
     assert failed[0]["detail"] == ("join-of-meets oracle disagrees "
-                                   "(witness (5/2,inf))")
+                                   "(witness (5/4,3))")
 
 
 def _env_with_src():

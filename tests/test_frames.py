@@ -13,8 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trunclab.elements import OPS, apply_op, cut_grid, dini_check
-from trunclab.errors import (PositivityError, SpaceMismatchError,
-                             StructureError)
+from trunclab.errors import (CertificationError, PositivityError,
+                             SpaceMismatchError, StructureError)
 from trunclab.frames import (FiniteFrame, FrameReal, FrameSurjection,
                              OpenInterval, PointedFiniteFrame,
                              chi, drop, e0q_exhaustive, e0q_member,
@@ -22,6 +22,7 @@ from trunclab.frames import (FiniteFrame, FrameReal, FrameSurjection,
                              _frame_tables, _unpreserved, induced_op, oracle_mismatch,
                              ray_above, ray_below, real_line, surjection_tools)
 from trunclab.gba import Violation, transitive_closure
+from trunclab.instances import parse_instance
 from trunclab.rat import NEG_INF, POS_INF, sorted_labels
 from trunclab import frames, sampling
 from trunclab.sampling import (booleanization, dense_surjection, downset_frame,
@@ -286,6 +287,20 @@ def test_e0q_product_example():
     assert back.ok and back.result == h
 
 
+def test_e0q_refusal_certifies_the_galois_law():
+    # the golden refusal: the adjoint cells of h do not join to the top
+    inst = parse_instance(Path(__file__).resolve().parent / "golden" / "e0q_refusal.tl")
+    q, h = inst.get("q"), inst.get("h")
+    lift = e0q_member(q, h)
+    assert not lift.ok and lift.note == "no complemented partition lifts the cells"
+    assert not e0q_exhaustive(q, h).ok
+    # a refusal rests on the adjoint: with the adjoint of the top moved to
+    # the bottom, the Galois law fails and the refusal is not given
+    q.adjoint[q.target.frame.top] = q.source.frame.bottom
+    with pytest.raises(CertificationError, match="Galois law"):
+        e0q_member(q, h)
+
+
 def test_e0q_requires_density():
     two = FiniteFrame.chain(2)
     pc3 = PointedFiniteFrame(C3, focus=2)
@@ -474,17 +489,6 @@ def reference_frame_tables(labels, leq_pairs):
     return out, join, meet
 
 
-def reference_grid_intervals(grid):
-    out = [real_line()]
-    for r in grid:
-        out.append(ray_below(r))
-        out.append(ray_above(r))
-    for i, a in enumerate(grid):
-        for b in grid[i + 1:]:
-            out.append(OpenInterval(a, b))
-    return out
-
-
 def interval_contains(u, v):
     """Membership of an extended value in an OpenInterval."""
     if v is NEG_INF:
@@ -550,19 +554,23 @@ REFERENCE_IMAGES = {
 
 
 def reference_oracle_mismatch(tag, operands, result, param=None):
-    """The join-of-meets oracle on Fractions, labels, box images and result.eval.
+    """The join-of-meets oracle on Fractions, labels, box images and
+    result.eval, at a tight open around every formula value and every
+    result value, in value order; the ends are the midpoints to the
+    neighbouring values, or +/-inf.
 
-    The box half-width gamma is small enough for the boxes' images to stay
-    within the gap: it is divided by the tag's Lipschitz bound, |q| for
-    scale:q.
+    The box half-width gamma keeps each box inside its operand cells and
+    each image inside its tight open: it is a share of the least gap
+    between the operand, output and result values, divided by the tag's
+    Lipschitz bound, |q| for scale:q.
     """
     fr = operands[0].pframe.frame
     op = OPS[tag]
     params = () if param is None else (F(param),)
-    grid = cut_grid([v for g in operands for v in g.values()] + list(op.kinks(*params)))
     combos = list(itertools.product(*(g.values() for g in operands)))
-    outputs = {op.scalar(*combo, *params) for combo in combos}
-    gaps = [abs(c - w) for c in grid for w in outputs if c != w]
+    points = sorted({*(v for g in operands for v in g.values()), *result.grid_values(),
+                     *(op.scalar(*combo, *params) for combo in combos)})
+    gaps = [b - a for a, b in zip(points, points[1:])]
     lipschitz = max(1, abs(params[0])) if tag == "scale" else 1
     gamma = min(gaps, default=F(1)) / (2 * (len(operands) + 1) * lipschitz)
     boxes = []
@@ -573,9 +581,12 @@ def reference_oracle_mismatch(tag, operands, result, param=None):
         if meet == fr.bottom:
             continue
         image = REFERENCE_IMAGES[tag](*[(v - gamma, v + gamma) for v in combo], *params)
-        boxes.append((image, meet))
-    for v_int in reference_grid_intervals(grid):
-        formula = fr.join_all(m for image, m in boxes
+        boxes.append((op.scalar(*combo, *params), image, meet))
+    values = sorted({w for w, _, _ in boxes} | set(result.grid_values()))
+    ends = [NEG_INF, *((a + b) / 2 for a, b in zip(values, values[1:])), POS_INF]
+    for lo, hi in zip(ends, ends[1:]):
+        v_int = OpenInterval(lo, hi)
+        formula = fr.join_all(m for _, image, m in boxes
                               if reference_image_inside(image, v_int))
         if formula != result.eval(v_int):
             return v_int
@@ -586,9 +597,25 @@ PARAMS = {"scale": [F(2), F(-1, 2), F(0), F(3, 4), F(10), F(-7)], "tminus": [F(1
           "truncN": [F(1), F(2), F(3)]}
 
 
+def moved_in_its_gap(tag, operands, param, result):
+    """result with its first nonzero value that lies strictly inside a gap
+    of the operand values' cut grid moved halfway to the gap's upper end
+    (or up by 1 above the grid), or None.  The grid is the one the oracle
+    once probed: the operand values and the points where the tag bends."""
+    bends = {"truncate": [F(1)], "tminus": [param], "truncN": [param]}.get(tag, [])
+    grid = cut_grid([v for g in operands for v in g.values()] + bends)
+    for v, c in result.cells:
+        if v and v not in grid:
+            moved = min((v + r) / 2 for r in grid if r > v) if v < grid[-1] else v + 1
+            return FrameReal(result.pframe, [(moved if w == v else w, x)
+                                             for w, x in result.cells])
+    return None
+
+
 def oracle_cases(rng):
-    """(tag, operands, param, result) for every tag: the true result, an
-    operand in its place and other tags' results on the same operands."""
+    """(tag, operands, param, result) for every tag: the true result, the
+    true result with one value moved inside its grid gap, an operand in its
+    place and other tags' results on the same operands."""
     pf = pointed_frame(rng)
     f, g = frame_real(rng, pf), frame_real(rng, pf)
     fpos = frame_real(rng, pf, nonneg=True)
@@ -601,6 +628,9 @@ def oracle_cases(rng):
     cases = []
     for tag, operands, param, result in runs:
         cases.append((tag, operands, param, result))
+        moved = moved_in_its_gap(tag, operands, param, result)
+        if moved is not None:
+            cases.append((tag, operands, param, moved))
         cases.extend((tag, operands, param, forged) for forged in operands)
         cases.extend((tag, operands, param, other) for other_tag, other_ops, _, other
                      in runs if other_tag != tag and other_ops == operands)
@@ -621,8 +651,8 @@ def test_oracle_passes_true_results_and_catches_forged_ones():
         for tag, operands, param, result in oracle_cases(random.Random(seed)):
             got = oracle_mismatch(tag, operands, result, param)
             assert got == reference_oracle_mismatch(tag, operands, result, param)
-            if result == apply_op(tag, operands, param):
-                assert got is None, tag
+            # the oracle is exact: it passes the true result and nothing else
+            assert (got is None) == (result == apply_op(tag, operands, param)), tag
             verdicts.add(got is None)
     assert verdicts == {True, False}
 
@@ -632,7 +662,8 @@ def test_oracle_names_the_first_reference_interval():
     forged = FrameReal(PF4, [(F(5), B), (F(0), A)])
     got = oracle_mismatch("truncate", [u.scale(2)], forged)
     assert got == reference_oracle_mismatch("truncate", [u.scale(2)], forged)
-    assert got == OpenInterval(F(1), POS_INF) and repr(got) == "(1,inf)"
+    # the values are 0, 1 (formula) and 5 (forged): the tight open around 1
+    assert got == OpenInterval(F(1, 2), F(3)) and repr(got) == "(1/2,3)"
 
 
 def test_large_scale_factors_pass_the_oracle():

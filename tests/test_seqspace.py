@@ -395,14 +395,15 @@ def reference_tminus(f, r):
 
 
 def reference_sup_of_filtration_is(g):
-    """The cut test asking any() over the filtration for every grid cut."""
+    """The cut test asking any() over the whole filtration at every cut of
+    the grid of g's and every term's values on the probe window."""
     _, bound = g.crossover(TailElement.zero())
-    horizon = bound + 10
-    filtration = seqspace.partial_truncations(g, horizon)
-    probe = [F(0)] + [g.value(n) for n in range(1, horizon + 1)]
-    for r in [x for x in cut_grid(probe) if x >= 0]:
-        for k in range(1, horizon + 1):
-            in_union = any(h.value(k) > r for h in filtration[k - 1:])
+    window = range(1, bound + 11)
+    filtration = seqspace.partial_truncations(g, len(window))
+    probe = [F(0)] + [h.value(n) for h in [g, *filtration] for n in window]
+    for r in cut_grid(probe):
+        for k in window:
+            in_union = any(h.value(k) > r for h in filtration)
             if in_union != (g.value(k) > r):
                 return False
     return True
@@ -410,14 +411,15 @@ def reference_sup_of_filtration_is(g):
 
 def scan_sup_of_filtration_is(g):
     """The cut test comparing every grid cut with every position as
-    Fractions, as the carrier once ran it."""
+    Fractions, as the carrier once ran it, but with the largest value of
+    every term (not only of the terms from k on) and those values in the
+    grid."""
     _, bound = g.crossover(TailElement.zero())
-    horizon = bound + 10
-    filtration = seqspace.partial_truncations(g, horizon)
-    values = [g.value(k) for k in range(1, horizon + 1)]
-    reach = [max((h.value(k) for h in filtration[k - 1:]), default=-1)
-             for k in range(1, horizon + 1)]
-    cuts = [x for x in cut_grid([F(0)] + values) if x >= 0]
+    window = range(1, bound + 11)
+    filtration = seqspace.partial_truncations(g, len(window))
+    values = [g.value(k) for k in window]
+    reach = [max((h.value(k) for h in filtration), default=-1) for k in window]
+    cuts = cut_grid([F(0)] + values + reach)
     return all((top > r) == (v > r) for r in cuts for top, v in zip(reach, values))
 
 
@@ -522,17 +524,25 @@ def test_sup_of_filtration_matches_the_scan_on_forged_filtrations(corr, tail, i,
         assert sup_of_filtration_is(g) == scan_sup_of_filtration_is(g)
 
 
-@pytest.mark.parametrize("forge", ["drop-last", "lower-one-value", "nudge-one-value"])
+@pytest.mark.parametrize("forge", ["drop-last", "lower-one-value", "nudge-one-value",
+                                   "lower-inside-the-gap", "raise-an-early-term"])
 def test_sup_of_filtration_rejects_a_forged_filtration(monkeypatch, forge):
     def forged(g, count):
         hs = partial_truncations(g, count)
         if forge == "drop-last":
             return hs[:-1]
+        if forge == "raise-an-early-term":
+            # h_1(5) = 1 > g(5) = 1/5, at a position past the term's own
+            first = dict(hs[0].correction)
+            first[5] = F(1)
+            return [TailElement(first)] + hs[1:]
         last = dict(hs[-1].correction)
-        # h_count(count) = 0 < g(count), or above g(count) by less than
-        # one step of the scaled grid
-        last[count] = (F(0) if forge == "lower-one-value"
-                       else g.value(count) + F(1, 10 ** 9))
+        # h_count(count) = 0 < g(count), above g(count) by less than one
+        # step of the scaled grid, or 1/(count + 1) < g(count) = 1/count,
+        # between g's values
+        last[count] = {"lower-one-value": F(0),
+                       "nudge-one-value": g.value(count) + F(1, 10 ** 9),
+                       "lower-inside-the-gap": F(1, count + 1)}[forge]
         return hs[:-1] + [TailElement(last)]
 
     assert sup_of_filtration_is(G0)
