@@ -20,8 +20,7 @@ from .errors import (BudgetError, CertificationError, ParseError,
                      TruncLabError, UnsupportedOperationError)
 from .frames import (FiniteFrame, FrameReal, FrameSurjection, OpenInterval,
                      PointedFiniteFrame, chi, drop, e0q_exhaustive,
-                     e0q_member, frame_pointwise_sup, frame_uc_check,
-                     induced_op, surjection_tools)
+                     e0q_member, frame_uc_check, induced_op, surjection_tools)
 from .gba import (BooleanAlgebra, GeneralizedBooleanAlgebra,
                   IdealizedBooleanAlgebra, clopen, find_gba_isomorphism,
                   find_iba_isomorphism, iba_forget, idealize, map_failure,

@@ -15,14 +15,13 @@ import re
 import sys
 
 from .elements import (Carrier, GoodSequence, SimpleElement, SimpleTrunc,
-                       apply_op, dini_check, element_from_good, good_from_element,
-                       normal_form, pointwise_sup, truncation_sequence,
-                       truncation_sequence_check, uc)
+                       StepValues, apply_op, dini_check, element_from_good,
+                       good_from_element, normal_form, pointwise_sup,
+                       truncation_sequence, truncation_sequence_check, uc)
 from .equivalences import equivalence_witness
 from .errors import BudgetError, CertificationError, ParseError, TruncLabError
-from .frames import (FrameReal, OpenInterval, drop, e0q_member,
-                     frame_pointwise_sup, frame_uc_check, induced_op,
-                     surjection_tools)
+from .frames import (FrameReal, OpenInterval, drop, e0q_member, frame_uc_check,
+                     induced_op, surjection_tools)
 from .instances import Instance, Sequence, parse_instance
 from .kernels import KernelSpec, kernel_closure, kernel_conditions, pointwise_closed
 from .rat import format_label, format_rational, parse_extended, parse_rational
@@ -223,12 +222,9 @@ def cmd_pointwise(inst, names, args, report):
                          "" if verdict.closed else
                          f"{verdict.family_kind} sup escapes")
         return
-    if all(isinstance(o, SimpleElement) for o in objs):
-        sup = pointwise_sup(objs)
-    elif all(isinstance(o, FrameReal) for o in objs):
-        sup = frame_pointwise_sup(objs)
-    else:
+    if len({type(o) for o in objs}) > 1 or not isinstance(objs[0], StepValues):
         raise TruncLabError("pointwise needs elements, frame reals, or one kernel")
+    sup = pointwise_sup(objs)
     report.add_check("pointwise-sup verified on the cut grid", True)
     report.put("sup", sup.to_json())
 

@@ -181,6 +181,9 @@ class SimpleElement(StepValues):
     def zero(cls, space):
         return cls._canonical(space, (0,) * len(space.nonstar), 1)
 
+    def to_simple(self):
+        return self
+
     def value(self, point):
         if point == self.space.star:
             return ZERO
@@ -638,20 +641,26 @@ def cut_grid(values):
 
 
 def pointwise_sup(family):
-    """Pointwise maximum, verified cut-by-cut on the rational grid.
+    """Pointwise maximum of simple elements or frame reals, verified
+    cut-by-cut on the rational grid of their to_simple() images.
 
     At each r of cut_grid(all values and 0) the union over the family of the
     upper cuts {p : g(p) > r} must be the sup's upper cut; the first r where
     they differ is the witness.  It runs on int_cut_grid, scaled by d = 2 *
-    lcm of the denominators.
+    lcm of the denominators.  On pointed frame reals it is the frame test,
+    join of the g(r, inf) = sup(r, inf), with the same first failing cut: a
+    finite frame is spatial, the points of a join are the union of its
+    parts', those of g(r, inf) are the p with g.at(p) > r, and the basepoint
+    (at 0) is in all cuts or none.  Every cell holds a point: same grid.  An
+    unpointed member's basepoint value is outside its image and unchecked.
     """
     family = list(family)
     if not family:
         raise StructureError("pointwise_sup of an empty family")
     b = reduce(lambda a, c: a.join(c), family)
-    d = 2 * lcm(b._den, *(g._den for g in family))
-    rows = [[n * (d // g._den) for n in g._nums] for g in family]
-    top = [n * (d // b._den) for n in b._nums]
+    images = [g.to_simple() for g in family + [b]]
+    d = 2 * lcm(*(g._den for g in images))
+    *rows, top = [[n * (d // g._den) for n in g._nums] for g in images]
     for r in int_cut_grid({0, *top}.union(*rows), d):
         # the basepoint, in both cuts when r < 0, is left out
         union = {i for row in rows for i, v in enumerate(row) if v > r}

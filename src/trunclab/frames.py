@@ -5,7 +5,8 @@ pseudocomplements, rather-below relation and complemented part are derived
 tables.  A frame real is a partition of the top into complemented cells,
 each carrying a rational value (extended reals allowed for the D-type used
 by drop/lift computations); the cell containing the designated point
-carries 0.  Induced operations are computed cell-wise and certified against
+carries 0.  Sups and drop/lift squares are certified at the points of the
+spectrum.  Induced operations are computed cell-wise and certified against
 the join-of-meets formula, decided value by value; surjections carry their
 adjoints, with density decided exactly.
 """
@@ -13,16 +14,18 @@ adjoints, with density decided exactly.
 import itertools
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from functools import reduce
+from functools import cached_property, reduce
 from math import gcd, lcm
 
-from .elements import OPS, StepValues, apply_op, int_cut_grid, is_unital_component
+from .elements import OPS, SimpleElement, StepValues, apply_op, is_unital_component
 from .errors import (BudgetError, SpaceMismatchError, StructureError,
                      UnsupportedOperationError, certify)
-from .gba import ValidationReport, _distributive_lattice, _law_sweep, order_lattice
+from .gba import (ValidationReport, _distributive_lattice, _join_irreducibles,
+                  _law_sweep, order_lattice)
 from .rat import (NEG_INF, POS_INF, as_fraction, format_label, format_rational,
                   is_finite, sort_key, sorted_labels)
 from .records import record
+from .spaces import PointedBooleanSpace
 
 
 def _frame_tables(labels, leq_pairs):
@@ -181,13 +184,24 @@ class PointedFiniteFrame:
     def point(self, x):
         return x in self.true_set
 
+    @cached_property
+    def spectrum(self):
+        """The points as a pointed space on frame indices: the join-primes j
+        (in a distributive lattice, the join-irreducibles), whose up-sets are
+        the completely prime filters; the basepoint's up-set is the true set."""
+        up, n = self.frame._up, len(self.frame)
+        primes = _join_irreducibles([sum(1 << i for i in range(n) if up[i] >> j & 1)
+                                     for j in range(n)])
+        return PointedBooleanSpace(frozenset(j for j in range(n) if primes >> j & 1),
+                                   up.index(self._true))
+
     def _validate(self):
         """The true-set t must be a prime filter: some up-set whose complement's
         join g lies outside it.  Only a failing point is scanned for a witness."""
         fr = self.frame
         if not self.point(fr.top) or self.point(fr.bottom):
             raise StructureError("point must send top to top and bottom to bottom")
-        t = sum(1 << i for i, x in enumerate(fr.labels) if x in self.true_set)
+        self._true = t = sum(1 << i for i, x in enumerate(fr.labels) if x in self.true_set)
         g = fr._join_of(i for i in range(len(fr)) if not t >> i & 1)
         if t not in fr._up or t >> g & 1:
             bad = _unpreserved(fr, [t >> i & 1 for i in range(len(fr))],
@@ -208,25 +222,13 @@ class PointedFiniteFrame:
 
 @record(frozen=True)
 class OpenInterval:
-    """An open rational interval, optionally closed at infinite endpoints.
-
-    closed_lo/closed_hi model the extended-real opens [-inf, r) and
-    (r, +inf]; they are only meaningful when the endpoint is infinite.
-    """
+    """An open rational interval; its ends may be -inf and +inf."""
 
     lo: object
     hi: object
-    closed_lo: bool = False
-    closed_hi: bool = False
-
-    def restrict_to_reals(self):
-        """The image under U -> U n (-inf, inf), dropping the infinite ends."""
-        return OpenInterval(self.lo, self.hi)
 
     def __repr__(self):
-        lo = "[-inf" if self.closed_lo else f"({self.lo}"
-        hi = "+inf]" if self.closed_hi else f"{self.hi})"
-        return f"{lo},{hi}"
+        return f"({self.lo},{self.hi})"
 
 
 def ray_below(r):
@@ -235,10 +237,6 @@ def ray_below(r):
 
 def ray_above(r):
     return OpenInterval(as_fraction(r), POS_INF)
-
-
-def real_line():
-    return OpenInterval(NEG_INF, POS_INF)
 
 
 class FrameReal(StepValues):
@@ -366,12 +364,24 @@ class FrameReal(StepValues):
     def eval(self, interval):
         """The frame element assigned to an open interval: join of matching cells."""
         cells = self._cells[self._rank(interval.lo, False):self._rank(interval.hi, True)]
-        if interval.closed_lo and self._neg is not None:
-            cells += (self._neg,)
-        if interval.closed_hi and self._pos is not None:
-            cells += (self._pos,)
         fr = self.pframe.frame
         return fr.labels[fr._join_of(cells)]
+
+    def at(self, p):
+        """The value at the point p: that of the one cell above the join-prime p."""
+        up = self.pframe.frame._up[p]
+        return next(Fraction(n, self._den) if is_finite(n) else n
+                    for n, c in self._items() if up >> c & 1)
+
+    def to_simple(self):
+        """The image on the spectrum, without the basepoint value an unpointed
+        real may have; a real with an infinite cell has none."""
+        if (self._neg, self._pos) != (None, None):
+            raise UnsupportedOperationError("a frame real with an infinite cell has no image")
+        spectrum, up, cells = self.pframe.spectrum, self.pframe.frame._up, self._cells
+        return SimpleElement._canonical(spectrum, tuple(next(
+            n for n, c in zip(self._nums, cells) if up[p] >> c & 1) for p in spectrum.nonstar),
+            self._den)
 
     def _finite(self):
         if self.extended:
@@ -503,7 +513,7 @@ class FrameSurjection:
         self.source = source
         self.target = target
         self.mapping = dict(mapping)
-        f = self._validate()
+        self._f = f = self._validate()  # the map on indices
         fs, ft = source.frame, target.frame
         self.adjoint = {y: fs.labels[fs._join_of(x for x, fx in enumerate(f)
                                                  if ft._up[fx] >> j & 1)]
@@ -571,7 +581,7 @@ def drop(q, h_prime):
 
     On success the finite-value cells map through q (infinite cells are
     forced to bottom) and the commuting square q o h' = h o p is verified
-    on the rational grid; otherwise the failed condition value is returned.
+    at the points of the target; otherwise the failed condition value is returned.
     """
     if h_prime.pframe != q.source:
         raise SpaceMismatchError("h' must live on the source of q")
@@ -585,7 +595,7 @@ def drop(q, h_prime):
             certify(q(c) == ft.bottom,
                     "infinite cells must collapse under the condition", (v, c))
     h = FrameReal(q.target, cells, pointed=h_prime.pointed)
-    _certify_square(q, h_prime, h, h_prime, "drop square q o h' = h o p fails")
+    _certify_square(q, h_prime, h, "drop square q o h' = h o p fails")
     return DropResult(True, result=h)
 
 
@@ -602,21 +612,20 @@ class LiftResult:
         return f"LiftResult(refuted: {self.note})"
 
 
-def _certify_square(q, h_prime, h, given, message):
-    """Certify q o h' = h o p on the real line, then at each cut r of the
-    given real's finite values and 0 on [-inf, r) and (r, +inf] when h' is
-    extended and on (-inf, r) and (r, inf); the first failing open is the witness.
-    The cuts come from int_cut_grid on the numerators scaled by 2."""
-    probes = [real_line()]
-    d = 2 * given._den
-    for r in int_cut_grid([0, *(2 * n for n in given._nums)], d):
-        r = Fraction(r, d)
-        if h_prime.extended:
-            probes += [OpenInterval(NEG_INF, r, closed_lo=True),
-                       OpenInterval(r, POS_INF, closed_hi=True)]
-        probes += [ray_below(r), ray_above(r)]
-    for u in probes:
-        certify(q(h_prime.eval(u)) == h.eval(u.restrict_to_reals()), message, u)
+def _certify_square(q, h_prime, h, message):
+    """Certify q o h' = h o p on every open U of the extended line (h finite);
+    the witness is the first failing point of the target.  The target is
+    spatial, so both sides agree on U iff each point t lies below both or
+    neither.  The x with t <= q(x) are a completely prime filter (q keeps
+    meets and joins, t is join-prime): the up-set of a join-prime p.  So
+    t <= q(h'(U)) iff p <= h'(U) iff h'.at(p) is in U, and t <= h(U n R) iff
+    h.at(t) is; distinct extended values have opens that tell them apart, so
+    the square holds iff h'.at(p) == h.at(t) at every t."""
+    fs, ft, f = q.source.frame, q.target.frame, q._f
+    for t in sorted(q.target.spectrum.points):
+        p = reduce(lambda a, x: fs._meet[a][x],
+                   (x for x, fx in enumerate(f) if ft._up[t] >> fx & 1), fs._top)
+        certify(h_prime.at(p) == h.at(t), message, ft.labels[t])
 
 
 def e0q_member(q, h):
@@ -641,7 +650,7 @@ def e0q_member(q, h):
     cand = [(v, q.adjoint[c]) for v, c in h.cells]
     if fs.join_all(c for _, c in cand) == fs.top:
         h_prime = FrameReal(q.source, cand)
-        _certify_square(q, h_prime, h, h, "the lift must satisfy q o h' = h o p")
+        _certify_square(q, h_prime, h, "the lift must satisfy q o h' = h o p")
         return LiftResult(True, witness=h_prime, method="adjoint")
     failure = q.galois_failure()
     certify(failure is None, "adjoint must satisfy the Galois law", failure)
@@ -674,24 +683,5 @@ def e0q_exhaustive(q, h, max_frame=20):
     if cells is None:
         return LiftResult(False, note="no complemented partition lifts the cells")
     h_prime = FrameReal(q.source, [(v, c) for (v, _), c in zip(target_cells, cells)])
-    _certify_square(q, h_prime, h, h, "the lift must satisfy q o h' = h o p")
+    _certify_square(q, h_prime, h, "the lift must satisfy q o h' = h o p")
     return LiftResult(True, witness=h_prime, method="exhaustive")
-
-
-# --- pointwise suprema ---------------------------------------------------
-
-def frame_pointwise_sup(family):
-    """Cell-wise maximum, verified by the defining join equation at all cuts,
-    taken by int_cut_grid over d = 2 * lcm of the denominators."""
-    family = list(family)
-    if not family:
-        raise StructureError("pointwise sup of an empty family")
-    sup = reduce(lambda a, b: a.join(b), family)
-    fr = sup.pframe.frame
-    d = 2 * lcm(*(g._den for g in family + [sup]))
-    for r in int_cut_grid({n * (d // g._den) for g in family + [sup] for n in g._nums}, d):
-        r = Fraction(r, d)
-        lhs = fr.join_all(g.eval(ray_above(r)) for g in family)
-        certify(lhs == sup.eval(ray_above(r)), "pointwise sup fails the cut test", r)
-    return sup
-

@@ -105,12 +105,18 @@ def order_lattice(labels, leq_pairs):
     return out, None if out else (labels, up, join, meet)
 
 
+def _join_irreducibles(down):
+    """Bitmask of the join-irreducibles, given each element's down-set: j is
+    one iff the elements strictly below j are the down-set of one element."""
+    downs = set(down)
+    return sum(1 << j for j, d in enumerate(down) if d ^ 1 << j in downs)
+
+
 def _distributive_lattice(J, M, bot):
     """Whether total integer tables J, M pass every law of _law_sweep, in
     O(n^2) bitmask work.  Let a <= b iff J[a][b] == b, keep up- and down-sets
     as bitmasks, and let D(x) be the join-irreducibles below x and E(x) the
-    other irreducibles; in a lattice, j is irreducible iff the elements
-    strictly below j are the down-set of one element.  It requires
+    other irreducibles (_join_irreducibles).  It requires
     (1) up[a] & down[a] == {a}: <= is reflexive and antisymmetric;
     (2) up[bot] holds every element; (3) up[J[a][b]] == up[a] & up[b]: J is
     the least upper bound and, where J[a][b] == b, <= is transitive;
@@ -128,8 +134,7 @@ def _distributive_lattice(J, M, bot):
     if up[bot] != (1 << len(J)) - 1 or any(u & d != 1 << a for a, (u, d) in
                                            enumerate(zip(up, down))):
         return False
-    downs = set(down)
-    irreducible = sum(1 << j for j, d in enumerate(down) if d ^ 1 << j in downs)
+    irreducible = _join_irreducibles(down)
     return all(masks[t] == ma & mb for table, masks in
                ((J, up), (M, down), (J, [irreducible & ~d for d in down]))
                for ma, row in zip(masks, table) for t, mb in zip(row, masks))

@@ -20,8 +20,8 @@ from .elements import (SimpleElement, bound_witness, bounded_away_from_zero,
                        truncation_sequence_check, uc)
 from .equivalences import equivalence_witness
 from .frames import (FiniteFrame, FrameReal, FrameSurjection, PointedFiniteFrame,
-                     chi, drop, e0q_exhaustive, e0q_member, frame_pointwise_sup,
-                     induced_op, ray_above, ray_below, surjection_tools)
+                     chi, drop, e0q_exhaustive, e0q_member, induced_op,
+                     ray_above, ray_below, surjection_tools)
 from .gba import clopen, iba_forget, idealize, map_failure, stone
 from .hyper import hyperarchimedean
 from .kernels import KernelSpec, kernel_closure, pointwise_closed
@@ -530,7 +530,7 @@ def suite_convergence(rng, cases, failures, seed):
             failures.append(f"restriction does not preserve sup: {fam!r}")
         pf = sampling.pointed_frame(rng)
         g = sampling.frame_real(rng, pf)
-        if frame_pointwise_sup([g, g, g]) != g:
+        if pointwise_sup([g, g, g]) != g:
             failures.append(f"frame constant sup differs: {g!r}")
 
 

@@ -17,9 +17,11 @@ from trunclab import cli, frames
 from trunclab.elements import SimpleElement
 from trunclab.errors import CertificationError
 from trunclab.frames import (FiniteFrame, FrameReal, FrameSurjection,
-                             OpenInterval, PointedFiniteFrame, _certify_square,
-                             chi, real_line, surjection_tools)
+                             PointedFiniteFrame, _certify_square, chi,
+                             surjection_tools)
 from trunclab.rat import chance
+
+from test_frames import real_line
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "trunclab"
 INSTANCE = str(Path(__file__).resolve().parent / "golden" / "instance.tl")
@@ -101,10 +103,10 @@ def test_galois_certificate_names_the_failing_pair():
 def test_lift_certificate_names_the_failing_probe():
     q, h = identity(), chi(PF4, B)
     message = "the lift must satisfy q o h' = h o p"
-    _certify_square(q, h, h, h, message)
+    _certify_square(q, h, h, message)
     with pytest.raises(CertificationError, match="the lift must satisfy") as info:
-        _certify_square(q, h.scale(2), h, h, message)
-    assert isinstance(info.value.witness, OpenInterval)
+        _certify_square(q, h.scale(2), h, message)
+    assert info.value.witness == B  # the point of the target where 2h and h differ
 
 
 @pytest.mark.parametrize("argv, target, attr, broken, message", [
@@ -120,7 +122,10 @@ def test_lift_certificate_names_the_failing_probe():
      "pointwise sup fails the cut test"),
     (["pointwise", "u", "v", "un"], FrameReal, "join", FrameReal.meet,
      "pointwise sup fails the cut test"),
-    (["drop", "q", "hz"], OpenInterval, "restrict_to_reals", lambda u: real_line(),
+    # drop's result forged to its values plus 1: hz drops to 0 on TWO, forged to 1
+    (["drop", "q", "hz"], frames, "FrameReal",
+     lambda pframe, cells, **kw: FrameReal(pframe, [(v + 1, c) for v, c in cells],
+                                           pointed=False),
      "drop square"),
 ], ids=["induced-op", "induced-op-moved-value", "pointwise-simple", "pointwise-frame",
         "drop"])

@@ -4,7 +4,9 @@ RefFrameReal is the earlier FrameReal: Fraction cells keyed by label, every
 result rebuilt through the validating constructor, and eval through
 interval membership on Fractions.  The reference certifiers below are the earlier
 pointwise-sup cut test, Dini index map, drop square and lift probes on
-cut_grid's Fractions.  Hypothesis compares them with the integer layer.
+cut_grid's Fractions.  Hypothesis compares them with the integer layer; the
+square, now decided at the points of the target, must fail exactly when the
+probes do.  ExtendedOpen is the open of the extended line the drop probes use.
 
 old_dini_check, frame_dini and certify_lift are the Dini checks and the lift
 certificate from before dini_check served every model and drop and lift
@@ -22,21 +24,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trunclab import frames
+from trunclab import elements, frames
 from trunclab.elements import (OPS, ZERO, Carrier, DiniReport, SimpleElement,
-                               apply_op, cut_grid, dini_check)
+                               apply_op, cut_grid, dini_check, pointwise_sup)
 from trunclab.errors import (CertificationError, PositivityError,
                              SpaceMismatchError, StructureError,
                              UnsupportedOperationError)
 from trunclab.frames import (FrameReal, OpenInterval, _certify_square, drop,
-                             e0q_member, frame_pointwise_sup, ray_above,
-                             ray_below, real_line)
+                             e0q_member, ray_above, ray_below)
+from trunclab.records import record
 from trunclab.rat import NEG_INF, POS_INF, as_fraction, is_finite
 from trunclab.sampling import (dense_surjection, frame_real, pointed_frame,
                                random_space, simple_element)
 from trunclab.seqspace import SeqTrunc, TailElement
 
-from test_frames import interval_contains
+from test_frames import interval_contains, real_line
 
 SEEDS = st.integers(0, 10**6)
 
@@ -158,16 +160,26 @@ def outcome(fn, *args):
 
 
 def random_intervals(rng, values, count=12):
-    """Open intervals and closed-at-infinity rays around the given values."""
+    """Open intervals, rays and the real line around the given values."""
     finite = sorted({v for v in values if is_finite(v)} | {F(0)})
     points = finite + [v + d for v in finite for d in (F(-1, 3), F(1, 7))]
     ends = [NEG_INF, POS_INF] + points
-    out = [real_line(), OpenInterval(NEG_INF, POS_INF, True, True)]
-    for _ in range(count):
-        lo, hi = rng.choice(ends), rng.choice(ends)
-        out.append(OpenInterval(lo, hi, lo is NEG_INF and rng.random() < 0.5,
-                                hi is POS_INF and rng.random() < 0.5))
-    return out
+    return [real_line()] + [OpenInterval(rng.choice(ends), rng.choice(ends))
+                            for _ in range(count)]
+
+
+@record(frozen=True)
+class ExtendedOpen:
+    """An open of the extended line: (lo, hi), with [-inf or +inf] joined
+    at an infinite end when closed_lo or closed_hi is set."""
+
+    lo: object
+    hi: object
+    closed_lo: bool = False
+    closed_hi: bool = False
+
+    def restrict_to_reals(self):
+        return OpenInterval(self.lo, self.hi)
 
 
 def dtype_real(rng, pf):
@@ -268,13 +280,10 @@ def ref_cut_test(family, sup):
 
 
 def sup_witness(family, sup):
-    """The witness of frame_pointwise_sup when its join of the family is sup."""
-    def forged(fn, items, *start):
-        return reduce(fn, items, *start) if start else sup
-
-    with mock.patch.object(frames, "reduce", forged):
+    """The witness of pointwise_sup when its join of the family is sup."""
+    with mock.patch.object(elements, "reduce", lambda fn, items: sup):
         try:
-            frame_pointwise_sup(family)
+            pointwise_sup(family)
         except CertificationError as exc:
             return exc.witness
     return None
@@ -286,7 +295,7 @@ def test_pointwise_sup_matches_the_fraction_reference(seed):
     rng = random.Random(seed)
     pf = pointed_frame(rng)
     family = [frame_real(rng, pf) for _ in range(rng.randint(1, 4))]
-    sup = frame_pointwise_sup(family)
+    sup = pointwise_sup(family)
     assert sup.cells == reduce(RefFrameReal.join, map(ref, family)).cells
     for forged in (sup, sup.scale(F(1, 2)), sup + frame_real(rng, pf), family[0]):
         assert sup_witness(family, forged) == ref_cut_test(
@@ -417,10 +426,11 @@ def ref_drop(q, hp, forge=lambda h: h):
         return False, condition, None
     h = forge(RefFrameReal(q.target, [(v, q(c)) for v, c in hp.cells if is_finite(v)],
                            pointed=hp.pointed))
-    probes = [real_line()]
+    probes = [ExtendedOpen(NEG_INF, POS_INF)]
     for r in cut_grid([v for v in hp.values() if is_finite(v)] + [0]):
-        probes += [OpenInterval(NEG_INF, r, closed_lo=True),
-                   OpenInterval(r, POS_INF, closed_hi=True), ray_below(r), ray_above(r)]
+        probes += [ExtendedOpen(NEG_INF, r, closed_lo=True),
+                   ExtendedOpen(r, POS_INF, closed_hi=True),
+                   ExtendedOpen(NEG_INF, r), ExtendedOpen(r, POS_INF)]
     bad = next((u for u in probes
                 if q(hp.eval(u)) != h.eval(u.restrict_to_reals())), None)
     return (True, h.cells, None) if bad is None else (True, bad, "failed")
@@ -445,11 +455,11 @@ def certify_lift(q, h, h_prime):
 
 
 def lift_witness(q, h, hp, certify=None):
-    """The failing probe of the lift square, or None; certify defaults to
-    the shared square certificate."""
+    """The witness of a failing lift square, or None: the target point's label
+    from the shared square certificate, or the failing probe of certify."""
     try:
         if certify is None:
-            _certify_square(q, hp, h, h, "the lift must satisfy q o h' = h o p")
+            _certify_square(q, hp, h, "the lift must satisfy q o h' = h o p")
         else:
             certify(q, h, hp)
     except CertificationError as exc:
@@ -470,18 +480,27 @@ def test_drop_square_and_lift_probes_match_the_fraction_reference(seed):
         assert ref_lift_probe(q, ref(h), ref(lift.witness)) is None
         for forged in (lift.witness.scale(2), frame_real(rng, q.source)):
             want = ref_lift_probe(q, ref(h), ref(forged))
-            assert lift_witness(q, h, forged) == want
+            got = lift_witness(q, h, forged)
+            assert (got is None) == (want is None)
+            assert got is None or got in q.target.frame.labels
             assert lift_witness(q, h, forged, certify_lift) == want
     for cells in (dtype_real(rng, q.source), lift.witness.cells if lift.ok else []):
         if not cells:
             continue
         hp = FrameReal(q.source, cells, extended=True)
-        assert drop_outcome(q, hp) == ref_drop(q, ref(hp))
-        # a faulty result, twice the true one, fails the square at the same probe
+        assert verdict(drop_outcome(q, hp)) == verdict(ref_drop(q, ref(hp)))
+        # a faulty result, twice the true one, fails the square iff the probes do
         with mock.patch.object(frames, "FrameReal",
                                lambda *args, **kw: FrameReal(*args, **kw).scale(2)):
             got = drop_outcome(q, hp)
-        assert got == ref_drop(q, ref(hp), forge=lambda h: h.scale(2))
+        assert verdict(got) == verdict(ref_drop(q, ref(hp), forge=lambda h: h.scale(2)))
+
+
+def verdict(outcome):
+    """A drop outcome without a failing square's witness, which is a target
+    point's label for drop and a probe for ref_drop."""
+    ok, detail, failed = outcome
+    return (ok, failed) if failed else outcome
 
 
 def drop_outcome(q, hp):

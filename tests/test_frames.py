@@ -12,15 +12,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trunclab.elements import OPS, apply_op, cut_grid, dini_check
+from trunclab.elements import (OPS, SimpleElement, apply_op, cut_grid, dini_check,
+                               pointwise_sup)
 from trunclab.errors import (CertificationError, PositivityError,
-                             SpaceMismatchError, StructureError)
+                             SpaceMismatchError, StructureError,
+                             UnsupportedOperationError)
 from trunclab.frames import (FiniteFrame, FrameReal, FrameSurjection,
                              OpenInterval, PointedFiniteFrame,
                              chi, drop, e0q_exhaustive, e0q_member,
-                             frame_pointwise_sup, frame_uc_check,
+                             frame_uc_check,
                              _frame_tables, _unpreserved, induced_op, oracle_mismatch,
-                             ray_above, ray_below, real_line, surjection_tools)
+                             ray_above, ray_below, surjection_tools)
 from trunclab.gba import Violation, transitive_closure
 from trunclab.instances import parse_instance
 from trunclab.rat import NEG_INF, POS_INF, sorted_labels
@@ -35,6 +37,10 @@ A, B = frozenset({"a"}), frozenset({"b"})
 F4 = FiniteFrame.from_sets([frozenset(), A, B, frozenset({"a", "b"})])
 PF4 = PointedFiniteFrame(F4, focus=A)
 C3 = FiniteFrame.chain(3)
+
+
+def real_line():
+    return OpenInterval(NEG_INF, POS_INF)
 
 
 def chi_b():
@@ -112,6 +118,39 @@ def test_point_validation():
         PointedFiniteFrame(C3, true_set=frozenset({1}))  # misses top
     pf = PointedFiniteFrame(C3, focus=1)
     assert pf.point(1) and pf.point(2) and not pf.point(0)
+
+
+def test_f4_spectrum_is_a_and_b_with_basepoint_a():
+    spectrum = PF4.spectrum
+    assert PF4.spectrum is spectrum  # computed once per pointed frame
+    assert {F4.labels[p] for p in spectrum.points} == {A, B}
+    assert F4.labels[spectrum.star] == A
+    u = chi_b()
+    assert {F4.labels[p]: u.at(p) for p in spectrum.points} == {A: 0, B: 1}
+    assert u.to_simple() == SimpleElement(spectrum, {F4.index[B]: 1})
+    w = FrameReal(PF4, [(POS_INF, B), (F(0), A)], extended=True)
+    assert w.at(F4.index[B]) is POS_INF
+    with pytest.raises(UnsupportedOperationError):
+        w.to_simple()
+
+
+@pytest.mark.parametrize("max_points, max_size", [(4, 20), (3, 12)])
+def test_spectrum_map_is_an_injective_trunc_homomorphism(max_points, max_size):
+    """g -> g.to_simple(), the values at the points of the spectrum, commutes
+    with every operation tag and tells pointed reals apart: an oracle for the
+    cell-wise operations that does not use the join-of-meets formula."""
+    rng = random.Random(max_size)
+    for _ in range(200):
+        pf = pointed_frame(rng, max_points=max_points, max_size=max_size)
+        f, g = frame_real(rng, pf), frame_real(rng, pf)
+        fpos = frame_real(rng, pf, nonneg=True)
+        for tag, op in OPS.items():
+            operands = [f, g] if op.arity == 2 else [fpos]
+            param = F(rng.randint(1, 5), rng.randint(1, 3)) if op.takes_param else None
+            want = apply_op(tag, [x.to_simple() for x in operands], param)
+            assert apply_op(tag, operands, param).to_simple() == want, tag
+        assert (f == g) == (f.to_simple() == g.to_simple())
+        assert FrameReal(pf, f.cells).to_simple() == f.to_simple()
 
 
 def test_unknown_focal_point_is_a_structure_error():
@@ -312,9 +351,9 @@ def test_e0q_requires_density():
 
 def test_frame_pointwise_sup_examples():
     u = chi_b()
-    assert frame_pointwise_sup([u, FrameReal.zero(PF4)]) == u
+    assert pointwise_sup([u, FrameReal.zero(PF4)]) == u
     g = FrameReal(PF4, [(F(-2), B), (F(0), A)])
-    assert frame_pointwise_sup([g, g, g]) == g
+    assert pointwise_sup([g, g, g]) == g
 
 
 def test_frame_dini_example():
@@ -490,11 +529,12 @@ def reference_frame_tables(labels, leq_pairs):
 
 
 def interval_contains(u, v):
-    """Membership of an extended value in an OpenInterval."""
+    """Membership of an extended value in an OpenInterval, or in an open of
+    the extended line that is closed at an infinite end where u says so."""
     if v is NEG_INF:
-        return bool(u.closed_lo)
+        return getattr(u, "closed_lo", False)
     if v is POS_INF:
-        return bool(u.closed_hi)
+        return getattr(u, "closed_hi", False)
     return (u.lo is NEG_INF or u.lo < v) and (u.hi is POS_INF or v < u.hi)
 
 

@@ -100,6 +100,7 @@ ARGVS = [
     ("kernel-check", "K", "--cases", "0", *K, *J),
     ("pointwise", "K1", "--cases", "-1", *K, *J),
     *[("pointwise", "u", x, "--file", "spectrum.tl", *J) for x in ("up", "g")],
+    ("pointwise", "w", *F, *J),
     ("check", "--file", "missing.tl", *J),
     ("check", "--file", "bad_kernel.tl", *J),
     ("check", "--file", "nonconvex_kernel.tl", *J),

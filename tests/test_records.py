@@ -150,9 +150,9 @@ def test_hot_records_hash_as_their_field_tuples():
     x = space("1", "2")
     assert hash(x) == hash((frozenset({"1", "2", "*"}), "*"))
     half = Fraction(1, 2)
-    for iv, fields in ((OpenInterval(0, half), (0, half, False, False)),
-                       (OpenInterval(NEG_INF, half, True), (NEG_INF, half, True, False)),
-                       (OpenInterval(half, POS_INF, False, True), (half, POS_INF, False, True))):
+    for iv, fields in ((OpenInterval(0, half), (0, half)),
+                       (OpenInterval(NEG_INF, half), (NEG_INF, half)),
+                       (OpenInterval(half, POS_INF), (half, POS_INF))):
         assert hash(iv) == hash(fields)
         assert iv == OpenInterval(*fields) and iv != fields
 
