@@ -78,9 +78,11 @@ ARGVS = [
     ("pointwise", "K4", *C, *K, *J),
     ("pointwise", "g", "h", "gn", *F, *J),
     ("pointwise", "u", "v", "un", *F, *J),
+    ("pointwise", "w", *F, *J),
     *[(*argv, "--file", "spectrum.tl", *J) for argv in (
         ("drop", "qa", "hinf"), ("drop", "qa", "hneg"), ("pointwise", "u", "un"),
-        ("pointwise", "un", "u"), ("pointwise", "un"))],
+        ("pointwise", "un", "u"), ("pointwise", "un"), ("pointwise", "hinf"),
+        ("pointwise", "hneg"))],
     ("dini", "s", "fd", *F, *J),
     *[("dini", seq, "--file", "dini_models.tl", *J) for seq in ("ts", "dw", "dz")],
     ("ex1-report", *C, *J),
@@ -100,7 +102,6 @@ ARGVS = [
     ("kernel-check", "K", "--cases", "0", *K, *J),
     ("pointwise", "K1", "--cases", "-1", *K, *J),
     *[("pointwise", "u", x, "--file", "spectrum.tl", *J) for x in ("up", "g")],
-    ("pointwise", "w", *F, *J),
     ("check", "--file", "missing.tl", *J),
     ("check", "--file", "bad_kernel.tl", *J),
     ("check", "--file", "nonconvex_kernel.tl", *J),
