@@ -17,7 +17,7 @@ from math import gcd, lcm
 from .errors import (PositivityError, SpaceMismatchError, StructureError,
                      UnsupportedOperationError, certify)
 from .gba import GeneralizedBooleanAlgebra
-from .rat import as_fraction, format_rational, sorted_labels
+from .rat import as_fraction, format_rational, is_finite, sorted_labels
 from .records import record
 from .spaces import PointedBooleanSpace
 
@@ -183,6 +183,10 @@ class SimpleElement(StepValues):
 
     def to_simple(self):
         return self
+
+    def _point_nums(self):
+        """The numerators at every point, the basepoint (0) last."""
+        return (*self._nums, 0)
 
     def value(self, point):
         if point == self.space.star:
@@ -641,30 +645,28 @@ def cut_grid(values):
 
 
 def pointwise_sup(family):
-    """Pointwise maximum of simple elements or frame reals, verified
-    cut-by-cut on the rational grid of their to_simple() images.
+    """Pointwise maximum of simple elements or frame reals, verified by cuts
+    at every point of the space or spectrum, the basepoint too.
 
-    At each r of cut_grid(all values and 0) the union over the family of the
-    upper cuts {p : g(p) > r} must be the sup's upper cut; the first r where
-    they differ is the witness.  It runs on int_cut_grid, scaled by d = 2 *
-    lcm of the denominators.  On pointed frame reals it is the frame test,
-    join of the g(r, inf) = sup(r, inf), with the same first failing cut: a
+    At each r of cut_grid(all finite values) the union over the family of
+    the upper cuts {p : g(p) > r} must be the sup's; the first failing r is
+    the witness.  An infinite value is in no cut.  It runs on int_cut_grid
+    over d = 2 * lcm of the denominators.  On frame reals it is the frame
+    test g(r, inf) joined = sup(r, inf), failing first at the same cut: a
     finite frame is spatial, the points of a join are the union of its
-    parts', those of g(r, inf) are the p with g.at(p) > r, and the basepoint
-    (at 0) is in all cuts or none.  Every cell holds a point: same grid.  An
-    unpointed member's basepoint value is outside its image and unchecked.
+    parts', those of g(r, inf) are the p with g.at(p) finite and > r, and
+    every cell holds a point, so the grid is the same.
     """
     family = list(family)
     if not family:
         raise StructureError("pointwise_sup of an empty family")
     b = reduce(lambda a, c: a.join(c), family)
-    images = [g.to_simple() for g in family + [b]]
-    d = 2 * lcm(*(g._den for g in images))
-    *rows, top = [[n * (d // g._den) for n in g._nums] for g in images]
-    for r in int_cut_grid({0, *top}.union(*rows), d):
-        # the basepoint, in both cuts when r < 0, is left out
-        union = {i for row in rows for i, v in enumerate(row) if v > r}
-        if union != {i for i, v in enumerate(top) if v > r}:
+    d = 2 * lcm(*(g._den for g in family + [b]))
+    *rows, top = [{i: n * (d // g._den) for i, n in enumerate(g._point_nums())
+                   if is_finite(n)} for g in family + [b]]
+    for r in int_cut_grid({v for row in rows + [top] for v in row.values()}, d):
+        union = {i for row in rows for i, v in row.items() if v > r}
+        if union != {i for i, v in top.items() if v > r}:
             certify(False, "pointwise sup fails the cut test", Fraction(r, d))
     return b
 

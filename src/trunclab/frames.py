@@ -367,21 +367,26 @@ class FrameReal(StepValues):
         fr = self.pframe.frame
         return fr.labels[fr._join_of(cells)]
 
+    def _num_at(self, p):
+        """The numerator, or +/-inf, of the one cell above the join-prime p."""
+        return next(n for n, c in self._items() if self.pframe.frame._up[p] >> c & 1)
+
     def at(self, p):
         """The value at the point p: that of the one cell above the join-prime p."""
-        up = self.pframe.frame._up[p]
-        return next(Fraction(n, self._den) if is_finite(n) else n
-                    for n, c in self._items() if up >> c & 1)
+        return Fraction(n, self._den) if is_finite(n := self._num_at(p)) else n
+
+    def _point_nums(self):
+        """The numerators, or +/-inf, at the points of the spectrum, the basepoint last."""
+        spectrum = self.pframe.spectrum
+        return [*map(self._num_at, spectrum.nonstar), self._num_at(spectrum.star)]
 
     def to_simple(self):
         """The image on the spectrum, without the basepoint value an unpointed
         real may have; a real with an infinite cell has none."""
         if (self._neg, self._pos) != (None, None):
             raise UnsupportedOperationError("a frame real with an infinite cell has no image")
-        spectrum, up, cells = self.pframe.spectrum, self.pframe.frame._up, self._cells
-        return SimpleElement._canonical(spectrum, tuple(next(
-            n for n, c in zip(self._nums, cells) if up[p] >> c & 1) for p in spectrum.nonstar),
-            self._den)
+        return SimpleElement._canonical(self.pframe.spectrum,
+                                        tuple(self._point_nums()[:-1]), self._den)
 
     def _finite(self):
         if self.extended:

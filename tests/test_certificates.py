@@ -17,11 +17,9 @@ from trunclab import cli, frames
 from trunclab.elements import SimpleElement
 from trunclab.errors import CertificationError
 from trunclab.frames import (FiniteFrame, FrameReal, FrameSurjection,
-                             PointedFiniteFrame, _certify_square, chi,
-                             surjection_tools)
-from trunclab.rat import chance
-
-from test_frames import real_line
+                             OpenInterval, PointedFiniteFrame, _certify_square,
+                             chi, surjection_tools)
+from trunclab.rat import NEG_INF, POS_INF, chance
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "trunclab"
 INSTANCE = str(Path(__file__).resolve().parent / "golden" / "instance.tl")
@@ -111,7 +109,7 @@ def test_lift_certificate_names_the_failing_probe():
 
 @pytest.mark.parametrize("argv, target, attr, broken, message", [
     (["induced-op", "add", "u", "v"], frames, "oracle_mismatch",
-     lambda *args: real_line(), "join-of-meets oracle disagrees (witness (-inf,inf))"),
+     lambda *args: OpenInterval(NEG_INF, POS_INF), "join-of-meets oracle disagrees (witness (-inf,inf))"),
     # u - v is -1/2 on b, strictly inside the gap (-1, 0) of the cut grid of
     # the operand values 0, 1 and 3/2; a result of -3/4 there fails below -1/2
     (["induced-op", "sub", "u", "v"], frames, "apply_op",

@@ -18,6 +18,7 @@ import operator
 import random
 from fractions import Fraction as F
 from functools import reduce
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -32,13 +33,14 @@ from trunclab.errors import (CertificationError, PositivityError,
                              UnsupportedOperationError)
 from trunclab.frames import (FrameReal, OpenInterval, _certify_square, drop,
                              e0q_member, ray_above, ray_below)
+from trunclab.instances import parse_instance
 from trunclab.records import record
 from trunclab.rat import NEG_INF, POS_INF, as_fraction, is_finite
 from trunclab.sampling import (dense_surjection, frame_real, pointed_frame,
                                random_space, simple_element)
 from trunclab.seqspace import SeqTrunc, TailElement
 
-from test_frames import interval_contains, real_line
+from test_frames import interval_contains
 
 SEEDS = st.integers(0, 10**6)
 
@@ -164,7 +166,7 @@ def random_intervals(rng, values, count=12):
     finite = sorted({v for v in values if is_finite(v)} | {F(0)})
     points = finite + [v + d for v in finite for d in (F(-1, 3), F(1, 7))]
     ends = [NEG_INF, POS_INF] + points
-    return [real_line()] + [OpenInterval(rng.choice(ends), rng.choice(ends))
+    return [OpenInterval(NEG_INF, POS_INF)] + [OpenInterval(rng.choice(ends), rng.choice(ends))
                             for _ in range(count)]
 
 
@@ -180,6 +182,13 @@ class ExtendedOpen:
 
     def restrict_to_reals(self):
         return OpenInterval(self.lo, self.hi)
+
+    def contains(self, v):
+        if v is NEG_INF:
+            return self.closed_lo
+        if v is POS_INF:
+            return self.closed_hi
+        return interval_contains(self.restrict_to_reals(), v)
 
 
 def dtype_real(rng, pf):
@@ -273,7 +282,7 @@ def test_validation_matches_the_fraction_reference(seed):
 def ref_cut_test(family, sup):
     """The earlier cut test of frame_pointwise_sup: the first failing r."""
     fr = sup.pframe.frame
-    for r in cut_grid([v for g in family + [sup] for v in g.values()]):
+    for r in cut_grid([v for g in family + [sup] for v in g.values() if is_finite(v)]):
         if fr.join_all(g.eval(ray_above(r)) for g in family) != sup.eval(ray_above(r)):
             return r
     return None
@@ -289,17 +298,44 @@ def sup_witness(family, sup):
     return None
 
 
+def unpointed_real(rng, pf):
+    """A frame real with every value shifted, so the point's cell may not carry 0."""
+    shift = F(rng.randint(-3, 3), rng.randint(1, 2))
+    return FrameReal(pf, [(v + shift, c) for v, c in frame_real(rng, pf).cells],
+                     pointed=False)
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(SEEDS)
 def test_pointwise_sup_matches_the_fraction_reference(seed):
+    """The join and the first failing cut of the frame test; then families
+    with unpointed or D-type members against forged sups of every kind, where
+    the basepoint's value counts and an infinite value is in no cut."""
     rng = random.Random(seed)
     pf = pointed_frame(rng)
     family = [frame_real(rng, pf) for _ in range(rng.randint(1, 4))]
     sup = pointwise_sup(family)
     assert sup.cells == reduce(RefFrameReal.join, map(ref, family)).cells
-    for forged in (sup, sup.scale(F(1, 2)), sup + frame_real(rng, pf), family[0]):
-        assert sup_witness(family, forged) == ref_cut_test(
-            [ref(g) for g in family], ref(forged))
+    cases = [(family, forged) for forged in
+             (sup, sup.scale(F(1, 2)), sup + frame_real(rng, pf), family[0])]
+    kinds = [lambda: frame_real(rng, pf), lambda: unpointed_real(rng, pf),
+             lambda: FrameReal(pf, dtype_real(rng, pf), extended=True)]
+    mixed = [rng.choice(kinds)() for _ in range(rng.randint(1, 3))]
+    cases += [(mixed, forged) for forged in (mixed[0], *(kind() for kind in kinds))]
+    for members, forged in cases:
+        assert sup_witness(members, forged) == ref_cut_test(
+            [ref(g) for g in members], ref(forged))
+
+
+def test_forged_sup_of_an_unpointed_real_fails_at_its_basepoint_value():
+    """[un] of tests/golden/spectrum.tl is -2 at the point a; a sup forged to
+    -1 there differs from it only at the basepoint, and fails at the cut -2."""
+    inst = parse_instance(Path(__file__).resolve().parent / "golden" / "spectrum.tl")
+    un = inst.get("un")
+    forged = FrameReal(un.pframe, [(-1, "a"), (0, "b")], pointed=False)
+    assert un.to_simple() == forged.to_simple()
+    assert sup_witness([un], forged) == -2
+    assert sup_witness([un], un) is None
 
 
 def ref_dini(seq):
@@ -431,14 +467,16 @@ def ref_drop(q, hp, forge=lambda h: h):
         probes += [ExtendedOpen(NEG_INF, r, closed_lo=True),
                    ExtendedOpen(r, POS_INF, closed_hi=True),
                    ExtendedOpen(NEG_INF, r), ExtendedOpen(r, POS_INF)]
+    fs = hp.pframe.frame
     bad = next((u for u in probes
-                if q(hp.eval(u)) != h.eval(u.restrict_to_reals())), None)
+                if q(fs.join_all(c for v, c in hp.cells if u.contains(v)))
+                != h.eval(u.restrict_to_reals())), None)
     return (True, h.cells, None) if bad is None else (True, bad, "failed")
 
 
 def ref_lift_probe(q, h, hp):
     """The earlier lift certificate: the first probe where q o h' != h o p."""
-    probes = [real_line()]
+    probes = [OpenInterval(NEG_INF, POS_INF)]
     for r in cut_grid(h.values() + [0]):
         probes += [ray_below(r), ray_above(r)]
     return next((u for u in probes if q(hp.eval(u)) != h.eval(u)), None)
@@ -446,7 +484,7 @@ def ref_lift_probe(q, h, hp):
 
 def certify_lift(q, h, h_prime):
     """The lift certificate before drop and lift shared _certify_square."""
-    probes = [real_line()]
+    probes = [OpenInterval(NEG_INF, POS_INF)]
     for r in cut_grid(h.values() + [0]):
         probes += [ray_below(r), ray_above(r)]
     for u in probes:

@@ -529,12 +529,10 @@ def reference_frame_tables(labels, leq_pairs):
 
 
 def interval_contains(u, v):
-    """Membership of an extended value in an OpenInterval, or in an open of
-    the extended line that is closed at an infinite end where u says so."""
-    if v is NEG_INF:
-        return getattr(u, "closed_lo", False)
-    if v is POS_INF:
-        return getattr(u, "closed_hi", False)
+    """Membership of an extended value in an OpenInterval, an open of the
+    reals: an infinite value is in none."""
+    if v is NEG_INF or v is POS_INF:
+        return False
     return (u.lo is NEG_INF or u.lo < v) and (u.hi is POS_INF or v < u.hi)
 
 
