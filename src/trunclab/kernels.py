@@ -192,8 +192,7 @@ class SeqKernel(KernelSpec):
     def contains(self, g):
         if g not in self.model:
             return False
-        if any(c != 0 and not allowed
-               for c, allowed in zip(g.tail, self.tails_allowed)):
+        if any(a and not allowed for a, allowed in zip(g._nums, self.tails_allowed)):
             return False
         if self.support is not None:
             kind, data = g.support()
@@ -288,10 +287,9 @@ def _n_star(ag, h):
         if a_num > 0:
             h_num, h_den = h._pair(k)
             n_star = max(n_star, -(-h_num * a_den // (h_den * a_num)) + 1)
-    (a_nums, a_den), (h_nums, h_den) = ag._ints(), h._ints()
-    for a, b in zip_longest(a_nums, h_nums, fillvalue=0):
+    for a, b in zip_longest(ag._nums, h._nums, fillvalue=0):
         if a:
-            n_star = max(n_star, -(-abs(b) * a_den // (h_den * abs(a))) + 2)
+            n_star = max(n_star, -(-abs(b) * ag._den // (h._den * abs(a))) + 2)
     return n_star
 
 

@@ -9,30 +9,27 @@ tail comparison is decided by the leading coefficient, so they visit only
 the positions below N and the corrected ones.
 
 Evaluation stays exact without building a Fraction per term: each element
-keeps its tail as integer numerators over one common denominator, so a tail
-value is a Horner loop over ints, a crossover sign and bound come from those
-numerators, and the lattice operations compare and subtract values as
-unreduced integer pairs (num, den), den > 0, making a Fraction only for a
-correction they keep.  The sampler picks its values from one module-level
-pool and builds each sample in canonical form, with no validating pass.
+keeps its tail once, as integer numerators over one common denominator in
+lowest terms, so a tail value is a Horner loop over ints, a crossover sign
+and bound come from those numerators, and the lattice operations compare and
+subtract values as unreduced integer pairs (num, den), den > 0, making a
+Fraction only for a correction they keep.  Meet, join, abs and meet_const
+share one correction loop (TailElement._corrected).  The sampler picks its
+values from one module-level pool of numerators over 2 and builds each
+sample in canonical form, with no validating pass.
 """
 
 from fractions import Fraction
 from itertools import zip_longest
-from math import lcm
+from math import gcd, lcm
 from operator import ge, le
 
-from .elements import ZERO, Carrier
+from .elements import Carrier
 from .errors import PositivityError, StructureError, certify
 from .rat import as_fraction, chance, format_rational
 from .records import record
 
-_POOL = [Fraction(n, d) for n in range(-3, 4) for d in (1, 2)]  # sample values
-
-
-def _ceil(f):
-    f = Fraction(f)
-    return -((-f.numerator) // f.denominator)
+_POOL = [n * 2 // d for n in range(-3, 4) for d in (1, 2)]  # sample values, over 2
 
 
 def _sign_bound(nums):
@@ -78,11 +75,12 @@ def _difference(a, b):
 class TailElement(Carrier):
     """A correction-plus-tail function on omega+1, canonically represented.
 
-    _itail caches the tail as (numerators, den), slot k being
-    numerators[k] / den; it is filled on first use (see _ints).
+    The correction maps positions to nonzero Fractions.  Tail slot k is
+    _nums[k] / _den, in lowest terms with no trailing zero slot (_den == 1
+    with no tail), so equal elements have equal (correction, _nums, _den).
     """
 
-    __slots__ = ("correction", "tail", "_itail")
+    __slots__ = ("correction", "_nums", "_den")
 
     def __init__(self, correction=None, tail=()):
         corr = {}
@@ -93,19 +91,27 @@ class TailElement(Carrier):
             v = as_fraction(v)
             if v != 0:
                 corr[n] = v
-        tail = tuple(as_fraction(c) for c in tail)
+        tail = [as_fraction(c) for c in tail]
         while tail and tail[-1] == 0:
-            tail = tail[:-1]
+            tail.pop()
+        den = lcm(*(c.denominator for c in tail))  # lowest terms, as each c is
         self.correction = corr
-        self.tail = tail
-        self._itail = None
+        self._nums = tuple(c.numerator * (den // c.denominator) for c in tail)
+        self._den = den
 
     @classmethod
-    def _canonical(cls, correction, tail, itail=None):
-        """An element from parts that __init__ would keep as they are."""
-        g = object.__new__(cls)
-        g.correction, g.tail, g._itail = correction, tail, itail
-        return g
+    def _canonical(cls, correction, nums=(), den=1):
+        """An element from a correction with no zero value and a tuple of tail
+        numerators over den > 0, stripped of trailing zeros and reduced."""
+        while nums and not nums[-1]:
+            nums = nums[:-1]
+        g = gcd(den, *nums)
+        if g != 1:
+            nums = tuple(a // g for a in nums)
+            den //= g
+        e = object.__new__(cls)
+        e.correction, e._nums, e._den = correction, nums, den
+        return e
 
     @classmethod
     def chi(cls, support):
@@ -120,8 +126,13 @@ class TailElement(Carrier):
         """The pure tail n^(-slot); slot 1 is the 1/n example element."""
         return cls({}, [0] * (slot - 1) + [1])
 
+    @property
+    def tail(self):
+        """The tail coefficients as Fractions; the operations read _nums."""
+        return tuple(Fraction(a, self._den) for a in self._nums)
+
     def degree(self):
-        return len(self.tail)
+        return len(self._nums)
 
     def to_json(self):
         """The report form: the correction by index and the tail coefficients."""
@@ -135,19 +146,10 @@ class TailElement(Carrier):
         With c_k = a_k / den, sum_k c_k n^-(k+1) is
         (sum_k a_k n^(d-1-k)) / (den n^d), and Horner's rule gives the sum.
         """
-        nums, den = self._ints()
         acc = 0
-        for a in nums:
+        for a in self._nums:
             acc = acc * n + a
-        return acc, den * n ** len(nums)
-
-    def _ints(self):
-        """The tail as (numerators, den): slot k is numerators[k] / den."""
-        if self._itail is None:
-            den = lcm(*(c.denominator for c in self.tail))
-            self._itail = (tuple(c.numerator * (den // c.denominator)
-                                 for c in self.tail), den)
-        return self._itail
+        return acc, self._den * n ** len(self._nums)
 
     def _pair(self, n):
         """value(n) as an integer pair (num, den), den > 0, not reduced."""
@@ -163,14 +165,14 @@ class TailElement(Carrier):
 
     def order(self):
         """Index of the first nonzero tail coefficient, or None for zero tail."""
-        return next((i + 1 for i, c in enumerate(self.tail) if c != 0), None)
+        return next((i + 1 for i, a in enumerate(self._nums) if a), None)
 
     def __eq__(self, other):
-        return (isinstance(other, TailElement)
-                and self.correction == other.correction and self.tail == other.tail)
+        return (isinstance(other, TailElement) and self.correction == other.correction
+                and self._nums == other._nums and self._den == other._den)
 
     def __hash__(self):
-        return hash((tuple(sorted(self.correction.items())), self.tail))
+        return hash((tuple(sorted(self.correction.items())), self._nums, self._den))
 
     def __repr__(self):
         corr = ",".join(f"{n}:{v}" for n, v in sorted(self.correction.items()))
@@ -178,36 +180,32 @@ class TailElement(Carrier):
 
     def _tail_numerators(self, other, sign):
         """The tail of self + sign * other as (numerators, den)."""
-        (a, da), (b, db) = self._ints(), other._ints()
-        den = lcm(da, db)
-        sa, sb = den // da, sign * (den // db)
-        return [x * sa + y * sb for x, y in zip_longest(a, b, fillvalue=0)], den
+        den = lcm(self._den, other._den)
+        sa, sb = den // self._den, sign * (den // other._den)
+        pairs = zip_longest(self._nums, other._nums, fillvalue=0)
+        return tuple(x * sa + y * sb for x, y in pairs), den
 
     def __add__(self, other):
         corr = dict(self.correction)
         for n, v in other.correction.items():
             corr[n] = corr.get(n, 0) + v
-        nums, den = self._tail_numerators(other, 1)
-        return TailElement(corr, [Fraction(a, den) for a in nums])
+        return TailElement._canonical({n: v for n, v in corr.items() if v},
+                                      *self._tail_numerators(other, 1))
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        nums, den = self._ints()
         return TailElement._canonical({n: -v for n, v in self.correction.items()},
-                                      tuple(-c for c in self.tail),
-                                      (tuple(-a for a in nums), den))
+                                      tuple(-a for a in self._nums), self._den)
 
     def scale(self, q):
         q = as_fraction(q)
         if not q:
             return TailElement()
-        nums, den = self._ints()
         return TailElement._canonical({n: q * v for n, v in self.correction.items()},
-                                      tuple(q * c for c in self.tail),
-                                      (tuple(a * q.numerator for a in nums),
-                                       den * q.denominator))
+                                      tuple(a * q.numerator for a in self._nums),
+                                      self._den * q.denominator)
 
     def crossover(self, other):
         """(sign, N): sign of self - other for every n >= N.
@@ -218,33 +216,38 @@ class TailElement(Carrier):
         sign, tail_bound = _sign_bound(self._tail_numerators(other, -1)[0])
         return sign, max([*self.correction, *other.correction, 0]) + tail_bound + 1
 
+    def _corrected(self, positions, pick):
+        """This element's tail, corrected on the positions P to pick(n, v): the
+        picked value at n as an integer pair, or None for v, this element's
+        own value there.  The correction is then its own, else the pick minus
+        the tail; the tail is evaluated once per position."""
+        corr = {}
+        for n in positions:
+            t = self._tail_pair(n)
+            p = pick(n, _add_correction(self.correction, n, *t))
+            delta = self.correction.get(n) if p is None else _difference(p, t)
+            if delta:
+                corr[n] = delta
+        return TailElement._canonical(corr, self._nums, self._den)
+
     def _combine(self, other, prefer):
         """Pointwise pick: self(n) where prefer(self(n), other(n)), else other(n).
 
         Off the positions P of the tail difference neither operand is
         corrected and self - other has its eventual sign, so the pick there
-        is the same operand at every n: self when prefer(sign, 0).  The
-        result keeps that operand's tail, corrected only on P, where each
-        operand's tail is evaluated once.
+        is the same operand, the winner, at every n: self when prefer(sign,
+        0).  The result keeps the winner's tail, corrected on P to the loser's
+        value where prefer (<= or >=) fails on (winner(n), loser(n)).
         """
         sign, positions = _positions(self._tail_numerators(other, -1)[0],
                                      self.correction, other.correction)
-        own_tail = prefer(sign, 0)
-        winner = self if own_tail else other
-        corr = {}
-        for n in positions:
-            ts, to = self._tail_pair(n), other._tail_pair(n)
-            a = _add_correction(self.correction, n, *ts)
-            b = _add_correction(other.correction, n, *to)
-            pick_self = prefer(a[0] * b[1], b[0] * a[1])
-            if pick_self == own_tail:
-                # the picked value minus its own tail is its own correction
-                delta = winner.correction.get(n)
-            else:
-                delta = _difference(a if pick_self else b, ts if own_tail else to)
-            if delta:
-                corr[n] = delta
-        return TailElement._canonical(corr, winner.tail, winner._itail)
+        winner, loser = (self, other) if prefer(sign, 0) else (other, self)
+
+        def pick(n, v):
+            b = loser._pair(n)
+            return None if prefer(v[0] * b[1], b[0] * v[1]) else b
+
+        return winner._corrected(positions, pick)
 
     def meet(self, other):
         return self._combine(other, le)
@@ -253,33 +256,22 @@ class TailElement(Carrier):
         return self._combine(other, ge)
 
     def is_nonneg(self):
-        sign, positions = _positions(self._ints()[0], self.correction)
+        sign, positions = _positions(self._nums, self.correction)
         return sign >= 0 and all(self._pair(n)[0] >= 0 for n in positions)
 
     def is_zero(self):
-        return not self.correction and not self.tail
+        return not self.correction and not self._nums
 
     def __abs__(self):
         """|g| in one pass; the same element as g.join(-g).
 
         Off the positions P of g, g is its tail and has the tail's eventual
         sign, so |g| keeps the tail of w = g (w = -g when that sign is
-        negative), corrected only on P, where w is evaluated once.
+        negative), corrected only on P to -w(n) where w(n) < 0.
         """
-        sign, positions = _positions(self._ints()[0], self.correction)
+        sign, positions = _positions(self._nums, self.correction)
         w = self if sign >= 0 else -self
-        corr = {}
-        for n in positions:
-            t = w._tail_pair(n)
-            v = _add_correction(w.correction, n, *t)
-            # the correction |g|(n) - tail(n): w's own where w(n) >= 0
-            if v[0] >= 0:
-                delta = w.correction.get(n)
-            else:
-                delta = _difference((-v[0], v[1]), t)
-            if delta:
-                corr[n] = delta
-        return TailElement._canonical(corr, w.tail, w._itail)
+        return w._corrected(positions, lambda n, v: None if v[0] >= 0 else (-v[0], v[1]))
 
     def meet_const(self, c):
         """Pointwise min with a positive rational constant (crossover-certified)."""
@@ -287,17 +279,9 @@ class TailElement(Carrier):
         if c <= 0:
             raise PositivityError(f"meet_const needs c > 0, got {c}")
         const = (c.numerator, c.denominator)
-        corr = {}
-        for n in self._positions_below(c):
-            t = self._tail_pair(n)
-            v = _add_correction(self.correction, n, *t)
-            if v[0] * const[1] <= const[0] * v[1]:
-                delta = self.correction.get(n)  # the min is the value itself
-            else:
-                delta = _difference(const, t)
-            if delta:
-                corr[n] = delta
-        return TailElement._canonical(corr, self.tail, self._itail)
+        return self._corrected(
+            self._positions_below(c),
+            lambda n, v: None if v[0] * const[1] <= const[0] * v[1] else const)
 
     _cap = meet_const
 
@@ -309,14 +293,13 @@ class TailElement(Carrier):
             excess = num * r.denominator - r.numerator * den
             if excess > 0:
                 corr[n] = Fraction(excess, den * r.denominator)
-        return TailElement._canonical(corr, ())
+        return TailElement._canonical(corr)
 
     def _positions_below(self, c):
         """The positions P of self - c for a constant c > 0; off them self < c
         and self is its tail."""
-        nums, den = self._ints()
-        sign, positions = _positions([-c.numerator * den]
-                                     + [a * c.denominator for a in nums],
+        sign, positions = _positions([-c.numerator * self._den]
+                                     + [a * c.denominator for a in self._nums],
                                      self.correction)
         certify(sign < 0, "tails vanish at infinity, so an element falls "
                 "below a positive constant eventually", self)
@@ -324,9 +307,9 @@ class TailElement(Carrier):
 
     def support(self):
         """("finite", positions) when the tail vanishes, else ("cofinite", zeros)."""
-        if not self.tail:
+        if not self._nums:
             return "finite", frozenset(self.correction)
-        sign, positions = _positions(self._ints()[0], self.correction)
+        sign, positions = _positions(self._nums, self.correction)
         certify(sign != 0, "a nonzero tail has an eventual sign", self)
         zeros = frozenset(n for n in positions if self._pair(n)[0] == 0)
         return "cofinite", zeros
@@ -335,11 +318,10 @@ class TailElement(Carrier):
         """Zero this element outside the cozero set of g (forced decomposition)."""
         kind, data = g.support()
         if kind == "finite":
-            return TailElement({n: self.value(n) for n in data})
-        corr = dict(self.correction)
-        for n in data:
-            corr[n] = -self.tail_value(n)  # force value(n) = 0 at zeros of g
-        return TailElement(corr, self.tail)
+            return TailElement._canonical({n: v for n in data if (v := self.value(n))})
+        # value(n) forced to 0 at the zeros of g, kept at the other corrections
+        return self._corrected(self.correction.keys() | data,
+                               lambda n, v: (0, 1) if n in data else None)
 
     def dominated_by(self, g):
         """Exact test of |self| <= k*g for some k, for g >= 0.
@@ -350,11 +332,11 @@ class TailElement(Carrier):
         multiplier works for the finitely many remaining positions.
         """
         af = abs(self)
-        if af.tail and (not g.tail or af.order() < g.order()):
+        if af._nums and (not g._nums or af.order() < g.order()):
             return False
         # off these positions g is its tail, nonzero past g's sign bound
         # when g has one, and |self| is its tail, which is zero when g's is
-        _, positions = _positions(g._ints()[0], g.correction, af.correction)
+        _, positions = _positions(g._nums, g.correction, af.correction)
         return not any(af._pair(n)[0] > 0 and g._pair(n)[0] == 0
                        for n in positions)
 
@@ -363,11 +345,12 @@ class TailElement(Carrier):
         self._require_nonneg("max_value")
         _, window = self.crossover(TailElement.zero())
         best = max(self.value(n) for n in range(1, window + 1))
-        total = sum(abs(c) for c in self.tail)
-        if total == 0 or best <= 0:
+        if not self._nums or best <= 0:
             return max(best, Fraction(0))
-        # beyond the horizon, value(n) = tail(n) <= total/n < best
-        horizon = max(window, _ceil(total / best))
+        # beyond the horizon ceil(total / best), value(n) = tail(n) <= total/n
+        # < best, where total = sum_k |c_k| is s / den
+        s = sum(map(abs, self._nums))
+        horizon = max(window, -(-s * best.denominator // (self._den * best.numerator)))
         return max([best] + [self.value(n) for n in range(window + 1, horizon + 1)])
 
 
@@ -395,12 +378,10 @@ class SeqTrunc:
             corr = {}
             for _ in range(rng.randint(0, 3)):
                 corr[rng.randint(1, 8)] = _POOL[rng.randrange(len(_POOL))]
-            tail = [_POOL[rng.randrange(len(_POOL))] if chance(rng, 7, 10) else ZERO
-                    for _ in range(self.degree)]
-            while tail and not tail[-1]:
-                tail.pop()
-            g = TailElement._canonical({n: v for n, v in corr.items() if v},
-                                       tuple(tail))
+            tail = tuple(_POOL[rng.randrange(len(_POOL))] if chance(rng, 7, 10) else 0
+                         for _ in range(self.degree))
+            g = TailElement._canonical({n: Fraction(v, 2) for n, v in corr.items() if v},
+                                       tail, 2)
             out.append(abs(g) if nonneg else g)
         return out
 
@@ -413,7 +394,7 @@ def baf_infinity(g):
     """
     if not g.is_nonneg():
         raise PositivityError("baf_infinity needs g >= 0")
-    if g.tail:
+    if g._nums:
         return False, None
     kind, supp = g.support()
     certify(kind == "finite", "a zero tail has finite support", g)
@@ -426,7 +407,7 @@ def baf_infinity(g):
 
 def simple_part_member(g):
     """Finite range is equivalent to a vanishing tail."""
-    return not g.tail
+    return not g._nums
 
 
 def bounded_away_from_zero_tail(g):
@@ -437,7 +418,7 @@ def bounded_away_from_zero_tail(g):
     """
     if not g.is_nonneg():
         raise PositivityError("bounded_away_from_zero needs g >= 0")
-    if g.is_zero() or g.tail:
+    if g.is_zero() or g._nums:
         return False, None
     eps = min(v for v in g.correction.values())
     return True, eps
@@ -473,7 +454,7 @@ def enough_uc_check(trunc):
 def partial_truncations(g, count):
     """The support filtration g * chi({1..n}) for n = 1..count."""
     values = {k: v for k in range(1, count + 1) if (v := g.value(k))}
-    return [TailElement._canonical({k: v for k, v in values.items() if k <= n}, ())
+    return [TailElement._canonical({k: v for k, v in values.items() if k <= n})
             for n in range(1, count + 1)]
 
 
@@ -517,8 +498,8 @@ class Ex1Report:
     @property
     def ok(self):
         return (self.hyper_ok and self.kernel12_ok and self.pointwise_sup_ok
-                and bool(self.not_simple_witness.tail)
-                and bool(self.kernel3_witness.tail))
+                and bool(self.not_simple_witness._nums)
+                and bool(self.kernel3_witness._nums))
 
 
 def ex1_report(seed=0, samples=500):

@@ -492,9 +492,47 @@ def test_abs_is_the_join_with_the_negation(corr, tail):
     g = TailElement(corr, tail)
     for h in (g, -g, g.scale(F(-5, 3))):
         got, ref = abs(h), h.join(-h)
-        assert got == ref and got._ints() == ref._ints()
+        assert got == ref and (got._nums, got._den) == (ref._nums, ref._den)
         assert list(got.correction.items()) == list(ref.correction.items())
         assert got.is_nonneg()
+
+
+def assert_canonical(h):
+    """Nonzero corrections and a tail in lowest terms with no trailing zero
+    slot: the parts the validating constructor builds from h's values."""
+    assert h._den > 0 and math.gcd(h._den, *h._nums) == 1
+    assert (not h._nums or h._nums[-1]) and all(h.correction.values())
+    rebuilt = TailElement(h.correction, h.tail)
+    assert (rebuilt.correction, rebuilt._nums, rebuilt._den) == (
+        h.correction, h._nums, h._den)
+
+
+@settings(max_examples=100, deadline=None)
+@given(CORRECTIONS, SMALL_TAILS, CORRECTIONS, SMALL_TAILS, POSITIVE,
+       st.fractions(min_value=-3, max_value=3, max_denominator=6), st.integers(0, 99))
+def test_every_operation_keeps_the_tail_canonical(fc, ft, gc, gt, c, q, seed):
+    f, g = TailElement(fc, ft), TailElement(gc, gt)
+    af, ag = abs(f), abs(g)
+    for h in (f, g, f + g, f - g, -f, f.scale(q), f.meet(g), f.join(g), af,
+              af.meet_const(c), af.tminus(c), af.truncate(), f.restrict_to_cozero_of(ag),
+              f.restrict_to_cozero_of(ag.tminus(c)), *partial_truncations(f, 3),
+              *SeqTrunc(3).sample_elements(random.Random(seed), 4)):
+        assert_canonical(h)
+    assert ((f - f)._nums, (f - f)._den) == ((), 1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(CORRECTIONS, SMALL_TAILS, CORRECTIONS, SMALL_TAILS, POSITIVE)
+def test_restrict_to_cozero_matches_the_pointwise_reference(fc, ft, gc, gt, c):
+    f = TailElement(fc, ft)
+    for g in (abs(TailElement(gc, gt)), abs(TailElement(gc, gt)).tminus(c)):
+        got = f.restrict_to_cozero_of(g)
+        # past both bounds g is its tail: nonzero when it has one, else 0
+        window = max(f.crossover(TailElement.zero())[1],
+                     g.crossover(TailElement.zero())[1]) + 5
+        for n in range(1, window):
+            assert got.value(n) == (f.value(n) if g.value(n) else 0)
+        assert got.tail == (f.tail if g.tail else ())
 
 
 @settings(max_examples=60, deadline=None)
@@ -573,11 +611,11 @@ def dense_pick(f, g, prefer):
             delta = seqspace._difference(a if pick_f else b, ts if own_tail else to)
         if delta:
             corr[n] = delta
-    return TailElement._canonical(corr, winner.tail, winner._itail)
+    return TailElement._canonical(corr, winner._nums, winner._den)
 
 
 def dense_abs(f):
-    sign, tail_bound = seqspace._sign_bound(f._ints()[0])
+    sign, tail_bound = seqspace._sign_bound(f._nums)
     w = f if sign >= 0 else -f
     corr = {}
     for n in range(1, max(f.correction, default=0) + tail_bound + 2):
@@ -587,11 +625,11 @@ def dense_abs(f):
                  else seqspace._difference((-v[0], v[1]), t))
         if delta:
             corr[n] = delta
-    return TailElement._canonical(corr, w.tail, w._itail)
+    return TailElement._canonical(corr, w._nums, w._den)
 
 
 def dense_below_bound(f, c):
-    nums, den = f._ints()
+    nums, den = f._nums, f._den
     sign, tail_bound = seqspace._sign_bound([-c.numerator * den]
                                             + [a * c.denominator for a in nums])
     assert sign < 0
@@ -608,7 +646,7 @@ def dense_meet_const(f, c):
                  else seqspace._difference((c.numerator, c.denominator), t))
         if delta:
             corr[n] = delta
-    return TailElement._canonical(corr, f.tail, f._itail)
+    return TailElement._canonical(corr, f._nums, f._den)
 
 
 def dense_tminus(f, r):
@@ -618,7 +656,7 @@ def dense_tminus(f, r):
         excess = num * r.denominator - r.numerator * den
         if excess > 0:
             corr[n] = F(excess, den * r.denominator)
-    return TailElement._canonical(corr, ())
+    return TailElement._canonical(corr)
 
 
 def dense_is_nonneg(f):
@@ -646,7 +684,7 @@ def dense_dominated_by(f, g):
 def same_element(got, ref):
     """Equal corrections in the same order, tails and integer tails."""
     assert list(got.correction.items()) == list(ref.correction.items())
-    assert got.tail == ref.tail and got._ints() == ref._ints()
+    assert got.tail == ref.tail and (got._nums, got._den) == (ref._nums, ref._den)
 
 
 def check_sparse_against_dense(f, g, c, r, ops=None):
