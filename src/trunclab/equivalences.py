@@ -13,6 +13,8 @@ from .gba import (clopen, find_gba_isomorphism, find_iba_isomorphism,
 from .records import field, record
 from .spaces import pointed_bijection
 
+MAX_POINTS = 6  # the largest pointed space equivalence_witness searches
+
 
 @record
 class RoundTrip:
@@ -47,15 +49,15 @@ def _trip(name, check):
     return RoundTrip(name, problem is None, problem or "")
 
 
-def equivalence_witness(x, max_points=6):
-    """Verify the three round trips for a pointed space of bounded size.
+def equivalence_witness(x):
+    """Verify the three round trips for a space of at most MAX_POINTS points.
 
     Exceeding the bound returns a report flagged incomplete rather than
     running an oversized exhaustive search.
     """
-    if len(x.points) > max_points:
+    if len(x.points) > MAX_POINTS:
         return EquivalenceReport(False, [RoundTrip(
-            "budget", False, f"{len(x.points)} points exceed the bound {max_points}")])
+            "budget", False, f"{len(x.points)} points exceed the bound {MAX_POINTS}")])
     bi = clopen(x)
     forgotten = None  # forget(B), once the second trip has validated it
 

@@ -27,7 +27,7 @@ entry: section keywords, flag words (`stable` only as the last token), a
 builder.
 """
 
-from .elements import GoodSequence, SimpleElement, SimpleTrunc
+from .elements import Carrier, GoodSequence, SimpleElement, SimpleTrunc
 from .errors import ParseError, TruncLabError
 from .frames import FiniteFrame, FrameReal, FrameSurjection, PointedFiniteFrame
 from .gba import GeneralizedBooleanAlgebra, clopen, idealize, transitive_closure
@@ -252,8 +252,12 @@ def _tailel(inst, lineno, sec, flags):
 
 
 def _terms(inst, lineno, sec):
-    """The objects a sequence or goodseq line names, all of one type."""
+    """The elements a sequence or goodseq line names, all of one type."""
     terms = [inst.get(t) for t in sec.get("elements", [])]
+    for name, term in zip(sec.get("elements", []), terms):
+        if not isinstance(term, Carrier):
+            raise ParseError(lineno, f"sequence term {name!r} is a {inst.kinds[name]}, "
+                                     "not an element")
     if len({type(t) for t in terms}) > 1:
         raise ParseError(lineno, "sequence terms must be homogeneous")
     return terms
@@ -262,7 +266,10 @@ def _terms(inst, lineno, sec):
 def _kernel(inst, lineno, sec, flags):
     model = inst.get(_one(sec, "model"))
     support = sec.get("support", [])
-    tails = tuple(ch == "1" for ch in "".join(sec["tails"])) if "tails" in sec else None
+    bits = "".join(sec.get("tails", []))
+    if bits.strip("01"):
+        raise ParseError(lineno, f"tail flags must be 0 or 1, got {bits!r}")
+    tails = tuple(ch == "1" for ch in bits) if "tails" in sec else None
     return KernelSpec(model, support=None if support == ["all"] else support,
                       tails_allowed=tails)
 

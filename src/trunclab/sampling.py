@@ -23,6 +23,7 @@ from .spaces import PointedBooleanSpace
 
 RATIONAL_POOL = [Fraction(n, d) for n in range(-6, 7) for d in (1, 2, 3, 4)]
 POSITIVE_POOL = [q for q in RATIONAL_POOL if q > 0]
+MAX_BLOCKS = 3  # a sampled frame real has at most this many valued blocks
 
 
 def rational(rng, nonneg=False):
@@ -80,10 +81,9 @@ def random_poset(rng, size):
 _FRAMES = {}  # (n1, n2, leq1, leq2) -> (frame, points), filled by _poset_frame
 
 
-def _poset_frame(n1, n2, leq1, leq2, max_size):
-    """(frame, points) of the downsets of the two components leq1 and leq2,
-    or None when they have more than max_size downsets; nothing is built
-    then.  A frame is built once per process and kept in _FRAMES."""
+def _poset_frame(n1, n2, leq1, leq2):
+    """(frame, points) of the downsets of the two components leq1 and leq2.
+    A frame is built once per process and kept in _FRAMES."""
     key = (n1, n2, leq1, leq2)
     if key not in _FRAMES:
         points = tuple([("a", i) for i in range(n1)] + [("b", i) for i in range(n2)])
@@ -92,45 +92,37 @@ def _poset_frame(n1, n2, leq1, leq2, max_size):
         downsets = {frozenset().union(*map(below.get, combo))
                     for r in range(len(points) + 1)
                     for combo in itertools.combinations(points, r)}
-        if len(downsets) > max_size:
-            return None
         _FRAMES[key] = FiniteFrame.from_sets(downsets), points
-    frame, points = _FRAMES[key]
-    return (frame, points) if len(frame) <= max_size else None
+    return _FRAMES[key]
 
 
-def downset_frame(rng, max_points=4, max_size=20):
-    """Frame of downsets of a random poset, capped at max_size elements.
+def downset_frame(rng, max_points=4):
+    """Frame of downsets of a random poset of at most max_points points.
 
-    The poset is split into at least two comparability components so the
-    frame has nontrivial complemented elements; the smallest such frame has
-    4 elements.  A draw over max_size is drawn again.  The frame is looked
-    up by its drawn poset (n1, n2, leq1, leq2) after every draw of the
-    attempt, so the draws are those of a fresh build, and the points come
-    as a tuple.  The cache holds one frame per poset of at most max_points
-    points that was drawn: 16 at the default max_points=4.
+    The poset is split into two comparability components so the frame has
+    nontrivial complemented elements.  The frame is looked up by its drawn
+    poset (n1, n2, leq1, leq2) after the draws, so the draws are those of a
+    fresh build, and the points come as a tuple.  The cache holds one frame
+    per poset drawn: 16 at the default max_points=4.
     """
-    if max_points < 2 or max_size < 4:
-        raise StructureError("a downset frame of two components needs max_points >= 2 "
-                             f"and max_size >= 4, got {max_points} and {max_size}")
-    while True:
-        n1 = rng.randint(1, max_points // 2)
-        n2 = rng.randint(1, max_points - n1)
-        found = _poset_frame(n1, n2, frozenset(random_poset(rng, n1)),
-                             frozenset(random_poset(rng, n2)), max_size)
-        if found:
-            return found
+    if max_points < 2:
+        raise StructureError("a downset frame of two components needs max_points >= 2, "
+                             f"got {max_points}")
+    n1 = rng.randint(1, max_points // 2)
+    n2 = rng.randint(1, max_points - n1)
+    return _poset_frame(n1, n2, frozenset(random_poset(rng, n1)),
+                        frozenset(random_poset(rng, n2)))
 
 
-def pointed_frame(rng, max_points=4, max_size=20):
+def pointed_frame(rng, max_points=4):
     """A pointed downset frame; the point is membership of a chosen poset point."""
-    frame, points = downset_frame(rng, max_points, max_size)
+    frame, points = downset_frame(rng, max_points)
     focus_pt = points[rng.randrange(len(points))]
     true_set = frozenset(d for d in frame.labels if focus_pt in d)
     return PointedFiniteFrame(frame, true_set=true_set)
 
 
-def frame_real(rng, pframe, max_blocks=3, nonneg=False):
+def frame_real(rng, pframe, nonneg=False):
     """A random step frame real: group the Boolean atoms into valued blocks.
     Bottom up (larger up-sets first), a nonzero complemented element is an
     atom iff no atom found so far lies below it."""
@@ -143,7 +135,7 @@ def frame_real(rng, pframe, max_blocks=3, nonneg=False):
             above |= fr._up[i]
     blocks = {}
     for i in sorted(atoms):
-        blocks.setdefault(rng.randrange(max_blocks), []).append(i)
+        blocks.setdefault(rng.randrange(MAX_BLOCKS), []).append(i)
     cells, point_cell = [], None
     for members in blocks.values():
         cell = fr.labels[fr._join_of(members)]

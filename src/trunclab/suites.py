@@ -404,7 +404,7 @@ def suite_drop_e0q(rng, cases, failures, seed):
             q = canonical[i]
         elif i % 2:
             # small frames keep the exhaustive-partition oracle in play
-            pf = sampling.pointed_frame(rng, max_points=3, max_size=12)
+            pf = sampling.pointed_frame(rng, max_points=3)
             q = sampling.dense_surjection(rng, pf)
         else:
             pf = sampling.pointed_frame(rng)

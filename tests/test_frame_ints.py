@@ -509,7 +509,7 @@ def lift_witness(q, h, hp, certify=None):
 @given(SEEDS)
 def test_drop_square_and_lift_probes_match_the_fraction_reference(seed):
     rng = random.Random(seed)
-    pf = pointed_frame(rng, max_points=3, max_size=12)
+    pf = pointed_frame(rng, max_points=3)
     q = dense_surjection(rng, pf)
     h = frame_real(rng, q.target)
     lift = e0q_member(q, h)

@@ -134,14 +134,14 @@ def test_f4_spectrum_is_a_and_b_with_basepoint_a():
         w.to_simple()
 
 
-@pytest.mark.parametrize("max_points, max_size", [(4, 20), (3, 12)])
-def test_spectrum_map_is_an_injective_trunc_homomorphism(max_points, max_size):
+@pytest.mark.parametrize("max_points, seed", [(4, 20), (3, 12)])
+def test_spectrum_map_is_an_injective_trunc_homomorphism(max_points, seed):
     """g -> g.to_simple(), the values at the points of the spectrum, commutes
     with every operation tag and tells pointed reals apart: an oracle for the
     cell-wise operations that does not use the join-of-meets formula."""
-    rng = random.Random(max_size)
+    rng = random.Random(seed)
     for _ in range(200):
-        pf = pointed_frame(rng, max_points=max_points, max_size=max_size)
+        pf = pointed_frame(rng, max_points=max_points)
         f, g = frame_real(rng, pf), frame_real(rng, pf)
         fpos = frame_real(rng, pf, nonneg=True)
         for tag, op in OPS.items():
@@ -381,7 +381,7 @@ def test_bounded_reals_have_top_carrier():
 def test_random_lift_agreement_small_frames():
     rng = random.Random(7)
     for _ in range(30):
-        pf = pointed_frame(rng, max_points=3, max_size=12)
+        pf = pointed_frame(rng, max_points=3)
         q = dense_surjection(rng, pf)
         h = frame_real(rng, q.target)
         lift = e0q_member(q, h)
@@ -1032,66 +1032,43 @@ def test_sampled_frames_skip_the_order_path(monkeypatch):
 
 # --- the per-process cache of sampled downset frames ----------------------
 
-def sampled(seed, max_points, max_size):
+def sampled(seed, max_points):
     rng = random.Random(seed)
-    pframe = pointed_frame(rng, max_points, max_size)
+    pframe = pointed_frame(rng, max_points)
     return pframe.frame, pframe.true_set, rng.getstate()
 
 
-def reference_sampled(seed, max_points, max_size):
-    """sampled() as the uncached sampler drew it: every attempt builds."""
+def reference_sampled(seed, max_points):
+    """sampled() as the uncached sampler drew it: every draw builds."""
     rng = random.Random(seed)
-    while True:
-        n1 = rng.randint(1, max_points // 2)
-        n2 = rng.randint(1, max_points - n1)
-        leq1, leq2 = random_poset(rng, n1), random_poset(rng, n2)
-        points = [("a", i) for i in range(n1)] + [("b", i) for i in range(n2)]
-        leq = {((s, i), (s, j)) for s, rel in (("a", leq1), ("b", leq2)) for i, j in rel}
-        downsets = {frozenset(q for q in points for p in combo if (q, p) in leq)
-                    for r in range(len(points) + 1)
-                    for combo in itertools.combinations(points, r)}
-        if len(downsets) <= max_size:
-            break
+    n1 = rng.randint(1, max_points // 2)
+    n2 = rng.randint(1, max_points - n1)
+    leq1, leq2 = random_poset(rng, n1), random_poset(rng, n2)
+    points = [("a", i) for i in range(n1)] + [("b", i) for i in range(n2)]
+    leq = {((s, i), (s, j)) for s, rel in (("a", leq1), ("b", leq2)) for i, j in rel}
+    downsets = {frozenset(q for q in points for p in combo if (q, p) in leq)
+                for r in range(len(points) + 1)
+                for combo in itertools.combinations(points, r)}
     frame = FiniteFrame(downsets, subset_order(downsets))
     focus = points[rng.randrange(len(points))]
     return frame, frozenset(d for d in frame.labels if focus in d), rng.getstate()
 
 
-@pytest.mark.parametrize("max_points, max_size", [(4, 20), (3, 12)])
-def test_cached_frames_give_the_draws_of_a_fresh_build(max_points, max_size, monkeypatch):
+@pytest.mark.parametrize("max_points", [4, 3])
+def test_cached_frames_give_the_draws_of_a_fresh_build(max_points, monkeypatch):
     cold = []
     for seed in range(40):
         monkeypatch.setattr(sampling, "_FRAMES", {})
-        cold.append(sampled(seed, max_points, max_size))
-        fr, true_set, state = reference_sampled(seed, max_points, max_size)
+        cold.append(sampled(seed, max_points))
+        fr, true_set, state = reference_sampled(seed, max_points)
         assert (frame_state(fr), true_set, state) == (frame_state(cold[-1][0]), *cold[-1][1:])
     monkeypatch.setattr(sampling, "_FRAMES", {})
     for _ in range(2):  # filled as the seeds go, then warm throughout
-        warm = [sampled(seed, max_points, max_size) for seed in range(40)]
+        warm = [sampled(seed, max_points) for seed in range(40)]
         for (fc, tc, sc), (fw, tw, sw) in zip(cold, warm):
             assert (frame_state(fw), tw, sw) == (frame_state(fc), tc, sc)
     assert len({id(frame) for frame, _, _ in warm}) == len(sampling._FRAMES)
     assert len(sampling._FRAMES) <= {4: 16, 3: 3}[max_points]
-
-
-def test_oversized_draws_build_no_frame(monkeypatch):
-    built = []
-
-    class Counted:
-        @staticmethod
-        def from_sets(family):
-            built.append(len(family))
-            return FiniteFrame.from_sets(family)
-
-    monkeypatch.setattr(sampling, "_FRAMES", {})
-    for seed in (0, 1, 5):  # cached frames that the bound below refuses
-        downset_frame(random.Random(seed))
-    assert min(map(len, (frame for frame, _ in sampling._FRAMES.values()))) > 6
-    monkeypatch.setattr(sampling, "FiniteFrame", Counted)
-    for seed in range(40):
-        frame, points = downset_frame(random.Random(seed), max_size=6)
-        assert len(frame) <= 6 and isinstance(points, tuple)
-    assert built and max(built) <= 6 and len(built) == len(sampling._FRAMES) - 3
 
 
 class NoDraws:
@@ -1101,15 +1078,15 @@ class NoDraws:
         raise AssertionError(f"drew with {name} before checking the bounds")
 
 
-@pytest.mark.parametrize("max_points, max_size", [(4, 3), (1, 20), (0, 20), (4, 0), (-1, -1)])
-def test_frame_samplers_refuse_bounds_no_frame_meets(max_points, max_size):
+@pytest.mark.parametrize("max_points", [1, 0, -1])
+def test_frame_samplers_refuse_bounds_no_frame_meets(max_points):
     for sample in (downset_frame, pointed_frame):
-        with pytest.raises(StructureError, match="max_points >= 2 and max_size >= 4"):
-            sample(NoDraws(), max_points=max_points, max_size=max_size)
+        with pytest.raises(StructureError, match="max_points >= 2"):
+            sample(NoDraws(), max_points=max_points)
 
 
 def test_smallest_bounds_give_the_four_element_frame():
-    frame, points = downset_frame(random.Random(0), max_points=2, max_size=4)
+    frame, points = downset_frame(random.Random(0), max_points=2)
     assert len(frame) == 4 and points == (("a", 0), ("b", 0))
 
 

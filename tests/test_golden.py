@@ -102,6 +102,9 @@ ARGVS = [
     ("kernel-check", "K", "--cases", "0", *K, *J),
     ("pointwise", "K1", "--cases", "-1", *K, *J),
     *[("pointwise", "u", x, "--file", "spectrum.tl", *J) for x in ("up", "g")],
+    *[(command, "s", "--file", "space_terms.tl", *J) for command in ("dini", "trunc-seq")],
+    ("check", "--file", "space_goodseq.tl", *J),
+    ("kernel-check", "K", "--file", "tail_flags.tl", *J),
     ("check", "--file", "missing.tl", *J),
     ("check", "--file", "bad_kernel.tl", *J),
     ("check", "--file", "nonconvex_kernel.tl", *J),

@@ -270,6 +270,42 @@ def test_one_token_section_with_extra_tokens_names_the_line(tmp_path, capsys,
     assert capsys.readouterr().err.startswith("input error: line 5: ")
 
 
+@pytest.mark.parametrize("line, term, kind", [
+    ("sequence s elements X", "X", "space"),
+    ("sequence s elements A stable", "A", "gba"),
+    ("goodseq s elements F", "F", "frame"),
+    ("goodseq s elements S1 S1", "S1", "seqtrunc")])
+def test_sequence_terms_must_be_elements(tmp_path, capsys, line, term, kind):
+    _, errors = parse_instance_text(PREAMBLE + line + "\n")
+    assert [e.lineno for e in errors] == [5]
+    assert f"sequence term {term!r} is a {kind}, not an element" in str(errors[0])
+    path = tmp_path / "terms.tl"
+    path.write_text(PREAMBLE + line + "\n")
+    for argv in (["check"], ["dini", "s"], ["trunc-seq", "s"], ["good-seq", "s"]):
+        assert main([*argv, "--file", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error: line 5: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("flags, joined", [
+    ("ok", "ok"), ("2", "2"), ("0 x", "0x"), ("01-", "01-"), ("1 O", "1O")])
+def test_tail_flags_other_than_0_and_1_are_refused(tmp_path, capsys, flags, joined):
+    text = f"seqtrunc S2 degree 2\nkernel K model S2 support all tails {flags}\n"
+    _, errors = parse_instance_text(text)
+    assert [e.lineno for e in errors] == [2]
+    assert f"tail flags must be 0 or 1, got {joined!r}" in str(errors[0])
+    path = tmp_path / "flags.tl"
+    path.write_text(text)
+    assert main(["kernel-check", "K", "--file", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("input error: line 2: tail flags")
+
+
+def test_tail_flag_tokens_join():
+    inst, errors = parse_instance_text("seqtrunc S2 degree 2\n"
+                                       "kernel K model S2 support all tails 0 1\n")
+    assert errors == [] and inst.get("K").tails_allowed == (False, True)
+
+
 def test_one_token_sections_with_one_token_still_parse():
     inst, errors = parse_instance_text(
         PREAMBLE + "iba I atoms a b ideal-omits b\n"

@@ -127,7 +127,7 @@ def test_density_degeneracy():
 
 def test_equivalence_budget_flagged():
     big = PointedBooleanSpace(frozenset({"*"} | {str(i) for i in range(9)}), "*")
-    report = equivalence_witness(big, max_points=6)
+    report = equivalence_witness(big)
     assert not report.complete
     assert not report.all_verified
 
