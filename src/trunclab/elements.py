@@ -23,7 +23,6 @@ from .spaces import PointedBooleanSpace
 
 
 ONE, ZERO = Fraction(1), Fraction(0)
-_COEFFS = [Fraction(n, d) for n in range(-3, 4) for d in (1, 2, 3)]  # sample values
 
 
 class Carrier:
@@ -247,14 +246,6 @@ class SimpleElement(StepValues):
                      for p, n in zip(self.space.nonstar, self._nums))
         return self._canonical(self.space, nums, self._den)
 
-    def restrict_to_cozero_of(self, g):
-        """Zero this element outside the cozero set of g (forced decomposition)."""
-        return self.restrict_to(g.support())
-
-    def dominated_by(self, g):
-        """Is |self| <= k*g for some k?  On finite spaces: support containment."""
-        return self.support() <= g.support()
-
     def max_value(self):
         return Fraction(max(self._nums), self._den) if self._nums else ZERO
 
@@ -343,7 +334,6 @@ class SimpleTrunc:
                             f"family not closed: {opname} of {set(a)} and {set(b)} "
                             f"gives {set(r)}")
         self.components = fam
-        self._sample_order = sorted(fam, key=lambda s: (len(s), str(sorted_labels(s))))
 
     def __eq__(self, other):
         return (isinstance(other, SimpleTrunc) and self.space == other.space
@@ -367,21 +357,6 @@ class SimpleTrunc:
     def tail_units(self):
         """The pure tails n^(-k) in the carrier: none on a finite space."""
         return []
-
-    def sample_elements(self, rng, count, nonneg=False):
-        """Seeded random members: rational combinations of component functions."""
-        comps = self._sample_order
-        out = []
-        for _ in range(count):
-            g = SimpleElement.zero(self.space)
-            for _ in range(rng.randint(1, 3)):
-                s = comps[rng.randrange(len(comps))]
-                g = g + SimpleElement.chi(self.space, s).scale(
-                    _COEFFS[rng.randrange(len(_COEFFS))])
-            if nonneg:
-                g = abs(g)
-            out.append(g)
-        return out
 
 
 def lc(space, family=None):

@@ -486,7 +486,6 @@ class Ex1Report:
     """The five-part counterexample battery on the degree-1 trunc."""
 
     hyper_ok: bool
-    hyper_samples: int
     not_simple_witness: TailElement
     clearance_values: list
     kernel12_ok: bool
@@ -495,20 +494,14 @@ class Ex1Report:
     pointwise_witness: list
     pointwise_sup_ok: bool
 
-    @property
-    def ok(self):
-        return (self.hyper_ok and self.kernel12_ok and self.pointwise_sup_ok
-                and bool(self.not_simple_witness._nums)
-                and bool(self.kernel3_witness._nums))
 
-
-def ex1_report(seed=0, samples=500):
+def ex1_report():
     """Run the full battery on the degree-1 trunc; see Ex1Report fields."""
     from .hyper import hyperarchimedean
     from .kernels import KernelSpec, pointwise_closed
 
     trunc = SeqTrunc(degree=1)
-    hyper = hyperarchimedean(trunc, budget=samples, seed=seed)
+    hyper = hyperarchimedean(trunc)
     g0 = TailElement.tail_unit(1)
     baf, _ = bounded_away_from_zero_tail(g0)
     certify(not baf, "the 1/n element must not be bounded away from zero", g0)
@@ -524,7 +517,6 @@ def ex1_report(seed=0, samples=500):
             "the tail-zero kernel must not be pointwise closed at 1/n", verdict)
     return Ex1Report(
         hyper_ok=hyper.passed,
-        hyper_samples=hyper.samples,
         not_simple_witness=g0,
         clearance_values=chain,
         kernel12_ok=conds.cond1.passed and conds.cond2.passed,

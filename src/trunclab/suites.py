@@ -300,7 +300,7 @@ def suite_normal_clearance(rng, cases, failures, seed):
 
 @_suite("ex1-battery", 500, cap=300)
 def suite_ex1(rng, cases, failures, seed):
-    report = ex1_report(seed=seed, samples=cases)
+    report = ex1_report()
     if not report.hyper_ok:
         failures.append("degree-1 trunc refuted as hyperarchimedean")
     if bounded_away_from_zero_tail(report.not_simple_witness)[0]:
@@ -327,7 +327,7 @@ def suite_ex1(rng, cases, failures, seed):
 
 @_suite("degree2-refutation", 1, cap=1)
 def suite_degree2(rng, cases, failures, seed):
-    verdict = hyperarchimedean(SeqTrunc(2), budget=10, seed=seed)
+    verdict = hyperarchimedean(SeqTrunc(2))
     if verdict.passed:
         failures.append("degree-2 trunc not refuted")
     else:

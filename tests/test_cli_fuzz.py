@@ -7,8 +7,6 @@ names, with its argument list broken by dropping, inserting, replacing or
 repeating tokens (extra tokens, negatives, -inf, unknown names, stray
 options).  The instance file is instance.tl with golden lines broken the
 same way.  cli.main runs in-process with stdout and stderr captured.
-ex1-report is left out: it draws at least 500 samples whatever --cases
-says, about a second a call.
 """
 
 import contextlib
@@ -30,7 +28,7 @@ NAMES = sorted({toks[1] for toks in LINES})
 GOLDEN_CALLS = sorted({(e["argv"][0], tuple(e["argv"][1:e["argv"].index("--file")]))
                        for e in json.loads((GOLDEN / "corpus.json").read_text())
                        if "instance.tl" in e["argv"]})
-COMMANDS = [c for c in cli.COMMANDS if c != "ex1-report"] + ["nosuch"]
+COMMANDS = [*cli.COMMANDS, "nosuch"]
 ODD_TOKENS = ["-inf", "inf", "-1/2", "-3", "0", "1/0", "-0.5", "(-inf,1)", "(a,b)",
               "(1)", "x", "add", "scale:-1/2", "tminus:1/3", "truncN:0", "meet:1",
               "nosuch", "trunc-axioms", "cut-cases", "--bogus", "-x", "-", "{", "}",

@@ -2,7 +2,6 @@
 
 import math
 import operator
-import random
 from fractions import Fraction as F
 from functools import reduce
 from unittest import mock
@@ -24,8 +23,6 @@ from trunclab.elements import (GoodSequence, SimpleElement, SimpleTrunc,
                                truncation_sequence_check, uc, yosida_quotient)
 from trunclab.errors import (CertificationError, PositivityError,
                              SpaceMismatchError, StructureError)
-from trunclab.rat import sorted_labels
-from trunclab.sampling import random_space
 from trunclab.seqspace import TailElement
 from trunclab.spaces import space
 
@@ -382,35 +379,3 @@ def test_pointwise_sup_matches_the_fraction_reference(rows, point, shift):
     assert witness == ref_sup_witness(family, forged)
     assert (witness is None) == (shift == 0)
     assert witness is None or type(witness) is F
-
-
-def reference_simple_samples(trunc, rng, count, nonneg=False):
-    """SimpleTrunc.sample_elements as it once was: the components sorted and
-    the coefficient pool built on every call."""
-    comps = sorted(trunc.components, key=lambda s: (len(s), str(sorted_labels(s))))
-    pool = [F(n, d) for n in range(-3, 4) for d in (1, 2, 3)]
-    out = []
-    for _ in range(count):
-        g = SimpleElement.zero(trunc.space)
-        for _ in range(rng.randint(1, 3)):
-            s = comps[rng.randrange(len(comps))]
-            g = g + SimpleElement.chi(trunc.space, s).scale(pool[rng.randrange(len(pool))])
-        if nonneg:
-            g = abs(g)
-        out.append(g)
-    return out
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.integers(0, 2 ** 32), st.integers(0, 12), st.booleans(), st.booleans())
-def test_simple_sampler_matches_the_reference(seed, count, nonneg, one_at_a_time):
-    rng = random.Random(seed)
-    sp = random_space(rng)
-    trunc = rng.choice([lc(sp), SimpleTrunc(sp, [set(), set(sp.nonstar)])])
-    ours, theirs = random.Random(seed), random.Random(seed)
-    if one_at_a_time:
-        got = [trunc.sample_elements(ours, 1, nonneg)[0] for _ in range(count)]
-    else:
-        got = trunc.sample_elements(ours, count, nonneg)
-    assert got == reference_simple_samples(trunc, theirs, count, nonneg)
-    assert ours.getstate() == theirs.getstate()

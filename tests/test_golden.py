@@ -86,6 +86,9 @@ ARGVS = [
     ("dini", "s", "fd", *F, *J),
     *[("dini", seq, "--file", "dini_models.tl", *J) for seq in ("ts", "dw", "dz")],
     ("ex1-report", *C, *J),
+    ("ex1-report", "--cases", "0", *J),
+    ("ex1-report", "--cases", "-3", "--seed", "9", *J),
+    ("suite", "ex1-battery", "--cases", "0", *J),
     ("suite", "trunc-axioms", *C, *J),
     ("suite", "trunc-axioms", "identities", "cut-cases", "--cases", "6",
      "--seed", "3", *J),

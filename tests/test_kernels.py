@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
+from samplers import sample_elements, simple_samples
 from test_seqspace import CORRECTIONS, SMALL_TAILS
 
 from trunclab import cli, kernels
@@ -89,8 +90,8 @@ def test_ex1_report_decides_the_kernel_conditions_once(monkeypatch):
     decide = kernels.kernel_conditions
     monkeypatch.setattr(kernels, "kernel_conditions",
                         lambda k: calls.append(k) or decide(k))
-    report = ex1_report(samples=20)
-    assert report.ok and report.kernel12_ok
+    report = ex1_report()
+    assert report.hyper_ok and report.kernel12_ok
     assert len(calls) == 1
 
 
@@ -186,7 +187,6 @@ def test_kernel_conditions_are_exact_and_draw_no_samples(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a kernel decision sampled the carrier")
 
-    monkeypatch.setattr(SimpleTrunc, "sample_elements", refuse)
     monkeypatch.setattr(SeqTrunc, "sample_elements", refuse)
     for k in _descriptions():
         first = kernel_conditions(k)
@@ -285,8 +285,8 @@ def _sample_member(spec, rng, count):
     model = spec.model
     if isinstance(spec, SupportKernel):
         subfamily = [s for s in model.components if s <= spec.support]
-        return SimpleTrunc(model.space, subfamily).sample_elements(
-            rng, count, nonneg=True)
+        return simple_samples(SimpleTrunc(model.space, subfamily), rng, count,
+                              nonneg=True)
     out = [unit for unit, allowed in zip(model.tail_units(), spec.tails_allowed)
            if allowed]
     if spec.support:
@@ -306,7 +306,7 @@ def _sampled_escape(spec, seed=0, cases=20):
     rng = random.Random(seed)
     members = _sample_member(spec, rng, cases)
     pool = (spec.model.tail_units()
-            + spec.model.sample_elements(rng, cases, nonneg=True)[:8])
+            + sample_elements(spec.model, rng, cases, nonneg=True)[:8])
     return any(not spec.contains(g.meet(h)) for g in members for h in pool)
 
 
@@ -339,7 +339,6 @@ def test_building_a_kernel_draws_no_samples(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a kernel description sampled the carrier")
 
-    monkeypatch.setattr(SimpleTrunc, "sample_elements", refuse)
     monkeypatch.setattr(SeqTrunc, "sample_elements", refuse)
     inst = parse_instance(GOLDEN / "kernels.tl")
     kinds = {type(inst.get(n)) for n in ("K", "K1", "K3", "K4")}
@@ -398,8 +397,8 @@ def condition1_hypothesis(kernel, g, h):
 def sampled_condition1(kernel, budget, rng):
     model = kernel.model
     units = model.tail_units()
-    gs = (units + model.sample_elements(rng, budget))[:budget]
-    hs = model.sample_elements(rng, budget, nonneg=True) + units
+    gs = (units + sample_elements(model, rng, budget))[:budget]
+    hs = sample_elements(model, rng, budget, nonneg=True) + units
     for i, g in enumerate(gs):
         h = hs[i % len(hs)]
         if condition1_hypothesis(kernel, g, h) and not kernel.contains(g):
@@ -408,7 +407,7 @@ def sampled_condition1(kernel, budget, rng):
 
 
 def sampled_condition2(kernel, budget, rng):
-    gs = kernel.model.sample_elements(rng, budget, nonneg=True)
+    gs = sample_elements(kernel.model, rng, budget, nonneg=True)
     for g in gs:
         if kernel.contains(g.truncate()) and not kernel.contains(g):
             return ConditionVerdict(False, g)
@@ -419,7 +418,7 @@ def sampled_support_condition3(kernel, budget, rng):
     """Condition (3) on a SupportKernel with an exact hypothesis per sample:
     tminus(1/n)(g) increases with n, so convexity reduces the quantifier to
     the stable regime n > 1/clearance(g)."""
-    gs = kernel.model.sample_elements(rng, budget, nonneg=True)
+    gs = sample_elements(kernel.model, rng, budget, nonneg=True)
     for g in gs:
         c = clearance(g)
         n = 1 if c == 0 else math.ceil(1 / c) + 1
@@ -522,7 +521,7 @@ def sampled_pointwise_closed(kernel, budget=200, seed=0):
     one at a time, each outside K probed through its structured families."""
     rng = random.Random(seed)
     model = kernel.model
-    samples = (model.sample_elements(rng, 1, nonneg=True)[0] for _ in range(budget))
+    samples = (sample_elements(model, rng, 1, nonneg=True)[0] for _ in range(budget))
     for g in itertools.chain(model.tail_units(), samples):
         if kernel.contains(g):
             continue

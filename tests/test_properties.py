@@ -142,12 +142,15 @@ def test_equivalence_builds_one_clopen_algebra(monkeypatch):
 
 
 def test_hyper_simple_trunc_samples():
+    from test_seqspace import reference_hyperarchimedean
+
     from trunclab.hyper import hyperarchimedean
     full = lc(X3)
-    assert hyperarchimedean(full, budget=100, seed=5).passed
     partial = lc(X3, [frozenset(), frozenset({"1", "2"}), frozenset({"3"}),
                       frozenset({"1", "2", "3"})])
-    assert hyperarchimedean(partial, budget=100, seed=5).passed
+    for trunc in (full, partial):
+        assert hyperarchimedean(trunc).passed
+        assert reference_hyperarchimedean(trunc, budget=100, seed=5).passed
 
 
 def test_uniform_convergence_criteria_agree():

@@ -10,18 +10,21 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from samplers import sample_elements
 
-from trunclab import seqspace
-from trunclab.elements import apply_op, cut_grid
-from trunclab.errors import (PositivityError, StructureError,
+from trunclab import cli, seqspace
+from trunclab.elements import apply_op, cut_grid, lc
+from trunclab.errors import (CertificationError, PositivityError, StructureError,
                              UnsupportedOperationError)
-from trunclab.hyper import hyperarchimedean
+from trunclab.hyper import HyperVerdict, hyperarchimedean
 from trunclab.rat import chance
+from trunclab.sampling import random_space
 from trunclab.seqspace import (SeqTrunc, TailElement, baf_infinity,
                                bounded_away_from_zero_tail, clearance_chain,
                                enough_uc_check, ex1_report,
                                partial_truncations, simple_part_member,
                                sup_of_filtration_is)
+from trunclab.spaces import space
 
 G0 = TailElement.tail_unit(1)
 
@@ -224,13 +227,87 @@ def test_max_value():
 
 
 def test_hyperarchimedean_degree1_and_2():
-    assert hyperarchimedean(SeqTrunc(1), budget=200, seed=3).passed
-    verdict = hyperarchimedean(SeqTrunc(2), budget=200, seed=3)
+    assert hyperarchimedean(SeqTrunc(1)).passed
+    verdict = hyperarchimedean(SeqTrunc(2))
     assert not verdict.passed
     f, g, reason = verdict.witness
     assert f == TailElement.tail_unit(1)
     assert g == TailElement.tail_unit(2)
     assert reason == "forced part not dominated"
+
+
+def forced_part(f, g):
+    """f restricted to the cozero set of g >= 0, and whether some multiple
+    of g dominates it: on a simple element, k = max |f| / min g on the
+    cozero set of g, checked at every point."""
+    if isinstance(f, TailElement):
+        f_g = f.restrict_to_cozero_of(g)
+        return f_g, f_g.dominated_by(g)
+    cozero = g.support()
+    f_g = f.restrict_to(cozero)
+    if not cozero:
+        return f_g, f_g.is_zero()
+    k = max(abs(f.value(p)) for p in cozero) / min(g.value(p) for p in cozero)
+    return f_g, all(abs(f_g.value(p)) <= k * g.value(p) for p in g.space.nonstar)
+
+
+def reference_hyperarchimedean(model, budget=200, seed=0):
+    """hyperarchimedean as it once was: the pair of the first two tail units
+    when there are two, then `budget` sampled pairs (f, g >= 0), each with
+    an exact check of its forced part."""
+    rng = random.Random(seed)
+    units = model.tail_units()
+    pairs = [(units[0], units[1])] if len(units) >= 2 else []
+    fs = sample_elements(model, rng, budget)
+    gs = sample_elements(model, rng, budget, nonneg=True)
+    for f, g in pairs + list(zip(fs, gs)):
+        f_g, dominated = forced_part(f, g)
+        if f_g not in model:
+            return HyperVerdict(False, (f, g, "forced part not a member"))
+        if not dominated:
+            return HyperVerdict(False, (f, g, "forced part not dominated"))
+    return HyperVerdict(True)
+
+
+def _halves(sp):
+    """lc(sp) on the family of unions of two blocks that split the points."""
+    points = sp.nonstar
+    a, b = frozenset(points[::2]), frozenset(points[1::2])
+    return lc(sp, [frozenset(), a, b, a | b])
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
+def test_exact_hyperarchimedean_agrees_with_the_sampled_reference(seed):
+    """The verdict from the tail units is the sampled search's at 500
+    samples, on the sequence model and on full and partial simple truncs."""
+    rng = random.Random(seed)
+    spaces = [random_space(rng) for _ in range(4)]
+    models = [SeqTrunc(degree) for degree in range(4)]
+    models += [make(sp) for sp in spaces for make in (lc, _halves)]
+    for model in models:
+        want = reference_hyperarchimedean(model, 500, seed)
+        assert hyperarchimedean(model) == want, model
+        assert want.passed == (len(model.tail_units()) < 2)
+
+
+def test_hyperarchimedean_and_ex1_report_draw_nothing(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a hyperarchimedean verdict drew a sample")
+
+    monkeypatch.setattr(SeqTrunc, "sample_elements", refuse)
+    for degree in range(4):
+        assert hyperarchimedean(SeqTrunc(degree)).passed == (degree < 2)
+    assert hyperarchimedean(lc(space("1", "2", "3"))).passed
+    assert ex1_report().hyper_ok
+
+
+def test_the_degree2_witness_is_certified(monkeypatch):
+    """A forged per-pair check that calls 1/n dominated by 1/n^2 stops the
+    refutation: the verdict raises, and the suite behind it exits 1."""
+    monkeypatch.setattr(TailElement, "dominated_by", lambda self, g: True)
+    with pytest.raises(CertificationError, match="1/n\\^2"):
+        hyperarchimedean(SeqTrunc(2))
+    assert cli.main(["suite", "degree2-refutation"]) == 1
 
 
 def test_partial_truncations_and_dini_tail():
@@ -243,8 +320,9 @@ def test_partial_truncations_and_dini_tail():
 
 
 def test_ex1_report():
-    rep = ex1_report(seed=0, samples=200)
-    assert rep.ok
+    rep = ex1_report()
+    assert rep.hyper_ok and rep.kernel12_ok and rep.pointwise_sup_ok
+    assert rep.not_simple_witness._nums and rep.kernel3_witness._nums
     assert rep.clearance_values[:3] == [1, F(1, 2), F(1, 3)]
     assert rep.kernel3_example == TailElement({1: F(2, 3), 2: F(1, 6)})
     assert rep.not_simple_witness == G0
