@@ -76,6 +76,8 @@ ARGVS = [
     ("pointwise", "K1", *C, *K, *J),
     ("pointwise", "K3", *C, *K, *J),
     ("pointwise", "K4", *C, *K, *J),
+    *[(command, "K5", "--file", "kernel_deg2.tl", *J)
+      for command in ("kernel-check", "pointwise")],
     ("pointwise", "g", "h", "gn", *F, *J),
     ("pointwise", "u", "v", "un", *F, *J),
     ("pointwise", "w", *F, *J),
