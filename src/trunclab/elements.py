@@ -486,19 +486,15 @@ class GoodSequence:
         return len(self.terms)
 
 
-def good_from_element(g, m=None):
+def good_from_element(g):
     """Good sequence of g >= 0: terms truncate(tminus(n-1)(g)) for n = 1..m.
 
-    m must be at least the ceiling of the maximum value so the tail is zero;
-    defaults to exactly that bound.  Trailing zero terms are stripped.
+    m is the ceiling of the maximum value, past which every term is zero.
+    Trailing zero terms are stripped.
     """
     if not g.is_nonneg():
         raise PositivityError("good_from_element needs g >= 0")
-    need = bound_witness(g)
-    if m is None:
-        m = need
-    if m < need:
-        raise StructureError(f"m = {m} too small; need m >= {need}")
+    m = bound_witness(g)
     terms = [g.tminus(n - 1).truncate() for n in range(1, m + 1)]
     return GoodSequence.of(terms)
 

@@ -53,7 +53,6 @@ class Instance:
     objects: dict = field(default_factory=dict)
     kinds: dict = field(default_factory=dict)
     order: list = field(default_factory=list)
-    sources: dict = field(default_factory=dict)
 
     def add(self, lineno, kind, name, obj):
         if name in self.objects:
@@ -61,10 +60,6 @@ class Instance:
         self.objects[name] = obj
         self.kinds[name] = kind
         self.order.append(name)
-
-    def to_text(self):
-        """Re-emit the defining lines (round-trip serialization)."""
-        return "\n".join(self.sources[n] for n in self.order if n in self.sources)
 
     def get(self, name, kind=None):
         if name not in self.objects:
@@ -320,7 +315,6 @@ def parse_instance_text(text):
                 flags.add(body.pop())
             sec = _sections(body, keywords)
             inst.add(lineno, kind, name, build(inst, lineno, sec, flags))
-            inst.sources[name] = " ".join(tokens)
         except ParseError as exc:
             errors.append(exc)
         except (TruncLabError, ValueError, KeyError) as exc:

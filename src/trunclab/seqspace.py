@@ -155,9 +155,6 @@ class TailElement(Carrier):
         """value(n) as an integer pair (num, den), den > 0, not reduced."""
         return _add_correction(self.correction, n, *self._tail_pair(n))
 
-    def tail_value(self, n):
-        return Fraction(*self._tail_pair(n))
-
     def value(self, n):
         if n < 1:
             raise StructureError(f"positions start at 1, got {n}")
@@ -371,8 +368,8 @@ class SeqTrunc:
         """The pure tails n^(-1), ..., n^(-degree), slot by slot."""
         return [TailElement.tail_unit(k + 1) for k in range(self.degree)]
 
-    def sample_elements(self, rng, count, nonneg=False):
-        """Seeded members, |g| when nonneg: values from _POOL, corrections at 1..8."""
+    def sample_elements(self, rng, count):
+        """Seeded members: values from _POOL, corrections at 1..8."""
         out = []
         for _ in range(count):
             corr = {}
@@ -382,7 +379,7 @@ class SeqTrunc:
                          for _ in range(self.degree))
             g = TailElement._canonical({n: Fraction(v, 2) for n, v in corr.items() if v},
                                        tail, 2)
-            out.append(abs(g) if nonneg else g)
+            out.append(g)
         return out
 
 
@@ -486,17 +483,18 @@ class Ex1Report:
     """The five-part counterexample battery on the degree-1 trunc."""
 
     hyper_ok: bool
-    not_simple_witness: TailElement
     clearance_values: list
-    kernel12_ok: bool
-    kernel3_witness: TailElement
     kernel3_example: TailElement  # g0 tminus 1/3, concretely
     pointwise_witness: list
     pointwise_sup_ok: bool
 
 
 def ex1_report():
-    """Run the full battery on the degree-1 trunc; see Ex1Report fields."""
+    """Run the full battery on the degree-1 trunc; see Ex1Report fields.
+
+    It raises unless 1/n is not bounded away from zero, conditions (1) and
+    (2) hold and condition (3) fails at 1/n, so those are not fields.
+    """
     from .hyper import hyperarchimedean
     from .kernels import KernelSpec, pointwise_closed
 
@@ -517,10 +515,7 @@ def ex1_report():
             "the tail-zero kernel must not be pointwise closed at 1/n", verdict)
     return Ex1Report(
         hyper_ok=hyper.passed,
-        not_simple_witness=g0,
         clearance_values=chain,
-        kernel12_ok=conds.cond1.passed and conds.cond2.passed,
-        kernel3_witness=g0,
         kernel3_example=g0.tminus(Fraction(1, 3)),
         pointwise_witness=verdict.witness[1],
         pointwise_sup_ok=sup_of_filtration_is(g0),

@@ -29,7 +29,8 @@ def simple_samples(trunc, rng, count, nonneg=False):
 
 
 def sample_elements(model, rng, count, nonneg=False):
-    """Seeded members of either model: SeqTrunc draws its own."""
+    """Seeded members of either model, |g| when nonneg: SeqTrunc draws its own."""
     if isinstance(model, SimpleTrunc):
         return simple_samples(model, rng, count, nonneg)
-    return model.sample_elements(rng, count, nonneg)
+    out = model.sample_elements(rng, count)
+    return [abs(g) for g in out] if nonneg else out

@@ -252,3 +252,65 @@ def test_broken_round_trip_is_a_failed_check(flags, tmp_path):
     assert not check["passed"]
     assert check["detail"].startswith(
         "3 cases; first failure: equivalence fails on 2 points: ")
+
+
+FORGED_EX1 = textwrap.dedent("""
+    import contextlib, io, json, sys
+    from trunclab import cli, kernels, seqspace
+    from trunclab.errors import CertificationError
+    from trunclab.kernels import ConditionsReport, ConditionVerdict
+
+    honest = kernels.kernel_conditions
+
+    def cond1_fails(kernel):
+        conds = honest(kernel)
+        return ConditionsReport(ConditionVerdict(False, "forged"), conds.cond2,
+                                conds.cond3)
+
+    def cond3_moved(kernel):  # the witness 2/n in place of 1/n
+        conds = honest(kernel)
+        return ConditionsReport(conds.cond1, conds.cond2, ConditionVerdict(
+            False, seqspace.TailElement.tail_unit(1).scale(2)))
+
+    forgeries = {"baf": (seqspace, "bounded_away_from_zero_tail",
+                         lambda g: (True, 1)),
+                 "cond1": (kernels, "kernel_conditions", cond1_fails),
+                 "cond3": (kernels, "kernel_conditions", cond3_moved)}
+    module, attr, forged = forgeries[sys.argv[1]]
+    setattr(module, attr, forged)
+    try:
+        seqspace.ex1_report()
+        raised = None
+    except CertificationError as exc:
+        raised = str(exc)
+    runs = []
+    for argv in (["ex1-report"], ["suite", "ex1-battery"]):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main([*argv, "--json"])
+        runs.append({"exit": code, "report": json.loads(out.getvalue())})
+    print(json.dumps({"optimize": sys.flags.optimize, "raised": raised,
+                      "runs": runs}))
+""")
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["python", "python -O"])
+@pytest.mark.parametrize("forgery, message", [
+    ("baf", "the 1/n element must not be bounded away from zero"),
+    ("cond1", "kernel conditions (1) and (2) must hold"),
+    ("cond3", "kernel condition (3) must fail at the 1/n element")])
+def test_forged_ex1_certificates_exit_1(forgery, message, flags):
+    """ex1_report certifies the 1/n witness and the kernel conditions that
+    ex1-report prints as passed and suite ex1-battery does not check again:
+    a forgery of any one is a failed certificate, also under python -O."""
+    proc = subprocess.run([sys.executable, *flags, "-c", FORGED_EX1, forgery],
+                          env=_env_with_src(), capture_output=True, text=True,
+                          timeout=120, check=False)
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["optimize"] == len(flags)
+    assert result["raised"].startswith(message)
+    for run in result["runs"]:
+        assert run["exit"] == 1
+        assert run["report"]["checks"] == [{"name": "certificate", "passed": False,
+                                            "detail": result["raised"]}]

@@ -171,13 +171,11 @@ def test_clearance_decomposition_matches_normal_form():
 
 def test_good_from_element_example():
     g = el(5, 2, F(1, 3))
-    gs = good_from_element(g, 5)
+    gs = good_from_element(g)
     assert [t for t in gs.terms] == [el(1, 1, F(1, 3)), el(1, 1, 0),
                                      el(1, 0, 0), el(1, 0, 0), el(1, 0, 0)]
     assert len(good_from_element(el(0, 0, 0))) == 0
     assert good_from_element(el(1, 0, 0)).terms == (el(1, 0, 0),)
-    with pytest.raises(StructureError):
-        good_from_element(g, 3)
 
 
 def test_element_from_good_examples():

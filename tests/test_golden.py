@@ -104,6 +104,7 @@ ARGVS = [
     ("dini", "es", *F, *J),
     *[(command, *F, *J) for command in ("good-seq", "trunc-seq", "kernel-close", "pointwise")],
     ("suite", "nosuch", *J),
+    # except these two: only suite reads --cases, so they run as with any budget
     ("kernel-check", "K", "--cases", "0", *K, *J),
     ("pointwise", "K1", "--cases", "-1", *K, *J),
     *[("pointwise", "u", x, "--file", "spectrum.tl", *J) for x in ("up", "g")],
@@ -180,6 +181,18 @@ print(json.dumps({"optimize": sys.flags.optimize, "entries": len(entries),
                   "mismatches": [e["argv"] for e in entries
                                  if test_golden.run(e["argv"]) != e]}))
 """
+
+
+@pytest.mark.parametrize("budget", [("--cases", "0", "--seed", "5"), ("--cases", "-1")],
+                         ids=["cases 0 seed 5", "cases -1"])
+def test_only_suite_reads_the_budget(budget):
+    """Every command but suite is exact and draws nothing, so it ignores
+    --cases and --seed: any budget gives the recorded exit code and stdout."""
+    for entry in _load():
+        if entry["argv"][0] != "suite":
+            got = run([*entry["argv"], *budget])
+            assert (got["exit"], got["stdout"]) == (entry["exit"], entry["stdout"]), \
+                entry["argv"]
 
 
 def test_corpus_replays_under_python_O():

@@ -80,16 +80,6 @@ def test_duplicate_names_rejected():
     assert errors and "duplicate" in str(errors[0])
 
 
-def test_full_round_trip_via_source_lines(sample_file):
-    inst = parse_instance(sample_file)
-    reparsed, errors = parse_instance_text(inst.to_text())
-    assert not errors
-    assert reparsed.order == inst.order
-    for name in inst.order:
-        assert reparsed.kinds[name] == inst.kinds[name]
-        assert reparsed.objects[name] == inst.objects[name]
-
-
 def run_cli(args, capsys):
     code = main(args)
     out = capsys.readouterr().out
