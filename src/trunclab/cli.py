@@ -3,7 +3,10 @@
     trunclab <command> [object names] --file <path> [--seed N] [--cases N] [--json]
 
 Only suite reads --cases and --seed; every other command is exact, draws
-nothing and ignores them.
+nothing and ignores them.  A suite runs exactly its budget of cases (a suite
+of fixed work, at most its own count), and a failed suite names its first
+failure's case i with the argv `suite NAME --seed S --cases i+1` that
+replays it as its last case.
 
 Exit codes: 0 all checks pass, 1 a check failed, 2 input error.  A failed
 certificate (CertificationError) is a failed check: the report is printed
@@ -259,7 +262,9 @@ def cmd_suite(inst, names, args, report):
     for res in results:
         detail = f"{res.cases} cases"
         if res.failures:
-            detail += f"; first failure: {res.failures[0]}"
+            i, message = res.failures[0]
+            detail += (f"; first failure: {message} (case {i}; replay: trunclab suite "
+                       f"{res.name} --seed {args.seed} --cases {i + 1})")
         report.add_check(f"suite {res.name}", res.passed, detail)
     report.put("totals", {res.name: res.cases for res in results})
 

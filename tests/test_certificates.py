@@ -22,6 +22,7 @@ from trunclab.frames import (FiniteFrame, FrameReal, FrameSurjection,
 from trunclab.rat import NEG_INF, POS_INF, chance
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "trunclab"
+TESTS = Path(__file__).resolve().parent
 INSTANCE = str(Path(__file__).resolve().parent / "golden" / "instance.tl")
 
 A, B = frozenset({"a"}), frozenset({"b"})
@@ -51,14 +52,15 @@ def test_package_has_no_floats():
 
 
 def test_package_has_no_unused_imports():
-    """Every name a module outside __init__ imports at its top level is used."""
+    """Every name a module outside __init__ imports at its top level is used,
+    in the package and in the test modules."""
     found = []
-    for path in sorted(PACKAGE.rglob("*.py")):
+    for path in sorted([*PACKAGE.rglob("*.py"), *TESTS.glob("*.py")]):
         if path.name == "__init__.py":
             continue
         tree = ast.parse(path.read_text(encoding="utf-8"))
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-        found += [f"{path.relative_to(PACKAGE)}:{node.lineno} {name}"
+        found += [f"{path.relative_to(PACKAGE.parents[1])}:{node.lineno} {name}"
                   for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom))
                   for alias in node.names
                   for name in [(alias.asname or alias.name).partition(".")[0]]

@@ -19,7 +19,6 @@ from trunclab.elements import (GoodSequence, SimpleElement, SimpleTrunc,
                                good_from_element, is_unital_component, lc,
                                normal_form, normal_form_reconstruct,
                                pointwise_sup, restriction_hom,
-                               truncation_sequence,
                                truncation_sequence_check, uc, yosida_quotient)
 from trunclab.errors import (CertificationError, PositivityError,
                              SpaceMismatchError, StructureError)

@@ -7,8 +7,6 @@ import pytest
 
 from trunclab import cli
 from trunclab.cli import main
-from trunclab.elements import SimpleElement
-from trunclab.errors import ParseError
 from trunclab.gba import clopen
 from trunclab.instances import parse_instance, parse_instance_text
 from trunclab.seqspace import TailElement

@@ -3,18 +3,16 @@
 import random
 from fractions import Fraction as F
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trunclab.elements import SimpleElement, bounded_away_from_zero, lc
 from trunclab.equivalences import equivalence_witness
-from trunclab.frames import (FiniteFrame, FrameReal, PointedFiniteFrame, chi,
-                             drop, frame_uc_check, ray_above)
+from trunclab.frames import FrameReal, chi, drop, frame_uc_check, ray_above
 from trunclab.rat import POS_INF
 from trunclab.sampling import (dense_surjection, frame_real, pointed_frame,
                                simple_element)
-from trunclab.seqspace import SeqTrunc, TailElement
+from trunclab.seqspace import SeqTrunc
 from trunclab.spaces import PointedBooleanSpace, space
 
 X3 = space("1", "2", "3")

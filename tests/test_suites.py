@@ -1,8 +1,12 @@
-"""The suite registry: names, execution order, run_all caps and case counts."""
+"""The suite registry: names, execution order, run_all caps, case counts and
+the replay of a failure by its case index."""
 
+import contextlib
 import inspect
+import io
 import json
 import os
+import random
 import subprocess
 import sys
 import textwrap
@@ -11,8 +15,9 @@ from pathlib import Path
 import pytest
 
 import trunclab
-from trunclab import sampling, suites
-from trunclab.elements import OPS
+from trunclab import cli, sampling, suites
+from trunclab.elements import OPS, DiniReport
+from trunclab.frames import FrameReal
 from trunclab.seqspace import TailElement
 
 NAMES = ["trunc-axioms", "identities", "good-sequences", "idealization",
@@ -22,13 +27,11 @@ NAMES = ["trunc-axioms", "identities", "good-sequences", "idealization",
 
 CAPS = {"idealization": 25, "induced-oracle": 60, "drop-e0q": 60, "boolean": 25}
 
-# SUITES[name](seed=0, cases=c).cases for c = 1, 9, 40; a suite counts its
-# cases as the budget unless it runs another number: a fixed suite counts
-# the work it runs.
+# SUITES[name](seed=0, cases=c).cases for c = 1, 9, 40; a suite runs and
+# counts exactly its budget, and a fixed suite counts the work it runs.
 CASES = {name: (1, 9, 40) for name in NAMES}
 CASES.update({"equivalences": (1, 5, 5), "ex1-battery": (1, 1, 1),
-              "degree2-refutation": (1, 1, 1), "kernels": (8, 8, 8),
-              "seq-closure": (0, 8, 40)})
+              "degree2-refutation": (1, 1, 1), "kernels": (8, 8, 8)})
 
 DEFAULTS = {"trunc-axioms": 200, "identities": 200, "good-sequences": 200,
             "idealization": 40, "equivalences": 5, "induced-oracle": 100,
@@ -48,8 +51,8 @@ def test_suites_keep_their_public_signatures():
         assert list(params) == ["seed", "cases"]
         assert (params["seed"].default, params["cases"].default) == (0, DEFAULTS[name])
         assert fn.__name__.startswith("suite_") and getattr(suites, fn.__name__) is fn
-        body = inspect.getclosurevars(fn).nonlocals["body"]
-        assert list(inspect.signature(body).parameters) == ["rng", "cases", "failures"]
+        case = inspect.getclosurevars(fn).nonlocals["case"]
+        assert list(inspect.signature(case).parameters) == ["rng", "i", "fail"]
 
 
 @pytest.mark.parametrize("name", NAMES)
@@ -69,8 +72,9 @@ def test_run_all_applies_the_caps(monkeypatch):
 
 
 def test_a_negative_budget_counts_no_cases(monkeypatch):
-    """A budget <= 0 runs no suite body, fixed suites included."""
-    monkeypatch.setattr(suites, "random", None)  # every body gets a random.Random
+    """A budget <= 0 runs no case and builds no random.Random, fixed suites
+    included."""
+    monkeypatch.setattr(suites, "random", None)  # a suite that ran would raise
     for name in NAMES:
         for cases in (0, -1):
             assert suites.SUITES[name](seed=0, cases=cases) == suites.SuiteResult(name, 0)
@@ -98,7 +102,7 @@ PLANTED_JOIN = textwrap.dedent("""
     TailElement.join = lambda self, other: self
     planted = suites.SUITES["seq-closure"](seed=0, cases=20)
     print(json.dumps({"optimize": sys.flags.optimize, "honest": honest.failures,
-                      "planted": planted.failures}))
+                      "planted": [message for _, message in planted.failures]}))
 """)
 
 
@@ -147,4 +151,77 @@ def test_seq_closure_oracle_catches_a_planted_fault(monkeypatch, op, plant, mess
         monkeypatch.setattr(TailElement, "__sub__", lambda self, other:
                             honest["__add__"](self, honest["__neg__"](other)))
     failures = suites.SUITES["seq-closure"](seed=0, cases=20).failures
-    assert any(f.startswith(message.format(op=op)) for f in failures), failures
+    assert any(f.startswith(message.format(op=op)) for _, f in failures), failures
+
+
+def double_three_term_sums(monkeypatch):
+    """A good sequence of three terms sums to twice its element."""
+    honest = suites.element_from_good
+    monkeypatch.setattr(suites, "element_from_good", lambda gs: honest(gs).scale(2)
+                        if len(gs) == 3 else honest(gs))
+
+
+def refute_five_step_frame_sequences(monkeypatch):
+    """A Dini sequence of five frame-real steps is reported nonuniform."""
+    honest = suites.dini_check
+    monkeypatch.setattr(suites, "dini_check", lambda seq: DiniReport(True, False, {})
+                        if len(seq) == 7 and isinstance(seq[0], FrameReal) else honest(seq))
+
+
+def run_cli(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main([*argv, "--json"])
+    [check] = json.loads(out.getvalue())["checks"]
+    return code, check["detail"]
+
+
+# (suite, seed, planted fault, the case that first fails): dini alternates
+# simple elements and frame reals, so its fault hits odd cases only
+PLANTED = [("good-sequences", 5, double_three_term_sums, 12),
+           ("dini", 0, refute_five_step_frame_sequences, 11)]
+
+
+@pytest.mark.parametrize("name, seed, plant, first_case", PLANTED,
+                         ids=[name for name, *_ in PLANTED])
+def test_the_printed_argv_replays_the_first_failure(monkeypatch, name, seed, plant,
+                                                    first_case):
+    """Case i draws the same whatever the budget, so `--cases i+1` ends with
+    the first failure of a full run, and the CLI prints that argv."""
+    plant(monkeypatch)
+    first = suites.SUITES[name](seed=seed, cases=200).failures[0]
+    assert first[0] == first_case
+    assert suites.SUITES[name](seed=seed, cases=first_case + 1).failures[-1] == first
+    replay = f"trunclab suite {name} --seed {seed} --cases {first_case + 1}"
+    code, detail = run_cli(["suite", name, "--seed", str(seed)])
+    assert code == 1
+    assert detail == (f"200 cases; first failure: {first[1]} "
+                      f"(case {first_case}; replay: {replay})")
+    code, again = run_cli(replay.split()[1:])
+    assert code == 1
+    assert again == detail.replace("200 cases", f"{first_case + 1} cases")
+
+
+# perfbench pins the seeds of these suites by what the first draw of
+# random.Random(seed) gives: (sampler, its keyword arguments)
+FIRST_DRAWS = {"kernels": ("random_space", {"max_points": 3}),
+               "idealization": ("random_gba", {}),
+               "boolean": ("random_gba", {})}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 2801])
+@pytest.mark.parametrize("name", FIRST_DRAWS)
+def test_case_0_makes_the_first_draw_the_benchmark_pins(monkeypatch, name, seed):
+    sampler, kwargs = FIRST_DRAWS[name]
+    honest = getattr(sampling, sampler)
+    calls = []
+
+    def spy(rng, **kw):
+        calls.append((rng.getstate(), kw, honest(rng, **kw)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(sampling, sampler, spy)
+    suites.SUITES[name](seed=seed, cases=1)
+    state, kw, drawn = calls[0]
+    assert (state, kw) == (random.Random(seed).getstate(), kwargs)
+    assert drawn == honest(random.Random(seed), **kwargs)
