@@ -70,10 +70,11 @@ class Carrier:
 class StepValues(Carrier):
     """A carrier whose finite values are integer numerators over one denominator.
 
-    A subclass stores _nums and _den > 0 and supplies _finite(), the pair it
-    computes with, _renum(nums, den), the element of its own shape with new
-    numerators, and _combine(other, fn), fn of the two operands' values.
-    The arithmetic, lattice and truncation operations follow.
+    A subclass stores _nums, one per point, and _den > 0, computes with
+    _finite(), and supplies _aligned(other), which checks that other has the
+    same points, and _renum(nums, den), the element there with new
+    numerators.  The arithmetic, lattice and truncation operations follow,
+    all pointwise: _combine serves every binary one.
     """
 
     __slots__ = ()
@@ -118,6 +119,11 @@ class StepValues(Carrier):
     def _excess(self, r):
         nums, r, den = self._with_const(r)
         return self._renum([n - r if n > r else 0 for n in nums], den)
+
+    def _combine(self, other, fn):
+        """fn of the two operands' values, point by point."""
+        a, b, den = self._aligned(other)
+        return self._renum(map(fn, a, b), den)
 
     def __add__(self, other):
         return self._combine(other, operator.add)
@@ -180,9 +186,6 @@ class SimpleElement(StepValues):
     def zero(cls, space):
         return cls._canonical(space, (0,) * len(space.nonstar), 1)
 
-    def to_simple(self):
-        return self
-
     def _point_nums(self):
         """The numerators at every point, the basepoint (0) last."""
         return (*self._nums, 0)
@@ -225,10 +228,6 @@ class SimpleElement(StepValues):
 
     def _renum(self, nums, den):
         return self._canonical(self.space, tuple(nums), den)
-
-    def _combine(self, other, fn):
-        a, b, den = self._aligned(other)
-        return self._renum(map(fn, a, b), den)
 
     def __abs__(self):
         return self._renum(map(abs, self._nums), self._den)
@@ -617,7 +616,7 @@ def cut_grid(values):
 
 def pointwise_sup(family):
     """Pointwise maximum of simple elements or frame reals, verified by cuts
-    at every point of the space or spectrum, the basepoint too.
+    at every point of the space or frame (frame.points), the basepoint too.
 
     At each r of cut_grid(all finite values) the union over the family of
     the upper cuts {p : g(p) > r} must be the sup's; the first failing r is
@@ -625,8 +624,8 @@ def pointwise_sup(family):
     over d = 2 * lcm of the denominators.  On frame reals it is the frame
     test g(r, inf) joined = sup(r, inf), failing first at the same cut: a
     finite frame is spatial, the points of a join are the union of its
-    parts', those of g(r, inf) are the p with g.at(p) finite and > r, and
-    every cell holds a point, so the grid is the same.
+    parts', those of g(r, inf) are the p whose stored value is finite and
+    > r, and every cell holds a point, so the grid is the same.
     """
     family = list(family)
     if not family:

@@ -5,14 +5,14 @@ pseudocomplements, rather-below relation and complemented part are derived
 tables.  A frame real is a partition of the top into complemented cells,
 each carrying a rational value (extended reals allowed for the D-type used
 by drop/lift computations); the cell containing the designated point
-carries 0.  Sups and drop/lift squares are certified at the points of the
-spectrum.  Induced operations are computed cell-wise and certified against
-the join-of-meets formula, decided value by value; surjections carry their
+carries 0.  It is kept as its values at the frame's points.  Sups and
+drop/lift squares are certified at the points of the spectrum.  Induced
+operations are computed point by point and certified against the
+join-of-meets formula, decided value by value; surjections carry their
 adjoints, with density decided exactly.
 """
 
 import itertools
-from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import cached_property, reduce
 from math import gcd, lcm
@@ -117,6 +117,15 @@ class FiniteFrame:
             return FiniteFrame(labels, {(a, b) for a in labels for b in labels
                                         if self.leq(a, b)})
 
+    @cached_property
+    def points(self):
+        """The join-primes (in a distributive lattice, the join-irreducibles)
+        as ascending indices: their up-sets are the completely prime filters."""
+        up, n = self._up, len(self)
+        primes = _join_irreducibles([sum(1 << i for i in range(n) if up[i] >> j & 1)
+                                     for j in range(n)])
+        return tuple(j for j in range(n) if primes >> j & 1)
+
     def leq(self, x, y):
         return bool(self._up[self.index[x]] >> self.index[y] & 1)
 
@@ -186,14 +195,15 @@ class PointedFiniteFrame:
 
     @cached_property
     def spectrum(self):
-        """The points as a pointed space on frame indices: the join-primes j
-        (in a distributive lattice, the join-irreducibles), whose up-sets are
-        the completely prime filters; the basepoint's up-set is the true set."""
-        up, n = self.frame._up, len(self.frame)
-        primes = _join_irreducibles([sum(1 << i for i in range(n) if up[i] >> j & 1)
-                                     for j in range(n)])
-        return PointedBooleanSpace(frozenset(j for j in range(n) if primes >> j & 1),
-                                   up.index(self._true))
+        """The points as a pointed space on frame indices: frame.points,
+        based at the basepoint."""
+        return PointedBooleanSpace(frozenset(self.frame.points), self.frame.points[self._star])
+
+    @cached_property
+    def _star(self):
+        """The basepoint's position in frame.points: the join-prime whose
+        up-set is the true set."""
+        return self.frame.points.index(self.frame._up.index(self._true))
 
     def _validate(self):
         """The true-set t must be a prime filter: some up-set whose complement's
@@ -244,19 +254,20 @@ class FrameReal(StepValues):
 
     extended=True admits +/-inf cells (the D-type); pointed=False skips
     the basepoint-cell rule, for deliberately unpointed test elements.
-    The finite values are integer numerators _nums, ascending and distinct,
-    over one denominator _den > 0 in lowest terms; _cells holds the frame
-    index of each value's cell, and _neg and _pos those of the -inf and
-    +inf cells, or None.  cells, values and eval give Fractions and labels.
+    A finite frame is spatial, so a real is its values at the frame's
+    points: _nums holds one integer numerator, or +/-inf, per join-prime of
+    frame.points, over one denominator _den > 0 in lowest terms.  The cell
+    of a value is the join of the points that carry it; cells, values and
+    eval give Fractions and labels.
 
-    The public constructor validates the cells; the cell-wise operation
-    results go through _canonical, which only merges equal values: refined
-    partitions stay partitions, and every tag maps (0, 0) to 0.
+    The public constructor validates the cells; the pointwise operation
+    results go through _canonical, which checks only the basepoint value:
+    every tag maps (0, 0) to 0, so pointed operands always pass it.
     """
 
     def __init__(self, pframe, cells, extended=False, pointed=True):
         fr = pframe.frame
-        finite, ends = [], {NEG_INF: fr._bot, POS_INF: fr._bot}
+        items = []
         for value, cell in cells:
             if is_finite(value):
                 value = as_fraction(value)
@@ -264,52 +275,15 @@ class FrameReal(StepValues):
                 raise StructureError("infinite values need a D-type frame real")
             if cell not in fr.index:
                 raise StructureError(f"unknown frame element {cell!r}")
-            c = fr.index[cell]
-            if not is_finite(value):
-                ends[value] = fr._join[ends[value]][c]
-            elif c != fr._bot:
-                finite.append((value, c))
-        den = lcm(*(v.denominator for v, _ in finite))
-        self._store(pframe, [(v.numerator * (den // v.denominator), c)
-                             for v, c in finite], den)
-        self.extended, self.pointed = extended, pointed
-        self._neg, self._pos = (None if c == fr._bot else c for c in ends.values())
-        self._validate()
-
-    @classmethod
-    def _canonical(cls, pframe, pairs, den, validate=False):
-        """A finite pointed real from (numerator over den, cell index) pairs.
-
-        validate=True still checks the point rule, for unpointed operands.
-        """
-        e = object.__new__(cls)
-        e._store(pframe, pairs, den)
-        if validate:
-            e._validate()
-        return e
-
-    def _store(self, pframe, pairs, den):
-        """Merge the cells of equal numerators, sort, and divide out the gcd."""
-        join = pframe.frame._join
-        merged = {}
-        for n, c in pairs:
-            merged[n] = join[merged[n]][c] if n in merged else c
-        nums = sorted(merged)
-        g = gcd(den, *nums)
-        self.pframe, self.extended, self.pointed = pframe, False, True
-        self._nums, self._den = tuple(n // g for n in nums), den // g
-        self._cells = tuple(merged[n] for n in nums)
-        self._neg = self._pos = None
-
-    def _items(self):
-        """(numerator or +/-inf, cell index) in value order."""
-        out = [] if self._neg is None else [(NEG_INF, self._neg)]
-        out += zip(self._nums, self._cells)
-        return out if self._pos is None else out + [(POS_INF, self._pos)]
-
-    def _validate(self):
-        fr = self.pframe.frame
-        items = self._items()
+            if fr.index[cell] != fr._bot:
+                items.append((value, fr.index[cell]))
+        # in lowest terms, as every cell but bottom holds a point
+        den = lcm(*(v.denominator for v, _ in items if is_finite(v)))
+        merged = {}  # a numerator over den, or +/-inf, to the join of its cells
+        for v, c in items:
+            n = v.numerator * (den // v.denominator) if is_finite(v) else v
+            merged[n] = fr._join[merged[n]][c] if n in merged else c
+        items = sorted(merged.items())
         for i, (_, c) in enumerate(items):
             for _, d in items[i + 1:]:
                 if fr._meet[c][d] != fr._bot:
@@ -317,28 +291,50 @@ class FrameReal(StepValues):
                                          "are not disjoint")
         if fr._join_of(c for _, c in items) != fr._top:
             raise StructureError("cells do not cover the frame")
-        if self.pointed:
-            pointed_cells = [n for n, c in items if self.pframe.point(fr.labels[c])]
-            if pointed_cells != [0]:
-                raise StructureError(
-                    "the cell containing the designated point must carry 0")
+        # each point lies below exactly one cell of the partition
+        self._nums = tuple(n for p in fr.points for n, c in items if fr._up[p] >> c & 1)
+        if pointed and self._nums[pframe._star] != 0:
+            raise StructureError("the cell containing the designated point must carry 0")
+        self.pframe, self._den, self.extended, self.pointed = pframe, den, extended, pointed
+
+    @classmethod
+    def _canonical(cls, pframe, nums, den):
+        """A finite pointed real from its numerators over den at frame.points."""
+        nums = tuple(nums)
+        g = gcd(den, *nums)
+        if g != 1:
+            nums, den = tuple(n // g for n in nums), den // g
+        if nums[pframe._star] != 0:
+            raise StructureError("the cell containing the designated point must carry 0")
+        e = object.__new__(cls)
+        e.pframe, e._nums, e._den, e.extended, e.pointed = pframe, nums, den, False, True
+        return e
 
     @classmethod
     def zero(cls, pframe):
-        return cls._canonical(pframe, [(0, pframe.frame._top)], 1)
+        return cls._canonical(pframe, (0,) * len(pframe.frame.points), 1)
+
+    def _cell_map(self):
+        """Each numerator, or +/-inf, to the index of its cell: the join of
+        the points that carry it, in the order of frame.points."""
+        fr = self.pframe.frame
+        join, out = fr._join, {}
+        for p, n in zip(fr.points, self._nums):
+            out[n] = join[out[n]][p] if n in out else p
+        return out
 
     @property
     def cells(self):
         labels, den = self.pframe.frame.labels, self._den
         return tuple((Fraction(n, den) if is_finite(n) else n, labels[c])
-                     for n, c in self._items())
+                     for n, c in sorted(self._cell_map().items()))
 
     def values(self):
-        return [Fraction(n, self._den) if is_finite(n) else n for n, _ in self._items()]
+        return [v for v, _ in self.cells]
 
     def grid_values(self):
         """Every finite value: the cuts of the frame Dini report."""
-        return [Fraction(n, self._den) for n in self._nums]
+        return [Fraction(n, self._den) for n in set(self._nums) if is_finite(n)]
 
     def max_value(self):
         """The last value: inf when there is a +inf cell."""
@@ -349,78 +345,58 @@ class FrameReal(StepValues):
         return {format_rational(v): format_label(c) for v, c in self.cells}
 
     def finite_part_join(self):
-        fr = self.pframe.frame
-        return fr.labels[fr._join_of(self._cells)]
-
-    def _rank(self, x, strict):
-        """How many finite values lie below x, or at or below it unless strict."""
-        if not is_finite(x):
-            return 0 if x is NEG_INF else len(self._nums)
-        p, q = x.numerator * self._den, x.denominator
-        if strict:
-            return bisect_left(self._nums, -(-p // q))
-        return bisect_right(self._nums, p // q)
+        return self.eval(OpenInterval(NEG_INF, POS_INF))
 
     def eval(self, interval):
-        """The frame element assigned to an open interval: join of matching cells."""
-        cells = self._cells[self._rank(interval.lo, False):self._rank(interval.hi, True)]
+        """The frame element assigned to an open interval: the join of the
+        points whose finite value lies in it, compared as integers over _den."""
+        lo, hi, den = interval.lo, interval.hi, self._den
+        if is_finite(lo):
+            lo = lo.numerator * den // lo.denominator
+        if is_finite(hi):
+            hi = -(-hi.numerator * den // hi.denominator)
         fr = self.pframe.frame
-        return fr.labels[fr._join_of(cells)]
-
-    def _num_at(self, p):
-        """The numerator, or +/-inf, of the one cell above the join-prime p."""
-        return next(n for n, c in self._items() if self.pframe.frame._up[p] >> c & 1)
+        return fr.labels[fr._join_of(p for p, n in zip(fr.points, self._nums) if is_finite(n)
+                                     and (lo is NEG_INF or lo < n) and (hi is POS_INF or n < hi))]
 
     def at(self, p):
-        """The value at the point p: that of the one cell above the join-prime p."""
-        return Fraction(n, self._den) if is_finite(n := self._num_at(p)) else n
+        """The value at the point p, a join-prime of the frame."""
+        n = self._nums[self.pframe.frame.points.index(p)]
+        return Fraction(n, self._den) if is_finite(n) else n
 
     def _point_nums(self):
-        """The numerators, or +/-inf, at the points of the spectrum, the basepoint last."""
-        spectrum = self.pframe.spectrum
-        return [*map(self._num_at, spectrum.nonstar), self._num_at(spectrum.star)]
+        """The numerators, or +/-inf, at frame.points, the basepoint among them."""
+        return self._nums
 
     def to_simple(self):
         """The image on the spectrum, without the basepoint value an unpointed
         real may have; a real with an infinite cell has none."""
-        if (self._neg, self._pos) != (None, None):
+        if not all(map(is_finite, self._nums)):
             raise UnsupportedOperationError("a frame real with an infinite cell has no image")
-        return SimpleElement._canonical(self.pframe.spectrum,
-                                        tuple(self._point_nums()[:-1]), self._den)
+        spectrum = self.pframe.spectrum
+        return SimpleElement(spectrum, {p: self.at(p) for p in spectrum.nonstar})
 
     def _finite(self):
         if self.extended:
             raise UnsupportedOperationError("arithmetic needs finite-valued operands")
         return self._nums, self._den
 
-    def _renum(self, nums, den):
-        return self._canonical(self.pframe, zip(nums, self._cells), den,
-                               validate=not self.pointed)
-
-    def _combine(self, other, fn):
-        """fn of the two operands' values on the meets of their cells."""
+    def _aligned(self, other):
         if not isinstance(other, FrameReal):
             raise SpaceMismatchError(f"{other!r} is not a frame real")
         if self.pframe is not other.pframe and self.pframe != other.pframe:
             raise SpaceMismatchError("frame reals over different pointed frames")
-        a, b, den = self._aligned(other)
-        meet, bot = self.pframe.frame._meet, self.pframe.frame._bot
-        pairs = [(fn(x, y), m) for x, c in zip(a, self._cells)
-                 for y, d in zip(b, other._cells) if (m := meet[c][d]) != bot]
-        return self._canonical(self.pframe, pairs, den,
-                               validate=not (self.pointed and other.pointed))
+        return super()._aligned(other)
 
-    def is_nonneg(self):
-        return self._neg is None and super().is_nonneg()
+    def _renum(self, nums, den):
+        return self._canonical(self.pframe, nums, den)
 
     def __eq__(self, other):
         return (isinstance(other, FrameReal) and self._nums == other._nums
-                and self._den == other._den and self._cells == other._cells
-                and self._neg == other._neg and self._pos == other._pos
-                and self.pframe == other.pframe)
+                and self._den == other._den and self.pframe == other.pframe)
 
     def __hash__(self):
-        return hash((self.pframe, self._nums, self._den, self._cells))
+        return hash((self.pframe, self._nums, self._den))
 
     def __repr__(self):
         inner = ", ".join(f"{v}:{c}" for v, c in self.cells)
@@ -467,14 +443,15 @@ def oracle_mismatch(tag, operands, result, param=None):
     scalar = OPS[tag].scalar
     params = () if param is None else (Fraction(param),)
     formula = {}
-    for combo in itertools.product(*(zip(g.grid_values(), g._cells) for g in operands)):
+    for combo in itertools.product(*([(Fraction(n, g._den), c) for n, c in g._cell_map().items()]
+                                     for g in operands)):
         m = fr._top
         for _, c in combo:
             m = meet[m][c]
         if m != bot:
             w = scalar(*(v for v, _ in combo), *params)
             formula[w] = join[formula.get(w, bot)][m]
-    cells = {Fraction(n, result._den): c for n, c in zip(result._nums, result._cells)}
+    cells = {Fraction(n, result._den): c for n, c in result._cell_map().items()}
     values = sorted(formula.keys() | cells.keys())
     for i, w in enumerate(values):
         if formula.get(w, bot) != cells.get(w, bot):
@@ -492,8 +469,6 @@ def chi(pframe, x):
         raise StructureError(f"{x!r} is not complemented")
     if pframe.point(x):
         raise StructureError("characteristic functions need a cell avoiding the point")
-    if x == fr.bottom:
-        return FrameReal.zero(pframe)
     return FrameReal(pframe, [(Fraction(1), x), (Fraction(0), fr.complement(x))])
 
 

@@ -142,8 +142,9 @@ def test_failed_certificate_exits_1_with_its_witness(argv, target, attr, broken,
 
 
 def test_forged_canonical_result_exits_1_under_python_O(tmp_path):
-    """Operation results skip validation (FrameReal._canonical); a wrong one
-    still fails the join-of-meets oracle, also with asserts stripped."""
+    """Operation results are checked only at the basepoint
+    (FrameReal._canonical); a wrong one still fails the join-of-meets
+    oracle, also with asserts stripped."""
     script = textwrap.dedent("""
         import contextlib, io, json, sys
         from trunclab import cli
@@ -151,9 +152,9 @@ def test_forged_canonical_result_exits_1_under_python_O(tmp_path):
 
         honest = FrameReal._canonical.__func__
 
-        def forged(cls, pframe, pairs, den, validate=False):
-            pairs = [(n + den if n else n, c) for n, c in pairs]  # nonzero values + 1
-            return honest(cls, pframe, pairs, den, validate)
+        def forged(cls, pframe, nums, den):
+            nums = [n + den if n else n for n in nums]  # nonzero point values + 1
+            return honest(cls, pframe, nums, den)
 
         FrameReal._canonical = classmethod(forged)
         out = io.StringIO()
