@@ -22,16 +22,15 @@ from .frames import (FiniteFrame, FrameReal, FrameSurjection, OpenInterval,
                      PointedFiniteFrame, chi, drop, e0q_exhaustive,
                      e0q_member, frame_uc_check, induced_op, surjection_tools)
 from .gba import (BooleanAlgebra, GeneralizedBooleanAlgebra,
-                  IdealizedBooleanAlgebra, clopen, find_gba_isomorphism,
-                  find_iba_isomorphism, iba_forget, idealize, map_failure,
-                  stone)
+                  IdealizedBooleanAlgebra, clopen, iba_forget, idealize,
+                  map_failure, stone)
 from .hyper import hyperarchimedean
 from .kernels import (KernelSpec, kernel_closure, kernel_conditions,
                       pointwise_closed)
 from .seqspace import (SeqTrunc, TailElement, baf_infinity,
                        bounded_away_from_zero_tail, enough_uc_check,
                        ex1_report, simple_part_member)
-from .spaces import PointedBooleanSpace, pointed_bijection, space
+from .spaces import PointedBooleanSpace, space
 
 __version__ = "0.1.0"
 

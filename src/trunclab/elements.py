@@ -137,8 +137,15 @@ class StepValues(Carrier):
     def join(self, other):
         return self._combine(other, max)
 
+    def __abs__(self):
+        nums, den = self._finite()
+        return self._renum(map(abs, nums), den)
+
     def is_nonneg(self):
         return min(self._nums, default=0) >= 0
+
+    def is_zero(self):
+        return not any(self._nums)
 
 
 class SimpleElement(StepValues):
@@ -228,12 +235,6 @@ class SimpleElement(StepValues):
 
     def _renum(self, nums, den):
         return self._canonical(self.space, tuple(nums), den)
-
-    def __abs__(self):
-        return self._renum(map(abs, self._nums), self._den)
-
-    def is_zero(self):
-        return not any(self._nums)
 
     def support(self):
         return frozenset(p for p, n in zip(self.space.nonstar, self._nums) if n)
@@ -379,8 +380,8 @@ def uc(trunc):
     """Unital components of a simple trunc, as a generalized Boolean algebra."""
     alg = GeneralizedBooleanAlgebra.from_sets(trunc.components)
     report = alg.validate()
-    if not report.ok:
-        raise StructureError(f"component family is not a gBa: {report}")
+    # SimpleTrunc refused every unclosed family: a failure here is a failed certificate
+    certify(report.ok, "the component family must be a gBa", report)
     return alg
 
 

@@ -512,47 +512,3 @@ def map_failure(phi, a, b):
     if ideals and {phi[x] for x in a.ideal} != b.ideal:
         return "ideal not preserved"
     return None
-
-
-def _atom_maps(a, b, pinned=None):
-    """Candidate maps a -> b between lattices, one per atom bijection.
-
-    Elements of a finite (generalized) Boolean algebra are joins of the
-    atoms below them, so an isomorphism is fixed by where it sends the
-    atoms: try the atom bijections that agree with the pinned atom pairs
-    and extend them by joins.  Atom counts prune the search immediately.
-    """
-    if len(a) != len(b):
-        return
-    atoms_a, atoms_b = a.atoms(), b.atoms()
-    if len(atoms_a) != len(atoms_b):
-        return
-    pinned = pinned or {}
-    for perm in itertools.permutations(atoms_b):
-        amap = dict(zip(atoms_a, perm))
-        if any(amap[x] != y for x, y in pinned.items()):
-            continue
-        phi = {}
-        for x in sorted_labels(a.carrier):
-            phi[x] = b.bottom
-            for t in atoms_a:
-                if a.leq(t, x):
-                    phi[x] = b.join[(phi[x], amap[t])]
-        yield phi
-
-
-def find_gba_isomorphism(a, b):
-    """Exhaustive isomorphism search between two valid finite gBas."""
-    return next((phi for phi in _atom_maps(a, b) if map_failure(phi, a, b) is None),
-                None)
-
-
-def find_iba_isomorphism(bi, bj):
-    """Exhaustive iBa isomorphism: Boolean isomorphism carrying ideal onto ideal."""
-    ai, aj = bi.algebra, bj.algebra
-    star_i = [t for t in ai.atoms() if t not in bi.ideal]
-    star_j = [t for t in aj.atoms() if t not in bj.ideal]
-    if len(star_i) != 1 or len(star_j) != 1:
-        return None
-    return next((phi for phi in _atom_maps(ai, aj, pinned={star_i[0]: star_j[0]})
-                 if map_failure(phi, bi, bj) is None), None)

@@ -38,17 +38,3 @@ class PointedBooleanSpace:
 def space(*nonstar_points, star="*"):
     """Convenience constructor: space('1','2','3') with default basepoint '*'."""
     return PointedBooleanSpace(frozenset(nonstar_points) | {star}, star)
-
-
-def pointed_bijection(x, y):
-    """A basepoint-preserving bijection between two spaces, or None.
-
-    Finite pointed spaces are discrete, so any bijection matching the stars
-    witnesses isomorphism; we return a canonical one.
-    """
-    if len(x.points) != len(y.points):
-        return None
-    mapping = {x.star: y.star}
-    for p, q in zip(x.nonstar, y.nonstar):
-        mapping[p] = q
-    return mapping

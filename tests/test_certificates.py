@@ -257,6 +257,123 @@ def test_broken_round_trip_is_a_failed_check(flags, tmp_path):
         "3 cases; first failure: equivalence fails on 2 points: ")
 
 
+FORGED_CANONICAL = textwrap.dedent("""
+    import contextlib, io, json, sys
+    from trunclab import cli, equivalences
+    from trunclab.gba import (BooleanAlgebra, GeneralizedBooleanAlgebra,
+                              IdealizedBooleanAlgebra)
+    from trunclab.spaces import PointedBooleanSpace
+
+    ONE, BOTH = frozenset({"1"}), frozenset({"1", "2"})
+
+    def swap(x):  # the relabelling {1} <-> {1,2}
+        return {ONE: BOTH, BOTH: ONE}.get(x, x)
+
+    def table(t):
+        return {(swap(x), swap(y)): swap(z) for (x, y), z in t.items()}
+
+    def relabelled_idealize(algebra):
+        bi = honest["idealize"](algebra)
+        a = bi.algebra
+        comp = {swap(x): swap(y) for x, y in a.complement.items()}
+        return IdealizedBooleanAlgebra(BooleanAlgebra(
+            map(swap, a.carrier), table(a.join), table(a.meet), comp,
+            swap(a.bottom), swap(a.top)), map(swap, bi.ideal))
+
+    def relabelled_uc(trunc):
+        a = honest["uc"](trunc)
+        return GeneralizedBooleanAlgebra(map(swap, a.carrier), table(a.join),
+                                         table(a.meet), swap(a.bottom),
+                                         table(a.diff_table))
+
+    def renamed_stone(bi):
+        x = honest["stone"](bi)
+        name = {p: "s" + "".join(sorted(p)) for p in x.points}
+        return PointedBooleanSpace(frozenset(name.values()), name[x.star])
+
+    forged = {"idealize": relabelled_idealize, "uc": relabelled_uc,
+              "stone": renamed_stone}
+    honest = {attr: getattr(equivalences, attr) for attr in forged}
+    runs = {}
+    for attr, fn in forged.items():
+        setattr(equivalences, attr, fn)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(["equivalence", "x", "--file", sys.argv[1], "--json"])
+        setattr(equivalences, attr, honest[attr])
+        runs[attr] = {"exit": code, "report": json.loads(out.getvalue())}
+    print(json.dumps({"optimize": sys.flags.optimize, "runs": runs}))
+""")
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["python", "python -O"])
+def test_relabelled_round_trip_fails_its_canonical_map(flags, tmp_path):
+    """Each round trip is decided by its canonical map alone: an isomorphic
+    but relabelled idealize or uc ({1} <-> {1,2}), or a stone with renamed
+    points, fails that trip and only that trip (exit 1)."""
+    path = tmp_path / "x.tl"
+    path.write_text("space x points * 1 2 star *\n", encoding="utf-8")
+    proc = subprocess.run([sys.executable, *flags, "-c", FORGED_CANONICAL, str(path)],
+                          env=_env_with_src(), capture_output=True, text=True,
+                          timeout=120, check=False)
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["optimize"] == len(flags)
+    trips = {"stone": "x: stone(clopen(X)) ~ X",
+             "idealize": "x: idealize(forget(B)) ~ B",
+             "uc": "x: uc(lc(X)) ~ forget(clopen(X))"}
+    for attr, run in result["runs"].items():
+        assert run["exit"] == 1, attr
+        failed = [c["name"] for c in run["report"]["checks"] if not c["passed"]]
+        assert failed == [trips[attr]], attr
+    details = {attr: next(c["detail"] for c in run["report"]["checks"] if not c["passed"])
+               for attr, run in result["runs"].items()}
+    assert details["stone"].startswith("not the unit p -> {p}: ")
+    assert details["idealize"].startswith("join mismatch at ")
+    assert details["uc"].startswith("join mismatch at ")
+
+
+FORGED_UC = textwrap.dedent("""
+    import contextlib, io, json, sys
+    from trunclab import cli
+    from trunclab.gba import GeneralizedBooleanAlgebra, ValidationReport
+
+    def invalid(self):
+        report = ValidationReport()
+        report.add("forged", self.bottom)
+        return report
+
+    GeneralizedBooleanAlgebra.validate = invalid
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["uc", "T", "--file", sys.argv[1], "--json"])
+    print(json.dumps({"optimize": sys.flags.optimize, "exit": code,
+                      "stdout": out.getvalue(), "stderr": err.getvalue()}))
+""")
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["python", "python -O"])
+def test_invalid_component_algebra_is_a_failed_certificate(flags, tmp_path):
+    """SimpleTrunc refuses every unclosed family, so a component algebra that
+    fails validation in uc is a failed certificate (exit 1), not an input
+    error (exit 2)."""
+    path = tmp_path / "t.tl"
+    path.write_text("space x points * 1 2 star *\ntrunc T space x components { } { 1 }\n",
+                    encoding="utf-8")
+    proc = subprocess.run([sys.executable, *flags, "-c", FORGED_UC, str(path)],
+                          env=_env_with_src(), capture_output=True, text=True,
+                          timeout=120, check=False)
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["optimize"] == len(flags)
+    assert result["exit"] == 1 and result["stderr"] == ""
+    report = json.loads(result["stdout"])
+    assert report["checks"] == [{
+        "name": "certificate", "passed": False,
+        "detail": "the component family must be a gBa "
+                  "(witness invalid: [forged at (frozenset(),)])"}]
+
+
 FORGED_EX1 = textwrap.dedent("""
     import contextlib, io, json, sys
     from trunclab import cli, kernels, seqspace

@@ -22,6 +22,7 @@ from trunclab.elements import (GoodSequence, SimpleElement, SimpleTrunc,
                                truncation_sequence_check, uc, yosida_quotient)
 from trunclab.errors import (CertificationError, PositivityError,
                              SpaceMismatchError, StructureError)
+from trunclab.frames import FrameReal
 from trunclab.seqspace import TailElement
 from trunclab.spaces import space
 
@@ -376,3 +377,26 @@ def test_pointwise_sup_matches_the_fraction_reference(rows, point, shift):
     assert witness == ref_sup_witness(family, forged)
     assert (witness is None) == (shift == 0)
     assert witness is None or type(witness) is F
+
+
+# --- one interface for all three carriers ------------------------------------
+
+# What the model-generic code calls on an element.
+GENERIC_CALLS = {
+    "GoodSequence.of and check": ("is_zero", "is_nonneg", "truncate", "__add__",
+                                  "__sub__", "__eq__"),
+    "element_from_good": ("__add__",),
+    "truncation_sequence_check": ("is_nonneg", "trunc_at", "__eq__"),
+    "dini_check": ("is_nonneg", "__sub__", "max_value", "grid_values"),
+    "pointwise_sup": ("join",),  # and _point_nums, on the two step-valued carriers
+    "Carrier truncations": ("is_nonneg", "_cap", "_excess"),
+    "the samplers and suites": ("__abs__",),
+}
+
+
+@pytest.mark.parametrize("cls", [SimpleElement, TailElement, FrameReal],
+                         ids=lambda c: c.__name__)
+def test_every_carrier_defines_what_generic_code_calls(cls):
+    missing = [f"{caller}: {name}" for caller, names in GENERIC_CALLS.items()
+               for name in names if not callable(getattr(cls, name, None))]
+    assert missing == []

@@ -15,13 +15,12 @@ from trunclab import gba
 from trunclab.errors import StructureError
 from trunclab.gba import (BooleanAlgebra, GeneralizedBooleanAlgebra,
                           IdealizedBooleanAlgebra, Primed, ValidationReport,
-                          clopen, find_gba_isomorphism, find_iba_isomorphism,
-                          iba_forget, idealize, map_failure, stone,
+                          clopen, iba_forget, idealize, map_failure, stone,
                           transitive_closure)
 from trunclab.rat import sorted_labels
 from trunclab.sampling import (closed_set_family, random_gba, random_poset,
                                random_space)
-from trunclab.spaces import PointedBooleanSpace, pointed_bijection, space
+from trunclab.spaces import PointedBooleanSpace, space
 
 
 def powerset_gba(*labels):
@@ -121,7 +120,7 @@ def test_forget_powerset3_subsets_of_pq():
     ba = BooleanAlgebra.powerset(["p", "q", "r"])
     ideal = frozenset(s for s in ba.carrier if "r" not in s)
     back = iba_forget(IdealizedBooleanAlgebra(ba, ideal))
-    assert find_gba_isomorphism(back, powerset_gba("p", "q")) is not None
+    assert map_failure({a: a for a in back.carrier}, back, powerset_gba("p", "q")) is None
 
 
 def test_stone_powerset3():
@@ -168,8 +167,8 @@ def test_clopen_examples():
 def test_stone_clopen_round_trip():
     for n in range(4):
         x = space(*(str(i) for i in range(n)))
-        back = stone(clopen(x))
-        assert pointed_bijection(x, back) is not None
+        back = stone(clopen(x))  # the unit p -> {p}
+        assert back.points == {frozenset({p}) for p in x.points}
         assert back.star == frozenset({x.star})
 
 
@@ -178,13 +177,6 @@ def test_ideal_maximality_validation():
     not_maximal = IdealizedBooleanAlgebra(ba, frozenset([frozenset()]))
     report = not_maximal.validate()
     assert any(v.law == "ideal not maximal" for v in report.violations)
-
-
-def test_iba_isomorphism_search():
-    bi = idealize(powerset_gba("1", "2"))
-    bj = clopen(space("a", "b"))
-    assert find_iba_isomorphism(bi, bj) is not None
-    assert find_iba_isomorphism(bi, clopen(space("a"))) is None
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)

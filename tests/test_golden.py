@@ -43,6 +43,7 @@ ARGVS = [
     ("normal-form", "g", "gn", *F, *J),
     ("normal-form", "f0", *F),
     ("good-seq", "g", "gs", "f0", *F, *J),
+    *[(*argv, "--file", "frame_goodseq.tl", *J) for argv in (("check",), ("good-seq", "gs"))],
     ("trunc-seq", "g", "es", *F, *J),
     ("trunc-seq", "bad", *F, *J),
     ("uc", "T", "u", *F, *J),
@@ -110,6 +111,7 @@ ARGVS = [
     *[("pointwise", "u", x, "--file", "spectrum.tl", *J) for x in ("up", "g")],
     *[(command, "s", "--file", "space_terms.tl", *J) for command in ("dini", "trunc-seq")],
     ("check", "--file", "space_goodseq.tl", *J),
+    ("check", "--file", "frame_goodseq_dtype.tl", *J),
     ("kernel-check", "K", "--file", "tail_flags.tl", *J),
     ("check", "--file", "missing.tl", *J),
     ("check", "--file", "bad_kernel.tl", *J),

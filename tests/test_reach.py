@@ -33,8 +33,6 @@ ALLOWED = {
     "seqspace.TailElement.chi": "exported paper API",
     "spaces.space": "exported paper API",
     "frames.FrameReal.to_simple": "exported paper API: a frame real's image on the spectrum",
-    "gba._atom_maps": "fallback search: runs only when the identity map fails",
-    "gba.find_*_isomorphism": "fallback search: runs only when the identity map fails",
     "elements.SimpleTrunc.member": "model interface that only the tests reach",
     "elements.SimpleTrunc.tail_units": "model interface that only the tests reach",
     "kernels.SupportKernel.contains": "model interface that only the tests reach",
