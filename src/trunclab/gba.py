@@ -11,7 +11,7 @@ finite gBas, iBas and pointed Boolean spaces.
 import itertools
 
 from .errors import StructureError
-from .rat import sorted_labels
+from .rat import label_repr, sorted_labels
 from .records import field, record
 from .spaces import PointedBooleanSpace
 
@@ -25,7 +25,7 @@ class Primed:
     base: object
 
     def __repr__(self):
-        return f"{self.base}'"
+        return label_repr(self.base) + "'"
 
 
 @record
@@ -34,7 +34,7 @@ class Violation:
     witness: tuple
 
     def __repr__(self):
-        return f"{self.law} at {self.witness}"
+        return f"{self.law} at {label_repr(self.witness)}"
 
 
 @record
@@ -495,20 +495,21 @@ def map_failure(phi, a, b):
     a and b are both gBas or both iBas.  phi must be a bijection between
     the carriers that preserves join and meet; between iBas it must also
     preserve complements and carry the ideal onto the ideal.  The first
-    failure found is the message.
+    failure, walking the carrier in sorted_labels order, is the message.
     """
     ideals = isinstance(a, IdealizedBooleanAlgebra)
     la, lb = (a.algebra, b.algebra) if ideals else (a, b)
     if set(phi) != la.carrier or set(phi.values()) != lb.carrier or len(la) != len(lb):
         return "not bijective"
-    for x in la.carrier:
+    labels = sorted_labels(la.carrier)
+    for x in labels:
         if ideals and phi[la.complement[x]] != lb.complement[phi[x]]:
-            return f"complement mismatch at {x!r}"
-        for y in la.carrier:
+            return f"complement mismatch at {label_repr(x)}"
+        for y in labels:
             if phi[la.join[(x, y)]] != lb.join[(phi[x], phi[y])]:
-                return f"join mismatch at ({x!r},{y!r})"
+                return f"join mismatch at ({label_repr(x)},{label_repr(y)})"
             if phi[la.meet[(x, y)]] != lb.meet[(phi[x], phi[y])]:
-                return f"meet mismatch at ({x!r},{y!r})"
+                return f"meet mismatch at ({label_repr(x)},{label_repr(y)})"
     if ideals and {phi[x] for x in a.ideal} != b.ideal:
         return "ideal not preserved"
     return None

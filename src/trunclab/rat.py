@@ -83,6 +83,17 @@ def sorted_labels(labels):
     return sorted(labels, key=sort_key)
 
 
+def label_repr(label):
+    """repr(label), but with a frozenset's members in sorted_labels order, so
+    that a witness reads the same under every hash seed."""
+    if isinstance(label, frozenset):
+        return f"frozenset({{{', '.join(map(label_repr, sorted_labels(label)))}}})" \
+            if label else "frozenset()"
+    if isinstance(label, tuple):
+        return "(" + ", ".join(map(label_repr, label)) + ("," if len(label) == 1 else "") + ")"
+    return repr(label)
+
+
 def format_label(label):
     if isinstance(label, frozenset):
         return "{" + ",".join(format_label(x) for x in sorted_labels(label)) + "}"

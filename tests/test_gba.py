@@ -17,7 +17,7 @@ from trunclab.gba import (BooleanAlgebra, GeneralizedBooleanAlgebra,
                           IdealizedBooleanAlgebra, Primed, ValidationReport,
                           clopen, iba_forget, idealize, map_failure, stone,
                           transitive_closure)
-from trunclab.rat import sorted_labels
+from trunclab.rat import label_repr, sorted_labels
 from trunclab.sampling import (closed_set_family, random_gba, random_poset,
                                random_space)
 from trunclab.spaces import PointedBooleanSpace, space
@@ -489,14 +489,15 @@ def reference_iba_map(phi, bi, bj):
     ai, aj = bi.algebra, bj.algebra
     if len(set(phi.values())) != len(ai.carrier):
         return "not bijective"
-    for x in ai.carrier:
+    labels = sorted_labels(ai.carrier)
+    for x in labels:
         if phi[ai.complement[x]] != aj.complement[phi[x]]:
-            return f"complement mismatch at {x!r}"
-        for y in ai.carrier:
+            return f"complement mismatch at {label_repr(x)}"
+        for y in labels:
             if phi[ai.join[(x, y)]] != aj.join[(phi[x], phi[y])]:
-                return f"join mismatch at ({x!r},{y!r})"
+                return f"join mismatch at ({label_repr(x)},{label_repr(y)})"
             if phi[ai.meet[(x, y)]] != aj.meet[(phi[x], phi[y])]:
-                return f"meet mismatch at ({x!r},{y!r})"
+                return f"meet mismatch at ({label_repr(x)},{label_repr(y)})"
     if {phi[x] for x in bi.ideal} != set(bj.ideal):
         return "ideal not preserved"
     return None
@@ -701,7 +702,10 @@ def test_from_order_matches_the_reference_tables(seed, size, kind):
 
 
 BAD_IDEAL = """
-from trunclab.gba import BooleanAlgebra, IdealizedBooleanAlgebra
+import contextlib, io, sys
+from trunclab import cli
+from trunclab.gba import (BooleanAlgebra, GeneralizedBooleanAlgebra,
+                          IdealizedBooleanAlgebra, Primed, idealize, map_failure)
 from trunclab.rat import format_label
 ba = BooleanAlgebra.powerset(["p", "q", "r", "s"])
 ideal = [a for a in ba.carrier if len(a) == 1] + [frozenset("pq")]
@@ -710,19 +714,34 @@ def fmt(x):
 for extra in ([frozenset("xy"), frozenset("z")], []):
     for v in IdealizedBooleanAlgebra(ba, ideal + extra).validate().violations:
         print(v.law, fmt(v.witness))
+err = io.StringIO()
+with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(["check", "--file", sys.argv[1]])
+print(code, err.getvalue().strip())
+pqr = BooleanAlgebra.powerset("pqr")
+swap = {frozenset("p"): frozenset("pq"), frozenset("pq"): frozenset("p")}
+print(map_failure({x: swap.get(x, x) for x in pqr.carrier}, pqr, pqr))
+bi = idealize(GeneralizedBooleanAlgebra.from_sets(
+    [frozenset(), frozenset("1"), frozenset("2"), frozenset("12")]))
+primed = [x for x in bi.algebra.carrier if isinstance(x, Primed)]
+print(IdealizedBooleanAlgebra(bi.algebra, primed).validate().violations)
 """
 
 
-def test_ideal_violations_ignore_the_hash_seed():
-    # the ideal's labels are frozensets of strings, whose set order follows
-    # the hash seed; the report walks them in label order instead
+def test_ideal_violations_ignore_the_hash_seed(tmp_path):
+    # frozensets of strings iterate in an order that follows the hash seed;
+    # the reports walk labels in label order and print a frozenset's members
+    # sorted: ideal witnesses, a refused gba line, a map_failure message and
+    # iBa witnesses on primed labels
+    path = tmp_path / "u.tl"
+    path.write_text("gba U family { } { 1 2 } { 1 }\n", encoding="utf-8")
     src = str(Path(__file__).resolve().parents[1] / "src")
     runs = []
     for seed in ("0", "1", "4"):
         env = dict(os.environ, PYTHONHASHSEED=seed,
                    PYTHONPATH=os.pathsep.join(
                        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-        proc = subprocess.run([sys.executable, "-c", BAD_IDEAL], env=env,
+        proc = subprocess.run([sys.executable, "-c", BAD_IDEAL, str(path)], env=env,
                               capture_output=True, text=True, timeout=120, check=False)
         assert proc.returncode == 0, proc.stderr
         runs.append(proc.stdout)
@@ -731,6 +750,11 @@ def test_ideal_violations_ignore_the_hash_seed():
     assert lines[0] == "ideal not a subset of carrier {x,y} {z}"
     assert "ideal not a downset {p} {}" in lines
     assert "ideal not join-closed {p} {r}" in lines
+    assert lines[-3].endswith("gba invalid: [relative complement missing at "
+                              "(frozenset({'1', '2'}), frozenset({'1'}))]")
+    assert lines[-3].startswith("2 input error: line 1: ")
+    assert lines[-2] == "join mismatch at (frozenset({'p'}),frozenset({'p', 'q'}))"
+    assert "frozenset({'1', '2'})'" in lines[-1]
 
 
 PARTIAL_TABLES = """
