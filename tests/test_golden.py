@@ -118,6 +118,10 @@ ARGVS = [
     ("check", "--file", "nonconvex_kernel.tl", *J),
     ("check", "--file", "unknown_point.tl", *J),
     ("check", "--file", "pentagon.tl", *J),
+    # every refusal of a gba line, one file each, as a refused line fails its file
+    *[("check", "--file", f"gba_{name}.tl", *J) for name in (
+        "join_not_closed", "join_not_total", "bottom_outside", "chain", "pentagon",
+        "not_lattice", "diff_fails", "diff_not_total", "join_asymmetric")],
     ("induced-op", "mul", "g", "g", *F, *J),
     ("induced-op", "add", "g", "u", *F, *J),
     ("induced-op", "add", "w", "w", *F, *J),
