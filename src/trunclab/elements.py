@@ -367,13 +367,8 @@ def lc(space, family=None):
     """
     if family is None:
         pts = list(space.nonstar)
-        family = [frozenset(c) for c in _powerset(pts)]
+        family = [frozenset(c) for r in range(len(pts) + 1) for c in combinations(pts, r)]
     return SimpleTrunc(space, family)
-
-
-def _powerset(items):
-    for r in range(len(items) + 1):
-        yield from combinations(items, r)
 
 
 def uc(trunc):

@@ -72,9 +72,8 @@ def equivalence_witness(x):
         algebra = iba_forget(bi)
         rebuilt = idealize(algebra)  # raises unless forget(B) is a valid gBa
         forgotten = algebra
-        phi = {a: a for a in forgotten.carrier}
-        for a in forgotten.carrier:
-            phi[rebuilt.algebra.complement[a]] = bi.algebra.complement[a]
+        phi = {a: a for a in forgotten.labels} | {
+            rebuilt.algebra.complement(a): bi.algebra.complement(a) for a in forgotten.labels}
         return map_failure(phi, rebuilt, bi)
 
     def uc_forget():

@@ -20,10 +20,10 @@ from math import gcd, lcm
 from .elements import OPS, SimpleElement, StepValues, apply_op, is_unital_component
 from .errors import (BudgetError, SpaceMismatchError, StructureError,
                      UnsupportedOperationError, certify)
-from .gba import (ValidationReport, _distributive_lattice, _join_irreducibles,
-                  _law_sweep, order_lattice)
+from .gba import (Lattice, ValidationReport, _distributive_lattice, _law_sweep,
+                  _restricted, _set_tables, _unpreserved, _up_sets, order_lattice)
 from .rat import (NEG_INF, POS_INF, as_fraction, format_label, format_rational,
-                  is_finite, sort_key, sorted_labels)
+                  is_finite, sorted_labels)
 from .records import record
 from .spaces import PointedBooleanSpace
 
@@ -33,18 +33,17 @@ def _frame_tables(labels, leq_pairs):
     a failure is named by the first violation gba._law_sweep lists, which
     in a lattice is a distributivity witness (a, b, c)."""
     out, tables = order_lattice(labels, leq_pairs)
-    if out:
-        return out, None
-    labels, up, join, meet = tables
-    bot = up.index((1 << len(up)) - 1)
-    if not _distributive_lattice(join, meet, bot):
-        report = ValidationReport()
-        _law_sweep(report, labels, join, meet, bot)
-        return report.violations[:1], None
-    return out, tables
+    if not out:
+        labels, up, join, meet = tables
+        bot = up.index((1 << len(up)) - 1)
+        if not _distributive_lattice(join, meet, bot):
+            report = ValidationReport()
+            _law_sweep(report, labels, join, meet, bot)
+            out = report.violations[:1]
+    return out, None if out else tables
 
 
-class FiniteFrame:
+class FiniteFrame(Lattice):
     """Validated finite frame with all derived tables precomputed."""
 
     def __init__(self, labels, leq_pairs=None, *, _tables=None):
@@ -55,15 +54,14 @@ class FiniteFrame:
             if violations:
                 raise StructureError(f"not a finite frame: {violations[:3]}")
             labels, up, self._join, self._meet = tables
-        else:  # a <= b iff a v b = b
+        else:
             self._join, self._meet = _tables
-            up = [sum([1 << j for j, k in enumerate(row) if j == k]) for row in self._join]
+            up = _up_sets(self._join)
         self.labels = tuple(labels)
-        self.index = {x: i for i, x in enumerate(self.labels)}
         self._up = up  # bit j of _up[i] is set iff labels[i] <= labels[j]
         self._bot = bot = up.index((1 << len(up)) - 1)
         self._top = top = next(i for i, u in enumerate(up) if u == 1 << i)
-        self.bottom, self.top = self.labels[bot], self.labels[top]
+        self.top = self.labels[top]
         # the pseudocomplement of i joins every k with i ^ k = bottom
         pseudo = [self._join_of([k for k, m in enumerate(row) if m == bot])
                   for row in self._meet]
@@ -73,20 +71,12 @@ class FiniteFrame:
 
     @classmethod
     def from_sets(cls, family):
-        """The frame of a set family under union and intersection, its sets
-        looked up by bitmask and sorted by sort_key with each point keyed once
-        (an unclosed family takes the order path)."""
-        family = {frozenset(s) for s in family}
-        keys = {p: sort_key(p) for p in frozenset().union(*family)}
-        bits = {p: 1 << i for i, p in enumerate(keys)}
-        labels = sorted(family, key=lambda s: ("frozenset", tuple(sorted(map(keys.get, s)))))
-        masks = [sum(map(bits.get, s)) for s in labels]
-        at = {m: i for i, m in enumerate(masks)}
-        try:
-            return cls(labels, _tables=([[at[a | b] for b in masks] for a in masks],
-                                        [[at[a & b] for b in masks] for a in masks]))
-        except KeyError:  # a union or intersection outside the family
+        """The frame of a set family under union and intersection, on
+        gba._set_tables (an unclosed family takes the order path)."""
+        labels, _, join, meet = _set_tables(family)
+        if any(-1 in row for row in join + meet):
             return cls(labels, {(a, b) for a in labels for b in labels if a <= b})
+        return cls(labels, _tables=(join, meet))
 
     @classmethod
     def chain(cls, size):
@@ -109,31 +99,12 @@ class FiniteFrame:
         tables restricted to them, in this frame's order.  Unclosed labels
         take the order path."""
         keep = sorted({self.index[x] for x in labels})
-        labels, at = [self.labels[k] for k in keep], {k: i for i, k in enumerate(keep)}
+        labels = [self.labels[k] for k in keep]
         try:
-            return FiniteFrame(labels, _tables=[[[at[t[i][j]] for j in keep] for i in keep]
-                                                for t in (self._join, self._meet)])
+            return FiniteFrame(labels, _tables=_restricted(keep, self._join, self._meet))
         except KeyError:  # a join or meet outside labels
             return FiniteFrame(labels, {(a, b) for a in labels for b in labels
                                         if self.leq(a, b)})
-
-    @cached_property
-    def points(self):
-        """The join-primes (in a distributive lattice, the join-irreducibles)
-        as ascending indices: their up-sets are the completely prime filters."""
-        up, n = self._up, len(self)
-        primes = _join_irreducibles([sum(1 << i for i in range(n) if up[i] >> j & 1)
-                                     for j in range(n)])
-        return tuple(j for j in range(n) if primes >> j & 1)
-
-    def leq(self, x, y):
-        return bool(self._up[self.index[x]] >> self.index[y] & 1)
-
-    def join(self, x, y):
-        return self.labels[self._join[self.index[x]][self.index[y]]]
-
-    def meet(self, x, y):
-        return self.labels[self._meet[self.index[x]][self.index[y]]]
 
     def join_all(self, xs):
         return reduce(self.join, xs, self.bottom)
@@ -149,30 +120,6 @@ class FiniteFrame:
         if x not in self.complemented:
             raise StructureError(f"{x} is not complemented")
         return self.pseudo[x]
-
-    def __len__(self):
-        return len(self.labels)
-
-    def __eq__(self, other):
-        return (isinstance(other, FiniteFrame) and self.labels == other.labels
-                and self._up == other._up)
-
-    def __hash__(self):
-        return hash(self.labels)
-
-
-def _unpreserved(fr, f, laws):
-    """The first (law, x, y) where f, listed by the indices of fr, fails
-    f(x op y) = f(x) op f(y); laws lists (law, op table of fr, op table of
-    the target) in the order they are tried on each pair.  A row of pairs
-    is compared whole and scanned only when it differs."""
-    for i, fx in enumerate(f):
-        rows = [([f[k] for k in table[i]], list(map(target[fx].__getitem__, f)))
-                for _, table, target in laws]
-        if any(got != want for got, want in rows):
-            return next((law, fr.labels[i], fr.labels[j]) for j in range(len(f))
-                        for (law, _, _), (got, want) in zip(laws, rows) if got[j] != want[j])
-    return None
 
 
 class PointedFiniteFrame:

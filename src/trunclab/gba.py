@@ -6,16 +6,21 @@ c v b = a v b and c ^ b = bottom.  An idealized Boolean algebra (iBa) is a
 Boolean algebra with a designated maximal ideal.  The functors implemented
 here (idealize, forget, stone, clopen) realize the equivalences between
 finite gBas, iBas and pointed Boolean spaces.
+
+Every algebra here, like every FiniteFrame, is a Lattice: a label tuple with
+integer join and meet tables.  Labels appear only at the boundary: the
+label-table constructor from_tables, the label accessors, and the witnesses
+of reports.  In a table, None marks a missing entry and -1 a value outside
+the carrier; only from_tables and an unclosed from_sets family leave them.
 """
 
 import itertools
+from functools import cached_property
 
 from .errors import StructureError
-from .rat import label_repr, sorted_labels
+from .rat import label_repr, sort_key, sorted_labels
 from .records import field, record
 from .spaces import PointedBooleanSpace
-
-_ABSENT = object()  # a missing table entry, which no carrier holds
 
 
 @record(frozen=True)
@@ -105,11 +110,43 @@ def order_lattice(labels, leq_pairs):
     return out, None if out else (labels, up, join, meet)
 
 
+def _up_sets(join):
+    """Bit b of up[a] is set iff a <= b, that is iff a v b = b."""
+    return [sum(1 << b for b, x in enumerate(row) if x == b) for row in join]
+
+
+def _down_sets(join):
+    """Bit a of down[b] is set iff a <= b."""
+    return [sum(1 << a for a, x in enumerate(col) if x == b) for b, col in enumerate(zip(*join))]
+
+
 def _join_irreducibles(down):
     """Bitmask of the join-irreducibles, given each element's down-set: j is
     one iff the elements strictly below j are the down-set of one element."""
     downs = set(down)
     return sum(1 << j for j, d in enumerate(down) if d ^ 1 << j in downs)
+
+
+def _set_tables(family):
+    """(labels, masks, join, meet) of a set family under union and intersection.
+    Each point is keyed once (rat.sort_key) and given one bit, and a set's key
+    ("frozenset", its points' keys sorted) is its sort_key; unions and
+    intersections are looked up by mask, -1 where one lies outside the family."""
+    family = {frozenset(s) for s in family}
+    keys = {p: sort_key(p) for p in frozenset().union(*family)}
+    bits = {p: 1 << i for i, p in enumerate(keys)}
+    labels = sorted(family, key=lambda s: ("frozenset", tuple(sorted(map(keys.get, s)))))
+    masks = [sum(map(bits.get, s)) for s in labels]
+    at = {m: i for i, m in enumerate(masks)}
+    return (labels, masks, [[at.get(a | b, -1) for b in masks] for a in masks],
+            [[at.get(a & b, -1) for b in masks] for a in masks])
+
+
+def _restricted(keep, *tables):
+    """Each table's rows and columns at the ascending indices keep, renumbered
+    in that order; KeyError when an entry lies outside keep."""
+    at = {k: i for i, k in enumerate(keep)}
+    return [[[at[t[i][j]] for j in keep] for i in keep] for t in tables]
 
 
 def _distributive_lattice(J, M, bot):
@@ -129,8 +166,7 @@ def _distributive_lattice(J, M, bot):
     least, so (1)-(4) hold, and an irreducible j <= a v b is
     j = (j ^ a) v (j ^ b), so j <= a or j <= b: (5).
     """
-    up = [sum(1 << b for b, x in enumerate(Ja) if x == b) for Ja in J]
-    down = [sum(1 << a for a, x in enumerate(col) if x == b) for b, col in enumerate(zip(*J))]
+    up, down = _up_sets(J), _down_sets(J)
     if up[bot] != (1 << len(J)) - 1 or any(u & d != 1 << a for a, (u, d) in
                                            enumerate(zip(up, down))):
         return False
@@ -183,70 +219,138 @@ def _law_sweep(report, elems, J, M, bot):
                     report.add("distributivity", elems[a], elems[b], elems[c])
 
 
-class GeneralizedBooleanAlgebra:
-    """Explicit finite gBa: carrier plus total join/meet tables and bottom.
+def _rows(index, triples):
+    """Integer rows of a table given as (x, y, z) label triples: None where no
+    triple names (x, y), -1 where z lies outside the carrier.  A later triple
+    overrides an earlier one, and one naming another x or y is ignored."""
+    rows = [[None] * len(index) for _ in index]
+    for x, y, z in triples:
+        if x in index and y in index:
+            rows[index[x]][index[y]] = index.get(z, -1)
+    return rows
 
-    The relative-complement table may be supplied or derived by exhaustive
-    search during validation.  Carriers stay desk-scale (tens of elements),
-    so every check is exhaustive rather than sampled.
-    """
 
-    def __init__(self, carrier, join, meet, bottom, diff=None):
-        self.carrier = frozenset(carrier)
-        self.join = dict(join)
-        self.meet = dict(meet)
-        self.bottom = bottom
-        self.diff_table = dict(diff) if diff is not None else None
-        self._validated = None
+def _table_gaps(labels, join, meet, bottom, bot):
+    """(law, *witness) for each missing entry and value outside the carrier of
+    join and meet, table by table and row by row, then for bot None."""
+    return [(f"{name} table not total" if x is None else f"{name} not closed",
+             labels[a], labels[b])
+            for name, rows in (("join", join), ("meet", meet)) for a, row in enumerate(rows)
+            for b, x in enumerate(row) if x is None or x < 0] + [
+        ("bottom not in carrier", bottom)] * (bot is None)
 
-    def leq(self, a, b):
-        return self.join[(a, b)] == b
 
-    def atoms(self):
-        nonzero = [a for a in sorted_labels(self.carrier) if a != self.bottom]
-        return [a for a in nonzero
-                if not any(b != a and self.leq(b, a) for b in nonzero)]
+def _unpreserved(fr, f, laws):
+    """The first (law, x, y) where f, listed by the indices of fr, fails
+    f(x op y) = f(x) op f(y); laws lists (law, op table of fr, op table of
+    the target) in the order they are tried on each pair.  A row of pairs
+    is compared whole and scanned only when it differs."""
+    for i, fx in enumerate(f):
+        rows = [([f[k] for k in table[i]], list(map(target[fx].__getitem__, f)))
+                for _, table, target in laws]
+        if any(got != want for got, want in rows):
+            return next((law, fr.labels[i], fr.labels[j]) for j in range(len(f))
+                        for (law, _, _), (got, want) in zip(laws, rows) if got[j] != want[j])
+    return None
+
+
+def _require_valid(x, needs):
+    """StructureError(needs: the report) unless x validates."""
+    report = x.validate()
+    if not report.ok:
+        raise StructureError(f"{needs}: {report}")
+
+
+class Lattice:
+    """A finite lattice kept as integer tables over the label tuple labels:
+    _join[i][j] is the index of labels[i] v labels[j], and _meet[i][j] that of
+    their meet, with _bot the bottom's index.  index numbers the labels, and
+    join, meet and leq take and give labels.  Equal lattices are numbered alike."""
+
+    @cached_property
+    def index(self):
+        return {x: i for i, x in enumerate(self.labels)}
+
+    @cached_property
+    def points(self):
+        """The join-irreducibles as ascending indices: in a distributive lattice
+        the join-primes (their up-sets are the completely prime filters)."""
+        irreducible = _join_irreducibles(_down_sets(self._join))
+        return tuple(j for j in range(len(self)) if irreducible >> j & 1)
+
+    @property
+    def bottom(self):
+        return self.labels[self._bot]
+
+    def join(self, x, y):
+        return self.labels[self._join[self.index[x]][self.index[y]]]
+
+    def meet(self, x, y):
+        return self.labels[self._meet[self.index[x]][self.index[y]]]
+
+    def leq(self, x, y):
+        j = self.index[y]
+        return self._join[self.index[x]][j] == j
 
     def __len__(self):
-        return len(self.carrier)
+        return len(self.labels)
+
+    def __eq__(self, other):
+        return (type(other) is type(self) and self.labels == other.labels
+                and self._join == other._join and self._meet == other._meet
+                and self._bot == other._bot)
+
+    def __hash__(self):
+        return hash(self.labels)
+
+
+class GeneralizedBooleanAlgebra(Lattice):
+    """Explicit finite gBa: a Lattice whose relative-complement table _diff
+    (integer, like join and meet) is given or derived during validation; gaps
+    lists (law, *witness) for what the label boundary could not number.
+    Carriers stay desk-scale, so every check is exhaustive, never sampled."""
+
+    def __init__(self, labels, join, meet, bottom, diff=None, gaps=()):
+        self.labels = tuple(labels)
+        self._join, self._meet, self._bot, self._diff = join, meet, bottom, diff
+        self._gaps, self._validated = gaps, None
+
+    @cached_property
+    def carrier(self):
+        return frozenset(self.labels)
+
+    @classmethod
+    def from_tables(cls, carrier, join, meet, bottom, diff=None):
+        """The algebra of label tables, numbered in sorted_labels order: join, meet
+        and diff are (x, y, z) triples x op y = z; what cannot be numbered is a gap."""
+        labels = sorted_labels(set(carrier))
+        index = {x: i for i, x in enumerate(labels)}
+        join, meet, bot = _rows(index, join), _rows(index, meet), index.get(bottom)
+        return cls(labels, join, meet, bot, None if diff is None else _rows(index, diff),
+                   _table_gaps(labels, join, meet, bottom, bot))
 
     @classmethod
     def from_sets(cls, family):
-        """Build a gBa from a family of sets under union/intersection/difference."""
-        fam = frozenset(frozenset(s) for s in family)
-        join, meet, diff = {}, {}, {}
-        for a in fam:
-            for b in fam:
-                join[(a, b)] = a | b
-                meet[(a, b)] = a & b
-                diff[(a, b)] = a - b
-        return cls(fam, join, meet, frozenset(), diff)
+        """The gBa of a family of sets under union, intersection and
+        difference, on _set_tables; an unclosed family fails validation."""
+        labels, masks, join, meet = _set_tables(family)
+        bot = 0 if masks[:1] == [0] else None
+        return cls(labels, join, meet, bot, gaps=_table_gaps(labels, join, meet, frozenset(), bot))
 
     @classmethod
     def from_order(cls, labels, leq):
-        """Build a gBa candidate from a partial order; diff is derived by search.
-
-        leq is a set of (x, y) pairs meaning x <= y; it must already be
-        reflexive and transitive.  An order that is not a lattice with a
-        least element raises StructureError.
-        """
+        """The gBa candidate on order_lattice's tables of leq, reflexive and
+        transitive pairs x <= y; StructureError unless it is a lattice."""
         violations, tables = order_lattice(labels, leq)
         if violations:
             raise StructureError(f"not a lattice: {violations[:3]}")
         labels, up, join, meet = tables
-
-        def table(rows):
-            return {(x, y): labels[z] for x, row in zip(labels, rows)
-                    for y, z in zip(labels, row)}
-        return cls(labels, table(join), table(meet),
-                   labels[up.index((1 << len(labels)) - 1)])
+        return cls(labels, join, meet, up.index((1 << len(labels)) - 1))
 
     def diff(self, a, b):
         """The unique relative complement a \\ b (requires a valid algebra)."""
-        report = self.validate()
-        if not report.ok:
-            raise StructureError(f"diff on invalid algebra: {report}")
-        return self.diff_table[(a, b)]
+        _require_valid(self, "diff on invalid algebra")
+        return self.labels[self._diff[self.index[a]][self.index[b]]]
 
     def validate(self):
         """Every law of the algebra with its witnesses (see _check); computed once."""
@@ -257,35 +361,18 @@ class GeneralizedBooleanAlgebra:
         return self._validated
 
     def _check(self, report):
-        """Add every gBa axiom violation to report.
-
-        The laws run on integer tables: the carrier is numbered in sorted_labels
-        order, J[a][b] is the number of a v b and M[a][b] that of a ^ b.  Only if
-        _distributive_lattice fails does _law_sweep list witnesses, as labels in
-        the order a, b, c.  A valid algebra without a diff table gets the derived one.
-        """
-        elems = sorted_labels(self.carrier)
-        index = {x: i for i, x in enumerate(elems)}
-        tables = []
-        for table, name in ((self.join, "join"), (self.meet, "meet")):
-            rows = []
-            for a in elems:
-                row = [index.get(table.get((a, b), _ABSENT)) for b in elems]
-                for b, i in zip(elems, row):
-                    if i is None:
-                        report.add(f"{name} table not total" if (a, b) not in table
-                                   else f"{name} not closed", a, b)
-                rows.append(row)
-            tables.append(rows)
-        if self.bottom not in index:
-            report.add("bottom not in carrier", self.bottom)
-        if not report.ok:
+        """Add every gBa axiom violation to report, witnesses as labels in the
+        order a, b, c: the gaps alone if there are any; else the lattice laws,
+        swept only if _distributive_lattice fails, then the relative
+        complements.  A valid algebra without a diff table gets the derived one."""
+        if self._gaps:
+            for law, *witness in self._gaps:
+                report.add(law, *witness)
             return
-        J, M = tables
-        bot = index[self.bottom]
-        n = len(elems)
+        labels, J, M, bot = self.labels, self._join, self._meet, self._bot
+        n = len(labels)
         if not _distributive_lattice(J, M, bot):
-            _law_sweep(report, elems, J, M, bot)
+            _law_sweep(report, labels, J, M, bot)
         # Candidates for a \ b are the c with c ^ b = bottom and c v b = a v b:
         # group, for each b, those c by c v b, in carrier order.
         by_join = [{} for _ in range(n)]
@@ -294,84 +381,76 @@ class GeneralizedBooleanAlgebra:
             for b in range(n):
                 if Mc[b] == bot:
                     by_join[b].setdefault(Jc[b], []).append(c)
-        derived = {}
+        given, derived = self._diff, []
         for a in range(n):
-            x, Ja = elems[a], J[a]
+            Ja, row = J[a], []
             for b in range(n):
-                y = elems[b]
                 cands = by_join[b].get(Ja[b], ())
+                row.append(cands[0] if len(cands) == 1 else None)
                 if not cands:
-                    report.add("relative complement missing", x, y)
-                elif len(cands) > 1:
-                    report.add("relative complement not unique", x, y,
-                               tuple(elems[c] for c in cands))
-                else:
-                    c = elems[cands[0]]
-                    derived[(x, y)] = c
-                    if self.diff_table is not None:
-                        given = self.diff_table.get((x, y))
-                        if given is None:
-                            report.add("diff table not total", x, y)
-                        elif given != c:
-                            report.add("diff equations fail", x, y)
-        if report.ok and self.diff_table is None:
-            self.diff_table = derived
-
-    def __eq__(self, other):
-        # a Boolean algebra never equals a plain gBa
-        return (type(other) is type(self)
-                and self.carrier == other.carrier and self.join == other.join
-                and self.meet == other.meet and self.bottom == other.bottom)
-
-    def __hash__(self):
-        return hash((self.carrier, self.bottom))
+                    report.add("relative complement missing", labels[a], labels[b])
+                elif row[b] is None:
+                    report.add("relative complement not unique", labels[a], labels[b],
+                               tuple(labels[c] for c in cands))
+                elif given is not None and given[a][b] != row[b]:
+                    report.add("diff table not total" if given[a][b] is None
+                               else "diff equations fail", labels[a], labels[b])
+            derived.append(row)
+        if report.ok and given is None:
+            self._diff = derived
 
 
 class BooleanAlgebra(GeneralizedBooleanAlgebra):
-    """Explicit finite Boolean algebra: a gBa with complement table and top."""
+    """Explicit finite Boolean algebra: a gBa with the integer complement
+    array _comp, and top, the label of index _top."""
 
-    def __init__(self, carrier, join, meet, complement, bottom, top):
-        super().__init__(carrier, join, meet, bottom)
-        self.complement = dict(complement)
-        self.top = top
+    def __init__(self, labels, join, meet, complement, bottom, top, gaps=()):
+        super().__init__(labels, join, meet, bottom, gaps=gaps)
+        self._comp, self._top, self.top = complement, top, self.labels[top]
+
+    def complement(self, x):
+        return self.labels[self._comp[self.index[x]]]
 
     @classmethod
     def powerset(cls, base):
+        """Every subset of base on _set_tables; the complement of mask m is full ^ m."""
         base = frozenset(base)
-        carrier = [frozenset(c) for r in range(len(base) + 1)
-                   for c in itertools.combinations(sorted_labels(base), r)]
-        join = {(a, b): a | b for a in carrier for b in carrier}
-        meet = {(a, b): a & b for a in carrier for b in carrier}
-        comp = {a: base - a for a in carrier}
-        return cls(carrier, join, meet, comp, frozenset(), base)
-
-    def _check(self, report):
-        """The gBa laws, then the complement and top laws; no entry, no law."""
-        super()._check(report)
-        for a in sorted_labels(self.carrier):
-            na = self.complement.get(a)
-            if na is None or na not in self.carrier:
-                report.add("complement table not total", a)
-                continue
-            if self.join.get((a, na), _ABSENT) != self.top:
-                report.add("complement join law", a)
-            if self.meet.get((a, na), _ABSENT) != self.bottom:
-                report.add("complement meet law", a)
-            if self.join.get((a, self.top), _ABSENT) != self.top:
-                report.add("top not greatest", a)
+        labels, masks, join, meet = _set_tables(
+            c for r in range(len(base) + 1) for c in itertools.combinations(base, r))
+        at = {m: i for i, m in enumerate(masks)}
+        full = max(masks)
+        return cls(labels, join, meet, [at[full ^ m] for m in masks], at[0], at[full])
 
     def __eq__(self, other):
-        return super().__eq__(other) and self.complement == other.complement
+        return super().__eq__(other) and (self._comp, self._top) == (other._comp, other._top)
 
-    __hash__ = GeneralizedBooleanAlgebra.__hash__
+    __hash__ = Lattice.__hash__
+
+    def _check(self, report):
+        """The gBa laws, then the complement and top laws; a gap fails every
+        law that reads it."""
+        super()._check(report)
+        J, M, bot, top = self._join, self._meet, self._bot, self._top
+        for a, na in enumerate(self._comp):
+            if na is None:
+                report.add("complement table not total", self.labels[a])
+                continue
+            if J[a][na] != top:
+                report.add("complement join law", self.labels[a])
+            if M[a][na] != bot:
+                report.add("complement meet law", self.labels[a])
+            if J[a][top] != top:
+                report.add("top not greatest", self.labels[a])
 
 
 class IdealizedBooleanAlgebra:
-    """A finite Boolean algebra together with a maximal ideal."""
+    """A finite Boolean algebra together with a maximal ideal, given by
+    labels and kept as the set _ideal of their indices."""
 
     def __init__(self, algebra, ideal):
         self.algebra = algebra
         self.ideal = frozenset(ideal)
+        self._ideal = frozenset(map(algebra.index.get, self.ideal)) - {None}
         self._validated = None
 
     def __eq__(self, other):
@@ -382,10 +461,7 @@ class IdealizedBooleanAlgebra:
         return hash((self.algebra, self.ideal))
 
     def validate(self):
-        """The algebra's violations, then the maximal-ideal laws; computed once.
-
-        The report is a new one: the algebra's own report stays untouched.
-        """
+        """The algebra's violations, then the ideal laws, in a new report; computed once."""
         if self._validated is None:
             report = ValidationReport(list(self.algebra.validate().violations))
             self._check(report)
@@ -393,30 +469,28 @@ class IdealizedBooleanAlgebra:
         return self._validated
 
     def _check(self, report):
-        alg = self.algebra
-        if not self.ideal <= alg.carrier:
+        """The ideal laws, witnesses in label order; a gap is in no ideal."""
+        alg, ideal = self.algebra, self._ideal
+        if len(ideal) != len(self.ideal):
             report.add("ideal not a subset of carrier",
                        tuple(sorted_labels(self.ideal - alg.carrier)))
             return
-        if alg.top in self.ideal:
+        labels, J = alg.labels, alg._join
+        if alg._top in ideal:
             report.add("ideal not proper", alg.top)
-        if alg.bottom not in self.ideal:
+        if alg._bot not in ideal:
             report.add("ideal misses bottom", alg.bottom)
-        labels = sorted_labels(alg.carrier)
-        ideal = [a for a in labels if a in self.ideal]
-        for a in ideal:
-            for b in labels:
-                if alg.join.get((b, a), _ABSENT) == a and b not in self.ideal:
-                    report.add("ideal not a downset", a, b)
-            for b in ideal:
-                if alg.join.get((a, b), _ABSENT) not in self.ideal:
-                    report.add("ideal not join-closed", a, b)
-        for b in labels:
-            inside = (b in self.ideal, alg.complement.get(b, _ABSENT) in self.ideal)
-            if inside == (False, False):
-                report.add("ideal not maximal", b)
-            if inside == (True, True):
-                report.add("ideal not proper (element and complement)", b)
+        for a in sorted(ideal):
+            for b in range(len(labels)):
+                if J[b][a] == a and b not in ideal:
+                    report.add("ideal not a downset", labels[a], labels[b])
+            for b in sorted(ideal):
+                if J[a][b] not in ideal:
+                    report.add("ideal not join-closed", labels[a], labels[b])
+        for b, nb in enumerate(alg._comp):
+            if (b in ideal) == (nb in ideal):
+                report.add("ideal not proper (element and complement)" if b in ideal
+                           else "ideal not maximal", labels[b])
 
     def __len__(self):
         return len(self.algebra)
@@ -425,91 +499,71 @@ class IdealizedBooleanAlgebra:
 def idealize(algebra):
     """Adjoin formal complements: A becomes the maximal ideal of B_A = A u A'.
 
-    Operation table, with x' the formal complement of x:
+    The labels of A keep their indices 0..n-1, and x' takes n + the index of
+    x.  Operation table, with x' the formal complement of x:
       a1 v a2' = (a2 \\ a1)',  a1' v a2' = (a1 ^ a2)',
       a1 ^ a2' = a1 \\ a2,     a1' ^ a2' = (a1 v a2)',
       not a = a', not a' = a, top = bottom'.
     """
-    report = algebra.validate()
-    if not report.ok:
-        raise StructureError(f"idealize needs a valid gBa: {report}")
-    base = sorted_labels(algebra.carrier)
-    primed = {a: Primed(a) for a in base}
-    carrier = list(base) + [primed[a] for a in base]
-    jn, mt, df = algebra.join, algebra.meet, algebra.diff_table
-    join, meet, comp = {}, {}, {}
-    for a in base:
-        comp[a] = primed[a]
-        comp[primed[a]] = a
-        for b in base:
-            join[(a, b)] = jn[(a, b)]
-            meet[(a, b)] = mt[(a, b)]
-            join[(a, primed[b])] = primed[df[(b, a)]]
-            join[(primed[a], b)] = primed[df[(a, b)]]
-            join[(primed[a], primed[b])] = primed[mt[(a, b)]]
-            meet[(a, primed[b])] = df[(a, b)]
-            meet[(primed[a], b)] = df[(b, a)]
-            meet[(primed[a], primed[b])] = primed[jn[(a, b)]]
-    bottom = algebra.bottom
-    top = primed[algebra.bottom]
-    ba = BooleanAlgebra(carrier, join, meet, comp, bottom, top)
-    return IdealizedBooleanAlgebra(ba, frozenset(base))
+    _require_valid(algebra, "idealize needs a valid gBa")
+    n, J, M, D = len(algebra), algebra._join, algebra._meet, algebra._diff
+    DT = [list(col) for col in zip(*D)]  # DT[a][b] = b \ a
+    join = ([J[a] + [n + x for x in DT[a]] for a in range(n)]
+            + [[n + x for x in D[a] + M[a]] for a in range(n)])
+    meet = [M[a] + D[a] for a in range(n)] + [DT[a] + [n + x for x in J[a]] for a in range(n)]
+    labels = algebra.labels + tuple(map(Primed, algebra.labels))
+    ba = BooleanAlgebra(labels, join, meet, [*range(n, 2 * n), *range(n)],
+                        algebra._bot, n + algebra._bot)
+    return IdealizedBooleanAlgebra(ba, algebra.labels)
 
 
 def iba_forget(idealized):
-    """Restrict to the ideal; relative complements become a ^ not b."""
-    report = idealized.validate()
-    if not report.ok:
-        raise StructureError(f"iba_forget needs a valid iBa: {report}")
-    alg = idealized.algebra
-    ideal = idealized.ideal
-    join = {(a, b): alg.join[(a, b)] for a in ideal for b in ideal}
-    meet = {(a, b): alg.meet[(a, b)] for a in ideal for b in ideal}
-    diff = {(a, b): alg.meet[(a, alg.complement[b])] for a in ideal for b in ideal}
-    return GeneralizedBooleanAlgebra(ideal, join, meet, alg.bottom, diff)
+    """Restrict the tables to the ideal; relative complements become a ^ not b."""
+    _require_valid(idealized, "iba_forget needs a valid iBa")
+    alg, keep = idealized.algebra, sorted(idealized._ideal)
+    join, meet, diff = _restricted(keep, alg._join, alg._meet,
+                                   [[row[c] for c in alg._comp] for row in alg._meet])
+    return GeneralizedBooleanAlgebra([alg.labels[k] for k in keep], join, meet,
+                                     keep.index(alg._bot), diff)
 
 
 def stone(idealized):
     """Pointed Stone space: atoms as points, star the atom outside the ideal."""
-    report = idealized.validate()
-    if not report.ok:
-        raise StructureError(f"stone needs a valid iBa: {report}")
+    _require_valid(idealized, "stone needs a valid iBa")
     alg = idealized.algebra
-    atoms = alg.atoms()
-    outside = [a for a in atoms if a not in idealized.ideal]
+    outside = [p for p in alg.points if p not in idealized._ideal]
     if len(outside) != 1:
         raise StructureError(f"ideal not maximal: {len(outside)} atoms outside")
-    return PointedBooleanSpace(frozenset(atoms), outside[0])
+    return PointedBooleanSpace(frozenset(alg.labels[p] for p in alg.points),
+                               alg.labels[outside[0]])
 
 
 def clopen(x):
     """All subsets of a finite discrete pointed space, ideal = sets omitting star."""
     ba = BooleanAlgebra.powerset(x.points)
-    ideal = frozenset(s for s in ba.carrier if x.star not in s)
-    return IdealizedBooleanAlgebra(ba, ideal)
+    return IdealizedBooleanAlgebra(ba, (s for s in ba.labels if x.star not in s))
 
 
 def map_failure(phi, a, b):
     """Why phi is not an isomorphism a -> b, or None when it is one.
 
-    a and b are both gBas or both iBas.  phi must be a bijection between
-    the carriers that preserves join and meet; between iBas it must also
-    preserve complements and carry the ideal onto the ideal.  The first
-    failure, walking the carrier in sorted_labels order, is the message.
+    a and b are both gBas or both iBas.  phi must be a bijection between the
+    carriers that preserves join and meet (_unpreserved, on phi as an index
+    array); between iBas it must then preserve complements and carry the
+    ideal onto the ideal.  The first failure, walking a's labels in order,
+    is the message.
     """
     ideals = isinstance(a, IdealizedBooleanAlgebra)
     la, lb = (a.algebra, b.algebra) if ideals else (a, b)
     if set(phi) != la.carrier or set(phi.values()) != lb.carrier or len(la) != len(lb):
         return "not bijective"
-    labels = sorted_labels(la.carrier)
-    for x in labels:
-        if ideals and phi[la.complement[x]] != lb.complement[phi[x]]:
+    f = [lb.index[phi[x]] for x in la.labels]
+    bad = _unpreserved(la, f, [("join", la._join, lb._join), ("meet", la._meet, lb._meet)])
+    if bad:
+        return "{} mismatch at ({},{})".format(bad[0], *map(label_repr, bad[1:]))
+    for x, c, fx in zip(la.labels, la._comp if ideals else (), f):
+        if f[c] != lb._comp[fx]:
             return f"complement mismatch at {label_repr(x)}"
-        for y in labels:
-            if phi[la.join[(x, y)]] != lb.join[(phi[x], phi[y])]:
-                return f"join mismatch at ({label_repr(x)},{label_repr(y)})"
-            if phi[la.meet[(x, y)]] != lb.meet[(phi[x], phi[y])]:
-                return f"meet mismatch at ({label_repr(x)},{label_repr(y)})"
-    if ideals and {phi[x] for x in a.ideal} != b.ideal:
+    if ideals and {f[i] for i in a._ideal} != b._ideal:
         return "ideal not preserved"
     return None

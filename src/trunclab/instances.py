@@ -172,13 +172,12 @@ def _trunc(inst, lineno, sec, flags):
 
 
 def _parse_table(tokens, lineno):
-    """Triples x,y=z into a binary operation table."""
-    table = {}
+    """Tokens x,y=z as the (x, y, z) triples of a binary operation table."""
+    table = []
     for k, v in _pairs(tokens, lineno):
         if "," not in k:
             raise ParseError(lineno, f"expected X,Y=Z, got {k}={v}")
-        x, y = k.split(",", 1)
-        table[(x, y)] = v
+        table.append((*k.split(",", 1), v))
     return table
 
 
@@ -187,12 +186,11 @@ def _gba(inst, lineno, sec, flags):
         fam = _brace_groups(sec["family"], lineno)
         alg = GeneralizedBooleanAlgebra.from_sets(fam)
     elif "join" in sec or "meet" in sec:
-        labels = sec.get("elements", [])
         bottom = _one(sec, "bottom")
-        join = _parse_table(sec.get("join", []), lineno)
-        meet = _parse_table(sec.get("meet", []), lineno)
+        join, meet = (_parse_table(sec.get(op, []), lineno) for op in ("join", "meet"))
         diff = _parse_table(sec["diff"], lineno) if "diff" in sec else None
-        alg = GeneralizedBooleanAlgebra(labels, join, meet, bottom, diff)
+        alg = GeneralizedBooleanAlgebra.from_tables(sec.get("elements", []), join, meet,
+                                                    bottom, diff)
     else:
         alg = GeneralizedBooleanAlgebra.from_order(*_order(sec, lineno))
     report = alg.validate()

@@ -86,11 +86,10 @@ def sorted_labels(labels):
 def label_repr(label):
     """repr(label), but with a frozenset's members in sorted_labels order, so
     that a witness reads the same under every hash seed."""
-    if isinstance(label, frozenset):
-        return f"frozenset({{{', '.join(map(label_repr, sorted_labels(label)))}}})" \
-            if label else "frozenset()"
     if isinstance(label, tuple):
         return "(" + ", ".join(map(label_repr, label)) + ("," if len(label) == 1 else "") + ")"
+    if isinstance(label, frozenset) and label:
+        return "frozenset({" + ", ".join(map(label_repr, sorted_labels(label))) + "})"
     return repr(label)
 
 

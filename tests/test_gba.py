@@ -32,6 +32,43 @@ def powerset_gba(*labels):
     return GeneralizedBooleanAlgebra.from_sets(fam)
 
 
+def triples(table):
+    """A label dict keyed by pairs as the (x, y, z) triples of from_tables."""
+    return [(x, y, z) for (x, y), z in table.items()]
+
+
+def label_tables(alg, diff=False):
+    """(carrier, join, meet, bottom, diff) of alg as label dicts keyed by
+    pairs, read through the accessors; the diff table only if asked for."""
+    pairs = [(x, y) for x in alg.labels for y in alg.labels]
+    return (alg.carrier, {p: alg.join(*p) for p in pairs}, {p: alg.meet(*p) for p in pairs},
+            alg.bottom, {p: alg.diff(*p) for p in pairs} if diff else None)
+
+
+def from_label_tables(carrier, join, meet, bottom, diff=None):
+    """The gBa of label dicts, through the label-table constructor."""
+    return GeneralizedBooleanAlgebra.from_tables(
+        carrier, triples(join), triples(meet), bottom, None if diff is None else triples(diff))
+
+
+def boolean_tables(ba):
+    """(labels, join, meet, complement, bottom, top) of a Boolean algebra as
+    label dicts, read through the accessors, with labels in ba's order."""
+    pairs = [(x, y) for x in ba.labels for y in ba.labels]
+    return (ba.labels, {p: ba.join(*p) for p in pairs}, {p: ba.meet(*p) for p in pairs},
+            {x: ba.complement(x) for x in ba.labels}, ba.bottom, ba.top)
+
+
+def boolean_of(labels, join, meet, comp, bottom, top):
+    """The Boolean algebra of label dicts: the gBa label-table constructor
+    numbers the carrier and the tables, then comp and top are numbered; a
+    complement that is missing or outside the carrier is None."""
+    g = from_label_tables(labels, join, meet, bottom)
+    return BooleanAlgebra(g.labels, g._join, g._meet,
+                          [g.index.get(comp.get(x)) for x in g.labels],
+                          g._bot, g.index.get(top), g._gaps)
+
+
 def test_powerset_family_is_valid():
     alg = powerset_gba("1", "2")
     assert alg.validate().ok
@@ -40,12 +77,10 @@ def test_powerset_family_is_valid():
 def test_broken_diff_table_reports_witness():
     alg = powerset_gba("1", "2")
     assert alg.validate().ok
-    bad_diff = dict(alg.diff_table)
+    carrier, join, meet, bottom, bad_diff = label_tables(alg, diff=True)
     a, b = frozenset({"1", "2"}), frozenset({"1"})
     bad_diff[(a, b)] = a
-    broken = GeneralizedBooleanAlgebra(alg.carrier, alg.join, alg.meet,
-                                       alg.bottom, bad_diff)
-    report = broken.validate()
+    report = from_label_tables(carrier, join, meet, bottom, bad_diff).validate()
     assert not report.ok
     assert any(v.law == "diff equations fail" and v.witness[:2] == (a, b)
                for v in report.violations)
@@ -78,8 +113,8 @@ def test_idealize_powerset2():
     assert bi.validate().ok
     one, two = frozenset({"1"}), frozenset({"2"})
     # a1 v a2' = (a2 \ a1)'
-    assert bi.algebra.join[(one, Primed(two))] == Primed(two - one)
-    assert bi.algebra.join[(one, Primed(two))] == Primed(two)
+    assert bi.algebra.join(one, Primed(two)) == Primed(two - one)
+    assert bi.algebra.join(one, Primed(two)) == Primed(two)
 
 
 def test_idealize_trivial_gba():
@@ -103,9 +138,9 @@ def test_forget_idealize_is_identity_on_labels():
     assert back.validate().ok
     for a in alg.carrier:
         for b in alg.carrier:
-            assert back.join[(a, b)] == alg.join[(a, b)]
-            assert back.meet[(a, b)] == alg.meet[(a, b)]
-            assert back.diff_table[(a, b)] == alg.diff_table[(a, b)]
+            assert back.join(a, b) == alg.join(a, b)
+            assert back.meet(a, b) == alg.meet(a, b)
+            assert back.diff(a, b) == alg.diff(a, b)
 
 
 def test_forget_trivial_ideal():
@@ -189,7 +224,7 @@ def test_random_closed_families_validate(seed):
     assert report.ok
     for a in fam:
         for b in fam:
-            c = alg.diff_table[(a, b)]
+            c = alg.diff(a, b)
             assert c | b == a | b and not (c & b)
 
 
@@ -200,22 +235,22 @@ def test_space_requires_star():
 
 # --- the integer-table validator against the label-keyed reference ---------
 
-def reference_violations(alg):
+def reference_violations(carrier, join, meet, bottom, diff=None):
     """The gBa laws as label-keyed dict loops: the oracle for validate()."""
     report = ValidationReport()
-    elems = sorted_labels(alg.carrier)
-    for table, name in ((alg.join, "join"), (alg.meet, "meet")):
+    elems = sorted_labels(carrier)
+    for table, name in ((join, "join"), (meet, "meet")):
         for a in elems:
             for b in elems:
                 if (a, b) not in table:
                     report.add(f"{name} table not total", a, b)
-                elif table[(a, b)] not in alg.carrier:
+                elif table[(a, b)] not in carrier:
                     report.add(f"{name} not closed", a, b)
-    if alg.bottom not in alg.carrier:
-        report.add("bottom not in carrier", alg.bottom)
+    if bottom not in carrier:
+        report.add("bottom not in carrier", bottom)
     if not report.ok:
         return report.violations
-    jn, mt, bot = alg.join, alg.meet, alg.bottom
+    jn, mt, bot = join, meet, bottom
     for a in elems:
         if jn[(a, a)] != a:
             report.add("join idempotence", a)
@@ -249,8 +284,8 @@ def reference_violations(alg):
                 report.add("relative complement missing", a, b)
             elif len(cands) > 1:
                 report.add("relative complement not unique", a, b, tuple(cands))
-            elif alg.diff_table is not None:
-                given = alg.diff_table.get((a, b))
+            elif diff is not None:
+                given = diff.get((a, b))
                 if given is None:
                     report.add("diff table not total", a, b)
                 elif given != cands[0]:
@@ -258,14 +293,12 @@ def reference_violations(alg):
     return report.violations
 
 
-def assert_matches_reference(alg):
-    expected = reference_violations(alg)
-    assert alg.validate().violations == expected
+def assert_matches_reference(tables):
+    """The algebra of label tables (carrier, join, meet, bottom, diff)
+    validates as the reference says; the reference's violations."""
+    expected = reference_violations(*tables)
+    assert from_label_tables(*tables).validate().violations == expected
     return expected
-
-
-def gba_view(ba):
-    return GeneralizedBooleanAlgebra(ba.carrier, ba.join, ba.meet, ba.bottom)
 
 
 def lattice(labels, covers):
@@ -273,15 +306,13 @@ def lattice(labels, covers):
     return GeneralizedBooleanAlgebra.from_order(labels, leq)
 
 
-def edited(alg, join=None, meet=None, drop=None):
-    """A copy of alg with some table entries replaced or removed."""
-    jn, mt = dict(alg.join), dict(alg.meet)
-    jn.update(join or {})
-    mt.update(meet or {})
+def edited(tables, join=None, meet=None, drop=None):
+    """Label tables with some join or meet entries replaced or removed."""
+    carrier, jn, mt, bottom, diff = tables
+    jn, mt = {**jn, **(join or {})}, {**mt, **(meet or {})}
     for key in drop or ():
         del jn[key]
-    return GeneralizedBooleanAlgebra(alg.carrier, jn, mt, alg.bottom,
-                                     alg.diff_table)
+    return carrier, jn, mt, bottom, diff
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -289,29 +320,31 @@ def edited(alg, join=None, meet=None, drop=None):
 def test_validate_matches_reference_on_random_gbas(seed, perturb):
     rng = random.Random(seed)
     alg = random_gba(rng)
+    tables = label_tables(alg, diff=True)
     if perturb:
         elems = sorted_labels(alg.carrier)
         key = (rng.choice(elems), rng.choice(elems))
         value = rng.choice(elems)
-        alg = edited(alg, **{rng.choice(["join", "meet"]): {key: value}})
-    assert_matches_reference(alg)
+        tables = edited(tables, **{rng.choice(["join", "meet"]): {key: value}})
+    else:
+        assert alg.validate().violations == reference_violations(*tables[:4]) == []
+    assert_matches_reference(tables)
 
 
 def test_validate_matches_reference_on_primed_labels():
     for base in ([], ["1"], ["1", "2"], ["1", "2", "3"]):
         bi = idealize(powerset_gba(*base))
-        assert assert_matches_reference(gba_view(bi.algebra)) == []
+        assert assert_matches_reference(label_tables(bi.algebra)) == []
     bi = idealize(powerset_gba("1", "2"))
     one, two = frozenset({"1"}), frozenset({"2"})
-    broken = gba_view(bi.algebra)
-    broken.join[(one, Primed(two))] = Primed(one)
+    broken = edited(label_tables(bi.algebra), join={(one, Primed(two)): Primed(one)})
     assert assert_matches_reference(broken)
 
 
 def test_validate_matches_reference_on_powersets():
     for base in ([], ["p"], ["p", "q", "r"], ["p", "q", "r", "s"]):
         assert assert_matches_reference(
-            gba_view(BooleanAlgebra.powerset(base))) == []
+            label_tables(BooleanAlgebra.powerset(base))) == []
 
 
 def test_validate_matches_reference_on_broken_tables():
@@ -324,30 +357,32 @@ def test_validate_matches_reference_on_broken_tables():
                  {("0", t) for t in "wxyz"} | {(t, "1") for t in "wxyz"})
     chain = lattice(["b", "m", "t"], {("b", "m"), ("m", "t")})
     for alg in (n5, m3, m4):
-        laws = {v.law for v in assert_matches_reference(alg)}
+        laws = {v.law for v in assert_matches_reference(label_tables(alg))}
         assert {"distributivity", "relative complement not unique"} <= laws
     assert any(v.witness == ("1", "w", ("x", "y", "z"))
                for v in m4.validate().violations)
     assert "relative complement missing" in {
-        v.law for v in assert_matches_reference(chain)}
+        v.law for v in assert_matches_reference(label_tables(chain))}
 
-    alg = powerset_gba("1", "2", "3")
+    tables = label_tables(powerset_gba("1", "2", "3"), diff=True)
+    carrier, join, meet, bottom, diff = tables
     a, b = frozenset({"1"}), frozenset({"2"})
-    swapped = edited(alg, join={(a, b): frozenset({"1", "3"})})
+    swapped = edited(tables, join={(a, b): frozenset({"1", "3"})})
     laws = {v.law for v in assert_matches_reference(swapped)}
     assert {"join commutativity", "join associativity"} <= laws
-    bad_diff = dict(alg.diff_table)
+    bad_diff = dict(diff)
     bad_diff[(a, b)] = b
     del bad_diff[(b, a)]
-    laws = [v.law for v in assert_matches_reference(
-        GeneralizedBooleanAlgebra(alg.carrier, alg.join, alg.meet,
-                                  alg.bottom, bad_diff))]
+    laws = [v.law for v in assert_matches_reference((carrier, join, meet, bottom, bad_diff))]
     assert laws == ["diff equations fail", "diff table not total"]
+    bad_diff[(b, a)] = "outside"
+    laws = [v.law for v in assert_matches_reference((carrier, join, meet, bottom, bad_diff))]
+    assert laws == ["diff equations fail", "diff equations fail"]
 
-    not_total = edited(alg, drop=[(a, b)], meet={(b, a): "outside"})
+    not_total = edited(tables, drop=[(a, b)], meet={(b, a): "outside"})
     assert [v.law for v in assert_matches_reference(not_total)] == [
         "join table not total", "meet not closed"]
-    no_bottom = GeneralizedBooleanAlgebra(alg.carrier, alg.join, alg.meet, "z")
+    no_bottom = (carrier, join, meet, "z", None)
     assert [v.law for v in assert_matches_reference(no_bottom)] == [
         "bottom not in carrier"]
 
@@ -372,11 +407,11 @@ def swept(monkeypatch):
     return seen
 
 
-def assert_certificate_matches_reference(alg, seen):
+def assert_certificate_matches_reference(tables, seen):
     """validate() equals the reference, and the sweep ran exactly when the
     reference finds a broken lattice law on total, closed tables."""
     del seen[:]
-    expected = assert_matches_reference(alg)
+    expected = assert_matches_reference(tables)
     shapes = {"table not total", "not closed", "bottom not in carrier"}
     if any(s in v.law for v in expected for s in shapes):
         assert seen == []
@@ -385,23 +420,23 @@ def assert_certificate_matches_reference(alg, seen):
     return expected
 
 
-def single_entry_mutants(alg):
-    """alg with one join or meet entry replaced by each other element."""
-    elems = sorted_labels(alg.carrier)
-    for name in ("join", "meet"):
-        for key, value in getattr(alg, name).items():
+def single_entry_mutants(tables):
+    """Label tables with one join or meet entry replaced by each other element."""
+    elems = sorted_labels(tables[0])
+    for name, table in (("join", tables[1]), ("meet", tables[2])):
+        for key, value in table.items():
             for other in elems:
                 if other != value:
-                    yield edited(alg, **{name: {key: other}})
+                    yield edited(tables, **{name: {key: other}})
 
 
 def test_certificate_matches_reference_on_single_entry_mutants(monkeypatch):
     seen = swept(monkeypatch)
-    for alg in (powerset_gba("1", "2"),
-                gba_view(idealize(powerset_gba("1")).algebra)):
-        assert assert_certificate_matches_reference(alg, seen) == []
+    for tables in (label_tables(powerset_gba("1", "2"), diff=True),
+                   label_tables(idealize(powerset_gba("1")).algebra)):
+        assert assert_certificate_matches_reference(tables, seen) == []
         broken = [assert_certificate_matches_reference(m, seen)
-                  for m in single_entry_mutants(alg)]
+                  for m in single_entry_mutants(tables)]
         assert len(broken) == 2 * 16 * 3 and all(broken)
 
 
@@ -415,10 +450,10 @@ def test_certificate_matches_reference_on_small_lattices(monkeypatch):
                  {("0", t) for t in "wxyz"} | {(t, "1") for t in "wxyz"})
     chain = lattice(["b", "m", "t"], {("b", "m"), ("m", "t")})
     for alg in (n5, m3, m4):
-        laws = {v.law for v in assert_certificate_matches_reference(alg, seen)}
+        laws = {v.law for v in assert_certificate_matches_reference(label_tables(alg), seen)}
         assert "distributivity" in laws and seen
     # a chain is distributive: the certificate passes, only complements fail
-    laws = {v.law for v in assert_certificate_matches_reference(chain, seen)}
+    laws = {v.law for v in assert_certificate_matches_reference(label_tables(chain), seen)}
     assert laws == {"relative complement missing"} and seen == []
 
 
@@ -426,9 +461,9 @@ def test_certificate_catches_a_wrong_meet_on_a_lattice_order(monkeypatch):
     # the join table, and so the order, is the powerset's; the meet table
     # is symmetric but names {1} as the meet of {1} and {2}
     seen = swept(monkeypatch)
-    alg = powerset_gba("1", "2")
     one, two = frozenset({"1"}), frozenset({"2"})
-    wrong = edited(alg, meet={(one, two): one, (two, one): one})
+    wrong = edited(label_tables(powerset_gba("1", "2"), diff=True),
+                   meet={(one, two): one, (two, one): one})
     laws = {v.law for v in assert_certificate_matches_reference(wrong, seen)}
     assert "absorption" in laws and "meet commutativity" not in laws and seen
 
@@ -485,54 +520,57 @@ def test_invalid_iba_keeps_the_algebra_report_clean():
 # --- one isomorphism check against the earlier per-caller checks -------------
 
 def reference_iba_map(phi, bi, bj):
-    """The round-trip map check that map_failure replaced, for iBas."""
-    ai, aj = bi.algebra, bj.algebra
-    if len(set(phi.values())) != len(ai.carrier):
+    """The round-trip map check that map_failure replaced, for iBas, on label
+    tables, walking bi's labels in its order: join and meet on every pair,
+    then complements, then the ideal."""
+    labels, ij, im, ic = boolean_tables(bi.algebra)[:4]
+    _, jj, jm, jc = boolean_tables(bj.algebra)[:4]
+    if len(set(phi.values())) != len(labels):
         return "not bijective"
-    labels = sorted_labels(ai.carrier)
     for x in labels:
-        if phi[ai.complement[x]] != aj.complement[phi[x]]:
-            return f"complement mismatch at {label_repr(x)}"
         for y in labels:
-            if phi[ai.join[(x, y)]] != aj.join[(phi[x], phi[y])]:
+            if phi[ij[(x, y)]] != jj[(phi[x], phi[y])]:
                 return f"join mismatch at ({label_repr(x)},{label_repr(y)})"
-            if phi[ai.meet[(x, y)]] != aj.meet[(phi[x], phi[y])]:
+            if phi[im[(x, y)]] != jm[(phi[x], phi[y])]:
                 return f"meet mismatch at ({label_repr(x)},{label_repr(y)})"
+    for x in labels:
+        if phi[ic[x]] != jc[phi[x]]:
+            return f"complement mismatch at {label_repr(x)}"
     if {phi[x] for x in bi.ideal} != set(bj.ideal):
         return "ideal not preserved"
     return None
 
 
 def reference_tables_equal(a, b):
-    """The label-for-label gBa comparison that map_failure replaced."""
-    if a.carrier != b.carrier or a.bottom != b.bottom:
+    """The label-for-label gBa comparison that map_failure replaced, on
+    label tables (carrier, join, meet, bottom, diff)."""
+    if a[0] != b[0] or a[3] != b[3]:
         return "carriers differ"
-    for x in a.carrier:
-        for y in a.carrier:
-            if a.join[(x, y)] != b.join[(x, y)] or a.meet[(x, y)] != b.meet[(x, y)]:
+    for x in a[0]:
+        for y in a[0]:
+            if a[1][(x, y)] != b[1][(x, y)] or a[2][(x, y)] != b[2][(x, y)]:
                 return f"tables differ at ({x!r},{y!r})"
-            if a.diff_table and b.diff_table and \
-                    a.diff_table[(x, y)] != b.diff_table[(x, y)]:
+            if a[4][(x, y)] != b[4][(x, y)]:
                 return f"diff differs at ({x!r},{y!r})"
     return None
 
 
-def reference_boolean_violations(ba):
-    """BooleanAlgebra.validate as it was: the gBa laws on a gBa copy of the
-    tables, then the complement and top laws."""
+def reference_boolean_violations(labels, join, meet, comp, bottom, top):
+    """BooleanAlgebra.validate as it was, on label tables: the gBa laws on
+    a gBa copy of the tables, then the complement and top laws."""
     report = ValidationReport()
-    as_gba = GeneralizedBooleanAlgebra(ba.carrier, ba.join, ba.meet, ba.bottom)
+    as_gba = from_label_tables(labels, join, meet, bottom)
     report.violations.extend(as_gba.validate().violations)
-    for a in sorted_labels(ba.carrier):
-        na = ba.complement.get(a)
-        if na is None or na not in ba.carrier:
+    for a in sorted_labels(labels):
+        na = comp.get(a)
+        if na is None or na not in labels:
             report.add("complement table not total", a)
             continue
-        if ba.join[(a, na)] != ba.top:
+        if join[(a, na)] != top:
             report.add("complement join law", a)
-        if ba.meet[(a, na)] != ba.bottom:
+        if meet[(a, na)] != bottom:
             report.add("complement meet law", a)
-        if ba.join[(a, ba.top)] != ba.top:
+        if join[(a, top)] != top:
             report.add("top not greatest", a)
     return report.violations
 
@@ -543,28 +581,30 @@ def sample_iba(rng, kind):
     return idealize(random_gba(rng, max_base=3))
 
 
+def atoms(alg):
+    return [alg.labels[p] for p in alg.points]
+
+
 def atom_map(alg, images):
     """Each element to the join of the images of the atoms below it."""
-    amap = dict(zip(alg.atoms(), images))
+    amap = dict(zip(atoms(alg), images))
     phi = {}
     for x in alg.carrier:
         phi[x] = alg.bottom
         for t, image in amap.items():
             if alg.leq(t, x):
-                phi[x] = alg.join[(phi[x], image)]
+                phi[x] = alg.join(phi[x], image)
     return phi
 
 
-def forged_algebra(rng, alg, table):
-    """A copy of a Boolean algebra with one entry of one table replaced."""
+def forged_tables(rng, alg, table):
+    """The label tables of a Boolean algebra with one entry of one table replaced."""
     elems = sorted_labels(alg.carrier)
-    tables = {"join": dict(alg.join), "meet": dict(alg.meet),
-              "complement": dict(alg.complement)}
+    labels, join, meet, comp, bottom, top = boolean_tables(alg)
     key = rng.choice(elems) if table == "complement" else (
         rng.choice(elems), rng.choice(elems))
-    tables[table][key] = rng.choice(elems)
-    return BooleanAlgebra(alg.carrier, tables["join"], tables["meet"],
-                          tables["complement"], alg.bottom, alg.top)
+    {"join": join, "meet": meet, "complement": comp}[table][key] = rng.choice(elems)
+    return labels, join, meet, comp, bottom, top
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
@@ -574,8 +614,8 @@ def forged_algebra(rng, alg, table):
 def test_map_failure_matches_the_iba_reference(seed, kind, forge, source_side):
     rng = random.Random(seed)
     bi = sample_iba(rng, kind)
-    atoms = bi.algebra.atoms()
-    phi = atom_map(bi.algebra, rng.sample(atoms, len(atoms)))
+    found = atoms(bi.algebra)
+    phi = atom_map(bi.algebra, rng.sample(found, len(found)))
     elems = sorted_labels(bi.algebra.carrier)
     forged = bi
     if forge == "phi":
@@ -584,7 +624,7 @@ def test_map_failure_matches_the_iba_reference(seed, kind, forge, source_side):
     elif forge == "ideal":
         forged = IdealizedBooleanAlgebra(bi.algebra, bi.ideal ^ {rng.choice(elems)})
     elif forge != "none":
-        forged = IdealizedBooleanAlgebra(forged_algebra(rng, bi.algebra, forge),
+        forged = IdealizedBooleanAlgebra(boolean_of(*forged_tables(rng, bi.algebra, forge)),
                                          bi.ideal)
     a, b = (forged, bi) if source_side else (bi, forged)
     assert map_failure(phi, a, b) == reference_iba_map(phi, a, b)
@@ -598,10 +638,9 @@ def test_map_failure_finds_every_kind_of_iba_failure():
     assert map_failure(swap, bi, bi) is None
     star = atom_map(alg, [one, frozenset({"*"}), two])
     assert map_failure(star, bi, bi) == "ideal not preserved"
-    comp = dict(alg.complement)
+    labels, join, meet, comp, bottom, top = boolean_tables(alg)
     comp[both] = one
-    bad = IdealizedBooleanAlgebra(BooleanAlgebra(alg.carrier, alg.join, alg.meet,
-                                                 comp, alg.bottom, alg.top), bi.ideal)
+    bad = IdealizedBooleanAlgebra(boolean_of(labels, join, meet, comp, bottom, top), bi.ideal)
     identity = {x: x for x in alg.carrier}
     assert map_failure(identity, bi, bad) == reference_iba_map(identity, bi, bad)
     assert map_failure(identity, bi, bad).startswith("complement mismatch at ")
@@ -618,8 +657,9 @@ def test_identity_map_failure_matches_the_table_reference(seed, kind, forge):
     rng = random.Random(seed)
     a = iba_forget(sample_iba(rng, kind))
     elems = sorted_labels(a.carrier)
-    join, meet, diff = dict(a.join), dict(a.meet), dict(a.diff_table)
-    carrier, bottom = a.carrier, a.bottom
+    tables = label_tables(a, diff=True)
+    carrier, join, meet, bottom, diff = (tables[0], dict(tables[1]), dict(tables[2]),
+                                         tables[3], dict(tables[4]))
     pair = (rng.choice(elems), rng.choice(elems))
     if forge in ("join", "meet", "diff"):
         {"join": join, "meet": meet, "diff": diff}[forge][pair] = rng.choice(elems)
@@ -627,10 +667,11 @@ def test_identity_map_failure_matches_the_table_reference(seed, kind, forge):
         bottom = rng.choice(elems)
     elif forge == "carrier":
         carrier = a.carrier | {"extra"}
-    b = GeneralizedBooleanAlgebra(carrier, join, meet, bottom, diff)
+    b = from_label_tables(carrier, join, meet, bottom, diff)
     identity = {x: x for x in a.carrier}
     verdict = map_failure(identity, a, b) is None and a.validate().ok and b.validate().ok
-    assert verdict == (reference_tables_equal(a, b) is None)
+    assert verdict == (reference_tables_equal(tables, (carrier, join, meet, bottom, diff))
+                       is None)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -639,13 +680,14 @@ def test_identity_map_failure_matches_the_table_reference(seed, kind, forge):
 def test_boolean_validate_matches_the_copy_reference(seed, kind, forge):
     rng = random.Random(seed)
     alg = sample_iba(rng, kind).algebra
+    tables = boolean_tables(alg)
     if forge == "outside":
-        comp = dict(alg.complement)
-        comp[rng.choice(sorted_labels(alg.carrier))] = "outside"
-        alg = BooleanAlgebra(alg.carrier, alg.join, alg.meet, comp, alg.bottom, alg.top)
+        tables[3][rng.choice(sorted_labels(alg.carrier))] = "outside"
     elif forge != "none":
-        alg = forged_algebra(rng, alg, forge)
-    expected = reference_boolean_violations(alg)
+        tables = forged_tables(rng, alg, forge)
+    if forge != "none":
+        alg = boolean_of(*tables)
+    expected = reference_boolean_violations(*tables)
     assert alg.validate().violations == expected
     assert (forge == "none") <= (expected == [])
 
@@ -697,7 +739,7 @@ def test_from_order_matches_the_reference_tables(seed, size, kind):
             GeneralizedBooleanAlgebra.from_order(labels, leq)
         return
     alg = GeneralizedBooleanAlgebra.from_order(reversed(labels), leq)
-    assert (alg.join, alg.meet, alg.bottom) == (join, meet, bottoms[0])
+    assert label_tables(alg)[1:4] == (join, meet, bottoms[0])
     assert alg.carrier == frozenset(labels)
 
 
@@ -759,12 +801,18 @@ def test_ideal_violations_ignore_the_hash_seed(tmp_path):
 
 PARTIAL_TABLES = """
 import json, sys
-from trunclab.gba import BooleanAlgebra, IdealizedBooleanAlgebra
+from trunclab.gba import (BooleanAlgebra, GeneralizedBooleanAlgebra,
+                          IdealizedBooleanAlgebra)
 p, q = frozenset("p"), frozenset("q")
-no_join = BooleanAlgebra.powerset(["p", "q"])
-del no_join.join[(p, q)]
-no_comp = BooleanAlgebra.powerset(["p", "q"])
-del no_comp.complement[q]
+ba = BooleanAlgebra.powerset(["p", "q"])
+def copy(drop_join=None, drop_comp=None):
+    join = [(x, y, ba.join(x, y)) for x in ba.labels for y in ba.labels
+            if (x, y) != drop_join]
+    meet = [(x, y, ba.meet(x, y)) for x in ba.labels for y in ba.labels]
+    g = GeneralizedBooleanAlgebra.from_tables(ba.labels, join, meet, ba.bottom)
+    comp = [g.index[ba.complement(x)] if x != drop_comp else None for x in g.labels]
+    return BooleanAlgebra(g.labels, g._join, g._meet, comp, g._bot, g.index[ba.top], g._gaps)
+no_join, no_comp = copy(drop_join=(p, q)), copy(drop_comp=q)
 reports = [[[v.law, repr(v.witness)] for v in alg.validate().violations]
            for alg in (no_join, IdealizedBooleanAlgebra(no_join, [frozenset(), p]),
                        IdealizedBooleanAlgebra(no_comp, [frozenset(), p]))]

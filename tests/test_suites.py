@@ -35,8 +35,8 @@ CASES.update({"equivalences": (1, 5, 5), "ex1-battery": (1, 1, 1),
 
 DEFAULTS = {"trunc-axioms": 200, "identities": 200, "good-sequences": 200,
             "idealization": 40, "equivalences": 5, "induced-oracle": 100,
-            "cut-cases": 200, "normal-clearance": 200, "ex1-battery": 500,
-            "degree2-refutation": 1, "dini": 100, "drop-e0q": 100, "kernels": 60,
+            "cut-cases": 200, "normal-clearance": 200, "ex1-battery": 1,
+            "degree2-refutation": 1, "dini": 100, "drop-e0q": 100, "kernels": 1,
             "seq-closure": 150, "convergence": 100, "boolean": 40}
 
 
