@@ -17,7 +17,7 @@ from math import gcd, lcm
 from .errors import (PositivityError, SpaceMismatchError, StructureError,
                      UnsupportedOperationError, certify)
 from .gba import GeneralizedBooleanAlgebra
-from .rat import as_fraction, format_rational, is_finite, sorted_labels
+from .rat import as_fraction, format_rational, is_finite, set_repr, sorted_labels
 from .records import record
 from .spaces import PointedBooleanSpace
 
@@ -264,9 +264,11 @@ class Op:
 
     method names the carrier method that computes the tag: it takes the
     other operands and then the rational parameter, if the tag has one.
-    scalar serves the join-of-meets oracle on frame reals: it takes the
-    operand values followed by the parameter.  Every scalar is continuous,
-    which the oracle relies on.
+    scalar serves the join-of-meets oracle on frame reals, on integers: it
+    takes a denominator den, the operand values as numerators over den and
+    then the parameter, and gives the tag's value as a numerator over den.
+    It is exact when den is a multiple of every operand's denominator times
+    the parameter's.  Every scalar is continuous, which the oracle relies on.
     """
 
     arity: int
@@ -275,16 +277,23 @@ class Op:
     scalar: object
 
 
+def _over(q, den):
+    """The rational q as a numerator over den, a multiple of q's denominator."""
+    return q.numerator * (den // q.denominator)
+
+
+# The parameter of tminus and truncN is a value, so it goes over den; that
+# of scale is a multiplier, and v * q is exact as q's denominator divides v.
 OPS = {
-    "add": Op(2, False, "__add__", lambda a, b: a + b),
-    "sub": Op(2, False, "__sub__", lambda a, b: a - b),
-    "negate": Op(1, False, "__neg__", lambda v: -v),
-    "scale": Op(1, True, "scale", lambda v, q: q * v),
-    "meet": Op(2, False, "meet", min),
-    "join": Op(2, False, "join", max),
-    "truncate": Op(1, False, "truncate", lambda v: min(v, ONE)),
-    "tminus": Op(1, True, "tminus", lambda v, r: max(v - r, ZERO)),
-    "truncN": Op(1, True, "trunc_at", lambda v, n: min(v, n)),
+    "add": Op(2, False, "__add__", lambda den, a, b: a + b),
+    "sub": Op(2, False, "__sub__", lambda den, a, b: a - b),
+    "negate": Op(1, False, "__neg__", lambda den, v: -v),
+    "scale": Op(1, True, "scale", lambda den, v, q: v * q.numerator // q.denominator),
+    "meet": Op(2, False, "meet", lambda den, a, b: min(a, b)),
+    "join": Op(2, False, "join", lambda den, a, b: max(a, b)),
+    "truncate": Op(1, False, "truncate", lambda den, v: min(v, den)),
+    "tminus": Op(1, True, "tminus", lambda den, v, r: max(v - _over(r, den), 0)),
+    "truncN": Op(1, True, "trunc_at", lambda den, v, n: min(v, _over(n, den))),
 }
 
 
@@ -320,19 +329,21 @@ class SimpleTrunc:
         self.space = space
         fam = frozenset(frozenset(s) for s in components)
         base = set(space.nonstar)
-        for s in fam:
+        # in label order, so that a refusal reads the same under every hash seed
+        ordered = sorted_labels(fam)
+        for s in ordered:
             if not s <= base:
-                raise StructureError(f"component {set(s)} not within non-star points")
+                raise StructureError(f"component {set_repr(s)} not within non-star points")
         if frozenset() not in fam:
             raise StructureError("component family must contain the empty set")
-        for a in fam:
-            for b in fam:
+        for a in ordered:
+            for b in ordered:
                 for r, opname in ((a | b, "union"), (a & b, "intersection"),
                                   (a - b, "difference")):
                     if r not in fam:
                         raise StructureError(
-                            f"family not closed: {opname} of {set(a)} and {set(b)} "
-                            f"gives {set(r)}")
+                            f"family not closed: {opname} of {set_repr(a)} and "
+                            f"{set_repr(b)} gives {set_repr(r)}")
         self.components = fam
 
     def __eq__(self, other):

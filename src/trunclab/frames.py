@@ -383,27 +383,38 @@ def oracle_mismatch(tag, operands, result, param=None):
     result.eval(V) the join of the result's cells there.  So the two agree
     on every open iff they agree at each value w of either side (a missing
     one is bottom): the tight open around w, its ends the midpoints to the
-    neighbouring values or +/-inf, holds w alone.
+    neighbouring values or +/-inf, holds w alone.  The values are integer
+    numerators over one denominator, with the tags' scalars in OPS; only
+    the witness open is made of Fractions.
     """
     fr = operands[0].pframe.frame
     meet, join, bot = fr._meet, fr._join, fr._bot
     scalar = OPS[tag].scalar
-    params = () if param is None else (Fraction(param),)
+    params = () if param is None else (as_fraction(param),)
+    # every value of either side is an integer numerator over den: a wrong
+    # result may carry a denominator that no operand has
+    den = lcm(*(g._den for g in operands)) * (params[0].denominator if params else 1)
+    den = lcm(den, result._den)
+
+    def cells_over_den(g):
+        s = den // g._den
+        return [(n * s, c) for n, c in g._cell_map().items()]
+
     formula = {}
-    for combo in itertools.product(*([(Fraction(n, g._den), c) for n, c in g._cell_map().items()]
-                                     for g in operands)):
+    for combo in itertools.product(*map(cells_over_den, operands)):
         m = fr._top
         for _, c in combo:
             m = meet[m][c]
         if m != bot:
-            w = scalar(*(v for v, _ in combo), *params)
+            w = scalar(den, *(v for v, _ in combo), *params)
             formula[w] = join[formula.get(w, bot)][m]
-    cells = {Fraction(n, result._den): c for n, c in result._cell_map().items()}
+    cells = dict(cells_over_den(result))
     values = sorted(formula.keys() | cells.keys())
     for i, w in enumerate(values):
         if formula.get(w, bot) != cells.get(w, bot):
-            return OpenInterval((values[i - 1] + w) / 2 if i else NEG_INF,
-                                (w + values[i + 1]) / 2 if i + 1 < len(values) else POS_INF)
+            return OpenInterval(Fraction(values[i - 1] + w, 2 * den) if i else NEG_INF,
+                                Fraction(w + values[i + 1], 2 * den)
+                                if i + 1 < len(values) else POS_INF)
     return None
 
 

@@ -1,20 +1,31 @@
 """Exact rational parsing/formatting helpers ("p/q" notation, "/1" suppressed)."""
 
 from fractions import Fraction
-from functools import total_ordering
 
 from .errors import TruncLabError
 
 
-@total_ordering
 class _Infinity:
-    """The exact ends +inf (sign 1) and -inf (sign -1) of the extended reals."""
+    """The exact ends +inf (sign 1) and -inf (sign -1) of the extended reals.
+
+    Each comparison is its own method: a number compared with an end falls
+    back to the reflected one, so it runs one short call.
+    """
 
     def __init__(self, sign):
         self.sign = sign
 
     def __lt__(self, other):
         return self.sign < 0 and other is not self
+
+    def __le__(self, other):
+        return self.sign < 0 or other is self
+
+    def __gt__(self, other):
+        return self.sign > 0 and other is not self
+
+    def __ge__(self, other):
+        return self.sign > 0 or other is self
 
     def __hash__(self):
         return self.sign
@@ -91,6 +102,11 @@ def label_repr(label):
     if isinstance(label, frozenset) and label:
         return "frozenset({" + ", ".join(map(label_repr, sorted_labels(label))) + "})"
     return repr(label)
+
+
+def set_repr(labels):
+    """repr(set(labels)), its members in sorted_labels order."""
+    return "{" + ", ".join(map(label_repr, sorted_labels(labels))) + "}" if labels else "set()"
 
 
 def format_label(label):

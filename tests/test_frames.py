@@ -227,6 +227,14 @@ def test_induced_op_examples():
         induced_op("truncate", [induced_op("scale", [u], param=F(-1))])
 
 
+def test_infinities_compare_in_the_order_of_the_extended_line():
+    line = [NEG_INF, -2, F(-1, 3), 0, F(5, 2), 7, POS_INF]  # increasing
+    for (i, a), (j, b) in itertools.product(enumerate(line), repeat=2):
+        if a in (NEG_INF, POS_INF) or b in (NEG_INF, POS_INF):
+            got = (a < b, a <= b, a > b, a >= b)
+            assert got == (i < j, i <= j, i > j, i >= j), (a, b)
+
+
 def test_oracle_catches_forged_results():
     u = chi_b()
     two_u = u.scale(2)
@@ -591,6 +599,20 @@ REFERENCE_IMAGES = {
 }
 
 
+# The value of each tag at Fraction operand values, the parameter last.
+REFERENCE_SCALARS = {
+    "add": lambda a, b: a + b,
+    "sub": lambda a, b: a - b,
+    "negate": lambda v: -v,
+    "scale": lambda v, q: q * v,
+    "meet": min,
+    "join": max,
+    "truncate": lambda v: min(v, F(1)),
+    "tminus": lambda v, r: max(v - r, F(0)),
+    "truncN": min,
+}
+
+
 def reference_oracle_mismatch(tag, operands, result, param=None):
     """The join-of-meets oracle on Fractions, labels, box images and
     result.eval, at a tight open around every formula value and every
@@ -603,11 +625,11 @@ def reference_oracle_mismatch(tag, operands, result, param=None):
     Lipschitz bound, |q| for scale:q.
     """
     fr = operands[0].pframe.frame
-    op = OPS[tag]
+    scalar = REFERENCE_SCALARS[tag]
     params = () if param is None else (F(param),)
     combos = list(itertools.product(*(g.values() for g in operands)))
     points = sorted({*(v for g in operands for v in g.values()), *result.grid_values(),
-                     *(op.scalar(*combo, *params) for combo in combos)})
+                     *(scalar(*combo, *params) for combo in combos)})
     gaps = [b - a for a, b in zip(points, points[1:])]
     lipschitz = max(1, abs(params[0])) if tag == "scale" else 1
     gamma = min(gaps, default=F(1)) / (2 * (len(operands) + 1) * lipschitz)
@@ -619,7 +641,7 @@ def reference_oracle_mismatch(tag, operands, result, param=None):
         if meet == fr.bottom:
             continue
         image = REFERENCE_IMAGES[tag](*[(v - gamma, v + gamma) for v in combo], *params)
-        boxes.append((op.scalar(*combo, *params), image, meet))
+        boxes.append((scalar(*combo, *params), image, meet))
     values = sorted({w for w, _, _ in boxes} | set(result.grid_values()))
     ends = [NEG_INF, *((a + b) / 2 for a, b in zip(values, values[1:])), POS_INF]
     for lo, hi in zip(ends, ends[1:]):
@@ -632,7 +654,7 @@ def reference_oracle_mismatch(tag, operands, result, param=None):
 
 
 PARAMS = {"scale": [F(2), F(-1, 2), F(0), F(3, 4), F(10), F(-7)], "tminus": [F(1, 2), F(1), F(2, 3)],
-          "truncN": [F(1), F(2), F(3)]}
+          "truncN": [1, 2, 3]}  # ints, as suite_induced_oracle passes them
 
 
 def moved_in_its_gap(tag, operands, param, result):
@@ -650,10 +672,18 @@ def moved_in_its_gap(tag, operands, param, result):
     return None
 
 
+def with_sevenths(result):
+    """result with the value 1/7 on each cell that avoids the basepoint: a
+    denominator prime to every sampled operand's and parameter's."""
+    pf = result.pframe
+    return FrameReal(pf, [(v if pf.point(c) else F(1, 7), c) for v, c in result.cells])
+
+
 def oracle_cases(rng):
     """(tag, operands, param, result) for every tag: the true result, the
-    true result with one value moved inside its grid gap, an operand in its
-    place and other tags' results on the same operands."""
+    true result with one value moved inside its grid gap or with sevenths
+    for its values, an operand in its place and other tags' results on the
+    same operands."""
     pf = pointed_frame(rng)
     f, g = frame_real(rng, pf), frame_real(rng, pf)
     fpos = frame_real(rng, pf, nonneg=True)
@@ -669,6 +699,7 @@ def oracle_cases(rng):
         moved = moved_in_its_gap(tag, operands, param, result)
         if moved is not None:
             cases.append((tag, operands, param, moved))
+        cases.append((tag, operands, param, with_sevenths(result)))
         cases.extend((tag, operands, param, forged) for forged in operands)
         cases.extend((tag, operands, param, other) for other_tag, other_ops, _, other
                      in runs if other_tag != tag and other_ops == operands)
@@ -693,6 +724,19 @@ def test_oracle_passes_true_results_and_catches_forged_ones():
             assert (got is None) == (result == apply_op(tag, operands, param)), tag
             verdicts.add(got is None)
     assert verdicts == {True, False}
+
+
+def test_oracle_makes_no_fraction_keys(monkeypatch):
+    # the values are integers over one denominator: no Fraction is hashed
+    cases = [case for seed in range(6) for case in oracle_cases(random.Random(seed))
+             if case[3] == apply_op(*case[:3])]
+
+    def refuse(self):
+        raise AssertionError("the oracle hashed a Fraction")
+
+    monkeypatch.setattr(F, "__hash__", refuse)
+    for tag, operands, param, result in cases:
+        assert oracle_mismatch(tag, operands, result, param) is None, tag
 
 
 def test_oracle_names_the_first_reference_interval():

@@ -756,10 +756,11 @@ def fmt(x):
 for extra in ([frozenset("xy"), frozenset("z")], []):
     for v in IdealizedBooleanAlgebra(ba, ideal + extra).validate().violations:
         print(v.law, fmt(v.witness))
-err = io.StringIO()
-with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-    code = cli.main(["check", "--file", sys.argv[1]])
-print(code, err.getvalue().strip())
+for path in sys.argv[1:]:
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(["check", "--file", path])
+    print(code, err.getvalue().strip())
 pqr = BooleanAlgebra.powerset("pqr")
 swap = {frozenset("p"): frozenset("pq"), frozenset("pq"): frozenset("p")}
 print(map_failure({x: swap.get(x, x) for x in pqr.carrier}, pqr, pqr))
@@ -773,28 +774,38 @@ print(IdealizedBooleanAlgebra(bi.algebra, primed).validate().violations)
 def test_ideal_violations_ignore_the_hash_seed(tmp_path):
     # frozensets of strings iterate in an order that follows the hash seed;
     # the reports walk labels in label order and print a frozenset's members
-    # sorted: ideal witnesses, a refused gba line, a map_failure message and
-    # iBa witnesses on primed labels
-    path = tmp_path / "u.tl"
-    path.write_text("gba U family { } { 1 2 } { 1 }\n", encoding="utf-8")
+    # sorted: ideal witnesses, refused gba and trunc lines, a map_failure
+    # message and iBa witnesses on primed labels
+    space = "space X points * 1 2 3 4 star *\n"
+    paths = []
+    for name, text in (("u", "gba U family { } { 1 2 } { 1 }\n"),
+                       ("t", space + "trunc T space X components { } { 1 } { 2 }\n"),
+                       ("c", space.replace(" 3 4", "") +
+                        "trunc T space X components { } { 3 2 } { 4 1 }\n")):
+        paths.append(tmp_path / f"{name}.tl")
+        paths[-1].write_text(text, encoding="utf-8")
     src = str(Path(__file__).resolve().parents[1] / "src")
     runs = []
-    for seed in ("0", "1", "4"):
+    for seed in ("0", "1", "4", "5"):
         env = dict(os.environ, PYTHONHASHSEED=seed,
                    PYTHONPATH=os.pathsep.join(
                        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-        proc = subprocess.run([sys.executable, "-c", BAD_IDEAL, str(path)], env=env,
+        proc = subprocess.run([sys.executable, "-c", BAD_IDEAL, *map(str, paths)], env=env,
                               capture_output=True, text=True, timeout=120, check=False)
         assert proc.returncode == 0, proc.stderr
         runs.append(proc.stdout)
-    assert runs == [runs[0]] * 3
+    assert runs == [runs[0]] * 4
     lines = runs[0].splitlines()
     assert lines[0] == "ideal not a subset of carrier {x,y} {z}"
     assert "ideal not a downset {p} {}" in lines
     assert "ideal not join-closed {p} {r}" in lines
-    assert lines[-3].endswith("gba invalid: [relative complement missing at "
+    assert lines[-5].endswith("gba invalid: [relative complement missing at "
                               "(frozenset({'1', '2'}), frozenset({'1'}))]")
-    assert lines[-3].startswith("2 input error: line 1: ")
+    assert lines[-5].startswith("2 input error: line 1: ")
+    assert lines[-4] == ("2 input error: line 2: trunc T: family not closed: "
+                         "union of {'1'} and {'2'} gives {'1', '2'}")
+    assert lines[-3] == ("2 input error: line 2: trunc T: component {'1', '4'} "
+                         "not within non-star points")
     assert lines[-2] == "join mismatch at (frozenset({'p'}),frozenset({'p', 'q'}))"
     assert "frozenset({'1', '2'})'" in lines[-1]
 

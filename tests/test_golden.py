@@ -122,6 +122,8 @@ ARGVS = [
     *[("check", "--file", f"gba_{name}.tl", *J) for name in (
         "join_not_closed", "join_not_total", "bottom_outside", "chain", "pentagon",
         "not_lattice", "diff_fails", "diff_not_total", "join_asymmetric")],
+    # and of a trunc line's component family
+    *[("check", "--file", f"trunc_{name}.tl", *J) for name in ("not_closed", "outside_points")],
     ("induced-op", "mul", "g", "g", *F, *J),
     ("induced-op", "add", "g", "u", *F, *J),
     ("induced-op", "add", "w", "w", *F, *J),

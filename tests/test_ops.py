@@ -1,7 +1,9 @@
 """One operation-tag table for all three models: the same arity, parameter
 and positivity rules on simple elements, tail elements and frame reals."""
 
+import itertools
 from fractions import Fraction as F
+from math import lcm
 
 import pytest
 
@@ -89,10 +91,14 @@ def test_induced_op_is_apply_op_certified():
 
 
 def test_table_scalar_matches_simple_elements():
+    # a scalar takes and gives numerators over den, which every operand's
+    # denominator times the parameter's divides
     x, y, _ = MODELS["simple"]
-    for tag, op in OPS.items():
+    for (tag, op), param in itertools.product(OPS.items(), [F(1, 2), F(2, 3), 3]):
         operands = [x, y][:op.arity]
-        params = (F(1, 2),) if op.takes_param else ()
+        params = (param,) if op.takes_param else ()
         got = apply_op(tag, operands, *params)
-        for p in X3.nonstar:
-            assert got.value(p) == op.scalar(*(g.value(p) for g in operands), *params)
+        den = lcm(*(g._den for g in operands)) * F(param).denominator
+        for i, p in enumerate(X3.nonstar):
+            nums = (g._nums[i] * (den // g._den) for g in operands)
+            assert F(op.scalar(den, *nums, *params), den) == got.value(p), (tag, param)
