@@ -17,7 +17,8 @@ from math import gcd, lcm
 from .errors import (PositivityError, SpaceMismatchError, StructureError,
                      UnsupportedOperationError, certify)
 from .gba import GeneralizedBooleanAlgebra
-from .rat import as_fraction, format_rational, is_finite, set_repr, sorted_labels
+from .rat import (as_fraction, format_rational, is_finite, label_repr, set_repr,
+                  sorted_labels)
 from .records import record
 from .spaces import PointedBooleanSpace
 
@@ -186,7 +187,7 @@ class SimpleElement(StepValues):
         """Characteristic function of a set of non-basepoint labels."""
         subset = frozenset(subset)
         if not subset <= set(space.nonstar):
-            raise StructureError(f"subset {subset} not within non-star points")
+            raise StructureError(f"subset {label_repr(subset)} not within non-star points")
         return cls._canonical(space, tuple(int(p in subset) for p in space.nonstar), 1)
 
     @classmethod

@@ -748,7 +748,10 @@ import contextlib, io, sys
 from trunclab import cli
 from trunclab.gba import (BooleanAlgebra, GeneralizedBooleanAlgebra,
                           IdealizedBooleanAlgebra, Primed, idealize, map_failure)
+from trunclab.elements import SimpleElement
+from trunclab.errors import StructureError
 from trunclab.rat import format_label
+from trunclab.spaces import space
 ba = BooleanAlgebra.powerset(["p", "q", "r", "s"])
 ideal = [a for a in ba.carrier if len(a) == 1] + [frozenset("pq")]
 def fmt(x):
@@ -768,6 +771,10 @@ bi = idealize(GeneralizedBooleanAlgebra.from_sets(
     [frozenset(), frozenset("1"), frozenset("2"), frozenset("12")]))
 primed = [x for x in bi.algebra.carrier if isinstance(x, Primed)]
 print(IdealizedBooleanAlgebra(bi.algebra, primed).validate().violations)
+try:
+    SimpleElement.chi(space("1", "2"), "abc")
+except StructureError as exc:
+    print(exc)
 """
 
 
@@ -775,7 +782,7 @@ def test_ideal_violations_ignore_the_hash_seed(tmp_path):
     # frozensets of strings iterate in an order that follows the hash seed;
     # the reports walk labels in label order and print a frozenset's members
     # sorted: ideal witnesses, refused gba and trunc lines, a map_failure
-    # message and iBa witnesses on primed labels
+    # message, iBa witnesses on primed labels and a refused chi
     space = "space X points * 1 2 3 4 star *\n"
     paths = []
     for name, text in (("u", "gba U family { } { 1 2 } { 1 }\n"),
@@ -799,15 +806,16 @@ def test_ideal_violations_ignore_the_hash_seed(tmp_path):
     assert lines[0] == "ideal not a subset of carrier {x,y} {z}"
     assert "ideal not a downset {p} {}" in lines
     assert "ideal not join-closed {p} {r}" in lines
-    assert lines[-5].endswith("gba invalid: [relative complement missing at "
+    assert lines[-6].endswith("gba invalid: [relative complement missing at "
                               "(frozenset({'1', '2'}), frozenset({'1'}))]")
-    assert lines[-5].startswith("2 input error: line 1: ")
-    assert lines[-4] == ("2 input error: line 2: trunc T: family not closed: "
+    assert lines[-6].startswith("2 input error: line 1: ")
+    assert lines[-5] == ("2 input error: line 2: trunc T: family not closed: "
                          "union of {'1'} and {'2'} gives {'1', '2'}")
-    assert lines[-3] == ("2 input error: line 2: trunc T: component {'1', '4'} "
+    assert lines[-4] == ("2 input error: line 2: trunc T: component {'1', '4'} "
                          "not within non-star points")
-    assert lines[-2] == "join mismatch at (frozenset({'p'}),frozenset({'p', 'q'}))"
-    assert "frozenset({'1', '2'})'" in lines[-1]
+    assert lines[-3] == "join mismatch at (frozenset({'p'}),frozenset({'p', 'q'}))"
+    assert "frozenset({'1', '2'})'" in lines[-2]
+    assert lines[-1] == "subset frozenset({'a', 'b', 'c'}) not within non-star points"
 
 
 PARTIAL_TABLES = """
