@@ -318,6 +318,25 @@ def apply_op(tag, operands, param=None):
     return getattr(operands[0], op.method)(*operands[1:], *params)
 
 
+def _family_refusals(fam, base, ordered):
+    """The reasons the component family fam is not a simple trunc's on the
+    points base, each pair of members taken in the order of ordered."""
+    for s in ordered:
+        if not s <= base:
+            yield f"component {set_repr(s)} not within non-star points"
+    if frozenset() not in fam:
+        yield "component family must contain the empty set"
+    for a in ordered:
+        for b in ordered:
+            if a | b in fam and a & b in fam and a - b in fam:
+                continue
+            for r, opname in ((a | b, "union"), (a & b, "intersection"),
+                              (a - b, "difference")):
+                if r not in fam:
+                    yield (f"family not closed: {opname} of {set_repr(a)} and "
+                           f"{set_repr(b)} gives {set_repr(r)}")
+
+
 class SimpleTrunc:
     """A simple trunc given by its component family of subsets.
 
@@ -329,22 +348,11 @@ class SimpleTrunc:
     def __init__(self, space, components):
         self.space = space
         fam = frozenset(frozenset(s) for s in components)
-        base = set(space.nonstar)
-        # in label order, so that a refusal reads the same under every hash seed
-        ordered = sorted_labels(fam)
-        for s in ordered:
-            if not s <= base:
-                raise StructureError(f"component {set_repr(s)} not within non-star points")
-        if frozenset() not in fam:
-            raise StructureError("component family must contain the empty set")
-        for a in ordered:
-            for b in ordered:
-                for r, opname in ((a | b, "union"), (a & b, "intersection"),
-                                  (a - b, "difference")):
-                    if r not in fam:
-                        raise StructureError(
-                            f"family not closed: {opname} of {set_repr(a)} and "
-                            f"{set_repr(b)} gives {set_repr(r)}")
+        base = frozenset(space.nonstar)
+        # checked in set order; only a refusal sorts, to name its first
+        # failure in label order, the same under every hash seed
+        if next(_family_refusals(fam, base, fam), None) is not None:
+            raise StructureError(next(_family_refusals(fam, base, sorted_labels(fam))))
         self.components = fam
 
     def __eq__(self, other):

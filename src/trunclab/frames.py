@@ -23,7 +23,7 @@ from .errors import (BudgetError, SpaceMismatchError, StructureError,
 from .gba import (Lattice, ValidationReport, _distributive_lattice, _law_sweep,
                   _restricted, _set_tables, _unpreserved, _up_sets, order_lattice)
 from .rat import (NEG_INF, POS_INF, as_fraction, format_label, format_rational,
-                  is_finite, sorted_labels)
+                  is_finite, label_repr, sorted_labels)
 from .records import record
 from .spaces import PointedBooleanSpace
 
@@ -118,7 +118,7 @@ class FiniteFrame(Lattice):
 
     def complement(self, x):
         if x not in self.complemented:
-            raise StructureError(f"{x} is not complemented")
+            raise StructureError(f"{format_label(x)} is not complemented")
         return self.pseudo[x]
 
 
@@ -131,7 +131,7 @@ class PointedFiniteFrame:
             if focus is None:
                 raise StructureError("need a focal element or an explicit filter")
             if focus not in frame.index:
-                raise StructureError(f"unknown frame element {focus!r}")
+                raise StructureError(f"unknown frame element {label_repr(focus)}")
             up = frame._up[frame.index[focus]]
             true_set = (x for i, x in enumerate(frame.labels) if up >> i & 1)
         self.true_set = frozenset(true_set)
@@ -221,7 +221,7 @@ class FrameReal(StepValues):
             elif not extended:
                 raise StructureError("infinite values need a D-type frame real")
             if cell not in fr.index:
-                raise StructureError(f"unknown frame element {cell!r}")
+                raise StructureError(f"unknown frame element {label_repr(cell)}")
             if fr.index[cell] != fr._bot:
                 items.append((value, fr.index[cell]))
         # in lowest terms, as every cell but bottom holds a point
@@ -234,8 +234,8 @@ class FrameReal(StepValues):
         for i, (_, c) in enumerate(items):
             for _, d in items[i + 1:]:
                 if fr._meet[c][d] != fr._bot:
-                    raise StructureError(f"cells {fr.labels[c]!r} and {fr.labels[d]!r} "
-                                         "are not disjoint")
+                    raise StructureError(f"cells {label_repr(fr.labels[c])} and "
+                                         f"{label_repr(fr.labels[d])} are not disjoint")
         if fr._join_of(c for _, c in items) != fr._top:
             raise StructureError("cells do not cover the frame")
         # each point lies below exactly one cell of the partition
@@ -424,7 +424,7 @@ def chi(pframe, x):
     """Characteristic frame real of a complemented element avoiding the point."""
     fr = pframe.frame
     if x not in fr.complemented:
-        raise StructureError(f"{x!r} is not complemented")
+        raise StructureError(f"{label_repr(x)} is not complemented")
     if pframe.point(x):
         raise StructureError("characteristic functions need a cell avoiding the point")
     return FrameReal(pframe, [(Fraction(1), x), (Fraction(0), fr.complement(x))])
@@ -463,7 +463,7 @@ class FrameSurjection:
         fs, ft = self.source.frame, self.target.frame
         for x in fs.labels:
             if x not in self.mapping or self.mapping[x] not in ft.index:
-                raise StructureError(f"map not total at {x!r}")
+                raise StructureError(f"map not total at {label_repr(x)}")
         if self.mapping[fs.top] != ft.top or self.mapping[fs.bottom] != ft.bottom:
             raise StructureError("map must preserve top and bottom")
         f = [ft.index[self.mapping[x]] for x in fs.labels]
@@ -474,7 +474,7 @@ class FrameSurjection:
             raise StructureError("map not surjective")
         for x in fs.labels:
             if self.target.point(self.mapping[x]) != self.source.point(x):
-                raise StructureError(f"map not pointed at {x!r}")
+                raise StructureError(f"map not pointed at {label_repr(x)}")
         return f
 
     def __call__(self, x):

@@ -282,10 +282,9 @@ def _n_star(ag, h):
     _, wa = ag.crossover(TailElement.zero())
     _, wh = h.crossover(TailElement.zero())
     n_star = 1
-    for k in range(1, max(wa, wh) + 1):
-        a_num, a_den = ag._pair(k)
+    window = range(1, max(wa, wh) + 1)
+    for (a_num, a_den), (h_num, h_den) in zip(ag._pairs(window), h._pairs(window)):
         if a_num > 0:
-            h_num, h_den = h._pair(k)
             n_star = max(n_star, -(-h_num * a_den // (h_den * a_num)) + 1)
     for a, b in zip_longest(ag._nums, h._nums, fillvalue=0):
         if a:

@@ -14,13 +14,18 @@ lowest terms, so a tail value is a Horner loop over ints, a crossover sign
 and bound come from those numerators, and the lattice operations compare and
 subtract values as unreduced integer pairs (num, den), den > 0, making a
 Fraction only for a correction they keep.  Meet, join, abs and meet_const
-share one correction loop (TailElement._corrected).  The sampler picks its
-values from one module-level pool of numerators over 2 and builds each
-sample in canonical form, with no validating pass.
+share one correction loop (TailElement._corrected).  A dense loop over a
+window of positions (the seq-closure oracle, the support-filtration cut
+test, max_value, clearance_chain, partial_truncations and the kernels'
+condition-(1) multiplier) evaluates each element once per window with
+TailElement._pairs, the same pairs as one _pair call per position.  The
+sampler picks its values from one module-level pool of numerators over 2
+and builds each sample in canonical form, with no validating pass.
 """
 
+from bisect import bisect_left
 from fractions import Fraction
-from itertools import zip_longest
+from itertools import islice, zip_longest
 from math import gcd, lcm
 from operator import ge, le
 
@@ -64,6 +69,15 @@ def _add_correction(correction, n, num, den):
     if c is None:
         return num, den
     return num * c.denominator + c.numerator * den, den * c.denominator
+
+
+def _max_pair(pairs):
+    """The largest of some integer pairs (num, den), den > 0, by value."""
+    best = pairs[0]
+    for p in pairs[1:]:
+        if p[0] * best[1] > best[0] * p[1]:
+            best = p
+    return best
 
 
 def _difference(a, b):
@@ -154,6 +168,37 @@ class TailElement(Carrier):
     def _pair(self, n):
         """value(n) as an integer pair (num, den), den > 0, not reduced."""
         return _add_correction(self.correction, n, *self._tail_pair(n))
+
+    def _pairs(self, positions):
+        """[_pair(n) for n in positions], the same pairs, in one pass over a
+        window: an increasing sequence of positions (a range or a list).
+
+        The tail runs Horner's rule over ints for every position, unrolled
+        for degrees up to 2, and each correction finds its position by
+        bisection, so a correction outside the window costs one lookup.
+        """
+        nums, den, d = self._nums, self._den, len(self._nums)
+        if not nums:
+            out = [(0, den)] * len(positions)
+        elif d == 1:
+            a, = nums
+            out = [(a, den * n) for n in positions]
+        elif d == 2:
+            a, b = nums
+            out = [(a * n + b, den * n * n) for n in positions]
+        else:
+            out = []
+            for n in positions:
+                acc = 0
+                for a in nums:
+                    acc = acc * n + a
+                out.append((acc, den * n ** d))
+        for n, c in self.correction.items():
+            i = bisect_left(positions, n)
+            if i < len(positions) and positions[i] == n:
+                num, t = out[i]
+                out[i] = num * c.denominator + c.numerator * t, t * c.denominator
+        return out
 
     def value(self, n):
         if n < 1:
@@ -341,14 +386,15 @@ class TailElement(Carrier):
         """Exact supremum of a nonnegative element (attained; values tend to 0)."""
         self._require_nonneg("max_value")
         _, window = self.crossover(TailElement.zero())
-        best = max(self.value(n) for n in range(1, window + 1))
-        if not self._nums or best <= 0:
-            return max(best, Fraction(0))
+        num, den = _max_pair(self._pairs(range(1, window + 1)))
+        if not self._nums or num <= 0:
+            return Fraction(max(num, 0), den)
         # beyond the horizon ceil(total / best), value(n) = tail(n) <= total/n
-        # < best, where total = sum_k |c_k| is s / den
+        # < best, where total = sum_k |c_k| is s / self._den
         s = sum(map(abs, self._nums))
-        horizon = max(window, -(-s * best.denominator // (self._den * best.numerator)))
-        return max([best] + [self.value(n) for n in range(window + 1, horizon + 1)])
+        horizon = max(window, -(-s * den // (self._den * num)))
+        return Fraction(*_max_pair([(num, den)]
+                                   + self._pairs(range(window + 1, horizon + 1))))
 
 
 @record(frozen=True)
@@ -424,13 +470,14 @@ def bounded_away_from_zero_tail(g):
 def clearance_chain(g, length):
     """The first positive values of g along increasing positions."""
     out = []
-    n = 1
     limit = 10 * length + max(g.correction, default=0)
-    while len(out) < length and n <= limit:
-        v = g.value(n)
-        if v > 0:
-            out.append(v)
-        n += 1
+    # windows of `length` positions, each evaluated in one pass
+    for start in range(1, limit + 1, max(length, 1)):
+        window = range(start, min(start + length, limit + 1))
+        out += islice((Fraction(num, den) for num, den in g._pairs(window) if num > 0),
+                      length - len(out))
+        if len(out) == length:
+            break
     return out
 
 
@@ -450,7 +497,8 @@ def enough_uc_check(trunc):
 
 def partial_truncations(g, count):
     """The support filtration g * chi({1..n}) for n = 1..count."""
-    values = {k: v for k in range(1, count + 1) if (v := g.value(k))}
+    values = {k: Fraction(num, den)
+              for k, (num, den) in enumerate(g._pairs(range(1, count + 1)), 1) if num}
     return [TailElement._canonical({k: v for k, v in values.items() if k <= n})
             for n in range(1, count + 1)]
 
@@ -468,14 +516,14 @@ def sup_of_filtration_is(g):
         raise PositivityError("filtration suprema need g >= 0")
     _, bound = g.crossover(TailElement.zero())
     horizon = bound + 10
-    filtration = partial_truncations(g, horizon)
-
-    def excess(k):  # 0 iff max_n h_n(k) = g(k): each term has the sign of h_n(k) - g(k)
-        num, den = g._pair(k)
-        return max((p * den - num * q for p, q in (h._pair(k) for h in filtration)),
-                   default=-1)
-
-    return all(excess(k) == 0 for k in range(1, horizon + 1))
+    window = range(1, horizon + 1)
+    terms = [h._pairs(window) for h in partial_truncations(g, horizon)]
+    # column k holds h_n(k) for every n, and max_n h_n(k) = g(k) iff the
+    # largest excess, which has the sign of h_n(k) - g(k), is 0; with no
+    # terms the union is empty and misses g(r, inf) for r < 0
+    return bool(terms) and all(
+        max(p * den - num * q for p, q in column) == 0
+        for (num, den), column in zip(g._pairs(window), zip(*terms)))
 
 
 @record

@@ -467,22 +467,29 @@ def suite_seq_closure(rng, i, fail):
         if res.degree() > degree:
             fail(f"{name} left the degree-{degree} carrier")
     # ten positions past the corrections and the sign bound of f - g
-    horizon = f.crossover(g)[1] + 10
-    for n in range(1, horizon + 1):
-        # the operands' values as integer pairs; a and b over one d
-        (a, da), (b, db), (p, dp) = f._pair(n), g._pair(n), fpos._pair(n)
-        x, y, d = a * db, b * da, da * db
-        expect = {"add": (x + y, d), "sub": (x - y, d), "negate": (-a, da),
-                  "scale": (a * _SCALE.numerator, da * _SCALE.denominator),
-                  "meet": (min(x, y), d), "join": (max(x, y), d),
-                  "truncate": (p, dp) if p <= dp else (1, 1),
-                  "tminus": (2 * p - dp, 2 * dp) if 2 * p > dp else (0, 1),
-                  "truncN": (p, dp) if p <= 2 * dp else (2, 1)}
-        wrong = [k for k, res in results.items()
-                 if (v := res._pair(n))[0] * expect[k][1] != expect[k][0] * v[1]]
-        if wrong:
-            fail(f"{wrong[0]} pointwise mismatch at n={n}")
-            return
+    window = range(1, f.crossover(g)[1] + 11)
+    # the operands' values as integer pairs, column by column; a and b over one d
+    fv, pv = f._pairs(window), fpos._pairs(window)
+    fg = [(a * db, b * da, da * db) for (a, da), (b, db) in zip(fv, g._pairs(window))]
+    expect = {"add": [(x + y, d) for x, y, d in fg],
+              "sub": [(x - y, d) for x, y, d in fg],
+              "negate": [(-a, da) for a, da in fv],
+              "scale": [(a * _SCALE.numerator, da * _SCALE.denominator) for a, da in fv],
+              "meet": [(min(x, y), d) for x, y, d in fg],
+              "join": [(max(x, y), d) for x, y, d in fg],
+              "truncate": [(p, dp) if p <= dp else (1, 1) for p, dp in pv],
+              "tminus": [(2 * p - dp, 2 * dp) if 2 * p > dp else (0, 1) for p, dp in pv],
+              "truncN": [(p, dp) if p <= 2 * dp else (2, 1) for p, dp in pv]}
+
+    def first_wrong(res, want):  # res evaluated on its own over the window
+        return next((n for n, v, e in zip(window, res._pairs(window), want)
+                     if v[0] * e[1] != e[0] * v[1]), None)
+
+    wrong = [(n, k) for k, res in results.items()
+             if (n := first_wrong(res, expect[k])) is not None]
+    if wrong:  # the first n, then the first tag in results order
+        n, k = min(wrong, key=lambda w: w[0])
+        fail(f"{k} pointwise mismatch at n={n}")
 
 
 # --- 15. convergence utilities ---------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Trunc calculus on simple elements: ops, sequences, quotients, suprema."""
 
+import itertools
 import math
 import operator
 from fractions import Fraction as F
@@ -23,6 +24,7 @@ from trunclab.elements import (GoodSequence, SimpleElement, SimpleTrunc,
 from trunclab.errors import (CertificationError, PositivityError,
                              SpaceMismatchError, StructureError)
 from trunclab.frames import FrameReal
+from trunclab.rat import set_repr, sorted_labels
 from trunclab.seqspace import TailElement
 from trunclab.spaces import space
 
@@ -130,6 +132,54 @@ def test_lc_requires_closure():
     with pytest.raises(StructureError):
         lc(X3, [frozenset(), frozenset({"1"}), frozenset({"2"})])
     assert len(lc(space()).components) == 1
+
+
+def reference_family_refusal(fam, base):
+    """The first refusal of a component family, its members walked in label
+    order: the walk SimpleTrunc names its refusal by."""
+    ordered = sorted_labels(fam)
+    for s in ordered:
+        if not s <= base:
+            return f"component {set_repr(s)} not within non-star points"
+    if frozenset() not in fam:
+        return "component family must contain the empty set"
+    for a, b in itertools.product(ordered, repeat=2):
+        for r, opname in ((a | b, "union"), (a & b, "intersection"), (a - b, "difference")):
+            if r not in fam:
+                return (f"family not closed: {opname} of {set_repr(a)} and "
+                        f"{set_repr(b)} gives {set_repr(r)}")
+    return None
+
+
+SUBSETS_OF_4 = [frozenset(c) for r in range(5) for c in itertools.combinations("1234", r)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sets(st.sampled_from(SUBSETS_OF_4), max_size=8))
+def test_family_refusals_name_the_first_failure_in_label_order(family):
+    """A refusal names the first failure of the label-order walk, though the
+    family is checked in set order; a family with none is accepted."""
+    x3 = space("1", "2", "3")
+    expected = reference_family_refusal(frozenset(family), frozenset(x3.nonstar))
+    try:
+        trunc = SimpleTrunc(x3, family)
+    except StructureError as err:
+        assert str(err) == expected
+    else:
+        assert expected is None and trunc.components == frozenset(family)
+
+
+def test_a_closed_family_is_not_sorted(monkeypatch):
+    calls = []
+    honest = elements.sorted_labels
+    monkeypatch.setattr(elements, "sorted_labels", lambda labels: calls.append(1) or
+                        honest(labels))
+    lc(space("1", "2", "3", "4"))
+    assert calls == []
+    with pytest.raises(StructureError, match=r"^family not closed: union of \{'1'\} and "
+                       r"\{'2'\} gives \{'1', '2'\}$"):
+        lc(X3, [frozenset(), frozenset({"1"}), frozenset({"2"})])
+    assert calls == [1]
 
 
 def test_normal_form_examples():

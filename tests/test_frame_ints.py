@@ -35,7 +35,7 @@ from trunclab.frames import (FrameReal, OpenInterval, _certify_square, drop,
                              e0q_member, ray_above, ray_below)
 from trunclab.instances import parse_instance
 from trunclab.records import record
-from trunclab.rat import NEG_INF, POS_INF, as_fraction, is_finite
+from trunclab.rat import NEG_INF, POS_INF, as_fraction, is_finite, label_repr
 from trunclab.sampling import (dense_surjection, frame_real, pointed_frame,
                                random_space, simple_element)
 from trunclab.seqspace import SeqTrunc, TailElement
@@ -60,7 +60,7 @@ class RefFrameReal(Carrier):
             elif not extended:
                 raise StructureError("infinite values need a D-type frame real")
             if cell not in fr.index:
-                raise StructureError(f"unknown frame element {cell!r}")
+                raise StructureError(f"unknown frame element {label_repr(cell)}")
             if cell == fr.bottom:
                 continue
             merged[value] = fr.join(merged[value], cell) if value in merged else cell
@@ -74,7 +74,8 @@ class RefFrameReal(Carrier):
             for j in range(i + 1, len(items)):
                 if fr.meet(c, items[j][1]) != fr.bottom:
                     raise StructureError(
-                        f"cells {c!r} and {items[j][1]!r} are not disjoint")
+                        f"cells {label_repr(c)} and {label_repr(items[j][1])} "
+                        "are not disjoint")
         if fr.join_all(c for _, c in items) != fr.top:
             raise StructureError("cells do not cover the frame")
         if self.pointed:

@@ -1160,3 +1160,64 @@ def test_label_order_ignores_the_hash_seed():
         assert proc.returncode == 0, proc.stderr
         outs.append(proc.stdout)
     assert outs[0] == outs[1] and outs[0].count("\n") == 40
+
+
+FROZENSET_REFUSALS = """
+import itertools
+from trunclab.errors import StructureError
+from trunclab.frames import FiniteFrame, FrameReal, FrameSurjection, PointedFiniteFrame, chi
+
+S = frozenset
+F8 = FiniteFrame.from_sets([S(c) for r in range(4) for c in itertools.combinations("abc", r)])
+CH = FiniteFrame.from_sets([S(), S("ab"), S("abc")])
+PB, PC = PointedFiniteFrame(F8, focus=S("b")), PointedFiniteFrame(F8, focus=S("c"))
+refusals = [
+    lambda: FrameReal(PB, [(1, S("abc")), (0, S("ab"))]),
+    lambda: FrameReal(PB, [(0, S("xyz"))]),
+    lambda: PointedFiniteFrame(F8, focus=S("xyz")),
+    lambda: CH.complement(S("ab")),
+    lambda: chi(PointedFiniteFrame(CH, focus=S("abc")), S("ab")),
+    lambda: FrameSurjection(PB, PB, {x: x for x in F8.labels if x != S("ab")}),
+    lambda: FrameSurjection(PB, PC, {x: x for x in F8.labels}),
+]
+for refuse in refusals:
+    try:
+        refuse()
+    except StructureError as err:
+        print(err)
+"""
+
+
+def test_frozenset_label_refusals_ignore_the_hash_seed():
+    """Frame refusals print a frozenset label with its members sorted, so a
+    set-family frame is refused in the same words under every hash seed."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outs = []
+    for seed in map(str, range(6)):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join(
+                       p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run([sys.executable, "-c", FROZENSET_REFUSALS], env=env,
+                              capture_output=True, text=True, timeout=120, check=False)
+        assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+        outs.append(proc.stdout)
+    assert outs == [outs[0]] * 6
+    assert outs[0].splitlines() == [
+        "cells frozenset({'a', 'b'}) and frozenset({'a', 'b', 'c'}) are not disjoint",
+        "unknown frame element frozenset({'x', 'y', 'z'})",
+        "unknown frame element frozenset({'x', 'y', 'z'})",
+        "{a,b} is not complemented",
+        "frozenset({'a', 'b'}) is not complemented",
+        "map not total at frozenset({'a', 'b'})",
+        "map not pointed at frozenset({'a', 'b'})"]
+
+
+def test_string_label_refusals_keep_their_words():
+    with pytest.raises(StructureError, match="^unknown frame element 'zz'$"):
+        FrameReal(PF4, [(F(0), "zz")])
+    with pytest.raises(StructureError, match="^unknown frame element 'zz'$"):
+        PointedFiniteFrame(F4, focus="zz")
+    with pytest.raises(StructureError, match="^1 is not complemented$"):
+        C3.complement(1)
+    with pytest.raises(StructureError, match="^1 is not complemented$"):
+        chi(PointedFiniteFrame(C3, focus=2), 1)

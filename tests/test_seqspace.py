@@ -368,6 +368,24 @@ def test_horner_value_matches_the_term_sum(correction, tail, far):
         assert F(*g._tail_pair(n)) == reference_value({}, tail, n)
 
 
+WINDOWS = st.one_of(
+    st.builds(range, st.integers(1, 40), st.integers(1, 60)),
+    st.sets(st.integers(1, 60), max_size=20).map(sorted))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.dictionaries(st.integers(1, 70), RATIONALS, max_size=6),
+       st.lists(RATIONALS, max_size=3), WINDOWS)
+@example({1: F(1, 2), 12: F(-3), 70: F(5, 7)}, [F(1, 3), F(-2), F(3, 4)], range(10, 20))
+@example({5: F(2)}, [], range(5, 5))
+@example({}, [F(1)], [])
+def test_window_pairs_equal_the_pointwise_pairs(correction, tail, window):
+    """_pairs gives _pair's own unreduced pair at every position of a window,
+    for degrees 0-3 and corrections before, inside and past the window."""
+    g = TailElement(correction, tail)
+    assert g._pairs(window) == [g._pair(n) for n in window]
+
+
 @settings(max_examples=80, deadline=None)
 @given(CORRECTIONS, TAILS, CORRECTIONS, TAILS, POSITIVE, POSITIVE)
 @example({}, [F(-1, 7), F(4)], {}, [F(1)], F(1), F(1))  # |f| corrected up to 27
@@ -638,13 +656,14 @@ def test_sup_of_filtration_matches_the_scan_on_forged_filtrations(corr, tail, i,
         assert sup_of_filtration_is(g) == scan_sup_of_filtration_is(g)
 
 
-@pytest.mark.parametrize("forge", ["drop-last", "lower-one-value", "nudge-one-value",
-                                   "lower-inside-the-gap", "raise-an-early-term"])
+@pytest.mark.parametrize("forge", ["drop-last", "drop-all", "lower-one-value",
+                                   "nudge-one-value", "lower-inside-the-gap",
+                                   "raise-an-early-term"])
 def test_sup_of_filtration_rejects_a_forged_filtration(monkeypatch, forge):
     def forged(g, count):
         hs = partial_truncations(g, count)
-        if forge == "drop-last":
-            return hs[:-1]
+        if forge.startswith("drop"):
+            return hs[:-1] if forge == "drop-last" else []
         if forge == "raise-an-early-term":
             # h_1(5) = 1 > g(5) = 1/5, at a position past the term's own
             first = dict(hs[0].correction)
@@ -826,8 +845,15 @@ def test_a_far_correction_visits_only_its_position(monkeypatch):
         seen.append(n)
         return tail_pair(self, n)
 
+    pairs = TailElement._pairs
+
+    def counting_window(self, positions):  # enough of a long window to fail
+        seen.extend(itertools.islice(positions, 100))
+        return pairs(self, positions)
+
     g = TailElement({far: -1}, [1])
     monkeypatch.setattr(TailElement, "_tail_pair", counting)
+    monkeypatch.setattr(TailElement, "_pairs", counting_window)
     ag = abs(g)
     results = [ag, g.join(TailElement.zero()), g.meet(TailElement.zero()),
                ag.truncate(), g.is_nonneg(), g.support(), g.dominated_by(ag)]

@@ -136,13 +136,9 @@ def past_degree_2(res):
     return TailElement(res.correction, [*res.tail, 0, 0][:2] + [1])
 
 
-@pytest.mark.parametrize("plant, message", [
-    (one_too_large_at_1, "{op} pointwise mismatch at n="),
-    (past_degree_2, "{op} left the degree-")], ids=["value", "degree"])
-@pytest.mark.parametrize("op", SEQ_CLOSURE_OPS)
-def test_seq_closure_oracle_catches_a_planted_fault(monkeypatch, op, plant, message):
-    """A wrong result of any one operation is reported under its name: the
-    oracle evaluates the operands, never the operation under test."""
+def seq_closure_failures(monkeypatch, op, plant):
+    """The seq-closure failures, seed 0 and 20 cases, when the operation op
+    returns plant(its honest result)."""
     honest = {name: getattr(TailElement, name) for name in SEQ_CLOSURE_OPS.values()}
     method = SEQ_CLOSURE_OPS[op]
     monkeypatch.setattr(TailElement, method,
@@ -150,8 +146,31 @@ def test_seq_closure_oracle_catches_a_planted_fault(monkeypatch, op, plant, mess
     if op == "negate":  # f - g is f + (-g): keep the subtraction honest
         monkeypatch.setattr(TailElement, "__sub__", lambda self, other:
                             honest["__add__"](self, honest["__neg__"](other)))
-    failures = suites.SUITES["seq-closure"](seed=0, cases=20).failures
-    assert any(f.startswith(message.format(op=op)) for _, f in failures), failures
+    return [f for _, f in suites.SUITES["seq-closure"](seed=0, cases=20).failures]
+
+
+@pytest.mark.parametrize("plant, message", [
+    (one_too_large_at_1, "{op} pointwise mismatch at n="),
+    (past_degree_2, "{op} left the degree-")], ids=["value", "degree"])
+@pytest.mark.parametrize("op", SEQ_CLOSURE_OPS)
+def test_seq_closure_oracle_catches_a_planted_fault(monkeypatch, op, plant, message):
+    """A wrong result of any one operation is reported under its name: the
+    oracle evaluates the operands, never the operation under test."""
+    failures = seq_closure_failures(monkeypatch, op, plant)
+    assert any(f.startswith(message.format(op=op)) for f in failures), failures
+
+
+@pytest.mark.parametrize("position", [2, 7])
+@pytest.mark.parametrize("op", SEQ_CLOSURE_OPS)
+def test_seq_closure_names_the_planted_position(monkeypatch, op, position):
+    """A result one too large at one position n > 1 only is reported at
+    exactly that n in every case: the oracle's window starts at position 1."""
+    def one_too_large_there(res):
+        return TailElement({**res.correction,
+                            position: res.correction.get(position, 0) + 1}, res.tail)
+
+    failures = seq_closure_failures(monkeypatch, op, one_too_large_there)
+    assert failures == [f"{op} pointwise mismatch at n={position}"] * 20
 
 
 def double_three_term_sums(monkeypatch):
