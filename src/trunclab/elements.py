@@ -348,7 +348,7 @@ class SimpleTrunc:
     def __init__(self, space, components):
         self.space = space
         fam = frozenset(frozenset(s) for s in components)
-        base = frozenset(space.nonstar)
+        base = set(space.nonstar)
         # checked in set order; only a refusal sorts, to name its first
         # failure in label order, the same under every hash seed
         if next(_family_refusals(fam, base, fam), None) is not None:
