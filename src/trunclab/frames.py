@@ -118,7 +118,7 @@ class FiniteFrame(Lattice):
 
     def complement(self, x):
         if x not in self.complemented:
-            raise StructureError(f"{format_label(x)} is not complemented")
+            raise StructureError(f"{label_repr(x)} is not complemented")
         return self.pseudo[x]
 
 
@@ -422,12 +422,10 @@ def oracle_mismatch(tag, operands, result, param=None):
 
 def chi(pframe, x):
     """Characteristic frame real of a complemented element avoiding the point."""
-    fr = pframe.frame
-    if x not in fr.complemented:
-        raise StructureError(f"{label_repr(x)} is not complemented")
+    complement = pframe.frame.complement(x)
     if pframe.point(x):
         raise StructureError("characteristic functions need a cell avoiding the point")
-    return FrameReal(pframe, [(Fraction(1), x), (Fraction(0), fr.complement(x))])
+    return FrameReal(pframe, [(Fraction(1), x), (Fraction(0), complement)])
 
 
 def frame_uc_check(u):

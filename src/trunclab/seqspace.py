@@ -16,8 +16,8 @@ subtract values as unreduced integer pairs (num, den), den > 0, making a
 Fraction only for a correction they keep.  Meet, join, abs and meet_const
 share one correction loop (TailElement._corrected).  A dense loop over a
 window of positions (the seq-closure oracle, the support-filtration cut
-test, max_value, clearance_chain, partial_truncations and the kernels'
-condition-(1) multiplier) evaluates each element once per window with
+test, max_value, partial_truncations and the kernels' condition-(1)
+multiplier) evaluates each element once per window with
 TailElement._pairs, the same pairs as one _pair call per position.  The
 sampler picks its values from one module-level pool of numerators over 2
 and builds each sample in canonical form, with no validating pass.
@@ -25,7 +25,7 @@ and builds each sample in canonical form, with no validating pass.
 
 from bisect import bisect_left
 from fractions import Fraction
-from itertools import islice, zip_longest
+from itertools import zip_longest
 from math import gcd, lcm
 from operator import ge, le
 
@@ -173,31 +173,21 @@ class TailElement(Carrier):
         """[_pair(n) for n in positions], the same pairs, in one pass over a
         window: an increasing sequence of positions (a range or a list).
 
-        The tail runs Horner's rule over ints for every position, unrolled
-        for degrees up to 2, and each correction finds its position by
-        bisection, so a correction outside the window costs one lookup.
+        The tail runs Horner's rule over ints for every position, and each
+        correction finds its position by bisection, so a correction outside
+        the window costs one lookup.
         """
         nums, den, d = self._nums, self._den, len(self._nums)
-        if not nums:
-            out = [(0, den)] * len(positions)
-        elif d == 1:
-            a, = nums
-            out = [(a, den * n) for n in positions]
-        elif d == 2:
-            a, b = nums
-            out = [(a * n + b, den * n * n) for n in positions]
-        else:
-            out = []
-            for n in positions:
-                acc = 0
-                for a in nums:
-                    acc = acc * n + a
-                out.append((acc, den * n ** d))
-        for n, c in self.correction.items():
+        out = []
+        for n in positions:
+            acc = 0
+            for a in nums:
+                acc = acc * n + a
+            out.append((acc, den * n ** d))
+        for n in self.correction:
             i = bisect_left(positions, n)
             if i < len(positions) and positions[i] == n:
-                num, t = out[i]
-                out[i] = num * c.denominator + c.numerator * t, t * c.denominator
+                out[i] = _add_correction(self.correction, n, *out[i])
         return out
 
     def value(self, n):
@@ -470,14 +460,13 @@ def bounded_away_from_zero_tail(g):
 def clearance_chain(g, length):
     """The first positive values of g along increasing positions."""
     out = []
+    n = 1
     limit = 10 * length + max(g.correction, default=0)
-    # windows of `length` positions, each evaluated in one pass
-    for start in range(1, limit + 1, max(length, 1)):
-        window = range(start, min(start + length, limit + 1))
-        out += islice((Fraction(num, den) for num, den in g._pairs(window) if num > 0),
-                      length - len(out))
-        if len(out) == length:
-            break
+    while len(out) < length and n <= limit:
+        v = g.value(n)
+        if v > 0:
+            out.append(v)
+        n += 1
     return out
 
 

@@ -1206,7 +1206,7 @@ def test_frozenset_label_refusals_ignore_the_hash_seed():
         "cells frozenset({'a', 'b'}) and frozenset({'a', 'b', 'c'}) are not disjoint",
         "unknown frame element frozenset({'x', 'y', 'z'})",
         "unknown frame element frozenset({'x', 'y', 'z'})",
-        "{a,b} is not complemented",
+        "frozenset({'a', 'b'}) is not complemented",
         "frozenset({'a', 'b'}) is not complemented",
         "map not total at frozenset({'a', 'b'})",
         "map not pointed at frozenset({'a', 'b'})"]

@@ -31,8 +31,6 @@ ALLOWED = {
     "elements.yosida_quotient": "exported paper API",
     "seqspace.baf_infinity": "exported paper API",
     "seqspace.TailElement.chi": "exported paper API",
-    "seqspace.TailElement.value": "exported paper API: g(n) at one position; "
-                                  "the dense loops evaluate a window with _pairs",
     "spaces.space": "exported paper API",
     "frames.FrameReal.to_simple": "exported paper API: a frame real's image on the spectrum",
     "elements.SimpleTrunc.member": "model interface that only the tests reach",
