@@ -460,16 +460,21 @@ def clearance_decomposition(g):
 
 @record(frozen=True)
 class GoodSequence:
-    """Nonincreasing truncated terms with f_n = truncate(f_n + f_{n+1}), tail zero."""
+    """Nonincreasing truncated terms with f_n = truncate(f_n + f_{n+1}), tail
+    zero; zero is the model's zero when every term is, else None."""
 
     terms: tuple
+    zero: object = None
 
     @staticmethod
     def of(terms):
+        """Strip trailing zero terms, keeping the first term as the zero
+        when none survives."""
         terms = list(terms)
+        zero = terms[0] if terms else None
         while terms and terms[-1].is_zero():
             terms.pop()
-        return GoodSequence(tuple(terms)).validated()
+        return GoodSequence(tuple(terms), None if terms else zero).validated()
 
     def validated(self):
         """self, or a StructureError naming the first failing index."""
@@ -503,7 +508,7 @@ def good_from_element(g):
     """Good sequence of g >= 0: terms truncate(tminus(n-1)(g)) for n = 1..m.
 
     m is the ceiling of the maximum value, past which every term is zero.
-    Trailing zero terms are stripped.
+    Trailing zero terms are stripped; the sequence of 0 keeps its zero.
     """
     if not g.is_nonneg():
         raise PositivityError("good_from_element needs g >= 0")
@@ -512,16 +517,16 @@ def good_from_element(g):
     return GoodSequence.of(terms)
 
 
-def element_from_good(seq, space=None):
+def element_from_good(seq):
     """Sum of the terms; rejects invalid sequences with a witness index.
 
-    The empty sequence reconstructs zero, which needs the space spelled out.
+    An all-zero sequence sums to its zero; one with no terms has none.
     """
     seq = seq.validated() if isinstance(seq, GoodSequence) else GoodSequence.of(seq)
     if not seq.terms:
-        if space is None:
-            raise StructureError("empty sequence: pass the space to get zero")
-        return SimpleElement.zero(space)
+        if seq.zero is None:
+            raise StructureError("empty sequence")
+        return seq.zero
     return reduce(lambda a, b: a + b, seq.terms)
 
 

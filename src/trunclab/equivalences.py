@@ -9,7 +9,7 @@ algebra of the full simple trunc onto the forgotten clopen algebra.
 
 from .elements import lc, uc
 from .errors import CertificationError, StructureError
-from .gba import clopen, iba_forget, idealize, map_failure, stone
+from .gba import Primed, clopen, iba_forget, idealize, map_failure, stone
 from .records import field, record
 
 MAX_POINTS = 6  # bounds clopen's 2^n subsets and map_failure's 4^n pairs
@@ -73,7 +73,7 @@ def equivalence_witness(x):
         rebuilt = idealize(algebra)  # raises unless forget(B) is a valid gBa
         forgotten = algebra
         phi = {a: a for a in forgotten.labels} | {
-            rebuilt.algebra.complement(a): bi.algebra.complement(a) for a in forgotten.labels}
+            Primed(a): bi.algebra.complement(a) for a in forgotten.labels}
         return map_failure(phi, rebuilt, bi)
 
     def uc_forget():

@@ -27,6 +27,8 @@ from .rat import (NEG_INF, POS_INF, as_fraction, format_label, format_rational,
 from .records import record
 from .spaces import PointedBooleanSpace
 
+E0Q_MAX_FRAME = 12  # bounds e0q_exhaustive's search over partitions of the source
+
 
 def _frame_tables(labels, leq_pairs):
     """gba.order_lattice, then distributivity by gba._distributive_lattice;
@@ -60,14 +62,12 @@ class FiniteFrame(Lattice):
         self.labels = tuple(labels)
         self._up = up  # bit j of _up[i] is set iff labels[i] <= labels[j]
         self._bot = bot = up.index((1 << len(up)) - 1)
-        self._top = top = next(i for i, u in enumerate(up) if u == 1 << i)
-        self.top = self.labels[top]
         # the pseudocomplement of i joins every k with i ^ k = bottom
         pseudo = [self._join_of([k for k, m in enumerate(row) if m == bot])
                   for row in self._meet]
         self.pseudo = dict(zip(self.labels, map(self.labels.__getitem__, pseudo)))
         self.complemented = frozenset(x for x, row, p in zip(self.labels, self._join, pseudo)
-                                      if row[p] == top)
+                                      if row[p] == self._top)
 
     @classmethod
     def from_sets(cls, family):
@@ -108,13 +108,6 @@ class FiniteFrame(Lattice):
 
     def join_all(self, xs):
         return reduce(self.join, xs, self.bottom)
-
-    def _join_of(self, ks):
-        """Index of the join of the indices ks."""
-        join, acc = self._join, self._bot
-        for k in ks:
-            acc = join[acc][k]
-        return acc
 
     def complement(self, x):
         if x not in self.complemented:
@@ -593,14 +586,14 @@ def e0q_member(q, h):
     return LiftResult(False, note="no complemented partition lifts the cells")
 
 
-def e0q_exhaustive(q, h, max_frame=20):
-    """Complete search over complemented partitions of the source: the
-    oracle that e0q_member is tested against."""
+def e0q_exhaustive(q, h):
+    """Complete search over complemented partitions of a source of at most
+    E0Q_MAX_FRAME elements: the oracle that e0q_member is tested against."""
     if not q.dense:
         raise StructureError("lifting requires a dense surjection")
     fs = q.source.frame
-    if len(fs) > max_frame:
-        raise BudgetError(f"source frame exceeds the {max_frame}-element bound")
+    if len(fs) > E0Q_MAX_FRAME:
+        raise BudgetError(f"source frame exceeds the {E0Q_MAX_FRAME}-element bound")
     target_cells = list(h.cells)
     candidate_sets = [[c for c in fs.labels if c in fs.complemented and q(c) == x]
                       for _, x in target_cells]

@@ -8,10 +8,13 @@ here (idealize, forget, stone, clopen) realize the equivalences between
 finite gBas, iBas and pointed Boolean spaces.
 
 Every algebra here, like every FiniteFrame, is a Lattice: a label tuple with
-integer join and meet tables.  Labels appear only at the boundary: the
-label-table constructor from_tables, the label accessors, and the witnesses
-of reports.  In a table, None marks a missing entry and -1 a value outside
-the carrier; only from_tables and an unclosed from_sets family leave them.
+integer join and meet tables, whose top is the join of every element.  A
+finite gBa is a Boolean algebra, so a BooleanAlgebra is a gBa with its
+complements read off the diff table as top \\ x.  Labels appear only at
+the boundary: the label-table constructor from_tables, the label accessors,
+and the witnesses of reports.  In a table, None marks a missing entry and
+-1 a value outside the carrier; only from_tables and an unclosed from_sets
+family leave them.
 """
 
 import itertools
@@ -278,9 +281,25 @@ class Lattice:
         irreducible = _join_irreducibles(_down_sets(self._join))
         return tuple(j for j in range(len(self)) if irreducible >> j & 1)
 
+    @cached_property
+    def _top(self):
+        """The join of every element: the top of a finite lattice."""
+        return self._join_of(range(len(self)))
+
     @property
     def bottom(self):
         return self.labels[self._bot]
+
+    @cached_property
+    def top(self):
+        return self.labels[self._top]
+
+    def _join_of(self, ks):
+        """Index of the join of the indices ks."""
+        join, acc = self._join, self._bot
+        for k in ks:
+            acc = join[acc][k]
+        return acc
 
     def join(self, x, y):
         return self.labels[self._join[self.index[x]][self.index[y]]]
@@ -401,46 +420,20 @@ class GeneralizedBooleanAlgebra(Lattice):
 
 
 class BooleanAlgebra(GeneralizedBooleanAlgebra):
-    """Explicit finite Boolean algebra: a gBa with the integer complement
-    array _comp, and top, the label of index _top."""
-
-    def __init__(self, labels, join, meet, complement, bottom, top, gaps=()):
-        super().__init__(labels, join, meet, bottom, gaps=gaps)
-        self._comp, self._top, self.top = complement, top, self.labels[top]
+    """Explicit finite Boolean algebra: a finite gBa is one, with the join
+    of its elements as top, so the complement of x is top \\ x."""
 
     def complement(self, x):
-        return self.labels[self._comp[self.index[x]]]
+        """top \\ x (requires a valid algebra)."""
+        return self.diff(self.top, x)
 
     @classmethod
     def powerset(cls, base):
-        """Every subset of base on _set_tables; the complement of mask m is full ^ m."""
+        """Every subset of base on _set_tables, the empty set first."""
         base = frozenset(base)
-        labels, masks, join, meet = _set_tables(
+        labels, _, join, meet = _set_tables(
             c for r in range(len(base) + 1) for c in itertools.combinations(base, r))
-        at = {m: i for i, m in enumerate(masks)}
-        full = max(masks)
-        return cls(labels, join, meet, [at[full ^ m] for m in masks], at[0], at[full])
-
-    def __eq__(self, other):
-        return super().__eq__(other) and (self._comp, self._top) == (other._comp, other._top)
-
-    __hash__ = Lattice.__hash__
-
-    def _check(self, report):
-        """The gBa laws, then the complement and top laws; a gap fails every
-        law that reads it."""
-        super()._check(report)
-        J, M, bot, top = self._join, self._meet, self._bot, self._top
-        for a, na in enumerate(self._comp):
-            if na is None:
-                report.add("complement table not total", self.labels[a])
-                continue
-            if J[a][na] != top:
-                report.add("complement join law", self.labels[a])
-            if M[a][na] != bot:
-                report.add("complement meet law", self.labels[a])
-            if J[a][top] != top:
-                report.add("top not greatest", self.labels[a])
+        return cls(labels, join, meet, 0)
 
 
 class IdealizedBooleanAlgebra:
@@ -469,11 +462,15 @@ class IdealizedBooleanAlgebra:
         return self._validated
 
     def _check(self, report):
-        """The ideal laws, witnesses in label order; a gap is in no ideal."""
+        """The ideal laws, witnesses in label order, once the algebra is
+        valid; a gap is in no ideal.  The complement of b, top \\ b, is read
+        off the top row of the diff table."""
         alg, ideal = self.algebra, self._ideal
         if len(ideal) != len(self.ideal):
             report.add("ideal not a subset of carrier",
                        tuple(sorted_labels(self.ideal - alg.carrier)))
+            return
+        if not alg.validate().ok:
             return
         labels, J = alg.labels, alg._join
         if alg._top in ideal:
@@ -487,7 +484,7 @@ class IdealizedBooleanAlgebra:
             for b in sorted(ideal):
                 if J[a][b] not in ideal:
                     report.add("ideal not join-closed", labels[a], labels[b])
-        for b, nb in enumerate(alg._comp):
+        for b, nb in enumerate(alg._diff[alg._top]):
             if (b in ideal) == (nb in ideal):
                 report.add("ideal not proper (element and complement)" if b in ideal
                            else "ideal not maximal", labels[b])
@@ -503,7 +500,7 @@ def idealize(algebra):
     x.  Operation table, with x' the formal complement of x:
       a1 v a2' = (a2 \\ a1)',  a1' v a2' = (a1 ^ a2)',
       a1 ^ a2' = a1 \\ a2,     a1' ^ a2' = (a1 v a2)',
-      not a = a', not a' = a, top = bottom'.
+      top = bottom', so not a = top \\ a = a' and not a' = a.
     """
     _require_valid(algebra, "idealize needs a valid gBa")
     n, J, M, D = len(algebra), algebra._join, algebra._meet, algebra._diff
@@ -512,17 +509,16 @@ def idealize(algebra):
             + [[n + x for x in D[a] + M[a]] for a in range(n)])
     meet = [M[a] + D[a] for a in range(n)] + [DT[a] + [n + x for x in J[a]] for a in range(n)]
     labels = algebra.labels + tuple(map(Primed, algebra.labels))
-    ba = BooleanAlgebra(labels, join, meet, [*range(n, 2 * n), *range(n)],
-                        algebra._bot, n + algebra._bot)
-    return IdealizedBooleanAlgebra(ba, algebra.labels)
+    return IdealizedBooleanAlgebra(BooleanAlgebra(labels, join, meet, algebra._bot),
+                                   algebra.labels)
 
 
 def iba_forget(idealized):
-    """Restrict the tables to the ideal; relative complements become a ^ not b."""
+    """Restrict the tables to the ideal, the relative complements a \\ b =
+    a ^ not b among them: the ideal is a downset and a \\ b <= a."""
     _require_valid(idealized, "iba_forget needs a valid iBa")
     alg, keep = idealized.algebra, sorted(idealized._ideal)
-    join, meet, diff = _restricted(keep, alg._join, alg._meet,
-                                   [[row[c] for c in alg._comp] for row in alg._meet])
+    join, meet, diff = _restricted(keep, alg._join, alg._meet, alg._diff)
     return GeneralizedBooleanAlgebra([alg.labels[k] for k in keep], join, meet,
                                      keep.index(alg._bot), diff)
 
@@ -549,9 +545,10 @@ def map_failure(phi, a, b):
 
     a and b are both gBas or both iBas.  phi must be a bijection between the
     carriers that preserves join and meet (_unpreserved, on phi as an index
-    array); between iBas it must then preserve complements and carry the
-    ideal onto the ideal.  The first failure, walking a's labels in order,
-    is the message.
+    array); between iBas it must then carry the ideal onto the ideal.  Such
+    a bijection between valid algebras keeps top, relative complements and
+    so complements.  The first failure, walking a's labels in order, is the
+    message.
     """
     ideals = isinstance(a, IdealizedBooleanAlgebra)
     la, lb = (a.algebra, b.algebra) if ideals else (a, b)
@@ -561,9 +558,6 @@ def map_failure(phi, a, b):
     bad = _unpreserved(la, f, [("join", la._join, lb._join), ("meet", la._meet, lb._meet)])
     if bad:
         return "{} mismatch at ({},{})".format(bad[0], *map(label_repr, bad[1:]))
-    for x, c, fx in zip(la.labels, la._comp if ideals else (), f):
-        if f[c] != lb._comp[fx]:
-            return f"complement mismatch at {label_repr(x)}"
     if ideals and {f[i] for i in a._ideal} != b._ideal:
         return "ideal not preserved"
     return None

@@ -277,13 +277,9 @@ FORGED_CANONICAL = textwrap.dedent("""
     def relabelled_idealize(algebra):
         bi = honest["idealize"](algebra)
         a = bi.algebra
-        g = GeneralizedBooleanAlgebra.from_tables(
+        return IdealizedBooleanAlgebra(BooleanAlgebra.from_tables(
             map(swap, a.labels), table(a.join, a.labels), table(a.meet, a.labels),
-            swap(a.bottom))
-        comp = [g.index[swap(a.complement(swap(x)))] for x in g.labels]
-        return IdealizedBooleanAlgebra(BooleanAlgebra(
-            g.labels, g._join, g._meet, comp, g._bot, g.index[swap(a.top)]),
-            map(swap, bi.ideal))
+            swap(a.bottom)), map(swap, bi.ideal))
 
     def relabelled_uc(trunc):
         a = honest["uc"](trunc)

@@ -234,8 +234,10 @@ def test_element_from_good_examples():
     assert element_from_good(gs) == el(5, 2, F(1, 3))
     assert element_from_good(GoodSequence.of([el(1, 1, 0), el(1, 0, 0)])) == \
         el(2, 1, 0)
-    assert element_from_good(GoodSequence.of([]), space=X3) == el(0, 0, 0)
-    with pytest.raises(StructureError):
+    # an all-zero sequence keeps the model's zero; one with no terms has none
+    assert element_from_good(GoodSequence.of([el(0, 0, 0)] * 2)) == el(0, 0, 0)
+    assert element_from_good(good_from_element(el(0, 0, 0))) == el(0, 0, 0)
+    with pytest.raises(StructureError, match="empty sequence"):
         element_from_good(GoodSequence.of([]))
     with pytest.raises(StructureError):
         element_from_good([el(1, 0, 0), el(1, 1, 0)])  # increasing terms

@@ -1,6 +1,7 @@
 """Finite frames, frame reals, the induced-op oracle, drops and lifts."""
 
 import itertools
+import json
 import os
 import random
 import subprocess
@@ -348,6 +349,38 @@ def test_e0q_refusal_certifies_the_galois_law():
         e0q_member(q, h)
 
 
+E0Q_BUDGET = """
+import json, sys
+from trunclab.errors import BudgetError
+from trunclab.frames import (E0Q_MAX_FRAME, FiniteFrame, FrameReal, FrameSurjection,
+                             PointedFiniteFrame, e0q_exhaustive)
+runs = []
+for n in (E0Q_MAX_FRAME, E0Q_MAX_FRAME + 1):
+    pf = PointedFiniteFrame(FiniteFrame.chain(n), focus=n - 1)
+    q = FrameSurjection(pf, pf, {x: x for x in pf.frame.labels})
+    try:
+        runs.append(repr(e0q_exhaustive(q, FrameReal.zero(pf))))
+    except BudgetError as exc:
+        runs.append(f"BudgetError: {exc}")
+print(json.dumps({"optimize": sys.flags.optimize, "bound": E0Q_MAX_FRAME, "runs": runs}))
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["python", "python -O"])
+def test_e0q_exhaustive_refuses_a_source_over_its_bound(flags):
+    # the identity on a chain: 12 elements are searched, 13 are refused
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, *flags, "-c", E0Q_BUDGET], env=env,
+                          capture_output=True, text=True, timeout=120, check=False)
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    assert json.loads(proc.stdout) == {
+        "optimize": len(flags), "bound": 12,
+        "runs": ["LiftResult(ok via exhaustive, FrameReal[0:11])",
+                 "BudgetError: source frame exceeds the 12-element bound"]}
+
+
 def test_e0q_requires_density():
     two = FiniteFrame.chain(2)
     pc3 = PointedFiniteFrame(C3, focus=2)
@@ -393,7 +426,7 @@ def test_random_lift_agreement_small_frames():
         q = dense_surjection(rng, pf)
         h = frame_real(rng, q.target)
         lift = e0q_member(q, h)
-        oracle = e0q_exhaustive(q, h, max_frame=12)
+        oracle = e0q_exhaustive(q, h)
         assert lift.ok == oracle.ok
         if lift.ok:
             assert drop(q, FrameReal(q.source, lift.witness.cells,

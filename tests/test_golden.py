@@ -44,11 +44,13 @@ ARGVS = [
     ("normal-form", "f0", *F),
     ("good-seq", "g", "gs", "f0", *F, *J),
     *[(*argv, "--file", "frame_goodseq.tl", *J) for argv in (("check",), ("good-seq", "gs"))],
+    ("good-seq", "z", "gz", "--file", "zero_goodseq.tl", *J),
     ("trunc-seq", "g", "es", *F, *J),
     ("trunc-seq", "bad", *F, *J),
     ("uc", "T", "u", *F, *J),
     ("uc", "v", *F, *J),
     ("equivalence", "X3", *F, *J),
+    ("equivalence", "Y", "--file", "equivalence_budget.tl", *J),
     ("frame-eval", "u", "(-inf,1/2)", *F, *J),
     ("frame-eval", "v", "1", "inf", *F, *J),
     ("frame-eval", "w", "(-inf,inf)", *F),

@@ -275,6 +275,17 @@ def test_sequence_terms_must_be_elements(tmp_path, capsys, line, term, kind):
         assert err.startswith("input error: line 5: ") and "Traceback" not in err
 
 
+def test_a_goodseq_without_terms_has_no_zero(tmp_path, capsys):
+    # an all-zero goodseq reconstructs its space's zero (a golden entry);
+    # one that names no term at all gives no model to take a zero from
+    path = tmp_path / "empty.tl"
+    path.write_text("space X points * 1 star *\ngoodseq ge elements\n")
+    assert main(["check", "--file", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["good-seq", "ge", "--file", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("input error: empty sequence")
+
+
 @pytest.mark.parametrize("flags, joined", [
     ("ok", "ok"), ("2", "2"), ("0 x", "0x"), ("01-", "01-"), ("1 O", "1O")])
 def test_tail_flags_other_than_0_and_1_are_refused(tmp_path, capsys, flags, joined):
