@@ -109,6 +109,29 @@ class FiniteFrame(Lattice):
     def join_all(self, xs):
         return reduce(self.join, xs, self.bottom)
 
+    @cached_property
+    def _atoms(self):
+        """(atoms, atom_of): the atoms of the complemented part as ascending
+        indices, and for each point of points the position in atoms of the
+        atom above it, certified to be the only one.  Bottom up (larger
+        up-sets first), a nonzero complemented element is an atom iff no
+        atom found so far lies below it."""
+        up, atoms, above = self._up, [], 0
+        for i in sorted((i for i, x in enumerate(self.labels)
+                         if x in self.complemented and i != self._bot),
+                        key=lambda i: -up[i].bit_count()):
+            if not above >> i & 1:
+                atoms.append(i)
+                above |= up[i]
+        atoms.sort()
+        atom_of = []
+        for p in self.points:
+            over = [k for k, a in enumerate(atoms) if up[p] >> a & 1]
+            certify(len(over) == 1, "each point must lie below exactly one Boolean atom",
+                    (self.labels[p], [self.labels[atoms[k]] for k in over]))
+            atom_of.append(over[0])
+        return tuple(atoms), tuple(atom_of)
+
     def complement(self, x):
         if x not in self.complemented:
             raise StructureError(f"{label_repr(x)} is not complemented")
@@ -157,7 +180,8 @@ class PointedFiniteFrame:
             bad = _unpreserved(fr, [t >> i & 1 for i in range(len(fr))],
                                [("meet", fr._meet, ((0, 0), (0, 1))),
                                 ("join", fr._join, ((0, 1), (1, 1)))])
-            raise StructureError("point not {}-preserving at ({},{})".format(*bad))
+            raise StructureError("point not {}-preserving at ({},{})".format(
+                bad[0], *map(label_repr, bad[1:])))
 
     def __eq__(self, other):
         return (isinstance(other, PointedFiniteFrame)
@@ -460,7 +484,8 @@ class FrameSurjection:
         f = [ft.index[self.mapping[x]] for x in fs.labels]
         bad = _unpreserved(fs, f, [("join", fs._join, ft._join), ("meet", fs._meet, ft._meet)])
         if bad:
-            raise StructureError("map not {}-preserving at ({},{})".format(*bad))
+            raise StructureError("map not {}-preserving at ({},{})".format(
+                bad[0], *map(label_repr, bad[1:])))
         if set(self.mapping.values()) != set(ft.labels):
             raise StructureError("map not surjective")
         for x in fs.labels:

@@ -6,15 +6,24 @@ posets (disconnected posets give nontrivial Boolean parts, hence nonzero
 frame reals); set families are closed under the Boolean operations by
 saturation.
 
-A sampled downset frame is built once per process and shared by every draw
-of the same poset (see downset_frame), so a caller must treat a sampled
-frame, like every FiniteFrame, as immutable.
+Each sampled structure is built and validated once per process, after the
+draws that pick it, so the draws are those of a fresh build: random_space
+keeps one space per point count (at most max_points), and _FRAMES keeps one
+entry per drawn poset (16 at the default bound of 4 points) holding its
+downset frame, the pointed frame of each focus point drawn and, once
+dense_surjection asks, that pointed frame's dense surjections.  Every draw
+of the same structure returns the same object, so a caller must treat a
+sampled space, frame, pointed frame or surjection as immutable.  Only the
+values are drawn afresh: simple elements and frame reals are written as
+integer numerators over one denominator and certified, not rebuilt through
+their validating constructors.
 """
 
 import itertools
 from fractions import Fraction
+from math import lcm
 
-from .elements import SimpleElement
+from .elements import ZERO, SimpleElement
 from .errors import StructureError, certify
 from .frames import FiniteFrame, FrameReal, FrameSurjection, PointedFiniteFrame
 from .gba import GeneralizedBooleanAlgebra, transitive_closure
@@ -32,16 +41,15 @@ def rational(rng, nonneg=False):
 
 
 def simple_element(rng, space, nonneg=False, truncated=False):
-    vals = {}
-    for p in space.nonstar:
-        if chance(rng, 3, 4):
-            vals[p] = rational(rng, nonneg=nonneg)
-    g = SimpleElement(space, vals)
-    if nonneg:
-        g = abs(g)
+    """Each non-basepoint value drawn with chance 3/4, else 0; |g| ^ 1 when
+    truncated (a nonneg draw is already nonnegative)."""
+    vals = [rational(rng, nonneg=nonneg) if chance(rng, 3, 4) else ZERO
+            for _ in space.nonstar]
+    den = lcm(*(v.denominator for v in vals))
+    nums = [v.numerator * (den // v.denominator) for v in vals]
     if truncated:
-        g = abs(g).truncate()
-    return g
+        nums = [min(abs(n), den) for n in nums]
+    return SimpleElement._canonical(space, tuple(nums), den)
 
 
 def closed_set_family(rng, base, seeds=3):
@@ -78,74 +86,89 @@ def random_poset(rng, size):
     return transitive_closure(leq)
 
 
-_FRAMES = {}  # (n1, n2, leq1, leq2) -> (frame, points), filled by _poset_frame
+class _Poset:
+    """The catalogue entry of one drawn poset: its downset frame and points,
+    the validated pointed frame of each focus position drawn, and the dense
+    surjection options of each of those, keyed by its basepoint."""
+
+    __slots__ = ("frame", "points", "pointed", "options")
+
+    def __init__(self, frame, points):
+        self.frame, self.points, self.pointed, self.options = frame, points, {}, {}
 
 
-def _poset_frame(n1, n2, leq1, leq2):
-    """(frame, points) of the downsets of the two components leq1 and leq2.
-    A frame is built once per process and kept in _FRAMES."""
-    key = (n1, n2, leq1, leq2)
+_FRAMES = {}  # (n1, n2, leq1, leq2) -> _Poset, filled by _poset_entry
+
+
+def _poset_entry(rng, max_points):
+    """The _FRAMES entry of a random poset of at most max_points points, split
+    into two comparability components so the frame has nontrivial
+    complemented elements.  The entry is looked up by the drawn poset
+    (n1, n2, leq1, leq2) after the draws, so the draws are those of a fresh
+    build, and is built once per process."""
+    if max_points < 2:
+        raise StructureError("a downset frame of two components needs max_points >= 2, "
+                             f"got {max_points}")
+    n1 = rng.randint(1, max_points // 2)
+    n2 = rng.randint(1, max_points - n1)
+    key = n1, n2, frozenset(random_poset(rng, n1)), frozenset(random_poset(rng, n2))
     if key not in _FRAMES:
+        leq1, leq2 = key[2:]
         points = tuple([("a", i) for i in range(n1)] + [("b", i) for i in range(n2)])
         leq = {((s, i), (s, j)) for s, rel in (("a", leq1), ("b", leq2)) for i, j in rel}
         below = {p: frozenset(q for q in points if (q, p) in leq) for p in points}
         downsets = {frozenset().union(*map(below.get, combo))
                     for r in range(len(points) + 1)
                     for combo in itertools.combinations(points, r)}
-        _FRAMES[key] = FiniteFrame.from_sets(downsets), points
+        _FRAMES[key] = _Poset(FiniteFrame.from_sets(downsets), points)
     return _FRAMES[key]
-
-
-def downset_frame(rng, max_points=4):
-    """Frame of downsets of a random poset of at most max_points points.
-
-    The poset is split into two comparability components so the frame has
-    nontrivial complemented elements.  The frame is looked up by its drawn
-    poset (n1, n2, leq1, leq2) after the draws, so the draws are those of a
-    fresh build, and the points come as a tuple.  The cache holds one frame
-    per poset drawn: 16 at the default max_points=4.
-    """
-    if max_points < 2:
-        raise StructureError("a downset frame of two components needs max_points >= 2, "
-                             f"got {max_points}")
-    n1 = rng.randint(1, max_points // 2)
-    n2 = rng.randint(1, max_points - n1)
-    return _poset_frame(n1, n2, frozenset(random_poset(rng, n1)),
-                        frozenset(random_poset(rng, n2)))
 
 
 def pointed_frame(rng, max_points=4):
     """A pointed downset frame; the point is membership of a chosen poset point."""
-    frame, points = downset_frame(rng, max_points)
-    focus_pt = points[rng.randrange(len(points))]
-    true_set = frozenset(d for d in frame.labels if focus_pt in d)
-    return PointedFiniteFrame(frame, true_set=true_set)
+    entry = _poset_entry(rng, max_points)
+    k = rng.randrange(len(entry.points))
+    if k not in entry.pointed:
+        focus_pt = entry.points[k]
+        entry.pointed[k] = PointedFiniteFrame(
+            entry.frame, true_set=frozenset(d for d in entry.frame.labels if focus_pt in d))
+    return entry.pointed[k]
 
 
 def frame_real(rng, pframe, nonneg=False):
-    """A random step frame real: group the Boolean atoms into valued blocks.
-    Bottom up (larger up-sets first), a nonzero complemented element is an
-    atom iff no atom found so far lies below it."""
+    """A random step frame real: group the Boolean atoms into valued blocks,
+    the block holding the point valued 0.  The numerators are written from
+    block to atom to point over the values' lcm denominator, once the block
+    cells are certified a partition of the top with every point in the
+    block of its atom."""
     fr = pframe.frame
-    atoms, above = [], 0
-    for i in sorted(map(fr.index.get, fr.complemented - {fr.bottom}),
-                    key=lambda i: -fr._up[i].bit_count()):
-        if not above >> i & 1:
-            atoms.append(i)
-            above |= fr._up[i]
-    blocks = {}
-    for i in sorted(atoms):
-        blocks.setdefault(rng.randrange(MAX_BLOCKS), []).append(i)
-    cells, point_cell = [], None
+    atoms, atom_of = fr._atoms
+    blocks = {}  # drawn block -> positions in atoms, in the order first drawn
+    for k in range(len(atoms)):
+        blocks.setdefault(rng.randrange(MAX_BLOCKS), []).append(k)
+    join, meet, up, bot = fr._join, fr._meet, fr._up, fr._bot
+    block_of, cells, values, star = [0] * len(atoms), [], [], None
     for members in blocks.values():
-        cell = fr.labels[fr._join_of(members)]
-        if pframe.point(cell):
-            point_cell = cell
+        cell = bot
+        for k in members:
+            cell = join[cell][atoms[k]]
+            block_of[k] = len(cells)
+        if pframe._true >> cell & 1:
+            star = len(cells)
+            values.append(ZERO)
         else:
-            cells.append((rational(rng, nonneg=nonneg), cell))
-    certify(point_cell is not None, "the point must lie in one block of Boolean atoms",
-            [fr.labels[i] for i in sorted(atoms)])
-    return FrameReal(pframe, cells + [(Fraction(0), point_cell)])
+            values.append(rational(rng, nonneg=nonneg))
+        cells.append(cell)
+    certify(star is not None, "the point must lie in one block of Boolean atoms",
+            [fr.labels[i] for i in atoms])
+    certify(all(meet[c][d] == bot for c, d in itertools.combinations(cells, 2))
+            and fr._join_of(cells) == fr._top
+            and all(up[p] >> cells[block_of[k]] & 1 for p, k in zip(fr.points, atom_of)),
+            "the blocks of Boolean atoms must partition the top, each point in its atom's block",
+            [fr.labels[c] for c in cells])
+    den = lcm(*[v.denominator for v in values])
+    nums = [v.numerator * (den // v.denominator) for v in values]
+    return FrameReal._canonical(pframe, [nums[block_of[k]] for k in atom_of], den)
 
 
 def booleanization(pframe):
@@ -181,16 +204,37 @@ def open_quotient(pframe, y):
     return FrameSurjection(pframe, target, mapping)
 
 
-def dense_surjection(rng, pframe):
-    """A random dense pointed surjection out of pframe (identity fallback)."""
+def _dense_options(pframe):
+    """The dense pointed surjections out of pframe: the open quotients onto
+    its dense elements, the booleanization when it is one, and the identity."""
     fr = pframe.frame
     options = [open_quotient(pframe, y) for y in fr.labels
                if fr.pseudo[y] == fr.bottom and pframe.point(y)] + [booleanization(pframe)]
     options = [q for q in options if q is not None and q.dense]
     options.append(FrameSurjection(pframe, pframe, {x: x for x in fr.labels}))
+    return options
+
+
+def dense_surjection(rng, pframe):
+    """A random one of _dense_options(pframe); for a pointed frame on a
+    catalogue frame the options are built once, in its _FRAMES entry."""
+    entry = next((e for e in _FRAMES.values() if e.frame is pframe.frame), None)
+    if entry is None:
+        options = _dense_options(pframe)
+    else:
+        if pframe._star not in entry.options:
+            entry.options[pframe._star] = _dense_options(pframe)
+        options = entry.options[pframe._star]
     return options[rng.randrange(len(options))]
 
 
+_SPACES = {}  # point count -> PointedBooleanSpace, filled by random_space
+
+
 def random_space(rng, max_points=4):
+    """The pointed space {*, 1..n} for a random n in 1..max_points, built
+    once per process for each n."""
     n = rng.randint(1, max_points)
-    return PointedBooleanSpace(frozenset({"*"} | {str(i) for i in range(1, n + 1)}), "*")
+    if n not in _SPACES:
+        _SPACES[n] = PointedBooleanSpace(frozenset({"*"} | {str(i) for i in range(1, n + 1)}), "*")
+    return _SPACES[n]

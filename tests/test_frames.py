@@ -26,9 +26,9 @@ from trunclab.frames import (FiniteFrame, FrameReal, FrameSurjection,
                              ray_above, ray_below, surjection_tools)
 from trunclab.gba import Violation, transitive_closure
 from trunclab.instances import parse_instance
-from trunclab.rat import NEG_INF, POS_INF, sorted_labels
+from trunclab.rat import NEG_INF, POS_INF, label_repr, sorted_labels
 from trunclab import frames, sampling
-from trunclab.sampling import (booleanization, dense_surjection, downset_frame,
+from trunclab.sampling import (booleanization, dense_surjection,
                                frame_real, open_quotient, pointed_frame,
                                random_poset)
 
@@ -46,6 +46,13 @@ def real_line():
 
 def chi_b():
     return chi(PF4, B)
+
+
+def downset_frame(rng, max_points=4):
+    """A sampled downset frame and its poset's points, drawn as pointed_frame
+    draws them before it draws the focus."""
+    entry = sampling._poset_entry(rng, max_points)
+    return entry.frame, entry.points
 
 
 def frame_validate(labels, leq_pairs):
@@ -892,9 +899,9 @@ def reference_point_error(frame, true_set):
     """The label-level point check: its message at the first failing pair."""
     for x, y in itertools.product(frame.labels, repeat=2):
         if (frame.meet(x, y) in true_set) != (x in true_set and y in true_set):
-            return f"point not meet-preserving at ({x},{y})"
+            return f"point not meet-preserving at ({label_repr(x)},{label_repr(y)})"
         if (frame.join(x, y) in true_set) != (x in true_set or y in true_set):
-            return f"point not join-preserving at ({x},{y})"
+            return f"point not join-preserving at ({label_repr(x)},{label_repr(y)})"
     return None
 
 
@@ -902,16 +909,16 @@ def unpreserved_point_error(frame, true_set):
     bad = _unpreserved(frame, [int(x in true_set) for x in frame.labels],
                        [("meet", frame._meet, ((0, 0), (0, 1))),
                         ("join", frame._join, ((0, 1), (1, 1)))])
-    return bad and "point not {}-preserving at ({},{})".format(*bad)
+    return bad and "point not {}-preserving at ({},{})".format(bad[0], *map(label_repr, bad[1:]))
 
 
 def reference_map_error(fs, ft, mapping):
     """The label-level join and meet preservation check of a frame map."""
     for x, y in itertools.product(fs.labels, repeat=2):
         if mapping[fs.join(x, y)] != ft.join(mapping[x], mapping[y]):
-            return f"map not join-preserving at ({x},{y})"
+            return f"map not join-preserving at ({label_repr(x)},{label_repr(y)})"
         if mapping[fs.meet(x, y)] != ft.meet(mapping[x], mapping[y]):
-            return f"map not meet-preserving at ({x},{y})"
+            return f"map not meet-preserving at ({label_repr(x)},{label_repr(y)})"
     return None
 
 
@@ -1212,6 +1219,8 @@ refusals = [
     lambda: chi(PointedFiniteFrame(CH, focus=S("abc")), S("ab")),
     lambda: FrameSurjection(PB, PB, {x: x for x in F8.labels if x != S("ab")}),
     lambda: FrameSurjection(PB, PC, {x: x for x in F8.labels}),
+    lambda: PointedFiniteFrame(F8, true_set=[S("ab"), S("abc")]),
+    lambda: FrameSurjection(PB, PB, {x: S("abc") if x == S("abc") else S() for x in F8.labels}),
 ]
 for refuse in refusals:
     try:
@@ -1242,7 +1251,9 @@ def test_frozenset_label_refusals_ignore_the_hash_seed():
         "frozenset({'a', 'b'}) is not complemented",
         "frozenset({'a', 'b'}) is not complemented",
         "map not total at frozenset({'a', 'b'})",
-        "map not pointed at frozenset({'a', 'b'})"]
+        "map not pointed at frozenset({'a', 'b'})",
+        "point not join-preserving at (frozenset({'a'}),frozenset({'b'}))",
+        "map not join-preserving at (frozenset({'a'}),frozenset({'b', 'c'}))"]
 
 
 def test_string_label_refusals_keep_their_words():
