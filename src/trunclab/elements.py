@@ -694,12 +694,9 @@ def dini_check(seq):
     if maxima[-1] != 0:  # a nonnegative term is zero iff its maximum is
         return DiniReport(False, False, {})
     grid = [e for e in cut_grid([0, *(v for t in seq for v in t.grid_values())]) if e > 0]
-    index_map = {}
-    for eps in grid:
-        m = next(i for i in range(1, len(seq) + 1)
-                 if all(mx < eps for mx in maxima[i - 1:]))
-        index_map[eps] = m
-    return DiniReport(True, True, index_map)
+    # the terms do not increase, nor do their maxima: once below eps, all stay below
+    return DiniReport(True, True, {eps: next(i for i, mx in enumerate(maxima, 1) if mx < eps)
+                                   for eps in grid})
 
 
 def restriction_hom(space, keep):

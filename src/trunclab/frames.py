@@ -20,8 +20,8 @@ from math import gcd, lcm
 from .elements import OPS, SimpleElement, StepValues, apply_op, is_unital_component
 from .errors import (BudgetError, SpaceMismatchError, StructureError,
                      UnsupportedOperationError, certify)
-from .gba import (Lattice, ValidationReport, _distributive_lattice, _law_sweep,
-                  _restricted, _set_tables, _unpreserved, _up_sets, order_lattice)
+from .gba import (Lattice, ValidationReport, _restricted, _set_tables, _unpreserved,
+                  _up_sets, lattice_laws, order_lattice)
 from .rat import (NEG_INF, POS_INF, as_fraction, format_label, format_rational,
                   is_finite, label_repr, sorted_labels)
 from .records import record
@@ -31,17 +31,14 @@ E0Q_MAX_FRAME = 12  # bounds e0q_exhaustive's search over partitions of the sour
 
 
 def _frame_tables(labels, leq_pairs):
-    """gba.order_lattice, then distributivity by gba._distributive_lattice;
-    a failure is named by the first violation gba._law_sweep lists, which
-    in a lattice is a distributivity witness (a, b, c)."""
+    """gba.order_lattice, then gba.lattice_laws; a failure is named by the
+    first violation, which in a lattice is a distributivity witness (a, b, c)."""
     out, tables = order_lattice(labels, leq_pairs)
     if not out:
         labels, up, join, meet = tables
-        bot = up.index((1 << len(up)) - 1)
-        if not _distributive_lattice(join, meet, bot):
-            report = ValidationReport()
-            _law_sweep(report, labels, join, meet, bot)
-            out = report.violations[:1]
+        report = ValidationReport()
+        lattice_laws(report, labels, join, meet, up.index((1 << len(up)) - 1))
+        out = report.violations[:1]
     return out, None if out else tables
 
 
@@ -111,11 +108,9 @@ class FiniteFrame(Lattice):
 
     @cached_property
     def _atoms(self):
-        """(atoms, atom_of): the atoms of the complemented part as ascending
-        indices, and for each point of points the position in atoms of the
-        atom above it, certified to be the only one.  Bottom up (larger
-        up-sets first), a nonzero complemented element is an atom iff no
-        atom found so far lies below it."""
+        """The atoms of the complemented part as ascending indices.  Bottom up
+        (larger up-sets first), a nonzero complemented element is an atom iff
+        no atom found so far lies below it."""
         up, atoms, above = self._up, [], 0
         for i in sorted((i for i, x in enumerate(self.labels)
                          if x in self.complemented and i != self._bot),
@@ -123,14 +118,7 @@ class FiniteFrame(Lattice):
             if not above >> i & 1:
                 atoms.append(i)
                 above |= up[i]
-        atoms.sort()
-        atom_of = []
-        for p in self.points:
-            over = [k for k, a in enumerate(atoms) if up[p] >> a & 1]
-            certify(len(over) == 1, "each point must lie below exactly one Boolean atom",
-                    (self.labels[p], [self.labels[atoms[k]] for k in over]))
-            atom_of.append(over[0])
-        return tuple(atoms), tuple(atom_of)
+        return tuple(sorted(atoms))
 
     def complement(self, x):
         if x not in self.complemented:
@@ -213,6 +201,32 @@ def ray_above(r):
     return OpenInterval(as_fraction(r), POS_INF)
 
 
+def _cell_nums(pframe, cells, pointed=True):
+    """(nums, den) of a real from (Fraction or +/-inf, cell index) pairs:
+    cells of one value joined, bottom cells dropped, the rest refused unless
+    disjoint, covering the top and, when pointed, 0 at the basepoint.  den
+    is in lowest terms, as every cell but bottom holds a point, and each
+    point, a join-prime, lies below exactly one cell and takes its value."""
+    fr = pframe.frame
+    cells = [(v, c) for v, c in cells if c != fr._bot]
+    den = lcm(*(v.denominator for v, _ in cells if is_finite(v)))
+    merged = {}  # a numerator over den, or +/-inf, to the join of its cells
+    for v, c in cells:
+        n = v.numerator * (den // v.denominator) if is_finite(v) else v
+        merged[n] = fr._join[merged[n]][c] if n in merged else c
+    items = sorted(merged.items())
+    for (_, c), (_, d) in itertools.combinations(items, 2):
+        if fr._meet[c][d] != fr._bot:
+            raise StructureError(f"cells {label_repr(fr.labels[c])} and "
+                                 f"{label_repr(fr.labels[d])} are not disjoint")
+    if fr._join_of(c for _, c in items) != fr._top:
+        raise StructureError("cells do not cover the frame")
+    nums = tuple(n for p in fr.points for n, c in items if fr._up[p] >> c & 1)
+    if pointed and nums[pframe._star] != 0:
+        raise StructureError("the cell containing the designated point must carry 0")
+    return nums, den
+
+
 class FrameReal(StepValues):
     """Step-valued frame real: disjoint complemented cells with join top.
 
@@ -224,9 +238,11 @@ class FrameReal(StepValues):
     of a value is the join of the points that carry it; cells, values and
     eval give Fractions and labels.
 
-    The public constructor validates the cells; the pointwise operation
-    results go through _canonical, which checks only the basepoint value:
-    every tag maps (0, 0) to 0, so pointed operands always pass it.
+    The public constructor (cell labels) and _of_cells (cell indices) write
+    the numerators through _cell_nums, which refuses a non-partition; the
+    pointwise operation results go through _canonical, which checks only
+    the basepoint value: every tag maps (0, 0) to 0, so pointed operands
+    always pass it.
     """
 
     def __init__(self, pframe, cells, extended=False, pointed=True):
@@ -239,27 +255,14 @@ class FrameReal(StepValues):
                 raise StructureError("infinite values need a D-type frame real")
             if cell not in fr.index:
                 raise StructureError(f"unknown frame element {label_repr(cell)}")
-            if fr.index[cell] != fr._bot:
-                items.append((value, fr.index[cell]))
-        # in lowest terms, as every cell but bottom holds a point
-        den = lcm(*(v.denominator for v, _ in items if is_finite(v)))
-        merged = {}  # a numerator over den, or +/-inf, to the join of its cells
-        for v, c in items:
-            n = v.numerator * (den // v.denominator) if is_finite(v) else v
-            merged[n] = fr._join[merged[n]][c] if n in merged else c
-        items = sorted(merged.items())
-        for i, (_, c) in enumerate(items):
-            for _, d in items[i + 1:]:
-                if fr._meet[c][d] != fr._bot:
-                    raise StructureError(f"cells {label_repr(fr.labels[c])} and "
-                                         f"{label_repr(fr.labels[d])} are not disjoint")
-        if fr._join_of(c for _, c in items) != fr._top:
-            raise StructureError("cells do not cover the frame")
-        # each point lies below exactly one cell of the partition
-        self._nums = tuple(n for p in fr.points for n, c in items if fr._up[p] >> c & 1)
-        if pointed and self._nums[pframe._star] != 0:
-            raise StructureError("the cell containing the designated point must carry 0")
-        self.pframe, self._den, self.extended, self.pointed = pframe, den, extended, pointed
+            items.append((value, fr.index[cell]))
+        self._nums, self._den = _cell_nums(pframe, items, pointed)
+        self.pframe, self.extended, self.pointed = pframe, extended, pointed
+
+    @classmethod
+    def _of_cells(cls, pframe, cells):
+        """A finite pointed real from (Fraction, cell index) pairs, by _cell_nums."""
+        return cls._canonical(pframe, *_cell_nums(pframe, cells))
 
     @classmethod
     def _canonical(cls, pframe, nums, den):

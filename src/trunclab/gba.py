@@ -152,11 +152,12 @@ def _restricted(keep, *tables):
     return [[[at[t[i][j]] for j in keep] for i in keep] for t in tables]
 
 
-def _distributive_lattice(J, M, bot):
-    """Whether total integer tables J, M pass every law of _law_sweep, in
-    O(n^2) bitmask work.  Let a <= b iff J[a][b] == b, keep up- and down-sets
-    as bitmasks, and let D(x) be the join-irreducibles below x and E(x) the
-    other irreducibles (_join_irreducibles).  It requires
+def lattice_laws(report, labels, J, M, bot):
+    """Add each lattice-law violation of total integer tables J, M to report:
+    none when an O(n^2) bitmask certificate passes, else _law_sweep's.  Let
+    a <= b iff J[a][b] == b, keep up- and down-sets as bitmasks, and let D(x)
+    be the join-irreducibles below x and E(x) the other irreducibles
+    (_join_irreducibles).  It requires
     (1) up[a] & down[a] == {a}: <= is reflexive and antisymmetric;
     (2) up[bot] holds every element; (3) up[J[a][b]] == up[a] & up[b]: J is
     the least upper bound and, where J[a][b] == b, <= is transitive;
@@ -170,13 +171,13 @@ def _distributive_lattice(J, M, bot):
     j = (j ^ a) v (j ^ b), so j <= a or j <= b: (5).
     """
     up, down = _up_sets(J), _down_sets(J)
-    if up[bot] != (1 << len(J)) - 1 or any(u & d != 1 << a for a, (u, d) in
-                                           enumerate(zip(up, down))):
-        return False
     irreducible = _join_irreducibles(down)
-    return all(masks[t] == ma & mb for table, masks in
-               ((J, up), (M, down), (J, [irreducible & ~d for d in down]))
-               for ma, row in zip(masks, table) for t, mb in zip(row, masks))
+    if not (up[bot] == (1 << len(J)) - 1
+            and all(u & d == 1 << a for a, (u, d) in enumerate(zip(up, down)))
+            and all(masks[t] == ma & mb for table, masks in
+                    ((J, up), (M, down), (J, [irreducible & ~d for d in down]))
+                    for ma, row in zip(masks, table) for t, mb in zip(row, masks))):
+        _law_sweep(report, labels, J, M, bot)
 
 
 def _law_sweep(report, elems, J, M, bot):
@@ -381,17 +382,16 @@ class GeneralizedBooleanAlgebra(Lattice):
 
     def _check(self, report):
         """Add every gBa axiom violation to report, witnesses as labels in the
-        order a, b, c: the gaps alone if there are any; else the lattice laws,
-        swept only if _distributive_lattice fails, then the relative
-        complements.  A valid algebra without a diff table gets the derived one."""
+        order a, b, c: the gaps alone if there are any; else lattice_laws,
+        then the relative complements.  A valid algebra without a diff table
+        gets the derived one."""
         if self._gaps:
             for law, *witness in self._gaps:
                 report.add(law, *witness)
             return
         labels, J, M, bot = self.labels, self._join, self._meet, self._bot
         n = len(labels)
-        if not _distributive_lattice(J, M, bot):
-            _law_sweep(report, labels, J, M, bot)
+        lattice_laws(report, labels, J, M, bot)
         # Candidates for a \ b are the c with c ^ b = bottom and c v b = a v b:
         # group, for each b, those c by c v b, in carrier order.
         by_join = [{} for _ in range(n)]

@@ -113,14 +113,11 @@ def _brace_groups(tokens, lineno):
     return groups
 
 
-def _pairs(tokens, lineno, sep="="):
-    out = []
+def _pairs(tokens, lineno):
     for tok in tokens:
-        if sep not in tok:
-            raise ParseError(lineno, f"expected KEY{sep}VALUE, got {tok!r}")
-        k, v = tok.split(sep, 1)
-        out.append((k, v))
-    return out
+        if "=" not in tok:
+            raise ParseError(lineno, f"expected KEY=VALUE, got {tok!r}")
+    return [tuple(tok.split("=", 1)) for tok in tokens]
 
 
 def _order(sec, lineno):

@@ -3,24 +3,24 @@
 Everything is driven by an explicit random.Random instance, so suites are
 reproducible from their seed.  Frames come from downset lattices of random
 posets (disconnected posets give nontrivial Boolean parts, hence nonzero
-frame reals); set families are closed under the Boolean operations by
-saturation.
+frame reals); a random gBa is the ring of sets its seed sets generate.
 
 Each sampled structure is built and validated once per process, after the
 draws that pick it, so the draws are those of a fresh build: random_space
-keeps one space per point count (at most max_points), and _FRAMES keeps one
+keeps one space per point count (at most max_points), _FRAMES keeps one
 entry per drawn poset (16 at the default bound of 4 points) holding its
-downset frame, the pointed frame of each focus point drawn and, once
-dense_surjection asks, that pointed frame's dense surjections.  Every draw
-of the same structure returns the same object, so a caller must treat a
-sampled space, frame, pointed frame or surjection as immutable.  Only the
-values are drawn afresh: simple elements and frame reals are written as
-integer numerators over one denominator and certified, not rebuilt through
-their validating constructors.
+downset frame and the pointed frame of each focus point drawn, and
+_dense_options is cached per pointed frame.  Every draw of the same
+structure returns the same object, so a caller must treat a sampled space,
+frame, pointed frame or surjection as immutable.  Only the values are
+drawn afresh: a simple element is written as integer numerators over one
+denominator, and a frame real as values on cell indices, checked a
+partition of the top by FrameReal._of_cells, not rebuilt from labels.
 """
 
 import itertools
 from fractions import Fraction
+from functools import cache
 from math import lcm
 
 from .elements import ZERO, SimpleElement
@@ -53,22 +53,17 @@ def simple_element(rng, space, nonneg=False, truncated=False):
 
 
 def closed_set_family(rng, base, seeds=3):
-    """A family of subsets closed under union/intersection/difference."""
+    """The ring of sets (closed under union, intersection and difference)
+    that seeds random subsets of base generate: every union of the nonempty
+    classes of points that lie in the same seed sets."""
     base = list(base)
-    family = {frozenset()}
-    for _ in range(seeds):
-        s = frozenset(p for p in base if chance(rng, 1, 2))
-        family.add(s)
-    changed = True
-    while changed:
-        changed = False
-        for a in list(family):
-            for b in list(family):
-                for r in (a | b, a & b, a - b):
-                    if r not in family:
-                        family.add(r)
-                        changed = True
-    return frozenset(family)
+    drawn = [frozenset(p for p in base if chance(rng, 1, 2)) for _ in range(seeds)]
+    classes = {}
+    for p in frozenset().union(*drawn):
+        classes.setdefault(tuple(p in s for s in drawn), set()).add(p)
+    classes = list(classes.values())
+    return frozenset(frozenset().union(*combo) for r in range(len(classes) + 1)
+                     for combo in itertools.combinations(classes, r))
 
 
 def random_gba(rng, max_base=4):
@@ -88,13 +83,12 @@ def random_poset(rng, size):
 
 class _Poset:
     """The catalogue entry of one drawn poset: its downset frame and points,
-    the validated pointed frame of each focus position drawn, and the dense
-    surjection options of each of those, keyed by its basepoint."""
+    and the validated pointed frame of each focus position drawn."""
 
-    __slots__ = ("frame", "points", "pointed", "options")
+    __slots__ = ("frame", "points", "pointed")
 
     def __init__(self, frame, points):
-        self.frame, self.points, self.pointed, self.options = frame, points, {}, {}
+        self.frame, self.points, self.pointed = frame, points, {}
 
 
 _FRAMES = {}  # (n1, n2, leq1, leq2) -> _Poset, filled by _poset_entry
@@ -137,38 +131,21 @@ def pointed_frame(rng, max_points=4):
 
 def frame_real(rng, pframe, nonneg=False):
     """A random step frame real: group the Boolean atoms into valued blocks,
-    the block holding the point valued 0.  The numerators are written from
-    block to atom to point over the values' lcm denominator, once the block
-    cells are certified a partition of the top with every point in the
-    block of its atom."""
+    the block holding the point valued 0.  A block description that does
+    not partition the top fails its certificate."""
     fr = pframe.frame
-    atoms, atom_of = fr._atoms
-    blocks = {}  # drawn block -> positions in atoms, in the order first drawn
-    for k in range(len(atoms)):
-        blocks.setdefault(rng.randrange(MAX_BLOCKS), []).append(k)
-    join, meet, up, bot = fr._join, fr._meet, fr._up, fr._bot
-    block_of, cells, values, star = [0] * len(atoms), [], [], None
+    blocks = {}  # drawn block -> atoms, in the order first drawn
+    for a in fr._atoms:
+        blocks.setdefault(rng.randrange(MAX_BLOCKS), []).append(a)
+    cells = []
     for members in blocks.values():
-        cell = bot
-        for k in members:
-            cell = join[cell][atoms[k]]
-            block_of[k] = len(cells)
-        if pframe._true >> cell & 1:
-            star = len(cells)
-            values.append(ZERO)
-        else:
-            values.append(rational(rng, nonneg=nonneg))
-        cells.append(cell)
-    certify(star is not None, "the point must lie in one block of Boolean atoms",
-            [fr.labels[i] for i in atoms])
-    certify(all(meet[c][d] == bot for c, d in itertools.combinations(cells, 2))
-            and fr._join_of(cells) == fr._top
-            and all(up[p] >> cells[block_of[k]] & 1 for p, k in zip(fr.points, atom_of)),
-            "the blocks of Boolean atoms must partition the top, each point in its atom's block",
-            [fr.labels[c] for c in cells])
-    den = lcm(*[v.denominator for v in values])
-    nums = [v.numerator * (den // v.denominator) for v in values]
-    return FrameReal._canonical(pframe, [nums[block_of[k]] for k in atom_of], den)
+        cell = fr._join_of(members)
+        cells.append((ZERO if pframe._true >> cell & 1 else rational(rng, nonneg=nonneg), cell))
+    try:
+        return FrameReal._of_cells(pframe, cells)
+    except StructureError as exc:
+        certify(False, f"the blocks of Boolean atoms must partition the top: {exc}",
+                [fr.labels[c] for _, c in cells])
 
 
 def booleanization(pframe):
@@ -204,27 +181,21 @@ def open_quotient(pframe, y):
     return FrameSurjection(pframe, target, mapping)
 
 
+@cache
 def _dense_options(pframe):
-    """The dense pointed surjections out of pframe: the open quotients onto
-    its dense elements, the booleanization when it is one, and the identity."""
+    """The dense pointed surjections out of pframe as a tuple, built once per
+    pointed frame: the open quotients onto its dense elements, the
+    booleanization when it is one, and the identity."""
     fr = pframe.frame
     options = [open_quotient(pframe, y) for y in fr.labels
                if fr.pseudo[y] == fr.bottom and pframe.point(y)] + [booleanization(pframe)]
-    options = [q for q in options if q is not None and q.dense]
-    options.append(FrameSurjection(pframe, pframe, {x: x for x in fr.labels}))
-    return options
+    return tuple(q for q in options if q is not None and q.dense) + (
+        FrameSurjection(pframe, pframe, {x: x for x in fr.labels}),)
 
 
 def dense_surjection(rng, pframe):
-    """A random one of _dense_options(pframe); for a pointed frame on a
-    catalogue frame the options are built once, in its _FRAMES entry."""
-    entry = next((e for e in _FRAMES.values() if e.frame is pframe.frame), None)
-    if entry is None:
-        options = _dense_options(pframe)
-    else:
-        if pframe._star not in entry.options:
-            entry.options[pframe._star] = _dense_options(pframe)
-        options = entry.options[pframe._star]
+    """A random one of _dense_options(pframe)."""
+    options = _dense_options(pframe)
     return options[rng.randrange(len(options))]
 
 

@@ -1103,6 +1103,7 @@ def test_sampled_frames_skip_the_order_path(monkeypatch):
         return order_tables_of(labels, leq_pairs)
 
     monkeypatch.setattr(sampling, "_FRAMES", {})  # so the frames are built here
+    sampling._dense_options.cache_clear()
     monkeypatch.setattr(frames, "_frame_tables", counted)
     for seed in range(30):
         pframe = pointed_frame(random.Random(seed))
@@ -1143,10 +1144,12 @@ def test_cached_frames_give_the_draws_of_a_fresh_build(max_points, monkeypatch):
     cold = []
     for seed in range(40):
         monkeypatch.setattr(sampling, "_FRAMES", {})
+        sampling._dense_options.cache_clear()
         cold.append(sampled(seed, max_points))
         fr, true_set, state = reference_sampled(seed, max_points)
         assert (frame_state(fr), true_set, state) == (frame_state(cold[-1][0]), *cold[-1][1:])
     monkeypatch.setattr(sampling, "_FRAMES", {})
+    sampling._dense_options.cache_clear()
     for _ in range(2):  # filled as the seeds go, then warm throughout
         warm = [sampled(seed, max_points) for seed in range(40)]
         for (fc, tc, sc), (fw, tw, sw) in zip(cold, warm):

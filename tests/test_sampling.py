@@ -1,6 +1,7 @@
 """The samplers against their constructor-path references, the catalogue
 they build once per process, and the certificates that guard it."""
 
+import ast
 import itertools
 import json
 import os
@@ -17,9 +18,9 @@ from trunclab import sampling
 from trunclab.elements import SimpleElement
 from trunclab.errors import certify
 from trunclab.frames import FiniteFrame, FrameReal, FrameSurjection, PointedFiniteFrame
-from trunclab.sampling import (MAX_BLOCKS, booleanization, dense_surjection, frame_real,
-                               open_quotient, pointed_frame, random_poset, random_space,
-                               rational, simple_element)
+from trunclab.sampling import (MAX_BLOCKS, booleanization, closed_set_family,
+                               dense_surjection, frame_real, open_quotient, pointed_frame,
+                               random_poset, random_space, rational, simple_element)
 from trunclab.rat import chance
 from trunclab.spaces import PointedBooleanSpace
 
@@ -93,6 +94,25 @@ def reference_dense_surjection(rng, pframe):
     return options[rng.randrange(len(options))]
 
 
+def reference_closed_set_family(rng, base, seeds=3):
+    """The family saturated under union, intersection and difference."""
+    base = list(base)
+    family = {frozenset()}
+    for _ in range(seeds):
+        s = frozenset(p for p in base if chance(rng, 1, 2))
+        family.add(s)
+    changed = True
+    while changed:
+        changed = False
+        for a in list(family):
+            for b in list(family):
+                for r in (a | b, a & b, a - b):
+                    if r not in family:
+                        family.add(r)
+                        changed = True
+    return frozenset(family)
+
+
 def element_state(g):
     return g._nums, g._den, g.items() if isinstance(g, SimpleElement) else g.cells
 
@@ -153,6 +173,22 @@ def test_dense_surjection_builds_the_options_of_a_hand_built_pointed_frame():
         assert rng.getstate() == ref.getstate()
 
 
+def test_closed_set_family_is_the_saturated_family():
+    for size in range(6):
+        base = [f"e{i}" for i in range(size)]
+        for seed in range(501):
+            rng, ref = random.Random(seed), random.Random(seed)
+            assert closed_set_family(rng, base) == reference_closed_set_family(ref, base)
+            assert rng.getstate() == ref.getstate(), (size, seed)
+
+
+def test_the_samplers_read_no_frame_table():
+    """sampling reaches a frame's tables only through frame methods."""
+    tree = ast.parse(Path(sampling.__file__).read_text(encoding="utf-8"))
+    read = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert read & {"_join", "_meet", "_up", "_bot", "_top"} == set()
+
+
 # --- the per-process catalogue --------------------------------------------
 
 def test_a_repeated_draw_returns_the_pointed_frame_validated_once(monkeypatch):
@@ -164,6 +200,7 @@ def test_a_repeated_draw_returns_the_pointed_frame_validated_once(monkeypatch):
         return honest(self)
 
     monkeypatch.setattr(sampling, "_FRAMES", {})
+    sampling._dense_options.cache_clear()
     monkeypatch.setattr(PointedFiniteFrame, "_validate", counted)
     first = pointed_frame(random.Random(3))
     again = pointed_frame(random.Random(3))
@@ -186,7 +223,8 @@ CATALOGUE_SIZES = textwrap.dedent("""
         "spaces": sorted(len(sp.nonstar) + 1 for sp in sampling._SPACES.values()),
         "frames": len(entries),
         "pointed_over_points": [len(e.pointed) <= len(e.points) for e in entries],
-        "options_over_pointed": [len(e.options) <= len(e.pointed) for e in entries]}))
+        "options_over_pointed": (sampling._dense_options.cache_info().currsize
+                                 <= sum(len(e.pointed) for e in entries))}))
 """)
 
 
@@ -201,10 +239,10 @@ def test_a_full_suite_run_keeps_the_catalogue_within_its_bounds(flags):
         assert sizes["optimize"] == len(flags) and sizes["exit"] == 0
         assert set(sizes["spaces"]) <= {2, 3, 4, 5} and sizes["spaces"]
         assert 0 < sizes["frames"] <= 16
-        assert all(sizes["pointed_over_points"]) and all(sizes["options_over_pointed"])
+        assert all(sizes["pointed_over_points"]) and sizes["options_over_pointed"]
 
 
-# --- the certificates on the atom description ------------------------------
+# --- the certificate on the atom description -------------------------------
 
 def env_with_src():
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -224,49 +262,39 @@ FORGED_ATOMS = textwrap.dedent("""
         return FiniteFrame.from_sets([S(c) for r in range(4)
                                       for c in itertools.combinations("abc", r)])
 
-    def label(i):
-        return format_label(F8.labels[i])
+    for seed in range(40):  # the first seed that puts the first two atoms apart
+        rng = random.Random(seed)
+        if rng.randrange(3) != rng.randrange(3):
+            break
+
+    def run(frame):
+        try:
+            frame_real(random.Random(seed), PointedFiniteFrame(frame, focus=S("b")))
+            return None
+        except CertificationError as exc:
+            return [str(exc).split(" (witness")[0], [format_label(x) for x in exc.witness]]
 
     F8 = f8()
     A, B, C, TOP = (F8.index[S(x)] for x in ("a", "b", "c", "abc"))
-    atoms, atom_of = F8._atoms
-    forgeries = {
-        "drop an atom": ((A, B), atom_of),
-        "drop the point's atom": ((A, C), atom_of),
-        "give a point two atoms": ((A, B, C, TOP), atom_of),
-        "move a point to another atom": (atoms, (1, 1, 2)),
-    }
-    runs = {"described": [label(i) for i in atoms], "atom_of": atom_of}
+    runs = {"described": [format_label(F8.labels[i]) for i in F8._atoms]}
+    forgeries = {"drop an atom": (A, B), "drop the point's atom": (A, C),
+                 "give a point two atoms": (A, B, C, TOP)}
     for name, forged in forgeries.items():
         frame = f8()
         frame.__dict__["_atoms"] = forged
-        pframe = PointedFiniteFrame(frame, focus=S("b"))
-        for seed in range(40):  # the first seed that puts the first two atoms apart
-            rng = random.Random(seed)
-            if rng.randrange(3) != rng.randrange(3):
-                break
-        try:
-            frame_real(random.Random(seed), pframe)
-            runs[name] = None
-        except CertificationError as exc:
-            runs[name] = [str(exc).split(" (witness")[0],
-                          [format_label(x) for x in exc.witness]]
+        runs[name] = run(frame)
     frame = f8()
     frame.__dict__["complemented"] = frame.complemented - {S("c")}
-    try:
-        frame._atoms
-    except CertificationError as exc:
-        runs["a point below no atom"] = [str(exc).split(" (witness")[0],
-                                         format_label(exc.witness[0]), exc.witness[1]]
+    runs["a point below no atom"] = run(frame)
     print(json.dumps({"optimize": sys.flags.optimize, "runs": runs}))
 """)
 
 
 @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["python", "python -O"])
 def test_a_forged_atom_description_fails_its_certificates(flags):
-    """The block partition that frame_real writes its numerators from is
-    certified on every draw, and the description it reads once per frame:
-    a forgery of either is a CertificationError, also under python -O."""
+    """frame_real writes its real through the partition check of the
+    FrameReal constructor: blocks of a forged atom description that do not
+    partition the top are a CertificationError, also under python -O."""
     proc = subprocess.run([sys.executable, *flags, "-c", FORGED_ATOMS], env=env_with_src(),
                           capture_output=True, text=True, timeout=120, check=False)
     assert proc.returncode == 0 and proc.stderr == "", proc.stderr
@@ -274,30 +302,26 @@ def test_a_forged_atom_description_fails_its_certificates(flags):
     assert result["optimize"] == len(flags)
     runs = result["runs"]
     assert runs.pop("described") == ["{a}", "{b}", "{c}"]
-    assert runs.pop("atom_of") == [0, 1, 2]
-    partition = "the blocks of Boolean atoms must partition the top, each point in its atom's block"
+    refused = "the blocks of Boolean atoms must partition the top: "
+    uncovered = refused + "cells do not cover the frame"
     assert runs == {
-        "drop an atom": [partition, ["{a}", "{b}"]],
-        "drop the point's atom": ["the point must lie in one block of Boolean atoms",
-                                  ["{a}", "{c}"]],
-        "give a point two atoms": [partition, runs["give a point two atoms"][1]],
-        "move a point to another atom": [partition, runs["move a point to another atom"][1]],
-        "a point below no atom": ["each point must lie below exactly one Boolean atom",
-                                  "{c}", []],
+        "drop an atom": [uncovered, ["{a}", "{b}"]],
+        "drop the point's atom": [uncovered, ["{a}", "{c}"]],
+        "give a point two atoms": [refused + "cells frozenset({'a', 'c'}) and "
+                                   "frozenset({'a', 'b', 'c'}) are not disjoint",
+                                   ["{a,c}", "{b}", "{a,b,c}"]],
+        "a point below no atom": [uncovered, ["{a}", "{b}"]],
     }
-    assert len(runs["give a point two atoms"][1]) > 1
 
 
 def test_the_atom_description_of_sampled_frames():
-    """Each point below exactly one atom, the atoms the minimal nonzero
-    complemented elements, on every catalogue frame and its quotients."""
+    """The atoms are the minimal nonzero complemented elements and each point
+    lies below exactly one, on every catalogue frame and its quotients."""
     for seed in range(60):
         rng = random.Random(seed)
         pframe = pointed_frame(rng)
         for fr in (pframe.frame, dense_surjection(rng, pframe).target.frame):
-            atoms, atom_of = fr._atoms
             comp = [fr.index[x] for x in fr.complemented if x != fr.bottom]
-            assert list(atoms) == sorted(a for a in comp if not any(
+            assert list(fr._atoms) == sorted(a for a in comp if not any(
                 b != a and fr._up[b] >> a & 1 for b in comp))
-            assert [[k for k, a in enumerate(atoms) if fr._up[p] >> a & 1]
-                    for p in fr.points] == [[k] for k in atom_of]
+            assert all(sum(fr._up[p] >> a & 1 for a in fr._atoms) == 1 for p in fr.points)

@@ -89,6 +89,7 @@ def test_frame_suites_agree_with_a_cold_frame_cache(monkeypatch):
     cold = []
     for name, seed in runs:
         monkeypatch.setattr(sampling, "_FRAMES", {})
+        sampling._dense_options.cache_clear()
         cold.append(suites.SUITES[name](seed=seed, cases=30))
     assert [suites.SUITES[name](seed=seed, cases=30) for name, seed in runs] == cold
     assert sampling._FRAMES
