@@ -208,20 +208,21 @@ def _cell_nums(pframe, cells, pointed=True):
     is in lowest terms, as every cell but bottom holds a point, and each
     point, a join-prime, lies below exactly one cell and takes its value."""
     fr = pframe.frame
-    cells = [(v, c) for v, c in cells if c != fr._bot]
-    den = lcm(*(v.denominator for v, _ in cells if is_finite(v)))
+    join, meet, up, bot = fr._join, fr._meet, fr._up, fr._bot
+    cells = [(v, c) for v, c in cells if c != bot]
+    den = lcm(*[v.denominator for v, _ in cells if is_finite(v)])
     merged = {}  # a numerator over den, or +/-inf, to the join of its cells
     for v, c in cells:
         n = v.numerator * (den // v.denominator) if is_finite(v) else v
-        merged[n] = fr._join[merged[n]][c] if n in merged else c
+        merged[n] = join[merged[n]][c] if n in merged else c
     items = sorted(merged.items())
     for (_, c), (_, d) in itertools.combinations(items, 2):
-        if fr._meet[c][d] != fr._bot:
+        if meet[c][d] != bot:
             raise StructureError(f"cells {label_repr(fr.labels[c])} and "
                                  f"{label_repr(fr.labels[d])} are not disjoint")
     if fr._join_of(c for _, c in items) != fr._top:
         raise StructureError("cells do not cover the frame")
-    nums = tuple(n for p in fr.points for n, c in items if fr._up[p] >> c & 1)
+    nums = tuple(n for p in fr.points for n, c in items if up[p] >> c & 1)
     if pointed and nums[pframe._star] != 0:
         raise StructureError("the cell containing the designated point must carry 0")
     return nums, den
